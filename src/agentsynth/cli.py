@@ -269,7 +269,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"method diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -502,6 +502,14 @@ def write_pool_csv(pool: AgentPool, path) -> None:
             writer.writerow(cells)
 
 
+def _parse_int(cell: str) -> int:
+    """``3`` or ``3.0`` -> 3; ValueError for a cell that is not integral."""
+    value = float(cell)
+    if not value.is_integer():
+        raise ValueError(cell)
+    return int(value)
+
+
 def read_pool_csv(path, schema: Schema, provenance: str = "train",
                   strict_numeric: bool | None = None) -> AgentPool:
     """Read a pool from CSV, parsing and validating against the schema.
@@ -527,7 +535,11 @@ def read_pool_csv(path, schema: Schema, provenance: str = "train",
                 if cell == "":
                     raise DataError(f"{path}:{line_no}: missing value for {var.name!r}")
                 if var.kind == "numerical-int":
-                    row.append(int(float(cell)))
+                    try:
+                        row.append(_parse_int(cell))
+                    except ValueError:
+                        raise DataError(f"{path}:{line_no}: {var.name!r} needs an integer, "
+                                        f"got {cell!r}") from None
                 elif var.kind == "numerical-cont":
                     row.append(float(cell))
                 else:

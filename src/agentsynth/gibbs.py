@@ -10,6 +10,20 @@ makes the sampler a pure replicator on fully categorical data, and it can
 get trapped on probability islands: contexts with a point-mass conditional
 never let the chain leave.
 
+:func:`run_chain` uses that fact. Its state is an index into the unique
+training rows; for each variable every unique row belongs to a context
+group (the rows equal to it on all other variables), and one update is a
+bisection into the group's cumulative conditional that lands directly on
+the next row index. The tables passed in define those conditionals, so the
+chain samples exactly the tables it is given; when they give positive
+probability to a row outside the training rows, or lack a training row's
+context, the chain falls back to :func:`gibbs_step`, the table-lookup
+reference. A start that is not a training row, and every restart, also go
+through the reference step. The context groups also give the probability
+islands: connected components of the unique training rows, two rows being
+linked when they share a context group. Diagnostics report how many
+islands there are and how many rows the chain's starting island holds.
+
 Mixed schemas are handled by discretizing numerics with the schema bins
 before table estimation; emitted bin draws become bin-uniform raw values.
 """
@@ -17,12 +31,17 @@ before table estimation; emitted bin draws become bin-uniform raw values.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import AgentPool, codes_to_pool, pool_to_codes
 from .errors import ConfigError, DataError, UnreachableContextError
+
+# Uniforms drawn per generator call on the index path. Drawing the whole
+# chain's uniforms at once would hold about a million Python floats.
+UNIFORM_BLOCK = 65536
 
 
 @dataclass(frozen=True)
@@ -51,6 +70,99 @@ class ChainConfig:
             raise ConfigError("target_count must be >= 0")
 
 
+def _distinct_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of an integer matrix in lexicographic order, and the
+    position of each input row among them (``np.unique(axis=0)`` without
+    its slow structured-dtype sort)."""
+    order = np.lexsort(matrix.T[::-1]) if matrix.shape[1] else np.arange(len(matrix))
+    ordered = matrix[order]
+    first = np.ones(len(matrix), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    ids = np.empty(len(matrix), dtype=np.int64)
+    ids[order] = np.cumsum(first) - 1
+    return ordered[first], ids
+
+
+@dataclass(frozen=True)
+class ContextGroups:
+    """The unique rows of a code matrix and, per variable, their context groups.
+
+    ``groups[i][r]`` is the group of unique row ``r`` for variable ``i``:
+    rows share a group when they are equal on every column but ``i``.
+    ``contexts[i][g]`` is group ``g``'s row with column ``i`` removed.
+    """
+
+    rows: np.ndarray
+    counts: np.ndarray
+    groups: list[np.ndarray]
+    contexts: list[np.ndarray]
+
+    @classmethod
+    def from_codes(cls, codes: np.ndarray) -> ContextGroups:
+        rows, row_ids = _distinct_rows(codes)
+        groups, contexts = [], []
+        for i in range(rows.shape[1]):
+            ctx, group = _distinct_rows(np.delete(rows, i, axis=1))
+            groups.append(group)
+            contexts.append(ctx)
+        return cls(rows, np.bincount(row_ids), groups, contexts)
+
+    def island_labels(self) -> np.ndarray:
+        """Per unique row, the smallest row index of its probability island."""
+        n = len(self.rows)
+        labels = np.arange(n)
+        while True:
+            before = labels
+            for group in self.groups:
+                low = np.full(n, n)
+                np.minimum.at(low, group, labels)
+                labels = low[group]
+            # each label names a row of the same island with a smaller or
+            # equal index, so following labels twice stays in the island
+            labels = labels[labels]
+            if np.array_equal(labels, before):
+                return labels
+
+    def transitions(self, tables: list[ConditionalTable]) -> list[tuple[list, list]] | None:
+        """Per variable, two sequences indexed by unique row: the cumulative
+        conditional of the row's context group, and the unique row that
+        each bisection result into it lands on.
+
+        A draw at or past the rounded total (bisection result equal to the
+        width) lands where the last value with positive probability does.
+        A point-mass group gets the empty cumulative sequence, so every
+        bisection gives 0 and lands on its only reachable row.
+        Returns None when a training row's context is missing from the
+        tables or a positive-probability value leads outside the training
+        rows: the index space then does not hold the chain.
+        """
+        n = len(self.rows)
+        only = [(r,) for r in range(n)]
+        layout = []
+        for i, (group, ctx) in enumerate(zip(self.groups, self.contexts)):
+            table = tables[i].table
+            probs = [table.get(key) for key in map(tuple, ctx.tolist())]
+            if any(p is None for p in probs):
+                return None
+            probs = np.array(probs)
+            n_groups, width = probs.shape
+            target = np.full((n_groups, width + 1), -1)
+            target[group, self.rows[:, i]] = np.arange(n)
+            positive = probs > 0
+            n_positive = positive.sum(axis=1)
+            if (n_positive == 0).any() or (positive & (target[:, :width] < 0)).any():
+                return None
+            last = width - 1 - np.argmax(positive[:, ::-1], axis=1)
+            target[:, width] = target[np.arange(n_groups), last]
+            spread = np.flatnonzero(n_positive > 1)
+            by_group = dict(zip(spread.tolist(), zip(np.cumsum(probs[spread], axis=1).tolist(),
+                                                    target[spread].tolist())))
+            sole = target[:, width].tolist()
+            steps = [by_group.get(g) or ((), only[sole[g]]) for g in group.tolist()]
+            layout.append(([cum for cum, _ in steps], [nxt for _, nxt in steps]))
+        return layout
+
+
 def estimate_conditionals(train: AgentPool) -> list[ConditionalTable]:
     """Count-and-normalize conditionals for every variable.
 
@@ -60,31 +172,26 @@ def estimate_conditionals(train: AgentPool) -> list[ConditionalTable]:
     """
     if len(train) == 0:
         raise DataError("cannot estimate conditionals from an empty pool")
-    codes = pool_to_codes(train)
-    n_vars = train.schema.n_variables
+    index = ContextGroups.from_codes(pool_to_codes(train))
     widths = train.schema.value_counts
     tables = []
-    for i in range(n_vars):
-        counts: dict[tuple, np.ndarray] = {}
-        for row in codes:
-            ctx = tuple(np.delete(row, i))
-            vec = counts.get(ctx)
-            if vec is None:
-                vec = np.zeros(widths[i])
-                counts[ctx] = vec
-            vec[row[i]] += 1.0
-        tables.append(ConditionalTable(i, {ctx: vec / vec.sum() for ctx, vec in counts.items()}))
+    for i, (group, ctx) in enumerate(zip(index.groups, index.contexts)):
+        width = widths[i]
+        counts = np.bincount(group * width + index.rows[:, i], weights=index.counts,
+                             minlength=len(ctx) * width).reshape(len(ctx), width)
+        probs = counts / counts.sum(axis=1, keepdims=True)
+        tables.append(ConditionalTable(i, dict(zip(map(tuple, ctx.tolist()), probs))))
     return tables
-
-
-def _cumulative_tables(tables: list[ConditionalTable]) -> list[dict[tuple, np.ndarray]]:
-    return [{ctx: np.cumsum(vec) for ctx, vec in t.table.items()} for t in tables]
 
 
 def gibbs_step(row: tuple, tables: list[ConditionalTable],
                rng: np.random.Generator) -> tuple:
     """One systematic scan: update every variable in schema order, each
-    conditioned on the freshest values of all the others."""
+    conditioned on the freshest values of all the others.
+
+    A draw at or past the last cumulative probability, which can round
+    below 1, picks the last value with positive probability.
+    """
     current = list(row)
     for i, table in enumerate(tables):
         ctx = tuple(current[:i] + current[i + 1:])
@@ -92,8 +199,31 @@ def gibbs_step(row: tuple, tables: list[ConditionalTable],
         if probs is None:
             raise UnreachableContextError(
                 f"variable {i}: context {ctx} never observed in training")
-        current[i] = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
+        value = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
+        if value == len(probs):
+            value = int(np.flatnonzero(probs)[-1])
+        current[i] = value
     return tuple(current)
+
+
+def _run_on_index(layout, row: int, scan: int, config: ChainConfig,
+                  rng: np.random.Generator) -> list[int]:
+    """Continue a chain at unique row ``row`` after ``scan`` scans; return
+    the unique rows kept. Uniforms come in blocks of whole scans, in the
+    order single draws per update would take them."""
+    total = config.warmup + config.thinning * config.target_count
+    per_block = max(1, UNIFORM_BLOCK // len(layout))
+    kept = []
+    while scan < total:
+        n_scans = min(per_block, total - scan)
+        draws = iter(rng.random(n_scans * len(layout)).tolist())
+        for _ in range(n_scans):
+            for cum, nxt in layout:
+                row = nxt[row][bisect_right(cum[row], next(draws))]
+            scan += 1
+            if scan > config.warmup and (scan - config.warmup) % config.thinning == 0:
+                kept.append(row)
+    return kept
 
 
 def run_chain(tables: list[ConditionalTable], train: AgentPool, config: ChainConfig,
@@ -102,9 +232,11 @@ def run_chain(tables: list[ConditionalTable], train: AgentPool, config: ChainCon
     ``target_count`` rows are emitted.
 
     Total iterations are warmup + thinning * target_count, each iteration
-    being one full-scan step. Diagnostics report iterations, restarts, and
-    the number of distinct emitted rows. ``step_fn`` replaces the scan for
-    instrumentation (same (row, rng) -> row signature).
+    being one full-scan step. Diagnostics report iterations, restarts, the
+    number of distinct emitted rows, the number of probability islands in
+    the training rows, and the rows in the island of the first training row
+    the chain visits (None if it visits none). ``step_fn`` replaces the
+    scan for instrumentation (same (row, rng) -> row signature).
     """
     schema = train.schema
     rng = np.random.default_rng(config.seed)
@@ -117,19 +249,17 @@ def run_chain(tables: list[ConditionalTable], train: AgentPool, config: ChainCon
         single = AgentPool(schema, (tuple(config.init),), "train")
         row = tuple(int(v) for v in pool_to_codes(single)[0])
 
+    if train_codes is None:
+        index, position = None, {}
+    else:
+        index = ContextGroups.from_codes(train_codes)
+        position = {row: k for k, row in enumerate(map(tuple, index.rows.tolist()))}
+    layout = None
     if step_fn is None:
-        cums = _cumulative_tables(tables)
+        layout = index.transitions(tables) if index is not None else None
 
         def step_fn(current, rng):
-            values = list(current)
-            for i in range(schema.n_variables):
-                ctx = tuple(values[:i] + values[i + 1:])
-                cum = cums[i].get(ctx)
-                if cum is None:
-                    raise UnreachableContextError(
-                        f"variable {i}: context {ctx} never observed in training")
-                values[i] = int(np.searchsorted(cum, rng.random(), side="right"))
-            return tuple(values)
+            return gibbs_step(current, tables, rng)
 
     iterations = 0
     restarts = 0
@@ -145,19 +275,28 @@ def run_chain(tables: list[ConditionalTable], train: AgentPool, config: ChainCon
             restarts += 1
             return tuple(int(v) for v in train_codes[rng.integers(len(train))])
 
-    for _ in range(config.warmup):
-        row = advance(row)
+    total = config.warmup + config.thinning * config.target_count
     kept = []
-    for _ in range(config.target_count):
-        for _ in range(config.thinning):
-            row = advance(row)
-        kept.append(row)
+    start = position.get(row)
+    while iterations < total and (start is None or layout is None):
+        row = advance(row)
+        if iterations > config.warmup and (iterations - config.warmup) % config.thinning == 0:
+            kept.append(row)
+        if start is None:
+            start = position.get(row)
     codes = np.asarray(kept, dtype=np.int64).reshape(len(kept), schema.n_variables)
+    if iterations < total:
+        on_index = _run_on_index(layout, start, iterations, config, rng)
+        iterations = total
+        codes = np.concatenate([codes, index.rows[on_index]])
     pool = codes_to_pool(codes, schema, provenance="generated", rng=rng)
+    labels = index.island_labels() if index is not None else np.empty(0, dtype=np.int64)
     diagnostics = {
         "iterations": iterations,
         "restarts": restarts,
-        "distinct_rows": len(set(kept)),
+        "distinct_rows": len(_distinct_rows(codes)[0]),
+        "islands": len(np.unique(labels)),
+        "start_island_rows": None if start is None else int(np.sum(labels == labels[start])),
         "warmup": config.warmup,
         "thinning": config.thinning,
         "target_count": config.target_count,

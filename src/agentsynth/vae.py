@@ -383,8 +383,8 @@ def write_training_log(history: list[dict], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["grid_index", "epoch", "numeric", "categorical", "kl", "total"])
         for row in history:
-            writer.writerow([row["grid_index"], row["epoch"], repr(row["numeric"]),
-                             repr(row["categorical"]), repr(row["kl"]), repr(row["total"])])
+            losses = [repr(float(row[k])) for k in ("numeric", "categorical", "kl", "total")]
+            writer.writerow([row["grid_index"], row["epoch"], *losses])
 
 
 def vae_to_dict(model: VaeModel, extra: dict | None = None) -> dict:

@@ -82,6 +82,19 @@ class TestExitCodes:
         assert main(["prepare", "--config", str(config)]) == 0
         assert main(["evaluate", "--config", str(config)]) == 3
 
+    def test_missing_data_csv_is_data_error(self, tmp_path, capsys):
+        doc = {
+            "seed": 1, "out_dir": str(tmp_path / "o7"),
+            "data": {"csv": str(tmp_path / "data.csv"),
+                     "schema": {"mode": "discretize-all", "variables": [
+                         {"name": "sex", "kind": "binary", "categories": ["f", "m"]}]}},
+            "methods": [],
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(path)]) == 3
+        assert "data error" in capsys.readouterr().err
+
     def test_bad_synth_spec_is_config_error(self, tmp_path):
         doc = {
             "seed": 1, "out_dir": str(tmp_path / "o4"),

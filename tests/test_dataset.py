@@ -279,6 +279,29 @@ class TestSerialization:
         with pytest.raises(DataError):
             read_pool_csv(path, schema)
 
+    def test_integer_cells_parse_exactly(self, tmp_path):
+        schema = Schema((_num_var(),), "discretize-all")
+        path = tmp_path / "ints.csv"
+        path.write_text("age\n3\n3.0\n")
+        assert read_pool_csv(path, schema).rows == ((3,), (3,))
+
+    @pytest.mark.parametrize("cell", ["3.7", "1e-3", "nan", "x"])
+    @pytest.mark.parametrize("provenance", ["train", "generated"])
+    def test_non_integral_int_cell_rejected(self, tmp_path, cell, provenance):
+        schema = Schema((_num_var(),), "discretize-all")
+        path = tmp_path / "ints.csv"
+        path.write_text(f"age\n4\n{cell}\n")
+        with pytest.raises(DataError, match=r"ints\.csv:3: 'age'"):
+            read_pool_csv(path, schema, provenance=provenance)
+
+    def test_ingest_rejects_non_integral_int_cell(self, tmp_path):
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text("age\n10\n20.5\n30\n")
+        doc = {"mode": "discretize-all",
+               "variables": [{"name": "age", "kind": "numerical-int", "bins": 2}]}
+        with pytest.raises(DataError, match=r"data\.csv:3: 'age'"):
+            ingest_csv(csv_path, doc)
+
     def test_ingest_resolves_bins_from_observed_range(self, tmp_path):
         csv_path = tmp_path / "data.csv"
         csv_path.write_text("age,sex\n10,f\n20,m\n30,f\n50,m\n")

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from agentsynth.dataset import pool_to_codes
+from agentsynth import gibbs
+from agentsynth.dataset import AgentPool, Schema, VariableSpec, codes_to_pool, pool_to_codes
 from agentsynth.errors import ConfigError, DataError, UnreachableContextError
 from agentsynth.gibbs import (
     ChainConfig,
+    ContextGroups,
     estimate_conditionals,
     gibbs_step,
     run_chain,
@@ -32,28 +34,47 @@ class TestEstimateConditionals:
                 assert vec.max() == 1.0
 
     def test_matches_counting_oracle(self, rng):
-        # Oracle: brute-force count-and-normalize over explicit loops.
-        pool = random_categorical_pool(rng, [2, 3, 2], 200)
-        codes = pool_to_codes(pool)
-        tables = estimate_conditionals(pool)
-        for i in range(3):
-            others = [k for k in range(3) if k != i]
-            for ctx, probs in tables[i].table.items():
-                matching = [r for r in codes if tuple(r[others]) == ctx]
-                counts = np.zeros(pool.schema.value_counts[i])
-                for r in matching:
-                    counts[r[i]] += 1
-                np.testing.assert_allclose(probs, counts / counts.sum(), atol=1e-12)
-                assert abs(probs.sum() - 1.0) < 1e-12
+        # Oracle: count-and-normalize with one dict update per row.
+        for widths in ([2, 3, 2], [4], [3, 4, 2, 3, 4]):
+            pool = random_categorical_pool(rng, widths, 200)
+            codes = pool_to_codes(pool)
+            tables = estimate_conditionals(pool)
+            for i, width in enumerate(widths):
+                counts = {}
+                for row in codes:
+                    vec = counts.setdefault(tuple(np.delete(row, i)), np.zeros(width))
+                    vec[row[i]] += 1.0
+                assert tables[i].table.keys() == counts.keys()
+                for ctx, vec in counts.items():
+                    np.testing.assert_array_equal(tables[i].table[ctx], vec / vec.sum())
 
     def test_empty_pool_rejected(self):
         schema = categorical_schema([2, 2])
-        from agentsynth.dataset import AgentPool
         with pytest.raises(DataError):
             estimate_conditionals(AgentPool(schema, (), "train"))
 
 
+class TopDrawRng:
+    """Every uniform is the largest double below 1."""
+
+    def random(self, size=None):
+        top = np.nextafter(1.0, 0.0)
+        return top if size is None else np.full(size, top)
+
+
+def _rounding_pool():
+    # x00 is uniform over its first 10 of 12 values in every context, and
+    # the cumulative sum of ten 0.1s ends at 0.9999999999999999
+    schema = categorical_schema([12, 2])
+    return pool_from_codes(schema, [[v, 0] for v in range(10)])
+
+
 class TestGibbsStep:
+    def test_draw_past_rounded_total_picks_last_positive_value(self):
+        tables = estimate_conditionals(_rounding_pool())
+        assert np.cumsum(tables[0].table[(0,)])[-1] <= np.nextafter(1.0, 0.0)
+        assert gibbs_step((0, 0), tables, TopDrawRng()) == (9, 0)
+
     def test_toy_trapped_at_start(self, rng):
         tables = estimate_conditionals(toy_pool(500))
         row = (0, 0)
@@ -93,6 +114,141 @@ class TestGibbsStep:
         expected = expected_probs * n_draws
         chi2 = float(np.sum((draws - expected) ** 2 / expected))
         assert chi2 < 9.21
+
+
+def reference_chain(tables, train, config):
+    """run_chain's contract written with gibbs_step: one uniform per update,
+    restarts in place, thinned states decoded with the same generator."""
+    schema = train.schema
+    rng = np.random.default_rng(config.seed)
+    codes = pool_to_codes(train)
+
+    def training_row():
+        return tuple(int(v) for v in codes[rng.integers(len(codes))])
+
+    if config.init == "random-from-train":
+        row = training_row()
+    else:
+        single = AgentPool(schema, (tuple(config.init),), "train")
+        row = tuple(int(v) for v in pool_to_codes(single)[0])
+    kept = []
+    for scan in range(1, config.warmup + config.thinning * config.target_count + 1):
+        try:
+            row = gibbs_step(row, tables, rng)
+        except UnreachableContextError:
+            if not config.restart_on_unreachable:
+                raise
+            row = training_row()
+        if scan > config.warmup and (scan - config.warmup) % config.thinning == 0:
+            kept.append(row)
+    kept = np.array(kept, dtype=np.int64).reshape(len(kept), schema.n_variables)
+    return codes_to_pool(kept, schema, rng=rng)
+
+
+def _pool_with_numeric(rng, widths, n_rows):
+    # a binned numeric column makes the decoded pool depend on the
+    # generator state the chain leaves behind
+    schema = categorical_schema(widths)
+    age = VariableSpec("age", "numerical-cont", bin_edges=(0.0, 1.0, 2.0, 3.0))
+    schema = Schema(schema.variables + (age,), "discretize-all")
+    cats = random_categorical_pool(rng, widths, n_rows)
+    ages = rng.uniform(0.0, 3.0, size=n_rows)
+    return AgentPool(schema, tuple(r + (float(a),) for r, a in zip(cats.rows, ages)), "train")
+
+
+def _row_outside(pool, rng):
+    seen = set(pool.rows)
+    while True:
+        row = tuple(var.categories[rng.integers(len(var.categories))] if not var.is_numerical
+                    else float(rng.uniform(0.0, 3.0)) for var in pool.schema.variables)
+        if row not in seen:
+            return row
+
+
+class TestRunChainMatchesReference:
+    @pytest.mark.parametrize("block", [gibbs.UNIFORM_BLOCK, 7])
+    @pytest.mark.parametrize("init", ["random-from-train", "training-row", "outside-row"])
+    @pytest.mark.parametrize("restart", [False, True])
+    def test_rows_equal_gibbs_step_chain(self, rng, monkeypatch, block, init, restart):
+        monkeypatch.setattr(gibbs, "UNIFORM_BLOCK", block)
+        for trial in range(6):
+            pool = _pool_with_numeric(rng, list(rng.integers(2, 4, size=3)),
+                                      int(rng.integers(5, 60)))
+            start = {"random-from-train": "random-from-train",
+                     "training-row": pool.rows[int(rng.integers(len(pool)))],
+                     "outside-row": _row_outside(pool, rng)}[init]
+            config = ChainConfig(target_count=int(rng.integers(0, 40)),
+                                 warmup=int(rng.integers(0, 15)),
+                                 thinning=int(rng.integers(1, 4)), init=start, seed=trial,
+                                 restart_on_unreachable=restart)
+            tables = estimate_conditionals(pool)
+            try:
+                expected = reference_chain(tables, pool, config)
+            except UnreachableContextError:
+                with pytest.raises(UnreachableContextError):
+                    run_chain(tables, pool, config)
+                continue
+            out, diag = run_chain(tables, pool, config)
+            assert out.rows == expected.rows
+            assert diag["distinct_rows"] == len(set(map(tuple, pool_to_codes(expected).tolist())))
+
+    def test_tables_reaching_beyond_the_training_rows(self, rng):
+        # tables from a larger pool lead outside the chain's training rows,
+        # so the chain runs on the tables alone
+        pool = random_categorical_pool(rng, [3, 3, 2], 80)
+        train = AgentPool(pool.schema, pool.rows[:10], "train")
+        tables = estimate_conditionals(pool)
+        assert ContextGroups.from_codes(pool_to_codes(train)).transitions(tables) is None
+        config = ChainConfig(target_count=50, warmup=5, thinning=2, seed=3)
+        out, _ = run_chain(tables, train, config)
+        assert out.rows == reference_chain(tables, train, config).rows
+
+    def test_draw_past_rounded_total_on_index(self, monkeypatch):
+        pool = _rounding_pool()
+        tables = estimate_conditionals(pool)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: TopDrawRng())
+        out, _ = run_chain(tables, pool, ChainConfig(target_count=5, warmup=0, thinning=1,
+                                                     init=("c0", "c0")))
+        assert set(out.rows) == {("c9", "c0")}
+
+
+class TestIslands:
+    def test_toy_pool_has_two_single_row_islands(self):
+        pool = toy_pool(50)
+        _, diag = run_chain(estimate_conditionals(pool), pool,
+                            ChainConfig(target_count=20, warmup=5, thinning=1, seed=2))
+        assert diag["islands"] == 2
+        assert diag["start_island_rows"] == 1
+
+    def test_labels_match_one_variable_neighbour_oracle(self, rng):
+        for widths in ([3, 3, 3, 3], [2, 4, 3], [5]):
+            codes = pool_to_codes(random_categorical_pool(rng, widths, 25))
+            index = ContextGroups.from_codes(codes)
+            # oracle: union rows that differ in exactly one variable
+            parent = list(range(len(index.rows)))
+
+            def find(a):
+                while parent[a] != a:
+                    a = parent[a]
+                return a
+
+            for a in range(len(index.rows)):
+                for b in range(a):
+                    if np.sum(index.rows[a] != index.rows[b]) == 1:
+                        parent[find(a)] = find(b)
+            oracle = [find(a) for a in range(len(index.rows))]
+            labels = index.island_labels()
+            for a in range(len(index.rows)):
+                for b in range(len(index.rows)):
+                    assert (labels[a] == labels[b]) == (oracle[a] == oracle[b])
+
+    def test_chain_stays_in_its_start_island(self, rng):
+        for seed in range(5):
+            pool = random_categorical_pool(rng, [3, 3, 3, 3], 40)
+            _, diag = run_chain(estimate_conditionals(pool), pool,
+                                ChainConfig(target_count=300, warmup=10, thinning=1, seed=seed))
+            assert 1 <= diag["islands"] <= len(set(pool.rows))
+            assert diag["distinct_rows"] <= diag["start_island_rows"]
 
 
 class TestRunChain:

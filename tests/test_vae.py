@@ -26,6 +26,7 @@ from agentsynth.vae import (
     save_checkpoint,
     train,
     vae_from_dict,
+    write_training_log,
 )
 
 from conftest import categorical_schema, random_categorical_pool
@@ -285,6 +286,20 @@ class TestCheckpoint:
         assert sample(restored, 40, 9).rows == sample(model, 40, 9).rows
         assert restored.beta == model.beta
         assert restored.schema == model.schema
+
+    def test_training_log_cells_are_plain_floats(self, rng, tmp_path):
+        pool = random_categorical_pool(rng, [3, 2], 40)
+        enc = encode_pool(pool)
+        model = build_vae(pool.schema, (4,), 2, 0.5, rng)
+        result = train(model, enc, enc, TrainConfig(epochs=3, batch_size=16, seed=2))
+        path = tmp_path / "log.csv"
+        write_training_log(result.history, path)
+        lines = path.read_text().splitlines()
+        assert len(lines) == 1 + len(result.history)
+        for line, row in zip(lines[1:], result.history):
+            cells = line.split(",")
+            assert [float(c) for c in cells[2:]] == [
+                row[k] for k in ("numeric", "categorical", "kl", "total")]
 
     def test_rejects_foreign_documents(self):
         with pytest.raises(DataError):
