@@ -275,36 +275,45 @@ def pool_to_codes(pool: AgentPool, clamp: bool = False) -> np.ndarray:
     return codes
 
 
-def _bin_value(var: VariableSpec, bin_idx: int, rng: np.random.Generator | None):
-    """Materialize a raw value for a bin: uniform draw inside the bin when an
-    RNG is supplied, bin midpoint otherwise. Integer kinds are rounded into
-    the bin."""
-    lo, hi = var.bin_edges[bin_idx], var.bin_edges[bin_idx + 1]
-    v = rng.uniform(lo, hi) if rng is not None else 0.5 * (lo + hi)
-    if var.kind == "numerical-int":
-        lo_int, hi_int = math.ceil(lo), math.floor(hi)
-        if lo_int <= hi_int:
-            return int(min(max(round(v), lo_int), hi_int))
-        return int(round(v))
-    return float(v)
+def _bin_values(variables: Sequence[VariableSpec], codes: np.ndarray,
+                rng: np.random.Generator | None) -> list[list]:
+    """Raw values for an (N, len(variables)) block of bin codes, one list per
+    variable: a uniform draw inside each bin when an RNG is supplied, the bin
+    midpoint otherwise. Draws are taken in row-major order, one per cell.
+    Integer kinds are rounded (half to even) into the bin when the bin holds
+    an integer."""
+    codes = np.asarray(codes, dtype=np.int64).reshape(-1, len(variables))
+    edges = [np.asarray(var.bin_edges, dtype=float) for var in variables]
+    lo = np.column_stack([e[:-1][codes[:, k]] for k, e in enumerate(edges)])
+    hi = np.column_stack([e[1:][codes[:, k]] for k, e in enumerate(edges)])
+    values = rng.uniform(lo, hi) if rng is not None else 0.5 * (lo + hi)
+    columns = []
+    for k, var in enumerate(variables):
+        v = values[:, k]
+        if var.kind == "numerical-int":
+            lo_int, hi_int = np.ceil(lo[:, k]), np.floor(hi[:, k])
+            v = np.where(lo_int <= hi_int, np.clip(np.rint(v), lo_int, hi_int), np.rint(v))
+            columns.append(v.astype(np.int64).tolist())
+        else:
+            columns.append(v.tolist())
+    return columns
 
 
 def codes_to_pool(codes: np.ndarray, schema: Schema, provenance: str = "generated",
                   rng: np.random.Generator | None = None) -> AgentPool:
     """Inverse of :func:`pool_to_codes`; numerical bins become raw values via
-    :func:`_bin_value`."""
-    rows = []
-    arr = np.asarray(codes, dtype=np.int64)
-    for r in range(arr.shape[0]):
-        row = []
-        for j, var in enumerate(schema.variables):
-            code = int(arr[r, j])
-            if var.is_numerical:
-                row.append(_bin_value(var, code, rng))
-            else:
-                row.append(var.categories[code])
-        rows.append(tuple(row))
-    return AgentPool(schema, tuple(rows), provenance)
+    :func:`_bin_values`, drawn row by row."""
+    arr = np.asarray(codes, dtype=np.int64).reshape(-1, schema.n_variables)
+    columns: list = [None] * schema.n_variables
+    numeric = [j for j, var in enumerate(schema.variables) if var.is_numerical]
+    if numeric:
+        drawn = _bin_values([schema.variables[j] for j in numeric], arr[:, numeric], rng)
+        for j, column in zip(numeric, drawn):
+            columns[j] = column
+    for j, var in enumerate(schema.variables):
+        if not var.is_numerical:
+            columns[j] = np.array(var.categories, dtype=object)[arr[:, j]].tolist()
+    return AgentPool(schema, tuple(zip(*columns)), provenance)
 
 
 def encode_pool(pool: AgentPool,
@@ -370,7 +379,7 @@ def decode_rows(matrix: EncodedMatrix, rng: np.random.Generator | None = None) -
         if block.kind == "one-hot":
             idx = np.argmax(sub, axis=1)
             if var.is_numerical:
-                columns.append([_bin_value(var, int(i), rng) for i in idx])
+                columns.extend(_bin_values([var], idx, rng))
             else:
                 columns.append([var.categories[int(i)] for i in idx])
         else:
@@ -479,27 +488,21 @@ def schema_from_json(doc: dict, columns: dict[str, Sequence[float]] | None = Non
     return Schema(tuple(variables), mode)
 
 
-def _format_cell(var: VariableSpec, value) -> str:
-    if var.kind == "numerical-int":
-        return str(int(value))
-    if var.kind == "numerical-cont":
-        return repr(float(value))
-    return str(value)
+_FORMATTERS = {"numerical-int": lambda v: str(int(v)), "numerical-cont": lambda v: repr(float(v))}
 
 
 def write_pool_csv(pool: AgentPool, path) -> None:
     """Write a pool as CSV with the schema's header; generated pools carry a
     trailing provenance column."""
     with_prov = pool.provenance == "generated"
+    columns = [list(map(_FORMATTERS.get(var.kind, str), column))
+               for var, column in zip(pool.schema.variables, zip(*pool.rows))]
+    if with_prov:
+        columns.append([pool.provenance] * len(pool.rows))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = list(pool.schema.names) + (["provenance"] if with_prov else [])
-        writer.writerow(header)
-        for row in pool.rows:
-            cells = [_format_cell(var, v) for var, v in zip(pool.schema.variables, row)]
-            if with_prov:
-                cells.append(pool.provenance)
-            writer.writerow(cells)
+        writer.writerow(list(pool.schema.names) + (["provenance"] if with_prov else []))
+        writer.writerows(zip(*columns))
 
 
 def _parse_int(cell: str) -> int:
@@ -541,7 +544,11 @@ def read_pool_csv(path, schema: Schema, provenance: str = "train",
                         raise DataError(f"{path}:{line_no}: {var.name!r} needs an integer, "
                                         f"got {cell!r}") from None
                 elif var.kind == "numerical-cont":
-                    row.append(float(cell))
+                    try:
+                        row.append(float(cell))
+                    except ValueError:
+                        raise DataError(f"{path}:{line_no}: {var.name!r} needs a number, "
+                                        f"got {cell!r}") from None
                 else:
                     row.append(cell)
             rows.append(tuple(row))

@@ -324,16 +324,9 @@ def run_pipeline(config: ExperimentConfig) -> metrics.EvalReport:
         timings[stage] = time.perf_counter() - t0
 
         t0 = advance("scatter-and-pca")
-        counts = schema.value_counts
-        subsets = metrics.view_subsets(
-            schema.n_variables,
-            tuple(projection) if projection is not None
-            else tuple(range(min(4, schema.n_variables))))
-        test_codes = metrics.codes_for_pool(test)
-        for name, pool in pools.items():
-            codes = metrics.codes_for_pool(pool)
-            for view, subs in subsets.items():
-                metrics.write_scatter_csv(codes, test_codes, counts, subs,
+        for name in pools:
+            for view, test_vec in report.test_vectors.items():
+                metrics.write_scatter_csv(report.vectors[name][view], test_vec,
                                           out / "scatter" / f"{name}__{view}.csv")
         enc_train = encode_pool(train)
         pca = metrics.pca_fit(enc_train)

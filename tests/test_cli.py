@@ -50,6 +50,29 @@ class TestStagedFlow:
         assert main(["report", "--out", str(out)]) == 0
         assert (out / "report.csv").exists()
 
+    def test_staged_flow_matches_run(self, tmp_path):
+        # the staged subcommands repeat run_pipeline's stage code and call
+        # the same evaluate; they must write the same pools and metric rows
+        staged, whole = tmp_path / "staged", tmp_path / "whole"
+        config = _write_config(tmp_path, staged)
+        assert main(["prepare", "--config", str(config)]) == 0
+        for method in ("vae", "gibbs", "bn"):
+            assert main(["train", "--config", str(config), "--method", method]) == 0
+            assert main(["sample", "--config", str(config), "--method", method]) == 0
+        assert main(["evaluate", "--config", str(config)]) == 0
+        assert main(["run", "--config", str(config), "--out", str(whole)]) == 0
+        for name in ("train", "validation", "test"):
+            assert (staged / "data" / f"{name}.csv").read_bytes() == \
+                (whole / "data" / f"{name}.csv").read_bytes()
+        for method in ("vae", "gibbs", "bn"):
+            assert (staged / "pools" / f"{method}.csv").read_bytes() == \
+                (whole / "pools" / f"{method}.csv").read_bytes()
+        # metadata differs by design: evaluate records only the master seed
+        staged_report = json.loads((staged / "report.json").read_text())
+        whole_report = json.loads((whole / "report.json").read_text())
+        assert staged_report["methods"] == whole_report["methods"]
+        assert staged_report["rows"] == whole_report["rows"]
+
     def test_run_subcommand(self, tmp_path):
         out = tmp_path / "runout"
         config = _write_config(tmp_path, out, methods=[
@@ -94,6 +117,21 @@ class TestExitCodes:
         path.write_text(json.dumps(doc))
         assert main(["run", "--config", str(path)]) == 3
         assert "data error" in capsys.readouterr().err
+
+    def test_non_numeric_cont_cell_is_data_error(self, tmp_path, capsys):
+        (tmp_path / "data.csv").write_text("w,sex\n1.5,f\nabc,m\n2.0,f\n")
+        doc = {
+            "seed": 1, "out_dir": str(tmp_path / "o8"),
+            "data": {"csv": str(tmp_path / "data.csv"),
+                     "schema": {"mode": "discretize-all", "variables": [
+                         {"name": "w", "kind": "numerical-cont", "bin_edges": [0, 1, 3]},
+                         {"name": "sex", "kind": "binary", "categories": ["f", "m"]}]}},
+            "methods": [],
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(path)]) == 3
+        assert "data.csv:3: 'w' needs a number, got 'abc'" in capsys.readouterr().err
 
     def test_bad_synth_spec_is_config_error(self, tmp_path):
         doc = {

@@ -1,5 +1,8 @@
 """Encoding, discretization, and splitting."""
 
+import csv
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from agentsynth.dataset import (
     Schema,
     VariableSpec,
     build_uniform_edges,
+    codes_to_pool,
     decode_rows,
     discretize,
     discretize_clamped,
@@ -294,6 +298,22 @@ class TestSerialization:
         with pytest.raises(DataError, match=r"ints\.csv:3: 'age'"):
             read_pool_csv(path, schema, provenance=provenance)
 
+    @pytest.mark.parametrize("provenance", ["train", "generated"])
+    def test_non_numeric_cont_cell_rejected(self, tmp_path, provenance):
+        schema = Schema((_num_var("w", kind="numerical-cont"),), "discretize-all")
+        path = tmp_path / "conts.csv"
+        path.write_text("w\n4.5\nabc\n")
+        with pytest.raises(DataError, match=r"conts\.csv:3: 'w' needs a number, got 'abc'"):
+            read_pool_csv(path, schema, provenance=provenance)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cont_cell_reaches_finite_check(self, tmp_path, cell):
+        schema = Schema((_num_var("w", kind="numerical-cont"),), "discretize-all")
+        path = tmp_path / "conts.csv"
+        path.write_text(f"w\n4.5\n{cell}\n")
+        with pytest.raises(DataError, match="non-finite"):
+            read_pool_csv(path, schema, provenance="generated")
+
     def test_ingest_rejects_non_integral_int_cell(self, tmp_path):
         csv_path = tmp_path / "data.csv"
         csv_path.write_text("age\n10\n20.5\n30\n")
@@ -326,3 +346,95 @@ class TestCodes:
         pool = random_categorical_pool(rng, [3, 4, 2], 25)
         enc = encode_pool(pool)
         np.testing.assert_array_equal(matrix_to_codes(enc), pool_to_codes(pool))
+
+
+def _mixed_schema():
+    """Categoricals around numerics, including bins that hold no integer
+    (0.4-0.8) and bins whose midpoints round half to even."""
+    return Schema((
+        VariableSpec("sex", "binary", categories=("f", "m")),
+        _num_var("age", (0.0, 0.4, 0.8, 2.5, 7.0, 12.0)),
+        VariableSpec("region", "categorical", categories=("n", "e", "s", "w")),
+        _num_var("income", (-3.0, -0.5, 1.25, 8.0), kind="numerical-cont"),
+        _num_var("kids", (0.0, 1.0, 3.0, 5.0)),
+    ), "discretize-all")
+
+
+def _reference_bin_value(var, bin_idx, rng):
+    """The per-cell row materialization that codes_to_pool vectorizes."""
+    lo, hi = var.bin_edges[bin_idx], var.bin_edges[bin_idx + 1]
+    v = rng.uniform(lo, hi) if rng is not None else 0.5 * (lo + hi)
+    if var.kind == "numerical-int":
+        lo_int, hi_int = math.ceil(lo), math.floor(hi)
+        if lo_int <= hi_int:
+            return int(min(max(round(v), lo_int), hi_int))
+        return int(round(v))
+    return float(v)
+
+
+def _reference_codes_to_pool(codes, schema, rng):
+    rows = []
+    for r in range(codes.shape[0]):
+        rows.append(tuple(
+            _reference_bin_value(var, int(codes[r, j]), rng) if var.is_numerical
+            else var.categories[int(codes[r, j])]
+            for j, var in enumerate(schema.variables)))
+    return AgentPool(schema, tuple(rows), "generated")
+
+
+def _random_codes(rng, schema, n_rows):
+    return np.column_stack([rng.integers(0, w, size=n_rows) for w in schema.value_counts])
+
+
+class TestRowMaterialization:
+    @pytest.mark.parametrize("n_rows", [0, 1, 257])
+    def test_codes_to_pool_matches_per_cell_reference(self, n_rows):
+        schema = _mixed_schema()
+        codes = _random_codes(np.random.default_rng(5), schema, n_rows)
+        fast_rng, slow_rng = np.random.default_rng(11), np.random.default_rng(11)
+        fast = codes_to_pool(codes, schema, rng=fast_rng)
+        slow = _reference_codes_to_pool(codes, schema, slow_rng)
+        assert fast.rows == slow.rows
+        assert [type(v) for row in fast.rows for v in row] == \
+            [type(v) for row in slow.rows for v in row]
+        assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+    def test_codes_to_pool_midpoints_without_rng(self):
+        schema = _mixed_schema()
+        codes = _random_codes(np.random.default_rng(6), schema, 64)
+        assert codes_to_pool(codes, schema).rows == \
+            _reference_codes_to_pool(codes, schema, None).rows
+
+    def test_decode_rows_matches_per_cell_reference(self):
+        # decode_rows materializes column by column
+        schema = _mixed_schema()
+        matrix = encode_pool(codes_to_pool(_random_codes(np.random.default_rng(7), schema, 90),
+                                           schema))
+        codes = matrix_to_codes(matrix)
+        fast_rng, slow_rng = np.random.default_rng(3), np.random.default_rng(3)
+        decoded = decode_rows(matrix, rng=fast_rng)
+        columns = [[_reference_bin_value(var, int(c), slow_rng) for c in codes[:, j]]
+                   if var.is_numerical else [var.categories[int(c)] for c in codes[:, j]]
+                   for j, var in enumerate(schema.variables)]
+        assert decoded.rows == tuple(zip(*columns))
+        assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+    @pytest.mark.parametrize("provenance", ["train", "generated"])
+    def test_pool_csv_bytes_match_row_writer(self, tmp_path, provenance):
+        schema = _mixed_schema()
+        codes = _random_codes(np.random.default_rng(8), schema, 120)
+        pool = codes_to_pool(codes, schema, rng=np.random.default_rng(9)).with_provenance(provenance)
+        path = tmp_path / "pool.csv"
+        write_pool_csv(pool, path)
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            extra = ["provenance"] if provenance == "generated" else []
+            writer.writerow(list(schema.names) + extra)
+            for row in pool.rows:
+                writer.writerow([str(int(v)) if var.kind == "numerical-int"
+                                 else repr(float(v)) if var.kind == "numerical-cont"
+                                 else str(v) for var, v in zip(schema.variables, row)]
+                                + ([provenance] if extra else []))
+        assert path.read_bytes() == expected.read_bytes()
+        assert read_pool_csv(path, schema, provenance=provenance).rows == pool.rows

@@ -1,26 +1,36 @@
 """Frequency views, SRMSE, Cramer's V, diversity, PCA, evaluation reports."""
 
+import csv
 import itertools
 
 import numpy as np
 import pytest
 
+from agentsynth import metrics
+from agentsynth.dataset import AgentPool, Schema, VariableSpec, encode_pool, pool_to_codes
 from agentsynth.errors import DataError
 from agentsynth.metrics import (
     EvalReport,
     FrequencyDistribution,
+    _pool_vectors,
+    codes_for_pool,
     corr_r2,
     cramers_v,
     cramers_v_from_codes,
     evaluate,
     frequency_distribution,
+    frequency_distribution_from_codes,
     nearest_sample_stats,
     pca_fit,
     pca_project,
     report_to_dict,
     report_to_json,
     srmse,
+    view_counts,
+    view_subsets,
+    write_pca_csv,
     write_report_csv,
+    write_scatter_csv,
 )
 
 from conftest import categorical_schema, pool_from_codes, random_categorical_pool, toy_pool
@@ -61,6 +71,67 @@ class TestFrequencyDistribution:
             frequency_distribution(pool, (0,))
         with pytest.raises(DataError):
             frequency_distribution(random_categorical_pool(rng, [2], 5), ())
+
+
+def _per_subset_freqs(codes, value_counts, subsets):
+    return np.concatenate([frequency_distribution_from_codes(codes, value_counts, sub).freqs
+                           for sub in subsets])
+
+
+class TestViewCounts:
+    WIDTHS = (2, 3, 4, 3, 2)
+
+    def _codes(self, rng, n_rows):
+        return np.column_stack([rng.integers(0, w, size=n_rows) for w in self.WIDTHS])
+
+    @pytest.mark.parametrize("n_rows", [1, 7, 300])
+    @pytest.mark.parametrize("chunk", [1, 50, metrics.VIEW_CHUNK])
+    def test_equals_per_subset_frequencies(self, rng, monkeypatch, n_rows, chunk):
+        # a chunk of 1 puts one subset in each chunk, 50 splits a view into
+        # several chunks with a remainder
+        monkeypatch.setattr(metrics, "VIEW_CHUNK", chunk)
+        codes = self._codes(rng, n_rows)
+        for subsets in view_subsets(len(self.WIDTHS), (4, 1, 2, 0)).values():
+            counts, offsets = view_counts(codes, self.WIDTHS, subsets)
+            assert counts.dtype.kind == "i" and counts.sum() == n_rows * len(subsets)
+            np.testing.assert_array_equal(
+                counts / n_rows, _per_subset_freqs(codes, self.WIDTHS, subsets))
+            sizes = [int(np.prod([self.WIDTHS[i] for i in sub])) for sub in subsets]
+            np.testing.assert_array_equal(offsets, np.concatenate(([0], np.cumsum(sizes))))
+
+    def test_unobserved_bins_count_zero(self, rng, monkeypatch):
+        monkeypatch.setattr(metrics, "VIEW_CHUNK", 80)
+        codes = self._codes(rng, 40)
+        codes[:, 2] = np.minimum(codes[:, 2], 1)  # values 2 and 3 never occur
+        subsets = list(itertools.combinations(range(5), 3))
+        counts, _ = view_counts(codes, self.WIDTHS, subsets)
+        np.testing.assert_array_equal(counts / 40, _per_subset_freqs(codes, self.WIDTHS, subsets))
+        assert (counts == 0).any()
+
+    def test_empty_pool_rejected(self):
+        with pytest.raises(DataError, match="empty pool"):
+            view_counts(np.zeros((0, 2), dtype=int), (2, 2), [(0, 1)])
+
+
+class TestPoolVectors:
+    def test_views_and_pairwise_match_single_subset_oracles(self, rng):
+        widths = (2, 3, 4, 3)
+        codes = np.column_stack([rng.integers(0, w, size=200) for w in widths])
+        codes[:, 1] = 2  # a constant column: Cramer's V is undefined on its pairs
+        subsets = view_subsets(len(widths), (3, 0, 2))
+        vectors, pairwise = _pool_vectors(codes, widths, subsets)
+        assert list(vectors) == list(subsets)
+        for view, subs in subsets.items():
+            np.testing.assert_array_equal(vectors[view], _per_subset_freqs(codes, widths, subs))
+        expected = [cramers_v_from_codes(codes, widths, i, j)
+                    for i, j in itertools.combinations(range(len(widths)), 2)]
+        assert [None if np.isnan(v) else v for v in pairwise.tolist()] == expected
+        assert expected.count(None) == 3
+
+    def test_no_pairwise_for_one_variable(self, rng):
+        codes = rng.integers(0, 3, size=(20, 1))
+        vectors, pairwise = _pool_vectors(codes, (3,), view_subsets(1, (0,)))
+        assert pairwise is None and list(vectors) == ["marginal", "projected"]
 
 
 class TestSrmse:
@@ -212,6 +283,70 @@ class TestNearestSampleStats:
             nearest_sample_stats(pool.with_provenance("generated"), empty)
 
 
+def _discretized_schema():
+    return Schema((
+        VariableSpec("a", "categorical", categories=("x", "y", "z")),
+        VariableSpec("b", "numerical-cont", bin_edges=(0.0, 1.0, 2.5, 4.0)),
+        VariableSpec("c", "binary", categories=("0", "1")),
+        VariableSpec("d", "numerical-int", bin_edges=(0.0, 2.0, 5.0, 9.0, 12.0)),
+    ), "discretize-all")
+
+
+def _float_path(generated, train):
+    """The Gram-matrix path, reached through encoded matrices."""
+    train_m = encode_pool(train)
+    return nearest_sample_stats(
+        encode_pool(generated, standardization=train_m.standardization), train_m)
+
+
+class TestHammingNearestSample:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_float_path_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        widths = tuple(int(w) for w in rng.integers(2, 5, size=int(rng.integers(2, 7))))
+        train = random_categorical_pool(rng, widths, int(rng.integers(1, 80)))
+        # half the generated rows copy training rows, so exact zeros occur
+        fresh = random_categorical_pool(rng, widths, 60)
+        copies = rng.integers(0, len(train), size=60)
+        generated = AgentPool(train.schema, fresh.rows + tuple(train.rows[i] for i in copies),
+                              "generated")
+        fast = nearest_sample_stats(generated, train)
+        assert fast == _float_path(generated, train)
+        codes = nearest_sample_stats(pool_to_codes(generated), pool_to_codes(train),
+                                     value_counts=widths)
+        assert codes == fast
+
+    def test_binned_numerics_equal_float_path(self, rng):
+        from agentsynth.dataset import codes_to_pool
+
+        schema = _discretized_schema()
+        make = lambda n: codes_to_pool(
+            np.column_stack([rng.integers(0, w, size=n) for w in schema.value_counts]),
+            schema, rng=rng)
+        train, generated = make(50), make(120)
+        assert nearest_sample_stats(generated, train) == _float_path(generated, train)
+
+    def test_wide_product_space_uses_row_unique(self, rng):
+        # 4**32 bins do not fit one int64 key per row
+        widths = (4,) * 32
+        train = random_categorical_pool(rng, widths, 30)
+        generated = AgentPool(train.schema, random_categorical_pool(rng, widths, 20).rows
+                              + train.rows[:10], "generated")
+        assert nearest_sample_stats(generated, train) == _float_path(generated, train)
+
+    def test_pure_replicator_is_exactly_zero(self, rng):
+        train = random_categorical_pool(rng, [3, 4, 2, 5], 40)
+        picks = rng.integers(0, 40, size=500)
+        generated = AgentPool(train.schema, tuple(train.rows[i] for i in picks), "generated")
+        stats = nearest_sample_stats(generated, train)
+        assert (stats.mu_ns, stats.sigma_ns) == (0.0, 0.0)
+
+    def test_code_width_mismatch_rejected(self, rng):
+        with pytest.raises(DataError, match="different spaces"):
+            nearest_sample_stats(np.zeros((3, 2), dtype=int), np.zeros((3, 3), dtype=int),
+                                 value_counts=(2, 2))
+
+
 class TestPca:
     def test_collinear_data_one_component(self, rng):
         t = rng.normal(size=200)
@@ -306,3 +441,88 @@ class TestEvaluate:
         report = evaluate({}, test, train, metadata={"seed": 1})
         text = report_to_json(report)
         assert '"training-set"' in text
+
+    def test_report_keeps_each_view_vector(self, rng):
+        test = random_categorical_pool(rng, [2, 3, 2, 4], 120, provenance="test")
+        train = random_categorical_pool(rng, [2, 3, 2, 4], 60)
+        gen = random_categorical_pool(rng, [2, 3, 2, 4], 90, provenance="generated")
+        report = evaluate({"g": gen}, test, train, projection=(3, 1))
+        subsets = view_subsets(4, (3, 1))
+        for name, pool in (("g", gen), ("training-set", train)):
+            for view, subs in subsets.items():
+                np.testing.assert_array_equal(
+                    report.vectors[name][view],
+                    _per_subset_freqs(codes_for_pool(pool), (2, 3, 2, 4), subs))
+        for view, subs in subsets.items():
+            np.testing.assert_array_equal(
+                report.test_vectors[view],
+                _per_subset_freqs(codes_for_pool(test), (2, 3, 2, 4), subs))
+        assert set(report_to_dict(report)) == {"methods", "rows", "metadata"}
+        assert "vectors" not in report_to_json(report)
+
+    def test_out_of_range_generated_numeric_is_clamped_like_the_views(self, rng):
+        # read_pool_csv lets generated values overshoot the bins; every
+        # metric, mu_NS included, puts them in the outermost bin
+        from agentsynth.dataset import codes_to_pool
+
+        schema = _discretized_schema()
+        make = lambda n: codes_to_pool(
+            np.column_stack([rng.integers(0, w, size=n) for w in schema.value_counts]),
+            schema, rng=rng)
+        test, train, gen = make(80).with_provenance("test"), make(40), make(60)
+        over = AgentPool(schema, tuple((a, b + 10.0, c, d) for a, b, c, d in gen.rows),
+                         "generated")
+        clamped = AgentPool(schema, tuple((a, 4.0, c, d) for a, b, c, d in gen.rows),
+                            "generated")
+        report = evaluate({"over": over, "clamped": clamped}, test, train)
+        assert report.rows["over"] == report.rows["clamped"]
+
+    def test_mixed_schema_keeps_the_float_path(self, rng):
+        from agentsynth.dataset import codes_to_pool
+
+        schema = Schema(_discretized_schema().variables, "mixed")
+        make = lambda n, prov: codes_to_pool(
+            np.column_stack([rng.integers(0, w, size=n) for w in schema.value_counts]),
+            schema, rng=rng).with_provenance(prov)
+        test, train, gen = make(80, "test"), make(40, "train"), make(60, "generated")
+        report = evaluate({"g": gen}, test, train)
+        train_m = encode_pool(train)
+        assert report.rows["g"].diversity == nearest_sample_stats(gen, train_m)
+        assert report.rows["training-set"].diversity == nearest_sample_stats(
+            train_m, encode_pool(test, standardization=train_m.standardization))
+
+
+def _csv_writer_bytes(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)
+    return path.read_bytes()
+
+
+AWKWARD = [0.0, -0.0, 1.0, 1 / 3, 1e-300, 5e-324, 1.7976931348623157e308, float("inf"),
+           -float("inf"), float("nan"), 1 / 3, 0.1 + 0.2, -2.5e-7]
+
+
+class TestArtifactBytes:
+    def test_scatter_equals_csv_writer(self, rng, tmp_path):
+        test_vec = np.array(AWKWARD + rng.random(40).tolist() + [0.25] * 5)
+        method_vec = rng.permutation(test_vec)
+        write_scatter_csv(method_vec, test_vec, tmp_path / "s.csv")
+        expected = _csv_writer_bytes(
+            tmp_path / "e.csv", ["bin_id", "test_frequency", "method_frequency"],
+            [[b, repr(float(t)), repr(float(m))]
+             for b, (t, m) in enumerate(zip(test_vec, method_vec))])
+        assert (tmp_path / "s.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (25, 5)])
+    def test_pca_equals_csv_writer(self, rng, tmp_path, shape):
+        coords = rng.normal(size=shape)
+        if coords.size >= len(AWKWARD):
+            coords.flat[:len(AWKWARD)] = AWKWARD
+        write_pca_csv(coords, tmp_path / "p.csv")
+        expected = _csv_writer_bytes(
+            tmp_path / "e.csv", [f"pc{k + 1}" for k in range(shape[1])],
+            [[repr(float(v)) for v in row] for row in coords])
+        assert (tmp_path / "p.csv").read_bytes() == expected
