@@ -8,8 +8,8 @@
     agentsynth run      --config c.json --out dir    the full pipeline
     agentsynth report   --out dir                    re-render report.csv
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 method
-divergence.
+Exit codes: 0 success, 2 configuration error, 3 data error (and any other
+toolkit error, such as a stale cache), 4 method divergence.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .dataset import (
     split_pool,
     write_pool_csv,
 )
-from .errors import ConfigError, DataError, DivergenceError
+from .errors import AgentSynthError, ConfigError, DataError, DivergenceError
 from .pipeline import (
     ExperimentConfig,
     MethodSpec,
@@ -269,7 +269,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"method diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (DataError, OSError) as exc:
+    except (AgentSynthError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -19,6 +19,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -253,25 +254,45 @@ def _category_index(var: VariableSpec) -> dict:
     return {c: i for i, c in enumerate(var.categories)}
 
 
+def _variable_codes(var: VariableSpec, column: Sequence, clamp: bool = False) -> np.ndarray:
+    """Codes of one variable's raw values: the category index, or the bin
+    index. Out-of-range numerical values are clamped into the edge bins when
+    ``clamp``; otherwise the first one raises (as :func:`discretize` would)."""
+    if not var.is_numerical:
+        try:
+            return np.fromiter(map(_category_index(var).__getitem__, column), np.int64,
+                               len(column))
+        except KeyError as exc:
+            raise DataError(
+                f"variable {var.name!r}: unknown category {exc.args[0]!r}") from None
+    if clamp:
+        return discretize_clamped(column, var)
+    values = np.asarray(column, dtype=float)
+    lo, hi = var.bin_edges[0], var.bin_edges[-1]
+    outside = ~((values >= lo) & (values <= hi))
+    if outside.any():
+        value = column[int(np.argmax(outside))]
+        raise DataError(f"variable {var.name!r}: value {value!r} outside [{lo}, {hi}]")
+    # searchsorted(right) counts the edges <= v; the last bin is closed on the right
+    codes = np.searchsorted(np.asarray(var.bin_edges), values, side="right") - 1
+    return np.minimum(codes, var.n_values - 1)
+
+
+def _columns_of(pool: AgentPool):
+    """The pool's columns as lists, built one at a time."""
+    return (list(map(itemgetter(j), pool.rows)) for j in range(pool.schema.n_variables))
+
+
+def _category_values(var: VariableSpec, codes: np.ndarray) -> list:
+    return np.array(var.categories, dtype=object)[codes].tolist()
+
+
 def pool_to_codes(pool: AgentPool, clamp: bool = False) -> np.ndarray:
     """Integer code matrix (N, n_variables): category index per categorical
     variable, bin index per numerical variable."""
-    n = len(pool.rows)
-    codes = np.empty((n, pool.schema.n_variables), dtype=np.int64)
-    for j, var in enumerate(pool.schema.variables):
-        column = [row[j] for row in pool.rows]
-        if var.is_numerical:
-            if clamp:
-                codes[:, j] = discretize_clamped(column, var)
-            else:
-                codes[:, j] = [discretize(v, var) for v in column]
-        else:
-            lookup = _category_index(var)
-            try:
-                codes[:, j] = [lookup[v] for v in column]
-            except KeyError as exc:
-                raise DataError(
-                    f"variable {var.name!r}: unknown category {exc.args[0]!r}") from None
+    codes = np.empty((len(pool.rows), pool.schema.n_variables), dtype=np.int64)
+    for j, (var, column) in enumerate(zip(pool.schema.variables, _columns_of(pool))):
+        codes[:, j] = _variable_codes(var, column, clamp)
     return codes
 
 
@@ -312,7 +333,7 @@ def codes_to_pool(codes: np.ndarray, schema: Schema, provenance: str = "generate
             columns[j] = column
     for j, var in enumerate(schema.variables):
         if not var.is_numerical:
-            columns[j] = np.array(var.categories, dtype=object)[arr[:, j]].tolist()
+            columns[j] = _category_values(var, arr[:, j])
     return AgentPool(schema, tuple(zip(*columns)), provenance)
 
 
@@ -329,18 +350,9 @@ def encode_pool(pool: AgentPool,
     out = np.zeros((n_rows, schema.encoded_width), dtype=float)
     blocks = schema_blocks(schema)
     stats: dict[str, tuple[float, float]] = {}
-    for j, (var, block) in enumerate(zip(schema.variables, blocks)):
-        column = [row[j] for row in pool.rows]
+    for var, block, column in zip(schema.variables, blocks, _columns_of(pool)):
         if block.kind == "one-hot":
-            if var.is_numerical:
-                idx = np.array([discretize(v, var) for v in column], dtype=np.int64)
-            else:
-                lookup = _category_index(var)
-                try:
-                    idx = np.array([lookup[v] for v in column], dtype=np.int64)
-                except KeyError as exc:
-                    raise DataError(
-                        f"variable {var.name!r}: unknown category {exc.args[0]!r}") from None
+            idx = _variable_codes(var, column)
             if n_rows:
                 out[np.arange(n_rows), block.start + idx] = 1.0
         else:
@@ -381,14 +393,14 @@ def decode_rows(matrix: EncodedMatrix, rng: np.random.Generator | None = None) -
             if var.is_numerical:
                 columns.extend(_bin_values([var], idx, rng))
             else:
-                columns.append([var.categories[int(i)] for i in idx])
+                columns.append(_category_values(var, idx))
         else:
             mean, std = matrix.standardization[var.name]
             raw = sub[:, 0] * std + mean
             if var.kind == "numerical-int":
                 columns.append([int(round(v)) for v in raw])
             else:
-                columns.append([float(v) for v in raw])
+                columns.append(raw.tolist())
     rows = tuple(zip(*columns)) if n_rows else ()
     return AgentPool(schema, tuple(rows), "generated")
 

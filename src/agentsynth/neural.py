@@ -64,6 +64,7 @@ class ForwardCache:
 
     inputs: list[np.ndarray]    # per layer: input batch
     preacts: list[np.ndarray]   # per layer: W x + b
+    logits: np.ndarray          # output layer activations, before the heads
     outputs: np.ndarray         # post-head outputs
     squeezed: bool              # input arrived as a single vector
 
@@ -90,6 +91,22 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def forward_layers(mlp: Mlp, a: np.ndarray
+                   ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+    """Layer recurrence of forward() on a 2-D batch, without checks or heads.
+
+    Returns each layer's input, each layer's pre-activation and the output
+    layer's activations (the logits the heads act on).
+    """
+    inputs, preacts = [], []
+    for layer in mlp.layers:
+        inputs.append(a)
+        z = a @ layer.weights.T + layer.biases
+        preacts.append(z)
+        a = np.tanh(z) if layer.activation == "tanh" else z
+    return inputs, preacts, a
+
+
 def forward(mlp: Mlp, x) -> tuple[np.ndarray, ForwardCache]:
     """Evaluate the network on a vector or a batch.
 
@@ -103,17 +120,12 @@ def forward(mlp: Mlp, x) -> tuple[np.ndarray, ForwardCache]:
     a = arr[None, :] if squeezed else arr
     if a.shape[1] != mlp.input_width:
         raise DataError(f"input width {a.shape[1]} does not match network input {mlp.input_width}")
-    inputs, preacts = [], []
-    for layer in mlp.layers:
-        inputs.append(a)
-        z = a @ layer.weights.T + layer.biases
-        preacts.append(z)
-        a = np.tanh(z) if layer.activation == "tanh" else z
-    out = a.copy()
+    inputs, preacts, logits = forward_layers(mlp, a)
+    out = logits.copy()
     for head, sl in Mlp.head_slices(mlp):
         if head.kind == "softmax":
-            out[:, sl] = softmax(a[:, sl])
-    cache = ForwardCache(inputs, preacts, out, squeezed)
+            out[:, sl] = softmax(logits[:, sl])
+    cache = ForwardCache(inputs, preacts, logits, out, squeezed)
     return (out[0] if squeezed else out), cache
 
 
@@ -131,24 +143,46 @@ def backward(mlp: Mlp, cache: ForwardCache, output_grad) -> tuple[list[np.ndarra
         raise StaleCacheError(
             f"cache shape {cache.outputs.shape} does not match gradient {g.shape} / network")
     # push through the heads: softmax needs its Jacobian, linear passes through
-    d_act = np.empty_like(g)
+    d_logits = np.empty_like(g)
     for head, sl in Mlp.head_slices(mlp):
         if head.kind == "softmax":
             s = cache.outputs[:, sl]
-            d_act[:, sl] = s * (g[:, sl] - np.sum(g[:, sl] * s, axis=1, keepdims=True))
+            d_logits[:, sl] = s * (g[:, sl] - np.sum(g[:, sl] * s, axis=1, keepdims=True))
         else:
-            d_act[:, sl] = g[:, sl]
-    grads: list[np.ndarray] = [np.empty(0)] * (2 * len(mlp.layers))
-    for l in range(len(mlp.layers) - 1, -1, -1):
+            d_logits[:, sl] = g[:, sl]
+    grads, d_pre = backward_layers(mlp, cache.inputs, cache.logits, d_logits)
+    d_input = d_pre @ mlp.layers[0].weights
+    return grads, (d_input[0] if cache.squeezed else d_input)
+
+
+def backward_layers(mlp: Mlp, inputs: list[np.ndarray], logits: np.ndarray,
+                    d_logits: np.ndarray, grads: list[np.ndarray] | None = None
+                    ) -> tuple[list[np.ndarray], np.ndarray]:
+    """Layer recurrence of backward(), entered with the loss gradient at the
+    logits (the output layer's activations).
+
+    Gradients are written into ``grads`` (arrays shaped like
+    :func:`parameters`) when given, else into new arrays. Returns them and
+    the gradient at the first layer's pre-activation; multiply that by the
+    first layer's weights for the gradient at the network input.
+    """
+    if grads is None:
+        grads = [np.empty_like(p) for p in parameters(mlp)]
+    d_act = d_logits
+    last = len(mlp.layers) - 1
+    for l in range(last, -1, -1):
         layer = mlp.layers[l]
         if layer.activation == "tanh":
-            d_pre = d_act * (1.0 - np.tanh(cache.preacts[l]) ** 2)
+            # tanh' = 1 - tanh^2, and tanh of this layer is the next layer's input
+            act = logits if l == last else inputs[l + 1]
+            d_pre = d_act * (1.0 - act ** 2)
         else:
             d_pre = d_act
-        grads[2 * l] = d_pre.T @ cache.inputs[l]
-        grads[2 * l + 1] = d_pre.sum(axis=0)
-        d_act = d_pre @ layer.weights
-    return grads, (d_act[0] if cache.squeezed else d_act)
+        np.matmul(d_pre.T, inputs[l], out=grads[2 * l])
+        np.sum(d_pre, axis=0, out=grads[2 * l + 1])
+        if l:
+            d_act = d_pre @ layer.weights
+    return grads, d_pre
 
 
 def parameters(mlp: Mlp) -> list[np.ndarray]:
@@ -167,6 +201,47 @@ def set_parameters(mlp: Mlp, arrays: list[np.ndarray]) -> None:
 
 
 @dataclass
+class PackedParameters:
+    """Parameters of several networks in one contiguous float64 vector.
+
+    ``values`` backs every weight and bias (the layers hold views into it);
+    ``grads`` is a matching buffer and ``grad_blocks`` its views, ordered
+    like :func:`parameters` over the networks in turn.
+    """
+
+    values: np.ndarray
+    grads: np.ndarray
+    grad_blocks: list[np.ndarray]
+    ends: np.ndarray  # end offset of each block in the flat vectors
+
+    def first_nonfinite_block(self) -> int:
+        """Index of the first block whose gradient is not finite."""
+        first = int(np.argmin(np.isfinite(self.grads)))
+        return int(np.searchsorted(self.ends, first, side="right"))
+
+
+def pack_parameters(mlps) -> PackedParameters:
+    """Copy the parameters of ``mlps`` into one flat vector and rebind every
+    layer to views of it; the arrays the layers held before are not shared."""
+    arrays = [p for mlp in mlps for p in parameters(mlp)]
+    ends = np.cumsum([p.size for p in arrays])
+    values, grads = np.empty(int(ends[-1])), np.zeros(int(ends[-1]))
+
+    def views(flat):
+        return [flat[end - p.size:end].reshape(p.shape) for p, end in zip(arrays, ends)]
+
+    value_blocks = views(values)
+    for block, p in zip(value_blocks, arrays):
+        block[...] = p
+    offset = 0
+    for mlp in mlps:
+        count = 2 * len(mlp.layers)
+        set_parameters(mlp, value_blocks[offset:offset + count])
+        offset += count
+    return PackedParameters(values, grads, views(grads), ends)
+
+
+@dataclass
 class RmspropState:
     learning_rate: float
     rho: float
@@ -181,17 +256,30 @@ def rmsprop_init(params: list[np.ndarray], learning_rate: float = 0.001,
 
 def rmsprop_step(params: list[np.ndarray], grads: list[np.ndarray],
                  state: RmspropState) -> tuple[list[np.ndarray], RmspropState]:
-    """One update: acc <- rho*acc + (1-rho)*g^2; p <- p - lr*g/sqrt(acc+eps)."""
-    new_params, new_acc = [], []
-    for i, (p, g, acc) in enumerate(zip(params, grads, state.accumulators)):
+    """One update, in place: acc <- rho*acc + (1-rho)*g^2; p <- p - lr*g/sqrt(acc+eps).
+
+    ``params`` and ``state.accumulators`` are updated in place and returned.
+    A model that packs its parameters into one flat buffer makes this a
+    single block, so the update runs as a handful of vectorized calls.
+    """
+    for i, (p, g) in enumerate(zip(params, grads)):
         if p.shape != g.shape:
             raise StaleCacheError(f"parameter block {i}: shape {p.shape} vs gradient {g.shape}")
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise DivergenceError(f"non-finite gradient in parameter block {i}")
-        acc_next = state.rho * acc + (1.0 - state.rho) * g * g
-        new_params.append(p - state.learning_rate * g / np.sqrt(acc_next + state.epsilon))
-        new_acc.append(acc_next)
-    return new_params, RmspropState(state.learning_rate, state.rho, state.epsilon, new_acc)
+    lr, rho, eps = state.learning_rate, state.rho, state.epsilon
+    for p, g, acc in zip(params, grads, state.accumulators):
+        # rho*acc + (1-rho)*g*g and p - lr*g/sqrt(acc+eps), operation for
+        # operation in the same order (bit-identical), on two temporaries
+        t = (1.0 - rho) * g
+        t *= g
+        acc *= rho
+        acc += t
+        np.sqrt(np.add(acc, eps, out=t), out=t)
+        step = lr * g
+        step /= t
+        p -= step
+    return params, state
 
 
 def mlp_to_dict(mlp: Mlp) -> dict:
@@ -208,13 +296,37 @@ def mlp_to_dict(mlp: Mlp) -> dict:
 
 
 def mlp_from_dict(doc: dict) -> Mlp:
+    """Inverse of :func:`mlp_to_dict`; raises DataError for a document whose
+    shapes do not chain from layer to layer or whose heads do not tile the
+    output layer."""
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"not an MLP checkpoint: {doc.get('format')!r}")
-    layers = [
-        DenseLayer(np.asarray(entry["weights"], dtype=float),
-                   np.asarray(entry["biases"], dtype=float),
-                   entry["activation"])
-        for entry in doc["layers"]
-    ]
-    heads = tuple(Head(h["kind"], int(h["width"])) for h in doc["heads"])
-    return Mlp(layers, heads)
+    try:
+        layers = [
+            DenseLayer(np.asarray(entry["weights"], dtype=float),
+                       np.asarray(entry["biases"], dtype=float),
+                       entry["activation"])
+            for entry in doc["layers"]
+        ]
+        heads = tuple(Head(h["kind"], int(h["width"])) for h in doc["heads"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed MLP checkpoint: {exc!r}") from None
+    if not layers:
+        raise DataError("MLP checkpoint has no layers")
+    for l, layer in enumerate(layers):
+        w, b = layer.weights, layer.biases
+        if w.ndim != 2 or b.shape != (w.shape[0],):
+            raise DataError(f"layer {l}: weights {w.shape} and biases {b.shape} do not match")
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise DataError(f"layer {l}: non-finite parameters")
+        if l and w.shape[1] != layers[l - 1].weights.shape[0]:
+            raise DataError(f"layer {l}: input width {w.shape[1]} does not match the "
+                            f"{layers[l - 1].weights.shape[0]} outputs of layer {l - 1}")
+    for head in heads:
+        if head.kind not in ("linear", "softmax") or head.width < 1:
+            raise DataError(f"bad head {head}")
+    mlp = Mlp(layers, heads)
+    if sum(h.width for h in heads) != mlp.output_width:
+        raise DataError(f"heads cover {sum(h.width for h in heads)} of "
+                        f"{mlp.output_width} output columns")
+    return mlp

@@ -9,18 +9,24 @@ numerics, softmax blocks for one-hot variables. The objective per row is
   - sum_cat sum_j x_j log xhat_j                    reconstruction, categorical
   + beta * ( -0.5 * sum (1 + lv - mu^2 - e^lv) )    Gaussian KL to N(0, I)
 
-averaged over the minibatch. Training uses RMSprop; hyperparameters can be
-searched on a grid, with the winner picked by validation SRMSE of the
-projected joint over a designated variable subset. Sampling draws
-z ~ N(0, I), decodes, hardens categorical blocks, and de-standardizes
-numerics into raw agent records.
+averaged over the minibatch. The training step works on the decoder's
+logits: the categorical term is one log-softmax over all heads of one
+width at once, so it is exact however small a probability gets, and its
+gradient is the fused softmax cross-entropy ``(softmax - x) / batch`` on
+the logits, which then enters the layer recurrence of
+:func:`neural.backward_layers`. The head layout is built once per model,
+and encoder and decoder parameters live in one flat vector that RMSprop
+updates as a single block. Hyperparameters can be searched on a grid, with
+the winner picked by validation SRMSE of the projected joint over a
+designated variable subset. Sampling draws z ~ N(0, I), decodes, hardens
+categorical blocks, and de-standardizes numerics into raw agent records.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,15 +45,17 @@ from .errors import ConfigError, DataError, DivergenceError, SchemaError
 from .neural import (
     Head,
     Mlp,
-    backward,
+    PackedParameters,
+    backward,  # unused here; the benchmark harness wraps vae.backward
+    backward_layers,
     forward,
+    forward_layers,
     init_mlp,
     mlp_from_dict,
     mlp_to_dict,
-    parameters,
+    pack_parameters,
     rmsprop_init,
     rmsprop_step,
-    set_parameters,
 )
 
 PROB_FLOOR = 1e-12
@@ -55,18 +63,72 @@ CHECKPOINT_FORMAT = "agentsynth-vae"
 CHECKPOINT_VERSION = 1
 
 
+@dataclass(frozen=True)
+class HeadGroup:
+    """All softmax heads of one width: ``columns`` lists their logit columns
+    head after head, so ``logits[:, columns]`` reshapes to
+    ``(batch, count, width)``. It is a slice (and the reshape a view) when
+    the heads are adjacent, an index array otherwise."""
+
+    columns: slice | np.ndarray
+    count: int
+    width: int
+
+
+@dataclass(frozen=True)
+class HeadLayout:
+    """Decoder output columns grouped for the training step."""
+
+    groups: tuple[HeadGroup, ...]
+    numeric: slice | np.ndarray | None  # the linear-head columns
+
+
+def _columns(cols: list[int]) -> slice | np.ndarray:
+    if cols == list(range(cols[0], cols[0] + len(cols))):
+        return slice(cols[0], cols[0] + len(cols))
+    return np.array(cols)
+
+
+def head_layout(heads: tuple[Head, ...]) -> HeadLayout:
+    """Group softmax heads by width and collect the linear-head columns."""
+    by_width: dict[int, list[int]] = {}
+    numeric: list[int] = []
+    col = 0
+    for head in heads:
+        span = list(range(col, col + head.width))
+        if head.kind == "softmax":
+            by_width.setdefault(head.width, []).extend(span)
+        else:
+            numeric.extend(span)
+        col += head.width
+    groups = tuple(HeadGroup(_columns(cols), len(cols) // width, width)
+                   for width, cols in by_width.items())
+    return HeadLayout(groups, _columns(numeric) if numeric else None)
+
+
 @dataclass
 class VaeModel:
+    """Encoder, decoder and their settings.
+
+    Construction packs both networks' parameters into ``packed`` (a copy:
+    the layers then hold views into one flat vector) and builds the decoder
+    head ``layout``; the training step uses both.
+    """
+
     encoder: Mlp
     decoder: Mlp
     latent_dim: int
     beta: float
     schema: Schema
     standardization: dict[str, tuple[float, float]] = field(default_factory=dict)
+    packed: PackedParameters = field(init=False, repr=False, compare=False)
+    layout: HeadLayout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.beta <= 0:
             raise ConfigError(f"beta must be positive, got {self.beta}")
+        self.packed = pack_parameters((self.encoder, self.decoder))
+        self.layout = head_layout(self.decoder.heads)
 
 
 @dataclass(frozen=True)
@@ -142,9 +204,14 @@ def build_vae(schema: Schema, hidden: tuple[int, ...], latent_dim: int, beta: fl
 
 
 def clone_model(model: VaeModel) -> VaeModel:
+    """A copy sharing no arrays with ``model``: the new layer objects start
+    on the old arrays and packing copies them into the clone's own buffer."""
+    def layers_of(mlp: Mlp) -> Mlp:
+        return Mlp([replace(layer) for layer in mlp.layers], mlp.heads)
+
     return VaeModel(
-        mlp_from_dict(mlp_to_dict(model.encoder)),
-        mlp_from_dict(mlp_to_dict(model.decoder)),
+        layers_of(model.encoder),
+        layers_of(model.decoder),
         model.latent_dim,
         model.beta,
         model.schema,
@@ -186,7 +253,10 @@ class LossTerms:
 
 
 def loss(model: VaeModel, x, x_hat, lp: LatentParams) -> LossTerms:
-    """Minibatch-mean loss split into its three terms."""
+    """Minibatch-mean loss split into its three terms, from post-head
+    outputs: ``x_hat`` holds probabilities in the one-hot blocks, floored at
+    ``PROB_FLOOR`` before the log. The training step computes the same
+    objective exactly from logits (see :func:`evaluate_loss`)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     x_hat = np.atleast_2d(np.asarray(x_hat, dtype=float))
     mu = np.atleast_2d(lp.mean)
@@ -209,48 +279,109 @@ def loss(model: VaeModel, x, x_hat, lp: LatentParams) -> LossTerms:
     return LossTerms(float(total), float(numeric), float(categorical), float(kl))
 
 
+@dataclass
+class _StepState:
+    """What the forward half of a training step leaves for the backward."""
+
+    terms: LossTerms
+    enc_inputs: list[np.ndarray]
+    enc_out: np.ndarray
+    dec_inputs: list[np.ndarray]
+    logits: np.ndarray
+    d_logits: np.ndarray
+    eps: np.ndarray
+    sigma: np.ndarray
+    variance: np.ndarray
+
+
+def _forward_loss(model: VaeModel, x, eps) -> _StepState:
+    """Encoder, reparameterization and decoder on a batch, the loss from
+    the decoder's logits, and the loss gradient at those logits.
+
+    Targets in a one-hot block sum to one per row (encoded pools do), which
+    makes ``(softmax - x) / batch`` the exact logit gradient.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if not np.isfinite(x).all():
+        raise DataError("non-finite network input")
+    if x.shape[1] != model.encoder.input_width:
+        raise DataError(
+            f"input width {x.shape[1]} does not match network input {model.encoder.input_width}")
+    n_rows = x.shape[0]
+    d = model.latent_dim
+    eps = np.asarray(eps, dtype=float)
+    enc_inputs, _, enc_out = forward_layers(model.encoder, x)
+    mu, lv = enc_out[:, :d], enc_out[:, d:]
+    sigma = np.exp(lv / 2.0)
+    dec_inputs, _, logits = forward_layers(model.decoder, mu + sigma * eps)
+    layout = model.layout
+    d_logits = np.empty_like(logits)
+    numeric = 0.0
+    if layout.numeric is not None:
+        diff = logits[:, layout.numeric] - x[:, layout.numeric]
+        numeric = 0.5 * np.sum(diff ** 2)
+        d_logits[:, layout.numeric] = diff / n_rows
+    categorical = 0.0
+    for group in layout.groups:
+        # (width, batch, heads), contiguous: the reductions over a head's
+        # values then add or compare whole planes; numpy's reduction over a
+        # short last axis pays a fixed cost per head and row, several times
+        # the arithmetic
+        shape = (n_rows, group.count, group.width)
+        heads = np.ascontiguousarray(logits[:, group.columns].reshape(shape).transpose(2, 0, 1))
+        target = np.ascontiguousarray(x[:, group.columns].reshape(shape).transpose(2, 0, 1))
+        shifted = heads - heads.max(axis=0)
+        e = np.exp(shifted)
+        norm = e.sum(axis=0)
+        categorical -= np.vdot(target, shifted - np.log(norm))
+        grad = e / norm
+        grad -= target
+        grad /= n_rows
+        d_logits[:, group.columns] = grad.transpose(1, 2, 0).reshape(n_rows, -1)
+    variance = np.exp(lv)
+    kl = -0.5 * np.sum(1.0 + lv - mu ** 2 - variance)
+    numeric /= n_rows
+    categorical /= n_rows
+    kl /= n_rows
+    total = numeric + categorical + model.beta * kl
+    terms = LossTerms(float(total), float(numeric), float(categorical), float(kl))
+    return _StepState(terms, enc_inputs, enc_out, dec_inputs, logits, d_logits,
+                      eps, sigma, variance)
+
+
 def evaluate_loss(model: VaeModel, x, eps) -> LossTerms:
-    """Full forward pass with a fixed epsilon; used by gradient audits."""
-    lp = encode(model, x)
-    z = reparameterize(lp, eps)
-    x_hat = decode(model, z)
-    return loss(model, x, x_hat, lp)
+    """Full forward pass with a fixed epsilon; used by gradient audits.
+    The same objective that :func:`loss_and_grads` differentiates."""
+    return _forward_loss(model, x, eps).terms
 
 
 def loss_and_grads(model: VaeModel, x: np.ndarray, eps: np.ndarray
                    ) -> tuple[LossTerms, list[np.ndarray], list[np.ndarray]]:
     """Loss terms plus gradients for every encoder and decoder parameter.
 
-    The reconstruction gradient flows through the decoder into z, then via
-    the reparameterization into both latent heads; the KL gradient hits the
-    heads directly.
+    The logit gradient flows through the decoder into z, then via the
+    reparameterization into both latent heads; the KL gradient hits the
+    heads directly. The gradients are written into ``model.packed.grads``
+    and returned as its views, ordered like :func:`neural.parameters`; the
+    next call on the same model overwrites them.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    n_rows = x.shape[0]
-    d = model.latent_dim
-    enc_out, enc_cache = forward(model.encoder, x)
-    mu, lv = enc_out[:, :d], enc_out[:, d:]
-    sigma = np.exp(lv / 2.0)
-    z = mu + sigma * eps
-    x_hat, dec_cache = forward(model.decoder, z)
-    terms = loss(model, x, x_hat, LatentParams(mu, lv))
-    if not np.isfinite(terms.total):
+    step = _forward_loss(model, x, eps)
+    if not np.isfinite(step.terms.total):
         raise DivergenceError("non-finite loss")
-    # d(loss)/d(x_hat), already scaled for the batch mean
-    d_hat = np.zeros_like(x_hat)
-    for block in schema_blocks(model.schema):
-        sl = slice(block.start, block.stop)
-        if block.kind == "numeric":
-            d_hat[:, sl] = (x_hat[:, sl] - x[:, sl]) / n_rows
-        else:
-            safe = np.maximum(x_hat[:, sl], PROB_FLOOR)
-            d_hat[:, sl] = np.where(x_hat[:, sl] > PROB_FLOOR,
-                                    -x[:, sl] / safe, 0.0) / n_rows
-    dec_grads, dz = backward(model.decoder, dec_cache, d_hat)
+    n_rows = step.logits.shape[0]
+    d = model.latent_dim
+    mu, lv = step.enc_out[:, :d], step.enc_out[:, d:]
+    n_enc = 2 * len(model.encoder.layers)
+    enc_grads = model.packed.grad_blocks[:n_enc]
+    dec_grads = model.packed.grad_blocks[n_enc:]
+    _, d_pre = backward_layers(model.decoder, step.dec_inputs, step.logits, step.d_logits,
+                               dec_grads)
+    dz = d_pre @ model.decoder.layers[0].weights
     d_mu = dz + model.beta * mu / n_rows
-    d_lv = dz * eps * 0.5 * sigma + model.beta * 0.5 * (np.exp(lv) - 1.0) / n_rows
-    enc_grads, _ = backward(model.encoder, enc_cache, np.concatenate([d_mu, d_lv], axis=1))
-    return terms, enc_grads, dec_grads
+    d_lv = dz * step.eps * 0.5 * step.sigma + model.beta * 0.5 * (step.variance - 1.0) / n_rows
+    backward_layers(model.encoder, step.enc_inputs, step.enc_out,
+                    np.concatenate([d_mu, d_lv], axis=1), enc_grads)
+    return step.terms, enc_grads, dec_grads
 
 
 def _train_single(model: VaeModel, train: EncodedMatrix, config: TrainConfig,
@@ -263,9 +394,8 @@ def _train_single(model: VaeModel, train: EncodedMatrix, config: TrainConfig,
     n = x_all.shape[0]
     if n == 0:
         raise DataError("cannot train on an empty pool")
-    params = parameters(model.encoder) + parameters(model.decoder)
-    n_enc = len(parameters(model.encoder))
-    state = rmsprop_init(params, config.learning_rate, config.rho, config.epsilon)
+    packed = model.packed
+    state = rmsprop_init([packed.values], config.learning_rate, config.rho, config.epsilon)
     history = []
     for epoch in range(config.epochs):
         order = rng.permutation(n)
@@ -275,13 +405,16 @@ def _train_single(model: VaeModel, train: EncodedMatrix, config: TrainConfig,
             batch = x_all[order[start:start + config.batch_size]]
             eps = rng.standard_normal((batch.shape[0], model.latent_dim))
             try:
-                terms, enc_grads, dec_grads = loss_and_grads(model, batch, eps)
+                terms, _, _ = loss_and_grads(model, batch, eps)
             except DivergenceError as exc:
                 raise DivergenceError(
                     f"grid point {grid_index}, epoch {epoch}: {exc}") from None
-            params, state = rmsprop_step(params, enc_grads + dec_grads, state)
-            set_parameters(model.encoder, params[:n_enc])
-            set_parameters(model.decoder, params[n_enc:])
+            try:
+                rmsprop_step([packed.values], [packed.grads], state)
+            except DivergenceError:
+                raise DivergenceError(
+                    f"grid point {grid_index}, epoch {epoch}: non-finite gradient in "
+                    f"parameter block {packed.first_nonfinite_block()}") from None
             sums += (terms.numeric, terms.categorical, terms.kl, terms.total)
             n_batches += 1
         history.append({
@@ -404,18 +537,36 @@ def vae_to_dict(model: VaeModel, extra: dict | None = None) -> dict:
 
 
 def vae_from_dict(doc: dict) -> VaeModel:
+    """Inverse of :func:`vae_to_dict`; raises DataError for a checkpoint
+    whose networks do not fit its schema and latent width."""
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"not a VAE checkpoint: {doc.get('format')!r}")
-    schema = schema_from_json(doc["schema"])
-    model = VaeModel(
-        mlp_from_dict(doc["encoder"]),
-        mlp_from_dict(doc["decoder"]),
-        int(doc["latent_dim"]),
-        float(doc["beta"]),
+    try:
+        schema = schema_from_json(doc["schema"])
+        encoder, decoder = mlp_from_dict(doc["encoder"]), mlp_from_dict(doc["decoder"])
+        latent_dim = int(doc["latent_dim"])
+        beta = float(doc["beta"])
+    except KeyError as exc:
+        raise DataError(f"VAE checkpoint lacks {exc.args[0]!r}") from None
+    if encoder.input_width != schema.encoded_width:
+        raise DataError(f"encoder input width {encoder.input_width} does not match "
+                        f"schema width {schema.encoded_width}")
+    if encoder.heads != (Head("linear", latent_dim),) * 2:
+        raise DataError(f"encoder heads {encoder.heads} are not two linear heads "
+                        f"of latent width {latent_dim}")
+    if decoder.input_width != latent_dim:
+        raise DataError(f"decoder input width {decoder.input_width} does not match "
+                        f"latent width {latent_dim}")
+    if decoder.heads != decoder_heads(schema):
+        raise DataError("decoder heads do not mirror the schema's encoded blocks")
+    return VaeModel(
+        encoder,
+        decoder,
+        latent_dim,
+        beta,
         schema,
         {k: (float(v[0]), float(v[1])) for k, v in doc.get("standardization", {}).items()},
     )
-    return model
 
 
 def save_checkpoint(model: VaeModel, path, extra: dict | None = None) -> None:

@@ -2,8 +2,12 @@
 
 import json
 
+import pytest
+
+from agentsynth import cli
 from agentsynth.cli import main
 from agentsynth.dataset import read_pool_csv, schema_from_json
+from agentsynth.errors import StaleCacheError
 
 
 def _write_config(tmp_path, out_dir, methods=None, seed=21, count=300):
@@ -152,3 +156,32 @@ class TestExitCodes:
         assert (override / "report.json").exists()
         report = json.loads((override / "report.json").read_text())
         assert report["metadata"]["master_seed"] == 99
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda doc: doc["decoder"]["layers"][-1]["biases"].pop(), "do not match"),
+        (lambda doc: doc["decoder"]["heads"].pop(), "heads cover 9 of 12 output columns"),
+    ])
+    def test_corrupt_vae_checkpoint_is_data_error(self, tmp_path, capsys, corrupt, message):
+        out = tmp_path / "o9"
+        config = _write_config(tmp_path, out, methods=[
+            {"name": "vae", "kind": "vae",
+             "params": {"hidden": [6], "latent_dim": 2, "beta": 0.1,
+                        "epochs": 1, "batch_size": 32}}])
+        assert main(["prepare", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config), "--method", "vae"]) == 0
+        path = out / "models" / "vae.json"
+        doc = json.loads(path.read_text())
+        corrupt(doc)
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["sample", "--config", str(config), "--method", "vae"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and message in err
+
+    def test_other_toolkit_errors_are_data_errors(self, tmp_path, monkeypatch, capsys):
+        def stale(args):
+            raise StaleCacheError("cache does not match")
+
+        monkeypatch.setitem(cli.COMMANDS, "report", stale)
+        assert main(["report", "--out", str(tmp_path)]) == 3
+        assert "data error: cache does not match" in capsys.readouterr().err

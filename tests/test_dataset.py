@@ -21,6 +21,7 @@ from agentsynth.dataset import (
     matrix_to_codes,
     pool_to_codes,
     read_pool_csv,
+    schema_blocks,
     schema_from_json,
     schema_to_json,
     split_pool,
@@ -438,3 +439,141 @@ class TestRowMaterialization:
                                 + ([provenance] if extra else []))
         assert path.read_bytes() == expected.read_bytes()
         assert read_pool_csv(path, schema, provenance=provenance).rows == pool.rows
+
+
+# ---------------------------------------------------------------------------
+# per-value references for pool_to_codes, encode_pool and decode_rows
+
+
+def _reference_value_codes(var, column):
+    if var.is_numerical:
+        return [discretize(v, var) for v in column]
+    lookup = {c: i for i, c in enumerate(var.categories)}
+    try:
+        return [lookup[v] for v in column]
+    except KeyError as exc:
+        raise DataError(f"variable {var.name!r}: unknown category {exc.args[0]!r}") from None
+
+
+def _reference_pool_to_codes(pool, clamp=False):
+    codes = np.empty((len(pool.rows), pool.schema.n_variables), dtype=np.int64)
+    for j, var in enumerate(pool.schema.variables):
+        column = [row[j] for row in pool.rows]
+        if var.is_numerical and clamp:
+            codes[:, j] = discretize_clamped(column, var)
+        else:
+            codes[:, j] = _reference_value_codes(var, column)
+    return codes
+
+
+def _reference_encode_pool(pool, standardization=None):
+    schema = pool.schema
+    n_rows = len(pool.rows)
+    out = np.zeros((n_rows, schema.encoded_width))
+    stats = {}
+    for j, (var, block) in enumerate(zip(schema.variables, schema_blocks(schema))):
+        column = [row[j] for row in pool.rows]
+        if block.kind == "one-hot":
+            idx = np.array(_reference_value_codes(var, column), dtype=np.int64)
+            out[np.arange(n_rows), block.start + idx] = 1.0
+        else:
+            arr = np.asarray(column, dtype=float)
+            if standardization is None:
+                mean, std = float(arr.mean()), float(arr.std())
+            else:
+                mean, std = standardization[var.name]
+            stats[var.name] = (mean, std)
+            out[:, block.start] = (arr - mean) / std
+    return out, stats
+
+
+def _error_of(fn, *args):
+    with pytest.raises(DataError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+def _mixed_mode(schema):
+    return Schema(schema.variables, "mixed")
+
+
+class TestRowToCodeLookup:
+    @pytest.mark.parametrize("mode", ["discretize-all", "mixed"])
+    @pytest.mark.parametrize("n_rows", [0, 1, 300])
+    def test_codes_and_encoding_match_per_value_reference(self, mode, n_rows):
+        schema = Schema(_mixed_schema().variables, mode)
+        codes = _random_codes(np.random.default_rng(12), schema, n_rows)
+        pool = codes_to_pool(codes, schema, rng=np.random.default_rng(13))
+        # values on the outer edges: the last bin is closed on the right
+        if n_rows:
+            pool = AgentPool(schema, pool.rows + (("m", 12.0, "w", 8.0, 5),
+                                                  ("f", 0.0, "n", -3.0, 0)), "train")
+        np.testing.assert_array_equal(pool_to_codes(pool), _reference_pool_to_codes(pool))
+        np.testing.assert_array_equal(pool_to_codes(pool, clamp=True),
+                                      _reference_pool_to_codes(pool, clamp=True))
+        if n_rows:
+            enc = encode_pool(pool)
+            values, stats = _reference_encode_pool(pool)
+            np.testing.assert_array_equal(enc.values, values)
+            assert enc.standardization == stats
+            other = codes_to_pool(codes[:7], schema, rng=np.random.default_rng(14))
+            again = encode_pool(other, enc.standardization)
+            values, stats = _reference_encode_pool(other, enc.standardization)
+            np.testing.assert_array_equal(again.values, values)
+            assert again.standardization == stats
+
+    @pytest.mark.parametrize("bad", [
+        # (row index, variable index, value): the first bad value is reported
+        [(3, 1, 12.5)],
+        [(5, 1, -0.25), (2, 4, 9)],
+        [(4, 4, 7), (6, 4, -1)],
+        [(1, 3, 8.000001)],
+        [(2, 0, "x"), (1, 2, "q")],
+        [(0, 2, "north")],
+        [(7, 0, 1)],
+    ])
+    def test_errors_match_per_value_reference(self, bad):
+        schema = _mixed_schema()
+        codes = _random_codes(np.random.default_rng(15), schema, 9)
+        rows = [list(row) for row in codes_to_pool(codes, schema, rng=np.random.default_rng(16)).rows]
+        for r, j, value in bad:
+            rows[r][j] = value
+        pool = AgentPool(schema, tuple(map(tuple, rows)), "generated")
+        expected = _error_of(_reference_pool_to_codes, pool)
+        assert _error_of(pool_to_codes, pool) == expected
+        assert _error_of(encode_pool, pool) == expected
+        mixed = AgentPool(_mixed_mode(schema), pool.rows, "generated")
+        categorical = [j for j, var in enumerate(schema.variables) if not var.is_numerical]
+        if any(j in categorical for _, j, _ in bad):
+            assert _error_of(encode_pool, mixed) == _error_of(_reference_encode_pool, mixed)
+        else:
+            # mixed mode keeps numerics continuous: nothing is out of range
+            encode_pool(mixed)
+
+    def test_nan_is_out_of_range(self):
+        schema = _mixed_schema()
+        pool = AgentPool(schema, (("m", float("nan"), "w", 8.0, 5),), "generated")
+        with pytest.raises(DataError, match="'age': value nan outside"):
+            pool_to_codes(pool)
+
+    def test_decode_rows_matches_per_value_reference(self):
+        schema = _mixed_mode(_mixed_schema())
+        train = codes_to_pool(_random_codes(np.random.default_rng(17), schema, 80), schema,
+                              rng=np.random.default_rng(18))
+        enc = encode_pool(train)
+        soft = enc.values + np.random.default_rng(19).normal(scale=0.3, size=enc.values.shape)
+        matrix = EncodedMatrix(soft, enc.blocks, enc.standardization, schema)
+        columns = []
+        for block, var in zip(matrix.blocks, schema.variables):
+            sub = soft[:, block.start:block.stop]
+            if block.kind == "one-hot":
+                columns.append([var.categories[int(i)] for i in np.argmax(sub, axis=1)])
+            else:
+                mean, std = enc.standardization[var.name]
+                raw = sub[:, 0] * std + mean
+                columns.append([int(round(v)) for v in raw] if var.kind == "numerical-int"
+                               else [float(v) for v in raw])
+        decoded = decode_rows(matrix)
+        assert decoded.rows == tuple(zip(*columns))
+        assert [type(v) for row in decoded.rows for v in row] == \
+            [type(v) for row in zip(*columns) for v in row]

@@ -9,6 +9,7 @@ from agentsynth.neural import (
     Head,
     Mlp,
     backward,
+    backward_layers,
     forward,
     init_mlp,
     mlp_from_dict,
@@ -121,6 +122,44 @@ class TestBackward:
                 worst = max(worst, err)
         assert worst < 1e-4
 
+    def test_layer_recurrence_from_logits(self, rng):
+        # with linear heads the post-head gradient is the logit gradient
+        net = _random_net(rng, input_width=3, hidden=(4, 3),
+                          heads=(Head("linear", 2), Head("linear", 1)))
+        x = rng.normal(size=(5, 3))
+        g = rng.normal(size=(5, 3))
+        _, cache = forward(net, x)
+        grads, dx = backward(net, cache, g)
+        out = [np.full_like(p, np.nan) for p in parameters(net)]
+        same, d_pre = backward_layers(net, cache.inputs, cache.logits, g, out)
+        assert same is out
+        for a, b in zip(out, grads):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(d_pre @ net.layers[0].weights, dx)
+
+    def test_tanh_output_layer_matches_finite_differences(self, rng):
+        net = _random_net(rng, input_width=3, hidden=(4,), heads=(Head("softmax", 3),))
+        net.layers[-1].activation = "tanh"
+        x = rng.normal(size=(2, 3))
+        target = rng.normal(size=(2, 3))
+
+        def loss_value():
+            y, _ = forward(net, x)
+            return 0.5 * np.sum((y - target) ** 2)
+
+        y, cache = forward(net, x)
+        grads, _ = backward(net, cache, y - target)
+        h = 1e-6
+        for k, p in enumerate(parameters(net)):
+            for idx in np.ndindex(p.shape):
+                orig = p[idx]
+                p[idx] = orig + h
+                up = loss_value()
+                p[idx] = orig - h
+                down = loss_value()
+                p[idx] = orig
+                assert abs(grads[k][idx] - (up - down) / (2 * h)) < 1e-7
+
     def test_stale_cache_rejected(self, rng):
         net = _random_net(rng)
         _, cache = forward(net, rng.normal(size=(3, 4)))
@@ -155,6 +194,13 @@ class TestRmsprop:
         assert losses[1] < losses[0]
         assert losses[2] < losses[1]
 
+    def test_updates_in_place(self):
+        params = [np.array([1.0, -2.0]), np.array([0.5])]
+        state = rmsprop_init(params)
+        new, new_state = rmsprop_step(params, [np.array([1.0, 1.0]), np.array([-1.0])], state)
+        assert new is params and new_state is state
+        assert params[0][0] < 1.0 and params[1][0] > 0.5
+
     def test_non_finite_gradient_names_block(self):
         params = [np.zeros(2), np.zeros(3)]
         state = rmsprop_init(params)
@@ -172,6 +218,25 @@ class TestCheckpoint:
         y2, _ = forward(restored, x)
         np.testing.assert_allclose(y1, y2, atol=1e-15)
         assert restored.heads == net.heads
+
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda d: d["layers"][0]["biases"].pop(), r"layer 0: weights \(5, 4\) and biases \(4,\)"),
+        (lambda d: d["layers"][1]["weights"][0].pop(), "malformed"),
+        (lambda d: [row.pop() for row in d["layers"][1]["weights"]],
+         "layer 1: input width 4 does not match the 5 outputs of layer 0"),
+        (lambda d: d["heads"].pop(), "heads cover 2 of 5 output columns"),
+        (lambda d: d["heads"][0].update(width=0), "bad head"),
+        (lambda d: d.update(layers=[]), "no layers"),
+        (lambda d: d["layers"][0].pop("activation"), "malformed"),
+        (lambda d: d["layers"][1]["biases"].__setitem__(2, float("nan")),
+         "layer 1: non-finite parameters"),
+    ])
+    def test_inconsistent_document_is_data_error(self, rng, corrupt, message):
+        doc = mlp_to_dict(_random_net(rng))
+        corrupt(doc)
+        with pytest.raises(DataError, match=message):
+            mlp_from_dict(doc)
 
 
 class TestTrainingReproducibility:

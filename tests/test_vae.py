@@ -9,12 +9,23 @@ from agentsynth.dataset import (
     VariableSpec,
     encode_pool,
 )
-from agentsynth.errors import ConfigError, DataError, SchemaError
-from agentsynth.neural import forward, parameters
+from agentsynth import vae as vae_module
+from agentsynth.errors import ConfigError, DataError, DivergenceError, SchemaError
+from agentsynth.neural import (
+    backward,
+    forward,
+    mlp_to_dict,
+    parameters,
+    rmsprop_init,
+    rmsprop_step,
+    softmax,
+)
 from agentsynth.vae import (
+    PROB_FLOOR,
     LatentParams,
     TrainConfig,
     build_vae,
+    clone_model,
     decode,
     encode,
     evaluate_loss,
@@ -26,6 +37,7 @@ from agentsynth.vae import (
     save_checkpoint,
     train,
     vae_from_dict,
+    vae_to_dict,
     write_training_log,
 )
 
@@ -304,3 +316,236 @@ class TestCheckpoint:
     def test_rejects_foreign_documents(self):
         with pytest.raises(DataError):
             vae_from_dict({"format": "something-else"})
+
+
+def _reference_loss_and_grads(model, x, eps):
+    """Reference for the fused step: neural.forward/backward with the
+    per-block loss on probabilities and the floored -x/p gradient through
+    the softmax Jacobian. The two agree wherever no probability falls below
+    PROB_FLOOR."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    n_rows = x.shape[0]
+    d = model.latent_dim
+    enc_out, enc_cache = forward(model.encoder, x)
+    mu, lv = enc_out[:, :d], enc_out[:, d:]
+    sigma = np.exp(lv / 2.0)
+    x_hat, dec_cache = forward(model.decoder, mu + sigma * eps)
+    terms = loss(model, x, x_hat, LatentParams(mu, lv))
+    d_hat = np.zeros_like(x_hat)
+    col = 0
+    for head in model.decoder.heads:
+        sl = slice(col, col + head.width)
+        col += head.width
+        if head.kind == "linear":
+            d_hat[:, sl] = (x_hat[:, sl] - x[:, sl]) / n_rows
+        else:
+            safe = np.maximum(x_hat[:, sl], PROB_FLOOR)
+            d_hat[:, sl] = np.where(x_hat[:, sl] > PROB_FLOOR, -x[:, sl] / safe, 0.0) / n_rows
+    dec_grads, dz = backward(model.decoder, dec_cache, d_hat)
+    d_mu = dz + model.beta * mu / n_rows
+    d_lv = dz * eps * 0.5 * sigma + model.beta * 0.5 * (np.exp(lv) - 1.0) / n_rows
+    enc_grads, _ = backward(model.encoder, enc_cache, np.concatenate([d_mu, d_lv], axis=1))
+    return terms, enc_grads, dec_grads
+
+
+def _interleaved_schema():
+    """Numeric and one-hot blocks of different widths, with equal-width
+    heads apart from each other, so their group is gathered by index."""
+    return Schema((
+        VariableSpec("a", "categorical", categories=("1", "2", "3")),
+        VariableSpec("age", "numerical-cont", bin_edges=(0.0, 50.0, 100.0)),
+        VariableSpec("b", "categorical", categories=("x", "y", "z")),
+        VariableSpec("sex", "binary", categories=("f", "m")),
+        VariableSpec("income", "numerical-cont", bin_edges=(0.0, 50.0, 100.0)),
+        VariableSpec("c", "categorical", categories=("p", "q", "r")),
+        VariableSpec("owner", "binary", categories=("n", "y")),
+    ), "mixed")
+
+
+def _interleaved_pool(rng, n):
+    rows = tuple(
+        (rng.choice(["1", "2", "3"]), float(rng.uniform(0, 100)), rng.choice(["x", "y", "z"]),
+         rng.choice(["f", "m"]), float(rng.uniform(0, 100)), rng.choice(["p", "q", "r"]),
+         rng.choice(["n", "y"]))
+        for _ in range(n))
+    return AgentPool(_interleaved_schema(), rows, "train")
+
+
+def _assert_close(actual, expected, rtol=1e-12):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    scale = max(float(np.max(np.abs(expected), initial=0.0)), 1e-300)
+    assert np.max(np.abs(actual - expected), initial=0.0) <= rtol * scale
+
+
+class TestFusedStep:
+    @pytest.mark.parametrize("case", ["lc20", "interleaved", "one-row"])
+    def test_matches_reference(self, case):
+        rng = np.random.default_rng(31)
+        if case == "lc20":
+            pool = random_categorical_pool(rng, [4] * 20, 64)
+            model = build_vae(pool.schema, (64,), 8, 0.5, rng)
+        else:
+            pool = _interleaved_pool(rng, 48)
+            model = build_vae(pool.schema, (7, 5), 3, 0.37, rng)
+        x = encode_pool(pool).values[:1 if case == "one-row" else None]
+        eps = rng.standard_normal((len(x), model.latent_dim))
+        terms, enc_grads, dec_grads = loss_and_grads(model, x, eps)
+        ref_terms, ref_enc, ref_dec = _reference_loss_and_grads(model, x, eps)
+        for name in ("total", "numeric", "categorical", "kl"):
+            _assert_close(getattr(terms, name), getattr(ref_terms, name))
+        assert len(enc_grads) == len(ref_enc) and len(dec_grads) == len(ref_dec)
+        for got, want in zip(enc_grads + dec_grads, ref_enc + ref_dec):
+            assert got.shape == want.shape
+            _assert_close(got, want)
+        assert evaluate_loss(model, x, eps) == terms
+
+    def test_layout_groups_heads_by_width(self, rng):
+        lc20 = build_vae(categorical_schema([4] * 20), (8,), 2, 1.0, rng).layout
+        assert [(g.columns, g.count, g.width) for g in lc20.groups] == [(slice(0, 80), 20, 4)]
+        assert lc20.numeric is None
+        mixed = build_vae(_interleaved_schema(), (4,), 2, 1.0, rng).layout
+        by_width = {g.width: g for g in mixed.groups}
+        # columns: a 0-2, age 3, b 4-6, sex 7-8, income 9, c 10-12, owner 13-14
+        np.testing.assert_array_equal(by_width[3].columns, [0, 1, 2, 4, 5, 6, 10, 11, 12])
+        np.testing.assert_array_equal(by_width[2].columns, [7, 8, 13, 14])
+        assert (by_width[3].count, by_width[2].count) == (3, 2)
+        np.testing.assert_array_equal(mixed.numeric, [3, 9])
+
+    def test_saturated_head_keeps_learning(self, rng):
+        # one head's true class sits 60 nats below the others' logit, so
+        # its probability (~1e-26) is under PROB_FLOOR
+        schema = categorical_schema([4, 3])
+        model = build_vae(schema, (5,), 2, 1.0, rng)
+        last = model.decoder.layers[-1]
+        last.weights[...] = 0.0
+        last.biases[...] = [60.0, 0.0, 0.0, 0.0, 0.5, -0.5, 0.0]
+        x = np.array([[0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0]] * 2)
+        eps = rng.standard_normal((2, 2))
+        terms, _, dec_grads = loss_and_grads(model, x, eps)
+        logits = last.biases
+        s = np.concatenate([softmax(logits[:4]), softmax(logits[4:])])
+        assert s[3] < PROB_FLOOR
+        # with zero output weights every row's logits are the biases, so the
+        # bias gradient is the batch sum of (s - x) / B
+        _assert_close(dec_grads[-1], s - x[0])
+        assert dec_grads[-1][3] < -0.99
+        _, _, ref_dec = _reference_loss_and_grads(model, x, eps)
+        np.testing.assert_array_equal(ref_dec[-1][:4], 0.0)
+        lse = lambda v: v.max() + np.log(np.sum(np.exp(v - v.max())))
+        expected = (lse(logits[:4]) - logits[3]) + (lse(logits[4:]) - logits[5])
+        assert np.isfinite(terms.categorical)
+        _assert_close(terms.categorical, expected)
+        assert terms.categorical > 60.0 > -np.log(PROB_FLOOR)
+
+
+class TestPackedParameters:
+    def _model_and_batch(self, rng):
+        pool = _interleaved_pool(rng, 24)
+        model = build_vae(pool.schema, (6,), 2, 0.5, rng)
+        return model, encode_pool(pool).values
+
+    def test_three_steps_bit_equal_to_per_block_update(self, rng):
+        model, x = self._model_and_batch(rng)
+        lr, rho, eps_rms = 0.01, 0.9, 1e-8
+        blocks = [p.copy() for p in parameters(model.encoder) + parameters(model.decoder)]
+        accs = [np.zeros_like(p) for p in blocks]
+        listed = [p.copy() for p in blocks]
+        listed_state = rmsprop_init(listed, lr, rho, eps_rms)
+        state = rmsprop_init([model.packed.values], lr, rho, eps_rms)
+        for _ in range(3):
+            _, enc_grads, dec_grads = loss_and_grads(
+                model, x, rng.standard_normal((len(x), 2)))
+            grads = [g.copy() for g in enc_grads + dec_grads]
+            for k, g in enumerate(grads):
+                # the per-block update as a plain formula
+                accs[k] = rho * accs[k] + (1.0 - rho) * g * g
+                blocks[k] = blocks[k] - lr * g / np.sqrt(accs[k] + eps_rms)
+            rmsprop_step(listed, grads, listed_state)
+            rmsprop_step([model.packed.values], [model.packed.grads], state)
+            current = parameters(model.encoder) + parameters(model.decoder)
+            for got, per_block, via_list in zip(current, blocks, listed):
+                np.testing.assert_array_equal(got, per_block)
+                np.testing.assert_array_equal(got, via_list)
+
+    def test_in_place_edit_is_seen_by_forward(self, rng):
+        model, x = self._model_and_batch(rng)
+        eps = rng.standard_normal((len(x), 2))
+        for p in parameters(model.encoder) + parameters(model.decoder):
+            assert np.shares_memory(p, model.packed.values)
+        before = encode(model, x).mean.copy()
+        loss_before = evaluate_loss(model, x, eps).total
+        parameters(model.encoder)[1][0] += 1.0
+        assert not np.array_equal(encode(model, x).mean, before)
+        assert evaluate_loss(model, x, eps).total != loss_before
+
+    def test_clone_copies_arrays(self, rng):
+        model, x = self._model_and_batch(rng)
+        clone = clone_model(model)
+        for net in ("encoder", "decoder"):
+            for a, b in zip(parameters(getattr(model, net)), parameters(getattr(clone, net))):
+                np.testing.assert_array_equal(a, b)
+                assert not np.shares_memory(a, b)
+        assert not np.shares_memory(clone.packed.values, model.packed.values)
+        assert mlp_to_dict(clone.decoder) == mlp_to_dict(model.decoder)
+
+    def test_non_finite_gradient_names_grid_point_epoch_and_block(self, rng, monkeypatch):
+        model, x = self._model_and_batch(rng)
+        enc = encode_pool(_interleaved_pool(rng, 24))
+        real = vae_module.loss_and_grads
+        calls = []
+
+        def poisoned(m, batch, eps):
+            terms, enc_grads, dec_grads = real(m, batch, eps)
+            calls.append(1)
+            if len(calls) == 3:
+                # the first element of a block and a later one
+                dec_grads[1][0] = dec_grads[1][2] = np.nan
+            return terms, enc_grads, dec_grads
+
+        monkeypatch.setattr(vae_module, "loss_and_grads", poisoned)
+        n_enc = len(parameters(model.encoder))
+        with pytest.raises(DivergenceError,
+                           match=rf"grid point 0, epoch 1: non-finite gradient in "
+                                 rf"parameter block {n_enc + 1}$"):
+            train(model, enc, enc, TrainConfig(epochs=3, batch_size=12, seed=4))
+
+
+class TestCheckpointValidation:
+    def _doc(self, rng):
+        pool = _interleaved_pool(rng, 16)
+        model = build_vae(pool.schema, (5,), 2, 0.5, rng)
+        model.standardization = dict(encode_pool(pool).standardization)
+        return vae_to_dict(model)
+
+    def test_valid_document_loads(self, rng):
+        doc = self._doc(rng)
+        assert vae_to_dict(vae_from_dict(doc)) == doc
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda d: d["decoder"]["layers"][-1]["biases"].pop(), "biases"),
+        (lambda d: d["decoder"]["layers"][0]["weights"].pop(), r"layer 0: weights \(4, 2\)"),
+        (lambda d: [d["decoder"]["layers"][0][k].pop() for k in ("weights", "biases")],
+         "layer 1: input width 5 does not match the 4 outputs of layer 0"),
+        (lambda d: d["decoder"]["layers"][0]["weights"][0].pop(), "malformed"),
+        (lambda d: d["decoder"]["heads"].pop(), "heads cover"),
+        (lambda d: d["decoder"]["heads"][0].update(kind="linear"), "mirror the schema"),
+        (lambda d: d["decoder"]["heads"][0].update(kind="sigmoid"), "bad head"),
+        (lambda d: [row.pop() for row in d["encoder"]["layers"][0]["weights"]],
+         "encoder input width"),
+        (lambda d: d["encoder"]["heads"][0].update(width=3), "heads cover"),
+        (lambda d: d.update(latent_dim=3), "latent width 3"),
+        (lambda d: d.pop("schema"), "lacks 'schema'"),
+        (lambda d: d["decoder"].pop("heads"), "malformed"),
+    ])
+    def test_inconsistent_document_is_data_error(self, rng, corrupt, message):
+        doc = self._doc(rng)
+        corrupt(doc)
+        with pytest.raises(DataError, match=message):
+            vae_from_dict(doc)
+
+    def test_encoder_of_another_schema_is_rejected(self, rng):
+        doc = self._doc(rng)
+        other = build_vae(categorical_schema([3, 3]), (5,), 2, 0.5, rng)
+        doc["encoder"] = mlp_to_dict(other.encoder)
+        with pytest.raises(DataError, match="encoder input width 6"):
+            vae_from_dict(doc)
