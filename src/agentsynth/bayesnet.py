@@ -9,6 +9,20 @@ maximum-likelihood conditionals minus (log N / 2) free parameters, the
 BIC-equivalent penalty; higher is better. Fitted networks sample agents
 ancestrally, parents before children.
 
+Local scores never build a table over every parent-value combination. The
+rows' combination ids are compacted as each parent column is appended: the
+cell ``id * width + value`` is replaced by its rank among the occupied
+cells (one bincount and one cumsum), which keeps C order over the parents
+and stays below the row count, so neither table size nor int64 overflow
+bounds the parent widths. The exact search also prunes: since a
+log-likelihood is at most 0, a parent set S whose penalty
+(log N / 2) * (D_i - 1) * prod(D_S) exceeds -score(i | {}) scores strictly
+below the empty set, and so does every superset of S (de Campos & Ji,
+"Efficient structure learning of Bayesian networks using constraints",
+JMLR 12, 2011). The best-subset and sink dynamic programs follow Silander &
+Myllymaki, "A simple approach for finding the globally optimal Bayesian
+network structure", UAI 2006.
+
 All functions work on integer code matrices (rows x variables) with
 per-variable value counts; see dataset.pool_to_codes.
 """
@@ -16,6 +30,7 @@ per-variable value counts; see dataset.pool_to_codes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +49,8 @@ class Dag:
         if len(self.parents) != self.n_nodes:
             raise DataError("parent list length does not match node count")
         for node, pa in enumerate(self.parents):
+            if len(set(pa)) != len(pa):
+                raise DataError(f"node {node}: duplicate parent in {list(pa)}")
             for p in pa:
                 if not (0 <= p < self.n_nodes) or p == node:
                     raise DataError(f"node {node}: invalid parent {p}")
@@ -126,42 +143,66 @@ def chow_liu(codes: np.ndarray, value_counts) -> Dag:
     return Dag(n, tuple(tuple(p) for p in parents))
 
 
-def _local_score(arr: np.ndarray, value_counts, node: int, parents: tuple[int, ...],
-                 cache: dict | None = None) -> float:
-    """ML log-likelihood of one node given its parents, minus the
-    (log N / 2) * (D_i - 1) * prod(D_parents) complexity penalty."""
-    key = (node, parents)
-    if cache is not None and key in cache:
-        return cache[key]
-    n_rows = arr.shape[0]
-    width = value_counts[node]
-    parent_widths = [value_counts[p] for p in parents]
-    n_combos = int(np.prod(parent_widths)) if parents else 1
-    if n_combos * width > MAX_TABLE_CELLS:
-        raise DataError(f"node {node}: conditional table too large ({n_combos} x {width})")
-    if parents:
-        combo = np.ravel_multi_index([arr[:, p] for p in parents], parent_widths)
-    else:
-        combo = np.zeros(n_rows, dtype=np.int64)
-    counts = np.zeros((n_combos, width))
-    np.add.at(counts, (combo, arr[:, node]), 1.0)
-    totals = counts.sum(axis=1, keepdims=True)
-    mask = counts > 0
-    ll = float(np.sum(counts[mask] * np.log(counts[mask] / np.broadcast_to(totals, counts.shape)[mask])))
-    penalty = 0.5 * np.log(n_rows) * (width - 1) * n_combos
-    score = ll - penalty
-    if cache is not None:
-        cache[key] = score
-    return score
+class _FamilyScorer:
+    """MDL local scores of one node given a parent set, counted over the
+    parent-value combinations that occur in the data.
+
+    A parent set is represented by compact combination ids: one id per row,
+    numbering the occurring combinations in C order over the parents in
+    ascending order, plus each combination's row count. Appending a parent
+    column maps ``id * width + value`` to its rank among the occurring
+    cells, so ids stay below the row count and never overflow. The score is
+    the dense-table formula evaluated over the occurring rows only, in the
+    same order, so it is the same float.
+    """
+
+    def __init__(self, arr: np.ndarray, value_counts):
+        self.widths = [int(w) for w in value_counts]
+        if len(self.widths) != arr.shape[1]:
+            raise DataError(f"{arr.shape[1]} code columns but {len(self.widths)} value counts")
+        for node, (col, width) in enumerate(zip(arr.T, self.widths)):
+            if col.min() < 0 or col.max() >= width:
+                raise DataError(f"node {node}: codes outside [0, {width})")
+        self.columns = np.ascontiguousarray(arr.T)
+        n_rows = arr.shape[0]
+        half_log_n = 0.5 * np.log(n_rows)
+        # (log N / 2) * (D_i - 1); times prod(D_parents) gives the penalty
+        self.unit_penalty = [half_log_n * (w - 1) for w in self.widths]
+        self.empty = (np.zeros(n_rows, dtype=np.int64), np.array([n_rows]))
+
+    def extend(self, family: tuple, parent: int) -> tuple:
+        """Compact ids and row counts of the parent set plus ``parent``,
+        which must exceed every parent already in the set."""
+        ids, _ = family
+        cells = ids * self.widths[parent] + self.columns[parent]
+        counts = np.bincount(cells)
+        occupied = counts > 0
+        return (np.cumsum(occupied) - 1)[cells], counts[occupied]
+
+    def score(self, node: int, family: tuple, n_combos: int) -> float:
+        """ML log-likelihood of ``node`` given the parent set, minus the
+        (log N / 2) * (D_i - 1) * prod(D_parents) complexity penalty."""
+        ids, totals = family
+        width = self.widths[node]
+        counts = np.bincount(ids * width + self.columns[node])
+        seen = np.flatnonzero(counts)
+        observed = counts[seen]
+        ll = float(np.sum(observed * np.log(observed / totals[seen // width])))
+        return ll - self.unit_penalty[node] * n_combos
+
+    def local(self, node: int, parents: tuple[int, ...]) -> float:
+        """Score of ``node`` given ``parents`` in ascending order."""
+        family = self.empty
+        for p in parents:
+            family = self.extend(family, p)
+        return self.score(node, family, math.prod(self.widths[p] for p in parents))
 
 
 def mdl_score(dag: Dag, codes: np.ndarray, value_counts) -> float:
     """MDL score of the whole structure; higher is better."""
-    arr = _check_data(codes)
-    return sum(
-        _local_score(arr, value_counts, node, tuple(sorted(dag.parents[node])))
-        for node in range(dag.n_nodes)
-    )
+    scorer = _FamilyScorer(_check_data(codes), value_counts)
+    return sum(scorer.local(node, tuple(sorted(dag.parents[node])))
+               for node in range(dag.n_nodes))
 
 
 def _reaches(parents: list[set[int]], start: int, goal: int) -> bool:
@@ -189,10 +230,14 @@ def greedy_search(codes: np.ndarray, value_counts, max_parents: int | None = Non
     arr = _check_data(codes)
     n = len(value_counts)
     parents: list[set[int]] = [set() for _ in range(n)]
+    scorer = _FamilyScorer(arr, value_counts)
     cache: dict = {}
 
     def local(node, pa_set):
-        return _local_score(arr, value_counts, node, tuple(sorted(pa_set)), cache)
+        key = (node, tuple(sorted(pa_set)))
+        if key not in cache:
+            cache[key] = scorer.local(*key)
+        return cache[key]
 
     improved = True
     while improved:
@@ -243,41 +288,66 @@ def greedy_search(codes: np.ndarray, value_counts, max_parents: int | None = Non
 
 
 def exact_search(codes: np.ndarray, value_counts, max_vars: int = 12) -> Dag:
-    """Globally MDL-optimal DAG by dynamic programming over variable subsets.
+    """Globally MDL-optimal DAG by dynamic programming over variable subsets
+    (Silander & Myllymaki, UAI 2006).
 
-    Exponential in the variable count, hence the cap; above it, greedy_search
-    is the intended route.
+    Parent sets are visited depth-first, each extending its prefix's compact
+    combination ids by one column, and every node outside a set is scored
+    against it. A node's score given S is at most -penalty(S), since the
+    log-likelihood is at most 0, so once penalty(S) exceeds -score(node | {})
+    that set and all its supersets score strictly below the empty set and
+    are never picked (de Campos & Ji, JMLR 12, 2011). Such sets enter the
+    best-subset DP as -inf and are never counted; a subtree with no node
+    left to score is skipped. Exponential in the variable count, hence the
+    cap; above it, greedy_search is the intended route.
     """
     arr = _check_data(codes)
     n = len(value_counts)
     if n > max_vars:
         raise ExactSearchLimitError(
             f"{n} variables exceed the exact-search cap of {max_vars}; use greedy_search")
-    cache: dict = {}
+    scorer = _FamilyScorer(arr, value_counts)
+    widths, unit_penalty = scorer.widths, scorer.unit_penalty
     full = (1 << n) - 1
-    best_ps_score: list[dict[int, float]] = [dict() for _ in range(n)]
-    best_ps_mask: list[dict[int, int]] = [dict() for _ in range(n)]
+    local = [[-math.inf] * (1 << n) for _ in range(n)]
+    for v in range(n):
+        local[v][0] = scorer.score(v, scorer.empty, 1)
+    bound = [-local[v][0] for v in range(n)]
+
+    def visit(mask: int, family: tuple, n_combos: int, first: int) -> None:
+        for u in range(first, n):
+            sub, sub_combos = mask | (1 << u), n_combos * widths[u]
+            children = [v for v in range(n) if not (sub >> v) & 1
+                        and unit_penalty[v] * sub_combos <= bound[v]]
+            if not children:
+                continue
+            sub_family = scorer.extend(family, u)
+            for v in children:
+                local[v][sub] = scorer.score(v, sub_family, sub_combos)
+            visit(sub, sub_family, sub_combos, u + 1)
+
+    visit(0, scorer.empty, 1, 0)
+    # best parent set within each candidate set: subsets are enumerated in
+    # ascending order, so every proper subset is settled before the set;
+    # a strictly better subset replaces the set, scanned by ascending bit
+    best_ps_score: list[list[float]] = []
+    best_ps_mask: list[list[int]] = []
     for v in range(n):
         others_mask = full ^ (1 << v)
-        subsets = []
-        sub = 0
+        score, chosen = local[v], list(range(full + 1))
+        mask = 0
         while True:
-            subsets.append(sub)
-            if sub == others_mask:
+            bits = mask
+            while bits:
+                prev = mask ^ (bits & -bits)
+                if score[prev] > score[mask]:
+                    score[mask], chosen[mask] = score[prev], chosen[prev]
+                bits &= bits - 1
+            if mask == others_mask:
                 break
-            sub = (sub - others_mask) & others_mask
-        subsets.sort(key=lambda m: bin(m).count("1"))
-        for mask in subsets:
-            pa = tuple(u for u in range(n) if (mask >> u) & 1)
-            score = _local_score(arr, value_counts, v, pa, cache)
-            chosen = mask
-            for u in pa:
-                prev = mask ^ (1 << u)
-                if best_ps_score[v][prev] > score:
-                    score = best_ps_score[v][prev]
-                    chosen = best_ps_mask[v][prev]
-            best_ps_score[v][mask] = score
-            best_ps_mask[v][mask] = chosen
+            mask = (mask - others_mask) & others_mask
+        best_ps_score.append(score)
+        best_ps_mask.append(chosen)
     # assemble sinks over growing subsets
     best: dict[int, float] = {0: 0.0}
     pick: dict[int, tuple[int, int]] = {}
@@ -389,7 +459,9 @@ def joint_distribution(dag: Dag, cpts: CptSet) -> np.ndarray:
 
 
 def bn_to_dict(dag: Dag, cpts: CptSet, algorithm: str,
-               runtime_seconds: float | None = None) -> dict:
+               runtime_seconds: float | None = None, mdl: float | None = None) -> dict:
+    """JSON document of a fitted network; ``mdl`` is the DAG's MDL score on
+    its training codes, when known."""
     return {
         "format": "agentsynth-bn",
         "version": 1,
@@ -399,16 +471,37 @@ def bn_to_dict(dag: Dag, cpts: CptSet, algorithm: str,
         "tables": [t.tolist() for t in cpts.tables],
         "algorithm": algorithm,
         "runtime_seconds": runtime_seconds,
+        "mdl_score": None if mdl is None else float(mdl),
+        "n_edges": len(dag.edges),
     }
 
 
 def bn_from_dict(doc: dict) -> tuple[Dag, CptSet]:
+    """Network from a JSON document, checked so that it can sample: one
+    positive width per node, one table of shape (prod parent widths, width)
+    per node, and finite non-negative rows that sum to 1."""
     if doc.get("format") != "agentsynth-bn":
         raise DataError(f"not a BN model document: {doc.get('format')!r}")
-    dag = Dag(int(doc["n_nodes"]), tuple(tuple(p) for p in doc["parents"]))
-    cpts = CptSet(tuple(doc["value_counts"]), dag.parents,
-                  tuple(np.asarray(t, dtype=float) for t in doc["tables"]))
-    return dag, cpts
+    try:
+        dag = Dag(int(doc["n_nodes"]), tuple(tuple(int(p) for p in pa) for pa in doc["parents"]))
+        value_counts = tuple(int(w) for w in doc["value_counts"])
+        tables = tuple(np.asarray(t, dtype=float) for t in doc["tables"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed BN model document: {exc!r}") from None
+    if len(value_counts) != dag.n_nodes or min(value_counts, default=1) < 1:
+        raise DataError(f"value_counts {list(value_counts)} must hold one positive width "
+                        f"per node ({dag.n_nodes})")
+    if len(tables) != dag.n_nodes:
+        raise DataError(f"{len(tables)} tables for {dag.n_nodes} nodes")
+    for node, table in enumerate(tables):
+        shape = (math.prod(value_counts[p] for p in dag.parents[node]), value_counts[node])
+        if table.shape != shape:
+            raise DataError(f"node {node}: table shape {table.shape} is not {shape}")
+        if not np.all(np.isfinite(table) & (table >= 0)):
+            raise DataError(f"node {node}: table entries must be finite and >= 0")
+        if np.any(np.abs(table.sum(axis=1) - 1.0) > 1e-9):
+            raise DataError(f"node {node}: table rows must sum to 1")
+    return dag, CptSet(value_counts, dag.parents, tables)
 
 
 def save_bn(dag: Dag, cpts: CptSet, algorithm: str, path,

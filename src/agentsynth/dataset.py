@@ -232,7 +232,7 @@ def discretize(value: float, spec: VariableSpec) -> int:
         raise SchemaError(f"variable {spec.name!r} is not numerical")
     edges = spec.bin_edges
     v = float(value)
-    if v < edges[0] or v > edges[-1]:
+    if not edges[0] <= v <= edges[-1]:  # also true for NaN
         raise DataError(
             f"variable {spec.name!r}: value {value!r} outside [{edges[0]}, {edges[-1]}]")
     if v == edges[-1]:

@@ -216,8 +216,9 @@ def fit_and_sample(method: MethodSpec, train: AgentPool, validation: AgentPool,
     cpts = bayesnet.fit_cpts(dag, codes, counts)
     sampled = bayesnet.ancestral_sample(dag, cpts, count, rng_sample)
     pool = codes_to_pool(sampled, train.schema, provenance="generated", rng=rng_sample)
+    mdl = bayesnet.mdl_score(dag, codes, counts)
     return pool, {"kind": "bn",
-                  "model": bayesnet.bn_to_dict(dag, cpts, algorithm, runtime)}
+                  "model": bayesnet.bn_to_dict(dag, cpts, algorithm, runtime, mdl)}
 
 
 def run_pipeline(config: ExperimentConfig) -> metrics.EvalReport:

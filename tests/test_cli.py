@@ -5,8 +5,9 @@ import json
 import pytest
 
 from agentsynth import cli
+from agentsynth.bayesnet import bn_from_dict, mdl_score
 from agentsynth.cli import main
-from agentsynth.dataset import read_pool_csv, schema_from_json
+from agentsynth.dataset import pool_to_codes, read_pool_csv, schema_from_json
 from agentsynth.errors import StaleCacheError
 
 
@@ -84,6 +85,19 @@ class TestStagedFlow:
         assert main(["run", "--config", str(config)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert "gibbs" in report["methods"]
+
+    def test_bn_model_records_mdl_and_edges(self, tmp_path):
+        out = tmp_path / "o10"
+        config = _write_config(tmp_path, out, methods=[
+            {"name": "bn", "kind": "bn", "params": {"algorithm": "greedy"}}])
+        assert main(["prepare", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config), "--method", "bn"]) == 0
+        doc = json.loads((out / "models" / "bn.json").read_text())
+        dag, _ = bn_from_dict(doc)
+        schema = schema_from_json(json.loads((out / "schema.json").read_text()))
+        codes = pool_to_codes(read_pool_csv(out / "data" / "train.csv", schema))
+        assert doc["n_edges"] == len(dag.edges) > 0
+        assert doc["mdl_score"] == mdl_score(dag, codes, schema.value_counts)
 
 
 class TestExitCodes:

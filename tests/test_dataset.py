@@ -556,6 +556,11 @@ class TestRowToCodeLookup:
         with pytest.raises(DataError, match="'age': value nan outside"):
             pool_to_codes(pool)
 
+    def test_scalar_discretize_rejects_nan(self):
+        var = _num_var("age", (0.0, 1.0, 2.0))
+        with pytest.raises(DataError, match="'age': value nan outside"):
+            discretize(float("nan"), var)
+
     def test_decode_rows_matches_per_value_reference(self):
         schema = _mixed_mode(_mixed_schema())
         train = codes_to_pool(_random_codes(np.random.default_rng(17), schema, 80), schema,
