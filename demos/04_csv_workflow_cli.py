@@ -63,7 +63,7 @@ for argv in (
     ["sample", "--config", str(config_path), "--method", "gibbs"],
     ["sample", "--config", str(config_path), "--method", "bn"],
     ["evaluate", "--config", str(config_path)],
-    ["report", "--out", str(work / "out")],
+    ["report", "--config", str(config_path)],
 ):
     print(f"\n$ agentsynth {' '.join(argv)}")
     code = main(argv)

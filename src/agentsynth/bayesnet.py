@@ -505,9 +505,9 @@ def bn_from_dict(doc: dict) -> tuple[Dag, CptSet]:
 
 
 def save_bn(dag: Dag, cpts: CptSet, algorithm: str, path,
-            runtime_seconds: float | None = None) -> None:
+            runtime_seconds: float | None = None, mdl: float | None = None) -> None:
     with open(path, "w") as fh:
-        json.dump(bn_to_dict(dag, cpts, algorithm, runtime_seconds), fh)
+        json.dump(bn_to_dict(dag, cpts, algorithm, runtime_seconds, mdl), fh)
 
 
 def load_bn(path) -> tuple[Dag, CptSet]:

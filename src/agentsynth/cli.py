@@ -1,12 +1,18 @@
-"""Command-line entry points around the pipeline stages.
+"""Command-line entry points, one subcommand per pipeline stage.
 
-    agentsynth synth    --config c.json --out dir    benchmark data only
-    agentsynth prepare  --config c.json --out dir    split + encode artifacts
+    agentsynth synth    --config c.json [--count n]  benchmark data only
+    agentsynth prepare  --config c.json              acquire, write, split
     agentsynth train    --config c.json --method m   fit one method
-    agentsynth sample   --config c.json --method m --count n
-    agentsynth evaluate --config c.json --out dir    score pools on disk
-    agentsynth run      --config c.json --out dir    the full pipeline
-    agentsynth report   --out dir                    re-render report.csv
+    agentsynth sample   --config c.json --method m [--count n]
+    agentsynth evaluate --config c.json              score pools on disk
+    agentsynth run      --config c.json              the full pipeline
+    agentsynth report   --config c.json              re-render report.csv
+
+Each staged subcommand reads the files its stage consumes from the output
+directory (README, "Command line", lists them) and calls the stage function
+of :mod:`agentsynth.pipeline` that ``run`` chains in memory, so both flows
+write the same files. All but ``report`` rewrite run_info.json. ``--out``
+overrides the configured output directory.
 
 Exit codes: 0 success, 2 configuration error, 3 data error (and any other
 toolkit error, such as a stale cache), 4 method divergence.
@@ -20,26 +26,28 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import baselines, bayesnet, gibbs, metrics, vae
-from .dataset import (
-    codes_to_pool,
-    read_pool_csv,
-    schema_from_json,
-    schema_to_json,
-    split_pool,
-    write_pool_csv,
-)
+from . import metrics
+from .dataset import read_pool_csv, schema_from_json
 from .errors import AgentSynthError, ConfigError, DataError, DivergenceError
 from .pipeline import (
     ExperimentConfig,
     MethodSpec,
-    acquire_data,
-    fit_and_sample,
+    evaluate_pools,
     load_config,
+    load_model,
+    prepare_data,
+    recorded_stages,
     run_pipeline,
-    substream,
+    sample_method,
+    train_method,
+    write_source,
 )
 from .synthdata import synth_generate
+
+# perfbench/layers.py wraps these names on this module; they stay bound
+# until the benchmark's spans move to the stage functions
+from .dataset import codes_to_pool, split_pool, write_pool_csv  # noqa: F401
+from .pipeline import acquire_data, fit_and_sample  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -61,152 +69,82 @@ def _read_schema(out: Path):
         return schema_from_json(json.load(fh))
 
 
-def _find_method(config: ExperimentConfig, name: str) -> tuple[int, MethodSpec]:
-    for index, method in enumerate(config.methods):
-        if method.name == name:
-            return index, method
-    raise ConfigError(f"no method named {name!r} in the configuration")
+def _method(args, config: ExperimentConfig) -> MethodSpec:
+    if not args.method:
+        raise ConfigError(f"{args.command} needs --method")
+    for method in config.methods:
+        if method.name == args.method:
+            return method
+    raise ConfigError(f"no method named {args.method!r} in the configuration")
+
+
+def _read_splits(out: Path, schema, *names: str):
+    return [read_pool_csv(out / "data" / f"{name}.csv", schema, provenance=name)
+            for name in names]
 
 
 def cmd_synth(args) -> int:
     config = _load(args)
     if config.synthetic is None:
         raise ConfigError("synth needs a data.synthetic generator spec")
-    spec = config.synthetic
-    if args.count:
-        spec = replace(spec, size=args.count)
-    pool = synth_generate(spec)
+    spec = replace(config.synthetic, size=args.count or config.synthetic.size)
     out = Path(config.out_dir)
-    (out / "data").mkdir(parents=True, exist_ok=True)
-    with open(out / "schema.json", "w") as fh:
-        json.dump(schema_to_json(pool.schema), fh, indent=2)
-    write_pool_csv(pool, out / "data" / "source.csv")
+    with recorded_stages(out) as stage, stage("synth"):
+        pool = synth_generate(spec)
+        write_source(pool, out)
     print(f"wrote {len(pool)} agents to {out / 'data' / 'source.csv'}")
     return EXIT_OK
 
 
 def cmd_prepare(args) -> int:
     config = _load(args)
-    source = acquire_data(config)
     out = Path(config.out_dir)
-    (out / "data").mkdir(parents=True, exist_ok=True)
-    with open(out / "schema.json", "w") as fh:
-        json.dump(schema_to_json(source.schema), fh, indent=2)
-    write_pool_csv(source, out / "data" / "source.csv")
-    split_seed = int(substream(config.seed, "split").integers(2 ** 31))
-    train, validation, test = split_pool(
-        source, config.train_frac, config.val_frac_of_train, split_seed)
-    for pool, name in ((train, "train"), (validation, "validation"), (test, "test")):
-        write_pool_csv(pool, out / "data" / f"{name}.csv")
-    print(f"split {len(source)} rows into {len(train)}/{len(validation)}/{len(test)}")
+    with recorded_stages(out) as stage, stage("prepare"):
+        splits = prepare_data(config, out)
+    print(f"split {sum(map(len, splits))} rows into {'/'.join(str(len(p)) for p in splits)}")
     return EXIT_OK
-
-
-def _load_splits(config: ExperimentConfig):
-    out = Path(config.out_dir)
-    schema = _read_schema(out)
-    train = read_pool_csv(out / "data" / "train.csv", schema, provenance="train")
-    validation = read_pool_csv(out / "data" / "validation.csv", schema,
-                               provenance="validation")
-    test = read_pool_csv(out / "data" / "test.csv", schema, provenance="test")
-    return schema, train, validation, test
 
 
 def cmd_train(args) -> int:
     config = _load(args)
-    if not args.method:
-        raise ConfigError("train needs --method")
-    index, method = _find_method(config, args.method)
-    _, train, validation, _ = _load_splits(config)
+    method = _method(args, config)
     out = Path(config.out_dir)
-    (out / "models").mkdir(parents=True, exist_ok=True)
-    if method.kind == "gibbs":
-        # conditionals are cheap to re-estimate; persist the chain settings
-        with open(out / "models" / f"{method.name}.json", "w") as fh:
-            json.dump({"format": "agentsynth-gibbs", "version": 1,
-                       "params": method.params}, fh)
-        print(f"gibbs settings recorded for {method.name}")
-        return EXIT_OK
-    rng_fit = substream(config.seed, "method", index, method.name, "fit")
-    rng_sample = substream(config.seed, "method", index, method.name, "sample")
-    # fit with a token sample to reuse the single fit path, discard the pool
-    _, artifact = fit_and_sample(method, train, validation, 1, rng_fit, rng_sample)
-    if artifact["kind"] == "vae":
-        with open(out / "models" / f"{method.name}.json", "w") as fh:
-            json.dump(artifact["checkpoint"], fh)
-        vae.write_training_log(artifact["history"],
-                               out / "models" / f"{method.name}-training-log.csv")
-    else:
-        with open(out / "models" / f"{method.name}.json", "w") as fh:
-            json.dump(artifact["model"], fh)
+    with recorded_stages(out) as stage, stage(f"train:{method.name}"):
+        # a Gibbs model is its chain settings alone; the other kinds fit on the splits
+        train, validation = (None, None) if method.kind == "gibbs" else \
+            _read_splits(out, _read_schema(out), "train", "validation")
+        train_method(config, method, train, validation, out)
     print(f"trained {method.name} ({method.kind})")
     return EXIT_OK
 
 
 def cmd_sample(args) -> int:
     config = _load(args)
-    if not args.method:
-        raise ConfigError("sample needs --method")
-    index, method = _find_method(config, args.method)
+    method = _method(args, config)
     count = args.count or config.generation_count
     out = Path(config.out_dir)
-    schema = _read_schema(out)
-    (out / "pools").mkdir(parents=True, exist_ok=True)
-    rng_sample = substream(config.seed, "method", index, method.name, "sample")
-    model_path = out / "models" / f"{method.name}.json"
-    if method.kind == "gibbs":
-        train = read_pool_csv(out / "data" / "train.csv", schema, provenance="train")
-        tables = gibbs.estimate_conditionals(train)
-        rng_fit = substream(config.seed, "method", index, method.name, "fit")
-        chain = gibbs.ChainConfig(
-            target_count=count,
-            warmup=method.params.get("warmup", 20000),
-            thinning=method.params.get("thinning", 20),
-            seed=method.params.get("seed", int(rng_fit.integers(2 ** 31))),
-            restart_on_unreachable=method.params.get("restart_on_unreachable", False),
-        )
-        pool, diagnostics = gibbs.run_chain(tables, train, chain)
-        gibbs.write_diagnostics(diagnostics, out / "models" / f"{method.name}-diagnostics.json")
-    elif method.kind == "vae":
-        if not model_path.exists():
-            raise DataError(f"{model_path} not found; run 'train' first")
-        model = vae.load_checkpoint(model_path)
-        pool = vae.sample(model, count, rng_sample,
-                          harden=method.params.get("harden", "argmax"))
-    else:
-        if not model_path.exists():
-            raise DataError(f"{model_path} not found; run 'train' first")
-        dag, cpts = bayesnet.load_bn(model_path)
-        codes = bayesnet.ancestral_sample(dag, cpts, count, rng_sample)
-        pool = codes_to_pool(codes, schema, provenance="generated", rng=rng_sample)
-    write_pool_csv(pool, out / "pools" / f"{method.name}.csv")
+    with recorded_stages(out) as stage, stage(f"sample:{method.name}"):
+        schema = _read_schema(out)
+        model = load_model(method, out)
+        train = _read_splits(out, schema, "train")[0] if method.kind == "gibbs" else None
+        pool = sample_method(config, method, model, schema, count, out, train)
     print(f"wrote {len(pool)} agents to {out / 'pools' / f'{method.name}.csv'}")
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
     config = _load(args)
-    schema, train, _, test = _load_splits(config)
     out = Path(config.out_dir)
-    pools = {}
-    for method in config.methods:
-        path = out / "pools" / f"{method.name}.csv"
-        if not path.exists():
-            raise DataError(f"{path} not found; run 'sample' for {method.name!r} first")
-        pools[method.name] = read_pool_csv(path, schema, provenance="generated")
-    marginal = baselines.fit_marginals(train)
-    pools["marginal-sampler"] = baselines.marginal_sample(
-        marginal, config.generation_count, substream(config.seed, "baseline", "marginal"))
-    pools["resample-training"] = baselines.resample_training(
-        train, config.generation_count, substream(config.seed, "baseline", "resample"))
-    projection = None
-    if config.projection is not None:
-        projection = [schema.index(name) for name in config.projection]
-    report = metrics.evaluate(pools, test, train, projection=projection,
-                              metadata={"master_seed": config.seed})
-    with open(out / "report.json", "w") as fh:
-        fh.write(metrics.report_to_json(report))
-    metrics.write_report_csv(report, out / "report.csv")
+    with recorded_stages(out) as stage, stage("evaluate"):
+        schema = _read_schema(out)
+        splits = _read_splits(out, schema, "train", "validation", "test")
+        pools = {}
+        for method in config.methods:
+            path = out / "pools" / f"{method.name}.csv"
+            if not path.exists():
+                raise DataError(f"{path} not found; run 'sample' for {method.name!r} first")
+            pools[method.name] = read_pool_csv(path, schema, provenance="generated")
+        evaluate_pools(config, pools, *splits, out)
     print(f"report written to {out / 'report.json'}")
     return EXIT_OK
 
@@ -224,7 +162,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_report(args) -> int:
-    out = Path(args.out or "out")
+    out = Path(_load(args).out_dir if args.config else args.out or "out")
     path = out / "report.json"
     if not path.exists():
         raise DataError(f"{path} not found")
@@ -262,6 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.count is not None and args.count < 1:
+            raise ConfigError(f"--count must be at least 1, got {args.count}")
         return COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

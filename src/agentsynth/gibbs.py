@@ -305,16 +305,23 @@ def run_chain(tables: list[ConditionalTable], train: AgentPool, config: ChainCon
     return pool, diagnostics
 
 
-def run_chains(tables: list[ConditionalTable], train: AgentPool,
-               configs: list[ChainConfig]) -> tuple[AgentPool, list[dict]]:
-    """Several chains from different starting points, concatenated."""
-    pools, diags = [], []
-    for config in configs:
-        pool, diag = run_chain(tables, train, config)
-        pools.append(pool)
-        diags.append(diag)
-    rows = tuple(row for pool in pools for row in pool.rows)
-    return AgentPool(train.schema, rows, "generated"), diags
+# the Gibbs model file: a chain's resolved settings, without the per-draw target count
+CHAIN_SETTINGS = ("warmup", "thinning", "seed", "restart_on_unreachable")
+
+
+def chain_to_dict(config: ChainConfig) -> dict:
+    return {"format": "agentsynth-gibbs", "version": 2,
+            **{key: getattr(config, key) for key in CHAIN_SETTINGS}}
+
+
+def chain_from_dict(doc: dict, target_count: int) -> ChainConfig:
+    """Inverse of :func:`chain_to_dict` for a draw of ``target_count`` rows."""
+    if doc.get("format") != "agentsynth-gibbs":
+        raise DataError(f"not a Gibbs chain model: {doc.get('format')!r}")
+    try:
+        return ChainConfig(target_count, **{key: doc[key] for key in CHAIN_SETTINGS})
+    except (KeyError, TypeError, ConfigError) as exc:
+        raise DataError(f"malformed Gibbs chain model: {exc!r}") from None
 
 
 def write_diagnostics(diagnostics, path) -> None:

@@ -1,18 +1,20 @@
 """End-to-end experiment orchestration.
 
-A pipeline run ingests (or synthesizes) a population sample, splits it,
+An experiment ingests (or synthesizes) a population sample, splits it,
 fits each configured generator, samples a pool per generator, and scores
-everything with the shared evaluation protocol. Artifacts land in the
-output directory:
+every pool with the shared evaluation protocol. Each step is one stage
+function that takes in-memory inputs, writes its artifacts under the output
+directory and returns its outputs:
 
-    schema.json                resolved variable schema
-    data/{source,train,validation,test}.csv
-    pools/<method>.csv         one generated pool per method and baseline
-    models/...                 VAE checkpoint, BN model, Gibbs diagnostics
-    report.json, report.csv    the metric table
-    scatter/<method>__<view>.csv
-    pca/<pool>.csv             coordinates in the training data's components
-    run_info.json              stage timings and status (non-deterministic)
+    prepare_data    schema.json, data/{source,train,validation,test}.csv
+    train_method    models/<method>.json (+ <method>-training-log.csv, VAE)
+    sample_method   pools/<method>.csv (+ models/<method>-diagnostics.json, Gibbs)
+    evaluate_pools  report.json, report.csv; draws and scores the baselines
+
+:func:`run_pipeline` chains the stages in memory and the staged CLI
+subcommands call them on files; both time them with :func:`recorded_stages`,
+which writes run_info.json. Only run_pipeline also writes the baseline
+pools, scatter/<pool>__<view>.csv and pca/<pool>.csv.
 
 All randomness flows from one master seed through named substreams, so two
 runs with the same configuration produce byte-identical report JSON;
@@ -24,6 +26,7 @@ from __future__ import annotations
 import json
 import time
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -137,6 +140,35 @@ def load_config(path, out_dir: str | None = None, seed: int | None = None) -> Ex
 # stages
 
 
+@contextmanager
+def recorded_stages(out: Path):
+    """Yield ``stage(name)``, a context manager timing one stage, and write
+    ``out/run_info.json``: each finished stage's seconds, the status and, on
+    failure, the failing stage and the error."""
+    run_info = {"status": "running", "stage": None, "timings_seconds": {}}
+
+    @contextmanager
+    def stage(name: str):
+        run_info["stage"] = name
+        started = time.perf_counter()
+        yield
+        run_info["timings_seconds"][name] = time.perf_counter() - started
+
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        yield stage
+        run_info.update(status="ok", stage=None)
+    except Exception as exc:
+        run_info.update(status="failed", error=f"{type(exc).__name__}: {exc}")
+        raise
+    finally:
+        try:
+            with open(out / "run_info.json", "w") as fh:
+                json.dump(run_info, fh, indent=2)
+        except OSError:
+            pass
+
+
 def acquire_data(config: ExperimentConfig) -> AgentPool:
     if config.synthetic is not None:
         return synth_generate(config.synthetic)
@@ -147,17 +179,59 @@ def acquire_data(config: ExperimentConfig) -> AgentPool:
     return ingest_csv(config.data_csv, schema_doc)
 
 
-def fit_and_sample(method: MethodSpec, train: AgentPool, validation: AgentPool,
-                   count: int, rng_fit: np.random.Generator,
-                   rng_sample: np.random.Generator) -> tuple[AgentPool, dict]:
-    """Fit one generator and draw its pool. Returns the pool plus an
-    artifact dict for persistence (checkpoints, diagnostics, logs)."""
-    params = dict(method.params)
+def _projection(config: ExperimentConfig, schema) -> list[int] | None:
+    if config.projection is None:
+        return None
+    try:
+        return [schema.index(name) for name in config.projection]
+    except DataError as exc:
+        raise ConfigError(f"projection: {exc}") from None
+
+
+def _split_seed(config: ExperimentConfig) -> int:
+    return int(substream(config.seed, "split").integers(2 ** 31))
+
+
+def _method_stream(config: ExperimentConfig, method: MethodSpec,
+                   purpose: str) -> np.random.Generator:
+    index = config.methods.index(method)
+    return substream(config.seed, "method", index, method.name, purpose)
+
+
+def write_source(source: AgentPool, out: Path) -> None:
+    """Write the resolved schema and the whole sample."""
+    (out / "data").mkdir(parents=True, exist_ok=True)
+    with open(out / "schema.json", "w") as fh:
+        json.dump(schema_to_json(source.schema), fh, indent=2)
+    write_pool_csv(source, out / "data" / "source.csv")
+
+
+def prepare_data(config: ExperimentConfig, out: Path) -> tuple[AgentPool, AgentPool, AgentPool]:
+    """Acquire the sample, write it with its schema, split it and write the
+    splits; returns the train, validation and test pools."""
+    source = acquire_data(config)
+    _projection(config, source.schema)  # a bad projection fails before any training
+    write_source(source, out)
+    splits = split_pool(source, config.train_frac, config.val_frac_of_train,
+                        _split_seed(config))
+    for name, pool in zip(("train", "validation", "test"), splits):
+        write_pool_csv(pool, out / "data" / f"{name}.csv")
+    return splits
+
+
+def train_method(config: ExperimentConfig, method: MethodSpec, train: AgentPool,
+                 validation: AgentPool, out: Path):
+    """Fit ``method`` and write its model to ``models/<name>.json``; returns
+    the model :func:`sample_method` takes: a VAE network, a BN's DAG and
+    CPTs, or the Gibbs chain's resolved settings, seed included."""
+    params = method.params
+    rng_fit = _method_stream(config, method, "fit")
+    (out / "models").mkdir(parents=True, exist_ok=True)
+    path = out / "models" / f"{method.name}.json"
     if method.kind == "vae":
-        schema = train.schema
         enc_train = encode_pool(train)
         enc_val = encode_pool(validation, standardization=enc_train.standardization)
-        config = vae.TrainConfig(
+        train_config = vae.TrainConfig(
             epochs=params.get("epochs", 100),
             batch_size=params.get("batch_size", 64),
             seed=params.get("seed", int(rng_fit.integers(2 ** 31))),
@@ -170,32 +244,29 @@ def fit_and_sample(method: MethodSpec, train: AgentPool, validation: AgentPool,
             selection_samples=params.get("selection_samples"),
             harden=params.get("harden", "argmax"),
         )
-        config.grid()  # surface partial-grid errors before any training
-        model = vae.build_vae(schema,
+        train_config.grid()  # surface partial-grid errors before any training
+        model = vae.build_vae(train.schema,
                               tuple(params.get("hidden", (50,))),
                               params.get("latent_dim", 10),
                               params.get("beta", 0.5),
                               rng_fit)
-        result = vae.train(model, enc_train, enc_val, config)
-        pool = vae.sample(result.model, count, rng_sample, harden=config.harden)
-        artifact = {
-            "kind": "vae",
-            "checkpoint": vae.vae_to_dict(result.model, extra={
-                "grid": result.grid_records, "selection_score": result.selection_score}),
-            "history": result.history,
-        }
-        return pool, artifact
+        result = vae.train(model, enc_train, enc_val, train_config)
+        vae.save_checkpoint(result.model, path, extra={
+            "grid": result.grid_records, "selection_score": result.selection_score})
+        vae.write_training_log(result.history,
+                               out / "models" / f"{method.name}-training-log.csv")
+        return result.model
     if method.kind == "gibbs":
-        tables = gibbs.estimate_conditionals(train)
-        chain = gibbs.ChainConfig(
-            target_count=count,
+        chain = gibbs.chain_to_dict(gibbs.ChainConfig(
+            target_count=config.generation_count,
             warmup=params.get("warmup", 20000),
             thinning=params.get("thinning", 20),
             seed=params.get("seed", int(rng_fit.integers(2 ** 31))),
             restart_on_unreachable=params.get("restart_on_unreachable", False),
-        )
-        pool, diagnostics = gibbs.run_chain(tables, train, chain)
-        return pool, {"kind": "gibbs", "diagnostics": diagnostics}
+        ))
+        with open(path, "w") as fh:
+            json.dump(chain, fh, indent=2)
+        return chain
     # Bayesian network; conditionals are frequency tables, so every variable
     # must be categorical (numerics converted via bins)
     if train.schema.mode != "discretize-all":
@@ -214,141 +285,122 @@ def fit_and_sample(method: MethodSpec, train: AgentPool, validation: AgentPool,
         raise ConfigError(f"unknown BN algorithm {algorithm!r}")
     runtime = time.perf_counter() - started
     cpts = bayesnet.fit_cpts(dag, codes, counts)
-    sampled = bayesnet.ancestral_sample(dag, cpts, count, rng_sample)
-    pool = codes_to_pool(sampled, train.schema, provenance="generated", rng=rng_sample)
-    mdl = bayesnet.mdl_score(dag, codes, counts)
-    return pool, {"kind": "bn",
-                  "model": bayesnet.bn_to_dict(dag, cpts, algorithm, runtime, mdl)}
+    bayesnet.save_bn(dag, cpts, algorithm, path, runtime, bayesnet.mdl_score(dag, codes, counts))
+    return dag, cpts
+
+
+# perfbench/layers.py binds this name on pipeline and cli; it stays until
+# the benchmark's spans move to the stage functions
+fit_and_sample = train_method
+
+
+def load_model(method: MethodSpec, out: Path):
+    """Read the model :func:`train_method` wrote for ``method``."""
+    path = out / "models" / f"{method.name}.json"
+    if not path.exists():
+        raise DataError(f"{path} not found; run 'train' first")
+    if method.kind == "vae":
+        return vae.load_checkpoint(path)
+    if method.kind == "bn":
+        return bayesnet.load_bn(path)
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def sample_method(config: ExperimentConfig, method: MethodSpec, model, schema, count: int,
+                  out: Path, train: AgentPool | None = None) -> AgentPool:
+    """Draw ``count`` agents from ``method``'s model and write
+    ``pools/<name>.csv``. Only Gibbs takes ``train``: its chain runs on
+    conditionals estimated from the training rows."""
+    rng_sample = _method_stream(config, method, "sample")
+    if method.kind == "vae":
+        pool = vae.sample(model, count, rng_sample, harden=method.params.get("harden", "argmax"))
+    elif method.kind == "gibbs":
+        tables = gibbs.estimate_conditionals(train)
+        pool, diagnostics = gibbs.run_chain(tables, train, gibbs.chain_from_dict(model, count))
+        gibbs.write_diagnostics(diagnostics,
+                                out / "models" / f"{method.name}-diagnostics.json")
+    else:
+        dag, cpts = model
+        codes = bayesnet.ancestral_sample(dag, cpts, count, rng_sample)
+        pool = codes_to_pool(codes, schema, provenance="generated", rng=rng_sample)
+    (out / "pools").mkdir(parents=True, exist_ok=True)
+    write_pool_csv(pool, out / "pools" / f"{method.name}.csv")
+    return pool
+
+
+def evaluate_pools(config: ExperimentConfig, pools: dict[str, AgentPool], train: AgentPool,
+                   validation: AgentPool, test: AgentPool,
+                   out: Path) -> tuple[metrics.EvalReport, dict[str, AgentPool]]:
+    """Draw the two baselines, score them after ``pools`` against the test
+    split, and write ``report.json`` and ``report.csv``; returns the report
+    and the baseline pools."""
+    schema = test.schema
+    projection = _projection(config, schema)
+    baseline_pools = {
+        "marginal-sampler": baselines.marginal_sample(
+            baselines.fit_marginals(train), config.generation_count,
+            substream(config.seed, "baseline", "marginal")),
+        "resample-training": baselines.resample_training(
+            train, config.generation_count, substream(config.seed, "baseline", "resample")),
+    }
+    metadata = {
+        "master_seed": config.seed,
+        "generation_count": config.generation_count,
+        "split": {"train_frac": config.train_frac,
+                  "val_frac_of_train": config.val_frac_of_train,
+                  "seed": _split_seed(config)},
+        "sizes": {"train": len(train), "validation": len(validation), "test": len(test)},
+        "methods": [{"name": m.name, "kind": m.kind, "params": m.params}
+                    for m in config.methods],
+        "projection": config.projection or list(schema.names[:min(4, schema.n_variables)]),
+        "bin_policy": "uniform bins over the observed range; last bin right-closed",
+        "schema": schema_to_json(schema),
+    }
+    report = metrics.evaluate({**pools, **baseline_pools}, test, train,
+                              projection=projection, metadata=metadata)
+    with open(out / "report.json", "w") as fh:
+        fh.write(metrics.report_to_json(report))
+    metrics.write_report_csv(report, out / "report.csv")
+    return report, baseline_pools
+
+
+def write_run_outputs(report: metrics.EvalReport, train: AgentPool,
+                      pools: dict[str, AgentPool], out: Path) -> None:
+    """What only :func:`run_pipeline` writes: the baseline pools, and every
+    pool's scatter data and coordinates in the training data's components."""
+    for directory in ("pools", "scatter", "pca"):
+        (out / directory).mkdir(exist_ok=True)
+    for name in BASELINE_NAMES:
+        write_pool_csv(pools[name], out / "pools" / f"{name}.csv")
+    for name in pools:
+        for view, test_vec in report.test_vectors.items():
+            metrics.write_scatter_csv(report.vectors[name][view], test_vec,
+                                      out / "scatter" / f"{name}__{view}.csv")
+    enc_train = encode_pool(train)
+    pca = metrics.pca_fit(enc_train)
+    k = min(PCA_COMPONENTS, enc_train.values.shape[1])
+    metrics.write_pca_csv(metrics.pca_project(pca, enc_train, k), out / "pca" / "train.csv")
+    for name, pool in pools.items():
+        enc = encode_pool(pool, standardization=enc_train.standardization)
+        metrics.write_pca_csv(metrics.pca_project(pca, enc, k), out / "pca" / f"{name}.csv")
 
 
 def run_pipeline(config: ExperimentConfig) -> metrics.EvalReport:
     """Execute every stage and write all artifacts; returns the report."""
     out = Path(config.out_dir)
-    timings: dict[str, float] = {}
-    run_info = {"status": "running", "stage": None, "timings_seconds": timings}
-    stage = "setup"
-
-    def advance(name: str):
-        nonlocal stage
-        stage = name
-        run_info["stage"] = name
-        return time.perf_counter()
-
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "data").mkdir(exist_ok=True)
-        (out / "pools").mkdir(exist_ok=True)
-        (out / "models").mkdir(exist_ok=True)
-        (out / "scatter").mkdir(exist_ok=True)
-        (out / "pca").mkdir(exist_ok=True)
-
-        t0 = advance("acquire-data")
-        source = acquire_data(config)
-        schema = source.schema
-        projection = None
-        if config.projection is not None:
-            try:
-                projection = [schema.index(name) for name in config.projection]
-            except DataError as exc:
-                raise ConfigError(f"projection: {exc}") from None
-        with open(out / "schema.json", "w") as fh:
-            json.dump(schema_to_json(schema), fh, indent=2)
-        write_pool_csv(source, out / "data" / "source.csv")
-        timings[stage] = time.perf_counter() - t0
-
-        t0 = advance("split")
-        split_seed = int(substream(config.seed, "split").integers(2 ** 31))
-        train, validation, test = split_pool(
-            source, config.train_frac, config.val_frac_of_train, split_seed)
-        write_pool_csv(train, out / "data" / "train.csv")
-        write_pool_csv(validation, out / "data" / "validation.csv")
-        write_pool_csv(test, out / "data" / "test.csv")
-        timings[stage] = time.perf_counter() - t0
-
+    with recorded_stages(out) as stage:
+        with stage("prepare"):
+            train, validation, test = prepare_data(config, out)
         pools: dict[str, AgentPool] = {}
-        artifacts: dict[str, dict] = {}
-        for index, method in enumerate(config.methods):
-            t0 = advance(f"method:{method.name}")
-            rng_fit = substream(config.seed, "method", index, method.name, "fit")
-            rng_sample = substream(config.seed, "method", index, method.name, "sample")
-            pool, artifact = fit_and_sample(method, train, validation,
-                                            config.generation_count, rng_fit, rng_sample)
-            pools[method.name] = pool
-            artifacts[method.name] = artifact
-            write_pool_csv(pool, out / "pools" / f"{method.name}.csv")
-            timings[stage] = time.perf_counter() - t0
-
-        t0 = advance("baselines")
-        marginal = baselines.fit_marginals(train)
-        pools["marginal-sampler"] = baselines.marginal_sample(
-            marginal, config.generation_count, substream(config.seed, "baseline", "marginal"))
-        pools["resample-training"] = baselines.resample_training(
-            train, config.generation_count, substream(config.seed, "baseline", "resample"))
-        for name in BASELINE_NAMES:
-            write_pool_csv(pools[name], out / "pools" / f"{name}.csv")
-        timings[stage] = time.perf_counter() - t0
-
-        t0 = advance("persist-models")
-        for name, artifact in artifacts.items():
-            if artifact["kind"] == "vae":
-                with open(out / "models" / f"{name}.json", "w") as fh:
-                    json.dump(artifact["checkpoint"], fh)
-                vae.write_training_log(artifact["history"],
-                                       out / "models" / f"{name}-training-log.csv")
-            elif artifact["kind"] == "gibbs":
-                gibbs.write_diagnostics(artifact["diagnostics"],
-                                        out / "models" / f"{name}-diagnostics.json")
-            else:
-                with open(out / "models" / f"{name}.json", "w") as fh:
-                    json.dump(artifact["model"], fh)
-        timings[stage] = time.perf_counter() - t0
-
-        t0 = advance("evaluate")
-        metadata = {
-            "master_seed": config.seed,
-            "generation_count": config.generation_count,
-            "split": {"train_frac": config.train_frac,
-                      "val_frac_of_train": config.val_frac_of_train,
-                      "seed": split_seed},
-            "sizes": {"train": len(train), "validation": len(validation), "test": len(test)},
-            "methods": [{"name": m.name, "kind": m.kind, "params": m.params}
-                        for m in config.methods],
-            "projection": config.projection or list(schema.names[:min(4, schema.n_variables)]),
-            "bin_policy": "uniform bins over the observed range; last bin right-closed",
-            "schema": schema_to_json(schema),
-        }
-        report = metrics.evaluate(pools, test, train, projection=projection,
-                                  metadata=metadata)
-        with open(out / "report.json", "w") as fh:
-            fh.write(metrics.report_to_json(report))
-        metrics.write_report_csv(report, out / "report.csv")
-        timings[stage] = time.perf_counter() - t0
-
-        t0 = advance("scatter-and-pca")
-        for name in pools:
-            for view, test_vec in report.test_vectors.items():
-                metrics.write_scatter_csv(report.vectors[name][view], test_vec,
-                                          out / "scatter" / f"{name}__{view}.csv")
-        enc_train = encode_pool(train)
-        pca = metrics.pca_fit(enc_train)
-        k = min(PCA_COMPONENTS, enc_train.values.shape[1])
-        metrics.write_pca_csv(metrics.pca_project(pca, enc_train, k), out / "pca" / "train.csv")
-        for name, pool in pools.items():
-            enc = encode_pool(pool, standardization=enc_train.standardization)
-            metrics.write_pca_csv(metrics.pca_project(pca, enc, k),
-                                  out / "pca" / f"{name}.csv")
-        timings[stage] = time.perf_counter() - t0
-
-        run_info["status"] = "ok"
-        run_info["stage"] = None
-        return report
-    except Exception as exc:
-        run_info["status"] = "failed"
-        run_info["error"] = f"{type(exc).__name__}: {exc}"
-        raise
-    finally:
-        try:
-            with open(out / "run_info.json", "w") as fh:
-                json.dump(run_info, fh, indent=2)
-        except OSError:
-            pass
+        for method in config.methods:
+            with stage(f"train:{method.name}"):
+                model = train_method(config, method, train, validation, out)
+            with stage(f"sample:{method.name}"):
+                pools[method.name] = sample_method(config, method, model, train.schema,
+                                                   config.generation_count, out, train)
+        with stage("evaluate"):
+            report, baseline_pools = evaluate_pools(config, pools, train, validation, test, out)
+        with stage("scatter-and-pca"):
+            write_run_outputs(report, train, {**pools, **baseline_pools}, out)
+    return report

@@ -33,12 +33,17 @@ def _write_config(tmp_path, out_dir, methods=None, seed=21, count=300):
     return path
 
 
+def _run_info(out):
+    return json.loads((out / "run_info.json").read_text())
+
+
 class TestStagedFlow:
     def test_synth_prepare_train_sample_evaluate_report(self, tmp_path):
         out = tmp_path / "out"
         config = _write_config(tmp_path, out)
         assert main(["synth", "--config", str(config)]) == 0
         assert (out / "data" / "source.csv").exists()
+        assert list(_run_info(out)["timings_seconds"]) == ["synth"]
         assert main(["prepare", "--config", str(config)]) == 0
         assert (out / "data" / "train.csv").exists()
         for method in ("vae", "gibbs", "bn"):
@@ -56,27 +61,47 @@ class TestStagedFlow:
         assert (out / "report.csv").exists()
 
     def test_staged_flow_matches_run(self, tmp_path):
-        # the staged subcommands repeat run_pipeline's stage code and call
-        # the same evaluate; they must write the same pools and metric rows
         staged, whole = tmp_path / "staged", tmp_path / "whole"
         config = _write_config(tmp_path, staged)
-        assert main(["prepare", "--config", str(config)]) == 0
+        commands = [(["prepare"], "prepare")]
         for method in ("vae", "gibbs", "bn"):
-            assert main(["train", "--config", str(config), "--method", method]) == 0
-            assert main(["sample", "--config", str(config), "--method", method]) == 0
-        assert main(["evaluate", "--config", str(config)]) == 0
+            commands += [(["train", "--method", method], f"train:{method}"),
+                         (["sample", "--method", method], f"sample:{method}")]
+        commands.append((["evaluate"], "evaluate"))
+        for argv, key in commands:
+            assert main([*argv, "--config", str(config)]) == 0
+            info = _run_info(staged)
+            assert (info["status"], info["stage"], list(info["timings_seconds"])) == \
+                ("ok", None, [key])
         assert main(["run", "--config", str(config), "--out", str(whole)]) == 0
-        for name in ("train", "validation", "test"):
-            assert (staged / "data" / f"{name}.csv").read_bytes() == \
-                (whole / "data" / f"{name}.csv").read_bytes()
-        for method in ("vae", "gibbs", "bn"):
-            assert (staged / "pools" / f"{method}.csv").read_bytes() == \
-                (whole / "pools" / f"{method}.csv").read_bytes()
-        # metadata differs by design: evaluate records only the master seed
-        staged_report = json.loads((staged / "report.json").read_text())
-        whole_report = json.loads((whole / "report.json").read_text())
-        assert staged_report["methods"] == whole_report["methods"]
-        assert staged_report["rows"] == whole_report["rows"]
+        assert list(_run_info(whole)["timings_seconds"]) == \
+            [key for _, key in commands] + ["scatter-and-pca"]
+        same = ["data/train.csv", "data/validation.csv", "data/test.csv",
+                "pools/vae.csv", "pools/gibbs.csv", "pools/bn.csv",
+                "report.json", "report.csv",
+                "models/vae.json", "models/vae-training-log.csv",
+                "models/gibbs.json", "models/gibbs-diagnostics.json"]
+        for name in same:
+            assert (staged / name).read_bytes() == (whole / name).read_bytes(), name
+        # BN models also record the structure search's wall-clock time
+        staged_bn, whole_bn = (json.loads((out / "models" / "bn.json").read_text())
+                               for out in (staged, whole))
+        assert staged_bn.pop("runtime_seconds") is not None
+        assert whole_bn.pop("runtime_seconds") is not None
+        assert staged_bn == whole_bn
+        metadata = json.loads((staged / "report.json").read_text())["metadata"]
+        assert metadata["sizes"] == {"train": 150, "validation": 50, "test": 300}
+
+    def test_failing_train_records_its_stage(self, tmp_path):
+        out = tmp_path / "o"
+        config = _write_config(tmp_path, out, methods=[
+            {"name": "bn", "kind": "bn", "params": {"algorithm": "wrong"}}])
+        assert main(["prepare", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config), "--method", "bn"]) == 2
+        info = _run_info(out)
+        assert (info["status"], info["stage"]) == ("failed", "train:bn")
+        assert "unknown BN algorithm" in info["error"]
+        assert not (out / "models" / "bn.json").exists()
 
     def test_run_subcommand(self, tmp_path):
         out = tmp_path / "runout"
@@ -116,6 +141,44 @@ class TestExitCodes:
         config = _write_config(tmp_path, out)
         assert main(["prepare", "--config", str(config)]) == 0
         assert main(["sample", "--config", str(config), "--method", "vae"]) == 3
+
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_count_below_one_is_config_error(self, tmp_path, count):
+        out = tmp_path / "o"
+        config = _write_config(tmp_path, out)
+        assert main(["prepare", "--config", str(config)]) == 0
+        for method in ("vae", "gibbs", "bn"):
+            assert main(["train", "--config", str(config), "--method", method]) == 0
+            assert main(["sample", "--config", str(config), "--method", method,
+                         "--count", count]) == 2
+            assert not (out / "pools" / f"{method}.csv").exists()
+        fresh = tmp_path / "fresh"
+        assert main(["synth", "--config", str(config), "--out", str(fresh),
+                     "--count", count]) == 2
+        assert not (fresh / "data" / "source.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "prepare", "evaluate"])
+    def test_unknown_projection_is_config_error(self, tmp_path, command):
+        out = tmp_path / "o"
+        config = _write_config(tmp_path, out, methods=[])
+        if command == "evaluate":
+            assert main(["prepare", "--config", str(config)]) == 0
+        doc = json.loads(config.read_text())
+        doc["projection"] = ["nope"]
+        config.write_text(json.dumps(doc))
+        assert main([command, "--config", str(config)]) == 2
+        info = _run_info(out)
+        assert (info["status"], info["stage"]) == \
+            ("failed", "prepare" if command == "run" else command)
+
+    def test_report_reads_the_configured_out_dir(self, tmp_path):
+        out = tmp_path / "o"
+        config = _write_config(tmp_path, out, methods=[])
+        assert main(["run", "--config", str(config)]) == 0
+        (out / "report.csv").unlink()
+        assert main(["report", "--config", str(config)]) == 0
+        assert (out / "report.csv").exists()
+        assert main(["report", "--config", str(config), "--out", str(tmp_path / "x")]) == 3
 
     def test_evaluate_without_pools_is_data_error(self, tmp_path):
         out = tmp_path / "o3"

@@ -12,7 +12,6 @@ from agentsynth.gibbs import (
     estimate_conditionals,
     gibbs_step,
     run_chain,
-    run_chains,
 )
 
 from conftest import categorical_schema, pool_from_codes, random_categorical_pool, toy_pool
@@ -313,14 +312,26 @@ class TestRunChain:
         with pytest.raises(UnreachableContextError):
             run_chain(tables, pool, config)
 
-    def test_multiple_chains_concatenate(self, rng):
-        pool = random_categorical_pool(rng, [2, 2], 50)
-        tables = estimate_conditionals(pool)
-        configs = [ChainConfig(target_count=20, warmup=5, thinning=1, seed=s) for s in (1, 2)]
-        merged, diags = run_chains(tables, pool, configs)
-        assert len(merged) == 40
-        assert len(diags) == 2
-
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
             ChainConfig(target_count=10, thinning=0)
+
+    def test_chain_model_round_trips_without_the_target_count(self):
+        config = ChainConfig(target_count=10, warmup=7, thinning=3, seed=5,
+                             restart_on_unreachable=True)
+        doc = gibbs.chain_to_dict(config)
+        assert "target_count" not in doc
+        assert gibbs.chain_from_dict(doc, 4) == ChainConfig(
+            target_count=4, warmup=7, thinning=3, seed=5, restart_on_unreachable=True)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: doc.update(format="agentsynth-bn"),
+        lambda doc: doc.pop("seed"),
+        lambda doc: doc.update(thinning=0),
+        lambda doc: doc.update(warmup="many"),
+    ])
+    def test_malformed_chain_model_is_data_error(self, corrupt):
+        doc = gibbs.chain_to_dict(ChainConfig(target_count=1))
+        corrupt(doc)
+        with pytest.raises(DataError):
+            gibbs.chain_from_dict(doc, 10)

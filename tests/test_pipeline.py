@@ -98,7 +98,7 @@ class TestRunPipeline:
             run_pipeline(config)
         info = json.loads((Path(config.out_dir) / "run_info.json").read_text())
         assert info["status"] == "failed"
-        assert info["stage"] == "method:bn"
+        assert info["stage"] == "train:bn"
         assert "error" in info
 
     def test_unknown_projection_is_config_error(self, tmp_path):
@@ -109,7 +109,7 @@ class TestRunPipeline:
 
     def test_bn_rejects_mixed_schema(self, tmp_path):
         from agentsynth.dataset import AgentPool, Schema, VariableSpec
-        from agentsynth.pipeline import fit_and_sample
+        from agentsynth.pipeline import train_method
 
         schema = Schema(
             (VariableSpec("v", "numerical-cont", bin_edges=(0.0, 1.0, 2.0)),
@@ -120,9 +120,10 @@ class TestRunPipeline:
         rows = tuple((float(rng.uniform(0, 2)), "a" if rng.random() < 0.5 else "b")
                      for _ in range(20))
         pool = AgentPool(schema, rows, "train")
+        method = MethodSpec("bn", "bn")
+        config = _small_config(tmp_path, methods=[method])
         with pytest.raises(ConfigError, match="discretize-all"):
-            fit_and_sample(MethodSpec("bn", "bn"), pool, pool, 5,
-                           np.random.default_rng(1), np.random.default_rng(2))
+            train_method(config, method, pool, pool, Path(config.out_dir))
 
 
 class TestToyEndToEnd:
