@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import read_json
 from .errors import DataError, ExactSearchLimitError
 
 MAX_TABLE_CELLS = 1 << 22  # guard on materialized CPT size
@@ -511,5 +512,4 @@ def save_bn(dag: Dag, cpts: CptSet, algorithm: str, path,
 
 
 def load_bn(path) -> tuple[Dag, CptSet]:
-    with open(path) as fh:
-        return bn_from_dict(json.load(fh))
+    return bn_from_dict(read_json(path))

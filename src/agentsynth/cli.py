@@ -21,13 +21,12 @@ toolkit error, such as a stale cache), 4 method divergence.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from . import metrics
-from .dataset import read_pool_csv, schema_from_json
+from .dataset import read_json, read_pool_csv, schema_from_json
 from .errors import AgentSynthError, ConfigError, DataError, DivergenceError
 from .pipeline import (
     ExperimentConfig,
@@ -65,8 +64,7 @@ def _read_schema(out: Path):
     path = out / "schema.json"
     if not path.exists():
         raise DataError(f"{path} not found; run 'prepare' first")
-    with open(path) as fh:
-        return schema_from_json(json.load(fh))
+    return schema_from_json(read_json(path))
 
 
 def _method(args, config: ExperimentConfig) -> MethodSpec:
@@ -166,8 +164,7 @@ def cmd_report(args) -> int:
     path = out / "report.json"
     if not path.exists():
         raise DataError(f"{path} not found")
-    with open(path) as fh:
-        report = metrics.report_from_dict(json.load(fh))
+    report = metrics.report_from_dict(read_json(path))
     metrics.write_report_csv(report, out / "report.csv")
     print(f"re-rendered {out / 'report.csv'}")
     return EXIT_OK

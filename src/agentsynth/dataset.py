@@ -356,21 +356,29 @@ def encode_pool(pool: AgentPool,
             if n_rows:
                 out[np.arange(n_rows), block.start + idx] = 1.0
         else:
-            arr = np.asarray(column, dtype=float)
-            if standardization is None:
-                mean = float(arr.mean()) if n_rows else 0.0
-                std = float(arr.std()) if n_rows else 1.0
-                if std == 0.0:
-                    raise DataError(f"degenerate column: variable {var.name!r} is constant")
-            else:
-                try:
-                    mean, std = standardization[var.name]
-                except KeyError:
-                    raise SchemaError(
-                        f"standardization statistics missing for variable {var.name!r}") from None
-            stats[var.name] = (mean, std)
-            out[:, block.start] = (arr - mean) / std
+            out[:, block.start], stats[var.name] = standardize_column(var, column, standardization)
     return EncodedMatrix(out, blocks, stats, schema)
+
+
+def standardize_column(var: VariableSpec, column: Sequence[float],
+                       standardization: dict[str, tuple[float, float]] | None = None
+                       ) -> tuple[np.ndarray, tuple[float, float]]:
+    """A continuous numeric column as ``(x - mean) / std``, plus its (mean,
+    std): the pair ``standardization`` holds for the variable, else the
+    column's own statistics."""
+    arr = np.asarray(column, dtype=float)
+    if standardization is None:
+        mean = float(arr.mean()) if arr.size else 0.0
+        std = float(arr.std()) if arr.size else 1.0
+        if std == 0.0:
+            raise DataError(f"degenerate column: variable {var.name!r} is constant")
+    else:
+        try:
+            mean, std = standardization[var.name]
+        except KeyError:
+            raise SchemaError(
+                f"standardization statistics missing for variable {var.name!r}") from None
+    return (arr - mean) / std, (mean, std)
 
 
 def decode_rows(matrix: EncodedMatrix, rng: np.random.Generator | None = None) -> AgentPool:
@@ -451,6 +459,16 @@ def split_pool(pool: AgentPool, train_frac: float, val_frac_of_train: float,
 
 # ---------------------------------------------------------------------------
 # schema and pool serialization
+
+
+def read_json(path):
+    """The JSON document in the file at ``path``; a file that does not hold
+    valid JSON is a DataError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
+            raise DataError(f"{path}: not valid JSON: {exc}") from None
 
 
 def schema_to_json(schema: Schema) -> dict:

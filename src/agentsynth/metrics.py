@@ -19,10 +19,12 @@ Cramer's V is read from the bivariate counts, and the report keeps the
 vectors so scatter output writes them without binning again. The
 single-subset functions (:func:`frequency_distribution_from_codes`,
 :func:`cramers_v_from_codes`) stay as the public API and as the reference
-the batched paths are tested against. For ``discretize-all`` schemas the
-nearest-sample distances are exact Hamming distances on codes, computed
-once per distinct row; schemas with numeric columns use the Gram matrix of
-the encoded rows.
+the batched paths are tested against. Nearest-sample distances come from
+one exact kernel for every schema mode: twice the number of mismatched
+one-hot variables, read from the codes, plus direct squared differences of
+the standardized numeric columns. It works on distinct rows, groups the
+training rows by their categorical values, skips every group too far off
+to hold the nearest row, and holds memory to fixed-size chunks.
 
 All operations are pure; subset enumeration and neighbor scans are
 data-parallel by construction.
@@ -34,18 +36,22 @@ import csv
 import itertools
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
-from .dataset import AgentPool, EncodedMatrix, encode_pool, pool_to_codes
+from .dataset import AgentPool, EncodedMatrix, pool_to_codes, standardize_column
+# perfbench/layers.py wraps this name on this module; it stays bound until
+# the benchmark's bindings are updated
+from .dataset import encode_pool  # noqa: F401
 from .errors import DataError
 
-NS_CHUNK = 512  # generated rows per float nearest-neighbor block
 # Elements per chunk of flat bin ids in view_counts. Chunks of 64k ids ran
 # faster than 1M on a 20-variable trivariate view (37 ms against 54 ms per
 # 10,000-row pool), because they stay in cache.
 VIEW_CHUNK = 1 << 16
-MATCH_CHUNK = 1 << 20  # elements per block of match counts in _hamming_distances
+MATCH_CHUNK = 1 << 20  # elements per block of mismatch counts in _nearest_distances
+PAIR_CHUNK = 1 << 18  # row pairs per batch of numeric differences in _nearest_distances
 
 
 def codes_for_pool(pool: AgentPool) -> np.ndarray:
@@ -135,16 +141,12 @@ def _srmse_vec(pred: np.ndarray, ref: np.ndarray) -> float:
 
 
 def srmse(p_hat: FrequencyDistribution, p: FrequencyDistribution) -> float:
-    """RMSE over all bins divided by the mean frequency.
-
-    Normalized distributions have mean frequency exactly 1/n_bins, so this
-    is the bin-vector RMSE multiplied by the bin count.
-    """
+    """RMSE over all bins divided by the mean reference frequency, the
+    formula every report view is scored with."""
     if p_hat.subset != p.subset or p_hat.widths != p.widths:
         raise DataError(
             f"incomparable distributions: subsets {p_hat.subset} vs {p.subset}")
-    diff = p_hat.freqs - p.freqs
-    return float(np.sqrt(np.sum(diff ** 2) / p.n_bins) * p.n_bins)
+    return _srmse_vec(p_hat.freqs, p.freqs)
 
 
 def _corr_r2_vec(pred: np.ndarray, ref: np.ndarray) -> tuple[float | None, float | None]:
@@ -205,10 +207,79 @@ class DiversityStats:
     sigma_ns: float
 
 
-def _as_matrix(pool_or_matrix, standardization=None) -> EncodedMatrix:
-    if isinstance(pool_or_matrix, EncodedMatrix):
-        return pool_or_matrix
-    return encode_pool(pool_or_matrix, standardization=standardization)
+@dataclass(frozen=True)
+class _KernelRows:
+    """Rows as the nearest-sample kernel compares them: the codes of the
+    one-hot variables, their value counts, and the standardized numeric
+    columns. The squared encoded distance of two rows is twice the number
+    of codes they differ in plus the squared differences of the numerics."""
+
+    codes: np.ndarray  # (n, len(widths)) integer codes
+    widths: tuple[int, ...]
+    numeric: np.ndarray  # (n, n_numeric) float64
+
+    def __len__(self) -> int:
+        return self.codes.shape[0]
+
+
+def _pool_rows(pool: AgentPool, codes: np.ndarray,
+               standardization: dict[str, tuple[float, float]] | None = None
+               ) -> tuple[_KernelRows, dict[str, tuple[float, float]]]:
+    """Kernel rows of a pool whose code matrix is ``codes``, and the
+    standardization used: ``standardization``, else the pool's own."""
+    schema = pool.schema
+    one_hot = [schema.is_one_hot(var) for var in schema.variables]
+    numeric = np.empty((len(pool), one_hot.count(False)))
+    stats: dict[str, tuple[float, float]] = {}
+    k = 0
+    for j, var in enumerate(schema.variables):
+        if not one_hot[j]:
+            numeric[:, k], stats[var.name] = standardize_column(
+                var, list(map(itemgetter(j), pool.rows)), standardization)
+            k += 1
+    rows = _KernelRows(codes if all(one_hot) else codes[:, one_hot],
+                       tuple(w for w, hot in zip(schema.value_counts, one_hot) if hot), numeric)
+    return rows, stats
+
+
+def _matrix_rows(matrix: EncodedMatrix) -> _KernelRows:
+    """Kernel rows of an encoded matrix; every one-hot block must hold
+    exactly one 1 per row and zeros elsewhere."""
+    values = matrix.values
+    codes, widths, numeric = [], [], []
+    for block in matrix.blocks:
+        sub = values[:, block.start:block.stop]
+        if block.kind != "one-hot":
+            numeric.append(sub[:, 0])
+            continue
+        hot = sub == 1.0
+        if (hot.sum(axis=1) != 1).any() or (sub[~hot] != 0.0).any():
+            raise DataError(f"encoded block of variable {block.name!r} is not one-hot")
+        codes.append(np.argmax(hot, axis=1))
+        widths.append(block.stop - block.start)
+    n = values.shape[0]
+    return _KernelRows(np.column_stack(codes) if codes else np.empty((n, 0), dtype=np.int64),
+                       tuple(widths),
+                       np.column_stack(numeric) if numeric else np.empty((n, 0)))
+
+
+def _kernel_rows(data, standardization, value_counts
+                 ) -> tuple[_KernelRows, dict[str, tuple[float, float]]]:
+    """Kernel rows of a pool, encoded matrix or code matrix, and the
+    standardization of its numeric columns."""
+    if isinstance(data, _KernelRows):
+        return data, {}
+    if isinstance(data, EncodedMatrix):
+        return _matrix_rows(data), data.standardization
+    if isinstance(data, AgentPool):
+        # the numeric codes of a mixed schema are dropped; clamping keeps
+        # generated values beyond the outermost bins from raising
+        return _pool_rows(data, pool_to_codes(data, clamp=data.schema.mode == "mixed"),
+                          standardization)
+    if value_counts is None:
+        raise DataError("nearest-sample distances on code matrices need value_counts")
+    codes = np.asarray(data)
+    return _KernelRows(codes, tuple(value_counts), np.empty((codes.shape[0], 0))), {}
 
 
 def nearest_sample_stats(generated, train, standardization=None,
@@ -218,44 +289,21 @@ def nearest_sample_stats(generated, train, standardization=None,
 
     ``generated`` and ``train`` are pools or encoded matrices of one schema,
     or, with ``value_counts``, integer code matrices of a ``discretize-all``
-    schema. Codes, and pools of a ``discretize-all`` schema, are compared
-    exactly: every block is one-hot, so the squared distance between two
-    rows is twice the number of variables they differ in
-    (:func:`_hamming_distances`). Otherwise the distances come from the Gram
-    matrix of the encoded rows, and rows that exactly replicate a training
-    row get distance exactly zero (checked by byte identity). Either way a
-    pure replicator scores (0, 0) exactly.
+    schema. Numeric columns are standardized with ``standardization``, else
+    with the training pool's (or training matrix's) statistics. Every schema
+    goes through one exact kernel (:func:`_nearest_distances`): the squared
+    distance is twice the number of mismatched one-hot variables plus the
+    direct squared differences of the numeric columns, so a pure replicator
+    scores (0, 0) exactly. An encoded matrix whose one-hot blocks are not
+    exactly one-hot is a DataError.
     """
     if len(train) == 0:
         raise DataError("nearest-sample distances need a non-empty training pool")
     if len(generated) == 0:
         raise DataError("nearest-sample distances need a non-empty generated pool")
-    if (value_counts is None and isinstance(generated, AgentPool)
-            and isinstance(train, AgentPool) and generated.schema == train.schema
-            and generated.schema.mode == "discretize-all"):
-        value_counts = generated.schema.value_counts
-        generated, train = pool_to_codes(generated), pool_to_codes(train)
-    if value_counts is not None:
-        dist = _hamming_distances(np.asarray(generated), np.asarray(train), value_counts)
-        return DiversityStats(float(dist.mean()), float(dist.std()))
-    train_m = _as_matrix(train, standardization)
-    gen_m = _as_matrix(generated, standardization or train_m.standardization)
-    t = np.ascontiguousarray(train_m.values)
-    g = np.ascontiguousarray(gen_m.values)
-    if t.shape[1] != g.shape[1]:
-        raise DataError("pools are encoded in different spaces")
-    n_cols = t.shape[1]
-    train_keys = {row.tobytes() for row in t}
-    dist = np.empty(g.shape[0])
-    t_sq = np.sum(t * t, axis=1)
-    for start in range(0, g.shape[0], NS_CHUNK):
-        chunk = g[start:start + NS_CHUNK]
-        sq = np.sum(chunk * chunk, axis=1)[:, None] + t_sq[None, :] - 2.0 * chunk @ t.T
-        best = np.maximum(sq.min(axis=1), 0.0)
-        dist[start:start + NS_CHUNK] = np.sqrt(best / n_cols)
-    for k, row in enumerate(g):
-        if row.tobytes() in train_keys:
-            dist[k] = 0.0
+    train, stats = _kernel_rows(train, standardization, value_counts)
+    generated, _ = _kernel_rows(generated, standardization or stats, value_counts)
+    dist = _nearest_distances(generated, train)
     return DiversityStats(float(dist.mean()), float(dist.std()))
 
 
@@ -263,6 +311,8 @@ def _unique_rows(codes: np.ndarray, value_counts: tuple[int, ...]) -> tuple[np.n
     """Distinct rows of a code matrix, and the distinct row of every row.
     Rows are compared as one mixed-radix integer when the product space
     fits in int64 (a 1-D sort), else with ``np.unique(axis=0)``."""
+    if codes.shape[1] == 0:
+        return codes[:1], np.zeros(codes.shape[0], dtype=np.intp)
     if np.prod(value_counts, dtype=float) >= 2.0 ** 63:
         unique, inverse = np.unique(codes, axis=0, return_inverse=True)
         return unique, inverse.reshape(-1)
@@ -271,36 +321,116 @@ def _unique_rows(codes: np.ndarray, value_counts: tuple[int, ...]) -> tuple[np.n
     return codes[first], inverse
 
 
-def _hamming_distances(gen_codes: np.ndarray, train_codes: np.ndarray,
-                       value_counts: tuple[int, ...]) -> np.ndarray:
-    """RMSE distance of each generated row to its nearest training row when
-    every variable is a one-hot block: ``sqrt(2 * mismatches / n_cols)``,
-    the same floats the Gram-matrix path computes.
+def _distinct(rows: _KernelRows) -> tuple[_KernelRows, np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct rows ordered by code tuple, the distinct code tuples (in
+    :func:`_unique_rows` order), the tuple of each distinct row, and the
+    distinct row of every input row."""
+    tuples, group = _unique_rows(rows.codes, rows.widths)
+    if rows.numeric.shape[1] == 0:
+        distinct = _KernelRows(tuples, rows.widths, rows.numeric[:len(tuples)])
+        return distinct, tuples, np.arange(len(tuples)), group
+    order = np.lexsort((*rows.numeric.T[::-1], group))
+    num, group = rows.numeric[order], group[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (group[1:] != group[:-1]) | (num[1:] != num[:-1]).any(axis=1)
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    keep = order[first]
+    distinct = _KernelRows(rows.codes[keep], rows.widths, rows.numeric[keep])
+    return distinct, tuples, group[first], inverse
 
-    Distances are computed once per distinct generated row. The number of
-    matching variables comes from a float32 product of one-hot rows, exact
-    because it is an integer of at most ``n_variables``.
+
+def _nearest_distances(gen: _KernelRows, ref: _KernelRows) -> np.ndarray:
+    """RMSE distance of each generated row to its nearest reference row,
+    ``sqrt(best / n_cols)`` with ``best`` the smallest squared encoded
+    distance, computed exactly as ``2 * mismatches + sum_c (g_c - t_c)**2``
+    (numeric columns summed in order).
+
+    Both sides are deduplicated, and the distinct reference rows are grouped
+    by code tuple. For a chunk of generated rows, the mismatch count against
+    every tuple comes from a float32 product of one-hot rows, exact because
+    it is an integer of at most ``n_variables``. Without numeric columns
+    ``best`` is twice the smallest count. Otherwise each row visits its
+    groups by mismatch count, the smallest first, and stops at the first
+    count whose ``2 * mismatches`` is not below its best so far: no further
+    group can hold a nearer row. A visit expands (generated row, group)
+    pairs into row pairs in batches of at most ``PAIR_CHUNK`` pairs (or one
+    group's rows), so memory stays bounded by the chunk sizes and the inputs.
     """
-    if gen_codes.shape[1:] != (len(value_counts),) or train_codes.shape[1:] != (len(value_counts),):
+    if (gen.widths != ref.widths or gen.codes.shape[1:] != (len(gen.widths),)
+            or ref.codes.shape[1:] != (len(ref.widths),)
+            or gen.numeric.shape[1] != ref.numeric.shape[1]):
         raise DataError("pools are encoded in different spaces")
-    gen_unique, inverse = _unique_rows(gen_codes, value_counts)
-    train_unique, _ = _unique_rows(train_codes, value_counts)
-    starts = np.concatenate(([0], np.cumsum(value_counts)[:-1]))
-    n_cols = int(np.sum(value_counts))
+    widths, n_num = gen.widths, gen.numeric.shape[1]
+    gen, _, _, inverse = _distinct(gen)
+    ref, tuples, ref_group, _ = _distinct(ref)
+    starts = np.concatenate(([0], np.cumsum(widths)[:-1])).astype(np.int64)
+    n_cat, n_cols = len(widths), int(np.sum(widths)) + n_num
 
     def one_hot(codes: np.ndarray) -> np.ndarray:
-        out = np.zeros((codes.shape[0], n_cols), dtype=np.float32)
-        out[np.arange(codes.shape[0])[:, None], codes + starts] = 1.0
+        out = np.zeros((codes.shape[0], n_cols - n_num), dtype=np.float32)
+        out[np.arange(codes.shape[0])[:, None], codes + starts[:n_cat]] = 1.0
         return out
 
-    train_t = one_hot(train_unique).T.copy()
-    matches = np.empty(gen_unique.shape[0])
-    step = max(1, MATCH_CHUNK // train_unique.shape[0])
-    for start in range(0, gen_unique.shape[0], step):
-        block = one_hot(gen_unique[start:start + step]) @ train_t
-        matches[start:start + step] = block.max(axis=1)
-    mismatches = len(value_counts) - matches
-    return np.sqrt(2.0 * mismatches / n_cols)[inverse]
+    tuples_t = one_hot(tuples).T.copy()
+    sizes = np.bincount(ref_group, minlength=len(tuples))
+    first_row = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    index_type = np.int32 if len(ref) < 2 ** 31 and len(gen) < 2 ** 31 else np.intp
+    gen_num, ref_num = gen.numeric.T.copy(), ref.numeric.T.copy()
+    best = np.empty(len(gen))
+
+    def visit(rows: np.ndarray, groups: np.ndarray, twice: np.ndarray,
+              best_chunk: np.ndarray, offset: int) -> None:
+        """Lower ``best_chunk[rows]`` to ``twice`` (2 * mismatches, float64)
+        plus the smallest numeric part over each pair's group."""
+        counts = sizes[groups]
+        ends = np.cumsum(counts)
+        lo = 0
+        while lo < len(groups):
+            base = ends[lo] - counts[lo]
+            hi = max(lo + 1, int(np.searchsorted(ends, base + PAIR_CHUNK, side="right")))
+            c = counts[lo:hi]
+            seg = (ends[lo:hi] - c - base).astype(index_type)
+            ref_idx = np.arange(ends[hi - 1] - base, dtype=index_type)
+            ref_idx += np.repeat((first_row[groups[lo:hi]] - seg).astype(index_type), c)
+            gen_rows = rows[lo:hi] + offset
+            acc = None
+            for col in range(n_num):
+                d = np.repeat(gen_num[col, gen_rows], c)
+                d -= ref_num[col].take(ref_idx)
+                d *= d
+                if acc is None:
+                    acc = d
+                else:
+                    acc += d
+            # adding the same 2 * mismatches to a whole segment is monotone
+            # under rounding, so the segment minimum comes first
+            near = np.minimum.reduceat(acc, seg)
+            near += twice[lo:hi]
+            np.minimum.at(best_chunk, rows[lo:hi], near)
+            lo = hi
+
+    step = max(1, MATCH_CHUNK // max(len(tuples), n_cols - n_num, 1))
+    for start in range(0, len(gen), step):
+        match = one_hot(gen.codes[start:start + step]) @ tuples_t
+        m0 = n_cat - match.max(axis=1)  # exact integers in float32
+        if n_num == 0:
+            best[start:start + step] = 2.0 * m0
+            continue
+        mism = np.subtract(n_cat, match, out=match)
+        best_chunk = np.full(len(m0), np.inf)
+        # groups by mismatch count above each row's smallest: a row stops
+        # at the first count whose 2 * mismatches reaches its best so far
+        for delta in range(n_cat + 1):
+            active = np.flatnonzero(2.0 * (m0 + delta) < best_chunk)
+            if len(active) == 0:
+                break
+            level = m0[active] + delta
+            rest = mism if len(active) == len(m0) else mism[active]
+            rows, groups = np.divmod(np.flatnonzero(rest == level[:, None]), len(tuples))
+            visit(active[rows], groups, 2.0 * level[rows].astype(np.float64), best_chunk, start)
+        best[start:start + step] = best_chunk
+    return np.sqrt(best / n_cols)[inverse]
 
 
 # ---------------------------------------------------------------------------
@@ -434,18 +564,9 @@ def evaluate(method_pools: dict[str, AgentPool], test_pool: AgentPool,
     counts = schema.value_counts
     subsets = view_subsets(schema.n_variables, projection)
     test_codes, train_codes = codes_for_pool(test_pool), codes_for_pool(train_pool)
-    # one-hot blocks only: nearest-sample distances come exactly from the
-    # codes; numeric columns need the training pool's standardization
-    hamming = schema.mode == "discretize-all"
-    ns_counts = counts if hamming else None
-    train_ref = train_codes if hamming else encode_pool(train_pool)
-    # The training-set row's diversity is taken against the test pool. On
-    # the float path its temporaries are the largest of the evaluation, so
-    # it runs first, before any view vector is held.
-    train_diversity = nearest_sample_stats(
-        train_ref, test_codes if hamming
-        else encode_pool(test_pool, standardization=train_ref.standardization),
-        value_counts=ns_counts)
+    # nearest-sample rows: codes of the one-hot variables plus numerics
+    # standardized with the training pool's statistics
+    train_rows, stats = _pool_rows(train_pool, train_codes)
     test_vectors, test_pairwise = _pool_vectors(test_codes, counts, subsets)
     vectors: dict[str, dict[str, np.ndarray]] = {}
 
@@ -469,8 +590,10 @@ def evaluate(method_pools: dict[str, AgentPool], test_pool: AgentPool,
     for name, pool in method_pools.items():
         codes = codes_for_pool(pool)
         rows[name] = score(name, codes, nearest_sample_stats(
-            codes if hamming else pool, train_ref, value_counts=ns_counts))
-    rows["training-set"] = score("training-set", train_codes, train_diversity)
+            _pool_rows(pool, codes, stats)[0], train_rows))
+    # the training-set row's diversity is taken against the test pool
+    rows["training-set"] = score("training-set", train_codes, nearest_sample_stats(
+        train_rows, _pool_rows(test_pool, test_codes, stats)[0]))
     return EvalReport(list(method_pools) + ["training-set"], rows, dict(metadata or {}),
                       test_vectors, vectors)
 

@@ -39,6 +39,7 @@ from .dataset import (
     encode_pool,
     ingest_csv,
     pool_to_codes,
+    read_json,
     schema_to_json,
     split_pool,
     write_pool_csv,
@@ -174,8 +175,7 @@ def acquire_data(config: ExperimentConfig) -> AgentPool:
         return synth_generate(config.synthetic)
     schema_doc = config.schema
     if isinstance(schema_doc, str):
-        with open(schema_doc) as fh:
-            schema_doc = json.load(fh)
+        schema_doc = read_json(schema_doc)
     return ingest_csv(config.data_csv, schema_doc)
 
 
@@ -303,8 +303,7 @@ def load_model(method: MethodSpec, out: Path):
         return vae.load_checkpoint(path)
     if method.kind == "bn":
         return bayesnet.load_bn(path)
-    with open(path) as fh:
-        return json.load(fh)
+    return read_json(path)
 
 
 def sample_method(config: ExperimentConfig, method: MethodSpec, model, schema, count: int,

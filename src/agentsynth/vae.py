@@ -37,6 +37,7 @@ from .dataset import (
     Schema,
     decode_rows,
     matrix_to_codes,
+    read_json,
     schema_blocks,
     schema_from_json,
     schema_to_json,
@@ -575,5 +576,4 @@ def save_checkpoint(model: VaeModel, path, extra: dict | None = None) -> None:
 
 
 def load_checkpoint(path) -> VaeModel:
-    with open(path) as fh:
-        return vae_from_dict(json.load(fh))
+    return vae_from_dict(read_json(path))

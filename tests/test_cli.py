@@ -255,6 +255,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and message in err
 
+    @pytest.mark.parametrize("target, method, argv", [
+        ("models/vae.json", "vae", ["sample", "--method", "vae"]),
+        ("models/bn.json", "bn", ["sample", "--method", "bn"]),
+        ("models/gibbs.json", "gibbs", ["sample", "--method", "gibbs"]),
+        ("schema.json", None, ["train", "--method", "bn"]),
+        ("report.json", None, ["report"]),
+    ])
+    def test_file_that_is_not_json_is_data_error(self, tmp_path, capsys, target, method, argv):
+        out = tmp_path / "o"
+        config = _write_config(tmp_path, out)
+        assert main(["prepare", "--config", str(config)]) == 0
+        if method is not None:
+            assert main(["train", "--config", str(config), "--method", method]) == 0
+        (out / target).write_text("{not json")
+        capsys.readouterr()
+        assert main([*argv, "--config", str(config)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and f"{target}: not valid JSON" in err
+
     def test_other_toolkit_errors_are_data_errors(self, tmp_path, monkeypatch, capsys):
         def stale(args):
             raise StaleCacheError("cache does not match")

@@ -2,17 +2,27 @@
 
 import csv
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from agentsynth import metrics
-from agentsynth.dataset import AgentPool, Schema, VariableSpec, encode_pool, pool_to_codes
+from agentsynth.dataset import (
+    AgentPool,
+    EncodedMatrix,
+    Schema,
+    VariableSpec,
+    encode_pool,
+    pool_to_codes,
+)
 from agentsynth.errors import DataError
 from agentsynth.metrics import (
+    DiversityStats,
     EvalReport,
     FrequencyDistribution,
     _pool_vectors,
+    _srmse_vec,
     codes_for_pool,
     corr_r2,
     cramers_v,
@@ -174,6 +184,15 @@ class TestSrmse:
             q = FrequencyDistribution((0,), (k,), b)
             assert abs(srmse(p, q) - rmse / mean) < 1e-10
 
+    def test_is_the_report_formula(self, rng):
+        # the views in report.json are scored by _srmse_vec on the vectors
+        for _ in range(50):
+            k = int(rng.integers(2, 40))
+            a, b = rng.random(k), rng.random(k)
+            p_hat = FrequencyDistribution((0, 1), (k, 1), a / a.sum())
+            p = FrequencyDistribution((0, 1), (k, 1), b / b.sum())
+            assert srmse(p_hat, p) == _srmse_vec(p_hat.freqs, p.freqs)
+
     def test_bin_space_mismatch_rejected(self):
         p = FrequencyDistribution((0,), (2,), np.array([0.5, 0.5]))
         q = FrequencyDistribution((1,), (2,), np.array([0.5, 0.5]))
@@ -292,14 +311,149 @@ def _discretized_schema():
     ), "discretize-all")
 
 
-def _float_path(generated, train):
-    """The Gram-matrix path, reached through encoded matrices."""
-    train_m = encode_pool(train)
-    return nearest_sample_stats(
-        encode_pool(generated, standardization=train_m.standardization), train_m)
+def _encoded(generated, train, standardization=None):
+    train_m = encode_pool(train, standardization)
+    gen_m = encode_pool(generated, standardization or train_m.standardization)
+    return gen_m.values, train_m.values, train_m.blocks
 
 
+def _stats(dist):
+    return DiversityStats(float(dist.mean()), float(dist.std()))
+
+
+def _gram_oracle(generated, train, standardization=None):
+    """The encoded-space Gram formula ||g||^2 + ||t||^2 - 2 g.t, with rows
+    that replicate a training row set to zero by byte identity."""
+    g, t, _ = _encoded(generated, train, standardization)
+    sq = np.sum(g * g, axis=1)[:, None] + np.sum(t * t, axis=1)[None, :] - 2.0 * g @ t.T
+    dist = np.sqrt(np.maximum(sq.min(axis=1), 0.0) / t.shape[1])
+    copies = {row.tobytes() for row in t}
+    dist[[row.tobytes() in copies for row in g]] = 0.0
+    return _stats(dist)
+
+
+def _direct_oracle(generated, train, standardization=None):
+    """Every pair by direct differences: 2 x mismatched one-hot blocks plus
+    the squared numeric differences, summed column by column."""
+    g, t, blocks = _encoded(generated, train, standardization)
+    dist = np.empty(len(g))
+    for k, row in enumerate(g):
+        mismatches, numeric = np.zeros(len(t)), np.zeros(len(t))
+        for b in blocks:
+            if b.kind == "one-hot":
+                mismatches += (t[:, b.start:b.stop] != row[b.start:b.stop]).any(axis=1)
+            else:
+                d = row[b.start] - t[:, b.start]
+                numeric += d * d
+        dist[k] = np.sqrt((2.0 * mismatches + numeric).min() / t.shape[1])
+    return _stats(dist)
+
+
+def _mixed_schema(widths, n_numeric):
+    categoricals = tuple(VariableSpec(f"x{i}", "categorical",
+                                      categories=tuple(f"c{v}" for v in range(w)))
+                         for i, w in enumerate(widths))
+    numerics = tuple(VariableSpec(f"n{i}", "numerical-cont", bin_edges=(0.0, 1.0, 2.0, 4.0))
+                     for i in range(n_numeric))
+    return Schema(categoricals + numerics, "mixed")
+
+
+def _mixed_pool(rng, schema, n, provenance="train", constant_categories=False, coarse=None):
+    """Random rows. Unless ``coarse`` is given, about half the numeric
+    columns take few distinct values, so that rows repeat. Numerics may
+    overshoot the bins, as generated ones do."""
+    columns = []
+    for var in schema.variables:
+        if var.is_numerical:
+            few = rng.random() < 0.5 if coarse is None else coarse
+            values = rng.integers(0, 5, size=n) * 0.75 if few else rng.uniform(-0.5, 4.5, n)
+            columns.append(values.tolist())
+        else:
+            codes = np.zeros(n, dtype=int) if constant_categories \
+                else rng.integers(0, var.n_values, size=n)
+            columns.append([var.categories[c] for c in codes])
+    return AgentPool(schema, tuple(zip(*columns)), provenance)
+
+
+def _with_copies(rng, pool, source, n, provenance):
+    picks = rng.integers(0, len(source), size=n)
+    return AgentPool(pool.schema, pool.rows + tuple(source.rows[i] for i in picks), provenance)
+
+
+def _mixed_case(case, seed):
+    """(generated, train, standardization) of one kernel test case."""
+    rng = np.random.default_rng(seed)
+    if case == "numeric-only":
+        schema = _mixed_schema((), int(rng.integers(1, 4)))
+    else:
+        widths = tuple(int(w) for w in rng.integers(2, 5, size=int(rng.integers(1, 4))))
+        schema = _mixed_schema(widths, int(rng.integers(1, 4)))
+    one_tuple = case == "one-tuple"
+    train = _mixed_pool(rng, schema, int(rng.integers(2, 50)), constant_categories=one_tuple)
+    train = _with_copies(rng, train, train, 10, "train")  # duplicates in the reference
+    fresh = _mixed_pool(rng, schema, 40, "generated", constant_categories=one_tuple)
+    if case == "exact-copies":
+        return _with_copies(rng, AgentPool(schema, (), "generated"), train, 60, "generated"), \
+            train, None
+    generated = _with_copies(rng, fresh, train, 20, "generated")
+    generated = _with_copies(rng, generated, generated, 20, "generated")
+    if case == "one-row":
+        # a single row has no spread of its own: standardize with other rows
+        return generated, AgentPool(schema, train.rows[:1], "train"), \
+            encode_pool(train).standardization
+    return generated, train, None
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    # every case spans many mismatch chunks and pair batches
+    monkeypatch.setattr(metrics, "MATCH_CHUNK", 7)
+    monkeypatch.setattr(metrics, "PAIR_CHUNK", 5)
+
+
+@pytest.mark.usefixtures("small_chunks")
+class TestNearestSampleKernel:
+    @pytest.mark.parametrize("case, seed", [
+        *[("random", s) for s in range(8)],
+        *[(c, s) for c in ("exact-copies", "one-row", "numeric-only", "one-tuple")
+          for s in range(3)],
+    ])
+    def test_mixed_schema_equals_direct_oracle(self, case, seed):
+        generated, train, standardization = _mixed_case(case, seed)
+        stats = nearest_sample_stats(generated, train, standardization)
+        assert stats == _direct_oracle(generated, train, standardization)
+        gram = _gram_oracle(generated, train, standardization)
+        np.testing.assert_allclose([stats.mu_ns, stats.sigma_ns],
+                                   [gram.mu_ns, gram.sigma_ns], rtol=1e-12, atol=0.0)
+        if case == "exact-copies":
+            assert (stats.mu_ns, stats.sigma_ns) == (0.0, 0.0)
+
+    def test_encoded_matrices_equal_pools(self, rng):
+        generated, train, _ = _mixed_case("random", 11)
+        train_m = encode_pool(train)
+        gen_m = encode_pool(generated, standardization=train_m.standardization)
+        assert nearest_sample_stats(gen_m, train_m) == nearest_sample_stats(generated, train)
+
+    def test_soft_one_hot_rows_rejected(self, rng):
+        generated, train, _ = _mixed_case("random", 5)
+        train_m = encode_pool(train)
+        gen_m = encode_pool(generated, standardization=train_m.standardization)
+        soft = gen_m.values.copy()
+        soft[3, 0:2] = (0.5, 0.5)  # the first block is categorical
+        soft_m = EncodedMatrix(soft, gen_m.blocks, gen_m.standardization, gen_m.schema)
+        with pytest.raises(DataError, match="not one-hot"):
+            nearest_sample_stats(soft_m, train_m)
+        soft[3, 0:2] = (1.0, 1.0)
+        with pytest.raises(DataError, match="not one-hot"):
+            nearest_sample_stats(train_m, soft_m)
+
+
+@pytest.mark.usefixtures("small_chunks")
 class TestHammingNearestSample:
+    """On ``discretize-all`` schemas the kernel is the Hamming distance on
+    codes and equals the Gram oracle (the float path it replaced) bit for
+    bit: every entry there is a small integer."""
+
     @pytest.mark.parametrize("seed", range(6))
     def test_equals_float_path_bit_for_bit(self, seed):
         rng = np.random.default_rng(seed)
@@ -311,7 +465,7 @@ class TestHammingNearestSample:
         generated = AgentPool(train.schema, fresh.rows + tuple(train.rows[i] for i in copies),
                               "generated")
         fast = nearest_sample_stats(generated, train)
-        assert fast == _float_path(generated, train)
+        assert fast == _gram_oracle(generated, train)
         codes = nearest_sample_stats(pool_to_codes(generated), pool_to_codes(train),
                                      value_counts=widths)
         assert codes == fast
@@ -324,7 +478,7 @@ class TestHammingNearestSample:
             np.column_stack([rng.integers(0, w, size=n) for w in schema.value_counts]),
             schema, rng=rng)
         train, generated = make(50), make(120)
-        assert nearest_sample_stats(generated, train) == _float_path(generated, train)
+        assert nearest_sample_stats(generated, train) == _gram_oracle(generated, train)
 
     def test_wide_product_space_uses_row_unique(self, rng):
         # 4**32 bins do not fit one int64 key per row
@@ -332,7 +486,7 @@ class TestHammingNearestSample:
         train = random_categorical_pool(rng, widths, 30)
         generated = AgentPool(train.schema, random_categorical_pool(rng, widths, 20).rows
                               + train.rows[:10], "generated")
-        assert nearest_sample_stats(generated, train) == _float_path(generated, train)
+        assert nearest_sample_stats(generated, train) == _gram_oracle(generated, train)
 
     def test_pure_replicator_is_exactly_zero(self, rng):
         train = random_categorical_pool(rng, [3, 4, 2, 5], 40)
@@ -345,6 +499,24 @@ class TestHammingNearestSample:
         with pytest.raises(DataError, match="different spaces"):
             nearest_sample_stats(np.zeros((3, 2), dtype=int), np.zeros((3, 3), dtype=int),
                                  value_counts=(2, 2))
+
+
+def test_nearest_sample_memory_is_bounded():
+    """One shared categorical tuple puts every training row in one group,
+    the worst case for the pair batches; a Gram block over these rows
+    would need about 370 MB."""
+    rng = np.random.default_rng(3)
+    schema = _mixed_schema((3,), 2)
+    train = _mixed_pool(rng, schema, 30_000, constant_categories=True, coarse=False)
+    generated = _mixed_pool(rng, schema, 2_000, "generated", constant_categories=True,
+                            coarse=False)
+    tracemalloc.start()
+    try:
+        nearest_sample_stats(generated, train)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
 
 class TestPca:
@@ -477,7 +649,7 @@ class TestEvaluate:
         report = evaluate({"over": over, "clamped": clamped}, test, train)
         assert report.rows["over"] == report.rows["clamped"]
 
-    def test_mixed_schema_keeps_the_float_path(self, rng):
+    def test_mixed_schema_diversity_equals_direct_oracle(self, rng):
         from agentsynth.dataset import codes_to_pool
 
         schema = Schema(_discretized_schema().variables, "mixed")
@@ -486,10 +658,11 @@ class TestEvaluate:
             schema, rng=rng).with_provenance(prov)
         test, train, gen = make(80, "test"), make(40, "train"), make(60, "generated")
         report = evaluate({"g": gen}, test, train)
-        train_m = encode_pool(train)
-        assert report.rows["g"].diversity == nearest_sample_stats(gen, train_m)
-        assert report.rows["training-set"].diversity == nearest_sample_stats(
-            train_m, encode_pool(test, standardization=train_m.standardization))
+        assert report.rows["g"].diversity == _direct_oracle(gen, train)
+        # the training-set row is scored against the test pool, with the
+        # training pool's standardization
+        assert report.rows["training-set"].diversity == _direct_oracle(
+            train, test, encode_pool(train).standardization)
 
 
 def _csv_writer_bytes(path, header, rows):
