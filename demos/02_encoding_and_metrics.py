@@ -46,7 +46,7 @@ rows = tuple(
     (float(a), rng.choice(["1", "2", "3", "4", "5+"]), rng.choice(["f", "m"]))
     for a in ages
 )
-pool = AgentPool(schema, rows, "train")
+pool = AgentPool.from_rows(schema, rows, "train")
 print(f"age bins resolved from the observed range: {np.round(edges, 1)}")
 
 train, validation, test = split_pool(pool, train_frac=0.2, val_frac_of_train=0.25, seed=4)
@@ -60,7 +60,7 @@ enc_test = encode_pool(test, standardization=enc_train.standardization)
 print("test encoded with the train statistics (no leakage)")
 
 # a household of 2 is the one-hot block (0, 1, 0, 0, 0)
-single = AgentPool(schema, ((45.0, "2", "f"),), "train")
+single = AgentPool.from_rows(schema, ((45.0, "2", "f"),), "train")
 block = encode_pool(single, standardization=enc_train.standardization).values[0, 1:6]
 print(f"household '2' encodes to {block}")
 

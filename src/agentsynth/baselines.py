@@ -58,6 +58,4 @@ def resample_training(train: AgentPool, count: int, rng_or_seed) -> AgentPool:
         raise DataError("cannot resample an empty pool")
     rng = rng_or_seed if isinstance(rng_or_seed, np.random.Generator) \
         else np.random.default_rng(rng_or_seed)
-    idx = rng.integers(0, len(train), size=count)
-    rows = tuple(train.rows[i] for i in idx)
-    return AgentPool(train.schema, rows, "generated")
+    return train.take(rng.integers(0, len(train), size=count), "generated")

@@ -9,6 +9,12 @@ zero mean / unit standard deviation (``mixed`` mode). All generators and
 metrics in the toolkit work through this module, so encoding decisions are
 made exactly once.
 
+An :class:`AgentPool` stores ``codes`` (int64, rows x variables: the
+category index, or the bin of a numerical value clamped into the outermost
+bins) and ``numeric`` (float64, the raw values of the numerical variables
+in schema order). Every stage, and the CSV reader and writer, work on
+these arrays column by column; ``AgentPool.rows`` rebuilds Python records.
+
 Everything here is immutable after construction and all operations are
 pure functions, safe to call from concurrent workers.
 """
@@ -19,12 +25,12 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, SchemaError
+from .errors import DataError, SchemaError, expect
 
 NUMERICAL_KINDS = ("numerical-int", "numerical-cont")
 CATEGORICAL_KINDS = ("categorical", "binary")
@@ -55,6 +61,8 @@ class VariableSpec:
             if self.bin_edges is None or len(self.bin_edges) < 3:
                 raise SchemaError(f"variable {self.name!r}: numerical variables need at least 2 bins")
             edges = np.asarray(self.bin_edges, dtype=float)
+            if not np.isfinite(edges).all():
+                raise SchemaError(f"variable {self.name!r}: bin edges must be finite")
             if not np.all(np.diff(edges) > 0):
                 raise SchemaError(f"variable {self.name!r}: bin edges must be strictly ascending")
         else:
@@ -108,6 +116,12 @@ class Schema:
         return len(self.variables)
 
     @property
+    def numerical(self) -> tuple[int, ...]:
+        """Indices of the numerical variables: the order of a pool's
+        ``numeric`` columns."""
+        return tuple(j for j, v in enumerate(self.variables) if v.is_numerical)
+
+    @property
     def value_counts(self) -> tuple[int, ...]:
         """Per-variable discrete value counts (bins count for numericals)."""
         return tuple(v.n_values for v in self.variables)
@@ -127,53 +141,125 @@ class Schema:
             raise SchemaError(f"no variable named {name!r} in schema") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AgentPool:
-    """A set of agent records tied to a schema, tagged by provenance."""
+    """A set of agent records tied to a schema, tagged by provenance. The
+    pool keeps read-only copies of ``codes`` and ``numeric``, and derives the
+    numerical columns of ``codes`` from ``numeric``."""
 
     schema: Schema
-    rows: tuple[tuple, ...]
+    codes: np.ndarray
+    numeric: np.ndarray
     provenance: str = "train"
 
     def __post_init__(self):
         if self.provenance not in PROVENANCES:
             raise SchemaError(f"unknown provenance {self.provenance!r}")
+        schema = self.schema
+        codes, numeric = np.array(self.codes, dtype=np.int64), np.array(self.numeric, dtype=float)
+        if codes.ndim != 2 or codes.shape[1] != schema.n_variables \
+                or numeric.shape != (len(codes), len(schema.numerical)):
+            raise SchemaError(f"pool arrays of shapes {codes.shape} and {numeric.shape} "
+                              "do not fit the schema")
+        for j, values in zip(schema.numerical, numeric.T):
+            codes[:, j] = discretize_clamped(values, schema.variables[j])
+        codes.flags.writeable = numeric.flags.writeable = False
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "numeric", numeric)
+
+    @classmethod
+    def from_rows(cls, schema: Schema, rows: Sequence[Sequence],
+                  provenance: str = "train") -> "AgentPool":
+        """A pool from Python records of known categories and numbers (which
+        may lie outside the bins)."""
+        rows = list(rows)
+        if any(len(row) != schema.n_variables for row in rows):
+            raise DataError(f"every record needs {schema.n_variables} values")
+        cells = list(zip(*rows)) or [()] * schema.n_variables
+        return _assemble(schema, cells, [np.asarray(column, dtype=float) if var.is_numerical
+                                         else _category_codes(var, column)
+                                         for var, column in zip(schema.variables, cells)],
+                         provenance)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self.codes.shape[0]
+
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        """The records as tuples of Python values: the category, an ``int``
+        per ``numerical-int`` value and a ``float`` per ``numerical-cont``
+        value. Rebuilt on every access; for tests and demos."""
+        return tuple(zip(*_python_columns(self)))
 
     def with_provenance(self, provenance: str) -> "AgentPool":
-        return AgentPool(self.schema, self.rows, provenance)
+        return AgentPool(self.schema, self.codes, self.numeric, provenance)
+
+    def take(self, index, provenance: str) -> "AgentPool":
+        """The rows at ``index`` (indices or a slice), under ``provenance``."""
+        return AgentPool(self.schema, self.codes[index], self.numeric[index], provenance)
 
     def validate(self, strict_numeric: bool = True) -> int:
-        """Check every value against its spec.
+        """Check every numerical value against its spec.
 
-        Categorical values must be known categories. Numerical values must
-        be finite; values outside the outermost bin edges raise when
-        ``strict_numeric`` and are merely counted otherwise (generated
-        mixed-mode agents may overshoot the observed range). Returns the
-        number of flagged out-of-range numerical values.
+        Numerical values must be finite; values outside the outermost bin
+        edges raise when ``strict_numeric`` and are merely counted otherwise
+        (generated mixed-mode agents may overshoot the observed range).
+        Returns the number of flagged out-of-range numerical values.
         """
-        flagged = 0
-        for var_idx, var in enumerate(self.schema.variables):
-            if var.is_numerical:
-                lo, hi = var.bin_edges[0], var.bin_edges[-1]
-                for row in self.rows:
-                    value = row[var_idx]
-                    if value is None or not math.isfinite(float(value)):
-                        raise DataError(f"variable {var.name!r}: missing or non-finite value {value!r}")
-                    if not (lo <= float(value) <= hi):
-                        if strict_numeric:
-                            raise DataError(
-                                f"variable {var.name!r}: value {value!r} outside [{lo}, {hi}]")
-                        flagged += 1
-            else:
-                allowed = set(var.categories)
-                for row in self.rows:
-                    if row[var_idx] not in allowed:
-                        raise DataError(
-                            f"variable {var.name!r}: unknown category {row[var_idx]!r}")
-        return flagged
+        return sum(_check_numeric(self.schema.variables[j], values, strict_numeric)
+                   for j, values in zip(self.schema.numerical, self.numeric.T))
+
+
+def _python_columns(pool: AgentPool) -> list[list]:
+    """Each variable's values as ``AgentPool.rows`` holds them."""
+    numeric = iter(pool.numeric.T)
+    return [_python_values(var, next(numeric)) if var.is_numerical
+            else _category_values(var, pool.codes[:, j])
+            for j, var in enumerate(pool.schema.variables)]
+
+
+def _python_values(var: VariableSpec, values: np.ndarray) -> list:
+    """Raw numerical values as Python numbers: integral values of a
+    ``numerical-int`` variable as ``int``, everything else as ``float``."""
+    if var.kind != "numerical-int":
+        return values.tolist()
+    return [int(v) if v.is_integer() else v for v in values.tolist()]
+
+
+def _check_numeric(var: VariableSpec, values: np.ndarray, strict: bool = True,
+                   nan_outside: bool = False) -> int:
+    """Raise for the first non-finite value, or with ``strict`` for the
+    first one that is non-finite or out of range (reported as out of range
+    with ``nan_outside``); returns the number of out-of-range values."""
+    lo, hi = var.bin_edges[0], var.bin_edges[-1]
+    outside = ~((values >= lo) & (values <= hi))
+    stop = outside if strict else ~np.isfinite(values)
+    if stop.any():
+        i = int(np.argmax(stop))
+        (shown,) = _python_values(var, values[i:i + 1])
+        if nan_outside or math.isfinite(values[i]):
+            raise DataError(f"variable {var.name!r}: value {shown!r} outside [{lo}, {hi}]")
+        raise DataError(f"variable {var.name!r}: missing or non-finite value {shown!r}")
+    return int(outside.sum())
+
+
+def _assemble(schema: Schema, cells: list[Sequence], parsed: list[np.ndarray],
+              provenance: str, strict_numeric: bool | None = None) -> AgentPool:
+    """A pool from parsed columns (floats, or category codes with -1 for an
+    unknown category in ``cells``). Unknown categories and, unless
+    ``strict_numeric`` is None, bad numbers raise variable by variable."""
+    codes = np.zeros((len(parsed[0]), schema.n_variables), dtype=np.int64)
+    for j, (var, values) in enumerate(zip(schema.variables, parsed)):
+        if var.is_numerical:
+            if strict_numeric is not None:
+                _check_numeric(var, values, strict_numeric)
+        elif (values < 0).any():
+            raise DataError(f"variable {var.name!r}: unknown category "
+                            f"{cells[j][int(np.argmax(values < 0))]!r}")
+        else:
+            codes[:, j] = values
+    numeric = np.array([parsed[j] for j in schema.numerical], dtype=float)
+    return AgentPool(schema, codes, numeric.reshape(len(numeric), len(codes)).T, provenance)
 
 
 @dataclass(frozen=True)
@@ -250,37 +336,10 @@ def discretize_clamped(values, spec: VariableSpec) -> np.ndarray:
     return np.clip(idx, 0, len(edges) - 2)
 
 
-def _category_index(var: VariableSpec) -> dict:
-    return {c: i for i, c in enumerate(var.categories)}
-
-
-def _variable_codes(var: VariableSpec, column: Sequence, clamp: bool = False) -> np.ndarray:
-    """Codes of one variable's raw values: the category index, or the bin
-    index. Out-of-range numerical values are clamped into the edge bins when
-    ``clamp``; otherwise the first one raises (as :func:`discretize` would)."""
-    if not var.is_numerical:
-        try:
-            return np.fromiter(map(_category_index(var).__getitem__, column), np.int64,
-                               len(column))
-        except KeyError as exc:
-            raise DataError(
-                f"variable {var.name!r}: unknown category {exc.args[0]!r}") from None
-    if clamp:
-        return discretize_clamped(column, var)
-    values = np.asarray(column, dtype=float)
-    lo, hi = var.bin_edges[0], var.bin_edges[-1]
-    outside = ~((values >= lo) & (values <= hi))
-    if outside.any():
-        value = column[int(np.argmax(outside))]
-        raise DataError(f"variable {var.name!r}: value {value!r} outside [{lo}, {hi}]")
-    # searchsorted(right) counts the edges <= v; the last bin is closed on the right
-    codes = np.searchsorted(np.asarray(var.bin_edges), values, side="right") - 1
-    return np.minimum(codes, var.n_values - 1)
-
-
-def _columns_of(pool: AgentPool):
-    """The pool's columns as lists, built one at a time."""
-    return (list(map(itemgetter(j), pool.rows)) for j in range(pool.schema.n_variables))
+def _category_codes(var: VariableSpec, values: Sequence) -> np.ndarray:
+    """Category index of each value, -1 for a value that is no category."""
+    index = {c: i for i, c in enumerate(var.categories)}
+    return np.fromiter(map(index.get, values, repeat(-1)), np.int64, len(values))
 
 
 def _category_values(var: VariableSpec, codes: np.ndarray) -> list:
@@ -289,35 +348,34 @@ def _category_values(var: VariableSpec, codes: np.ndarray) -> list:
 
 def pool_to_codes(pool: AgentPool, clamp: bool = False) -> np.ndarray:
     """Integer code matrix (N, n_variables): category index per categorical
-    variable, bin index per numerical variable."""
-    codes = np.empty((len(pool.rows), pool.schema.n_variables), dtype=np.int64)
-    for j, (var, column) in enumerate(zip(pool.schema.variables, _columns_of(pool))):
-        codes[:, j] = _variable_codes(var, column, clamp)
-    return codes
+    variable, bin index per numerical variable; without ``clamp`` a
+    numerical value outside the outermost edges is a DataError."""
+    if not clamp:
+        for j, values in zip(pool.schema.numerical, pool.numeric.T):
+            _check_numeric(pool.schema.variables[j], values, nan_outside=True)
+    return pool.codes
 
 
 def _bin_values(variables: Sequence[VariableSpec], codes: np.ndarray,
-                rng: np.random.Generator | None) -> list[list]:
-    """Raw values for an (N, len(variables)) block of bin codes, one list per
-    variable: a uniform draw inside each bin when an RNG is supplied, the bin
-    midpoint otherwise. Draws are taken in row-major order, one per cell.
-    Integer kinds are rounded (half to even) into the bin when the bin holds
-    an integer."""
+                rng: np.random.Generator | None) -> np.ndarray:
+    """Raw values for an (N, len(variables)) block of bin codes: a uniform
+    draw inside each bin when an RNG is supplied, the bin midpoint
+    otherwise. Draws are taken in row-major order, one per cell. Integer
+    kinds are rounded (half to even) into the bin when the bin holds an
+    integer."""
+    if not variables:
+        return np.empty((len(codes), 0))
     codes = np.asarray(codes, dtype=np.int64).reshape(-1, len(variables))
     edges = [np.asarray(var.bin_edges, dtype=float) for var in variables]
     lo = np.column_stack([e[:-1][codes[:, k]] for k, e in enumerate(edges)])
     hi = np.column_stack([e[1:][codes[:, k]] for k, e in enumerate(edges)])
     values = rng.uniform(lo, hi) if rng is not None else 0.5 * (lo + hi)
-    columns = []
     for k, var in enumerate(variables):
-        v = values[:, k]
         if var.kind == "numerical-int":
             lo_int, hi_int = np.ceil(lo[:, k]), np.floor(hi[:, k])
-            v = np.where(lo_int <= hi_int, np.clip(np.rint(v), lo_int, hi_int), np.rint(v))
-            columns.append(v.astype(np.int64).tolist())
-        else:
-            columns.append(v.tolist())
-    return columns
+            v = np.rint(values[:, k])
+            values[:, k] = np.where(lo_int <= hi_int, np.clip(v, lo_int, hi_int), v)
+    return values
 
 
 def codes_to_pool(codes: np.ndarray, schema: Schema, provenance: str = "generated",
@@ -325,16 +383,9 @@ def codes_to_pool(codes: np.ndarray, schema: Schema, provenance: str = "generate
     """Inverse of :func:`pool_to_codes`; numerical bins become raw values via
     :func:`_bin_values`, drawn row by row."""
     arr = np.asarray(codes, dtype=np.int64).reshape(-1, schema.n_variables)
-    columns: list = [None] * schema.n_variables
-    numeric = [j for j, var in enumerate(schema.variables) if var.is_numerical]
-    if numeric:
-        drawn = _bin_values([schema.variables[j] for j in numeric], arr[:, numeric], rng)
-        for j, column in zip(numeric, drawn):
-            columns[j] = column
-    for j, var in enumerate(schema.variables):
-        if not var.is_numerical:
-            columns[j] = _category_values(var, arr[:, j])
-    return AgentPool(schema, tuple(zip(*columns)), provenance)
+    numerical = list(schema.numerical)
+    numeric = _bin_values([schema.variables[j] for j in numerical], arr[:, numerical], rng)
+    return AgentPool(schema, arr, numeric, provenance)
 
 
 def encode_pool(pool: AgentPool,
@@ -346,17 +397,20 @@ def encode_pool(pool: AgentPool,
     are reused verbatim for validation/test/generated pools.
     """
     schema = pool.schema
-    n_rows = len(pool.rows)
+    if schema.mode == "discretize-all":
+        pool_to_codes(pool)  # numerical one-hot blocks need in-range values
+    n_rows = len(pool)
     out = np.zeros((n_rows, schema.encoded_width), dtype=float)
     blocks = schema_blocks(schema)
+    hot = [j for j, block in enumerate(blocks) if block.kind == "one-hot"]
+    starts = np.array([blocks[j].start for j in hot], dtype=np.int64)
+    out[np.arange(n_rows)[:, None], pool.codes[:, hot] + starts] = 1.0
     stats: dict[str, tuple[float, float]] = {}
-    for var, block, column in zip(schema.variables, blocks, _columns_of(pool)):
-        if block.kind == "one-hot":
-            idx = _variable_codes(var, column)
-            if n_rows:
-                out[np.arange(n_rows), block.start + idx] = 1.0
-        else:
-            out[:, block.start], stats[var.name] = standardize_column(var, column, standardization)
+    for j, values in zip(schema.numerical, pool.numeric.T):
+        if blocks[j].kind == "numeric":
+            var = schema.variables[j]
+            out[:, blocks[j].start], stats[var.name] = standardize_column(
+                var, values, standardization)
     return EncodedMatrix(out, blocks, stats, schema)
 
 
@@ -366,7 +420,7 @@ def standardize_column(var: VariableSpec, column: Sequence[float],
     """A continuous numeric column as ``(x - mean) / std``, plus its (mean,
     std): the pair ``standardization`` holds for the variable, else the
     column's own statistics."""
-    arr = np.asarray(column, dtype=float)
+    arr = np.ascontiguousarray(column, dtype=float)  # sums in one order for any layout
     if standardization is None:
         mean = float(arr.mean()) if arr.size else 0.0
         std = float(arr.std()) if arr.size else 1.0
@@ -392,25 +446,17 @@ def decode_rows(matrix: EncodedMatrix, rng: np.random.Generator | None = None) -
     if matrix.values.ndim != 2 or matrix.values.shape[1] != schema.encoded_width:
         raise SchemaError(
             f"matrix width {matrix.values.shape[-1]} does not match schema width {schema.encoded_width}")
-    n_rows = matrix.values.shape[0]
-    columns = []
-    for block, var in zip(matrix.blocks, schema.variables):
-        sub = matrix.values[:, block.start:block.stop]
+    codes, numeric = matrix_to_codes(matrix), []
+    for j in schema.numerical:
+        var, block = schema.variables[j], matrix.blocks[j]
         if block.kind == "one-hot":
-            idx = np.argmax(sub, axis=1)
-            if var.is_numerical:
-                columns.extend(_bin_values([var], idx, rng))
-            else:
-                columns.append(_category_values(var, idx))
+            numeric.append(_bin_values([var], codes[:, j], rng)[:, 0])
         else:
             mean, std = matrix.standardization[var.name]
-            raw = sub[:, 0] * std + mean
-            if var.kind == "numerical-int":
-                columns.append([int(round(v)) for v in raw])
-            else:
-                columns.append(raw.tolist())
-    rows = tuple(zip(*columns)) if n_rows else ()
-    return AgentPool(schema, tuple(rows), "generated")
+            raw = matrix.values[:, block.start] * std + mean
+            numeric.append(np.rint(raw) if var.kind == "numerical-int" else raw)
+    return AgentPool(schema, codes, np.array(numeric).reshape(len(numeric), len(codes)).T,
+                     "generated")
 
 
 def matrix_to_codes(matrix: EncodedMatrix) -> np.ndarray:
@@ -438,7 +484,7 @@ def split_pool(pool: AgentPool, train_frac: float, val_frac_of_train: float,
     """
     if not (0.0 < train_frac < 1.0) or not (0.0 < val_frac_of_train < 1.0):
         raise DataError("split fractions must lie strictly between 0 and 1")
-    n = len(pool.rows)
+    n = len(pool)
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     n_block = round(n * train_frac)
@@ -448,13 +494,9 @@ def split_pool(pool: AgentPool, train_frac: float, val_frac_of_train: float,
     if min(n_train, n_val, n_test) < 1:
         raise DataError(
             f"pool of {n} rows too small for fractions {train_frac}/{val_frac_of_train}")
-    rows = pool.rows
-    pick = lambda idx: tuple(rows[i] for i in idx)
-    return (
-        AgentPool(pool.schema, pick(order[:n_train]), "train"),
-        AgentPool(pool.schema, pick(order[n_train:n_block]), "validation"),
-        AgentPool(pool.schema, pick(order[n_block:]), "test"),
-    )
+    return (pool.take(order[:n_train], "train"),
+            pool.take(order[n_train:n_block], "validation"),
+            pool.take(order[n_block:], "test"))
 
 
 # ---------------------------------------------------------------------------
@@ -483,30 +525,41 @@ def schema_to_json(schema: Schema) -> dict:
     return {"mode": schema.mode, "variables": variables}
 
 
+def _variable_entries(doc) -> list[dict]:
+    """The variable entries of a schema document, each an object with a
+    name and a kind."""
+    if not isinstance(doc, dict) or "variables" not in doc:
+        raise SchemaError("schema document lacks a 'variables' list")
+    entries = expect(doc["variables"], "a list", "schema 'variables'", SchemaError)
+    for entry in entries:
+        if not isinstance(entry, dict) or entry.get("name") is None or entry.get("kind") is None:
+            raise SchemaError(f"schema entry missing name/kind: {entry!r}")
+    return entries
+
+
 def schema_from_json(doc: dict, columns: dict[str, Sequence[float]] | None = None) -> Schema:
     """Build a schema from its JSON document.
 
-    Numerical entries may declare explicit ``bin_edges`` or just a bin count
-    ``bins``; the latter needs the raw data ``columns`` to resolve edges over
-    the observed range.
+    Numerical entries may declare explicit ``bin_edges`` (a list of
+    numbers) or just an integer bin count ``bins``; the latter needs the
+    raw data ``columns`` to resolve edges over the observed range.
     """
-    if "variables" not in doc:
-        raise SchemaError("schema document lacks a 'variables' list")
+    entries = _variable_entries(doc)
     mode = doc.get("mode", "discretize-all")
     variables = []
-    for entry in doc["variables"]:
-        name = entry.get("name")
-        kind = entry.get("kind")
-        if name is None or kind is None:
-            raise SchemaError(f"schema entry missing name/kind: {entry!r}")
+    for entry in entries:
+        name, kind = entry["name"], entry["kind"]
         if kind in NUMERICAL_KINDS:
             if "bin_edges" in entry:
-                edges = tuple(float(e) for e in entry["bin_edges"])
+                edges = expect(entry["bin_edges"], "a list of numbers",
+                               f"variable {name!r}: bin_edges", SchemaError)
+                edges = tuple(float(e) for e in edges)
             elif "bins" in entry:
+                bins = expect(entry["bins"], "an integer", f"variable {name!r}: bins", SchemaError)
                 if columns is None or name not in columns:
                     raise SchemaError(
                         f"variable {name!r} declares a bin count; raw data is needed to resolve edges")
-                edges = tuple(build_uniform_edges(columns[name], int(entry["bins"])))
+                edges = tuple(build_uniform_edges(columns[name], bins))
             else:
                 raise SchemaError(f"numerical variable {name!r} needs 'bin_edges' or 'bins'")
             variables.append(VariableSpec(name, kind, bin_edges=edges))
@@ -514,33 +567,80 @@ def schema_from_json(doc: dict, columns: dict[str, Sequence[float]] | None = Non
             cats = entry.get("categories")
             if cats is None:
                 raise SchemaError(f"categorical variable {name!r} needs 'categories'")
+            expect(cats, "a list", f"variable {name!r}: categories", SchemaError)
             variables.append(VariableSpec(name, kind, categories=tuple(str(c) for c in cats)))
     return Schema(tuple(variables), mode)
 
 
-_FORMATTERS = {"numerical-int": lambda v: str(int(v)), "numerical-cont": lambda v: repr(float(v))}
-
-
 def write_pool_csv(pool: AgentPool, path) -> None:
     """Write a pool as CSV with the schema's header; generated pools carry a
-    trailing provenance column."""
+    trailing provenance column. A cell is ``str`` of the value in
+    ``pool.rows``, so a float is written as its ``repr``."""
+    columns = [map(str, column) for column in _python_columns(pool)]
     with_prov = pool.provenance == "generated"
-    columns = [list(map(_FORMATTERS.get(var.kind, str), column))
-               for var, column in zip(pool.schema.variables, zip(*pool.rows))]
-    if with_prov:
-        columns.append([pool.provenance] * len(pool.rows))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(pool.schema.names) + (["provenance"] if with_prov else []))
-        writer.writerows(zip(*columns))
+        writer.writerows(zip(*columns, *([repeat(pool.provenance)] if with_prov else [])))
 
 
-def _parse_int(cell: str) -> int:
-    """``3`` or ``3.0`` -> 3; ValueError for a cell that is not integral."""
-    value = float(cell)
-    if not value.is_integer():
-        raise ValueError(cell)
-    return int(value)
+def _parse_column(var: VariableSpec, cells: Sequence[str]) -> np.ndarray | None:
+    """A column's float values (``3`` or ``3.0`` for ``numerical-int``), or
+    its category codes with -1 for an unknown category; None when a cell
+    does not parse."""
+    if not var.is_numerical:
+        return None if "" in cells else _category_codes(var, cells)
+    try:
+        values = np.array(list(map(float, cells)), dtype=float)
+    except ValueError:
+        return None
+    integral = np.isfinite(values) & (values == np.floor(values))
+    return values if var.kind == "numerical-cont" or integral.all() else None
+
+
+def _read_records(path, names: Sequence[str]) -> list[list[str]]:
+    """The records of a CSV file whose header starts with ``names``."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty CSV") from None
+        if header[:len(names)] != list(names):
+            raise SchemaError(f"{path}: header {header!r} does not match schema {list(names)!r}")
+        return list(reader)
+
+
+def _first_cell_error(path, schema: Schema, records: list[list[str]],
+                      columns: list[int]) -> DataError:
+    """The first short row, or unparsable cell of ``columns``, in file order."""
+    for line_no, cells in enumerate(records, start=2):
+        if len(cells) < schema.n_variables:
+            return DataError(
+                f"{path}:{line_no}: expected {schema.n_variables} cells, got {len(cells)}")
+        for j in columns:
+            var, cell = schema.variables[j], cells[j]
+            if _parse_column(var, [cell]) is None:
+                need = "an integer" if var.kind == "numerical-int" else "a number"
+                return DataError(f"{path}:{line_no}: " + (
+                    f"missing value for {var.name!r}" if cell == "" else
+                    f"{var.name!r} needs {need}, got {cell!r}"))
+
+
+def _pool_from_records(path, schema: Schema, records: list[list[str]], provenance: str,
+                       strict_numeric: bool) -> AgentPool:
+    """Parse and validate CSV records column by column. Short rows and
+    unparsable cells raise in file order, then unknown categories and bad
+    numbers variable by variable."""
+    # zip(*records) stops at the shortest row
+    cells = list(zip(*records)) if records else [()] * schema.n_variables
+    parsed = [_parse_column(var, column) for var, column in zip(schema.variables, cells)]
+    failed = [j for j, values in enumerate(parsed) if values is None]
+    if len(cells) < schema.n_variables:  # a short row: every column is suspect
+        failed = range(schema.n_variables)
+    if failed:
+        raise _first_cell_error(path, schema, records, failed)
+    return _assemble(schema, cells, parsed, provenance, strict_numeric)
 
 
 def read_pool_csv(path, schema: Schema, provenance: str = "train",
@@ -550,65 +650,33 @@ def read_pool_csv(path, schema: Schema, provenance: str = "train",
     Rows with missing cells are rejected. Numerical range violations raise
     for source data and are merely flagged for generated pools.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty CSV") from None
-        names = list(schema.names)
-        if header[:len(names)] != names:
-            raise SchemaError(f"{path}: header {header!r} does not match schema {names!r}")
-        rows = []
-        for line_no, cells in enumerate(reader, start=2):
-            if len(cells) < len(names):
-                raise DataError(f"{path}:{line_no}: expected {len(names)} cells, got {len(cells)}")
-            row = []
-            for var, cell in zip(schema.variables, cells):
-                if cell == "":
-                    raise DataError(f"{path}:{line_no}: missing value for {var.name!r}")
-                if var.kind == "numerical-int":
-                    try:
-                        row.append(_parse_int(cell))
-                    except ValueError:
-                        raise DataError(f"{path}:{line_no}: {var.name!r} needs an integer, "
-                                        f"got {cell!r}") from None
-                elif var.kind == "numerical-cont":
-                    try:
-                        row.append(float(cell))
-                    except ValueError:
-                        raise DataError(f"{path}:{line_no}: {var.name!r} needs a number, "
-                                        f"got {cell!r}") from None
-                else:
-                    row.append(cell)
-            rows.append(tuple(row))
-    pool = AgentPool(schema, tuple(rows), provenance)
     if strict_numeric is None:
         strict_numeric = provenance != "generated"
-    pool.validate(strict_numeric=strict_numeric)
-    return pool
+    return _pool_from_records(path, schema, _read_records(path, schema.names), provenance,
+                              strict_numeric)
+
+
+def _bins_column(path, name: str, j: int, records: list[list[str]]) -> np.ndarray:
+    """The raw values of column ``j``, which declares a bin count."""
+    try:
+        values = np.array([float(cells[j]) for cells in records])
+    except (ValueError, IndexError):
+        raise DataError(f"{path}: non-numeric or missing cell in column {name!r}") from None
+    finite = np.isfinite(values)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise DataError(f"{path}:{row + 2}: column {name!r} declares a bin count and holds "
+                        f"{records[row][j]!r}; bins need finite values")
+    return values
 
 
 def ingest_csv(data_path, schema_doc: dict) -> AgentPool:
     """Load source micro-data: resolve any declared bin counts against the
     observed columns, then parse and strictly validate every row."""
-    with open(data_path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{data_path}: empty CSV") from None
-        raw_rows = [cells for cells in reader]
-    declared = [entry["name"] for entry in schema_doc.get("variables", [])]
-    if header[:len(declared)] != declared:
-        raise SchemaError(f"{data_path}: header {header!r} does not match schema {declared!r}")
-    columns: dict[str, list[float]] = {}
-    for j, entry in enumerate(schema_doc.get("variables", [])):
-        if entry.get("kind") in NUMERICAL_KINDS and "bins" in entry:
-            try:
-                columns[entry["name"]] = [float(cells[j]) for cells in raw_rows]
-            except (ValueError, IndexError):
-                raise DataError(
-                    f"{data_path}: non-numeric or missing cell in column {entry['name']!r}") from None
+    entries = _variable_entries(schema_doc)
+    records = _read_records(data_path, [entry["name"] for entry in entries])
+    columns = {entry["name"]: _bins_column(data_path, entry["name"], j, records)
+               for j, entry in enumerate(entries)
+               if entry["kind"] in NUMERICAL_KINDS and "bins" in entry}
     schema = schema_from_json(schema_doc, columns=columns)
-    return read_pool_csv(data_path, schema, provenance="train")
+    return _pool_from_records(data_path, schema, records, "train", strict_numeric=True)

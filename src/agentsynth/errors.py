@@ -3,7 +3,8 @@
 Three top-level families map onto the CLI exit codes: configuration
 problems (2), data problems (3), and numerical divergence during model
 fitting (4). Everything derives from :class:`AgentSynthError` so callers
-can catch toolkit errors without swallowing genuine bugs.
+can catch toolkit errors without swallowing genuine bugs. :func:`expect`
+is the JSON type check that configuration and schema parsing share.
 """
 
 
@@ -40,3 +41,37 @@ class UnreachableContextError(DataError):
 class ExactSearchLimitError(ConfigError):
     """Exact structure search was requested above its variable cap; use
     greedy_search instead."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_list(value, item) -> bool:
+    return isinstance(value, list) and all(map(item, value))
+
+
+JSON_TYPES = {
+    "an integer": _is_int,  # true and false are not integers
+    "a number": _is_real,
+    "true or false": lambda v: isinstance(v, bool),
+    "a string": lambda v: isinstance(v, str),
+    "an object": lambda v: isinstance(v, dict),
+    "a list": lambda v: isinstance(v, list),
+    "a list of integers": lambda v: _is_list(v, _is_int),
+    "a list of numbers": lambda v: _is_list(v, _is_real),
+    "a list of names": lambda v: _is_list(v, lambda x: isinstance(x, str)),
+    "a list of integer lists": lambda v: _is_list(v, lambda x: _is_list(x, _is_int)),
+}
+
+
+def expect(value, need: str, what: str, error: type = ConfigError):
+    """``value`` if it is of the JSON type ``need`` (a key of
+    ``JSON_TYPES``), else ``error`` naming ``what``."""
+    if not JSON_TYPES[need](value):
+        raise error(f"{what} must be {need}, got {value!r}")
+    return value

@@ -246,7 +246,7 @@ def run_chain(tables: list[ConditionalTable], train: AgentPool, config: ChainCon
             raise DataError("random-from-train initialization needs a non-empty pool")
         row = tuple(int(v) for v in train_codes[rng.integers(len(train))])
     else:
-        single = AgentPool(schema, (tuple(config.init),), "train")
+        single = AgentPool.from_rows(schema, [tuple(config.init)], "train")
         row = tuple(int(v) for v in pool_to_codes(single)[0])
 
     if train_codes is None:

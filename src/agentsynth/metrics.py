@@ -36,7 +36,6 @@ import csv
 import itertools
 import json
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 import numpy as np
 
@@ -222,24 +221,20 @@ class _KernelRows:
         return self.codes.shape[0]
 
 
-def _pool_rows(pool: AgentPool, codes: np.ndarray,
-               standardization: dict[str, tuple[float, float]] | None = None
+def _pool_rows(pool: AgentPool, standardization: dict[str, tuple[float, float]] | None = None
                ) -> tuple[_KernelRows, dict[str, tuple[float, float]]]:
-    """Kernel rows of a pool whose code matrix is ``codes``, and the
-    standardization used: ``standardization``, else the pool's own."""
+    """Kernel rows of a pool, and the standardization used:
+    ``standardization``, else the pool's own. Numerical codes are clamped,
+    as in the frequency views."""
     schema = pool.schema
-    one_hot = [schema.is_one_hot(var) for var in schema.variables]
-    numeric = np.empty((len(pool), one_hot.count(False)))
-    stats: dict[str, tuple[float, float]] = {}
-    k = 0
-    for j, var in enumerate(schema.variables):
-        if not one_hot[j]:
-            numeric[:, k], stats[var.name] = standardize_column(
-                var, list(map(itemgetter(j), pool.rows)), standardization)
-            k += 1
-    rows = _KernelRows(codes if all(one_hot) else codes[:, one_hot],
-                       tuple(w for w, hot in zip(schema.value_counts, one_hot) if hot), numeric)
-    return rows, stats
+    hot = [j for j, var in enumerate(schema.variables) if schema.is_one_hot(var)]
+    numeric, stats = np.empty((len(pool), schema.n_variables - len(hot))), {}
+    # the variables outside one-hot blocks are the numerical ones (mixed mode)
+    for k, var in enumerate(v for v in schema.variables if not schema.is_one_hot(v)):
+        numeric[:, k], stats[var.name] = standardize_column(
+            var, pool.numeric[:, k], standardization)
+    return (_KernelRows(pool.codes[:, hot], tuple(schema.value_counts[j] for j in hot), numeric),
+            stats)
 
 
 def _matrix_rows(matrix: EncodedMatrix) -> _KernelRows:
@@ -272,10 +267,7 @@ def _kernel_rows(data, standardization, value_counts
     if isinstance(data, EncodedMatrix):
         return _matrix_rows(data), data.standardization
     if isinstance(data, AgentPool):
-        # the numeric codes of a mixed schema are dropped; clamping keeps
-        # generated values beyond the outermost bins from raising
-        return _pool_rows(data, pool_to_codes(data, clamp=data.schema.mode == "mixed"),
-                          standardization)
+        return _pool_rows(data, standardization)
     if value_counts is None:
         raise DataError("nearest-sample distances on code matrices need value_counts")
     codes = np.asarray(data)
@@ -566,7 +558,7 @@ def evaluate(method_pools: dict[str, AgentPool], test_pool: AgentPool,
     test_codes, train_codes = codes_for_pool(test_pool), codes_for_pool(train_pool)
     # nearest-sample rows: codes of the one-hot variables plus numerics
     # standardized with the training pool's statistics
-    train_rows, stats = _pool_rows(train_pool, train_codes)
+    train_rows, stats = _pool_rows(train_pool)
     test_vectors, test_pairwise = _pool_vectors(test_codes, counts, subsets)
     vectors: dict[str, dict[str, np.ndarray]] = {}
 
@@ -588,12 +580,11 @@ def evaluate(method_pools: dict[str, AgentPool], test_pool: AgentPool,
 
     rows: dict[str, MethodEvaluation] = {}
     for name, pool in method_pools.items():
-        codes = codes_for_pool(pool)
-        rows[name] = score(name, codes, nearest_sample_stats(
-            _pool_rows(pool, codes, stats)[0], train_rows))
+        rows[name] = score(name, codes_for_pool(pool), nearest_sample_stats(
+            _pool_rows(pool, stats)[0], train_rows))
     # the training-set row's diversity is taken against the test pool
     rows["training-set"] = score("training-set", train_codes, nearest_sample_stats(
-        train_rows, _pool_rows(test_pool, test_codes, stats)[0]))
+        train_rows, _pool_rows(test_pool, stats)[0]))
     return EvalReport(list(method_pools) + ["training-set"], rows, dict(metadata or {}),
                       test_vectors, vectors)
 

@@ -44,7 +44,7 @@ from .dataset import (
     split_pool,
     write_pool_csv,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, expect
 from .synthdata import SyntheticGeneratorSpec, spec_from_json, synth_generate
 
 METHOD_KINDS = ("vae", "gibbs", "bn")
@@ -97,30 +97,37 @@ class ExperimentConfig:
 
 
 def config_from_json(doc: dict, out_dir: str | None = None) -> ExperimentConfig:
-    try:
-        methods = [
-            MethodSpec(m.get("name", m["kind"]), m["kind"], m.get("params", {}))
-            for m in doc.get("methods", [])
-        ]
-    except KeyError as exc:
-        raise ConfigError(f"method entry missing {exc.args[0]!r}") from None
-    data = doc.get("data", {})
-    synthetic = None
-    if "synthetic" in data:
-        synthetic = spec_from_json(data["synthetic"])
-    config = ExperimentConfig(
-        seed=int(doc.get("seed", 0)),
-        out_dir=out_dir or doc.get("out_dir", "out"),
-        data_csv=data.get("csv"),
+    """The configuration a JSON document describes; a value of the wrong
+    type is a ConfigError, never coerced."""
+    expect(doc, "an object", "the configuration")
+    methods = []
+    for m in expect(doc.get("methods", []), "a list", "methods"):
+        if "kind" not in expect(m, "an object", "a method entry"):
+            raise ConfigError("method entry missing 'kind'")
+        name = expect(m.get("name", m["kind"]), "a string", "a method name")
+        methods.append(MethodSpec(name, m["kind"], expect(m.get("params", {}), "an object",
+                                                          f"method {name!r}: params")))
+    data = expect(doc.get("data", {}), "an object", "data")
+    split = expect(doc.get("split", {}), "an object", "split")
+    projection, data_csv = doc.get("projection"), data.get("csv")
+    if projection is not None:
+        expect(projection, "a list of names", "projection")
+    if data_csv is not None:
+        expect(data_csv, "a string", "data.csv")
+    return ExperimentConfig(
+        seed=expect(doc.get("seed", 0), "an integer", "seed"),
+        out_dir=out_dir or expect(doc.get("out_dir", "out"), "a string", "out_dir"),
+        data_csv=data_csv,
         schema=data.get("schema"),
-        synthetic=synthetic,
-        train_frac=float(doc.get("split", {}).get("train_frac", 0.2)),
-        val_frac_of_train=float(doc.get("split", {}).get("val_frac_of_train", 0.25)),
+        synthetic=spec_from_json(data["synthetic"]) if "synthetic" in data else None,
+        train_frac=float(expect(split.get("train_frac", 0.2), "a number", "split.train_frac")),
+        val_frac_of_train=float(expect(split.get("val_frac_of_train", 0.25), "a number",
+                                       "split.val_frac_of_train")),
         methods=methods,
-        generation_count=int(doc.get("generation_count", 10000)),
-        projection=doc.get("projection"),
+        generation_count=expect(doc.get("generation_count", 10000), "an integer",
+                                "generation_count"),
+        projection=projection,
     )
-    return config
 
 
 def load_config(path, out_dir: str | None = None, seed: int | None = None) -> ExperimentConfig:
@@ -224,31 +231,37 @@ def train_method(config: ExperimentConfig, method: MethodSpec, train: AgentPool,
     """Fit ``method`` and write its model to ``models/<name>.json``; returns
     the model :func:`sample_method` takes: a VAE network, a BN's DAG and
     CPTs, or the Gibbs chain's resolved settings, seed included."""
-    params = method.params
     rng_fit = _method_stream(config, method, "fit")
     (out / "models").mkdir(parents=True, exist_ok=True)
     path = out / "models" / f"{method.name}.json"
+
+    def param(key: str, default, need: str = "an integer"):
+        """``params[key]``, which must be ``need``, else ``default``."""
+        if key not in method.params:
+            return default
+        return expect(method.params[key], need, f"method {method.name!r}: {key}")
+
     if method.kind == "vae":
         enc_train = encode_pool(train)
         enc_val = encode_pool(validation, standardization=enc_train.standardization)
+        hidden_options = param("hidden_options", None, "a list of integer lists")
         train_config = vae.TrainConfig(
-            epochs=params.get("epochs", 100),
-            batch_size=params.get("batch_size", 64),
-            seed=params.get("seed", int(rng_fit.integers(2 ** 31))),
-            learning_rate=params.get("learning_rate", 0.001),
-            hidden_options=[tuple(h) for h in params["hidden_options"]]
-            if "hidden_options" in params else None,
-            latent_options=params.get("latent_options"),
-            beta_options=params.get("beta_options"),
-            selection_variables=params.get("selection_variables"),
-            selection_samples=params.get("selection_samples"),
-            harden=params.get("harden", "argmax"),
+            epochs=param("epochs", 100),
+            batch_size=param("batch_size", 64),
+            seed=param("seed", int(rng_fit.integers(2 ** 31))),
+            learning_rate=param("learning_rate", 0.001, "a number"),
+            hidden_options=None if hidden_options is None else [tuple(h) for h in hidden_options],
+            latent_options=param("latent_options", None, "a list of integers"),
+            beta_options=param("beta_options", None, "a list of numbers"),
+            selection_variables=param("selection_variables", None, "a list of names"),
+            selection_samples=param("selection_samples", None),
+            harden=param("harden", "argmax", "a string"),
         )
         train_config.grid()  # surface partial-grid errors before any training
         model = vae.build_vae(train.schema,
-                              tuple(params.get("hidden", (50,))),
-                              params.get("latent_dim", 10),
-                              params.get("beta", 0.5),
+                              tuple(param("hidden", (50,), "a list of integers")),
+                              param("latent_dim", 10),
+                              param("beta", 0.5, "a number"),
                               rng_fit)
         result = vae.train(model, enc_train, enc_val, train_config)
         vae.save_checkpoint(result.model, path, extra={
@@ -259,10 +272,10 @@ def train_method(config: ExperimentConfig, method: MethodSpec, train: AgentPool,
     if method.kind == "gibbs":
         chain = gibbs.chain_to_dict(gibbs.ChainConfig(
             target_count=config.generation_count,
-            warmup=params.get("warmup", 20000),
-            thinning=params.get("thinning", 20),
-            seed=params.get("seed", int(rng_fit.integers(2 ** 31))),
-            restart_on_unreachable=params.get("restart_on_unreachable", False),
+            warmup=param("warmup", 20000),
+            thinning=param("thinning", 20),
+            seed=param("seed", int(rng_fit.integers(2 ** 31))),
+            restart_on_unreachable=param("restart_on_unreachable", False, "true or false"),
         ))
         with open(path, "w") as fh:
             json.dump(chain, fh, indent=2)
@@ -271,16 +284,16 @@ def train_method(config: ExperimentConfig, method: MethodSpec, train: AgentPool,
     # must be categorical (numerics converted via bins)
     if train.schema.mode != "discretize-all":
         raise ConfigError("the bn method needs a discretize-all schema")
-    algorithm = params.get("algorithm", "tree")
+    algorithm = param("algorithm", "tree", "a string")
     codes = pool_to_codes(train)
     counts = train.schema.value_counts
     started = time.perf_counter()
     if algorithm == "tree":
         dag = bayesnet.chow_liu(codes, counts)
     elif algorithm == "greedy":
-        dag = bayesnet.greedy_search(codes, counts, max_parents=params.get("max_parents", 3))
+        dag = bayesnet.greedy_search(codes, counts, max_parents=param("max_parents", 3))
     elif algorithm == "exact":
-        dag = bayesnet.exact_search(codes, counts, max_vars=params.get("max_vars", 12))
+        dag = bayesnet.exact_search(codes, counts, max_vars=param("max_vars", 12))
     else:
         raise ConfigError(f"unknown BN algorithm {algorithm!r}")
     runtime = time.perf_counter() - started

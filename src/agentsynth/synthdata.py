@@ -21,7 +21,7 @@ import numpy as np
 
 from .bayesnet import CptSet, Dag, ancestral_sample
 from .dataset import AgentPool, Schema, VariableSpec, build_uniform_edges, codes_to_pool
-from .errors import ConfigError
+from .errors import ConfigError, expect
 
 GENERATOR_KINDS = ("latent-class", "bn-ground-truth", "toy-appendix-a")
 
@@ -70,12 +70,19 @@ class SyntheticGeneratorSpec:
 
 
 def spec_from_json(doc: dict) -> SyntheticGeneratorSpec:
+    """The generator a JSON object describes; a value of the wrong type is a
+    ConfigError, never coerced."""
     known = {f for f in SyntheticGeneratorSpec.__dataclass_fields__}
-    unknown = set(doc) - known
+    unknown = set(expect(doc, "an object", "data.synthetic")) - known
     if unknown:
         raise ConfigError(f"unknown generator parameters: {sorted(unknown)}")
     if "kind" not in doc or "size" not in doc:
         raise ConfigError("generator spec needs at least 'kind' and 'size'")
+    for key, value in doc.items():
+        need = {"kind": "a string", "dependence": "a number", "balanced": "true or false",
+                "category_width": "a list of integers" if isinstance(value, list)
+                else "an integer"}.get(key, "an integer")
+        expect(value, need, f"generator {key}")
     doc = dict(doc)
     if isinstance(doc.get("category_width"), list):
         doc["category_width"] = tuple(doc["category_width"])
@@ -117,30 +124,22 @@ def _latent_class_generate(spec: SyntheticGeneratorSpec) -> AgentPool:
         probs[np.arange(spec.n_classes), anchors] += s
         conditionals.append(probs)
     classes = rng.integers(0, spec.n_classes, size=spec.size)
-    codes = np.zeros((spec.size, spec.n_variables), dtype=np.int64)
+    # the numeric columns' codes are filled in from their values by AgentPool
+    codes = np.zeros((spec.size, spec.n_variables + spec.numeric_variables), dtype=np.int64)
     for j, probs in enumerate(conditionals):
         rows = probs[classes]
         cum = np.cumsum(rows, axis=1)
         codes[:, j] = np.minimum((rng.random((spec.size, 1)) * cum[:, -1:] > cum).sum(axis=1),
                                  widths[j] - 1)
     variables = list(_categorical_variables(widths))
-    columns = [codes[:, j] for j in range(spec.n_variables)]
     # optional class-conditional Gaussian numerics for mixed-mode runs
-    numeric_columns = []
+    numeric = np.empty((spec.size, spec.numeric_variables))
     for k in range(spec.numeric_variables):
         means = rng.uniform(-2.0, 2.0, size=spec.n_classes) * (1.0 + 2.0 * s)
-        column = rng.normal(means[classes], 1.0)
-        numeric_columns.append(column)
-    pool_rows = []
-    for r in range(spec.size):
-        row = [variables[j].categories[columns[j][r]] for j in range(spec.n_variables)]
-        row.extend(float(col[r]) for col in numeric_columns)
-        pool_rows.append(tuple(row))
-    for k, column in enumerate(numeric_columns):
-        edges = build_uniform_edges(column, spec.numeric_bins)
+        numeric[:, k] = rng.normal(means[classes], 1.0)
+        edges = build_uniform_edges(numeric[:, k], spec.numeric_bins)
         variables.append(VariableSpec(f"n{k:02d}", "numerical-cont", bin_edges=tuple(edges)))
-    schema = Schema(tuple(variables), "discretize-all")
-    return AgentPool(schema, tuple(pool_rows), "train")
+    return AgentPool(Schema(tuple(variables), "discretize-all"), codes, numeric, "train")
 
 
 def bn_ground_truth_model(spec: SyntheticGeneratorSpec) -> tuple[Dag, CptSet]:

@@ -490,21 +490,21 @@ def sample(model: VaeModel, count: int, rng_or_seed, harden: str = "argmax") -> 
         else np.random.default_rng(rng_or_seed)
     schema = model.schema
     blocks = schema_blocks(schema)
-    if count == 0:
-        return AgentPool(schema, (), "generated")
     z = rng.standard_normal((count, model.latent_dim))
     out = decode(model, z)
     if harden == "sample":
-        for block in blocks:
-            if block.kind != "one-hot":
-                continue
-            probs = out[:, block.start:block.stop]
-            cum = np.cumsum(probs, axis=1)
-            draws = (rng.random((count, 1)) * cum[:, -1:]) > cum
-            idx = draws.sum(axis=1)
-            hard = np.zeros_like(probs)
-            hard[np.arange(count), np.minimum(idx, probs.shape[1] - 1)] = 1.0
-            out[:, block.start:block.stop] = hard
+        # one uniform per row and softmax head, drawn head after head in
+        # schema order; row h of ``uniforms`` belongs to the h-th head
+        widths = [head.width for head in model.decoder.heads if head.kind == "softmax"]
+        uniforms = rng.random((len(widths), count))
+        for group in model.layout.groups:
+            heads = [h for h, width in enumerate(widths) if width == group.width]
+            shape = (count, group.count, group.width)
+            cum = np.cumsum(out[:, group.columns].reshape(shape), axis=2)
+            idx = ((uniforms[heads].T[:, :, None] * cum[:, :, -1:]) > cum).sum(axis=2)
+            hard = np.zeros(shape)
+            np.put_along_axis(hard, np.minimum(idx, group.width - 1)[:, :, None], 1.0, axis=2)
+            out[:, group.columns] = hard.reshape(count, -1)
     matrix = EncodedMatrix(out, blocks, dict(model.standardization), schema)
     return decode_rows(matrix, rng=rng)
 

@@ -18,7 +18,7 @@ def pool_from_codes(schema, codes, provenance="train"):
     rows = []
     for row in np.asarray(codes, dtype=int):
         rows.append(tuple(var.categories[c] for var, c in zip(schema.variables, row)))
-    return AgentPool(schema, tuple(rows), provenance)
+    return AgentPool.from_rows(schema, tuple(rows), provenance)
 
 
 def random_categorical_pool(rng, widths, n_rows, provenance="train"):
@@ -42,7 +42,7 @@ def toy_pool(n_each=500):
     """Balanced pool of the two prototypical agents (0,0) and (1,1)."""
     schema = toy_schema()
     rows = tuple([("0", "0")] * n_each + [("1", "1")] * n_each)
-    return AgentPool(schema, rows, "train")
+    return AgentPool.from_rows(schema, rows, "train")
 
 
 @pytest.fixture

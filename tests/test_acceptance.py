@@ -142,7 +142,7 @@ def test_c05_vae_gradient_check():
          rng.choice(["f", "m"]), float(rng.uniform(0, 100)))
         for _ in range(6)
     )
-    enc = encode_pool(AgentPool(schema, rows, "train"))
+    enc = encode_pool(AgentPool.from_rows(schema, rows, "train"))
     model = vae.build_vae(schema, (5,), 2, 0.5, rng)
     eps = rng.standard_normal((6, 2))
     _, enc_grads, dec_grads = vae.loss_and_grads(model, enc.values, eps)

@@ -60,7 +60,7 @@ class TestMarginalSample:
     def test_empty_pool_rejected(self):
         schema = categorical_schema([2])
         with pytest.raises(DataError):
-            fit_marginals(AgentPool(schema, (), "train"))
+            fit_marginals(AgentPool.from_rows(schema, (), "train"))
 
 
 class TestResampleTraining:
@@ -90,4 +90,4 @@ class TestResampleTraining:
     def test_empty_pool_rejected(self):
         schema = categorical_schema([2])
         with pytest.raises(DataError):
-            resample_training(AgentPool(schema, (), "train"), 10, 0)
+            resample_training(AgentPool.from_rows(schema, (), "train"), 10, 0)

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from agentsynth import cli
@@ -37,6 +38,42 @@ def _run_info(out):
     return json.loads((out / "run_info.json").read_text())
 
 
+def _numeric_bins_config(tmp_path, out_dir):
+    """Latent-class data with two numerical-cont variables in a
+    discretize-all schema: Gibbs, the BN and the VAE draw raw values
+    inside bins."""
+    path = _write_config(tmp_path, out_dir)
+    doc = json.loads(path.read_text())
+    doc["data"]["synthetic"]["numeric_variables"] = 2
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _mixed_csv_config(tmp_path, out_dir):
+    """A mixed-mode CSV with numerical-cont and numerical-int columns, fitted
+    by the VAE and Gibbs."""
+    rng = np.random.default_rng(3)
+    group = rng.integers(0, 3, size=500)
+    weight = rng.normal(group * 2.0, 1.0)
+    count = np.rint(rng.normal(10.0 + 3.0 * group, 2.0)).astype(int)
+    sex = np.where(rng.random(500) < 0.3 + 0.2 * group, "f", "m")
+    lines = ["cat,w,n,sex"] + [f"{'abc'[g]},{w!r},{c},{x}" for g, w, c, x
+                               in zip(group.tolist(), weight.tolist(), count.tolist(), sex)]
+    (tmp_path / "survey.csv").write_text("\n".join(lines) + "\n")
+    path = _write_config(tmp_path, out_dir, methods=[
+        {"name": "vae", "kind": "vae", "params": {"hidden": [6], "latent_dim": 2, "beta": 0.1,
+                                                  "epochs": 5, "batch_size": 32}},
+        {"name": "gibbs", "kind": "gibbs", "params": {"warmup": 40, "thinning": 2}}])
+    doc = json.loads(path.read_text())
+    doc["data"] = {"csv": str(tmp_path / "survey.csv"), "schema": {"mode": "mixed", "variables": [
+        {"name": "cat", "kind": "categorical", "categories": ["a", "b", "c"]},
+        {"name": "w", "kind": "numerical-cont", "bins": 4},
+        {"name": "n", "kind": "numerical-int", "bins": 3},
+        {"name": "sex", "kind": "binary", "categories": ["f", "m"]}]}}
+    path.write_text(json.dumps(doc))
+    return path
+
+
 class TestStagedFlow:
     def test_synth_prepare_train_sample_evaluate_report(self, tmp_path):
         out = tmp_path / "out"
@@ -60,11 +97,15 @@ class TestStagedFlow:
         assert main(["report", "--out", str(out)]) == 0
         assert (out / "report.csv").exists()
 
-    def test_staged_flow_matches_run(self, tmp_path):
+    @pytest.mark.parametrize("write_config", [_write_config, _numeric_bins_config,
+                                              _mixed_csv_config],
+                             ids=["categorical", "numeric-bins", "mixed-csv"])
+    def test_staged_flow_matches_run(self, tmp_path, write_config):
         staged, whole = tmp_path / "staged", tmp_path / "whole"
-        config = _write_config(tmp_path, staged)
+        config = write_config(tmp_path, staged)
+        methods = [m["name"] for m in json.loads(config.read_text())["methods"]]
         commands = [(["prepare"], "prepare")]
-        for method in ("vae", "gibbs", "bn"):
+        for method in methods:
             commands += [(["train", "--method", method], f"train:{method}"),
                          (["sample", "--method", method], f"sample:{method}")]
         commands.append((["evaluate"], "evaluate"))
@@ -77,18 +118,19 @@ class TestStagedFlow:
         assert list(_run_info(whole)["timings_seconds"]) == \
             [key for _, key in commands] + ["scatter-and-pca"]
         same = ["data/train.csv", "data/validation.csv", "data/test.csv",
-                "pools/vae.csv", "pools/gibbs.csv", "pools/bn.csv",
-                "report.json", "report.csv",
-                "models/vae.json", "models/vae-training-log.csv",
-                "models/gibbs.json", "models/gibbs-diagnostics.json"]
+                "report.json", "report.csv", "models/vae-training-log.csv",
+                "models/gibbs-diagnostics.json"]
+        same += [f"pools/{m}.csv" for m in methods] + [f"models/{m}.json" for m in methods
+                                                      if m != "bn"]
         for name in same:
             assert (staged / name).read_bytes() == (whole / name).read_bytes(), name
-        # BN models also record the structure search's wall-clock time
-        staged_bn, whole_bn = (json.loads((out / "models" / "bn.json").read_text())
-                               for out in (staged, whole))
-        assert staged_bn.pop("runtime_seconds") is not None
-        assert whole_bn.pop("runtime_seconds") is not None
-        assert staged_bn == whole_bn
+        if "bn" in methods:
+            # BN models also record the structure search's wall-clock time
+            staged_bn, whole_bn = (json.loads((out / "models" / "bn.json").read_text())
+                                   for out in (staged, whole))
+            assert staged_bn.pop("runtime_seconds") is not None
+            assert whole_bn.pop("runtime_seconds") is not None
+            assert staged_bn == whole_bn
         metadata = json.loads((staged / "report.json").read_text())["metadata"]
         assert metadata["sizes"] == {"train": 150, "validation": 50, "test": 300}
 
@@ -125,7 +167,78 @@ class TestStagedFlow:
         assert doc["mdl_score"] == mdl_score(dag, codes, schema.value_counts)
 
 
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("command, path, value, message", [
+        ("prepare", ("seed",), "abc", "seed must be an integer"),
+        ("prepare", ("seed",), 2.7, "seed must be an integer"),
+        ("prepare", ("seed",), True, "seed must be an integer, got True"),
+        ("prepare", ("split", "train_frac"), None, "split.train_frac must be a number"),
+        ("prepare", ("split", "train_frac"), "0.2", "split.train_frac must be a number"),
+        ("prepare", ("methods",), "vae", "methods must be a list"),
+        ("prepare", ("data",), [], "data must be an object"),
+        ("prepare", ("data", "synthetic", "size"), "400", "generator size must be an integer"),
+        ("prepare", ("data", "synthetic", "size"), 400.5, "generator size must be an integer"),
+        ("prepare", ("generation_count",), 10.5, "generation_count must be an integer"),
+        ("prepare", ("generation_count",), "50", "generation_count must be an integer"),
+        ("prepare", ("projection",), "x00", "projection must be a list of names"),
+        ("prepare", ("data",), {"csv": 5, "schema": {"variables": []}},
+         "data.csv must be a string"),
+        ("prepare", ("out_dir",), 7, "out_dir must be a string"),
+        ("run", ("methods", 0, "params", "epochs"), "3",
+         "method 'vae': epochs must be an integer"),
+        ("run", ("methods", 0, "params", "hidden"), 8,
+         "method 'vae': hidden must be a list of integers"),
+        ("run", ("methods", 1, "params", "warmup"), "5",
+         "method 'gibbs': warmup must be an integer"),
+        ("run", ("methods", 2, "params"), {"algorithm": "greedy", "max_parents": "2"},
+         "method 'bn': max_parents must be an integer"),
+    ])
+    def test_value_of_the_wrong_type_is_config_error(self, tmp_path, capsys, command, path,
+                                                     value, message):
+        config = _write_config(tmp_path, tmp_path / "o")
+        doc = json.loads(config.read_text())
+        _set(doc, path, value)
+        config.write_text(json.dumps(doc))
+        assert main([command, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and message in err, err
+
+    @pytest.mark.parametrize("variables, cell, message", [
+        ({"w": {"kind": "numerical-cont"}}, "2.5", "schema 'variables' must be a list"),
+        ([{"name": "w", "kind": "numerical-cont", "bin_edges": [0, "x", 3]}], "2.5",
+         "'w': bin_edges must be a list of numbers"),
+        ([{"name": "w", "kind": "numerical-cont", "bin_edges": [0, 1, float("inf")]}], "0.5",
+         "'w': bin edges must be finite"),
+        ([{"name": "w", "kind": "numerical-cont", "bins": 2.5}], "2.5",
+         "'w': bins must be an integer, got 2.5"),
+        ([{"name": "w", "kind": "numerical-cont", "bins": "4"}], "2.5",
+         "'w': bins must be an integer, got '4'"),
+        ([{"name": "w", "kind": "numerical-cont", "bins": True}], "2.5",
+         "'w': bins must be an integer, got True"),
+        ([{"name": "w", "kind": "numerical-cont", "bins": 2}], "nan",
+         "data.csv:3: column 'w' declares a bin count and holds 'nan'"),
+        ([{"name": "w", "kind": "numerical-cont", "bins": 2}], "-inf",
+         "data.csv:3: column 'w' declares a bin count and holds '-inf'"),
+    ])
+    def test_bad_schema_value_is_data_error(self, tmp_path, capsys, variables, cell, message):
+        (tmp_path / "data.csv").write_text(f"w,sex\n1.5,f\n{cell},m\n0.5,f\n2.0,m\n")
+        if isinstance(variables, list):
+            variables = variables + [{"name": "sex", "kind": "binary", "categories": ["f", "m"]}]
+        path = _write_config(tmp_path, tmp_path / "o", methods=[])
+        doc = json.loads(path.read_text())
+        doc["data"] = {"csv": str(tmp_path / "data.csv"),
+                       "schema": {"mode": "discretize-all", "variables": variables}}
+        path.write_text(json.dumps(doc))
+        assert main(["prepare", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and message in err, err
+
     def test_missing_config_is_config_error(self):
         assert main(["run"]) == 2
 

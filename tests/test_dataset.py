@@ -2,6 +2,7 @@
 
 import csv
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -99,7 +100,7 @@ class TestOneHotEncode:
         var = VariableSpec("HousehNumPers", "categorical",
                            categories=("1", "2", "3", "4", "5+"))
         schema = Schema((var,), "discretize-all")
-        pool = AgentPool(schema, (("2",),), "train")
+        pool = AgentPool.from_rows(schema, (("2",),), "train")
         enc = encode_pool(pool)
         assert enc.values.tolist() == [[0.0, 1.0, 0.0, 0.0, 0.0]]
 
@@ -127,12 +128,8 @@ class TestOneHotEncode:
 
     def test_unknown_category_raises(self):
         schema = categorical_schema([3])
-        pool = AgentPool.__new__(AgentPool)
-        object.__setattr__(pool, "schema", schema)
-        object.__setattr__(pool, "rows", (("weird",),))
-        object.__setattr__(pool, "provenance", "train")
-        with pytest.raises(DataError, match="unknown category"):
-            encode_pool(pool)
+        with pytest.raises(DataError, match="unknown category 'weird'"):
+            encode_pool(AgentPool.from_rows(schema, (("weird",),)))
 
 
 class TestMixedEncoding:
@@ -148,7 +145,7 @@ class TestMixedEncoding:
         rows = tuple(
             (float(rng.uniform(0, 100)), rng.choice(["f", "m"])) for _ in range(n)
         )
-        return AgentPool(schema, rows, "train")
+        return AgentPool.from_rows(schema, rows, "train")
 
     def test_train_standardization_is_zero_mean_unit_std(self, rng):
         pool = self._mixed_pool(rng)
@@ -187,7 +184,7 @@ class TestMixedEncoding:
              VariableSpec("c", "binary", categories=("a", "b"))),
             "mixed",
         )
-        pool = AgentPool(schema, ((1.0, "a"), (1.0, "b")), "train")
+        pool = AgentPool.from_rows(schema, ((1.0, "a"), (1.0, "b")), "train")
         with pytest.raises(DataError, match="degenerate"):
             encode_pool(pool)
 
@@ -380,7 +377,7 @@ def _reference_codes_to_pool(codes, schema, rng):
             _reference_bin_value(var, int(codes[r, j]), rng) if var.is_numerical
             else var.categories[int(codes[r, j])]
             for j, var in enumerate(schema.variables)))
-    return AgentPool(schema, tuple(rows), "generated")
+    return AgentPool.from_rows(schema, tuple(rows), "generated")
 
 
 def _random_codes(rng, schema, n_rows):
@@ -428,15 +425,7 @@ class TestRowMaterialization:
         path = tmp_path / "pool.csv"
         write_pool_csv(pool, path)
         expected = tmp_path / "expected.csv"
-        with open(expected, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            extra = ["provenance"] if provenance == "generated" else []
-            writer.writerow(list(schema.names) + extra)
-            for row in pool.rows:
-                writer.writerow([str(int(v)) if var.kind == "numerical-int"
-                                 else repr(float(v)) if var.kind == "numerical-cont"
-                                 else str(v) for var, v in zip(schema.variables, row)]
-                                + ([provenance] if extra else []))
+        _reference_write_pool_csv(pool, expected)
         assert path.read_bytes() == expected.read_bytes()
         assert read_pool_csv(path, schema, provenance=provenance).rows == pool.rows
 
@@ -506,8 +495,8 @@ class TestRowToCodeLookup:
         pool = codes_to_pool(codes, schema, rng=np.random.default_rng(13))
         # values on the outer edges: the last bin is closed on the right
         if n_rows:
-            pool = AgentPool(schema, pool.rows + (("m", 12.0, "w", 8.0, 5),
-                                                  ("f", 0.0, "n", -3.0, 0)), "train")
+            pool = AgentPool.from_rows(schema, pool.rows + (("m", 12.0, "w", 8.0, 5),
+                                                            ("f", 0.0, "n", -3.0, 0)), "train")
         np.testing.assert_array_equal(pool_to_codes(pool), _reference_pool_to_codes(pool))
         np.testing.assert_array_equal(pool_to_codes(pool, clamp=True),
                                       _reference_pool_to_codes(pool, clamp=True))
@@ -538,21 +527,25 @@ class TestRowToCodeLookup:
         rows = [list(row) for row in codes_to_pool(codes, schema, rng=np.random.default_rng(16)).rows]
         for r, j, value in bad:
             rows[r][j] = value
-        pool = AgentPool(schema, tuple(map(tuple, rows)), "generated")
-        expected = _error_of(_reference_pool_to_codes, pool)
-        assert _error_of(pool_to_codes, pool) == expected
-        assert _error_of(encode_pool, pool) == expected
-        mixed = AgentPool(_mixed_mode(schema), pool.rows, "generated")
+        rows = tuple(map(tuple, rows))
+        # the references read raw records; an unknown category already
+        # stops AgentPool.from_rows
+        expected = _error_of(_reference_pool_to_codes, SimpleNamespace(schema=schema, rows=rows))
+        pool = lambda schema: AgentPool.from_rows(schema, rows, "generated")
+        assert _error_of(lambda: pool_to_codes(pool(schema))) == expected
+        assert _error_of(lambda: encode_pool(pool(schema))) == expected
+        mixed = _mixed_mode(schema)
         categorical = [j for j, var in enumerate(schema.variables) if not var.is_numerical]
         if any(j in categorical for _, j, _ in bad):
-            assert _error_of(encode_pool, mixed) == _error_of(_reference_encode_pool, mixed)
+            assert _error_of(lambda: encode_pool(pool(mixed))) == _error_of(
+                _reference_encode_pool, SimpleNamespace(schema=mixed, rows=rows))
         else:
             # mixed mode keeps numerics continuous: nothing is out of range
-            encode_pool(mixed)
+            encode_pool(pool(mixed))
 
     def test_nan_is_out_of_range(self):
         schema = _mixed_schema()
-        pool = AgentPool(schema, (("m", float("nan"), "w", 8.0, 5),), "generated")
+        pool = AgentPool.from_rows(schema, (("m", float("nan"), "w", 8.0, 5),), "generated")
         with pytest.raises(DataError, match="'age': value nan outside"):
             pool_to_codes(pool)
 
@@ -582,3 +575,150 @@ class TestRowToCodeLookup:
         assert decoded.rows == tuple(zip(*columns))
         assert [type(v) for row in decoded.rows for v in row] == \
             [type(v) for row in zip(*columns) for v in row]
+
+
+# ---------------------------------------------------------------------------
+# the column-wise CSV reader and writer against the row-by-row ones they replaced
+
+
+def _reference_read_pool_csv(path, schema, provenance="train"):
+    """Rows parsed cell by cell, then validated variable by variable, as the
+    row-by-row reader did; a defect raises the DataError it raised."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        rows = []
+        for line_no, cells in enumerate(reader, start=2):
+            if len(cells) < schema.n_variables:
+                raise DataError(
+                    f"{path}:{line_no}: expected {schema.n_variables} cells, got {len(cells)}")
+            row = []
+            for var, cell in zip(schema.variables, cells):
+                if cell == "":
+                    raise DataError(f"{path}:{line_no}: missing value for {var.name!r}")
+                try:
+                    if var.kind == "numerical-int":
+                        value = float(cell)
+                        if not value.is_integer():
+                            raise ValueError(cell)
+                        row.append(int(value))
+                    else:
+                        row.append(float(cell) if var.kind == "numerical-cont" else cell)
+                except ValueError:
+                    need = "an integer" if var.kind == "numerical-int" else "a number"
+                    raise DataError(f"{path}:{line_no}: {var.name!r} needs {need}, "
+                                    f"got {cell!r}") from None
+            rows.append(tuple(row))
+    for j, var in enumerate(schema.variables):
+        for row in rows:
+            value = row[j]
+            if not var.is_numerical:
+                if value not in var.categories:
+                    raise DataError(f"variable {var.name!r}: unknown category {value!r}")
+                continue
+            lo, hi = var.bin_edges[0], var.bin_edges[-1]
+            if not math.isfinite(value):
+                raise DataError(f"variable {var.name!r}: missing or non-finite value {value!r}")
+            if provenance != "generated" and not lo <= value <= hi:
+                raise DataError(f"variable {var.name!r}: value {value!r} outside [{lo}, {hi}]")
+    return tuple(rows)
+
+
+def _reference_write_pool_csv(pool, path):
+    """The row-by-row writer: each value formatted on its own."""
+    extra = ["provenance"] if pool.provenance == "generated" else []
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(pool.schema.names) + extra)
+        for row in pool.rows:
+            writer.writerow([str(int(v)) if var.kind == "numerical-int"
+                             else repr(float(v)) if var.kind == "numerical-cont"
+                             else str(v) for var, v in zip(pool.schema.variables, row)]
+                            + [pool.provenance] * len(extra))
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+class TestColumnarCsv:
+    # (row, column, cell) edits of a valid 12-row file of _mixed_schema();
+    # (row, None, None) cuts that row short
+    @pytest.mark.parametrize("defects", [
+        [(4, None, None)],
+        [(3, 2, "")],
+        [(5, 1, "3.5")],
+        [(2, 3, "abc")],
+        [(6, 3, "nan")],
+        [(7, 2, "north")],
+        [(1, 4, "9")],
+        [(8, 1, "x"), (3, 3, "12.5e")],
+        [(3, 4, "x"), (3, 1, "")],
+        [(2, 2, "zz"), (5, 1, "99")],
+        [(6, 0, "q"), (2, None, None)],
+        [(7, None, None), (3, 4, "1.5")],
+        [(4, 3, "inf"), (1, 1, "-1")],
+        [(9, 0, "m "), (10, 3, "1e9")],
+    ], ids=["short-row", "empty-cell", "non-integer-int", "non-number-cont", "nan",
+            "unknown-category", "out-of-range", "two-parse-errors", "same-row-parse-errors",
+            "category-and-range", "category-and-short-row", "short-row-after-parse-error",
+            "inf-and-range", "space-and-overshoot"])
+    @pytest.mark.parametrize("provenance", ["train", "generated"])
+    def test_defects_match_row_by_row_reader(self, tmp_path, defects, provenance):
+        schema = _mixed_schema()
+        pool = codes_to_pool(_random_codes(np.random.default_rng(21), schema, 12), schema,
+                             rng=np.random.default_rng(22))
+        path = tmp_path / "pool.csv"
+        write_pool_csv(pool, path)
+        lines = path.read_text().splitlines()
+        for row, column, cell in defects:
+            cells = lines[row + 1].split(",")
+            if column is None:
+                cells = cells[:3]
+            else:
+                cells[column] = cell
+            lines[row + 1] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        expected = _outcome(_reference_read_pool_csv, path, schema, provenance)
+        actual = _outcome(lambda: read_pool_csv(path, schema, provenance=provenance).rows)
+        assert actual == expected
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 60])
+    @pytest.mark.parametrize("provenance", ["train", "generated"])
+    @pytest.mark.parametrize("mode", ["discretize-all", "mixed"])
+    def test_round_trip_every_kind(self, tmp_path, mode, provenance, n_rows):
+        schema = Schema(_mixed_schema().variables, mode)
+        pool = codes_to_pool(_random_codes(np.random.default_rng(23), schema, n_rows), schema,
+                             provenance, rng=np.random.default_rng(24))
+        if provenance == "generated" and n_rows:
+            # generated values may overshoot the outermost edges
+            pool = AgentPool.from_rows(schema, pool.rows + (("m", 13, "w", 9.5, -1),),
+                                       provenance)
+        path, expected = tmp_path / "pool.csv", tmp_path / "expected.csv"
+        write_pool_csv(pool, path)
+        _reference_write_pool_csv(pool, expected)
+        assert path.read_bytes() == expected.read_bytes()
+        back = read_pool_csv(path, schema, provenance=provenance)
+        assert back.rows == pool.rows == _reference_read_pool_csv(path, schema, provenance)
+        assert [type(v) for row in back.rows for v in row] == \
+            [type(v) for row in pool.rows for v in row]
+        np.testing.assert_array_equal(back.codes, pool.codes)
+        np.testing.assert_array_equal(back.numeric, pool.numeric)
+        assert (back.provenance, len(back)) == (provenance, len(pool))
+
+    def test_ingest_reads_the_file_once(self, tmp_path, monkeypatch):
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text("age,sex\n10,f\n20,m\n30,f\n50,m\n")
+        doc = {"mode": "discretize-all", "variables": [
+            {"name": "age", "kind": "numerical-int", "bins": 4},
+            {"name": "sex", "kind": "binary", "categories": ["f", "m"]}]}
+        opened = []
+        real_open = open
+        monkeypatch.setattr("builtins.open", lambda *a, **k: opened.append(a[0]) or
+                            real_open(*a, **k))
+        pool = ingest_csv(csv_path, doc)
+        assert opened == [csv_path]
+        assert pool.rows == ((10, "f"), (20, "m"), (30, "f"), (50, "m"))

@@ -50,7 +50,7 @@ class TestEstimateConditionals:
     def test_empty_pool_rejected(self):
         schema = categorical_schema([2, 2])
         with pytest.raises(DataError):
-            estimate_conditionals(AgentPool(schema, (), "train"))
+            estimate_conditionals(AgentPool.from_rows(schema, (), "train"))
 
 
 class TopDrawRng:
@@ -128,7 +128,7 @@ def reference_chain(tables, train, config):
     if config.init == "random-from-train":
         row = training_row()
     else:
-        single = AgentPool(schema, (tuple(config.init),), "train")
+        single = AgentPool.from_rows(schema, (tuple(config.init),), "train")
         row = tuple(int(v) for v in pool_to_codes(single)[0])
     kept = []
     for scan in range(1, config.warmup + config.thinning * config.target_count + 1):
@@ -152,7 +152,8 @@ def _pool_with_numeric(rng, widths, n_rows):
     schema = Schema(schema.variables + (age,), "discretize-all")
     cats = random_categorical_pool(rng, widths, n_rows)
     ages = rng.uniform(0.0, 3.0, size=n_rows)
-    return AgentPool(schema, tuple(r + (float(a),) for r, a in zip(cats.rows, ages)), "train")
+    return AgentPool.from_rows(schema, tuple(r + (float(a),) for r, a in zip(cats.rows, ages)),
+                               "train")
 
 
 def _row_outside(pool, rng):
@@ -195,7 +196,7 @@ class TestRunChainMatchesReference:
         # tables from a larger pool lead outside the chain's training rows,
         # so the chain runs on the tables alone
         pool = random_categorical_pool(rng, [3, 3, 2], 80)
-        train = AgentPool(pool.schema, pool.rows[:10], "train")
+        train = AgentPool.from_rows(pool.schema, pool.rows[:10], "train")
         tables = estimate_conditionals(pool)
         assert ContextGroups.from_codes(pool_to_codes(train)).transitions(tables) is None
         config = ChainConfig(target_count=50, warmup=5, thinning=2, seed=3)

@@ -290,14 +290,14 @@ class TestNearestSampleStats:
         base = pool.rows[0]
         flipped = (schema.variables[0].categories[1],) + base[1:]
         from agentsynth.dataset import AgentPool
-        gen = AgentPool(schema, (flipped,), "generated")
+        gen = AgentPool.from_rows(schema, (flipped,), "generated")
         stats = nearest_sample_stats(gen, pool)
         assert abs(stats.mu_ns - np.sqrt(2 / n_cols)) < 1e-12
 
     def test_empty_training_pool_rejected(self, rng):
         from agentsynth.dataset import AgentPool
         pool = random_categorical_pool(rng, [2, 2], 5)
-        empty = AgentPool(pool.schema, (), "train")
+        empty = AgentPool.from_rows(pool.schema, (), "train")
         with pytest.raises(DataError):
             nearest_sample_stats(pool.with_provenance("generated"), empty)
 
@@ -372,12 +372,13 @@ def _mixed_pool(rng, schema, n, provenance="train", constant_categories=False, c
             codes = np.zeros(n, dtype=int) if constant_categories \
                 else rng.integers(0, var.n_values, size=n)
             columns.append([var.categories[c] for c in codes])
-    return AgentPool(schema, tuple(zip(*columns)), provenance)
+    return AgentPool.from_rows(schema, tuple(zip(*columns)), provenance)
 
 
 def _with_copies(rng, pool, source, n, provenance):
     picks = rng.integers(0, len(source), size=n)
-    return AgentPool(pool.schema, pool.rows + tuple(source.rows[i] for i in picks), provenance)
+    return AgentPool.from_rows(pool.schema, pool.rows + tuple(source.rows[i] for i in picks),
+                               provenance)
 
 
 def _mixed_case(case, seed):
@@ -393,13 +394,13 @@ def _mixed_case(case, seed):
     train = _with_copies(rng, train, train, 10, "train")  # duplicates in the reference
     fresh = _mixed_pool(rng, schema, 40, "generated", constant_categories=one_tuple)
     if case == "exact-copies":
-        return _with_copies(rng, AgentPool(schema, (), "generated"), train, 60, "generated"), \
-            train, None
+        empty = AgentPool.from_rows(schema, (), "generated")
+        return _with_copies(rng, empty, train, 60, "generated"), train, None
     generated = _with_copies(rng, fresh, train, 20, "generated")
     generated = _with_copies(rng, generated, generated, 20, "generated")
     if case == "one-row":
         # a single row has no spread of its own: standardize with other rows
-        return generated, AgentPool(schema, train.rows[:1], "train"), \
+        return generated, AgentPool.from_rows(schema, train.rows[:1], "train"), \
             encode_pool(train).standardization
     return generated, train, None
 
@@ -462,8 +463,8 @@ class TestHammingNearestSample:
         # half the generated rows copy training rows, so exact zeros occur
         fresh = random_categorical_pool(rng, widths, 60)
         copies = rng.integers(0, len(train), size=60)
-        generated = AgentPool(train.schema, fresh.rows + tuple(train.rows[i] for i in copies),
-                              "generated")
+        generated = AgentPool.from_rows(
+            train.schema, fresh.rows + tuple(train.rows[i] for i in copies), "generated")
         fast = nearest_sample_stats(generated, train)
         assert fast == _gram_oracle(generated, train)
         codes = nearest_sample_stats(pool_to_codes(generated), pool_to_codes(train),
@@ -484,14 +485,16 @@ class TestHammingNearestSample:
         # 4**32 bins do not fit one int64 key per row
         widths = (4,) * 32
         train = random_categorical_pool(rng, widths, 30)
-        generated = AgentPool(train.schema, random_categorical_pool(rng, widths, 20).rows
-                              + train.rows[:10], "generated")
+        generated = AgentPool.from_rows(
+            train.schema, random_categorical_pool(rng, widths, 20).rows + train.rows[:10],
+            "generated")
         assert nearest_sample_stats(generated, train) == _gram_oracle(generated, train)
 
     def test_pure_replicator_is_exactly_zero(self, rng):
         train = random_categorical_pool(rng, [3, 4, 2, 5], 40)
         picks = rng.integers(0, 40, size=500)
-        generated = AgentPool(train.schema, tuple(train.rows[i] for i in picks), "generated")
+        generated = AgentPool.from_rows(train.schema, tuple(train.rows[i] for i in picks),
+                                        "generated")
         stats = nearest_sample_stats(generated, train)
         assert (stats.mu_ns, stats.sigma_ns) == (0.0, 0.0)
 
@@ -642,10 +645,10 @@ class TestEvaluate:
             np.column_stack([rng.integers(0, w, size=n) for w in schema.value_counts]),
             schema, rng=rng)
         test, train, gen = make(80).with_provenance("test"), make(40), make(60)
-        over = AgentPool(schema, tuple((a, b + 10.0, c, d) for a, b, c, d in gen.rows),
-                         "generated")
-        clamped = AgentPool(schema, tuple((a, 4.0, c, d) for a, b, c, d in gen.rows),
-                            "generated")
+        over = AgentPool.from_rows(
+            schema, tuple((a, b + 10.0, c, d) for a, b, c, d in gen.rows), "generated")
+        clamped = AgentPool.from_rows(
+            schema, tuple((a, 4.0, c, d) for a, b, c, d in gen.rows), "generated")
         report = evaluate({"over": over, "clamped": clamped}, test, train)
         assert report.rows["over"] == report.rows["clamped"]
 

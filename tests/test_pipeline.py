@@ -119,7 +119,7 @@ class TestRunPipeline:
         rng = np.random.default_rng(0)
         rows = tuple((float(rng.uniform(0, 2)), "a" if rng.random() < 0.5 else "b")
                      for _ in range(20))
-        pool = AgentPool(schema, rows, "train")
+        pool = AgentPool.from_rows(schema, rows, "train")
         method = MethodSpec("bn", "bn")
         config = _small_config(tmp_path, methods=[method])
         with pytest.raises(ConfigError, match="discretize-all"):

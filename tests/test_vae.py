@@ -5,9 +5,12 @@ import pytest
 
 from agentsynth.dataset import (
     AgentPool,
+    EncodedMatrix,
     Schema,
     VariableSpec,
+    decode_rows,
     encode_pool,
+    schema_blocks,
 )
 from agentsynth import vae as vae_module
 from agentsynth.errors import ConfigError, DataError, DivergenceError, SchemaError
@@ -63,7 +66,7 @@ def _mixed_pool(rng, n=64):
          rng.choice(["f", "m"]), float(rng.uniform(0, 100)))
         for _ in range(n)
     )
-    return AgentPool(schema, rows, "train")
+    return AgentPool.from_rows(schema, rows, "train")
 
 
 class TestEncode:
@@ -208,7 +211,7 @@ class TestTrain:
     def test_overfits_single_repeated_row(self, rng):
         schema = categorical_schema([3, 4, 2])
         row = ("c1", "c3", "c0")
-        pool = AgentPool(schema, (row,) * 32, "train")
+        pool = AgentPool.from_rows(schema, (row,) * 32, "train")
         enc = encode_pool(pool)
         model = build_vae(schema, (8,), 2, 0.01, rng)
         eps0 = np.zeros((32, 2))
@@ -284,6 +287,43 @@ class TestSample:
         seen = {row[0] for row in pool.rows}
         assert seen <= {"c0", "c1", "c2"}
         assert len(seen) > 1  # softmax draws spread over categories
+
+
+def _reference_sample_hardened(model, count, seed):
+    """Softmax hardening one one-hot block at a time, as vae.sample did
+    before it drew every head of one width at once."""
+    rng = np.random.default_rng(seed)
+    blocks = schema_blocks(model.schema)
+    out = decode(model, rng.standard_normal((count, model.latent_dim)))
+    for block in blocks:
+        if block.kind != "one-hot":
+            continue
+        probs = out[:, block.start:block.stop]
+        cum = np.cumsum(probs, axis=1)
+        idx = ((rng.random((count, 1)) * cum[:, -1:]) > cum).sum(axis=1)
+        hard = np.zeros_like(probs)
+        hard[np.arange(count), np.minimum(idx, probs.shape[1] - 1)] = 1.0
+        out[:, block.start:block.stop] = hard
+    matrix = EncodedMatrix(out, blocks, dict(model.standardization), model.schema)
+    return decode_rows(matrix, rng=rng), rng
+
+
+class TestGroupedHardening:
+    @pytest.mark.parametrize("mode", ["mixed", "discretize-all"])
+    def test_matches_per_block_reference(self, rng, mode):
+        # heads of widths 3 and 2 interleave; in discretize-all mode the two
+        # numerics add width-2 heads between them
+        schema = Schema(_interleaved_schema().variables, mode)
+        train_pool = AgentPool.from_rows(schema, _interleaved_pool(rng, 40).rows)
+        model = build_vae(schema, (5,), 3, 1.0, rng)
+        model.standardization = dict(encode_pool(train_pool).standardization)
+        slow, slow_rng = _reference_sample_hardened(model, 300, 31)
+        fast_rng = np.random.default_rng(31)
+        fast = sample(model, 300, fast_rng, harden="sample")
+        assert fast.rows == slow.rows
+        np.testing.assert_array_equal(fast.codes, slow.codes)
+        assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+        assert len({row[0] for row in fast.rows}) > 1  # the draws spread
 
 
 class TestCheckpoint:
@@ -368,7 +408,7 @@ def _interleaved_pool(rng, n):
          rng.choice(["f", "m"]), float(rng.uniform(0, 100)), rng.choice(["p", "q", "r"]),
          rng.choice(["n", "y"]))
         for _ in range(n))
-    return AgentPool(_interleaved_schema(), rows, "train")
+    return AgentPool.from_rows(_interleaved_schema(), rows, "train")
 
 
 def _assert_close(actual, expected, rtol=1e-12):
