@@ -15,11 +15,11 @@ training rows; for each variable every unique row belongs to a context
 group (the rows equal to it on all other variables), and one update is a
 bisection into the group's cumulative conditional that lands directly on
 the next row index. The tables passed in define those conditionals, so the
-chain samples exactly the tables it is given; when they give positive
-probability to a row outside the training rows, or lack a training row's
-context, the chain falls back to :func:`gibbs_step`, the table-lookup
-reference. A start that is not a training row, and every restart, also go
-through the reference step. The context groups also give the probability
+chain samples exactly the tables it is given. The start must be a training
+row, and the tables must hold every training row's context and give
+positive probability only to training rows; anything else is a DataError.
+:func:`gibbs_step`, one scan by table lookup, is the reference the index
+chain is tested against. The context groups also give the probability
 islands: connected components of the unique training rows, two rows being
 linked when they share a context group. Diagnostics report how many
 islands there are and how many rows the chain's starting island holds.
@@ -39,7 +39,7 @@ import numpy as np
 from .dataset import AgentPool, codes_to_pool, pool_to_codes
 from .errors import ConfigError, DataError, UnreachableContextError
 
-# Uniforms drawn per generator call on the index path. Drawing the whole
+# Uniforms drawn per generator call in the chain. Drawing the whole
 # chain's uniforms at once would hold about a million Python floats.
 UNIFORM_BLOCK = 65536
 
@@ -59,7 +59,6 @@ class ChainConfig:
     thinning: int = 20
     init: str | tuple = "random-from-train"
     seed: int = 0
-    restart_on_unreachable: bool = False
 
     def __post_init__(self):
         if self.warmup < 0:
@@ -206,14 +205,15 @@ def gibbs_step(row: tuple, tables: list[ConditionalTable],
     return tuple(current)
 
 
-def _run_on_index(layout, row: int, scan: int, config: ChainConfig,
+def _run_on_index(layout, row: int, config: ChainConfig,
                   rng: np.random.Generator) -> list[int]:
-    """Continue a chain at unique row ``row`` after ``scan`` scans; return
-    the unique rows kept. Uniforms come in blocks of whole scans, in the
-    order single draws per update would take them."""
+    """Run a chain from unique row ``row``; return the unique rows kept.
+    Uniforms come in blocks of whole scans, in the order single draws per
+    update would take them."""
     total = config.warmup + config.thinning * config.target_count
     per_block = max(1, UNIFORM_BLOCK // len(layout))
     kept = []
+    scan = 0
     while scan < total:
         n_scans = min(per_block, total - scan)
         draws = iter(rng.random(n_scans * len(layout)).tolist())
@@ -226,77 +226,45 @@ def _run_on_index(layout, row: int, scan: int, config: ChainConfig,
     return kept
 
 
-def run_chain(tables: list[ConditionalTable], train: AgentPool, config: ChainConfig,
-              step_fn=None) -> tuple[AgentPool, dict]:
-    """Run one chain: warm up, then keep every ``thinning``-th state until
-    ``target_count`` rows are emitted.
+def run_chain(tables: list[ConditionalTable], train: AgentPool,
+              config: ChainConfig) -> tuple[AgentPool, dict]:
+    """Run one chain on the unique rows of ``train``: warm up, then keep
+    every ``thinning``-th state until ``target_count`` rows are emitted.
 
     Total iterations are warmup + thinning * target_count, each iteration
-    being one full-scan step. Diagnostics report iterations, restarts, the
-    number of distinct emitted rows, the number of probability islands in
-    the training rows, and the rows in the island of the first training row
-    the chain visits (None if it visits none). ``step_fn`` replaces the
-    scan for instrumentation (same (row, rng) -> row signature).
+    being one full-scan step. The start (``config.init``, or a random
+    training row) must be a training row, and ``tables`` must keep the
+    chain on the training rows (:meth:`ContextGroups.transitions`); either
+    failing is a DataError. Diagnostics report iterations, the number of
+    distinct emitted rows, the number of probability islands in the
+    training rows, and the rows in the island the chain starts on.
     """
+    if len(train) == 0:
+        raise DataError("a Gibbs chain needs a non-empty training pool")
     schema = train.schema
     rng = np.random.default_rng(config.seed)
-    train_codes = pool_to_codes(train) if len(train) else None
+    train_codes = pool_to_codes(train)
+    index = ContextGroups.from_codes(train_codes)
     if config.init == "random-from-train":
-        if train_codes is None:
-            raise DataError("random-from-train initialization needs a non-empty pool")
-        row = tuple(int(v) for v in train_codes[rng.integers(len(train))])
+        row = train_codes[rng.integers(len(train))]
     else:
-        single = AgentPool.from_rows(schema, [tuple(config.init)], "train")
-        row = tuple(int(v) for v in pool_to_codes(single)[0])
-
-    if train_codes is None:
-        index, position = None, {}
-    else:
-        index = ContextGroups.from_codes(train_codes)
-        position = {row: k for k, row in enumerate(map(tuple, index.rows.tolist()))}
-    layout = None
-    if step_fn is None:
-        layout = index.transitions(tables) if index is not None else None
-
-        def step_fn(current, rng):
-            return gibbs_step(current, tables, rng)
-
-    iterations = 0
-    restarts = 0
-
-    def advance(current):
-        nonlocal iterations, restarts
-        iterations += 1
-        try:
-            return step_fn(current, rng)
-        except UnreachableContextError:
-            if not config.restart_on_unreachable or train_codes is None:
-                raise
-            restarts += 1
-            return tuple(int(v) for v in train_codes[rng.integers(len(train))])
-
-    total = config.warmup + config.thinning * config.target_count
-    kept = []
-    start = position.get(row)
-    while iterations < total and (start is None or layout is None):
-        row = advance(row)
-        if iterations > config.warmup and (iterations - config.warmup) % config.thinning == 0:
-            kept.append(row)
-        if start is None:
-            start = position.get(row)
-    codes = np.asarray(kept, dtype=np.int64).reshape(len(kept), schema.n_variables)
-    if iterations < total:
-        on_index = _run_on_index(layout, start, iterations, config, rng)
-        iterations = total
-        codes = np.concatenate([codes, index.rows[on_index]])
-    pool = codes_to_pool(codes, schema, provenance="generated", rng=rng)
-    labels = index.island_labels() if index is not None else np.empty(0, dtype=np.int64)
+        row = pool_to_codes(AgentPool.from_rows(schema, [tuple(config.init)], "train"))[0]
+    matches = np.flatnonzero((index.rows == row).all(axis=1))
+    if len(matches) == 0:
+        raise DataError(f"the chain's start {tuple(config.init)!r} is not a training row")
+    start = int(matches[0])
+    layout = index.transitions(tables)
+    if layout is None:
+        raise DataError("the conditional tables lead outside the training rows "
+                        "or lack a training row's context")
+    kept = np.asarray(_run_on_index(layout, start, config, rng), dtype=np.intp)
+    pool = codes_to_pool(index.rows[kept], schema, provenance="generated", rng=rng)
+    labels = index.island_labels()
     diagnostics = {
-        "iterations": iterations,
-        "restarts": restarts,
-        "distinct_rows": len(_distinct_rows(codes)[0]),
+        "iterations": config.warmup + config.thinning * config.target_count,
+        "distinct_rows": len(np.unique(kept)),
         "islands": len(np.unique(labels)),
-        "start_island_rows": None if start is None else int(np.sum(labels == labels[start])),
+        "start_island_rows": int(np.sum(labels == labels[start])),
         "warmup": config.warmup,
         "thinning": config.thinning,
         "target_count": config.target_count,
@@ -306,7 +274,7 @@ def run_chain(tables: list[ConditionalTable], train: AgentPool, config: ChainCon
 
 
 # the Gibbs model file: a chain's resolved settings, without the per-draw target count
-CHAIN_SETTINGS = ("warmup", "thinning", "seed", "restart_on_unreachable")
+CHAIN_SETTINGS = ("warmup", "thinning", "seed")
 
 
 def chain_to_dict(config: ChainConfig) -> dict:

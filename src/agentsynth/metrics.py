@@ -153,18 +153,21 @@ def _corr_r2_vec(pred: np.ndarray, ref: np.ndarray) -> tuple[float | None, float
     pred_centered = pred - pred.mean()
     ss_tot = float(np.sum(ref_centered ** 2))
     ss_pred = float(np.sum(pred_centered ** 2))
-    if ss_tot == 0.0 or ss_pred == 0.0:
-        return None, (None if ss_tot == 0.0 else 1.0 - float(np.sum((ref - pred) ** 2)))
-    corr = float(np.sum(ref_centered * pred_centered) / np.sqrt(ss_tot * ss_pred))
+    if ss_tot == 0.0:
+        return None, None
     r2 = 1.0 - float(np.sum((ref - pred) ** 2)) / ss_tot
+    if ss_pred == 0.0:
+        return None, r2
+    corr = float(np.sum(ref_centered * pred_centered) / np.sqrt(ss_tot * ss_pred))
     return corr, r2
 
 
 def corr_r2(p_hat: FrequencyDistribution, p: FrequencyDistribution
             ) -> tuple[float | None, float | None]:
     """Pearson correlation of the bin vectors and R^2 of predicting the
-    reference bins by the generated bins. A zero-variance vector makes the
-    statistic undefined; that is reported as None, never as 0."""
+    reference bins by the generated bins. A zero-variance vector leaves the
+    correlation undefined, and a zero-variance reference R^2 too; undefined
+    statistics are reported as None, never as 0."""
     if p_hat.subset != p.subset or p_hat.widths != p.widths:
         raise DataError(
             f"incomparable distributions: subsets {p_hat.subset} vs {p.subset}")
@@ -237,65 +240,28 @@ def _pool_rows(pool: AgentPool, standardization: dict[str, tuple[float, float]] 
             stats)
 
 
-def _matrix_rows(matrix: EncodedMatrix) -> _KernelRows:
-    """Kernel rows of an encoded matrix; every one-hot block must hold
-    exactly one 1 per row and zeros elsewhere."""
-    values = matrix.values
-    codes, widths, numeric = [], [], []
-    for block in matrix.blocks:
-        sub = values[:, block.start:block.stop]
-        if block.kind != "one-hot":
-            numeric.append(sub[:, 0])
-            continue
-        hot = sub == 1.0
-        if (hot.sum(axis=1) != 1).any() or (sub[~hot] != 0.0).any():
-            raise DataError(f"encoded block of variable {block.name!r} is not one-hot")
-        codes.append(np.argmax(hot, axis=1))
-        widths.append(block.stop - block.start)
-    n = values.shape[0]
-    return _KernelRows(np.column_stack(codes) if codes else np.empty((n, 0), dtype=np.int64),
-                       tuple(widths),
-                       np.column_stack(numeric) if numeric else np.empty((n, 0)))
-
-
-def _kernel_rows(data, standardization, value_counts
-                 ) -> tuple[_KernelRows, dict[str, tuple[float, float]]]:
-    """Kernel rows of a pool, encoded matrix or code matrix, and the
-    standardization of its numeric columns."""
-    if isinstance(data, _KernelRows):
-        return data, {}
-    if isinstance(data, EncodedMatrix):
-        return _matrix_rows(data), data.standardization
-    if isinstance(data, AgentPool):
-        return _pool_rows(data, standardization)
-    if value_counts is None:
-        raise DataError("nearest-sample distances on code matrices need value_counts")
-    codes = np.asarray(data)
-    return _KernelRows(codes, tuple(value_counts), np.empty((codes.shape[0], 0))), {}
-
-
-def nearest_sample_stats(generated, train, standardization=None,
-                         value_counts: tuple[int, ...] | None = None) -> DiversityStats:
+def nearest_sample_stats(generated: AgentPool, train: AgentPool,
+                         standardization: dict[str, tuple[float, float]] | None = None
+                         ) -> DiversityStats:
     """Mean and standard deviation of each generated agent's RMSE distance
     to its nearest training agent, in the shared encoded space.
 
-    ``generated`` and ``train`` are pools or encoded matrices of one schema,
-    or, with ``value_counts``, integer code matrices of a ``discretize-all``
-    schema. Numeric columns are standardized with ``standardization``, else
-    with the training pool's (or training matrix's) statistics. Every schema
-    goes through one exact kernel (:func:`_nearest_distances`): the squared
-    distance is twice the number of mismatched one-hot variables plus the
-    direct squared differences of the numeric columns, so a pure replicator
-    scores (0, 0) exactly. An encoded matrix whose one-hot blocks are not
-    exactly one-hot is a DataError.
+    ``generated`` and ``train`` are pools of one schema (else a DataError).
+    Numeric columns are standardized with ``standardization``, else with
+    the training pool's statistics. Every schema goes through one exact
+    kernel (:func:`_nearest_distances`): the squared distance is twice the
+    number of mismatched one-hot variables plus the direct squared
+    differences of the numeric columns, so a pure replicator scores (0, 0)
+    exactly.
     """
+    if generated.schema != train.schema:
+        raise DataError("nearest-sample distances need pools of one schema")
     if len(train) == 0:
         raise DataError("nearest-sample distances need a non-empty training pool")
     if len(generated) == 0:
         raise DataError("nearest-sample distances need a non-empty generated pool")
-    train, stats = _kernel_rows(train, standardization, value_counts)
-    generated, _ = _kernel_rows(generated, standardization or stats, value_counts)
-    dist = _nearest_distances(generated, train)
+    train_rows, stats = _pool_rows(train, standardization)
+    dist = _nearest_distances(_pool_rows(generated, standardization or stats)[0], train_rows)
     return DiversityStats(float(dist.mean()), float(dist.std()))
 
 
@@ -349,10 +315,6 @@ def _nearest_distances(gen: _KernelRows, ref: _KernelRows) -> np.ndarray:
     pairs into row pairs in batches of at most ``PAIR_CHUNK`` pairs (or one
     group's rows), so memory stays bounded by the chunk sizes and the inputs.
     """
-    if (gen.widths != ref.widths or gen.codes.shape[1:] != (len(gen.widths),)
-            or ref.codes.shape[1:] != (len(ref.widths),)
-            or gen.numeric.shape[1] != ref.numeric.shape[1]):
-        raise DataError("pools are encoded in different spaces")
     widths, n_num = gen.widths, gen.numeric.shape[1]
     gen, _, _, inverse = _distinct(gen)
     ref, tuples, ref_group, _ = _distinct(ref)
@@ -556,9 +518,8 @@ def evaluate(method_pools: dict[str, AgentPool], test_pool: AgentPool,
     counts = schema.value_counts
     subsets = view_subsets(schema.n_variables, projection)
     test_codes, train_codes = codes_for_pool(test_pool), codes_for_pool(train_pool)
-    # nearest-sample rows: codes of the one-hot variables plus numerics
-    # standardized with the training pool's statistics
-    train_rows, stats = _pool_rows(train_pool)
+    # the test pool's numerics are standardized with the training pool's statistics
+    stats = _pool_rows(train_pool)[1]
     test_vectors, test_pairwise = _pool_vectors(test_codes, counts, subsets)
     vectors: dict[str, dict[str, np.ndarray]] = {}
 
@@ -580,11 +541,10 @@ def evaluate(method_pools: dict[str, AgentPool], test_pool: AgentPool,
 
     rows: dict[str, MethodEvaluation] = {}
     for name, pool in method_pools.items():
-        rows[name] = score(name, codes_for_pool(pool), nearest_sample_stats(
-            _pool_rows(pool, stats)[0], train_rows))
+        rows[name] = score(name, codes_for_pool(pool), nearest_sample_stats(pool, train_pool))
     # the training-set row's diversity is taken against the test pool
     rows["training-set"] = score("training-set", train_codes, nearest_sample_stats(
-        train_rows, _pool_rows(test_pool, stats)[0]))
+        train_pool, test_pool, stats))
     return EvalReport(list(method_pools) + ["training-set"], rows, dict(metadata or {}),
                       test_vectors, vectors)
 

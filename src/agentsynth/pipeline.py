@@ -136,7 +136,9 @@ def load_config(path, out_dir: str | None = None, seed: int | None = None) -> Ex
             doc = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # not UTF-8 text, or not JSON
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     config = config_from_json(doc, out_dir=out_dir)
     if seed is not None:
@@ -275,7 +277,6 @@ def train_method(config: ExperimentConfig, method: MethodSpec, train: AgentPool,
             warmup=param("warmup", 20000),
             thinning=param("thinning", 20),
             seed=param("seed", int(rng_fit.integers(2 ** 31))),
-            restart_on_unreachable=param("restart_on_unreachable", False, "true or false"),
         ))
         with open(path, "w") as fh:
             json.dump(chain, fh, indent=2)

@@ -335,7 +335,7 @@ def test_c10_chain_accounting():
     """Iteration counter with the documented warm-up and thinning."""
     train = toy_pool(5)
     config = gibbs.ChainConfig(target_count=100000, warmup=20000, thinning=20, seed=0)
-    _, diag = gibbs.run_chain([], train, config, step_fn=lambda row, rng: row)
+    _, diag = gibbs.run_chain(gibbs.estimate_conditionals(train), train, config)
     assert diag["iterations"] == 2020000
     _report("C10 chain-accounting",
             "20000 + 20*100000 = 2020000 iterations for 100000 agents")

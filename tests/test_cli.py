@@ -242,8 +242,13 @@ class TestExitCodes:
     def test_missing_config_is_config_error(self):
         assert main(["run"]) == 2
 
-    def test_nonexistent_config_file(self, tmp_path):
-        assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
+    def test_nonexistent_config_file(self, tmp_path, capsys):
+        # a missing file, a directory, a non-UTF-8 byte and broken JSON
+        (tmp_path / "latin.json").write_bytes(b'{"seed": 1, "n": "\xff"}')
+        (tmp_path / "broken.json").write_bytes(b"{not json")
+        for path in ("nope.json", ".", "latin.json", "broken.json"):
+            assert main(["run", "--config", str(tmp_path / path)]) == 2, path
+            assert capsys.readouterr().err.startswith("configuration error:"), path
 
     def test_unknown_method_is_config_error(self, tmp_path):
         config = _write_config(tmp_path, tmp_path / "o")

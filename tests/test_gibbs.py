@@ -117,27 +117,18 @@ class TestGibbsStep:
 
 def reference_chain(tables, train, config):
     """run_chain's contract written with gibbs_step: one uniform per update,
-    restarts in place, thinned states decoded with the same generator."""
+    thinned states decoded with the same generator."""
     schema = train.schema
     rng = np.random.default_rng(config.seed)
-    codes = pool_to_codes(train)
-
-    def training_row():
-        return tuple(int(v) for v in codes[rng.integers(len(codes))])
-
     if config.init == "random-from-train":
-        row = training_row()
+        codes = pool_to_codes(train)
+        row = tuple(int(v) for v in codes[rng.integers(len(codes))])
     else:
         single = AgentPool.from_rows(schema, (tuple(config.init),), "train")
         row = tuple(int(v) for v in pool_to_codes(single)[0])
     kept = []
     for scan in range(1, config.warmup + config.thinning * config.target_count + 1):
-        try:
-            row = gibbs_step(row, tables, rng)
-        except UnreachableContextError:
-            if not config.restart_on_unreachable:
-                raise
-            row = training_row()
+        row = gibbs_step(row, tables, rng)
         if scan > config.warmup and (scan - config.warmup) % config.thinning == 0:
             kept.append(row)
     kept = np.array(kept, dtype=np.int64).reshape(len(kept), schema.n_variables)
@@ -159,49 +150,40 @@ def _pool_with_numeric(rng, widths, n_rows):
 def _row_outside(pool, rng):
     seen = set(pool.rows)
     while True:
-        row = tuple(var.categories[rng.integers(len(var.categories))] if not var.is_numerical
-                    else float(rng.uniform(0.0, 3.0)) for var in pool.schema.variables)
+        row = tuple(var.categories[rng.integers(len(var.categories))]
+                    for var in pool.schema.variables)
         if row not in seen:
             return row
 
 
 class TestRunChainMatchesReference:
     @pytest.mark.parametrize("block", [gibbs.UNIFORM_BLOCK, 7])
-    @pytest.mark.parametrize("init", ["random-from-train", "training-row", "outside-row"])
-    @pytest.mark.parametrize("restart", [False, True])
-    def test_rows_equal_gibbs_step_chain(self, rng, monkeypatch, block, init, restart):
+    @pytest.mark.parametrize("init", ["random-from-train", "training-row"])
+    def test_rows_equal_gibbs_step_chain(self, rng, monkeypatch, block, init):
         monkeypatch.setattr(gibbs, "UNIFORM_BLOCK", block)
         for trial in range(6):
             pool = _pool_with_numeric(rng, list(rng.integers(2, 4, size=3)),
                                       int(rng.integers(5, 60)))
             start = {"random-from-train": "random-from-train",
-                     "training-row": pool.rows[int(rng.integers(len(pool)))],
-                     "outside-row": _row_outside(pool, rng)}[init]
+                     "training-row": pool.rows[int(rng.integers(len(pool)))]}[init]
             config = ChainConfig(target_count=int(rng.integers(0, 40)),
                                  warmup=int(rng.integers(0, 15)),
-                                 thinning=int(rng.integers(1, 4)), init=start, seed=trial,
-                                 restart_on_unreachable=restart)
+                                 thinning=int(rng.integers(1, 4)), init=start, seed=trial)
             tables = estimate_conditionals(pool)
-            try:
-                expected = reference_chain(tables, pool, config)
-            except UnreachableContextError:
-                with pytest.raises(UnreachableContextError):
-                    run_chain(tables, pool, config)
-                continue
+            expected = reference_chain(tables, pool, config)
             out, diag = run_chain(tables, pool, config)
             assert out.rows == expected.rows
             assert diag["distinct_rows"] == len(set(map(tuple, pool_to_codes(expected).tolist())))
 
     def test_tables_reaching_beyond_the_training_rows(self, rng):
-        # tables from a larger pool lead outside the chain's training rows,
-        # so the chain runs on the tables alone
+        # tables from a larger pool lead outside the chain's training rows
         pool = random_categorical_pool(rng, [3, 3, 2], 80)
         train = AgentPool.from_rows(pool.schema, pool.rows[:10], "train")
         tables = estimate_conditionals(pool)
         assert ContextGroups.from_codes(pool_to_codes(train)).transitions(tables) is None
         config = ChainConfig(target_count=50, warmup=5, thinning=2, seed=3)
-        out, _ = run_chain(tables, train, config)
-        assert out.rows == reference_chain(tables, train, config).rows
+        with pytest.raises(DataError, match="outside the training rows"):
+            run_chain(tables, train, config)
 
     def test_draw_past_rounded_total_on_index(self, monkeypatch):
         pool = _rounding_pool()
@@ -252,12 +234,6 @@ class TestIslands:
 
 
 class TestRunChain:
-    def test_iteration_accounting_with_stubbed_step(self):
-        pool = toy_pool(5)
-        config = ChainConfig(target_count=100000, warmup=20000, thinning=20, seed=0)
-        _, diag = run_chain([], pool, config, step_fn=lambda row, rng: row)
-        assert diag["iterations"] == 2020000
-
     def test_zero_target_empty_pool_after_warmup(self):
         pool = toy_pool(5)
         tables = estimate_conditionals(pool)
@@ -268,12 +244,11 @@ class TestRunChain:
     def test_replication_on_categorical_data(self, rng):
         pool = random_categorical_pool(rng, [3, 2, 2, 3], 150)
         tables = estimate_conditionals(pool)
-        out, diag = run_chain(tables, pool,
-                              ChainConfig(target_count=300, warmup=100, thinning=2, seed=4))
+        out, _ = run_chain(tables, pool,
+                           ChainConfig(target_count=300, warmup=100, thinning=2, seed=4))
         train_rows = set(pool.rows)
         assert all(row in train_rows for row in out.rows)
         assert out.provenance == "generated"
-        assert diag["restarts"] == 0
 
     def test_explicit_start_trapping(self):
         pool = toy_pool(100)
@@ -291,39 +266,37 @@ class TestRunChain:
         b, _ = run_chain(tables, pool, config)
         assert a.rows == b.rows
 
-    def _three_var_islands(self):
-        schema = categorical_schema([2, 2, 2])
-        return pool_from_codes(schema, [[0, 0, 0]] * 10 + [[1, 1, 1]] * 10)
-
-    def test_restart_policy_counts(self):
-        pool = self._three_var_islands()
-        tables = estimate_conditionals(pool)
-        # start off-distribution so the very first update hits a missing context
-        config = ChainConfig(target_count=10, warmup=0, thinning=1,
-                             init=("c0", "c0", "c1"), seed=1, restart_on_unreachable=True)
-        out, diag = run_chain(tables, pool, config)
-        assert diag["restarts"] >= 1
-        assert set(out.rows) <= {("c0", "c0", "c0"), ("c1", "c1", "c1")}
-
-    def test_without_restart_policy_raises(self):
-        pool = self._three_var_islands()
-        tables = estimate_conditionals(pool)
-        config = ChainConfig(target_count=10, warmup=0, thinning=1,
-                             init=("c0", "c0", "c1"), seed=1)
-        with pytest.raises(UnreachableContextError):
-            run_chain(tables, pool, config)
+    def test_start_outside_the_training_rows_is_data_error(self, rng):
+        # the first start's context for x00 never occurs in training; the
+        # others are random rows missing from their pools
+        islands = pool_from_codes(categorical_schema([2, 2, 2]),
+                                  [[0, 0, 0]] * 10 + [[1, 1, 1]] * 10)
+        cases = [(islands, ("c0", "c0", "c1"))]
+        for _ in range(4):
+            pool = random_categorical_pool(rng, [3, 3, 2], 10)
+            cases.append((pool, _row_outside(pool, rng)))
+        for pool, start in cases:
+            config = ChainConfig(target_count=10, warmup=0, thinning=1, init=start, seed=1)
+            with pytest.raises(DataError, match="not a training row"):
+                run_chain(estimate_conditionals(pool), pool, config)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
             ChainConfig(target_count=10, thinning=0)
 
     def test_chain_model_round_trips_without_the_target_count(self):
-        config = ChainConfig(target_count=10, warmup=7, thinning=3, seed=5,
-                             restart_on_unreachable=True)
+        config = ChainConfig(target_count=10, warmup=7, thinning=3, seed=5)
         doc = gibbs.chain_to_dict(config)
         assert "target_count" not in doc
         assert gibbs.chain_from_dict(doc, 4) == ChainConfig(
-            target_count=4, warmup=7, thinning=3, seed=5, restart_on_unreachable=True)
+            target_count=4, warmup=7, thinning=3, seed=5)
+
+    def test_model_with_the_retired_restart_setting_loads(self):
+        # model files written before the restart policy was removed carry it
+        doc = {"format": "agentsynth-gibbs", "version": 2, "warmup": 7, "thinning": 3,
+               "seed": 5, "restart_on_unreachable": True}
+        assert gibbs.chain_from_dict(doc, 4) == ChainConfig(
+            target_count=4, warmup=7, thinning=3, seed=5)
 
     @pytest.mark.parametrize("corrupt", [
         lambda doc: doc.update(format="agentsynth-bn"),

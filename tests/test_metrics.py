@@ -10,11 +10,9 @@ import pytest
 from agentsynth import metrics
 from agentsynth.dataset import (
     AgentPool,
-    EncodedMatrix,
     Schema,
     VariableSpec,
     encode_pool,
-    pool_to_codes,
 )
 from agentsynth.errors import DataError
 from agentsynth.metrics import (
@@ -209,19 +207,23 @@ class TestCorrR2:
 
     def test_reversed_vector_matches_hand_statistics(self):
         ref = np.array([0.6, 0.3, 0.1])
-        pred = ref[::-1].copy()
-        p = FrequencyDistribution((0,), (3,), pred)
         q = FrequencyDistribution((0,), (3,), ref)
-        corr, r2 = corr_r2(p, q)
-        # hand computation of Pearson correlation and R^2
-        mref = ref.mean()
-        mpred = pred.mean()
-        num = float(np.sum((ref - mref) * (pred - mpred)))
-        den = float(np.sqrt(np.sum((ref - mref) ** 2) * np.sum((pred - mpred) ** 2)))
-        ss_res = float(np.sum((ref - pred) ** 2))
-        ss_tot = float(np.sum((ref - mref) ** 2))
-        assert abs(corr - num / den) < 1e-12
-        assert abs(r2 - (1 - ss_res / ss_tot)) < 1e-12
+        # the reversed vector, and constant ones: a constant prediction has
+        # no correlation, and an R^2 of at most 0
+        for pred in (ref[::-1].copy(), np.full(3, 1 / 3), np.full(3, 0.5)):
+            corr, r2 = corr_r2(FrequencyDistribution((0,), (3,), pred), q)
+            # hand computation of Pearson correlation and R^2
+            mref = ref.mean()
+            mpred = pred.mean()
+            num = float(np.sum((ref - mref) * (pred - mpred)))
+            den = float(np.sqrt(np.sum((ref - mref) ** 2) * np.sum((pred - mpred) ** 2)))
+            ss_res = float(np.sum((ref - pred) ** 2))
+            ss_tot = float(np.sum((ref - mref) ** 2))
+            if den == 0.0:
+                assert corr is None
+            else:
+                assert abs(corr - num / den) < 1e-12
+            assert abs(r2 - (1 - ss_res / ss_tot)) < 1e-12
 
     def test_uniform_reference_flagged_undefined(self):
         uniform = FrequencyDistribution((0,), (4,), np.full(4, 0.25))
@@ -429,25 +431,6 @@ class TestNearestSampleKernel:
         if case == "exact-copies":
             assert (stats.mu_ns, stats.sigma_ns) == (0.0, 0.0)
 
-    def test_encoded_matrices_equal_pools(self, rng):
-        generated, train, _ = _mixed_case("random", 11)
-        train_m = encode_pool(train)
-        gen_m = encode_pool(generated, standardization=train_m.standardization)
-        assert nearest_sample_stats(gen_m, train_m) == nearest_sample_stats(generated, train)
-
-    def test_soft_one_hot_rows_rejected(self, rng):
-        generated, train, _ = _mixed_case("random", 5)
-        train_m = encode_pool(train)
-        gen_m = encode_pool(generated, standardization=train_m.standardization)
-        soft = gen_m.values.copy()
-        soft[3, 0:2] = (0.5, 0.5)  # the first block is categorical
-        soft_m = EncodedMatrix(soft, gen_m.blocks, gen_m.standardization, gen_m.schema)
-        with pytest.raises(DataError, match="not one-hot"):
-            nearest_sample_stats(soft_m, train_m)
-        soft[3, 0:2] = (1.0, 1.0)
-        with pytest.raises(DataError, match="not one-hot"):
-            nearest_sample_stats(train_m, soft_m)
-
 
 @pytest.mark.usefixtures("small_chunks")
 class TestHammingNearestSample:
@@ -465,11 +448,7 @@ class TestHammingNearestSample:
         copies = rng.integers(0, len(train), size=60)
         generated = AgentPool.from_rows(
             train.schema, fresh.rows + tuple(train.rows[i] for i in copies), "generated")
-        fast = nearest_sample_stats(generated, train)
-        assert fast == _gram_oracle(generated, train)
-        codes = nearest_sample_stats(pool_to_codes(generated), pool_to_codes(train),
-                                     value_counts=widths)
-        assert codes == fast
+        assert nearest_sample_stats(generated, train) == _gram_oracle(generated, train)
 
     def test_binned_numerics_equal_float_path(self, rng):
         from agentsynth.dataset import codes_to_pool
@@ -499,9 +478,11 @@ class TestHammingNearestSample:
         assert (stats.mu_ns, stats.sigma_ns) == (0.0, 0.0)
 
     def test_code_width_mismatch_rejected(self, rng):
-        with pytest.raises(DataError, match="different spaces"):
-            nearest_sample_stats(np.zeros((3, 2), dtype=int), np.zeros((3, 3), dtype=int),
-                                 value_counts=(2, 2))
+        # pools of different schemas, here of different code widths
+        train = random_categorical_pool(rng, [2, 2, 2], 3)
+        generated = random_categorical_pool(rng, [2, 2], 3).with_provenance("generated")
+        with pytest.raises(DataError, match="one schema"):
+            nearest_sample_stats(generated, train)
 
 
 def test_nearest_sample_memory_is_bounded():
