@@ -1,5 +1,7 @@
 """Gibbs sampler: conditionals, trapping, replication, chain accounting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -150,26 +152,42 @@ def _pool_with_numeric(rng, widths, n_rows):
 def _row_outside(pool, rng):
     seen = set(pool.rows)
     while True:
-        row = tuple(var.categories[rng.integers(len(var.categories))]
-                    for var in pool.schema.variables)
+        row = tuple(var.categories[rng.integers(len(var.categories))] if not var.is_numerical
+                    else float(rng.uniform(0.0, 3.0)) for var in pool.schema.variables)
         if row not in seen:
             return row
 
 
+def _codes_in_pool(row, pool):
+    # an outside row whose numeric value bins like a training row's is a training row
+    code = pool_to_codes(AgentPool.from_rows(pool.schema, [row], "train"))[0]
+    return bool((pool_to_codes(pool) == code).all(axis=1).any())
+
+
 class TestRunChainMatchesReference:
     @pytest.mark.parametrize("block", [gibbs.UNIFORM_BLOCK, 7])
-    @pytest.mark.parametrize("init", ["random-from-train", "training-row"])
-    def test_rows_equal_gibbs_step_chain(self, rng, monkeypatch, block, init):
+    @pytest.mark.parametrize("init", ["random-from-train", "training-row", "outside-row"])
+    @pytest.mark.parametrize("restart", [False, True])
+    def test_rows_equal_gibbs_step_chain(self, rng, monkeypatch, block, init, restart):
+        # ``restart`` is the retired restart_on_unreachable setting an old
+        # model file may still carry; it must not change the chain
         monkeypatch.setattr(gibbs, "UNIFORM_BLOCK", block)
         for trial in range(6):
             pool = _pool_with_numeric(rng, list(rng.integers(2, 4, size=3)),
                                       int(rng.integers(5, 60)))
             start = {"random-from-train": "random-from-train",
-                     "training-row": pool.rows[int(rng.integers(len(pool)))]}[init]
-            config = ChainConfig(target_count=int(rng.integers(0, 40)),
-                                 warmup=int(rng.integers(0, 15)),
-                                 thinning=int(rng.integers(1, 4)), init=start, seed=trial)
+                     "training-row": pool.rows[int(rng.integers(len(pool)))],
+                     "outside-row": _row_outside(pool, rng)}[init]
+            doc = {"format": "agentsynth-gibbs", "version": 2,
+                   "warmup": int(rng.integers(0, 15)), "thinning": int(rng.integers(1, 4)),
+                   "seed": trial, "restart_on_unreachable": restart}
+            config = dataclasses.replace(
+                gibbs.chain_from_dict(doc, int(rng.integers(0, 40))), init=start)
             tables = estimate_conditionals(pool)
+            if start != "random-from-train" and not _codes_in_pool(start, pool):
+                with pytest.raises(DataError, match="not a training row"):
+                    run_chain(tables, pool, config)
+                continue
             expected = reference_chain(tables, pool, config)
             out, diag = run_chain(tables, pool, config)
             assert out.rows == expected.rows
@@ -266,17 +284,38 @@ class TestRunChain:
         b, _ = run_chain(tables, pool, config)
         assert a.rows == b.rows
 
+    def _three_var_islands(self):
+        schema = categorical_schema([2, 2, 2])
+        return pool_from_codes(schema, [[0, 0, 0]] * 10 + [[1, 1, 1]] * 10)
+
+    def test_restart_policy_counts(self):
+        # the retired restart setting in an old model file restarts nothing:
+        # an off-distribution start still fails, and no restarts are counted
+        pool = self._three_var_islands()
+        tables = estimate_conditionals(pool)
+        doc = {"format": "agentsynth-gibbs", "version": 2, "warmup": 0, "thinning": 1,
+               "seed": 1, "restart_on_unreachable": True}
+        config = dataclasses.replace(gibbs.chain_from_dict(doc, 10), init=("c0", "c0", "c1"))
+        with pytest.raises(DataError, match="not a training row"):
+            run_chain(tables, pool, config)
+        out, diag = run_chain(tables, pool, dataclasses.replace(config, init=("c0", "c0", "c0")))
+        assert "restarts" not in diag
+        assert set(out.rows) == {("c0", "c0", "c0")}
+
+    def test_without_restart_policy_raises(self):
+        # start off-distribution: the context for x00 never occurs in training
+        pool = self._three_var_islands()
+        config = ChainConfig(target_count=10, warmup=0, thinning=1,
+                             init=("c0", "c0", "c1"), seed=1)
+        with pytest.raises(DataError, match="not a training row"):
+            run_chain(estimate_conditionals(pool), pool, config)
+
     def test_start_outside_the_training_rows_is_data_error(self, rng):
-        # the first start's context for x00 never occurs in training; the
-        # others are random rows missing from their pools
-        islands = pool_from_codes(categorical_schema([2, 2, 2]),
-                                  [[0, 0, 0]] * 10 + [[1, 1, 1]] * 10)
-        cases = [(islands, ("c0", "c0", "c1"))]
+        # random rows missing from their pools
         for _ in range(4):
             pool = random_categorical_pool(rng, [3, 3, 2], 10)
-            cases.append((pool, _row_outside(pool, rng)))
-        for pool, start in cases:
-            config = ChainConfig(target_count=10, warmup=0, thinning=1, init=start, seed=1)
+            config = ChainConfig(target_count=10, warmup=0, thinning=1,
+                                 init=_row_outside(pool, rng), seed=1)
             with pytest.raises(DataError, match="not a training row"):
                 run_chain(estimate_conditionals(pool), pool, config)
 
