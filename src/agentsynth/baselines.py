@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import AgentPool, codes_to_pool, pool_to_codes
+from .dataset import AgentPool, codes_to_pool, draw_categories, pool_to_codes, view_counts
 from .errors import DataError
 
 
@@ -29,25 +29,19 @@ class MarginalModel:
 def fit_marginals(train: AgentPool) -> MarginalModel:
     if len(train) == 0:
         raise DataError("cannot fit marginals on an empty pool")
-    codes = pool_to_codes(train)
-    probs = []
-    for j, width in enumerate(train.schema.value_counts):
-        counts = np.bincount(codes[:, j], minlength=width).astype(float)
-        probs.append(counts / counts.sum())
-    return MarginalModel(train.schema, tuple(probs))
+    counts, offsets = view_counts(pool_to_codes(train), train.schema.value_counts,
+                                  [(j,) for j in range(train.schema.n_variables)])
+    return MarginalModel(train.schema, tuple(np.split(counts / len(train), offsets[1:-1])))
 
 
 def marginal_sample(model: MarginalModel, count: int, rng_or_seed) -> AgentPool:
     """Each variable drawn independently; numeric bins become bin-uniform
     raw values."""
-    rng = rng_or_seed if isinstance(rng_or_seed, np.random.Generator) \
-        else np.random.default_rng(rng_or_seed)
+    rng = np.random.default_rng(rng_or_seed)
     schema = model.schema
     codes = np.zeros((count, schema.n_variables), dtype=np.int64)
     for j, p in enumerate(model.probs):
-        cum = np.cumsum(p)
-        codes[:, j] = np.minimum((rng.random((count, 1)) * cum[-1] > cum).sum(axis=1),
-                                 len(p) - 1)
+        codes[:, j] = draw_categories(p, rng.random(count))
     return codes_to_pool(codes, schema, provenance="generated", rng=rng)
 
 
@@ -56,6 +50,5 @@ def resample_training(train: AgentPool, count: int, rng_or_seed) -> AgentPool:
     emitted row is verbatim a training row."""
     if len(train) == 0:
         raise DataError("cannot resample an empty pool")
-    rng = rng_or_seed if isinstance(rng_or_seed, np.random.Generator) \
-        else np.random.default_rng(rng_or_seed)
+    rng = np.random.default_rng(rng_or_seed)
     return train.take(rng.integers(0, len(train), size=count), "generated")

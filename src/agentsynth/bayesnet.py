@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import read_json
+from .dataset import check_codes, draw_categories, read_json, view_counts
 from .errors import DataError, ExactSearchLimitError
 
 MAX_TABLE_CELLS = 1 << 22  # guard on materialized CPT size
@@ -87,10 +87,13 @@ def _check_data(codes: np.ndarray) -> np.ndarray:
 def mutual_information(codes: np.ndarray, value_counts, i: int, j: int) -> float:
     """Empirical mutual information in nats from the pairwise joint."""
     arr = _check_data(codes)
-    n = arr.shape[0]
-    joint = np.zeros((value_counts[i], value_counts[j]))
-    np.add.at(joint, (arr[:, i], arr[:, j]), 1.0)
-    joint /= n
+    counts, _ = view_counts(arr, value_counts, [(i, j)])
+    return _table_mi(counts.reshape(value_counts[i], value_counts[j]), arr.shape[0])
+
+
+def _table_mi(counts: np.ndarray, n: int) -> float:
+    """Mutual information in nats of a two-way table of counts over n rows."""
+    joint = counts / n
     pi = joint.sum(axis=1, keepdims=True)
     pj = joint.sum(axis=0, keepdims=True)
     mask = joint > 0
@@ -106,11 +109,10 @@ def chow_liu(codes: np.ndarray, value_counts) -> Dag:
     n = len(value_counts)
     if n < 2:
         raise DataError("Chow-Liu needs at least 2 variables")
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            edges.append((-mutual_information(arr, value_counts, i, j), i, j))
-    edges.sort()
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    counts, offsets = view_counts(arr, value_counts, pairs)
+    edges = sorted((-_table_mi(table.reshape(value_counts[i], value_counts[j]), arr.shape[0]), i, j)
+                   for table, (i, j) in zip(np.split(counts, offsets[1:-1]), pairs))
     # Kruskal with union-find
     root = list(range(n))
 
@@ -158,12 +160,8 @@ class _FamilyScorer:
     """
 
     def __init__(self, arr: np.ndarray, value_counts):
+        check_codes(arr, value_counts)
         self.widths = [int(w) for w in value_counts]
-        if len(self.widths) != arr.shape[1]:
-            raise DataError(f"{arr.shape[1]} code columns but {len(self.widths)} value counts")
-        for node, (col, width) in enumerate(zip(arr.T, self.widths)):
-            if col.min() < 0 or col.max() >= width:
-                raise DataError(f"node {node}: codes outside [0, {width})")
         self.columns = np.ascontiguousarray(arr.T)
         n_rows = arr.shape[0]
         half_log_n = 0.5 * np.log(n_rows)
@@ -395,18 +393,12 @@ def fit_cpts(dag: Dag, codes: np.ndarray, value_counts) -> CptSet:
     for node in range(dag.n_nodes):
         pa = dag.parents[node]
         width = value_counts[node]
-        parent_widths = [value_counts[p] for p in pa]
-        n_combos = int(np.prod(parent_widths)) if pa else 1
+        n_combos = math.prod(value_counts[p] for p in pa)
         if n_combos * width > MAX_TABLE_CELLS:
             raise DataError(f"node {node}: conditional table too large ({n_combos} x {width})")
-        counts = np.zeros((n_combos, width))
-        if pa:
-            combo = np.ravel_multi_index([arr[:, p] for p in pa], parent_widths)
-        else:
-            combo = np.zeros(arr.shape[0], dtype=np.int64)
-        np.add.at(counts, (combo, arr[:, node]), 1.0)
+        counts = view_counts(arr, value_counts, [(*pa, node)])[0].reshape(n_combos, width)
         totals = counts.sum(axis=1, keepdims=True)
-        probs = np.empty_like(counts)
+        probs = np.empty(counts.shape)
         seen = totals[:, 0] > 0
         probs[seen] = counts[seen] / totals[seen]
         probs[~seen] = 1.0 / width
@@ -416,8 +408,7 @@ def fit_cpts(dag: Dag, codes: np.ndarray, value_counts) -> CptSet:
 
 def ancestral_sample(dag: Dag, cpts: CptSet, count: int, rng_or_seed) -> np.ndarray:
     """Sample agent codes parent-first along a topological order."""
-    rng = rng_or_seed if isinstance(rng_or_seed, np.random.Generator) \
-        else np.random.default_rng(rng_or_seed)
+    rng = np.random.default_rng(rng_or_seed)
     n = dag.n_nodes
     codes = np.zeros((count, n), dtype=np.int64)
     if count == 0:
@@ -425,15 +416,9 @@ def ancestral_sample(dag: Dag, cpts: CptSet, count: int, rng_or_seed) -> np.ndar
     for node in dag.topological_order():
         pa = dag.parents[node]
         table = cpts.tables[node]
-        if pa:
-            parent_widths = [cpts.value_counts[p] for p in pa]
-            combo = np.ravel_multi_index([codes[:, p] for p in pa], parent_widths)
-            rows = table[combo]
-        else:
-            rows = np.broadcast_to(table[0], (count, table.shape[1]))
-        cum = np.cumsum(rows, axis=1)
-        u = rng.random((count, 1)) * cum[:, -1:]
-        codes[:, node] = np.minimum((u > cum).sum(axis=1), table.shape[1] - 1)
+        combo = np.ravel_multi_index([codes[:, p] for p in pa],
+                                     [cpts.value_counts[p] for p in pa]) if pa else 0
+        codes[:, node] = draw_categories(table[combo], rng.random(count))
     return codes
 
 

@@ -316,15 +316,9 @@ def discretize(value: float, spec: VariableSpec) -> int:
     """Bin index of a numerical value; the last bin is closed on the right."""
     if not spec.is_numerical:
         raise SchemaError(f"variable {spec.name!r} is not numerical")
-    edges = spec.bin_edges
-    v = float(value)
-    if not edges[0] <= v <= edges[-1]:  # also true for NaN
-        raise DataError(
-            f"variable {spec.name!r}: value {value!r} outside [{edges[0]}, {edges[-1]}]")
-    if v == edges[-1]:
-        return len(edges) - 2
-    # searchsorted(right) gives the count of edges <= v, so subtract 1
-    return int(np.searchsorted(np.asarray(edges), v, side="right")) - 1
+    values = np.array([value], dtype=float)
+    _check_numeric(spec, values, nan_outside=True)
+    return int(discretize_clamped(values, spec)[0])
 
 
 def discretize_clamped(values, spec: VariableSpec) -> np.ndarray:
@@ -346,13 +340,13 @@ def _category_values(var: VariableSpec, codes: np.ndarray) -> list:
     return np.array(var.categories, dtype=object)[codes].tolist()
 
 
-def pool_to_codes(pool: AgentPool, clamp: bool = False) -> np.ndarray:
+def pool_to_codes(pool: AgentPool) -> np.ndarray:
     """Integer code matrix (N, n_variables): category index per categorical
-    variable, bin index per numerical variable; without ``clamp`` a
-    numerical value outside the outermost edges is a DataError."""
-    if not clamp:
-        for j, values in zip(pool.schema.numerical, pool.numeric.T):
-            _check_numeric(pool.schema.variables[j], values, nan_outside=True)
+    variable, bin index per numerical variable. A numerical value outside
+    the outermost edges is a DataError; ``pool.codes`` holds the same
+    matrix with such values clamped into the outermost bins."""
+    for j, values in zip(pool.schema.numerical, pool.numeric.T):
+        _check_numeric(pool.schema.variables[j], values, nan_outside=True)
     return pool.codes
 
 
@@ -497,6 +491,102 @@ def split_pool(pool: AgentPool, train_frac: float, val_frac_of_train: float,
     return (pool.take(order[:n_train], "train"),
             pool.take(order[n_train:n_block], "validation"),
             pool.take(order[n_block:], "test"))
+
+
+# ---------------------------------------------------------------------------
+# discrete-table primitives: subset counts, category draws, distinct rows
+
+# Elements per chunk of flat bin ids in view_counts. Chunks of 64k ids ran
+# faster than 1M on a 20-variable trivariate view (37 ms against 54 ms per
+# 10,000-row pool), because they stay in cache.
+VIEW_CHUNK = 1 << 16
+
+
+def check_codes(codes: np.ndarray, value_counts, columns=None) -> None:
+    """DataError unless ``codes`` has one column per value count and every
+    code in the columns that ``columns`` names (default: all) lies in
+    ``[0, value_counts[j])``. Unchecked, numpy indexing would count a -1 as
+    the last value and a bincount would count a code past the width in a
+    neighbouring cell."""
+    if len(value_counts) != codes.shape[1]:
+        raise DataError(f"{codes.shape[1]} code columns but {len(value_counts)} value counts")
+    cols = np.unique(np.arange(codes.shape[1]) if columns is None else columns)
+    sub = codes if len(cols) == codes.shape[1] else codes[:, cols]
+    outside = (sub < 0) | (sub >= np.asarray(value_counts)[cols])
+    if outside.any():
+        j = int(cols[np.argmax(outside.any(axis=0))])
+        raise DataError(f"variable {j}: codes outside [0, {value_counts[j]})")
+
+
+def view_counts(codes: np.ndarray, value_counts: tuple[int, ...],
+                subsets) -> tuple[np.ndarray, np.ndarray]:
+    """Integer bin counts of every subset of a view, concatenated, plus the
+    subset offsets: subset ``s`` owns ``counts[offsets[s]:offsets[s + 1]]``,
+    the table over the subset's values in C order.
+
+    All subsets have the same size. Every row gets one flat id per subset,
+    ``codes[:, a] * w_b * w_c + codes[:, b] * w_c + codes[:, c] + offsets[s]``
+    for a triplet, and one ``bincount`` per chunk of subsets counts them;
+    chunks hold at most about ``VIEW_CHUNK`` ids. Codes of the counted
+    columns outside ``[0, width)`` are a DataError (:func:`check_codes`).
+    """
+    n = codes.shape[0]
+    if n == 0:
+        raise DataError("frequency distribution of an empty pool")
+    subs = np.asarray(subsets, dtype=np.intp).reshape(len(subsets), -1)
+    if subs.shape[1] == 0:
+        raise DataError("frequency distribution needs a non-empty variable subset")
+    check_codes(codes, value_counts, subs)
+    widths = np.asarray(value_counts, dtype=np.int64)[subs]
+    strides = np.ones_like(widths)
+    for p in range(subs.shape[1] - 2, -1, -1):
+        strides[:, p] = strides[:, p + 1] * widths[:, p + 1]
+    offsets = np.concatenate(([0], np.cumsum(widths.prod(axis=1))))
+    dtype = np.int32 if offsets[-1] < 2 ** 31 else np.int64
+    codes_t = np.ascontiguousarray(codes.T, dtype=dtype)
+    strides, starts = strides.astype(dtype), offsets[:-1].astype(dtype)
+    counts = np.empty(offsets[-1], dtype=np.int64)
+    step = max(1, VIEW_CHUNK // n)
+    for s0 in range(0, len(subs), step):
+        s1 = min(s0 + step, len(subs))
+        ids = codes_t[subs[s0:s1, 0]] * strides[s0:s1, :1]
+        for p in range(1, subs.shape[1]):
+            ids += codes_t[subs[s0:s1, p]] * strides[s0:s1, p:p + 1]
+        ids += starts[s0:s1, None] - starts[s0]
+        counts[offsets[s0]:offsets[s1]] = np.bincount(
+            ids.ravel(), minlength=offsets[s1] - offsets[s0])
+    return counts, offsets
+
+
+def draw_categories(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """One category per uniform by inverse CDF over the last axis of
+    ``probs`` (which broadcasts against ``uniforms[..., None]``): the number
+    of cumulative sums below ``u`` times the total. The count is capped at
+    the last category, so even a uniform of 1 or more gives a valid index."""
+    cum = np.cumsum(probs, -1)
+    return np.minimum((uniforms[..., None] * cum[..., -1:] > cum).sum(-1), cum.shape[-1] - 1)
+
+
+def distinct_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a matrix in lexicographic order, and the distinct
+    row of every input row.
+
+    Rows of non-negative integers are compared as one mixed-radix integer
+    (radix ``max + 1`` per column) when the product of the radices fits in
+    int64, a 1-D sort; other rows by a lexsort over the columns.
+    """
+    radix = codes.max(axis=0) + 1 if codes.size and codes.dtype.kind == "i" else ()
+    if len(radix) and math.prod(radix.tolist()) < 2 ** 63:
+        keys = np.ravel_multi_index(tuple(codes.T), radix)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        return codes[first], inverse
+    order = np.lexsort(codes.T[::-1]) if codes.shape[1] else np.arange(len(codes))
+    ordered = codes[order]
+    first = np.ones(len(codes), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(codes), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import AgentPool, codes_to_pool, pool_to_codes
+from .dataset import AgentPool, codes_to_pool, distinct_rows, pool_to_codes
 from .errors import ConfigError, DataError, UnreachableContextError
 
 # Uniforms drawn per generator call in the chain. Drawing the whole
@@ -69,19 +69,6 @@ class ChainConfig:
             raise ConfigError("target_count must be >= 0")
 
 
-def _distinct_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of an integer matrix in lexicographic order, and the
-    position of each input row among them (``np.unique(axis=0)`` without
-    its slow structured-dtype sort)."""
-    order = np.lexsort(matrix.T[::-1]) if matrix.shape[1] else np.arange(len(matrix))
-    ordered = matrix[order]
-    first = np.ones(len(matrix), dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    ids = np.empty(len(matrix), dtype=np.int64)
-    ids[order] = np.cumsum(first) - 1
-    return ordered[first], ids
-
-
 @dataclass(frozen=True)
 class ContextGroups:
     """The unique rows of a code matrix and, per variable, their context groups.
@@ -98,10 +85,10 @@ class ContextGroups:
 
     @classmethod
     def from_codes(cls, codes: np.ndarray) -> ContextGroups:
-        rows, row_ids = _distinct_rows(codes)
+        rows, row_ids = distinct_rows(codes)
         groups, contexts = [], []
         for i in range(rows.shape[1]):
-            ctx, group = _distinct_rows(np.delete(rows, i, axis=1))
+            ctx, group = distinct_rows(np.delete(rows, i, axis=1))
             groups.append(group)
             contexts.append(ctx)
         return cls(rows, np.bincount(row_ids), groups, contexts)

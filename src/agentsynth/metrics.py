@@ -13,8 +13,8 @@ variable pairs, and sample diversity through the distance of each
 generated agent to its nearest training agent (mu_NS, sigma_NS): both
 exactly zero precisely when every generated row replicates a training row.
 
-:func:`evaluate` bins each pool once per view: :func:`view_counts` counts
-every subset of a view with one offset ``bincount`` per chunk of subsets,
+:func:`evaluate` bins each pool once per view (``dataset.view_counts``
+counts every subset of a view with one offset ``bincount`` per chunk),
 Cramer's V is read from the bivariate counts, and the report keeps the
 vectors so scatter output writes them without binning again. The
 single-subset functions (:func:`frequency_distribution_from_codes`,
@@ -39,24 +39,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import AgentPool, EncodedMatrix, pool_to_codes, standardize_column
+from .dataset import (AgentPool, EncodedMatrix, check_codes, distinct_rows, standardize_column,
+                      view_counts)
 # perfbench/layers.py wraps this name on this module; it stays bound until
 # the benchmark's bindings are updated
 from .dataset import encode_pool  # noqa: F401
 from .errors import DataError
 
-# Elements per chunk of flat bin ids in view_counts. Chunks of 64k ids ran
-# faster than 1M on a 20-variable trivariate view (37 ms against 54 ms per
-# 10,000-row pool), because they stay in cache.
-VIEW_CHUNK = 1 << 16
 MATCH_CHUNK = 1 << 20  # elements per block of mismatch counts in _nearest_distances
 PAIR_CHUNK = 1 << 18  # row pairs per batch of numeric differences in _nearest_distances
 
 
 def codes_for_pool(pool: AgentPool) -> np.ndarray:
-    """Discrete codes for metric computation; numerics are clamped into
-    their outermost bins so generated pools always bin cleanly."""
-    return pool_to_codes(pool, clamp=True)
+    """Discrete codes for metric computation: ``pool.codes``, whose numerics
+    are clamped into their outermost bins so generated pools always bin
+    cleanly."""
+    return pool.codes
 
 
 @dataclass(frozen=True)
@@ -82,49 +80,12 @@ def frequency_distribution_from_codes(codes: np.ndarray, value_counts: tuple[int
         raise DataError("frequency distribution needs a non-empty variable subset")
     if codes.shape[0] == 0:
         raise DataError("frequency distribution of an empty pool")
+    check_codes(codes, value_counts, subset)
     widths = tuple(value_counts[i] for i in subset)
     flat = np.ravel_multi_index([codes[:, i] for i in subset], widths)
     n_bins = int(np.prod(widths))
     counts = np.bincount(flat, minlength=n_bins)
     return FrequencyDistribution(tuple(subset), widths, counts / codes.shape[0])
-
-
-def view_counts(codes: np.ndarray, value_counts: tuple[int, ...],
-                subsets) -> tuple[np.ndarray, np.ndarray]:
-    """Integer bin counts of every subset of a view, concatenated, plus the
-    subset offsets: subset ``s`` owns ``counts[offsets[s]:offsets[s + 1]]``.
-
-    All subsets have the same size. Every row gets one flat id per subset,
-    ``codes[:, a] * w_b * w_c + codes[:, b] * w_c + codes[:, c] + offsets[s]``
-    for a triplet, and one ``bincount`` per chunk of subsets counts them;
-    chunks hold at most about ``VIEW_CHUNK`` ids. ``counts / n`` equals
-    the concatenated :func:`frequency_distribution_from_codes` vectors.
-    """
-    n = codes.shape[0]
-    if n == 0:
-        raise DataError("frequency distribution of an empty pool")
-    subs = np.asarray(subsets, dtype=np.intp).reshape(len(subsets), -1)
-    if subs.shape[1] == 0:
-        raise DataError("frequency distribution needs a non-empty variable subset")
-    widths = np.asarray(value_counts, dtype=np.int64)[subs]
-    strides = np.ones_like(widths)
-    for p in range(subs.shape[1] - 2, -1, -1):
-        strides[:, p] = strides[:, p + 1] * widths[:, p + 1]
-    offsets = np.concatenate(([0], np.cumsum(widths.prod(axis=1))))
-    dtype = np.int32 if offsets[-1] < 2 ** 31 else np.int64
-    codes_t = np.ascontiguousarray(codes.T, dtype=dtype)
-    strides, starts = strides.astype(dtype), offsets[:-1].astype(dtype)
-    counts = np.empty(offsets[-1], dtype=np.int64)
-    step = max(1, VIEW_CHUNK // n)
-    for s0 in range(0, len(subs), step):
-        s1 = min(s0 + step, len(subs))
-        ids = codes_t[subs[s0:s1, 0]] * strides[s0:s1, :1]
-        for p in range(1, subs.shape[1]):
-            ids += codes_t[subs[s0:s1, p]] * strides[s0:s1, p:p + 1]
-        ids += starts[s0:s1, None] - starts[s0]
-        counts[offsets[s0]:offsets[s1]] = np.bincount(
-            ids.ravel(), minlength=offsets[s1] - offsets[s0])
-    return counts, offsets
 
 
 def frequency_distribution(pool: AgentPool, subset) -> FrequencyDistribution:
@@ -180,6 +141,7 @@ def cramers_v_from_codes(codes: np.ndarray, value_counts, i: int, j: int) -> flo
     n = codes.shape[0]
     if n == 0:
         raise DataError("Cramer's V of an empty pool")
+    check_codes(codes, value_counts, (i, j))
     table = np.zeros((value_counts[i], value_counts[j]))
     np.add.at(table, (codes[:, i], codes[:, j]), 1.0)
     return _cramers_v_table(table, n)
@@ -265,37 +227,18 @@ def nearest_sample_stats(generated: AgentPool, train: AgentPool,
     return DiversityStats(float(dist.mean()), float(dist.std()))
 
 
-def _unique_rows(codes: np.ndarray, value_counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of a code matrix, and the distinct row of every row.
-    Rows are compared as one mixed-radix integer when the product space
-    fits in int64 (a 1-D sort), else with ``np.unique(axis=0)``."""
-    if codes.shape[1] == 0:
-        return codes[:1], np.zeros(codes.shape[0], dtype=np.intp)
-    if np.prod(value_counts, dtype=float) >= 2.0 ** 63:
-        unique, inverse = np.unique(codes, axis=0, return_inverse=True)
-        return unique, inverse.reshape(-1)
-    keys = np.ravel_multi_index(tuple(codes.T), value_counts)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return codes[first], inverse
-
-
 def _distinct(rows: _KernelRows) -> tuple[_KernelRows, np.ndarray, np.ndarray, np.ndarray]:
     """Distinct rows ordered by code tuple, the distinct code tuples (in
-    :func:`_unique_rows` order), the tuple of each distinct row, and the
+    :func:`distinct_rows` order), the tuple of each distinct row, and the
     distinct row of every input row."""
-    tuples, group = _unique_rows(rows.codes, rows.widths)
+    tuples, group = distinct_rows(rows.codes)
     if rows.numeric.shape[1] == 0:
         distinct = _KernelRows(tuples, rows.widths, rows.numeric[:len(tuples)])
         return distinct, tuples, np.arange(len(tuples)), group
-    order = np.lexsort((*rows.numeric.T[::-1], group))
-    num, group = rows.numeric[order], group[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (group[1:] != group[:-1]) | (num[1:] != num[:-1]).any(axis=1)
-    inverse = np.empty(len(order), dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    keep = order[first]
-    distinct = _KernelRows(rows.codes[keep], rows.widths, rows.numeric[keep])
-    return distinct, tuples, group[first], inverse
+    # (tuple, numerics) rows as floats: tuple indices stay exact below 2^53
+    rows_of, inverse = distinct_rows(np.column_stack((group, rows.numeric)))
+    tuple_of = rows_of[:, 0].astype(np.intp)
+    return _KernelRows(tuples[tuple_of], rows.widths, rows_of[:, 1:]), tuples, tuple_of, inverse
 
 
 def _nearest_distances(gen: _KernelRows, ref: _KernelRows) -> np.ndarray:

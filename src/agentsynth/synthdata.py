@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bayesnet import CptSet, Dag, ancestral_sample
-from .dataset import AgentPool, Schema, VariableSpec, build_uniform_edges, codes_to_pool
+from .dataset import (AgentPool, Schema, VariableSpec, build_uniform_edges, codes_to_pool,
+                      draw_categories)
 from .errors import ConfigError, expect
 
 GENERATOR_KINDS = ("latent-class", "bn-ground-truth", "toy-appendix-a")
@@ -127,10 +128,7 @@ def _latent_class_generate(spec: SyntheticGeneratorSpec) -> AgentPool:
     # the numeric columns' codes are filled in from their values by AgentPool
     codes = np.zeros((spec.size, spec.n_variables + spec.numeric_variables), dtype=np.int64)
     for j, probs in enumerate(conditionals):
-        rows = probs[classes]
-        cum = np.cumsum(rows, axis=1)
-        codes[:, j] = np.minimum((rng.random((spec.size, 1)) * cum[:, -1:] > cum).sum(axis=1),
-                                 widths[j] - 1)
+        codes[:, j] = draw_categories(probs[classes], rng.random(spec.size))
     variables = list(_categorical_variables(widths))
     # optional class-conditional Gaussian numerics for mixed-mode runs
     numeric = np.empty((spec.size, spec.numeric_variables))

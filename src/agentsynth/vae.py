@@ -36,6 +36,7 @@ from .dataset import (
     EncodedMatrix,
     Schema,
     decode_rows,
+    draw_categories,
     matrix_to_codes,
     read_json,
     schema_blocks,
@@ -486,8 +487,7 @@ def sample(model: VaeModel, count: int, rng_or_seed, harden: str = "argmax") -> 
     """
     if harden not in ("argmax", "sample"):
         raise ConfigError(f"unknown hardening rule {harden!r}")
-    rng = rng_or_seed if isinstance(rng_or_seed, np.random.Generator) \
-        else np.random.default_rng(rng_or_seed)
+    rng = np.random.default_rng(rng_or_seed)
     schema = model.schema
     blocks = schema_blocks(schema)
     z = rng.standard_normal((count, model.latent_dim))
@@ -500,10 +500,9 @@ def sample(model: VaeModel, count: int, rng_or_seed, harden: str = "argmax") -> 
         for group in model.layout.groups:
             heads = [h for h, width in enumerate(widths) if width == group.width]
             shape = (count, group.count, group.width)
-            cum = np.cumsum(out[:, group.columns].reshape(shape), axis=2)
-            idx = ((uniforms[heads].T[:, :, None] * cum[:, :, -1:]) > cum).sum(axis=2)
+            idx = draw_categories(out[:, group.columns].reshape(shape), uniforms[heads].T)
             hard = np.zeros(shape)
-            np.put_along_axis(hard, np.minimum(idx, group.width - 1)[:, :, None], 1.0, axis=2)
+            np.put_along_axis(hard, idx[:, :, None], 1.0, axis=2)
             out[:, group.columns] = hard.reshape(count, -1)
     matrix = EncodedMatrix(out, blocks, dict(model.standardization), schema)
     return decode_rows(matrix, rng=rng)

@@ -44,6 +44,24 @@ class TestMarginalSample:
         model = fit_marginals(toy_pool(5))
         assert len(marginal_sample(model, 0, rng)) == 0
 
+    def test_equals_inline_inverse_cdf_reference(self, rng):
+        # reference: the bincount marginals and the inline draw used before
+        # dataset.view_counts and dataset.draw_categories
+        pool = random_categorical_pool(rng, [3, 4, 2], 300)
+        model = fit_marginals(pool)
+        codes = pool_to_codes(pool)
+        ref_rng = np.random.default_rng(8)
+        expected = np.zeros((400, 3), dtype=np.int64)
+        for j, width in enumerate(pool.schema.value_counts):
+            counts = np.bincount(codes[:, j], minlength=width).astype(float)
+            np.testing.assert_array_equal(model.probs[j], counts / counts.sum())
+            cum = np.cumsum(model.probs[j])
+            expected[:, j] = np.minimum((ref_rng.random((400, 1)) * cum[-1] > cum).sum(axis=1),
+                                        width - 1)
+        out_rng = np.random.default_rng(8)
+        np.testing.assert_array_equal(marginal_sample(model, 400, out_rng).codes, expected)
+        assert out_rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_marginal_view_converges_but_bivariate_stays_off(self, rng):
         # on perfectly correlated data the product of marginals misses the joint
         pool = toy_pool(1000)

@@ -330,7 +330,7 @@ class TestSparseScorer:
 
     def test_codes_outside_the_widths_rejected(self):
         codes = np.array([[0, 1], [1, 2]])
-        with pytest.raises(DataError, match="node 1: codes outside"):
+        with pytest.raises(DataError, match=r"variable 1: codes outside \[0, 2\)"):
             mdl_score(Dag(2, ((), (0,))), codes, (2, 2))
         with pytest.raises(DataError, match="value counts"):
             exact_search(codes, (2, 3, 2))
@@ -464,6 +464,24 @@ class TestCpts:
         for t in cpts.tables:
             np.testing.assert_allclose(t.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_equals_scatter_add_reference(self, rng):
+        # reference: the dense table filled by np.add.at, parents as listed
+        widths = (3, 2, 4, 2)
+        codes = np.column_stack([rng.integers(0, w, size=300) for w in widths])
+        codes[:, 2] = np.minimum(codes[:, 2], 2)  # value 3 never occurs
+        dag = Dag(4, ((), (0,), (3, 0), (1,)))
+        cpts = fit_cpts(dag, codes, widths)
+        for node, pa in enumerate(dag.parents):
+            counts = np.zeros((int(np.prod([widths[p] for p in pa])), widths[node]))
+            combo = (np.ravel_multi_index([codes[:, p] for p in pa], [widths[p] for p in pa])
+                     if pa else np.zeros(len(codes), dtype=np.int64))
+            np.add.at(counts, (combo, codes[:, node]), 1.0)
+            totals = counts.sum(axis=1, keepdims=True)
+            expected = np.full(counts.shape, 1.0 / widths[node])
+            seen = totals[:, 0] > 0
+            expected[seen] = counts[seen] / totals[seen]
+            np.testing.assert_array_equal(cpts.tables[node], expected)
+
     def test_refit_from_samples_reproduces_tables(self, rng):
         # fit -> sample 1e5 -> refit: every table row within TV < 0.02
         base = np.column_stack([
@@ -519,6 +537,29 @@ class TestAncestralSample:
         dag = Dag(1, ((),))
         cpts = CptSet((2,), dag.parents, (np.array([[0.5, 0.5]]),))
         assert ancestral_sample(dag, cpts, 0, 1).shape == (0, 1)
+
+    def test_equals_inline_inverse_cdf_reference(self, rng):
+        # reference: the inline draw ancestral_sample used before
+        # dataset.draw_categories, one uniform column per node
+        widths = (3, 2, 4)
+        dag = Dag(3, ((), (0,), (1, 0)))
+        cpts = fit_cpts(dag, np.column_stack(
+            [rng.integers(0, w, size=200) for w in widths]), widths)
+        ref_rng = np.random.default_rng(5)
+        expected = np.zeros((500, 3), dtype=np.int64)
+        for node in dag.topological_order():
+            pa, table = dag.parents[node], cpts.tables[node]
+            if pa:
+                rows = table[np.ravel_multi_index([expected[:, p] for p in pa],
+                                                  [widths[p] for p in pa])]
+            else:
+                rows = np.broadcast_to(table[0], (500, table.shape[1]))
+            cum = np.cumsum(rows, axis=1)
+            u = ref_rng.random((500, 1)) * cum[:, -1:]
+            expected[:, node] = np.minimum((u > cum).sum(axis=1), table.shape[1] - 1)
+        out_rng = np.random.default_rng(5)
+        np.testing.assert_array_equal(ancestral_sample(dag, cpts, 500, out_rng), expected)
+        assert out_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestDagAndSerialization:

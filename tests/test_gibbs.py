@@ -193,6 +193,20 @@ class TestRunChainMatchesReference:
             assert out.rows == expected.rows
             assert diag["distinct_rows"] == len(set(map(tuple, pool_to_codes(expected).tolist())))
 
+    def test_wide_schema_runs_on_the_lexsort_path(self, rng):
+        # 64 binary variables: neither the rows (2^64) nor a context (2^63)
+        # fit one int64 key, so ContextGroups compares rows by lexsort
+        base = rng.integers(0, 2, size=(6, 64))
+        base[1] = 1 - base[0]  # every column takes both values
+        flips = [row ^ (np.arange(64) == k) for row in base for k in rng.integers(0, 64, 4)]
+        pool = pool_from_codes(categorical_schema([2] * 64), np.vstack([base, *flips]))
+        assert (pool_to_codes(pool).max(axis=0) == 1).all()
+        tables = estimate_conditionals(pool)
+        config = ChainConfig(target_count=30, warmup=10, thinning=2, seed=4)
+        out, diag = run_chain(tables, pool, config)
+        assert out.rows == reference_chain(tables, pool, config).rows
+        assert diag["distinct_rows"] > 1
+
     def test_tables_reaching_beyond_the_training_rows(self, rng):
         # tables from a larger pool lead outside the chain's training rows
         pool = random_categorical_pool(rng, [3, 3, 2], 80)

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from agentsynth import metrics
+from agentsynth import dataset, metrics
 from agentsynth.dataset import (
     AgentPool,
     Schema,
@@ -93,11 +93,11 @@ class TestViewCounts:
         return np.column_stack([rng.integers(0, w, size=n_rows) for w in self.WIDTHS])
 
     @pytest.mark.parametrize("n_rows", [1, 7, 300])
-    @pytest.mark.parametrize("chunk", [1, 50, metrics.VIEW_CHUNK])
+    @pytest.mark.parametrize("chunk", [1, 50, dataset.VIEW_CHUNK])
     def test_equals_per_subset_frequencies(self, rng, monkeypatch, n_rows, chunk):
         # a chunk of 1 puts one subset in each chunk, 50 splits a view into
         # several chunks with a remainder
-        monkeypatch.setattr(metrics, "VIEW_CHUNK", chunk)
+        monkeypatch.setattr(dataset, "VIEW_CHUNK", chunk)
         codes = self._codes(rng, n_rows)
         for subsets in view_subsets(len(self.WIDTHS), (4, 1, 2, 0)).values():
             counts, offsets = view_counts(codes, self.WIDTHS, subsets)
@@ -108,7 +108,7 @@ class TestViewCounts:
             np.testing.assert_array_equal(offsets, np.concatenate(([0], np.cumsum(sizes))))
 
     def test_unobserved_bins_count_zero(self, rng, monkeypatch):
-        monkeypatch.setattr(metrics, "VIEW_CHUNK", 80)
+        monkeypatch.setattr(dataset, "VIEW_CHUNK", 80)
         codes = self._codes(rng, 40)
         codes[:, 2] = np.minimum(codes[:, 2], 1)  # values 2 and 3 never occur
         subsets = list(itertools.combinations(range(5), 3))

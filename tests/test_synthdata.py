@@ -38,7 +38,46 @@ class TestToyGenerator:
         assert counts[("1", "1")] == 500
 
 
+def _reference_latent_class(spec):
+    """The latent-class generator's draws with the inline inverse-CDF draw
+    it used before dataset.draw_categories: the categorical codes, the
+    numeric values and the generator after the last draw."""
+    rng = np.random.default_rng(spec.seed)
+    widths, s = spec.widths(), spec.dependence
+    conditionals = []
+    for w in widths:
+        anchors = rng.integers(0, w, size=spec.n_classes)
+        probs = np.full((spec.n_classes, w), (1.0 - s) / w)
+        probs[np.arange(spec.n_classes), anchors] += s
+        conditionals.append(probs)
+    classes = rng.integers(0, spec.n_classes, size=spec.size)
+    codes = np.zeros((spec.size, len(widths)), dtype=np.int64)
+    for j, probs in enumerate(conditionals):
+        cum = np.cumsum(probs[classes], axis=1)
+        codes[:, j] = np.minimum((rng.random((spec.size, 1)) * cum[:, -1:] > cum).sum(axis=1),
+                                 widths[j] - 1)
+    numeric = np.empty((spec.size, spec.numeric_variables))
+    for k in range(spec.numeric_variables):
+        means = rng.uniform(-2.0, 2.0, size=spec.n_classes) * (1.0 + 2.0 * s)
+        numeric[:, k] = rng.normal(means[classes], 1.0)
+    return codes, numeric, rng
+
+
 class TestLatentClassGenerator:
+    def test_equals_inline_inverse_cdf_reference(self, monkeypatch):
+        spec = SyntheticGeneratorSpec("latent-class", size=500, seed=6, n_variables=4,
+                                      n_classes=3, category_width=(2, 3, 4, 3),
+                                      numeric_variables=1)
+        codes, numeric, ref_rng = _reference_latent_class(spec)
+        made, default_rng = [], np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: made.append(default_rng(seed)) or made[-1])
+        pool = synth_generate(spec)
+        np.testing.assert_array_equal(pool.codes[:, :4], codes)
+        np.testing.assert_array_equal(pool.numeric, numeric)
+        assert len(made) == 1
+        assert made[0].bit_generator.state == ref_rng.bit_generator.state
+
     def test_single_class_is_independent(self):
         spec = SyntheticGeneratorSpec("latent-class", size=10 ** 4, seed=3,
                                       n_variables=5, n_classes=1, category_width=3)
