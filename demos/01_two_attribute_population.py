@@ -28,7 +28,7 @@ print("\n-- Gibbs sampler --")
 tables = gibbs.estimate_conditionals(pool)
 print("P(X | Y=0) =", tables[0].table[(0,)], "  P(X | Y=1) =", tables[0].table[(1,)])
 chain, diag = gibbs.run_chain(
-    tables, pool,
+    pool,
     gibbs.ChainConfig(target_count=5000, warmup=0, thinning=1, init=("0", "0", ), seed=3))
 emitted = {row for row in chain.rows}
 print(f"5000 steps from (0,0) emitted {emitted}: the chain is trapped on its island")

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, SchemaError, expect
+from .errors import ConfigError, DataError, SchemaError, expect
 
 NUMERICAL_KINDS = ("numerical-int", "numerical-cont")
 CATEGORICAL_KINDS = ("categorical", "binary")
@@ -139,6 +139,16 @@ class Schema:
             return self.names.index(name)
         except ValueError:
             raise SchemaError(f"no variable named {name!r} in schema") from None
+
+    def columns(self, names, setting: str) -> list[int]:
+        """Indices of ``names``, the value of configuration ``setting``, by
+        default the first four variables; a ConfigError unless it names at
+        least one variable of the schema, each once."""
+        if names is None:
+            return list(range(min(4, self.n_variables)))
+        if not names or len(set(names)) != len(names) or not set(names) <= set(self.names):
+            raise ConfigError(f"{setting} must name distinct schema variables, got {list(names)}")
+        return [self.index(name) for name in names]
 
 
 @dataclass(frozen=True, eq=False)
@@ -502,12 +512,13 @@ def split_pool(pool: AgentPool, train_frac: float, val_frac_of_train: float,
 VIEW_CHUNK = 1 << 16
 
 
-def check_codes(codes: np.ndarray, value_counts, columns=None) -> None:
+def check_codes(codes: np.ndarray, value_counts,
+                columns=None) -> tuple[np.ndarray, np.ndarray]:
     """DataError unless ``codes`` has one column per value count and every
     code in the columns that ``columns`` names (default: all) lies in
     ``[0, value_counts[j])``. Unchecked, numpy indexing would count a -1 as
     the last value and a bincount would count a code past the width in a
-    neighbouring cell."""
+    neighbouring cell. Returns the checked columns, sorted, and their codes."""
     if len(value_counts) != codes.shape[1]:
         raise DataError(f"{codes.shape[1]} code columns but {len(value_counts)} value counts")
     cols = np.unique(np.arange(codes.shape[1]) if columns is None else columns)
@@ -516,6 +527,7 @@ def check_codes(codes: np.ndarray, value_counts, columns=None) -> None:
     if outside.any():
         j = int(cols[np.argmax(outside.any(axis=0))])
         raise DataError(f"variable {j}: codes outside [0, {value_counts[j]})")
+    return cols, sub
 
 
 def view_counts(codes: np.ndarray, value_counts: tuple[int, ...],
@@ -536,14 +548,15 @@ def view_counts(codes: np.ndarray, value_counts: tuple[int, ...],
     subs = np.asarray(subsets, dtype=np.intp).reshape(len(subsets), -1)
     if subs.shape[1] == 0:
         raise DataError("frequency distribution needs a non-empty variable subset")
-    check_codes(codes, value_counts, subs)
+    cols, counted = check_codes(codes, value_counts, subs)
     widths = np.asarray(value_counts, dtype=np.int64)[subs]
     strides = np.ones_like(widths)
     for p in range(subs.shape[1] - 2, -1, -1):
         strides[:, p] = strides[:, p + 1] * widths[:, p + 1]
     offsets = np.concatenate(([0], np.cumsum(widths.prod(axis=1))))
     dtype = np.int32 if offsets[-1] < 2 ** 31 else np.int64
-    codes_t = np.ascontiguousarray(codes.T, dtype=dtype)
+    codes_t = np.ascontiguousarray(counted.T, dtype=dtype)
+    subs = np.searchsorted(cols, subs)  # rows of codes_t
     strides, starts = strides.astype(dtype), offsets[:-1].astype(dtype)
     counts = np.empty(offsets[-1], dtype=np.int64)
     step = max(1, VIEW_CHUNK // n)

@@ -14,15 +14,15 @@ never let the chain leave.
 training rows; for each variable every unique row belongs to a context
 group (the rows equal to it on all other variables), and one update is a
 bisection into the group's cumulative conditional that lands directly on
-the next row index. The tables passed in define those conditionals, so the
-chain samples exactly the tables it is given. The start must be a training
-row, and the tables must hold every training row's context and give
-positive probability only to training rows; anything else is a DataError.
-:func:`gibbs_step`, one scan by table lookup, is the reference the index
-chain is tested against. The context groups also give the probability
-islands: connected components of the unique training rows, two rows being
-linked when they share a context group. Diagnostics report how many
-islands there are and how many rows the chain's starting island holds.
+the next row index. The chain estimates its conditionals on that same
+index (:meth:`ContextGroups.conditional`), so every value it can draw
+completes a training row. The start must be a training row; anything else
+is a DataError. :func:`gibbs_step`, one scan by lookup in the tables of
+:func:`estimate_conditionals`, is the reference the index chain is tested
+against. The context groups also give the probability islands: connected
+components of the unique training rows, two rows being linked when they
+share a context group. Diagnostics report how many islands there are and
+how many rows the chain's starting island holds.
 
 Mixed schemas are handled by discretizing numerics with the schema bins
 before table estimation; emitted bin draws become bin-uniform raw values.
@@ -86,12 +86,9 @@ class ContextGroups:
     @classmethod
     def from_codes(cls, codes: np.ndarray) -> ContextGroups:
         rows, row_ids = distinct_rows(codes)
-        groups, contexts = [], []
-        for i in range(rows.shape[1]):
-            ctx, group = distinct_rows(np.delete(rows, i, axis=1))
-            groups.append(group)
-            contexts.append(ctx)
-        return cls(rows, np.bincount(row_ids), groups, contexts)
+        contexts, groups = zip(*(distinct_rows(np.delete(rows, i, axis=1))
+                                 for i in range(rows.shape[1])))
+        return cls(rows, np.bincount(row_ids), list(groups), list(contexts))
 
     def island_labels(self) -> np.ndarray:
         """Per unique row, the smallest row index of its probability island."""
@@ -109,7 +106,15 @@ class ContextGroups:
             if np.array_equal(labels, before):
                 return labels
 
-    def transitions(self, tables: list[ConditionalTable]) -> list[tuple[list, list]] | None:
+    def conditional(self, i: int, width: int) -> np.ndarray:
+        """Variable ``i``'s full conditional per context group: row ``g`` is
+        the normalized training counts of group ``g`` over column ``i``."""
+        n_groups = len(self.contexts[i])
+        counts = np.bincount(self.groups[i] * width + self.rows[:, i], weights=self.counts,
+                             minlength=n_groups * width).reshape(n_groups, width)
+        return counts / counts.sum(axis=1, keepdims=True)
+
+    def transitions(self, widths) -> list[tuple[list, list]]:
         """Per variable, two sequences indexed by unique row: the cumulative
         conditional of the row's context group, and the unique row that
         each bisection result into it lands on.
@@ -118,33 +123,22 @@ class ContextGroups:
         width) lands where the last value with positive probability does.
         A point-mass group gets the empty cumulative sequence, so every
         bisection gives 0 and lands on its only reachable row.
-        Returns None when a training row's context is missing from the
-        tables or a positive-probability value leads outside the training
-        rows: the index space then does not hold the chain.
         """
         n = len(self.rows)
-        only = [(r,) for r in range(n)]
         layout = []
-        for i, (group, ctx) in enumerate(zip(self.groups, self.contexts)):
-            table = tables[i].table
-            probs = [table.get(key) for key in map(tuple, ctx.tolist())]
-            if any(p is None for p in probs):
-                return None
-            probs = np.array(probs)
+        for i, group in enumerate(self.groups):
+            probs = self.conditional(i, widths[i])
             n_groups, width = probs.shape
             target = np.full((n_groups, width + 1), -1)
             target[group, self.rows[:, i]] = np.arange(n)
             positive = probs > 0
-            n_positive = positive.sum(axis=1)
-            if (n_positive == 0).any() or (positive & (target[:, :width] < 0)).any():
-                return None
             last = width - 1 - np.argmax(positive[:, ::-1], axis=1)
             target[:, width] = target[np.arange(n_groups), last]
-            spread = np.flatnonzero(n_positive > 1)
+            spread = np.flatnonzero(positive.sum(axis=1) > 1)
             by_group = dict(zip(spread.tolist(), zip(np.cumsum(probs[spread], axis=1).tolist(),
                                                     target[spread].tolist())))
             sole = target[:, width].tolist()
-            steps = [by_group.get(g) or ((), only[sole[g]]) for g in group.tolist()]
+            steps = [by_group.get(g) or ((), (sole[g],)) for g in group.tolist()]
             layout.append(([cum for cum, _ in steps], [nxt for _, nxt in steps]))
         return layout
 
@@ -159,15 +153,8 @@ def estimate_conditionals(train: AgentPool) -> list[ConditionalTable]:
     if len(train) == 0:
         raise DataError("cannot estimate conditionals from an empty pool")
     index = ContextGroups.from_codes(pool_to_codes(train))
-    widths = train.schema.value_counts
-    tables = []
-    for i, (group, ctx) in enumerate(zip(index.groups, index.contexts)):
-        width = widths[i]
-        counts = np.bincount(group * width + index.rows[:, i], weights=index.counts,
-                             minlength=len(ctx) * width).reshape(len(ctx), width)
-        probs = counts / counts.sum(axis=1, keepdims=True)
-        tables.append(ConditionalTable(i, dict(zip(map(tuple, ctx.tolist()), probs))))
-    return tables
+    return [ConditionalTable(i, dict(zip(map(tuple, ctx.tolist()), index.conditional(i, w))))
+            for i, (ctx, w) in enumerate(zip(index.contexts, train.schema.value_counts))]
 
 
 def gibbs_step(row: tuple, tables: list[ConditionalTable],
@@ -213,18 +200,14 @@ def _run_on_index(layout, row: int, config: ChainConfig,
     return kept
 
 
-def run_chain(tables: list[ConditionalTable], train: AgentPool,
-              config: ChainConfig) -> tuple[AgentPool, dict]:
+def run_chain(train: AgentPool, config: ChainConfig) -> tuple[AgentPool, dict]:
     """Run one chain on the unique rows of ``train``: warm up, then keep
-    every ``thinning``-th state until ``target_count`` rows are emitted.
-
-    Total iterations are warmup + thinning * target_count, each iteration
-    being one full-scan step. The start (``config.init``, or a random
-    training row) must be a training row, and ``tables`` must keep the
-    chain on the training rows (:meth:`ContextGroups.transitions`); either
-    failing is a DataError. Diagnostics report iterations, the number of
-    distinct emitted rows, the number of probability islands in the
-    training rows, and the rows in the island the chain starts on.
+    every ``thinning``-th full scan until ``target_count`` rows are emitted,
+    warmup + thinning * target_count scans in all. The start
+    (``config.init``, or a random training row) must be a training row.
+    Diagnostics report iterations, the number of distinct emitted rows, the
+    number of probability islands in the training rows, and the rows in the
+    island the chain starts on.
     """
     if len(train) == 0:
         raise DataError("a Gibbs chain needs a non-empty training pool")
@@ -240,10 +223,7 @@ def run_chain(tables: list[ConditionalTable], train: AgentPool,
     if len(matches) == 0:
         raise DataError(f"the chain's start {tuple(config.init)!r} is not a training row")
     start = int(matches[0])
-    layout = index.transitions(tables)
-    if layout is None:
-        raise DataError("the conditional tables lead outside the training rows "
-                        "or lack a training row's context")
+    layout = index.transitions(schema.value_counts)
     kept = np.asarray(_run_on_index(layout, start, config, rng), dtype=np.intp)
     pool = codes_to_pool(index.rows[kept], schema, provenance="generated", rng=rng)
     labels = index.island_labels()
@@ -252,10 +232,7 @@ def run_chain(tables: list[ConditionalTable], train: AgentPool,
         "distinct_rows": len(np.unique(kept)),
         "islands": len(np.unique(labels)),
         "start_island_rows": int(np.sum(labels == labels[start])),
-        "warmup": config.warmup,
-        "thinning": config.thinning,
-        "target_count": config.target_count,
-        "seed": config.seed,
+        **{key: getattr(config, key) for key in ("warmup", "thinning", "target_count", "seed")},
     }
     return pool, diagnostics
 

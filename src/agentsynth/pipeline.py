@@ -188,15 +188,6 @@ def acquire_data(config: ExperimentConfig) -> AgentPool:
     return ingest_csv(config.data_csv, schema_doc)
 
 
-def _projection(config: ExperimentConfig, schema) -> list[int] | None:
-    if config.projection is None:
-        return None
-    try:
-        return [schema.index(name) for name in config.projection]
-    except DataError as exc:
-        raise ConfigError(f"projection: {exc}") from None
-
-
 def _split_seed(config: ExperimentConfig) -> int:
     return int(substream(config.seed, "split").integers(2 ** 31))
 
@@ -219,7 +210,7 @@ def prepare_data(config: ExperimentConfig, out: Path) -> tuple[AgentPool, AgentP
     """Acquire the sample, write it with its schema, split it and write the
     splits; returns the train, validation and test pools."""
     source = acquire_data(config)
-    _projection(config, source.schema)  # a bad projection fails before any training
+    source.schema.columns(config.projection, "projection")  # fails before any training
     write_source(source, out)
     splits = split_pool(source, config.train_frac, config.val_frac_of_train,
                         _split_seed(config))
@@ -246,20 +237,18 @@ def train_method(config: ExperimentConfig, method: MethodSpec, train: AgentPool,
     if method.kind == "vae":
         enc_train = encode_pool(train)
         enc_val = encode_pool(validation, standardization=enc_train.standardization)
-        hidden_options = param("hidden_options", None, "a list of integer lists")
         train_config = vae.TrainConfig(
             epochs=param("epochs", 100),
             batch_size=param("batch_size", 64),
             seed=param("seed", int(rng_fit.integers(2 ** 31))),
             learning_rate=param("learning_rate", 0.001, "a number"),
-            hidden_options=None if hidden_options is None else [tuple(h) for h in hidden_options],
+            hidden_options=param("hidden_options", None, "a list of integer lists"),
             latent_options=param("latent_options", None, "a list of integers"),
             beta_options=param("beta_options", None, "a list of numbers"),
             selection_variables=param("selection_variables", None, "a list of names"),
             selection_samples=param("selection_samples", None),
             harden=param("harden", "argmax", "a string"),
         )
-        train_config.grid()  # surface partial-grid errors before any training
         model = vae.build_vae(train.schema,
                               tuple(param("hidden", (50,), "a list of integers")),
                               param("latent_dim", 10),
@@ -292,7 +281,10 @@ def train_method(config: ExperimentConfig, method: MethodSpec, train: AgentPool,
     if algorithm == "tree":
         dag = bayesnet.chow_liu(codes, counts)
     elif algorithm == "greedy":
-        dag = bayesnet.greedy_search(codes, counts, max_parents=param("max_parents", 3))
+        max_parents = param("max_parents", 3)
+        if max_parents < 0:
+            raise ConfigError(f"method {method.name!r}: max_parents must be >= 0")
+        dag = bayesnet.greedy_search(codes, counts, max_parents=max_parents)
     elif algorithm == "exact":
         dag = bayesnet.exact_search(codes, counts, max_vars=param("max_vars", 12))
     else:
@@ -329,8 +321,7 @@ def sample_method(config: ExperimentConfig, method: MethodSpec, model, schema, c
     if method.kind == "vae":
         pool = vae.sample(model, count, rng_sample, harden=method.params.get("harden", "argmax"))
     elif method.kind == "gibbs":
-        tables = gibbs.estimate_conditionals(train)
-        pool, diagnostics = gibbs.run_chain(tables, train, gibbs.chain_from_dict(model, count))
+        pool, diagnostics = gibbs.run_chain(train, gibbs.chain_from_dict(model, count))
         gibbs.write_diagnostics(diagnostics,
                                 out / "models" / f"{method.name}-diagnostics.json")
     else:
@@ -349,7 +340,7 @@ def evaluate_pools(config: ExperimentConfig, pools: dict[str, AgentPool], train:
     split, and write ``report.json`` and ``report.csv``; returns the report
     and the baseline pools."""
     schema = test.schema
-    projection = _projection(config, schema)
+    projection = schema.columns(config.projection, "projection")
     baseline_pools = {
         "marginal-sampler": baselines.marginal_sample(
             baselines.fit_marginals(train), config.generation_count,
@@ -366,7 +357,7 @@ def evaluate_pools(config: ExperimentConfig, pools: dict[str, AgentPool], train:
         "sizes": {"train": len(train), "validation": len(validation), "test": len(test)},
         "methods": [{"name": m.name, "kind": m.kind, "params": m.params}
                     for m in config.methods],
-        "projection": config.projection or list(schema.names[:min(4, schema.n_variables)]),
+        "projection": [schema.names[j] for j in projection],
         "bin_policy": "uniform bins over the observed range; last bin right-closed",
         "schema": schema_to_json(schema),
     }

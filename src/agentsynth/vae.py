@@ -127,8 +127,7 @@ class VaeModel:
     layout: HeadLayout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ConfigError(f"beta must be positive, got {self.beta}")
+        _check_point((), self.latent_dim, self.beta)
         self.packed = pack_parameters((self.encoder, self.decoder))
         self.layout = head_layout(self.decoder.heads)
 
@@ -161,6 +160,8 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 0 and batch_size >= 1")
         if self.harden not in ("argmax", "sample"):
             raise ConfigError(f"unknown hardening rule {self.harden!r}")
+        if self.selection_samples is not None and self.selection_samples < 1:
+            raise ConfigError("selection_samples must be >= 1")
 
     def grid(self) -> list[tuple[tuple[int, ...], int, float]] | None:
         opts = (self.hidden_options, self.latent_options, self.beta_options)
@@ -168,12 +169,17 @@ class TrainConfig:
             return None
         if any(o is None for o in opts):
             raise ConfigError("grid search needs hidden, latent, and beta options together")
-        return [
+        grid = [
             (tuple(h), int(d), float(b))
             for h, d, b in itertools.product(self.hidden_options,
                                              self.latent_options,
                                              self.beta_options)
         ]
+        if not grid:
+            raise ConfigError("grid search needs at least one value per option")
+        for point in grid:
+            _check_point(*point)
+        return grid
 
 
 @dataclass
@@ -195,9 +201,19 @@ def decoder_heads(schema: Schema) -> tuple[Head, ...]:
     return tuple(heads)
 
 
+def _check_point(hidden, latent_dim: int, beta: float) -> None:
+    """ConfigError unless all layer widths are >= 1 and beta is positive."""
+    if latent_dim < 1 or any(width < 1 for width in hidden):
+        raise ConfigError(f"layer widths must be >= 1, got hidden {list(hidden)} "
+                          f"and latent_dim {latent_dim}")
+    if beta <= 0:
+        raise ConfigError(f"beta must be positive, got {beta}")
+
+
 def build_vae(schema: Schema, hidden: tuple[int, ...], latent_dim: int, beta: float,
               rng: np.random.Generator) -> VaeModel:
     """Encoder n -> hidden -> (mu, logvar); decoder with the mirrored stack."""
+    _check_point(hidden, latent_dim, beta)
     n = schema.encoded_width
     encoder = init_mlp(n, tuple(hidden),
                        (Head("linear", latent_dim), Head("linear", latent_dim)), rng)
@@ -431,13 +447,11 @@ def _train_single(model: VaeModel, train: EncodedMatrix, config: TrainConfig,
 
 
 def _selection_srmse(model: VaeModel, validation: EncodedMatrix, config: TrainConfig,
-                     rng: np.random.Generator) -> float:
-    """Validation SRMSE of the projected joint over the selection variables,
-    computed on hardened samples."""
+                     subset: tuple[int, ...], rng: np.random.Generator) -> float:
+    """Validation SRMSE of the projected joint over the selection variables
+    ``subset``, computed on hardened samples."""
     schema = model.schema
-    names = config.selection_variables or list(schema.names[:4])
-    subset = tuple(schema.index(n) for n in names)
-    count = config.selection_samples or max(1000, len(validation))
+    count = config.selection_samples or max(1000, len(validation))  # None or >= 1
     pool = sample(model, count, rng, harden=config.harden)
     val_codes = matrix_to_codes(validation)
     gen = metrics.frequency_distribution_from_codes(
@@ -457,6 +471,7 @@ def train(model: VaeModel, train_matrix: EncodedMatrix, validation: EncodedMatri
     the selection-variable joint wins.
     """
     grid = config.grid()
+    subset = tuple(model.schema.columns(config.selection_variables, "selection_variables"))
     if grid is None:
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
         trained, history = _train_single(model, train_matrix, config, rng)
@@ -470,7 +485,7 @@ def train(model: VaeModel, train_matrix: EncodedMatrix, validation: EncodedMatri
         candidate = build_vae(model.schema, hidden, latent_dim, beta, rng_init)
         trained, history = _train_single(candidate, train_matrix, config, rng_train, gi)
         all_history.extend(history)
-        score = _selection_srmse(trained, validation, config, rng_select)
+        score = _selection_srmse(trained, validation, config, subset, rng_select)
         records.append({"grid_index": gi, "hidden": list(hidden),
                         "latent_dim": latent_dim, "beta": beta, "selection_srmse": score})
         if best is None or score < best[0]:

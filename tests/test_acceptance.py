@@ -39,9 +39,8 @@ def test_c01_gibbs_replication():
     spec = SyntheticGeneratorSpec("latent-class", size=2000, seed=31, n_variables=10,
                                   n_classes=5, category_width=4, dependence=0.8)
     train = synth_generate(spec)
-    tables = gibbs.estimate_conditionals(train)
     pool, diag = gibbs.run_chain(
-        tables, train, gibbs.ChainConfig(target_count=2000, warmup=1000, thinning=2, seed=8))
+        train, gibbs.ChainConfig(target_count=2000, warmup=1000, thinning=2, seed=8))
     train_rows = set(train.rows)
     assert len(pool) == 2000
     assert all(row in train_rows for row in pool.rows)
@@ -58,9 +57,8 @@ def test_c02_toy_island_trapping():
     """A chain started at the first prototype never leaves it."""
     started = time.perf_counter()
     train = toy_pool(500)
-    tables = gibbs.estimate_conditionals(train)
     pool, _ = gibbs.run_chain(
-        tables, train,
+        train,
         gibbs.ChainConfig(target_count=10000, warmup=0, thinning=1,
                           init=("0", "0"), seed=5))
     assert set(pool.rows) == {("0", "0")}
@@ -335,7 +333,7 @@ def test_c10_chain_accounting():
     """Iteration counter with the documented warm-up and thinning."""
     train = toy_pool(5)
     config = gibbs.ChainConfig(target_count=100000, warmup=20000, thinning=20, seed=0)
-    _, diag = gibbs.run_chain(gibbs.estimate_conditionals(train), train, config)
+    _, diag = gibbs.run_chain(train, config)
     assert diag["iterations"] == 2020000
     _report("C10 chain-accounting",
             "20000 + 20*100000 = 2020000 iterations for 100000 agents")

@@ -239,6 +239,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and message in err, err
 
+    @pytest.mark.parametrize("kind, params, message", [
+        ("vae", {"selection_variables": ["x00", "nope"]}, "must name distinct schema variables"),
+        ("vae", {"selection_variables": ["x00", "x00"]}, "must name distinct schema variables"),
+        ("vae", {"selection_variables": []}, "must name distinct schema variables"),
+        ("vae", {"selection_samples": -5}, "selection_samples must be >= 1"),
+        ("vae", {"selection_samples": 0}, "selection_samples must be >= 1"),
+        ("vae", {"latent_dim": 0}, "layer widths must be >= 1"),
+        ("vae", {"latent_dim": -2}, "layer widths must be >= 1"),
+        ("vae", {"hidden": [0]}, "layer widths must be >= 1"),
+        ("vae", {"latent_options": [2, 0]}, "layer widths must be >= 1"),
+        ("vae", {"hidden_options": [[]], "latent_options": [], "beta_options": [0.1]},
+         "at least one value per option"),
+        ("bn", {"algorithm": "greedy", "max_parents": -1}, "max_parents must be >= 0"),
+    ])
+    def test_invalid_method_setting_is_config_error(self, tmp_path, capsys, kind, params,
+                                                    message):
+        # every setting fails before training writes the model file
+        grid = {"hidden_options": [[6]], "latent_options": [2], "beta_options": [0.1],
+                "epochs": 2} if kind == "vae" else {}
+        out = tmp_path / "o"
+        config = _write_config(tmp_path, out, methods=[
+            {"name": "m", "kind": kind, "params": {**grid, **params}}])
+        assert main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and message in err, err
+        assert _run_info(out)["stage"] == "train:m"
+        assert not (out / "models" / "m.json").exists()
+
     def test_missing_config_is_config_error(self):
         assert main(["run"]) == 2
 
@@ -282,12 +310,15 @@ class TestExitCodes:
         if command == "evaluate":
             assert main(["prepare", "--config", str(config)]) == 0
         doc = json.loads(config.read_text())
-        doc["projection"] = ["nope"]
-        config.write_text(json.dumps(doc))
-        assert main([command, "--config", str(config)]) == 2
-        info = _run_info(out)
-        assert (info["status"], info["stage"]) == \
-            ("failed", "prepare" if command == "run" else command)
+        # an unknown name, no name, or a name twice
+        for projection in (["nope"], [], ["x00", "x00"]):
+            doc["projection"] = projection
+            config.write_text(json.dumps(doc))
+            assert main([command, "--config", str(config)]) == 2, projection
+            info = _run_info(out)
+            assert (info["status"], info["stage"]) == \
+                ("failed", "prepare" if command == "run" else command)
+            assert "projection" in info["error"]
 
     def test_report_reads_the_configured_out_dir(self, tmp_path):
         out = tmp_path / "o"

@@ -183,13 +183,12 @@ class TestRunChainMatchesReference:
                    "seed": trial, "restart_on_unreachable": restart}
             config = dataclasses.replace(
                 gibbs.chain_from_dict(doc, int(rng.integers(0, 40))), init=start)
-            tables = estimate_conditionals(pool)
             if start != "random-from-train" and not _codes_in_pool(start, pool):
                 with pytest.raises(DataError, match="not a training row"):
-                    run_chain(tables, pool, config)
+                    run_chain(pool, config)
                 continue
-            expected = reference_chain(tables, pool, config)
-            out, diag = run_chain(tables, pool, config)
+            expected = reference_chain(estimate_conditionals(pool), pool, config)
+            out, diag = run_chain(pool, config)
             assert out.rows == expected.rows
             assert diag["distinct_rows"] == len(set(map(tuple, pool_to_codes(expected).tolist())))
 
@@ -203,34 +202,40 @@ class TestRunChainMatchesReference:
         assert (pool_to_codes(pool).max(axis=0) == 1).all()
         tables = estimate_conditionals(pool)
         config = ChainConfig(target_count=30, warmup=10, thinning=2, seed=4)
-        out, diag = run_chain(tables, pool, config)
+        out, diag = run_chain(pool, config)
         assert out.rows == reference_chain(tables, pool, config).rows
         assert diag["distinct_rows"] > 1
 
-    def test_tables_reaching_beyond_the_training_rows(self, rng):
-        # tables from a larger pool lead outside the chain's training rows
-        pool = random_categorical_pool(rng, [3, 3, 2], 80)
-        train = AgentPool.from_rows(pool.schema, pool.rows[:10], "train")
-        tables = estimate_conditionals(pool)
-        assert ContextGroups.from_codes(pool_to_codes(train)).transitions(tables) is None
-        config = ChainConfig(target_count=50, warmup=5, thinning=2, seed=3)
-        with pytest.raises(DataError, match="outside the training rows"):
-            run_chain(tables, train, config)
+    def test_sixty_variables_of_width_four(self, rng):
+        # the regime of the paper's scalability claim: 200 rows over 60
+        # variables of width 4, near-copies of 8 prototypes so the chain can
+        # move; the binned numeric column makes the decoded pool depend on
+        # the generator state the chain leaves behind
+        widths = np.array([4] * 60 + [3])
+        base = rng.integers(0, 4, size=(8, 61)) % widths
+        flips = np.repeat(base, 24, axis=0)
+        cols = rng.integers(0, 61, size=len(flips))
+        flips[np.arange(len(flips)), cols] = rng.integers(0, widths[cols])
+        age = VariableSpec("age", "numerical-cont", bin_edges=(0.0, 1.0, 2.0, 3.0))
+        schema = Schema(categorical_schema(widths[:-1]).variables + (age,), "discretize-all")
+        pool = codes_to_pool(np.vstack([base, flips]), schema, provenance="train", rng=rng)
+        config = ChainConfig(target_count=50, warmup=20, thinning=2, seed=6)
+        out, diag = run_chain(pool, config)
+        assert out.rows == reference_chain(estimate_conditionals(pool), pool, config).rows
+        assert diag["distinct_rows"] > 1
 
     def test_draw_past_rounded_total_on_index(self, monkeypatch):
         pool = _rounding_pool()
-        tables = estimate_conditionals(pool)
         monkeypatch.setattr(np.random, "default_rng", lambda seed: TopDrawRng())
-        out, _ = run_chain(tables, pool, ChainConfig(target_count=5, warmup=0, thinning=1,
-                                                     init=("c0", "c0")))
+        out, _ = run_chain(pool, ChainConfig(target_count=5, warmup=0, thinning=1,
+                                             init=("c0", "c0")))
         assert set(out.rows) == {("c9", "c0")}
 
 
 class TestIslands:
     def test_toy_pool_has_two_single_row_islands(self):
         pool = toy_pool(50)
-        _, diag = run_chain(estimate_conditionals(pool), pool,
-                            ChainConfig(target_count=20, warmup=5, thinning=1, seed=2))
+        _, diag = run_chain(pool, ChainConfig(target_count=20, warmup=5, thinning=1, seed=2))
         assert diag["islands"] == 2
         assert diag["start_island_rows"] == 1
 
@@ -259,43 +264,48 @@ class TestIslands:
     def test_chain_stays_in_its_start_island(self, rng):
         for seed in range(5):
             pool = random_categorical_pool(rng, [3, 3, 3, 3], 40)
-            _, diag = run_chain(estimate_conditionals(pool), pool,
-                                ChainConfig(target_count=300, warmup=10, thinning=1, seed=seed))
+            _, diag = run_chain(pool, ChainConfig(target_count=300, warmup=10, thinning=1,
+                                                  seed=seed))
             assert 1 <= diag["islands"] <= len(set(pool.rows))
             assert diag["distinct_rows"] <= diag["start_island_rows"]
 
 
 class TestRunChain:
     def test_zero_target_empty_pool_after_warmup(self):
-        pool = toy_pool(5)
-        tables = estimate_conditionals(pool)
-        out, diag = run_chain(tables, pool, ChainConfig(target_count=0, warmup=50, thinning=3))
+        out, diag = run_chain(toy_pool(5), ChainConfig(target_count=0, warmup=50, thinning=3))
         assert len(out) == 0
         assert diag["iterations"] == 50
 
     def test_replication_on_categorical_data(self, rng):
         pool = random_categorical_pool(rng, [3, 2, 2, 3], 150)
-        tables = estimate_conditionals(pool)
-        out, _ = run_chain(tables, pool,
-                           ChainConfig(target_count=300, warmup=100, thinning=2, seed=4))
+        out, _ = run_chain(pool, ChainConfig(target_count=300, warmup=100, thinning=2, seed=4))
         train_rows = set(pool.rows)
         assert all(row in train_rows for row in out.rows)
         assert out.provenance == "generated"
 
     def test_explicit_start_trapping(self):
-        pool = toy_pool(100)
-        tables = estimate_conditionals(pool)
-        out, _ = run_chain(tables, pool,
-                           ChainConfig(target_count=500, warmup=0, thinning=1,
-                                       init=("0", "0"), seed=9))
+        out, _ = run_chain(toy_pool(100), ChainConfig(target_count=500, warmup=0, thinning=1,
+                                                      init=("0", "0"), seed=9))
         assert set(out.rows) == {("0", "0")}
+
+    def test_builds_the_index_once(self, rng, monkeypatch):
+        built = []
+        from_codes = ContextGroups.from_codes.__func__
+
+        def counting(cls, codes):
+            built.append(len(codes))
+            return from_codes(cls, codes)
+
+        monkeypatch.setattr(ContextGroups, "from_codes", classmethod(counting))
+        pool = random_categorical_pool(rng, [3, 3, 2], 40)
+        run_chain(pool, ChainConfig(target_count=10, warmup=5, thinning=1, seed=1))
+        assert built == [40]
 
     def test_deterministic_under_seed(self, rng):
         pool = random_categorical_pool(rng, [3, 3], 60)
-        tables = estimate_conditionals(pool)
         config = ChainConfig(target_count=40, warmup=10, thinning=2, seed=33)
-        a, _ = run_chain(tables, pool, config)
-        b, _ = run_chain(tables, pool, config)
+        a, _ = run_chain(pool, config)
+        b, _ = run_chain(pool, config)
         assert a.rows == b.rows
 
     def _three_var_islands(self):
@@ -306,13 +316,12 @@ class TestRunChain:
         # the retired restart setting in an old model file restarts nothing:
         # an off-distribution start still fails, and no restarts are counted
         pool = self._three_var_islands()
-        tables = estimate_conditionals(pool)
         doc = {"format": "agentsynth-gibbs", "version": 2, "warmup": 0, "thinning": 1,
                "seed": 1, "restart_on_unreachable": True}
         config = dataclasses.replace(gibbs.chain_from_dict(doc, 10), init=("c0", "c0", "c1"))
         with pytest.raises(DataError, match="not a training row"):
-            run_chain(tables, pool, config)
-        out, diag = run_chain(tables, pool, dataclasses.replace(config, init=("c0", "c0", "c0")))
+            run_chain(pool, config)
+        out, diag = run_chain(pool, dataclasses.replace(config, init=("c0", "c0", "c0")))
         assert "restarts" not in diag
         assert set(out.rows) == {("c0", "c0", "c0")}
 
@@ -322,7 +331,7 @@ class TestRunChain:
         config = ChainConfig(target_count=10, warmup=0, thinning=1,
                              init=("c0", "c0", "c1"), seed=1)
         with pytest.raises(DataError, match="not a training row"):
-            run_chain(estimate_conditionals(pool), pool, config)
+            run_chain(pool, config)
 
     def test_start_outside_the_training_rows_is_data_error(self, rng):
         # random rows missing from their pools
@@ -331,7 +340,7 @@ class TestRunChain:
             config = ChainConfig(target_count=10, warmup=0, thinning=1,
                                  init=_row_outside(pool, rng), seed=1)
             with pytest.raises(DataError, match="not a training row"):
-                run_chain(estimate_conditionals(pool), pool, config)
+                run_chain(pool, config)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):

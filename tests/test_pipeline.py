@@ -102,10 +102,13 @@ class TestRunPipeline:
         assert "error" in info
 
     def test_unknown_projection_is_config_error(self, tmp_path):
-        config = _small_config(tmp_path)
-        config.projection = ["nope"]
-        with pytest.raises(ConfigError, match="projection"):
-            run_pipeline(config)
+        # an unknown name, no name, or a name twice fails before any training
+        config = _small_config(tmp_path, methods=_fast_methods())
+        for projection in (["nope"], [], ["x00", "x00"]):
+            config.projection = projection
+            with pytest.raises(ConfigError, match="projection"):
+                run_pipeline(config)
+            assert not (tmp_path / "out" / "models").exists()
 
     def test_bn_rejects_mixed_schema(self, tmp_path):
         from agentsynth.dataset import AgentPool, Schema, VariableSpec

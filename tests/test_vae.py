@@ -254,6 +254,17 @@ class TestTrain:
         with pytest.raises(ConfigError):
             TrainConfig(hidden_options=[(4,)]).grid()
 
+    @pytest.mark.parametrize("hidden, latent, beta", [
+        ([(4,)], [2], [0.5, -1.0]),
+        ([(4,), (0,)], [2], [0.5]),
+        ([(4,)], [2, 0], [0.5]),
+        ([], [2], [0.5]),
+    ], ids=["beta", "hidden-width", "latent-width", "no-hidden-option"])
+    def test_invalid_grid_point_rejected(self, hidden, latent, beta):
+        # grid() runs before any training, so every point is checked there
+        with pytest.raises(ConfigError):
+            TrainConfig(hidden_options=hidden, latent_options=latent, beta_options=beta).grid()
+
 
 class TestSample:
     def test_zero_count_empty_pool(self, rng):
