@@ -22,6 +22,7 @@ pure functions, safe to call from concurrent workers.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -72,6 +73,8 @@ class VariableSpec:
                 raise SchemaError(f"variable {self.name!r}: needs at least 2 categories")
             if len(set(self.categories)) != len(self.categories):
                 raise SchemaError(f"variable {self.name!r}: duplicate categories")
+            if "" in self.categories:  # an empty CSV cell is a missing value
+                raise SchemaError(f"variable {self.name!r}: a category cannot be empty")
             if self.kind == "binary" and len(self.categories) != 2:
                 raise SchemaError(f"variable {self.name!r}: binary variables take exactly 2 categories")
 
@@ -676,15 +679,34 @@ def schema_from_json(doc: dict, columns: dict[str, Sequence[float]] | None = Non
 
 
 def write_pool_csv(pool: AgentPool, path) -> None:
-    """Write a pool as CSV with the schema's header; generated pools carry a
-    trailing provenance column. A cell is ``str`` of the value in
-    ``pool.rows``, so a float is written as its ``repr``."""
-    columns = [map(str, column) for column in _python_columns(pool)]
+    """Write a pool as the bytes ``csv.writer`` writes for ``pool.rows``
+    under a header of the variable names; a generated pool has a trailing
+    ``provenance`` column. A number is ``str`` of its value, so a float is
+    its ``repr``, and each category is quoted once per schema. The body is
+    one join over the columns; it holds no empty cell, which ``csv.writer``
+    would quote in a one-column row, because a category cannot be ``""``."""
+    schema, numeric = pool.schema, iter(pool.numeric.T)
+    columns = [list(map(str, _python_values(var, next(numeric)))) if var.is_numerical
+               else np.array(list(map(_csv_field, var.categories)), dtype=object)[
+                   pool.codes[:, j]].tolist()
+               for j, var in enumerate(schema.variables)]
     with_prov = pool.provenance == "generated"
+    if with_prov:
+        columns.append(repeat(pool.provenance))
+    body = "\r\n".join(map(",".join, zip(*columns)))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(pool.schema.names) + (["provenance"] if with_prov else []))
-        writer.writerows(zip(*columns, *([repeat(pool.provenance)] if with_prov else [])))
+        csv.writer(fh).writerow(list(schema.names) + (["provenance"] if with_prov else []))
+        if body:
+            fh.write(body)
+            fh.write("\r\n")
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as a CSV cell: quoted, with every ``"`` doubled, when it
+    holds a comma, a quote or a line end."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _parse_column(var: VariableSpec, cells: Sequence[str]) -> np.ndarray | None:
@@ -701,17 +723,51 @@ def _parse_column(var: VariableSpec, cells: Sequence[str]) -> np.ndarray | None:
     return values if var.kind == "numerical-cont" or integral.all() else None
 
 
-def _read_records(path, names: Sequence[str]) -> list[list[str]]:
-    """The records of a CSV file whose header starts with ``names``."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty CSV") from None
-        if header[:len(names)] != list(names):
-            raise SchemaError(f"{path}: header {header!r} does not match schema {list(names)!r}")
-        return list(reader)
+def _split_columns(text: str, names: Sequence[str]) -> list[list[str]] | None:
+    """The cells of the first ``len(names)`` columns of a CSV file's text,
+    split at line ends and commas, when that is how the ``csv`` module reads
+    it: no quote or NUL, one line end throughout (``\\n`` or ``\\r\\n``), no
+    blank line, and every line as many cells as the header, which starts
+    with ``names``. None otherwise.
+
+    The line check is vectorized: of the commas and line ends in the text,
+    in file order and with a line end after the last line, exactly every
+    n-th must be a line end."""
+    eol = "\r\n" if "\r" in text else "\n"
+    if not text or '"' in text or "\0" in text or text.startswith(eol) or eol * 2 in text:
+        return None
+    flat = text.replace(eol, ",")
+    if "\r" in flat or "\n" in flat:  # a lone "\r" or "\n" among "\r\n" line ends
+        return None
+    end = text.find(eol)
+    header = (text if end < 0 else text[:end]).split(",")
+    if header[:len(names)] != list(names):
+        return None
+    n, closed = len(header), text.endswith(eol)
+    raw = np.frombuffer(text.encode(), dtype=np.uint8)
+    is_end = raw[(raw == ord(",")) | (raw == ord("\n"))] == ord("\n")
+    if not closed:
+        is_end = np.append(is_end, True)
+    if len(is_end) % n or not np.array_equal(np.flatnonzero(is_end),
+                                             np.arange(n - 1, len(is_end), n)):
+        return None
+    cells = flat.split(",")
+    if closed:
+        cells.pop()  # the empty string after the last line end
+    return [cells[n + j::n] for j in range(len(names))]
+
+
+def _read_records(path, text: str, names: Sequence[str]) -> list[list[str]]:
+    """The records of a CSV file's text, read by the ``csv`` module; the
+    header must start with ``names``."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty CSV") from None
+    if header[:len(names)] != list(names):
+        raise SchemaError(f"{path}: header {header!r} does not match schema {list(names)!r}")
+    return list(reader)
 
 
 def _first_cell_error(path, schema: Schema, records: list[list[str]],
@@ -730,11 +786,19 @@ def _first_cell_error(path, schema: Schema, records: list[list[str]],
                     f"{var.name!r} needs {need}, got {cell!r}"))
 
 
-def _pool_from_records(path, schema: Schema, records: list[list[str]], provenance: str,
-                       strict_numeric: bool) -> AgentPool:
-    """Parse and validate CSV records column by column. Short rows and
-    unparsable cells raise in file order, then unknown categories and bad
-    numbers variable by variable."""
+def _read_columns(path, schema: Schema) -> tuple[list[Sequence[str]], list[np.ndarray]]:
+    """Each variable's cells and parsed values (:func:`_parse_column`) in a
+    CSV file. A file that :func:`_split_columns` cannot split, or whose
+    split columns do not all parse, is read by the ``csv`` module, and its
+    first short row or unparsable cell in file order raises."""
+    with open(path, newline="") as fh:
+        text = fh.read()
+    cells = _split_columns(text, schema.names)
+    if cells is not None:
+        parsed = list(map(_parse_column, schema.variables, cells))
+        if all(values is not None for values in parsed):
+            return cells, parsed
+    records = _read_records(path, text, schema.names)
     # zip(*records) stops at the shortest row
     cells = list(zip(*records)) if records else [()] * schema.n_variables
     parsed = [_parse_column(var, column) for var, column in zip(schema.variables, cells)]
@@ -743,7 +807,7 @@ def _pool_from_records(path, schema: Schema, records: list[list[str]], provenanc
         failed = range(schema.n_variables)
     if failed:
         raise _first_cell_error(path, schema, records, failed)
-    return _assemble(schema, cells, parsed, provenance, strict_numeric)
+    return cells, parsed
 
 
 def read_pool_csv(path, schema: Schema, provenance: str = "train",
@@ -755,31 +819,23 @@ def read_pool_csv(path, schema: Schema, provenance: str = "train",
     """
     if strict_numeric is None:
         strict_numeric = provenance != "generated"
-    return _pool_from_records(path, schema, _read_records(path, schema.names), provenance,
-                              strict_numeric)
-
-
-def _bins_column(path, name: str, j: int, records: list[list[str]]) -> np.ndarray:
-    """The raw values of column ``j``, which declares a bin count."""
-    try:
-        values = np.array([float(cells[j]) for cells in records])
-    except (ValueError, IndexError):
-        raise DataError(f"{path}: non-numeric or missing cell in column {name!r}") from None
-    finite = np.isfinite(values)
-    if not finite.all():
-        row = int(np.argmin(finite))
-        raise DataError(f"{path}:{row + 2}: column {name!r} declares a bin count and holds "
-                        f"{records[row][j]!r}; bins need finite values")
-    return values
+    return _assemble(schema, *_read_columns(path, schema), provenance, strict_numeric)
 
 
 def ingest_csv(data_path, schema_doc: dict) -> AgentPool:
     """Load source micro-data: resolve any declared bin counts against the
-    observed columns, then parse and strictly validate every row."""
-    entries = _variable_entries(schema_doc)
-    records = _read_records(data_path, [entry["name"] for entry in entries])
-    columns = {entry["name"]: _bins_column(data_path, entry["name"], j, records)
-               for j, entry in enumerate(entries)
-               if entry["kind"] in NUMERICAL_KINDS and "bins" in entry}
-    schema = schema_from_json(schema_doc, columns=columns)
-    return _pool_from_records(data_path, schema, records, "train", strict_numeric=True)
+    observed columns, then strictly validate every row. Each column is
+    parsed once: kinds and categories do not depend on the bin edges, so a
+    provisional schema parses the file."""
+    binned = {entry["name"]: j for j, entry in enumerate(_variable_entries(schema_doc))
+              if entry["kind"] in NUMERICAL_KINDS and "bins" in entry}
+    schema = schema_from_json(schema_doc, columns=dict.fromkeys(binned, (0.0, 1.0)))
+    cells, parsed = _read_columns(data_path, schema)
+    for name, j in binned.items():
+        finite = np.isfinite(parsed[j])
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise DataError(f"{data_path}:{row + 2}: column {name!r} declares a bin count and "
+                            f"holds {cells[j][row]!r}; bins need finite values")
+    schema = schema_from_json(schema_doc, columns={name: parsed[j] for name, j in binned.items()})
+    return _assemble(schema, cells, parsed, "train", strict_numeric=True)

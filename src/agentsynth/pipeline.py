@@ -24,6 +24,8 @@ wall-clock timings are confined to run_info.json.
 from __future__ import annotations
 
 import json
+import platform
+import resource
 import time
 import zlib
 from contextlib import contextmanager
@@ -154,8 +156,10 @@ def load_config(path, out_dir: str | None = None, seed: int | None = None) -> Ex
 def recorded_stages(out: Path):
     """Yield ``stage(name)``, a context manager timing one stage, and write
     ``out/run_info.json``: each finished stage's seconds, the status and, on
-    failure, the failing stage and the error."""
-    run_info = {"status": "running", "stage": None, "timings_seconds": {}}
+    failure, the failing stage and the error; also the process's peak
+    resident memory so far and the Python and numpy versions."""
+    run_info = {"status": "running", "stage": None, "timings_seconds": {},
+                "python": platform.python_version(), "numpy": np.__version__}
 
     @contextmanager
     def stage(name: str):
@@ -172,6 +176,8 @@ def recorded_stages(out: Path):
         run_info.update(status="failed", error=f"{type(exc).__name__}: {exc}")
         raise
     finally:
+        # ru_maxrss is in KiB on Linux
+        run_info["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         try:
             with open(out / "run_info.json", "w") as fh:
                 json.dump(run_info, fh, indent=2)

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, staged flow, exit codes."""
 
 import json
+import platform
 
 import numpy as np
 import pytest
@@ -36,6 +37,11 @@ def _write_config(tmp_path, out_dir, methods=None, seed=21, count=300):
 
 def _run_info(out):
     return json.loads((out / "run_info.json").read_text())
+
+
+def _assert_telemetry(info):
+    assert (info["python"], info["numpy"]) == (platform.python_version(), np.__version__)
+    assert isinstance(info["peak_rss_mb"], float) and 1 < info["peak_rss_mb"] < 1e6
 
 
 def _numeric_bins_config(tmp_path, out_dir):
@@ -114,9 +120,11 @@ class TestStagedFlow:
             info = _run_info(staged)
             assert (info["status"], info["stage"], list(info["timings_seconds"])) == \
                 ("ok", None, [key])
+            _assert_telemetry(info)
         assert main(["run", "--config", str(config), "--out", str(whole)]) == 0
         assert list(_run_info(whole)["timings_seconds"]) == \
             [key for _, key in commands] + ["scatter-and-pca"]
+        _assert_telemetry(_run_info(whole))
         same = ["data/train.csv", "data/validation.csv", "data/test.csv",
                 "report.json", "report.csv", "models/vae-training-log.csv",
                 "models/gibbs-diagnostics.json"]
@@ -225,6 +233,15 @@ class TestExitCodes:
          "data.csv:3: column 'w' declares a bin count and holds 'nan'"),
         ([{"name": "w", "kind": "numerical-cont", "bins": 2}], "-inf",
          "data.csv:3: column 'w' declares a bin count and holds '-inf'"),
+        ([{"name": "w", "kind": "numerical-cont", "bins": 2}], "abc",
+         "data.csv:3: 'w' needs a number, got 'abc'"),
+        ([{"name": "w", "kind": "numerical-cont", "bins": 2}], "",
+         "data.csv:3: missing value for 'w'"),
+        # the line end in the cell cuts line 3 short
+        ([{"name": "w", "kind": "numerical-cont", "bins": 2}], "2.5\n0.5",
+         "data.csv:3: expected 2 cells, got 1"),
+        ([{"name": "w", "kind": "categorical", "categories": ["", "2.5"]}], "2.5",
+         "variable 'w': a category cannot be empty"),
     ])
     def test_bad_schema_value_is_data_error(self, tmp_path, capsys, variables, cell, message):
         (tmp_path / "data.csv").write_text(f"w,sex\n1.5,f\n{cell},m\n0.5,f\n2.0,m\n")
@@ -238,6 +255,17 @@ class TestExitCodes:
         assert main(["prepare", "--config", str(path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and message in err, err
+
+    def test_short_row_before_a_bins_column_is_data_error(self, tmp_path, capsys):
+        (tmp_path / "data.csv").write_text("sex,w\nf,1.5\nm\nf,0.5\nm,2.0\n")
+        path = _write_config(tmp_path, tmp_path / "o", methods=[])
+        doc = json.loads(path.read_text())
+        doc["data"] = {"csv": str(tmp_path / "data.csv"), "schema": {"variables": [
+            {"name": "sex", "kind": "binary", "categories": ["f", "m"]},
+            {"name": "w", "kind": "numerical-cont", "bins": 2}]}}
+        path.write_text(json.dumps(doc))
+        assert main(["prepare", "--config", str(path)]) == 3
+        assert "data.csv:3: expected 2 cells, got 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind, params, message", [
         ("vae", {"selection_variables": ["x00", "nope"]}, "must name distinct schema variables"),

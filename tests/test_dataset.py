@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -639,8 +640,8 @@ def _reference_write_pool_csv(pool, path):
 def _outcome(read, *args):
     try:
         return read(*args)
-    except DataError as exc:
-        return f"DataError: {exc}"
+    except (DataError, csv.Error) as exc:  # csv.Error: a NUL, before Python 3.11
+        return f"{type(exc).__name__}: {exc}"
 
 
 class TestColumnarCsv:
@@ -721,3 +722,175 @@ class TestColumnarCsv:
         pool = ingest_csv(csv_path, doc)
         assert opened == [csv_path]
         assert pool.rows == ((10, "f"), (20, "m"), (30, "f"), (50, "m"))
+
+
+def _counting_csv_reader(monkeypatch):
+    """Count the files handed to the ``csv`` module's reader."""
+    calls, real_reader = [], csv.reader
+    monkeypatch.setattr("agentsynth.dataset.csv.reader",
+                        lambda *a, **k: calls.append(1) or real_reader(*a, **k))
+    return calls
+
+
+def _tokenizer_schema():
+    return Schema((
+        VariableSpec("sex", "binary", categories=("f", "m")),
+        _num_var("age"),
+        VariableSpec("town", "categorical", categories=("a", "b,c", "d\ne", "\0")),
+    ), "discretize-all")
+
+
+class TestColumnTokenizer:
+    # (file text, provenance, whether the csv module reads it)
+    @pytest.mark.parametrize("text, provenance, by_csv_module", [
+        ("sex,age,town\nf,3,a\nm,12,a\n", "train", False),
+        ("sex,age,town\r\nf,3,a\r\nm,12,a\r\n", "train", False),
+        ("sex,age,town\nf,3,a\nm,12,a", "train", False),
+        ("sex,age,town\r\nf,3,a\r\nm,12,a", "train", False),
+        ("sex,age,town\n", "train", False),
+        ("sex,age,town", "train", False),
+        ("sex,age,town\nf,3,a\n\nm,12,a\n", "train", True),
+        ("sex,age,town\nf,3,a\nm,12,a\n\n", "train", True),
+        ("sex,age,town\r\nf,3,a\r\n\r\n", "train", True),
+        ("sex,age,town\r\nf,3,a\nm,12,a\r\n", "train", True),
+        ("sex,age,town\nf,3,a\r\nm,12,a\n", "train", True),
+        ("sex,age,town\rf,3,a\rm,12,a\r", "train", True),
+        ("sex,age,town\r\nf,3,a\rm,12,a\r\n", "train", True),
+        ("sex,age,town\nf,3\nm,12,a,a\n", "train", True),
+        ("sex,age,town\nf,3,a,a\nm,12\n", "train", True),
+        ("sex,age,town\nf,3,a,a\nm,12,a,a\n", "train", True),
+        ('sex,age,town\nf,3,"b,c"\nm,12,a\n', "train", True),
+        ('sex,age,town\nf,3,"d\ne"\r\nm,12,a\n', "train", True),
+        ('sex,age,town\nf,3,"a\nm,12,a\n', "train", True),
+        ("sex,age,town\nf,3,\0\nm,12,a\n", "train", True),
+        ("sex,age,town\nf,3,a\0\nm,12,a\n", "train", True),
+        ("sex,age,town,provenance\nf,3,a,generated\nm,99,a,generated\n", "generated", False),
+        ("sex,age,town,provenance\nf,3,a,generated\nm,99,a\n", "generated", True),
+        ("sex,age,town\nf,3,a\nm,1x,a\n", "train", True),
+        ("sex,age,town\nf,3,a\nm,,a\n", "train", True),
+        ("sex,age,town\nf,3,a\nm,12,zz\n", "train", False),
+        ("sex,age,town\nf,3,a\nm,99,a\n", "train", False),
+    ], ids=["lf", "crlf", "lf-unclosed", "crlf-unclosed", "header-only", "header-unclosed",
+            "blank-line", "blank-last-line", "crlf-blank-last-line",
+            "crlf-then-lf", "lf-then-crlf", "lone-cr", "crlf-and-lone-cr",
+            "short-then-long", "long-then-short", "every-row-long", "quoted-comma",
+            "quoted-line-end", "open-quote", "nul-category", "nul-in-cell",
+            "provenance-column", "missing-provenance-cell", "non-number", "empty-cell",
+            "unknown-category", "out-of-range"])
+    def test_outcome_matches_row_by_row_reader(self, tmp_path, monkeypatch, text, provenance,
+                                               by_csv_module):
+        schema = _tokenizer_schema()
+        path = tmp_path / "pool.csv"
+        path.write_bytes(text.encode())
+        expected = _outcome(_reference_read_pool_csv, path, schema, provenance)
+        calls = _counting_csv_reader(monkeypatch)
+        actual = _outcome(lambda: read_pool_csv(path, schema, provenance=provenance).rows)
+        assert actual == expected
+        assert bool(calls) == by_csv_module
+
+    @pytest.mark.parametrize("text, header", [
+        ("sex,age\nf,3\n", "['sex', 'age']"),
+        ("sex,age\r\nf,3\nm\r\n", "['sex', 'age']"),
+        ("\nsex,age,town\nf,3,a\n", "[]"),
+    ], ids=["split", "csv-module", "blank-header-line"])
+    def test_header_mismatch_is_schema_error(self, tmp_path, text, header):
+        path = tmp_path / "pool.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(SchemaError, match=re.escape(f"header {header} does not match")):
+            read_pool_csv(path, _tokenizer_schema())
+
+    def test_empty_file_is_data_error(self, tmp_path):
+        path = tmp_path / "pool.csv"
+        path.write_text("")
+        with pytest.raises(DataError, match="empty CSV"):
+            read_pool_csv(path, _tokenizer_schema())
+
+
+AWKWARD_CATEGORIES = ("a,b", 'say "hi"', "cr\rhere", "lf\nhere", "crlf\r\n", " lead",
+                      "trail ", "tab\there", "né", "東京", '"', ",", "plain")
+
+
+class TestJoinWriter:
+    @pytest.mark.parametrize("provenance", ["train", "generated"])
+    @pytest.mark.parametrize("variables", [
+        (VariableSpec("town", "categorical", categories=AWKWARD_CATEGORIES),),
+        (VariableSpec("town", "categorical", categories=AWKWARD_CATEGORIES),
+         _num_var("age, years"),
+         VariableSpec("sex", "binary", categories=(" f", "m ")),
+         _num_var('"w"', kind="numerical-cont"),
+         VariableSpec("note", "categorical", categories=("x\ty", "ü", 'q"'))),
+    ], ids=["one-column", "many-columns"])
+    def test_bytes_match_row_writer_and_round_trip(self, tmp_path, variables, provenance):
+        schema = Schema(variables, "discretize-all")
+        codes = _random_codes(np.random.default_rng(31), schema, 80)
+        codes[:len(AWKWARD_CATEGORIES), 0] = np.arange(len(AWKWARD_CATEGORIES))
+        pool = codes_to_pool(codes, schema, provenance, rng=np.random.default_rng(32))
+        path, expected = tmp_path / "pool.csv", tmp_path / "expected.csv"
+        write_pool_csv(pool, path)
+        _reference_write_pool_csv(pool, expected)
+        assert path.read_bytes() == expected.read_bytes()
+        back = read_pool_csv(path, schema, provenance=provenance)
+        assert back.rows == pool.rows == _reference_read_pool_csv(path, schema, provenance)
+
+    @pytest.mark.parametrize("categories", [("", "a"), ("a", "")])
+    def test_empty_category_is_schema_error(self, categories):
+        with pytest.raises(SchemaError, match="'x': a category cannot be empty"):
+            VariableSpec("x", "categorical", categories=categories)
+        doc = {"variables": [{"name": "x", "kind": "categorical", "categories": list(categories)}]}
+        with pytest.raises(SchemaError, match="'x': a category cannot be empty"):
+            schema_from_json(doc)
+
+
+class TestFastPathIsTaken:
+    """Files that write_pool_csv writes are read without the csv module, so
+    a silent fallback cannot erase the split reader's speed."""
+
+    @pytest.fixture(autouse=True)
+    def no_csv_reader(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the csv module's reader was called")
+        monkeypatch.setattr("agentsynth.dataset.csv.reader", refuse)
+
+    @pytest.mark.parametrize("provenance", ["train", "generated"])
+    @pytest.mark.parametrize("mode", ["discretize-all", "mixed"])
+    def test_read_pool_csv(self, tmp_path, mode, provenance):
+        schema = Schema(_mixed_schema().variables, mode)
+        pool = codes_to_pool(_random_codes(np.random.default_rng(41), schema, 200), schema,
+                             provenance, rng=np.random.default_rng(42))
+        path = tmp_path / "pool.csv"
+        write_pool_csv(pool, path)
+        assert read_pool_csv(path, schema, provenance=provenance).rows == pool.rows
+
+    @pytest.mark.parametrize("bins", [False, True], ids=["bin-edges", "bin-counts"])
+    @pytest.mark.parametrize("mode", ["discretize-all", "mixed"])
+    def test_ingest_csv(self, tmp_path, mode, bins):
+        schema = Schema(_mixed_schema().variables, mode)
+        pool = codes_to_pool(_random_codes(np.random.default_rng(43), schema, 200), schema,
+                             "train", rng=np.random.default_rng(44))
+        path = tmp_path / "pool.csv"
+        write_pool_csv(pool, path)
+        doc = schema_to_json(schema)
+        if bins:
+            for entry in doc["variables"]:
+                if "bin_edges" in entry:
+                    entry["bins"] = len(entry.pop("bin_edges")) - 1
+        assert ingest_csv(path, doc).rows == pool.rows
+
+
+class TestIngestBinsColumns:
+    @pytest.mark.parametrize("text, message", [
+        ("sex,age\nf,10\nm\nf,30\n", r"data\.csv:3: expected 2 cells, got 1"),
+        ("sex,age\nf,10\nm,20\nf,abc\n", r"data\.csv:4: 'age' needs a number, got 'abc'"),
+        ("sex,age\nf,10\nm,\nf,30\n", r"data\.csv:3: missing value for 'age'"),
+        ("sex,age\nf,10\n,20\nf,1x\n", r"data\.csv:3: missing value for 'sex'"),
+        ("sex,age\nf,10\nm,nan\nf,30\n", r"data\.csv:3: column 'age' declares a bin count "
+                                         r"and holds 'nan'"),
+    ], ids=["short-row", "non-number", "empty-bins-cell", "first-defect-in-file-order", "nan"])
+    def test_bins_column_defects_name_their_line(self, tmp_path, text, message):
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text(text)
+        doc = {"mode": "mixed", "variables": [
+            {"name": "sex", "kind": "binary", "categories": ["f", "m"]},
+            {"name": "age", "kind": "numerical-cont", "bins": 4}]}
+        with pytest.raises(DataError, match=message):
+            ingest_csv(csv_path, doc)
