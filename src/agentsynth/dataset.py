@@ -27,7 +27,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -189,10 +189,10 @@ class AgentPool:
         if any(len(row) != schema.n_variables for row in rows):
             raise DataError(f"every record needs {schema.n_variables} values")
         cells = list(zip(*rows)) or [()] * schema.n_variables
-        return _assemble(schema, cells, [np.asarray(column, dtype=float) if var.is_numerical
-                                         else _category_codes(var, column)
-                                         for var, column in zip(schema.variables, cells)],
-                         provenance)
+        parsed = [np.asarray(column, dtype=float) if var.is_numerical
+                  else _category_codes(var, column)
+                  for var, column in zip(schema.variables, cells)]
+        return _assemble(schema, parsed, list(map(_first_bad, parsed, cells)), provenance)
 
     def __len__(self) -> int:
         return self.codes.shape[0]
@@ -256,19 +256,26 @@ def _check_numeric(var: VariableSpec, values: np.ndarray, strict: bool = True,
     return int(outside.sum())
 
 
-def _assemble(schema: Schema, cells: list[Sequence], parsed: list[np.ndarray],
+def _first_bad(values: np.ndarray, cells: Sequence):
+    """The first of ``cells`` whose parsed value is no category (-1 among
+    codes) or no finite number; None when there is none."""
+    bad = ~np.isfinite(values) if values.dtype.kind == "f" else values < 0
+    return cells[int(np.argmax(bad))] if bad.any() else None
+
+
+def _assemble(schema: Schema, parsed: list[np.ndarray], first_bad: list,
               provenance: str, strict_numeric: bool | None = None) -> AgentPool:
     """A pool from parsed columns (floats, or category codes with -1 for an
-    unknown category in ``cells``). Unknown categories and, unless
-    ``strict_numeric`` is None, bad numbers raise variable by variable."""
+    unknown category, whose first cell is in ``first_bad``). Unknown
+    categories and, unless ``strict_numeric`` is None, bad numbers raise
+    variable by variable."""
     codes = np.zeros((len(parsed[0]), schema.n_variables), dtype=np.int64)
     for j, (var, values) in enumerate(zip(schema.variables, parsed)):
         if var.is_numerical:
             if strict_numeric is not None:
                 _check_numeric(var, values, strict_numeric)
-        elif (values < 0).any():
-            raise DataError(f"variable {var.name!r}: unknown category "
-                            f"{cells[j][int(np.argmax(values < 0))]!r}")
+        elif first_bad[j] is not None:
+            raise DataError(f"variable {var.name!r}: unknown category {first_bad[j]!r}")
         else:
             codes[:, j] = values
     numeric = np.array([parsed[j] for j in schema.numerical], dtype=float)
@@ -442,28 +449,39 @@ def standardize_column(var: VariableSpec, column: Sequence[float],
     return (arr - mean) / std, (mean, std)
 
 
-def decode_rows(matrix: EncodedMatrix, rng: np.random.Generator | None = None) -> AgentPool:
-    """Materialize agents from an encoded (possibly soft) matrix.
+def decode_rows(matrix: EncodedMatrix | Iterable[EncodedMatrix],
+                rng: np.random.Generator | None = None) -> AgentPool:
+    """Materialize agents from an encoded (possibly soft) matrix, or from
+    the consecutive row blocks of one (at least one), decoded block by block.
 
     One-hot blocks are hardened by argmax (ties break to the lowest index),
-    standardized numerics are de-standardized. The result always carries
-    ``generated`` provenance.
+    standardized numerics are de-standardized. A numerical one-hot block
+    becomes a value inside its bin (:func:`_bin_values`); those draws come
+    after the last row block, variable by variable over all rows, so a
+    block-wise decode draws what a whole one does. The result always
+    carries ``generated`` provenance.
     """
-    schema = matrix.schema
-    if matrix.values.ndim != 2 or matrix.values.shape[1] != schema.encoded_width:
-        raise SchemaError(
-            f"matrix width {matrix.values.shape[-1]} does not match schema width {schema.encoded_width}")
-    codes, numeric = matrix_to_codes(matrix), []
-    for j in schema.numerical:
-        var, block = schema.variables[j], matrix.blocks[j]
-        if block.kind == "one-hot":
-            numeric.append(_bin_values([var], codes[:, j], rng)[:, 0])
-        else:
-            mean, std = matrix.standardization[var.name]
-            raw = matrix.values[:, block.start] * std + mean
-            numeric.append(np.rint(raw) if var.kind == "numerical-int" else raw)
-    return AgentPool(schema, codes, np.array(numeric).reshape(len(numeric), len(codes)).T,
-                     "generated")
+    codes, numeric = [], []
+    for part in [matrix] if isinstance(matrix, EncodedMatrix) else matrix:
+        schema, blocks = part.schema, part.blocks
+        if part.values.ndim != 2 or part.values.shape[1] != schema.encoded_width:
+            raise SchemaError(f"matrix width {part.values.shape[-1]} does not match "
+                              f"schema width {schema.encoded_width}")
+        codes.append(matrix_to_codes(part))
+        values = np.empty((len(schema.numerical), len(part)))  # one-hot rows: drawn below
+        for k, j in enumerate(schema.numerical):
+            var, block = schema.variables[j], blocks[j]
+            if block.kind == "numeric":
+                mean, std = part.standardization[var.name]
+                values[k] = part.values[:, block.start] * std + mean
+                if var.kind == "numerical-int":
+                    np.rint(values[k], out=values[k])
+        numeric.append(values)
+    codes, numeric = np.concatenate(codes), np.concatenate(numeric, axis=1)
+    for k, j in enumerate(schema.numerical):
+        if blocks[j].kind == "one-hot":
+            numeric[k] = _bin_values([schema.variables[j]], codes[:, j], rng)[:, 0]
+    return AgentPool(schema, codes, numeric.T, "generated")
 
 
 def matrix_to_codes(matrix: EncodedMatrix) -> np.ndarray:
@@ -608,6 +626,14 @@ def distinct_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # schema and pool serialization
 
+# Pool CSV files are read in blocks of whole lines of at least this many
+# characters, and CSV files (pools, and the scatter and PCA files) are
+# written in blocks of this many rows: one Python string per cell exists
+# only for the block at hand, so memory follows the file's size and the
+# pool's arrays, not the number of cells.
+CSV_READ_BLOCK = 1 << 16
+CSV_WRITE_BLOCK = 1 << 10
+
 
 def read_json(path):
     """The JSON document in the file at ``path``; a file that does not hold
@@ -682,22 +708,26 @@ def write_pool_csv(pool: AgentPool, path) -> None:
     """Write a pool as the bytes ``csv.writer`` writes for ``pool.rows``
     under a header of the variable names; a generated pool has a trailing
     ``provenance`` column. A number is ``str`` of its value, so a float is
-    its ``repr``, and each category is quoted once per schema. The body is
-    one join over the columns; it holds no empty cell, which ``csv.writer``
-    would quote in a one-column row, because a category cannot be ``""``."""
-    schema, numeric = pool.schema, iter(pool.numeric.T)
-    columns = [list(map(str, _python_values(var, next(numeric)))) if var.is_numerical
-               else np.array(list(map(_csv_field, var.categories)), dtype=object)[
-                   pool.codes[:, j]].tolist()
-               for j, var in enumerate(schema.variables)]
+    its ``repr``, and each category is quoted once per schema. Each block
+    of ``CSV_WRITE_BLOCK`` rows is one join over its columns; it holds no
+    empty cell, which ``csv.writer`` would quote in a one-column row,
+    because a category cannot be ``""``."""
+    schema = pool.schema
+    fields = [None if var.is_numerical
+              else np.array(list(map(_csv_field, var.categories)), dtype=object)
+              for var in schema.variables]
     with_prov = pool.provenance == "generated"
-    if with_prov:
-        columns.append(repeat(pool.provenance))
-    body = "\r\n".join(map(",".join, zip(*columns)))
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(list(schema.names) + (["provenance"] if with_prov else []))
-        if body:
-            fh.write(body)
+        for start in range(0, len(pool), CSV_WRITE_BLOCK):
+            rows = slice(start, start + CSV_WRITE_BLOCK)
+            numeric = iter(pool.numeric[rows].T)
+            columns = [list(map(str, _python_values(var, next(numeric)))) if var.is_numerical
+                       else field[pool.codes[rows, j]].tolist()
+                       for j, (var, field) in enumerate(zip(schema.variables, fields))]
+            if with_prov:
+                columns.append(repeat(pool.provenance))
+            fh.write("\r\n".join(map(",".join, zip(*columns))))
             fh.write("\r\n")
 
 
@@ -723,38 +753,54 @@ def _parse_column(var: VariableSpec, cells: Sequence[str]) -> np.ndarray | None:
     return values if var.kind == "numerical-cont" or integral.all() else None
 
 
-def _split_columns(text: str, names: Sequence[str]) -> list[list[str]] | None:
-    """The cells of the first ``len(names)`` columns of a CSV file's text,
-    split at line ends and commas, when that is how the ``csv`` module reads
-    it: no quote or NUL, one line end throughout (``\\n`` or ``\\r\\n``), no
-    blank line, and every line as many cells as the header, which starts
-    with ``names``. None otherwise.
+def _split_blocks(text: str, names: Sequence[str]) -> Iterator[list[list[str]] | None]:
+    """Yield the cells of the first ``len(names)`` columns of a CSV file's
+    text, one list per column, for one block of whole lines after the
+    header at a time: the fewest lines that hold ``CSV_READ_BLOCK``
+    characters, or the rest of the file. A header-only file is one empty
+    block. The text is split at line ends and commas where that is how the
+    ``csv`` module reads it: no quote or NUL, one line end throughout
+    (``\\n`` or ``\\r\\n``), no blank line, and every line as many cells as
+    the header, which starts with ``names``. Where it is not, the last item
+    yielded is None.
 
-    The line check is vectorized: of the commas and line ends in the text,
-    in file order and with a line end after the last line, exactly every
-    n-th must be a line end."""
+    The line check is vectorized per block: of the commas and line ends in
+    the block, in file order and with a line end after the last line,
+    exactly every n-th must be a line end."""
     eol = "\r\n" if "\r" in text else "\n"
     if not text or '"' in text or "\0" in text or text.startswith(eol) or eol * 2 in text:
-        return None
-    flat = text.replace(eol, ",")
-    if "\r" in flat or "\n" in flat:  # a lone "\r" or "\n" among "\r\n" line ends
-        return None
+        yield None
+        return
     end = text.find(eol)
-    header = (text if end < 0 else text[:end]).split(",")
-    if header[:len(names)] != list(names):
-        return None
-    n, closed = len(header), text.endswith(eol)
-    raw = np.frombuffer(text.encode(), dtype=np.uint8)
-    is_end = raw[(raw == ord(",")) | (raw == ord("\n"))] == ord("\n")
-    if not closed:
-        is_end = np.append(is_end, True)
-    if len(is_end) % n or not np.array_equal(np.flatnonzero(is_end),
-                                             np.arange(n - 1, len(is_end), n)):
-        return None
-    cells = flat.split(",")
-    if closed:
-        cells.pop()  # the empty string after the last line end
-    return [cells[n + j::n] for j in range(len(names))]
+    header = text if end < 0 else text[:end]
+    if "\r" in header or "\n" in header or header.split(",")[:len(names)] != list(names):
+        yield None  # a lone "\r" or "\n" among "\r\n" line ends, or another header
+        return
+    n, start = header.count(",") + 1, len(header) + len(eol)
+    if start >= len(text):
+        yield [[] for _ in names]
+    while start < len(text):
+        stop = text.find(eol, start + CSV_READ_BLOCK - len(eol))
+        stop = len(text) if stop < 0 else stop + len(eol)
+        block = text[start:stop]
+        flat = block.replace(eol, ",")
+        if "\r" in flat or "\n" in flat:  # a lone "\r" or "\n" among "\r\n" line ends
+            yield None
+            return
+        closed = block.endswith(eol)
+        raw = np.frombuffer(block.encode(), dtype=np.uint8)
+        is_end = raw[(raw == ord(",")) | (raw == ord("\n"))] == ord("\n")
+        if not closed:
+            is_end = np.append(is_end, True)
+        if len(is_end) % n or not np.array_equal(np.flatnonzero(is_end),
+                                                 np.arange(n - 1, len(is_end), n)):
+            yield None
+            return
+        cells = flat.split(",")
+        if closed:
+            cells.pop()  # the empty string after the last line end
+        yield [cells[j::n] for j in range(len(names))]
+        start = stop
 
 
 def _read_records(path, text: str, names: Sequence[str]) -> list[list[str]]:
@@ -786,18 +832,27 @@ def _first_cell_error(path, schema: Schema, records: list[list[str]],
                     f"{var.name!r} needs {need}, got {cell!r}"))
 
 
-def _read_columns(path, schema: Schema) -> tuple[list[Sequence[str]], list[np.ndarray]]:
-    """Each variable's cells and parsed values (:func:`_parse_column`) in a
-    CSV file. A file that :func:`_split_columns` cannot split, or whose
-    split columns do not all parse, is read by the ``csv`` module, and its
-    first short row or unparsable cell in file order raises."""
+def _read_columns(path, schema: Schema) -> tuple[list[np.ndarray], list[str | None]]:
+    """Each variable's parsed values (:func:`_parse_column`) in a CSV file,
+    and its first cell that is no category or no finite number (None when
+    there is none). The file is split and parsed block by block
+    (:func:`_split_blocks`), and the blocks' values concatenated. A file
+    that cannot be split, or whose blocks do not all parse, is read whole
+    by the ``csv`` module, and its first short row or unparsable cell in
+    file order raises."""
     with open(path, newline="") as fh:
         text = fh.read()
-    cells = _split_columns(text, schema.names)
-    if cells is not None:
-        parsed = list(map(_parse_column, schema.variables, cells))
-        if all(values is not None for values in parsed):
-            return cells, parsed
+    blocks, first_bad = [], [None] * schema.n_variables
+    for cells in _split_blocks(text, schema.names):
+        parsed = None if cells is None else list(map(_parse_column, schema.variables, cells))
+        if parsed is None or any(values is None for values in parsed):
+            break
+        first_bad = [bad if bad is not None else _first_bad(values, column)
+                     for bad, values, column in zip(first_bad, parsed, cells)]
+        blocks.append(parsed)
+    else:
+        return [np.concatenate(pieces) for pieces in zip(*blocks)], first_bad
+    del blocks
     records = _read_records(path, text, schema.names)
     # zip(*records) stops at the shortest row
     cells = list(zip(*records)) if records else [()] * schema.n_variables
@@ -807,7 +862,7 @@ def _read_columns(path, schema: Schema) -> tuple[list[Sequence[str]], list[np.nd
         failed = range(schema.n_variables)
     if failed:
         raise _first_cell_error(path, schema, records, failed)
-    return cells, parsed
+    return parsed, list(map(_first_bad, parsed, cells))
 
 
 def read_pool_csv(path, schema: Schema, provenance: str = "train",
@@ -830,12 +885,11 @@ def ingest_csv(data_path, schema_doc: dict) -> AgentPool:
     binned = {entry["name"]: j for j, entry in enumerate(_variable_entries(schema_doc))
               if entry["kind"] in NUMERICAL_KINDS and "bins" in entry}
     schema = schema_from_json(schema_doc, columns=dict.fromkeys(binned, (0.0, 1.0)))
-    cells, parsed = _read_columns(data_path, schema)
+    parsed, first_bad = _read_columns(data_path, schema)
     for name, j in binned.items():
         finite = np.isfinite(parsed[j])
         if not finite.all():
-            row = int(np.argmin(finite))
-            raise DataError(f"{data_path}:{row + 2}: column {name!r} declares a bin count and "
-                            f"holds {cells[j][row]!r}; bins need finite values")
+            raise DataError(f"{data_path}:{int(np.argmin(finite)) + 2}: column {name!r} declares "
+                            f"a bin count and holds {first_bad[j]!r}; bins need finite values")
     schema = schema_from_json(schema_doc, columns={name: parsed[j] for name, j in binned.items()})
-    return _assemble(schema, cells, parsed, "train", strict_numeric=True)
+    return _assemble(schema, parsed, first_bad, "train", strict_numeric=True)

@@ -39,14 +39,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import (AgentPool, EncodedMatrix, check_codes, distinct_rows, standardize_column,
-                      view_counts)
+from .dataset import (CSV_WRITE_BLOCK, AgentPool, EncodedMatrix, check_codes, distinct_rows,
+                      standardize_column, view_counts)
 # perfbench/layers.py wraps this name on this module; it stays bound until
 # the benchmark's bindings are updated
 from .dataset import encode_pool  # noqa: F401
 from .errors import DataError
 
-MATCH_CHUNK = 1 << 20  # elements per block of mismatch counts in _nearest_distances
+MATCH_CHUNK = 1 << 18  # elements per block of mismatch counts in _nearest_distances
 PAIR_CHUNK = 1 << 18  # row pairs per batch of numeric differences in _nearest_distances
 
 
@@ -227,18 +227,16 @@ def nearest_sample_stats(generated: AgentPool, train: AgentPool,
     return DiversityStats(float(dist.mean()), float(dist.std()))
 
 
-def _distinct(rows: _KernelRows) -> tuple[_KernelRows, np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct rows ordered by code tuple, the distinct code tuples (in
-    :func:`distinct_rows` order), the tuple of each distinct row, and the
-    distinct row of every input row."""
+def _distinct(rows: _KernelRows) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct code tuples (in :func:`distinct_rows` order), then the
+    distinct rows ordered by code tuple, as the tuple and the numerics of
+    each, and the distinct row of every input row."""
     tuples, group = distinct_rows(rows.codes)
     if rows.numeric.shape[1] == 0:
-        distinct = _KernelRows(tuples, rows.widths, rows.numeric[:len(tuples)])
-        return distinct, tuples, np.arange(len(tuples)), group
+        return tuples, np.arange(len(tuples)), rows.numeric[:len(tuples)], group
     # (tuple, numerics) rows as floats: tuple indices stay exact below 2^53
     rows_of, inverse = distinct_rows(np.column_stack((group, rows.numeric)))
-    tuple_of = rows_of[:, 0].astype(np.intp)
-    return _KernelRows(tuples[tuple_of], rows.widths, rows_of[:, 1:]), tuples, tuple_of, inverse
+    return tuples, rows_of[:, 0].astype(np.intp), rows_of[:, 1:], inverse
 
 
 def _nearest_distances(gen: _KernelRows, ref: _KernelRows) -> np.ndarray:
@@ -259,8 +257,8 @@ def _nearest_distances(gen: _KernelRows, ref: _KernelRows) -> np.ndarray:
     group's rows), so memory stays bounded by the chunk sizes and the inputs.
     """
     widths, n_num = gen.widths, gen.numeric.shape[1]
-    gen, _, _, inverse = _distinct(gen)
-    ref, tuples, ref_group, _ = _distinct(ref)
+    gen_tuples, gen_tuple, gen_num, inverse = _distinct(gen)
+    tuples, ref_group, ref_num, _ = _distinct(ref)
     starts = np.concatenate(([0], np.cumsum(widths)[:-1])).astype(np.int64)
     n_cat, n_cols = len(widths), int(np.sum(widths)) + n_num
 
@@ -272,9 +270,9 @@ def _nearest_distances(gen: _KernelRows, ref: _KernelRows) -> np.ndarray:
     tuples_t = one_hot(tuples).T.copy()
     sizes = np.bincount(ref_group, minlength=len(tuples))
     first_row = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    index_type = np.int32 if len(ref) < 2 ** 31 and len(gen) < 2 ** 31 else np.intp
-    gen_num, ref_num = gen.numeric.T.copy(), ref.numeric.T.copy()
-    best = np.empty(len(gen))
+    index_type = np.int32 if len(ref_group) < 2 ** 31 and len(gen_tuple) < 2 ** 31 else np.intp
+    gen_num, ref_num = gen_num.T.copy(), ref_num.T.copy()
+    best = np.empty(len(gen_tuple))
 
     def visit(rows: np.ndarray, groups: np.ndarray, twice: np.ndarray,
               best_chunk: np.ndarray, offset: int) -> None:
@@ -308,8 +306,8 @@ def _nearest_distances(gen: _KernelRows, ref: _KernelRows) -> np.ndarray:
             lo = hi
 
     step = max(1, MATCH_CHUNK // max(len(tuples), n_cols - n_num, 1))
-    for start in range(0, len(gen), step):
-        match = one_hot(gen.codes[start:start + step]) @ tuples_t
+    for start in range(0, len(gen_tuple), step):
+        match = one_hot(gen_tuples[gen_tuple[start:start + step]]) @ tuples_t
         m0 = n_cat - match.max(axis=1)  # exact integers in float32
         if n_num == 0:
             best[start:start + step] = 2.0 * m0
@@ -569,15 +567,22 @@ def _float_reprs(vec: np.ndarray) -> list[str]:
 def write_scatter_csv(method_vec: np.ndarray, test_vec: np.ndarray, path) -> None:
     """Per-view scatter data: one row per bin with the test frequency and
     the method frequency, ready for external plotting. The bytes are those
-    ``csv.writer`` writes, ``\\r\\n`` line ends included."""
-    lines = map("{},{},{}\r\n".format, itertools.count(), _float_reprs(test_vec),
-                _float_reprs(method_vec))
+    ``csv.writer`` writes, ``\\r\\n`` line ends included; lines are joined
+    ``CSV_WRITE_BLOCK`` at a time."""
+    test_reprs, method_reprs = _float_reprs(test_vec), _float_reprs(method_vec)
     with open(path, "w", newline="") as fh:
-        fh.write("bin_id,test_frequency,method_frequency\r\n" + "".join(lines))
+        fh.write("bin_id,test_frequency,method_frequency\r\n")
+        for start in range(0, len(test_reprs), CSV_WRITE_BLOCK):
+            rows = slice(start, start + CSV_WRITE_BLOCK)
+            fh.write("".join(map("{},{},{}\r\n".format, itertools.count(start),
+                                 test_reprs[rows], method_reprs[rows])))
 
 
 def write_pca_csv(coords: np.ndarray, path) -> None:
-    header = ",".join(f"pc{k + 1}" for k in range(coords.shape[1]))
-    lines = [",".join(map(repr, row)) + "\r\n" for row in coords.tolist()]
+    """PCA coordinates, one row per agent, as ``csv.writer`` writes them;
+    rows are formatted ``CSV_WRITE_BLOCK`` at a time."""
     with open(path, "w", newline="") as fh:
-        fh.write(header + "\r\n" + "".join(lines))
+        fh.write(",".join(f"pc{k + 1}" for k in range(coords.shape[1])) + "\r\n")
+        for start in range(0, len(coords), CSV_WRITE_BLOCK):
+            fh.write("".join(",".join(map(repr, row)) + "\r\n"
+                             for row in coords[start:start + CSV_WRITE_BLOCK].tolist()))

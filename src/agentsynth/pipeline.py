@@ -152,13 +152,21 @@ def load_config(path, out_dir: str | None = None, seed: int | None = None) -> Ex
 # stages
 
 
+def _peak_rss_mb() -> float:
+    """The process's peak resident memory so far (``ru_maxrss`` is in KiB
+    on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 @contextmanager
 def recorded_stages(out: Path):
     """Yield ``stage(name)``, a context manager timing one stage, and write
-    ``out/run_info.json``: each finished stage's seconds, the status and, on
-    failure, the failing stage and the error; also the process's peak
-    resident memory so far and the Python and numpy versions."""
+    ``out/run_info.json``: each finished stage's seconds and the process's
+    peak resident memory at its end, the status and, on failure, the
+    failing stage and the error; also the peak resident memory so far and
+    the Python and numpy versions."""
     run_info = {"status": "running", "stage": None, "timings_seconds": {},
+                "stage_peak_rss_mb": {},
                 "python": platform.python_version(), "numpy": np.__version__}
 
     @contextmanager
@@ -167,6 +175,7 @@ def recorded_stages(out: Path):
         started = time.perf_counter()
         yield
         run_info["timings_seconds"][name] = time.perf_counter() - started
+        run_info["stage_peak_rss_mb"][name] = _peak_rss_mb()
 
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -176,8 +185,7 @@ def recorded_stages(out: Path):
         run_info.update(status="failed", error=f"{type(exc).__name__}: {exc}")
         raise
     finally:
-        # ru_maxrss is in KiB on Linux
-        run_info["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        run_info["peak_rss_mb"] = _peak_rss_mb()
         try:
             with open(out / "run_info.json", "w") as fh:
                 json.dump(run_info, fh, indent=2)

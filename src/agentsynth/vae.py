@@ -18,8 +18,9 @@ the logits, which then enters the layer recurrence of
 and encoder and decoder parameters live in one flat vector that RMSprop
 updates as a single block. Hyperparameters can be searched on a grid, with
 the winner picked by validation SRMSE of the projected joint over a
-designated variable subset. Sampling draws z ~ N(0, I), decodes, hardens
-categorical blocks, and de-standardizes numerics into raw agent records.
+designated variable subset. Sampling draws z ~ N(0, I), decodes it block
+by block, hardens categorical blocks, and de-standardizes numerics into raw
+agent records.
 """
 
 from __future__ import annotations
@@ -61,6 +62,12 @@ from .neural import (
 )
 
 PROB_FLOOR = 1e-12
+# Rows per block that sample() decodes at a time, so the decoder's
+# activations exist for one block only. The count is cut into
+# count // SAMPLE_BLOCK near-equal blocks, none shorter than SAMPLE_BLOCK:
+# BLAS multiplies a batch of very few rows with other kernels (one row with
+# gemv), whose rounding can differ from that of the whole batch.
+SAMPLE_BLOCK = 1 << 12
 CHECKPOINT_FORMAT = "agentsynth-vae"
 CHECKPOINT_VERSION = 1
 
@@ -506,21 +513,29 @@ def sample(model: VaeModel, count: int, rng_or_seed, harden: str = "argmax") -> 
     schema = model.schema
     blocks = schema_blocks(schema)
     z = rng.standard_normal((count, model.latent_dim))
-    out = decode(model, z)
-    if harden == "sample":
-        # one uniform per row and softmax head, drawn head after head in
-        # schema order; row h of ``uniforms`` belongs to the h-th head
-        widths = [head.width for head in model.decoder.heads if head.kind == "softmax"]
-        uniforms = rng.random((len(widths), count))
-        for group in model.layout.groups:
-            heads = [h for h, width in enumerate(widths) if width == group.width]
-            shape = (count, group.count, group.width)
-            idx = draw_categories(out[:, group.columns].reshape(shape), uniforms[heads].T)
-            hard = np.zeros(shape)
-            np.put_along_axis(hard, idx[:, :, None], 1.0, axis=2)
-            out[:, group.columns] = hard.reshape(count, -1)
-    matrix = EncodedMatrix(out, blocks, dict(model.standardization), schema)
-    return decode_rows(matrix, rng=rng)
+    # one uniform per row and softmax head, drawn head after head in schema
+    # order; row h of ``uniforms`` belongs to the h-th head
+    widths = [head.width for head in model.decoder.heads if head.kind == "softmax"]
+    uniforms = rng.random((len(widths), count)) if harden == "sample" else None
+
+    def decoded():
+        start = 0
+        for z_block in np.array_split(z, max(1, count // SAMPLE_BLOCK)):
+            out = decode(model, z_block)
+            rows = slice(start, start + len(out))
+            start = rows.stop
+            if harden == "sample":
+                for group in model.layout.groups:
+                    heads = [h for h, width in enumerate(widths) if width == group.width]
+                    shape = (len(out), group.count, group.width)
+                    idx = draw_categories(out[:, group.columns].reshape(shape),
+                                          uniforms[heads, rows].T)
+                    hard = np.zeros(shape)
+                    np.put_along_axis(hard, idx[:, :, None], 1.0, axis=2)
+                    out[:, group.columns] = hard.reshape(len(out), -1)
+            yield EncodedMatrix(out, blocks, dict(model.standardization), schema)
+
+    return decode_rows(decoded(), rng=rng)
 
 
 def write_training_log(history: list[dict], path) -> None:

@@ -42,6 +42,12 @@ def _run_info(out):
 def _assert_telemetry(info):
     assert (info["python"], info["numpy"]) == (platform.python_version(), np.__version__)
     assert isinstance(info["peak_rss_mb"], float) and 1 < info["peak_rss_mb"] < 1e6
+    # the high-water mark at the end of each finished stage
+    stage_peaks = info["stage_peak_rss_mb"]
+    assert list(stage_peaks) == list(info["timings_seconds"])
+    assert list(stage_peaks.values()) == sorted(stage_peaks.values())
+    assert all(isinstance(peak, float) and 1 < peak <= info["peak_rss_mb"]
+               for peak in stage_peaks.values())
 
 
 def _numeric_bins_config(tmp_path, out_dir):

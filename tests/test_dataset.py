@@ -3,11 +3,13 @@
 import csv
 import math
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from agentsynth import dataset
 from agentsynth.dataset import (
     AgentPool,
     EncodedMatrix,
@@ -644,28 +646,32 @@ def _outcome(read, *args):
         return f"{type(exc).__name__}: {exc}"
 
 
+# (row, column, cell) edits of a valid 12-row file of _mixed_schema();
+# (row, None, None) cuts that row short
+CSV_DEFECTS = [
+    [(4, None, None)],
+    [(3, 2, "")],
+    [(5, 1, "3.5")],
+    [(2, 3, "abc")],
+    [(6, 3, "nan")],
+    [(7, 2, "north")],
+    [(1, 4, "9")],
+    [(8, 1, "x"), (3, 3, "12.5e")],
+    [(3, 4, "x"), (3, 1, "")],
+    [(2, 2, "zz"), (5, 1, "99")],
+    [(6, 0, "q"), (2, None, None)],
+    [(7, None, None), (3, 4, "1.5")],
+    [(4, 3, "inf"), (1, 1, "-1")],
+    [(9, 0, "m "), (10, 3, "1e9")],
+]
+CSV_DEFECT_IDS = ["short-row", "empty-cell", "non-integer-int", "non-number-cont", "nan",
+                  "unknown-category", "out-of-range", "two-parse-errors", "same-row-parse-errors",
+                  "category-and-range", "category-and-short-row", "short-row-after-parse-error",
+                  "inf-and-range", "space-and-overshoot"]
+
+
 class TestColumnarCsv:
-    # (row, column, cell) edits of a valid 12-row file of _mixed_schema();
-    # (row, None, None) cuts that row short
-    @pytest.mark.parametrize("defects", [
-        [(4, None, None)],
-        [(3, 2, "")],
-        [(5, 1, "3.5")],
-        [(2, 3, "abc")],
-        [(6, 3, "nan")],
-        [(7, 2, "north")],
-        [(1, 4, "9")],
-        [(8, 1, "x"), (3, 3, "12.5e")],
-        [(3, 4, "x"), (3, 1, "")],
-        [(2, 2, "zz"), (5, 1, "99")],
-        [(6, 0, "q"), (2, None, None)],
-        [(7, None, None), (3, 4, "1.5")],
-        [(4, 3, "inf"), (1, 1, "-1")],
-        [(9, 0, "m "), (10, 3, "1e9")],
-    ], ids=["short-row", "empty-cell", "non-integer-int", "non-number-cont", "nan",
-            "unknown-category", "out-of-range", "two-parse-errors", "same-row-parse-errors",
-            "category-and-range", "category-and-short-row", "short-row-after-parse-error",
-            "inf-and-range", "space-and-overshoot"])
+    @pytest.mark.parametrize("defects", CSV_DEFECTS, ids=CSV_DEFECT_IDS)
     @pytest.mark.parametrize("provenance", ["train", "generated"])
     def test_defects_match_row_by_row_reader(self, tmp_path, defects, provenance):
         schema = _mixed_schema()
@@ -740,43 +746,51 @@ def _tokenizer_schema():
     ), "discretize-all")
 
 
+# (file text, provenance, whether the csv module reads it)
+TOKENIZER_FILES = [
+    ("sex,age,town\nf,3,a\nm,12,a\n", "train", False),
+    ("sex,age,town\r\nf,3,a\r\nm,12,a\r\n", "train", False),
+    ("sex,age,town\nf,3,a\nm,12,a", "train", False),
+    ("sex,age,town\r\nf,3,a\r\nm,12,a", "train", False),
+    ("sex,age,town\n", "train", False),
+    ("sex,age,town", "train", False),
+    ("sex,age,town\nf,3,a\n\nm,12,a\n", "train", True),
+    ("sex,age,town\nf,3,a\nm,12,a\n\n", "train", True),
+    ("sex,age,town\r\nf,3,a\r\n\r\n", "train", True),
+    ("sex,age,town\r\nf,3,a\nm,12,a\r\n", "train", True),
+    ("sex,age,town\nf,3,a\r\nm,12,a\n", "train", True),
+    ("sex,age,town\rf,3,a\rm,12,a\r", "train", True),
+    ("sex,age,town\r\nf,3,a\rm,12,a\r\n", "train", True),
+    ("sex,age,town\nf,3\nm,12,a,a\n", "train", True),
+    ("sex,age,town\nf,3,a,a\nm,12\n", "train", True),
+    ("sex,age,town\nf,3,a,a\nm,12,a,a\n", "train", True),
+    ('sex,age,town\nf,3,"b,c"\nm,12,a\n', "train", True),
+    ('sex,age,town\nf,3,"d\ne"\r\nm,12,a\n', "train", True),
+    ('sex,age,town\nf,3,"a\nm,12,a\n', "train", True),
+    ("sex,age,town\nf,3,\0\nm,12,a\n", "train", True),
+    ("sex,age,town\nf,3,a\0\nm,12,a\n", "train", True),
+    ("sex,age,town,provenance\nf,3,a,generated\nm,99,a,generated\n", "generated", False),
+    ("sex,age,town,provenance\nf,3,a,generated\nm,99,a\n", "generated", True),
+    ("sex,age,town\nf,3,a\nm,1x,a\n", "train", True),
+    ("sex,age,town\nf,3,a\nm,,a\n", "train", True),
+    ("sex,age,town\nf,3,a\nm,12,zz\n", "train", False),
+    ("sex,age,town\nf,3,a\nm,99,a\n", "train", False),
+    ("sex,age,town,x\ny\r\nf,3,a,1\r\n", "train", True),
+    ("sex,age,town,x\ry\r\nf,3,a,1\r\n", "train", True),
+]
+TOKENIZER_IDS = ["lf", "crlf", "lf-unclosed", "crlf-unclosed", "header-only", "header-unclosed",
+                 "blank-line", "blank-last-line", "crlf-blank-last-line",
+                 "crlf-then-lf", "lf-then-crlf", "lone-cr", "crlf-and-lone-cr",
+                 "short-then-long", "long-then-short", "every-row-long", "quoted-comma",
+                 "quoted-line-end", "open-quote", "nul-category", "nul-in-cell",
+                 "provenance-column", "missing-provenance-cell", "non-number", "empty-cell",
+                 "unknown-category", "out-of-range", "lone-lf-in-crlf-header",
+                 "lone-cr-in-crlf-header"]
+
+
 class TestColumnTokenizer:
-    # (file text, provenance, whether the csv module reads it)
-    @pytest.mark.parametrize("text, provenance, by_csv_module", [
-        ("sex,age,town\nf,3,a\nm,12,a\n", "train", False),
-        ("sex,age,town\r\nf,3,a\r\nm,12,a\r\n", "train", False),
-        ("sex,age,town\nf,3,a\nm,12,a", "train", False),
-        ("sex,age,town\r\nf,3,a\r\nm,12,a", "train", False),
-        ("sex,age,town\n", "train", False),
-        ("sex,age,town", "train", False),
-        ("sex,age,town\nf,3,a\n\nm,12,a\n", "train", True),
-        ("sex,age,town\nf,3,a\nm,12,a\n\n", "train", True),
-        ("sex,age,town\r\nf,3,a\r\n\r\n", "train", True),
-        ("sex,age,town\r\nf,3,a\nm,12,a\r\n", "train", True),
-        ("sex,age,town\nf,3,a\r\nm,12,a\n", "train", True),
-        ("sex,age,town\rf,3,a\rm,12,a\r", "train", True),
-        ("sex,age,town\r\nf,3,a\rm,12,a\r\n", "train", True),
-        ("sex,age,town\nf,3\nm,12,a,a\n", "train", True),
-        ("sex,age,town\nf,3,a,a\nm,12\n", "train", True),
-        ("sex,age,town\nf,3,a,a\nm,12,a,a\n", "train", True),
-        ('sex,age,town\nf,3,"b,c"\nm,12,a\n', "train", True),
-        ('sex,age,town\nf,3,"d\ne"\r\nm,12,a\n', "train", True),
-        ('sex,age,town\nf,3,"a\nm,12,a\n', "train", True),
-        ("sex,age,town\nf,3,\0\nm,12,a\n", "train", True),
-        ("sex,age,town\nf,3,a\0\nm,12,a\n", "train", True),
-        ("sex,age,town,provenance\nf,3,a,generated\nm,99,a,generated\n", "generated", False),
-        ("sex,age,town,provenance\nf,3,a,generated\nm,99,a\n", "generated", True),
-        ("sex,age,town\nf,3,a\nm,1x,a\n", "train", True),
-        ("sex,age,town\nf,3,a\nm,,a\n", "train", True),
-        ("sex,age,town\nf,3,a\nm,12,zz\n", "train", False),
-        ("sex,age,town\nf,3,a\nm,99,a\n", "train", False),
-    ], ids=["lf", "crlf", "lf-unclosed", "crlf-unclosed", "header-only", "header-unclosed",
-            "blank-line", "blank-last-line", "crlf-blank-last-line",
-            "crlf-then-lf", "lf-then-crlf", "lone-cr", "crlf-and-lone-cr",
-            "short-then-long", "long-then-short", "every-row-long", "quoted-comma",
-            "quoted-line-end", "open-quote", "nul-category", "nul-in-cell",
-            "provenance-column", "missing-provenance-cell", "non-number", "empty-cell",
-            "unknown-category", "out-of-range"])
+    @pytest.mark.parametrize("text, provenance, by_csv_module", TOKENIZER_FILES,
+                             ids=TOKENIZER_IDS)
     def test_outcome_matches_row_by_row_reader(self, tmp_path, monkeypatch, text, provenance,
                                                by_csv_module):
         schema = _tokenizer_schema()
@@ -894,3 +908,181 @@ class TestIngestBinsColumns:
             {"name": "age", "kind": "numerical-cont", "bins": 4}]}
         with pytest.raises(DataError, match=message):
             ingest_csv(csv_path, doc)
+
+
+# ---------------------------------------------------------------------------
+# the pool CSV reader and writer in blocks of a few lines
+
+
+@pytest.fixture
+def csv_blocks(monkeypatch):
+    """``set_blocks(read, write)`` sets the reader's block (characters) and
+    the writer's block (rows); the returned list collects the row count of
+    every block the reader splits, or None where it gives the file up."""
+    split = []
+    real_split = dataset._split_blocks
+
+    def counting(text, names):
+        for cells in real_split(text, names):
+            split.append(None if cells is None else len(cells[0]))
+            yield cells
+
+    def set_blocks(read, write=3):
+        monkeypatch.setattr(dataset, "CSV_READ_BLOCK", read)
+        monkeypatch.setattr(dataset, "CSV_WRITE_BLOCK", write)
+        return split
+
+    monkeypatch.setattr(dataset, "_split_blocks", counting)
+    return set_blocks
+
+
+def _body(lines, eol="\n", closed=True):
+    return "sex,age,town" + eol + eol.join(lines) + (eol if closed else "")
+
+
+class TestBlockwiseCsv:
+    @pytest.mark.parametrize("block", [1, 9, 16])
+    @pytest.mark.parametrize("text, provenance, by_csv_module", TOKENIZER_FILES,
+                             ids=TOKENIZER_IDS)
+    def test_tokenizer_files_match_row_by_row_reader(self, tmp_path, monkeypatch, csv_blocks,
+                                                     block, text, provenance, by_csv_module):
+        csv_blocks(block)
+        schema = _tokenizer_schema()
+        path = tmp_path / "pool.csv"
+        path.write_bytes(text.encode())
+        expected = _outcome(_reference_read_pool_csv, path, schema, provenance)
+        calls = _counting_csv_reader(monkeypatch)
+        actual = _outcome(lambda: read_pool_csv(path, schema, provenance=provenance).rows)
+        assert actual == expected
+        assert bool(calls) == by_csv_module
+
+    @pytest.mark.parametrize("block", [1, 40])
+    @pytest.mark.parametrize("defects", CSV_DEFECTS, ids=CSV_DEFECT_IDS)
+    def test_defects_match_row_by_row_reader(self, tmp_path, csv_blocks, block, defects):
+        csv_blocks(block)
+        schema = _mixed_schema()
+        pool = codes_to_pool(_random_codes(np.random.default_rng(21), schema, 12), schema,
+                             rng=np.random.default_rng(22))
+        path = tmp_path / "pool.csv"
+        write_pool_csv(pool, path)
+        lines = path.read_text().splitlines()
+        for row, column, cell in defects:
+            cells = lines[row + 1].split(",")
+            if column is None:
+                cells = cells[:3]
+            else:
+                cells[column] = cell
+            lines[row + 1] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        expected = _outcome(_reference_read_pool_csv, path, schema)
+        assert _outcome(lambda: read_pool_csv(path, schema).rows) == expected
+
+    # lines of 6 characters (7 with "\r\n"), so blocks hold whole lines
+    # exactly where the block size is a multiple of the line length
+    @pytest.mark.parametrize("eol, closed, block, split", [
+        ("\n", True, 12, [2, 2]),
+        ("\n", True, 13, [3, 1]),
+        ("\n", True, 4, [1, 1, 1, 1]),
+        ("\n", True, 1000, [4]),
+        ("\n", False, 12, [2, 2]),
+        ("\n", False, 4, [1, 1, 1, 1]),
+        ("\r\n", True, 14, [2, 2]),
+        ("\r\n", True, 15, [3, 1]),
+        ("\r\n", True, 4, [1, 1, 1, 1]),
+        ("\r\n", False, 14, [2, 2]),
+    ], ids=["boundary-at-last-line-end", "short-last-block", "lines-longer-than-a-block",
+            "one-block", "unclosed", "unclosed-lines-longer-than-a-block",
+            "crlf-boundary-at-last-line-end", "crlf-short-last-block",
+            "crlf-lines-longer-than-a-block", "crlf-unclosed"])
+    def test_blocks_cut_at_line_ends(self, tmp_path, csv_blocks, eol, closed, block, split):
+        path = tmp_path / "pool.csv"
+        path.write_bytes(_body(["f,3,a", "m,9,a", "f,4,a", "m,1,a"], eol, closed).encode())
+        seen = csv_blocks(block)
+        schema = _tokenizer_schema()
+        assert read_pool_csv(path, schema).rows == _reference_read_pool_csv(path, schema)
+        assert seen == split
+
+    @pytest.mark.parametrize("read_block", [1, 24, dataset.CSV_READ_BLOCK])
+    @pytest.mark.parametrize("n_rows", [0, 1, 2, 3, 4], ids=lambda n: f"{n}-rows")
+    @pytest.mark.parametrize("provenance", ["train", "generated"])
+    def test_round_trip_around_the_write_block(self, tmp_path, csv_blocks, provenance, n_rows,
+                                               read_block):
+        # a write block of 3 rows: pools of 0, 1, block - 1, block, block + 1
+        seen = csv_blocks(read_block, write=3)
+        schema = _mixed_schema()
+        pool = codes_to_pool(_random_codes(np.random.default_rng(25), schema, n_rows), schema,
+                             provenance, rng=np.random.default_rng(26))
+        path, expected = tmp_path / "pool.csv", tmp_path / "expected.csv"
+        write_pool_csv(pool, path)
+        _reference_write_pool_csv(pool, expected)
+        assert path.read_bytes() == expected.read_bytes()
+        back = read_pool_csv(path, schema, provenance=provenance)
+        assert back.rows == pool.rows == _reference_read_pool_csv(path, schema, provenance)
+        np.testing.assert_array_equal(back.numeric, pool.numeric)
+        if read_block == 1:  # one block per line, and one empty block without lines
+            assert seen == [1] * n_rows or (n_rows, seen) == (0, [0])
+
+    def test_first_unknown_category_in_a_later_block(self, tmp_path, csv_blocks):
+        seen = csv_blocks(20)
+        lines = ["f,3,a"] * 30
+        lines[24], lines[27] = "m,3,zz", "m,3,qq"
+        path = tmp_path / "pool.csv"
+        path.write_text(_body(lines))
+        schema = _tokenizer_schema()
+        expected = _outcome(_reference_read_pool_csv, path, schema)
+        assert expected == "DataError: variable 'town': unknown category 'zz'"
+        assert _outcome(lambda: read_pool_csv(path, schema).rows) == expected
+        assert len(seen) > 5 and None not in seen
+
+    @pytest.mark.parametrize("cell", ["inf", "nan", "-Infinity"])
+    def test_non_finite_bins_cell_in_a_later_block(self, tmp_path, csv_blocks, cell):
+        seen = csv_blocks(16)
+        lines = ["f,10"] * 30
+        lines[21], lines[26] = f"m,{cell}", "m,nan"
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text("sex,age\n" + "\n".join(lines) + "\n")
+        doc = {"mode": "mixed", "variables": [
+            {"name": "sex", "kind": "binary", "categories": ["f", "m"]},
+            {"name": "age", "kind": "numerical-cont", "bins": 4}]}
+        with pytest.raises(DataError, match=re.escape(
+                f"data.csv:23: column 'age' declares a bin count and holds {cell!r}")):
+            ingest_csv(csv_path, doc)
+        assert len(seen) > 5 and None not in seen
+
+
+def _survey_pool(n_rows):
+    """A pool shaped like a survey: ten categoricals of five values, three
+    continuous numerics and a count, in mixed mode."""
+    rng = np.random.default_rng(51)
+    schema = Schema(tuple(
+        VariableSpec(f"cat{j}", "categorical", categories=tuple(f"v{v}" for v in range(5)))
+        for j in range(10)) + tuple(
+        _num_var(f"num{k}", np.linspace(-6.0, 6.0, 9), kind="numerical-cont") for k in range(3))
+        + (_num_var("count", np.linspace(0.0, 80.0, 9)),), "mixed")
+    return codes_to_pool(_random_codes(rng, schema, n_rows), schema, "train", rng=rng)
+
+
+class TestCsvMemory:
+    """Traced allocations (tracemalloc counts every allocation, so peaks
+    are the same on every run) follow the file and the pool's arrays, not
+    the number of cells."""
+
+    @staticmethod
+    def _traced_peak(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_read_and_write_peaks_follow_the_file_size(self, tmp_path):
+        pool = _survey_pool(20_000)
+        path = tmp_path / "pool.csv"
+        _, write_peak = self._traced_peak(lambda: write_pool_csv(pool, path))
+        size = path.stat().st_size
+        back, read_peak = self._traced_peak(lambda: read_pool_csv(path, pool.schema))
+        np.testing.assert_array_equal(back.numeric, pool.numeric)
+        # one str per cell for the whole pool took 6.6x (write) and 14x (read)
+        assert write_peak < size
+        assert read_peak < 6 * size

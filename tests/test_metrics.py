@@ -673,6 +673,20 @@ class TestArtifactBytes:
              for b, (t, m) in enumerate(zip(test_vec, method_vec))])
         assert (tmp_path / "s.csv").read_bytes() == expected
 
+    def test_scatter_and_pca_over_several_write_blocks(self, rng, tmp_path):
+        rows = 2 * dataset.CSV_WRITE_BLOCK + 3
+        test_vec = np.concatenate((AWKWARD, rng.integers(0, 9, rows - len(AWKWARD)) / 8))
+        method_vec = rng.permutation(test_vec)
+        write_scatter_csv(method_vec, test_vec, tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").read_bytes() == _csv_writer_bytes(
+            tmp_path / "e.csv", ["bin_id", "test_frequency", "method_frequency"],
+            [[b, repr(float(t)), repr(float(m))]
+             for b, (t, m) in enumerate(zip(test_vec, method_vec))])
+        coords = rng.normal(size=(rows, 2))
+        write_pca_csv(coords, tmp_path / "p.csv")
+        assert (tmp_path / "p.csv").read_bytes() == _csv_writer_bytes(
+            tmp_path / "e.csv", ["pc1", "pc2"], [[repr(float(v)) for v in row] for row in coords])
+
     @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (25, 5)])
     def test_pca_equals_csv_writer(self, rng, tmp_path, shape):
         coords = rng.normal(size=shape)

@@ -100,6 +100,8 @@ class TestRunPipeline:
         assert info["status"] == "failed"
         assert info["stage"] == "train:bn"
         assert "error" in info
+        # the failing stage records neither its time nor its memory
+        assert list(info["stage_peak_rss_mb"]) == list(info["timings_seconds"]) == ["prepare"]
 
     def test_unknown_projection_is_config_error(self, tmp_path):
         # an unknown name, no name, or a name twice fails before any training

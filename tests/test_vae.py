@@ -1,5 +1,7 @@
 """VAE: latent parameterization, loss, training, sampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from agentsynth.dataset import (
     Schema,
     VariableSpec,
     decode_rows,
+    draw_categories,
     encode_pool,
     schema_blocks,
 )
@@ -335,6 +338,86 @@ class TestGroupedHardening:
         np.testing.assert_array_equal(fast.codes, slow.codes)
         assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
         assert len({row[0] for row in fast.rows}) > 1  # the draws spread
+
+
+def _one_shot_sample(model, count, seed, harden):
+    """vae.sample decoding the whole batch at once: z, then one hardening
+    uniform per row and softmax head (head after head), then the bin draws
+    of decode_rows."""
+    rng = np.random.default_rng(seed)
+    schema, blocks = model.schema, schema_blocks(model.schema)
+    out = decode(model, rng.standard_normal((count, model.latent_dim)))
+    if harden == "sample":
+        hot = [block for block in blocks if block.kind == "one-hot"]
+        for block, uniforms in zip(hot, rng.random((len(hot), count))):
+            probs = out[:, block.start:block.stop]
+            hard = np.zeros_like(probs)
+            hard[np.arange(count), draw_categories(probs, uniforms)] = 1.0
+            out[:, block.start:block.stop] = hard
+    matrix = EncodedMatrix(out, blocks, dict(model.standardization), schema)
+    return decode_rows(matrix, rng=rng), rng
+
+
+def _trained_shape_model(rng, mode, hidden, latent_dim):
+    schema = Schema(_interleaved_schema().variables, mode)
+    train_pool = AgentPool.from_rows(schema, _interleaved_pool(rng, 40).rows)
+    model = build_vae(schema, hidden, latent_dim, 1.0, rng)
+    model.standardization = dict(encode_pool(train_pool).standardization)
+    return model
+
+
+def _assert_same_sample(model, count, harden, seed=17):
+    expected, expected_rng = _one_shot_sample(model, count, seed, harden)
+    sample_rng = np.random.default_rng(seed)
+    pool = sample(model, count, sample_rng, harden=harden)
+    np.testing.assert_array_equal(pool.codes, expected.codes)
+    np.testing.assert_array_equal(pool.numeric.view(np.int64), expected.numeric.view(np.int64))
+    assert sample_rng.random() == expected_rng.random()
+
+
+class TestBlockwiseSample:
+    @pytest.mark.parametrize("count", [1, 7, 8, 50])
+    @pytest.mark.parametrize("harden", ["argmax", "sample"])
+    @pytest.mark.parametrize("mode", ["mixed", "discretize-all"])
+    def test_blocks_of_seven_match_one_shot_decode(self, monkeypatch, mode, harden, count):
+        # discretize-all draws the numerics inside their bins after decoding
+        model = _trained_shape_model(np.random.default_rng(5), mode, (5,), 3)
+        monkeypatch.setattr(vae_module, "SAMPLE_BLOCK", 7)
+        decoded, real_decode = [], vae_module.decode
+        monkeypatch.setattr(vae_module, "decode",
+                            lambda m, z: decoded.append(len(z)) or real_decode(m, z))
+        _assert_same_sample(model, count, harden)
+        # count // 7 near-equal blocks, none shorter than 7 rows unless the
+        # whole count is
+        assert sum(decoded) == count and len(decoded) == max(1, count // 7)
+        assert min(decoded) >= min(count, 7)
+
+    @pytest.mark.parametrize("harden", ["argmax", "sample"])
+    def test_default_blocks_match_one_shot_decode_of_a_wide_model(self, harden):
+        # the benchmark's decoder widths, over three blocks
+        model = _trained_shape_model(np.random.default_rng(6), "mixed", (64,), 8)
+        _assert_same_sample(model, 3 * vae_module.SAMPLE_BLOCK + 5, harden)
+
+    @pytest.mark.parametrize("harden", ["argmax", "sample"])
+    @pytest.mark.parametrize("mode", ["mixed", "discretize-all"])
+    def test_traced_peak_does_not_grow_with_the_count(self, mode, harden):
+        # tracemalloc counts every allocation, so peaks are the same on every
+        # run. Besides the pool's arrays, only z and the hardening uniforms,
+        # drawn whole before decoding, may grow with the count; decoding the
+        # whole batch at once took 67 MB more at 50k rows than at 5k.
+        model = _trained_shape_model(np.random.default_rng(6), mode, (64,), 8)
+        heads = sum(head.kind == "softmax" for head in model.decoder.heads)
+        rest = []
+        for count in (5_000, 50_000):
+            tracemalloc.start()
+            try:
+                pool = sample(model, count, 3, harden=harden)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            drawn = 8 * count * (model.latent_dim + (heads if harden == "sample" else 0))
+            rest.append(peak - pool.codes.nbytes - pool.numeric.nbytes - drawn)
+        assert rest[1] <= 1.1 * rest[0]
 
 
 class TestCheckpoint:
