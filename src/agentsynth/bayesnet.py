@@ -23,6 +23,13 @@ JMLR 12, 2011). The best-subset and sink dynamic programs follow Silander &
 Myllymaki, "A simple approach for finding the globally optimal Bayesian
 network structure", UAI 2006.
 
+The greedy search keeps each node's parents and ancestors as int bitmasks
+(Scutari, "Learning Bayesian Networks with the bnlearn R Package", JSS
+2010), recomputing the ancestors in one topological pass per applied move.
+Adding i -> j is legal iff j is not an ancestor of i; reversing i -> j iff
+no other parent of j has ancestor i (a path from i to such a parent cannot
+use i -> j, as it would close a cycle through j).
+
 All functions work on integer code matrices (rows x variables) with
 per-variable value counts; see dataset.pool_to_codes.
 """
@@ -36,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import check_codes, draw_categories, read_json, view_counts
-from .errors import DataError, ExactSearchLimitError
+from .errors import DataError, ExactSearchLimitError, expect
 
 MAX_TABLE_CELLS = 1 << 22  # guard on materialized CPT size
 
@@ -204,86 +211,70 @@ def mdl_score(dag: Dag, codes: np.ndarray, value_counts) -> float:
                for node in range(dag.n_nodes))
 
 
-def _reaches(parents: list[set[int]], start: int, goal: int) -> bool:
-    """True if goal is reachable from start following child edges."""
-    children = [[] for _ in range(len(parents))]
-    for child, pa in enumerate(parents):
-        for p in pa:
-            children[p].append(child)
-    stack, seen = [start], set()
-    while stack:
-        node = stack.pop()
-        if node == goal:
-            return True
-        for c in children[node]:
-            if c not in seen:
-                seen.add(c)
-                stack.append(c)
-    return False
+def _members(mask: int) -> tuple[int, ...]:
+    """The nodes of a bitmask, ascending."""
+    return tuple(u for u in range(mask.bit_length()) if (mask >> u) & 1)
+
+
+def _ancestor_masks(parents: list[int]) -> list[int]:
+    """Each node's ancestor mask from the parent masks, in topological order:
+    a node is settled once its parents are, at least one per sweep of a DAG."""
+    ancestors, settled = list(parents), 0
+    for _ in parents:
+        for node, pa in enumerate(parents):
+            if not (settled >> node) & 1 and not pa & ~settled:
+                for p in _members(pa):
+                    ancestors[node] |= ancestors[p]
+                settled |= 1 << node
+        if settled == (1 << len(parents)) - 1:
+            break
+    return ancestors
 
 
 def greedy_search(codes: np.ndarray, value_counts, max_parents: int | None = None) -> Dag:
     """Hill-climbing from the empty graph over single-edge additions,
     removals, and reversals, keeping acyclicity, until no move improves the
-    MDL score. Move enumeration order is fixed, so ties are deterministic."""
+    MDL score. Move enumeration order is fixed, so ties are deterministic.
+    A move is the (node, new parent mask) pairs it sets; local scores are
+    cached by (node, parent mask)."""
     arr = _check_data(codes)
     n = len(value_counts)
-    parents: list[set[int]] = [set() for _ in range(n)]
+    limit = n if max_parents is None else max_parents  # a node has at most n - 1 parents
     scorer = _FamilyScorer(arr, value_counts)
     cache: dict = {}
 
-    def local(node, pa_set):
-        key = (node, tuple(sorted(pa_set)))
-        if key not in cache:
-            cache[key] = scorer.local(*key)
-        return cache[key]
+    def local(node, mask):
+        if (node, mask) not in cache:
+            cache[node, mask] = scorer.local(node, _members(mask))
+        return cache[node, mask]
 
-    improved = True
-    while improved:
-        improved = False
-        best_gain = 1e-9
-        best_apply = None
+    parents, ancestors = [0] * n, [0] * n
+    while True:
+        best_gain, best_move = 1e-9, None
         for i in range(n):
             for j in range(n):
                 if i == j:
                     continue
-                if i not in parents[j]:
-                    # addition i -> j; a path j ~> i would make it a cycle
-                    if max_parents is not None and len(parents[j]) >= max_parents:
+                pa_i, pa_j, bit_i = parents[i], parents[j], 1 << i
+                if not pa_j & bit_i:  # addition i -> j
+                    if pa_j.bit_count() >= limit or (ancestors[i] >> j) & 1:
                         continue
-                    if _reaches(parents, j, i):
-                        continue
-                    gain = local(j, parents[j] | {i}) - local(j, parents[j])
+                    moves = [(local(j, pa_j | bit_i) - local(j, pa_j), ((j, pa_j | bit_i),))]
+                else:  # removal of i -> j, then its reversal to j -> i
+                    removal = local(j, pa_j ^ bit_i) - local(j, pa_j)
+                    moves = [(removal, ((j, pa_j ^ bit_i),))]
+                    if pa_i.bit_count() < limit and not any(
+                            (ancestors[p] >> i) & 1 for p in _members(pa_j ^ bit_i)):
+                        gain = removal + local(i, pa_i | 1 << j) - local(i, pa_i)
+                        moves.append((gain, ((j, pa_j ^ bit_i), (i, pa_i | 1 << j))))
+                for gain, move in moves:
                     if gain > best_gain:
-                        best_gain = gain
-                        best_apply = ("add", i, j)
-                else:
-                    # removal of i -> j
-                    gain = local(j, parents[j] - {i}) - local(j, parents[j])
-                    if gain > best_gain:
-                        best_gain = gain
-                        best_apply = ("remove", i, j)
-                    # reversal i -> j  becomes  j -> i
-                    if max_parents is None or len(parents[i]) < max_parents:
-                        trial = [set(p) for p in parents]
-                        trial[j].discard(i)
-                        if not _reaches(trial, i, j):
-                            gain = (local(j, parents[j] - {i}) - local(j, parents[j])
-                                    + local(i, parents[i] | {j}) - local(i, parents[i]))
-                            if gain > best_gain:
-                                best_gain = gain
-                                best_apply = ("reverse", i, j)
-        if best_apply is not None:
-            op, i, j = best_apply
-            if op == "add":
-                parents[j].add(i)
-            elif op == "remove":
-                parents[j].discard(i)
-            else:
-                parents[j].discard(i)
-                parents[i].add(j)
-            improved = True
-    return Dag(n, tuple(tuple(sorted(p)) for p in parents))
+                        best_gain, best_move = gain, move
+        if best_move is None:
+            return Dag(n, tuple(map(_members, parents)))
+        for node, mask in best_move:
+            parents[node] = mask
+        ancestors = _ancestor_masks(parents)
 
 
 def exact_search(codes: np.ndarray, value_counts, max_vars: int = 12) -> Dag:
@@ -365,8 +356,7 @@ def exact_search(codes: np.ndarray, value_counts, max_vars: int = 12) -> Dag:
     mask = full
     while mask:
         v, rest = pick[mask]
-        chosen = best_ps_mask[v][rest]
-        parents[v] = tuple(u for u in range(n) if (chosen >> u) & 1)
+        parents[v] = _members(best_ps_mask[v][rest])
         mask = rest
     return Dag(n, tuple(parents))
 
@@ -465,13 +455,21 @@ def bn_to_dict(dag: Dag, cpts: CptSet, algorithm: str,
 def bn_from_dict(doc: dict) -> tuple[Dag, CptSet]:
     """Network from a JSON document, checked so that it can sample: one
     positive width per node, one table of shape (prod parent widths, width)
-    per node, and finite non-negative rows that sum to 1."""
+    per node, and finite non-negative rows that sum to 1; every value must
+    have its JSON type."""
+    expect(doc, "an object", "a BN model document", DataError)
     if doc.get("format") != "agentsynth-bn":
         raise DataError(f"not a BN model document: {doc.get('format')!r}")
+    def field(key: str, need: str):
+        return expect(doc[key], need, f"BN {key}", DataError)
+
     try:
-        dag = Dag(int(doc["n_nodes"]), tuple(tuple(int(p) for p in pa) for pa in doc["parents"]))
-        value_counts = tuple(int(w) for w in doc["value_counts"])
-        tables = tuple(np.asarray(t, dtype=float) for t in doc["tables"])
+        dag = Dag(field("n_nodes", "an integer"),
+                  tuple(map(tuple, field("parents", "a list of integer lists"))))
+        value_counts = tuple(field("value_counts", "a list of integers"))
+        tables = tuple(np.asarray(expect(t, "a list of number lists", f"node {node}: table",
+                                         DataError), dtype=float)
+                       for node, t in enumerate(field("tables", "a list")))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed BN model document: {exc!r}") from None
     if len(value_counts) != dag.n_nodes or min(value_counts, default=1) < 1:

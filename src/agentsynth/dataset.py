@@ -149,7 +149,8 @@ class Schema:
         least one variable of the schema, each once."""
         if names is None:
             return list(range(min(4, self.n_variables)))
-        if not names or len(set(names)) != len(names) or not set(names) <= set(self.names):
+        if (not names or not all(isinstance(name, str) for name in names)
+                or len(set(names)) != len(names) or not set(names) <= set(self.names)):
             raise ConfigError(f"{setting} must name distinct schema variables, got {list(names)}")
         return [self.index(name) for name in names]
 

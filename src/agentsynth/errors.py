@@ -4,8 +4,11 @@ Three top-level families map onto the CLI exit codes: configuration
 problems (2), data problems (3), and numerical divergence during model
 fitting (4). Everything derives from :class:`AgentSynthError` so callers
 can catch toolkit errors without swallowing genuine bugs. :func:`expect`
-is the JSON type check that configuration and schema parsing share.
+is the JSON type check that configuration, schema and model-file parsing
+share.
 """
+
+import reprlib
 
 
 class AgentSynthError(Exception):
@@ -58,12 +61,14 @@ def _is_list(value, item) -> bool:
 JSON_TYPES = {
     "an integer": _is_int,  # true and false are not integers
     "a number": _is_real,
+    "a number or null": lambda v: v is None or _is_real(v),
     "true or false": lambda v: isinstance(v, bool),
     "a string": lambda v: isinstance(v, str),
     "an object": lambda v: isinstance(v, dict),
     "a list": lambda v: isinstance(v, list),
     "a list of integers": lambda v: _is_list(v, _is_int),
     "a list of numbers": lambda v: _is_list(v, _is_real),
+    "a list of number lists": lambda v: _is_list(v, lambda x: _is_list(x, _is_real)),
     "a list of names": lambda v: _is_list(v, lambda x: isinstance(x, str)),
     "a list of integer lists": lambda v: _is_list(v, lambda x: _is_list(x, _is_int)),
 }
@@ -71,7 +76,7 @@ JSON_TYPES = {
 
 def expect(value, need: str, what: str, error: type = ConfigError):
     """``value`` if it is of the JSON type ``need`` (a key of
-    ``JSON_TYPES``), else ``error`` naming ``what``."""
+    ``JSON_TYPES``), else ``error`` naming ``what`` and the value, abridged."""
     if not JSON_TYPES[need](value):
-        raise error(f"{what} must be {need}, got {value!r}")
+        raise error(f"{what} must be {need}, got {reprlib.repr(value)}")
     return value

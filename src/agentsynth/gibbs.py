@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import AgentPool, codes_to_pool, distinct_rows, pool_to_codes
-from .errors import ConfigError, DataError, UnreachableContextError
+from .errors import ConfigError, DataError, UnreachableContextError, expect
 
 # Uniforms drawn per generator call in the chain. Drawing the whole
 # chain's uniforms at once would hold about a million Python floats.
@@ -247,12 +247,16 @@ def chain_to_dict(config: ChainConfig) -> dict:
 
 
 def chain_from_dict(doc: dict, target_count: int) -> ChainConfig:
-    """Inverse of :func:`chain_to_dict` for a draw of ``target_count`` rows."""
+    """Inverse of :func:`chain_to_dict` for a draw of ``target_count`` rows;
+    every setting must be an integer."""
+    expect(doc, "an object", "a Gibbs chain model", DataError)
     if doc.get("format") != "agentsynth-gibbs":
         raise DataError(f"not a Gibbs chain model: {doc.get('format')!r}")
     try:
-        return ChainConfig(target_count, **{key: doc[key] for key in CHAIN_SETTINGS})
-    except (KeyError, TypeError, ConfigError) as exc:
+        return ChainConfig(target_count, **{
+            key: expect(doc[key], "an integer", f"Gibbs chain {key}", DataError)
+            for key in CHAIN_SETTINGS})
+    except (KeyError, ConfigError) as exc:
         raise DataError(f"malformed Gibbs chain model: {exc!r}") from None
 
 

@@ -44,7 +44,7 @@ from .dataset import (CSV_WRITE_BLOCK, AgentPool, EncodedMatrix, check_codes, di
 # perfbench/layers.py wraps this name on this module; it stays bound until
 # the benchmark's bindings are updated
 from .dataset import encode_pool  # noqa: F401
-from .errors import DataError
+from .errors import DataError, expect
 
 MATCH_CHUNK = 1 << 18  # elements per block of mismatch counts in _nearest_distances
 PAIR_CHUNK = 1 << 18  # row pairs per batch of numeric differences in _nearest_distances
@@ -443,19 +443,20 @@ def evaluate(method_pools: dict[str, AgentPool], test_pool: AgentPool,
     Rows cover each supplied method plus a ``training-set`` reference row
     (the training pool compared to the test pool; its diversity stats are
     also taken against the test pool). Views: concatenated marginals, all
-    pairs, all triplets, and the projected joint of ``projection`` (default:
-    the schema's first four variables). Each pool is binned once per view;
+    pairs, all triplets, and the projected joint of ``projection``: distinct
+    variable names or indices (default: the schema's first four variables;
+    anything else is a ConfigError). Each pool is binned once per view;
     the report keeps the vectors for scatter output.
     """
     schema = test_pool.schema
     for name, pool in method_pools.items():
         if pool.schema != schema:
             raise DataError(f"pool {name!r} does not share the evaluation schema")
-    if projection is None:
-        projection = tuple(range(min(4, schema.n_variables)))
-    else:
-        projection = tuple(schema.index(p) if isinstance(p, str) else int(p)
-                           for p in projection)
+    if projection is not None:  # variable indices become names; any other entry stays
+        projection = [schema.names[p] if isinstance(p, (int, np.integer))
+                      and not isinstance(p, bool) and 0 <= p < schema.n_variables else p
+                      for p in projection]
+    projection = tuple(schema.columns(projection, "projection"))
     counts = schema.value_counts
     subsets = view_subsets(schema.n_variables, projection)
     test_codes, train_codes = codes_for_pool(test_pool), codes_for_pool(train_pool)
@@ -518,23 +519,34 @@ def report_to_json(report: EvalReport) -> str:
     return json.dumps(report_to_dict(report), indent=2)
 
 
-def _metric_from_entry(entry: dict | None) -> ViewMetrics | None:
+def _metric_from_entry(entry: dict | None, what: str) -> ViewMetrics | None:
     if entry is None:
         return None
-    return ViewMetrics(entry["srmse"], entry.get("corr"), entry.get("r2"))
+    expect(entry, "an object", what, DataError)
+    return ViewMetrics(expect(entry.get("srmse"), "a number", f"{what} srmse", DataError),
+                       *(expect(entry.get(key), "a number or null", f"{what} {key}", DataError)
+                         for key in ("corr", "r2")))
 
 
 def report_from_dict(doc: dict) -> EvalReport:
+    """Inverse of :func:`report_to_dict`; a document of another shape, or
+    one without a row per listed method, is a DataError."""
+    expect(doc, "an object", "the report", DataError)
+    methods = expect(doc.get("methods"), "a list of names", "report methods", DataError)
+    rows_doc = expect(doc.get("rows"), "an object", "report rows", DataError)
     rows = {}
-    for name, row in doc["rows"].items():
-        views = {view: _metric_from_entry(entry)
-                 for view, entry in row["views"].items() if entry is not None}
+    for name in methods:
+        row = expect(rows_doc.get(name), "an object", f"report row {name!r}", DataError)
+        views = expect(row.get("views"), "an object", f"{name!r} views", DataError)
         rows[name] = MethodEvaluation(
-            views,
-            _metric_from_entry(row.get("pairwise_cramers_v")),
-            DiversityStats(row["mu_ns"], row["sigma_ns"]),
+            {view: _metric_from_entry(entry, f"{name!r} view {view!r}")
+             for view, entry in views.items() if entry is not None},
+            _metric_from_entry(row.get("pairwise_cramers_v"), f"{name!r} pairwise_cramers_v"),
+            DiversityStats(*(expect(row.get(key), "a number", f"{name!r} {key}", DataError)
+                             for key in ("mu_ns", "sigma_ns"))),
         )
-    return EvalReport(list(doc["methods"]), rows, dict(doc.get("metadata", {})))
+    return EvalReport(list(methods), rows,
+                      expect(doc.get("metadata", {}), "an object", "report metadata", DataError))
 
 
 def write_report_csv(report: EvalReport, path) -> None:

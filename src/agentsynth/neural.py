@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DivergenceError, StaleCacheError
+from .errors import DataError, DivergenceError, StaleCacheError, expect
 
 CHECKPOINT_FORMAT = "agentsynth-mlp"
 CHECKPOINT_VERSION = 1
@@ -299,16 +299,23 @@ def mlp_from_dict(doc: dict) -> Mlp:
     """Inverse of :func:`mlp_to_dict`; raises DataError for a document whose
     shapes do not chain from layer to layer or whose heads do not tile the
     output layer."""
+    expect(doc, "an object", "an MLP checkpoint", DataError)
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"not an MLP checkpoint: {doc.get('format')!r}")
     try:
-        layers = [
-            DenseLayer(np.asarray(entry["weights"], dtype=float),
-                       np.asarray(entry["biases"], dtype=float),
-                       entry["activation"])
-            for entry in doc["layers"]
-        ]
-        heads = tuple(Head(h["kind"], int(h["width"])) for h in doc["heads"])
+        layers = []
+        for l, entry in enumerate(expect(doc["layers"], "a list", "MLP layers", DataError)):
+            expect(entry, "an object", f"layer {l}", DataError)
+            layers.append(DenseLayer(
+                np.asarray(expect(entry["weights"], "a list of number lists",
+                                  f"layer {l}: weights", DataError), dtype=float),
+                np.asarray(expect(entry["biases"], "a list of numbers",
+                                  f"layer {l}: biases", DataError), dtype=float),
+                expect(entry["activation"], "a string", f"layer {l}: activation", DataError)))
+        heads = tuple(
+            Head(expect(h["kind"], "a string", "head kind", DataError),
+                 expect(h["width"], "an integer", "head width", DataError))
+            for h in expect(doc["heads"], "a list", "MLP heads", DataError))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed MLP checkpoint: {exc!r}") from None
     if not layers:

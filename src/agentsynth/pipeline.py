@@ -50,6 +50,14 @@ from .errors import ConfigError, DataError, expect
 from .synthdata import SyntheticGeneratorSpec, spec_from_json, synth_generate
 
 METHOD_KINDS = ("vae", "gibbs", "bn")
+# the params train_method and sample_method read, per method kind
+METHOD_PARAMS = {
+    "vae": ("hidden", "latent_dim", "beta", "epochs", "batch_size", "seed", "learning_rate",
+            "hidden_options", "latent_options", "beta_options", "selection_variables",
+            "selection_samples", "harden"),
+    "gibbs": ("warmup", "thinning", "seed"),
+    "bn": ("algorithm", "max_parents"),
+}
 BASELINE_NAMES = ("marginal-sampler", "resample-training")
 PCA_COMPONENTS = 5
 
@@ -71,6 +79,10 @@ class MethodSpec:
             raise ConfigError(f"unknown method kind {self.kind!r}")
         if self.name in BASELINE_NAMES or self.name == "training-set":
             raise ConfigError(f"method name {self.name!r} is reserved")
+        unknown = sorted(set(self.params) - set(METHOD_PARAMS[self.kind]))
+        if unknown:
+            raise ConfigError(f"method {self.name!r}: unknown params {unknown}; a {self.kind} "
+                              f"method accepts {list(METHOD_PARAMS[self.kind])}")
 
 
 @dataclass
@@ -300,7 +312,7 @@ def train_method(config: ExperimentConfig, method: MethodSpec, train: AgentPool,
             raise ConfigError(f"method {method.name!r}: max_parents must be >= 0")
         dag = bayesnet.greedy_search(codes, counts, max_parents=max_parents)
     elif algorithm == "exact":
-        dag = bayesnet.exact_search(codes, counts, max_vars=param("max_vars", 12))
+        dag = bayesnet.exact_search(codes, counts)
     else:
         raise ConfigError(f"unknown BN algorithm {algorithm!r}")
     runtime = time.perf_counter() - started

@@ -44,7 +44,7 @@ from .dataset import (
     schema_from_json,
     schema_to_json,
 )
-from .errors import ConfigError, DataError, DivergenceError, SchemaError
+from .errors import ConfigError, DataError, DivergenceError, SchemaError, expect
 from .neural import (
     Head,
     Mlp,
@@ -568,14 +568,18 @@ def vae_to_dict(model: VaeModel, extra: dict | None = None) -> dict:
 
 def vae_from_dict(doc: dict) -> VaeModel:
     """Inverse of :func:`vae_to_dict`; raises DataError for a checkpoint
-    whose networks do not fit its schema and latent width."""
+    whose values have the wrong JSON type, whose networks do not fit its
+    schema and latent width, or that lacks a (mean, std) pair of finite
+    numbers for a standardized numeric."""
+    expect(doc, "an object", "a VAE checkpoint", DataError)
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"not a VAE checkpoint: {doc.get('format')!r}")
     try:
         schema = schema_from_json(doc["schema"])
-        encoder, decoder = mlp_from_dict(doc["encoder"]), mlp_from_dict(doc["decoder"])
-        latent_dim = int(doc["latent_dim"])
-        beta = float(doc["beta"])
+        encoder = mlp_from_dict(expect(doc["encoder"], "an object", "VAE encoder", DataError))
+        decoder = mlp_from_dict(expect(doc["decoder"], "an object", "VAE decoder", DataError))
+        latent_dim = expect(doc["latent_dim"], "an integer", "VAE latent_dim", DataError)
+        beta = float(expect(doc["beta"], "a number", "VAE beta", DataError))
     except KeyError as exc:
         raise DataError(f"VAE checkpoint lacks {exc.args[0]!r}") from None
     if encoder.input_width != schema.encoded_width:
@@ -589,14 +593,20 @@ def vae_from_dict(doc: dict) -> VaeModel:
                         f"latent width {latent_dim}")
     if decoder.heads != decoder_heads(schema):
         raise DataError("decoder heads do not mirror the schema's encoded blocks")
-    return VaeModel(
-        encoder,
-        decoder,
-        latent_dim,
-        beta,
-        schema,
-        {k: (float(v[0]), float(v[1])) for k, v in doc.get("standardization", {}).items()},
-    )
+    stats = expect(doc.get("standardization", {}), "an object", "VAE standardization", DataError)
+    standardization = {}
+    for var in schema.variables:
+        if not schema.is_one_hot(var):  # a standardized numeric
+            pair = expect(stats.get(var.name), "a list of numbers",
+                          f"standardization of {var.name!r}", DataError)
+            if len(pair) != 2 or not np.isfinite(pair).all():
+                raise DataError(f"standardization of {var.name!r} must be a (mean, std) pair "
+                                f"of finite numbers, got {pair}")
+            standardization[var.name] = (float(pair[0]), float(pair[1]))
+    try:
+        return VaeModel(encoder, decoder, latent_dim, beta, schema, standardization)
+    except ConfigError as exc:  # a beta that is not positive
+        raise DataError(f"VAE checkpoint: {exc}") from None
 
 
 def save_checkpoint(model: VaeModel, path, extra: dict | None = None) -> None:

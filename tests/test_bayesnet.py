@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from agentsynth import bayesnet
+from agentsynth import bayesnet, pipeline
 from agentsynth.bayesnet import (
     MAX_TABLE_CELLS,
     CptSet,
@@ -23,8 +23,9 @@ from agentsynth.bayesnet import (
     mutual_information,
 )
 from agentsynth.cli import main
-from agentsynth.dataset import pool_to_codes
+from agentsynth.dataset import pool_to_codes, split_pool
 from agentsynth.errors import DataError, ExactSearchLimitError
+from agentsynth.pipeline import acquire_data, config_from_json
 from agentsynth.synthdata import SyntheticGeneratorSpec, synth_generate
 
 from conftest import toy_pool
@@ -40,8 +41,9 @@ def _exact_product_codes():
 
 
 # ---------------------------------------------------------------------------
-# references: the dense local score and the dict-DP exact search that the
-# sparse scorer and the pruned search replace
+# references: the dense local score, the dict-DP exact search and the
+# DFS-checked greedy search that the sparse scorer, the pruned search and
+# the bitmask greedy search replace
 
 
 def _dense_local_score(arr, value_counts, node, parents):
@@ -111,6 +113,87 @@ def _reference_exact_search(arr, value_counts):
         parents[v] = tuple(u for u in range(n) if (chosen >> u) & 1)
         mask = rest
     return Dag(n, tuple(parents))
+
+
+def _reaches(parents, start, goal):
+    """True if goal is reachable from start following child edges."""
+    children = [[] for _ in range(len(parents))]
+    for child, pa in enumerate(parents):
+        for p in pa:
+            children[p].append(child)
+    stack, seen = [start], set()
+    while stack:
+        node = stack.pop()
+        if node == goal:
+            return True
+        for c in children[node]:
+            if c not in seen:
+                seen.add(c)
+                stack.append(c)
+    return False
+
+
+def _reference_greedy_search(codes, value_counts, max_parents=None):
+    """Hill climbing on parent sets with a DFS per legality test and a copy
+    of every parent set per candidate reversal; returns the DAG and the
+    moves it applied, as (op, i, j)."""
+    arr = np.asarray(codes, dtype=np.int64)
+    n = len(value_counts)
+    parents = [set() for _ in range(n)]
+    scorer = bayesnet._FamilyScorer(arr, value_counts)
+    cache = {}
+    applied = []
+
+    def local(node, pa_set):
+        key = (node, tuple(sorted(pa_set)))
+        if key not in cache:
+            cache[key] = scorer.local(*key)
+        return cache[key]
+
+    improved = True
+    while improved:
+        improved = False
+        best_gain = 1e-9
+        best_apply = None
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                if i not in parents[j]:
+                    if max_parents is not None and len(parents[j]) >= max_parents:
+                        continue
+                    if _reaches(parents, j, i):
+                        continue
+                    gain = local(j, parents[j] | {i}) - local(j, parents[j])
+                    if gain > best_gain:
+                        best_gain = gain
+                        best_apply = ("add", i, j)
+                else:
+                    gain = local(j, parents[j] - {i}) - local(j, parents[j])
+                    if gain > best_gain:
+                        best_gain = gain
+                        best_apply = ("remove", i, j)
+                    if max_parents is None or len(parents[i]) < max_parents:
+                        trial = [set(p) for p in parents]
+                        trial[j].discard(i)
+                        if not _reaches(trial, i, j):
+                            gain = (local(j, parents[j] - {i}) - local(j, parents[j])
+                                    + local(i, parents[i] | {j}) - local(i, parents[i]))
+                            if gain > best_gain:
+                                best_gain = gain
+                                best_apply = ("reverse", i, j)
+        if best_apply is not None:
+            op, i, j = best_apply
+            if op == "add":
+                parents[j].add(i)
+            elif op == "remove":
+                parents[j].discard(i)
+            else:
+                parents[j].discard(i)
+                parents[i].add(j)
+            applied.append(best_apply)
+            improved = True
+    return Dag(n, tuple(tuple(sorted(p)) for p in parents)), applied
 
 
 def _unique_rows_local_score(arr, value_counts, node, parents):
@@ -283,6 +366,53 @@ class TestGreedySearch:
         codes = rng.integers(0, 2, size=(400, 5))
         dag = greedy_search(codes, (2,) * 5, max_parents=1)
         assert all(len(p) <= 1 for p in dag.parents)
+
+
+def _greedy_oracle_cases():
+    """(codes, widths, max_parents) over both generators, 3-16 variables of
+    widths 2-5, 50-3,000 rows and every max_parents setting."""
+    r = np.random.default_rng(72)
+    for case in range(30):
+        n_vars = int(r.integers(3, 17))
+        widths = tuple(int(w) for w in r.integers(2, 6, n_vars))
+        kind = ("latent-class", "bn-ground-truth")[case % 2]
+        extra = {"n_classes": int(r.integers(2, 7))} if kind == "latent-class" else \
+            {"max_parents": int(r.integers(1, 4))}
+        spec = SyntheticGeneratorSpec(kind=kind, size=int(r.integers(50, 3001)), seed=case,
+                                      n_variables=n_vars, category_width=widths, **extra)
+        yield pool_to_codes(synth_generate(spec)), widths, (None, 0, 1, 2, 3)[case % 5]
+
+
+def _bn_search_training_codes(seed):
+    """The training split of the bn-search benchmark workload at ``seed``."""
+    config = config_from_json({
+        "seed": seed,
+        "data": {"synthetic": {"kind": "bn-ground-truth", "size": 25_000, "seed": 2,
+                               "n_variables": 12, "category_width": [2, 3, 4] * 4,
+                               "max_parents": 2}},
+        "split": {"train_frac": 0.25, "val_frac_of_train": 0.2},
+    })
+    train = split_pool(acquire_data(config), config.train_frac, config.val_frac_of_train,
+                       pipeline._split_seed(config))[0]
+    return pool_to_codes(train), train.schema.value_counts
+
+
+class TestGreedyMatchesReference:
+    def test_random_schemas_and_every_move_kind(self):
+        ops = set()
+        for codes, widths, max_parents in _greedy_oracle_cases():
+            expected, applied = _reference_greedy_search(codes, widths, max_parents)
+            assert greedy_search(codes, widths, max_parents) == expected
+            ops.update(op for op, _, _ in applied)
+        # every legality rule was exercised by an applied move
+        assert ops == {"add", "remove", "reverse"}
+
+    @pytest.mark.parametrize("seed", [2, 3, 4])
+    def test_bn_search_training_split(self, seed):
+        codes, widths = _bn_search_training_codes(seed)
+        expected, applied = _reference_greedy_search(codes, widths, 3)
+        assert applied
+        assert greedy_search(codes, widths, 3) == expected
 
 
 class TestSparseScorer:
@@ -624,12 +754,25 @@ class TestBnDocumentValidation:
         (lambda doc: doc["parents"].__setitem__(2, [1, 1]), "node 2: duplicate parent"),
         (lambda doc: doc["tables"].pop(), "2 tables for 3 nodes"),
         (lambda doc: doc.pop("parents"), "malformed BN model document"),
+        # values of the wrong JSON type are rejected, not coerced
+        (lambda doc: doc.update(n_nodes="3"), "BN n_nodes must be an integer, got '3'"),
+        (lambda doc: doc.update(n_nodes=3.0), "BN n_nodes must be an integer"),
+        (lambda doc: doc["parents"][1].__setitem__(0, "0"), "BN parents must be a list of"),
+        (lambda doc: doc["value_counts"].__setitem__(0, 3.0), "BN value_counts must be a list"),
+        (lambda doc: doc["value_counts"].__setitem__(0, True), "BN value_counts must be a list"),
+        (lambda doc: _set_cell(doc, "0.5"), "node 1: table must be a list of number lists"),
+        (lambda doc: doc.update(tables={}), "BN tables must be a list"),
     ])
     def test_corrupt_document_is_data_error(self, corrupt, message):
         doc = _bn_document()
         bn_from_dict(doc)
         corrupt(doc)
         with pytest.raises(DataError, match=message):
+            bn_from_dict(doc)
+
+    @pytest.mark.parametrize("doc", [[], "bn", None])
+    def test_document_that_is_no_object_is_data_error(self, doc):
+        with pytest.raises(DataError, match="a BN model document must be an object"):
             bn_from_dict(doc)
 
     @pytest.mark.parametrize("corrupt, message", [

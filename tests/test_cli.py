@@ -1,15 +1,20 @@
 """CLI surface: subcommands, staged flow, exit codes."""
 
 import json
+import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from agentsynth import cli
+import agentsynth
+from agentsynth import cli, vae
 from agentsynth.bayesnet import bn_from_dict, mdl_score
 from agentsynth.cli import main
-from agentsynth.dataset import pool_to_codes, read_pool_csv, schema_from_json
+from agentsynth.dataset import Schema, VariableSpec, pool_to_codes, read_pool_csv, schema_from_json
 from agentsynth.errors import StaleCacheError
 
 
@@ -464,3 +469,107 @@ class TestExitCodes:
         monkeypatch.setitem(cli.COMMANDS, "report", stale)
         assert main(["report", "--out", str(tmp_path)]) == 3
         assert "data error: cache does not match" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract, checked on a fresh interpreter per command
+
+
+def _cli(*argv):
+    """Exit code and stderr of ``python -m agentsynth.cli argv``."""
+    paths = [str(Path(agentsynth.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run([sys.executable, "-m", "agentsynth.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    return done.returncode, done.stderr
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A prepared output directory with a model of each kind, and the
+    configuration path and every model document as written."""
+    root = tmp_path_factory.mktemp("contract")
+    config = _write_config(root, root / "out", methods=[
+        {"name": "vae", "kind": "vae",
+         "params": {"hidden": [4], "latent_dim": 2, "epochs": 1, "batch_size": 32}},
+        {"name": "gibbs", "kind": "gibbs", "params": {"warmup": 10, "thinning": 1}},
+        {"name": "bn", "kind": "bn", "params": {"algorithm": "tree"}},
+    ])
+    assert main(["prepare", "--config", str(config)]) == 0
+    docs = {}
+    for method in ("vae", "gibbs", "bn"):
+        assert main(["train", "--config", str(config), "--method", method]) == 0
+        docs[method] = json.loads((root / "out" / "models" / f"{method}.json").read_text())
+    return config, docs
+
+
+def _mixed_checkpoint_without(name):
+    """A mixed-schema VAE checkpoint whose standardization lacks ``name``."""
+    schema = Schema((VariableSpec("age", "numerical-cont", bin_edges=(0.0, 50.0, 100.0)),
+                     VariableSpec("income", "numerical-cont", bin_edges=(0.0, 1.0, 2.0)),
+                     VariableSpec("sex", "binary", categories=("f", "m"))), "mixed")
+    model = vae.build_vae(schema, (4,), 2, 0.5, np.random.default_rng(0))
+    model.standardization = {"age": (40.0, 12.0), "income": (1.0, 0.5)}
+    doc = vae.vae_to_dict(model)
+    del doc["standardization"][name]
+    return doc
+
+
+class TestExitCodeContract:
+    """Each malformed file or configuration exits with its documented code
+    (2 configuration, 3 data) and a one-line message, never a traceback."""
+
+    @pytest.mark.parametrize("method, corrupt, message", [
+        ("vae", lambda doc: [], "a VAE checkpoint must be an object, got []"),
+        ("bn", lambda doc: [], "a BN model document must be an object, got []"),
+        ("gibbs", lambda doc: [], "a Gibbs chain model must be an object, got []"),
+        ("vae", lambda doc: {**doc, "latent_dim": "two"},
+         "VAE latent_dim must be an integer, got 'two'"),
+        ("vae", lambda doc: _mixed_checkpoint_without("income"),
+         "standardization of 'income' must be a list of numbers, got None"),
+        ("bn", lambda doc: {**doc, "n_nodes": "4"}, "BN n_nodes must be an integer, got '4'"),
+        ("gibbs", lambda doc: {**doc, "warmup": 1.5},
+         "Gibbs chain warmup must be an integer, got 1.5"),
+        ("gibbs", lambda doc: {**doc, "seed": True}, "Gibbs chain seed must be an integer"),
+    ])
+    def test_malformed_model_file_exits_3(self, trained, method, corrupt, message):
+        config, docs = trained
+        path = config.parent / "out" / "models" / f"{method}.json"
+        path.write_text(json.dumps(corrupt(docs[method])))
+        code, err = _cli("sample", "--config", config, "--method", method)
+        assert (code, "Traceback" in err) == (3, False), err
+        assert err.startswith("data error:") and message in err, err
+
+    @pytest.mark.parametrize("text, message", [
+        ("{}", "report methods must be a list of names, got None"),
+        ("[]", "the report must be an object, got []"),
+    ])
+    def test_malformed_report_exits_3(self, tmp_path, text, message):
+        (tmp_path / "report.json").write_text(text)
+        code, err = _cli("report", "--out", tmp_path)
+        assert (code, "Traceback" in err) == (3, False), err
+        assert err.startswith("data error:") and message in err, err
+        assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize("command, path, value, message", [
+        ("prepare", ("methods", 2, "params"), {"algoritm": "greedy"},
+         "method 'bn': unknown params ['algoritm']; a bn method accepts "
+         "['algorithm', 'max_parents']"),
+        ("run", ("methods", 2, "params"), {"algoritm": "greedy"},
+         "method 'bn': unknown params ['algoritm']"),
+        ("run", ("methods", 2, "params"), {"algorithm": "exact", "max_vars": 16},
+         "method 'bn': unknown params ['max_vars']"),
+        ("prepare", ("methods", 1, "params", "restart_on_unreachable"), True,
+         "method 'gibbs': unknown params ['restart_on_unreachable']"),
+        ("run", ("projection",), [99], "projection must be a list of names, got [99]"),
+    ])
+    def test_malformed_config_exits_2_before_any_work(self, tmp_path, command, path, value,
+                                                      message):
+        config = _write_config(tmp_path, tmp_path / "out")
+        doc = json.loads(config.read_text())
+        _set(doc, path, value)
+        config.write_text(json.dumps(doc))
+        code, err = _cli(command, "--config", config)
+        assert (code, "Traceback" in err) == (2, False), err
+        assert err.startswith("configuration error:") and message in err, err
+        assert not (tmp_path / "out").exists()

@@ -365,9 +365,18 @@ class TestRunChain:
         lambda doc: doc.pop("seed"),
         lambda doc: doc.update(thinning=0),
         lambda doc: doc.update(warmup="many"),
+        # integers only: neither a fraction nor true/false is coerced
+        lambda doc: doc.update(warmup=1.5),
+        lambda doc: doc.update(thinning=2.0),
+        lambda doc: doc.update(seed=True),
     ])
     def test_malformed_chain_model_is_data_error(self, corrupt):
         doc = gibbs.chain_to_dict(ChainConfig(target_count=1))
         corrupt(doc)
         with pytest.raises(DataError):
+            gibbs.chain_from_dict(doc, 10)
+
+    @pytest.mark.parametrize("doc", [[], "gibbs", None])
+    def test_document_that_is_no_object_is_data_error(self, doc):
+        with pytest.raises(DataError, match="a Gibbs chain model must be an object"):
             gibbs.chain_from_dict(doc, 10)

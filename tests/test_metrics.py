@@ -2,6 +2,7 @@
 
 import csv
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,7 @@ from agentsynth.dataset import (
     VariableSpec,
     encode_pool,
 )
-from agentsynth.errors import DataError
+from agentsynth.errors import ConfigError, DataError
 from agentsynth.metrics import (
     DiversityStats,
     EvalReport,
@@ -31,6 +32,7 @@ from agentsynth.metrics import (
     nearest_sample_stats,
     pca_fit,
     pca_project,
+    report_from_dict,
     report_to_dict,
     report_to_json,
     srmse,
@@ -615,6 +617,68 @@ class TestEvaluate:
                 _per_subset_freqs(codes_for_pool(test), (2, 3, 2, 4), subs))
         assert set(report_to_dict(report)) == {"methods", "rows", "metadata"}
         assert "vectors" not in report_to_json(report)
+
+    def test_projection_by_index_name_or_default(self, rng):
+        test = random_categorical_pool(rng, [2, 3, 2, 4, 2], 120, provenance="test")
+        train = random_categorical_pool(rng, [2, 3, 2, 4, 2], 60)
+        by_index = evaluate({}, test, train, projection=(3, 1))
+        by_name = evaluate({}, test, train, projection=["x03", "x01"])
+        assert by_index.rows == by_name.rows
+        np.testing.assert_array_equal(by_index.test_vectors["projected"],
+                                      by_name.test_vectors["projected"])
+        default = evaluate({}, test, train).test_vectors["projected"]
+        np.testing.assert_array_equal(
+            default, evaluate({}, test, train, projection=[0, 1, 2, 3]).test_vectors["projected"])
+        assert len(default) == 2 * 3 * 2 * 4
+
+    @pytest.mark.parametrize("projection", [
+        [99], [5], [-1], [0, 0], [1, "x01"], [1.5], [True], ["nope"], [], [[0]]])
+    def test_projection_out_of_range_repeated_or_not_an_index(self, rng, projection):
+        test = random_categorical_pool(rng, [2, 3, 2, 4, 2], 40, provenance="test")
+        train = random_categorical_pool(rng, [2, 3, 2, 4, 2], 30)
+        with pytest.raises(ConfigError, match="projection must name distinct schema variables"):
+            evaluate({}, test, train, projection=projection)
+
+    def test_report_document_round_trip_is_byte_identical(self, rng):
+        test = random_categorical_pool(rng, [2, 3, 2], 80, provenance="test")
+        train = random_categorical_pool(rng, [2, 3, 2], 40)
+        gen = random_categorical_pool(rng, [2, 3, 2], 60, provenance="generated")
+        text = report_to_json(evaluate({"g": gen}, test, train, metadata={"seed": 1}))
+        assert report_to_json(report_from_dict(json.loads(text))) == text
+
+    @pytest.mark.parametrize("doc, message", [
+        ({}, "report methods must be a list of names, got None"),
+        ([], r"the report must be an object, got \[\]"),
+    ])
+    def test_empty_report_document_is_data_error(self, doc, message):
+        with pytest.raises(DataError, match=message):
+            report_from_dict(doc)
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda d: d.update(methods="g"), "report methods must be a list of names"),
+        (lambda d: d.update(rows=[]), "report rows must be an object"),
+        (lambda d: d["rows"].pop("g"), "report row 'g' must be an object, got None"),
+        (lambda d: d["rows"]["g"].pop("views"), "'g' views must be an object"),
+        (lambda d: d["rows"]["g"]["views"].update(marginal=0.1),
+         "'g' view 'marginal' must be an object"),
+        (lambda d: d["rows"]["g"]["views"]["marginal"].update(srmse="0.1"),
+         "'g' view 'marginal' srmse must be a number"),
+        (lambda d: d["rows"]["g"]["views"]["marginal"].update(corr=[]),
+         "'g' view 'marginal' corr must be a number or null"),
+        (lambda d: d["rows"]["g"].update(pairwise_cramers_v=1),
+         "'g' pairwise_cramers_v must be an object"),
+        (lambda d: d["rows"]["g"].pop("mu_ns"), "'g' mu_ns must be a number, got None"),
+        (lambda d: d["rows"]["g"].update(sigma_ns=True), "'g' sigma_ns must be a number"),
+        (lambda d: d.update(metadata=[]), "report metadata must be an object"),
+    ])
+    def test_report_document_of_another_shape_is_data_error(self, rng, corrupt, message):
+        test = random_categorical_pool(rng, [2, 3, 2], 80, provenance="test")
+        train = random_categorical_pool(rng, [2, 3, 2], 40)
+        gen = random_categorical_pool(rng, [2, 3, 2], 60, provenance="generated")
+        doc = json.loads(report_to_json(evaluate({"g": gen}, test, train)))
+        corrupt(doc)
+        with pytest.raises(DataError, match=message):
+            report_from_dict(doc)
 
     def test_out_of_range_generated_numeric_is_clamped_like_the_views(self, rng):
         # read_pool_csv lets generated values overshoot the bins; every

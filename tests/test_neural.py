@@ -231,12 +231,24 @@ class TestCheckpoint:
         (lambda d: d["layers"][0].pop("activation"), "malformed"),
         (lambda d: d["layers"][1]["biases"].__setitem__(2, float("nan")),
          "layer 1: non-finite parameters"),
+        (lambda d: d["layers"][1]["biases"].__setitem__(2, "0.5"),
+         "layer 1: biases must be a list of numbers"),
+        (lambda d: d["layers"][0]["weights"][1].__setitem__(0, True),
+         "layer 0: weights must be a list of number lists"),
+        (lambda d: d["layers"][0].update(activation=1), "layer 0: activation must be a string"),
+        (lambda d: d["layers"].__setitem__(1, []), "layer 1 must be an object"),
+        (lambda d: d["heads"][0].update(width="2"), "head width must be an integer"),
+        (lambda d: d.update(heads={}), "MLP heads must be a list"),
     ])
     def test_inconsistent_document_is_data_error(self, rng, corrupt, message):
         doc = mlp_to_dict(_random_net(rng))
         corrupt(doc)
         with pytest.raises(DataError, match=message):
             mlp_from_dict(doc)
+
+    def test_document_that_is_no_object_is_data_error(self):
+        with pytest.raises(DataError, match="an MLP checkpoint must be an object"):
+            mlp_from_dict([])
 
 
 class TestTrainingReproducibility:

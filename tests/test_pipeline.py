@@ -9,11 +9,15 @@ import pytest
 from agentsynth.dataset import read_pool_csv, schema_from_json
 from agentsynth.errors import ConfigError
 from agentsynth.pipeline import (
+    METHOD_PARAMS,
     ExperimentConfig,
     MethodSpec,
     config_from_json,
+    prepare_data,
     run_pipeline,
+    sample_method,
     substream,
+    train_method,
 )
 from agentsynth.synthdata import SyntheticGeneratorSpec
 
@@ -129,6 +133,63 @@ class TestRunPipeline:
         config = _small_config(tmp_path, methods=[method])
         with pytest.raises(ConfigError, match="discretize-all"):
             train_method(config, method, pool, pool, Path(config.out_dir))
+
+
+class _ReadParams(dict):
+    """Method params that remember which keys the stages read."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+# a value for every accepted key, each of which changes what is fitted
+EVERY_PARAM = {
+    "vae": {"hidden": [4], "latent_dim": 2, "beta": 0.5, "epochs": 1, "batch_size": 16,
+            "seed": 3, "learning_rate": 0.01, "hidden_options": [[4]], "latent_options": [2],
+            "beta_options": [0.5], "selection_variables": ["x00", "x01"],
+            "selection_samples": 50, "harden": "sample"},
+    "gibbs": {"warmup": 5, "thinning": 1, "seed": 4},
+    "bn": {"algorithm": "greedy", "max_parents": 2},
+}
+
+
+class TestMethodParams:
+    @pytest.mark.parametrize("kind, key", [
+        ("bn", "algoritm"), ("bn", "max_vars"), ("gibbs", "restart_on_unreachable"),
+        ("vae", "epoch")])
+    def test_unknown_key_is_config_error(self, kind, key):
+        doc = {"data": {"synthetic": {"kind": "latent-class", "size": 100}},
+               "methods": [{"name": "m", "kind": kind, "params": {key: 1}}]}
+        accepted = ", ".join(map(repr, METHOD_PARAMS[kind]))
+        with pytest.raises(ConfigError, match=rf"method 'm': unknown params \['{key}'\]; "
+                                              rf"a {kind} method accepts \[{accepted}\]"):
+            config_from_json(doc)
+
+    @pytest.mark.parametrize("kind", sorted(METHOD_PARAMS))
+    def test_every_accepted_key_is_read(self, tmp_path, kind):
+        assert set(EVERY_PARAM[kind]) == set(METHOD_PARAMS[kind])
+        params = _ReadParams(EVERY_PARAM[kind])
+        method = MethodSpec("m", kind, params)
+        config = _small_config(tmp_path, methods=[method], count=50)
+        out = Path(config.out_dir)
+        train, validation, _ = prepare_data(config, out)
+        model = train_method(config, method, train, validation, out)
+        pool = sample_method(config, method, model, train.schema, 50, out, train)
+        assert len(pool) == 50
+        assert params.read == set(METHOD_PARAMS[kind])
 
 
 class TestToyEndToEnd:

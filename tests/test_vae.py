@@ -670,11 +670,34 @@ class TestCheckpointValidation:
         (lambda d: d.update(latent_dim=3), "latent width 3"),
         (lambda d: d.pop("schema"), "lacks 'schema'"),
         (lambda d: d["decoder"].pop("heads"), "malformed"),
+        # values of the wrong JSON type are rejected, not coerced
+        (lambda d: d.update(latent_dim="two"), "VAE latent_dim must be an integer, got 'two'"),
+        (lambda d: d.update(latent_dim=2.0), "VAE latent_dim must be an integer"),
+        (lambda d: d.update(beta="0.5"), "VAE beta must be a number"),
+        (lambda d: d.update(beta=-0.5), "beta must be positive"),
+        (lambda d: d.update(encoder=[]), r"VAE encoder must be an object, got \[\]"),
+        (lambda d: d.update(decoder="net"), "VAE decoder must be an object"),
+        (lambda d: d["decoder"]["heads"][0].update(width=3.0), "head width must be an integer"),
+        # one (mean, std) pair of finite numbers per continuous variable
+        (lambda d: d["standardization"].pop("income"),
+         "standardization of 'income' must be a list of numbers, got None"),
+        (lambda d: d.pop("standardization"), "standardization of 'age' must be a list"),
+        (lambda d: d.update(standardization=[]), "VAE standardization must be an object"),
+        (lambda d: d["standardization"]["age"].append(1.0), "'age' must be a .mean, std. pair"),
+        (lambda d: d["standardization"]["age"].__setitem__(1, float("nan")),
+         "'age' must be a .mean, std. pair of finite numbers"),
+        (lambda d: d["standardization"]["age"].__setitem__(0, "50"),
+         "standardization of 'age' must be a list of numbers"),
     ])
     def test_inconsistent_document_is_data_error(self, rng, corrupt, message):
         doc = self._doc(rng)
         corrupt(doc)
         with pytest.raises(DataError, match=message):
+            vae_from_dict(doc)
+
+    @pytest.mark.parametrize("doc", [[], "vae", None, 3])
+    def test_document_that_is_no_object_is_data_error(self, doc):
+        with pytest.raises(DataError, match="a VAE checkpoint must be an object"):
             vae_from_dict(doc)
 
     def test_encoder_of_another_schema_is_rejected(self, rng):
