@@ -159,7 +159,9 @@ class Schema:
 class AgentPool:
     """A set of agent records tied to a schema, tagged by provenance. The
     pool keeps read-only copies of ``codes`` and ``numeric``, and derives the
-    numerical columns of ``codes`` from ``numeric``."""
+    numerical columns of ``codes`` from ``numeric``. The constructors in
+    this module hand over arrays they built for the pool instead
+    (:meth:`_adopt`), and pools derived from a pool share or take its rows."""
 
     schema: Schema
     codes: np.ndarray
@@ -167,16 +169,34 @@ class AgentPool:
     provenance: str = "train"
 
     def __post_init__(self):
+        self._settle(np.array(self.codes, dtype=np.int64), np.array(self.numeric, dtype=float))
+
+    @classmethod
+    def _adopt(cls, schema: Schema, codes: np.ndarray, numeric: np.ndarray,
+               provenance: str, derived: bool = False) -> "AgentPool":
+        """A pool that owns ``codes`` (int64) and ``numeric`` (float64)
+        without copying them: arrays no one else writes to. ``derived``
+        says that the numerical columns of ``codes`` already hold the bins
+        of ``numeric`` (rows of an existing pool)."""
+        pool = cls.__new__(cls)
+        object.__setattr__(pool, "schema", schema)
+        object.__setattr__(pool, "provenance", provenance)
+        pool._settle(codes, numeric, derived)
+        return pool
+
+    def _settle(self, codes: np.ndarray, numeric: np.ndarray, derived: bool = False) -> None:
+        """Check the provenance and the arrays' shapes, derive the numerical
+        codes unless ``derived``, and keep the arrays read-only."""
         if self.provenance not in PROVENANCES:
             raise SchemaError(f"unknown provenance {self.provenance!r}")
         schema = self.schema
-        codes, numeric = np.array(self.codes, dtype=np.int64), np.array(self.numeric, dtype=float)
         if codes.ndim != 2 or codes.shape[1] != schema.n_variables \
                 or numeric.shape != (len(codes), len(schema.numerical)):
             raise SchemaError(f"pool arrays of shapes {codes.shape} and {numeric.shape} "
                               "do not fit the schema")
-        for j, values in zip(schema.numerical, numeric.T):
-            codes[:, j] = discretize_clamped(values, schema.variables[j])
+        if not derived:
+            for j, values in zip(schema.numerical, numeric.T):
+                codes[:, j] = discretize_clamped(values, schema.variables[j])
         codes.flags.writeable = numeric.flags.writeable = False
         object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "numeric", numeric)
@@ -206,11 +226,14 @@ class AgentPool:
         return tuple(zip(*_python_columns(self)))
 
     def with_provenance(self, provenance: str) -> "AgentPool":
-        return AgentPool(self.schema, self.codes, self.numeric, provenance)
+        """This pool under ``provenance``; the two share their arrays."""
+        return AgentPool._adopt(self.schema, self.codes, self.numeric, provenance, derived=True)
 
     def take(self, index, provenance: str) -> "AgentPool":
-        """The rows at ``index`` (indices or a slice), under ``provenance``."""
-        return AgentPool(self.schema, self.codes[index], self.numeric[index], provenance)
+        """The rows at ``index`` (indices or a slice), under ``provenance``:
+        the copy that indexing makes, or a view of this pool's arrays."""
+        return AgentPool._adopt(self.schema, self.codes[index], self.numeric[index], provenance,
+                                derived=True)
 
     def validate(self, strict_numeric: bool = True) -> int:
         """Check every numerical value against its spec.
@@ -280,7 +303,8 @@ def _assemble(schema: Schema, parsed: list[np.ndarray], first_bad: list,
         else:
             codes[:, j] = values
     numeric = np.array([parsed[j] for j in schema.numerical], dtype=float)
-    return AgentPool(schema, codes, numeric.reshape(len(numeric), len(codes)).T, provenance)
+    return AgentPool._adopt(schema, codes, numeric.reshape(len(numeric), len(codes)).T,
+                            provenance)
 
 
 @dataclass(frozen=True)
@@ -397,10 +421,10 @@ def codes_to_pool(codes: np.ndarray, schema: Schema, provenance: str = "generate
                   rng: np.random.Generator | None = None) -> AgentPool:
     """Inverse of :func:`pool_to_codes`; numerical bins become raw values via
     :func:`_bin_values`, drawn row by row."""
-    arr = np.asarray(codes, dtype=np.int64).reshape(-1, schema.n_variables)
+    arr = np.array(codes, dtype=np.int64).reshape(-1, schema.n_variables)
     numerical = list(schema.numerical)
     numeric = _bin_values([schema.variables[j] for j in numerical], arr[:, numerical], rng)
-    return AgentPool(schema, arr, numeric, provenance)
+    return AgentPool._adopt(schema, arr, numeric, provenance)
 
 
 def encode_pool(pool: AgentPool,
@@ -418,8 +442,9 @@ def encode_pool(pool: AgentPool,
     out = np.zeros((n_rows, schema.encoded_width), dtype=float)
     blocks = schema_blocks(schema)
     hot = [j for j, block in enumerate(blocks) if block.kind == "one-hot"]
-    starts = np.array([blocks[j].start for j in hot], dtype=np.int64)
-    out[np.arange(n_rows)[:, None], pool.codes[:, hot] + starts] = 1.0
+    columns = pool.codes[:, hot]  # a copy: the starts are added in place
+    columns += np.array([blocks[j].start for j in hot], dtype=np.int64)
+    out[np.arange(n_rows)[:, None], columns] = 1.0
     stats: dict[str, tuple[float, float]] = {}
     for j, values in zip(schema.numerical, pool.numeric.T):
         if blocks[j].kind == "numeric":
@@ -482,7 +507,7 @@ def decode_rows(matrix: EncodedMatrix | Iterable[EncodedMatrix],
     for k, j in enumerate(schema.numerical):
         if blocks[j].kind == "one-hot":
             numeric[k] = _bin_values([schema.variables[j]], codes[:, j], rng)[:, 0]
-    return AgentPool(schema, codes, numeric.T, "generated")
+    return AgentPool._adopt(schema, codes, numeric.T, "generated")
 
 
 def matrix_to_codes(matrix: EncodedMatrix) -> np.ndarray:
@@ -728,8 +753,15 @@ def write_pool_csv(pool: AgentPool, path) -> None:
                        for j, (var, field) in enumerate(zip(schema.variables, fields))]
             if with_prov:
                 columns.append(repeat(pool.provenance))
-            fh.write("\r\n".join(map(",".join, zip(*columns))))
-            fh.write("\r\n")
+            write_csv_block(fh, columns)
+
+
+def write_csv_block(fh, columns: Sequence[Iterable[str]]) -> None:
+    """Write a block of rows, given as its columns of formatted cells, as
+    one join: cells separated by commas, each line ended by ``\\r\\n`` as
+    ``csv.writer`` ends it."""
+    fh.write("\r\n".join(map(",".join, zip(*columns))))
+    fh.write("\r\n")
 
 
 def _csv_field(text: str) -> str:
@@ -851,8 +883,11 @@ def _read_columns(path, schema: Schema) -> tuple[list[np.ndarray], list[str | No
         first_bad = [bad if bad is not None else _first_bad(values, column)
                      for bad, values, column in zip(first_bad, parsed, cells)]
         blocks.append(parsed)
-    else:
-        return [np.concatenate(pieces) for pieces in zip(*blocks)], first_bad
+    else:  # join each column, freeing the text and then each column's pieces
+        del text
+        pieces = [list(column) for column in zip(*blocks)]
+        del blocks
+        return [np.concatenate(pieces.pop(0)) for _ in schema.variables], first_bad
     del blocks
     records = _read_records(path, text, schema.names)
     # zip(*records) stops at the shortest row

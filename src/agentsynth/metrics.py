@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import (CSV_WRITE_BLOCK, AgentPool, EncodedMatrix, check_codes, distinct_rows,
-                      standardize_column, view_counts)
+                      standardize_column, view_counts, write_csv_block)
 # perfbench/layers.py wraps this name on this module; it stays bound until
 # the benchmark's bindings are updated
 from .dataset import encode_pool  # noqa: F401
@@ -576,25 +576,27 @@ def _float_reprs(vec: np.ndarray) -> list[str]:
     return reprs[inverse].tolist()
 
 
-def write_scatter_csv(method_vec: np.ndarray, test_vec: np.ndarray, path) -> None:
-    """Per-view scatter data: one row per bin with the test frequency and
-    the method frequency, ready for external plotting. The bytes are those
-    ``csv.writer`` writes, ``\\r\\n`` line ends included; lines are joined
-    ``CSV_WRITE_BLOCK`` at a time."""
-    test_reprs, method_reprs = _float_reprs(test_vec), _float_reprs(method_vec)
+def write_scatter_csv(test_vec: np.ndarray, pool_vecs: dict[str, np.ndarray], path) -> None:
+    """One view's scatter data, ready for external plotting: one row per
+    bin with its ``bin_id``, the test frequency (``test_frequency``) and a
+    column per pool named after it, in the order of ``pool_vecs``. The
+    bytes are those ``csv.writer`` writes, ``\\r\\n`` line ends included.
+    Rows are formatted ``CSV_WRITE_BLOCK`` at a time, each column once per
+    block."""
     with open(path, "w", newline="") as fh:
-        fh.write("bin_id,test_frequency,method_frequency\r\n")
-        for start in range(0, len(test_reprs), CSV_WRITE_BLOCK):
-            rows = slice(start, start + CSV_WRITE_BLOCK)
-            fh.write("".join(map("{},{},{}\r\n".format, itertools.count(start),
-                                 test_reprs[rows], method_reprs[rows])))
+        csv.writer(fh).writerow(["bin_id", "test_frequency", *pool_vecs])
+        for start in range(0, len(test_vec), CSV_WRITE_BLOCK):
+            stop = min(start + CSV_WRITE_BLOCK, len(test_vec))
+            write_csv_block(fh, [map(str, range(start, stop)),
+                                 *(_float_reprs(vec[start:stop])
+                                   for vec in (test_vec, *pool_vecs.values()))])
 
 
 def write_pca_csv(coords: np.ndarray, path) -> None:
     """PCA coordinates, one row per agent, as ``csv.writer`` writes them;
-    rows are formatted ``CSV_WRITE_BLOCK`` at a time."""
+    rows are formatted ``CSV_WRITE_BLOCK`` at a time, column by column."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(f"pc{k + 1}" for k in range(coords.shape[1])) + "\r\n")
         for start in range(0, len(coords), CSV_WRITE_BLOCK):
-            fh.write("".join(",".join(map(repr, row)) + "\r\n"
-                             for row in coords[start:start + CSV_WRITE_BLOCK].tolist()))
+            write_csv_block(fh, [_float_reprs(column)
+                                 for column in coords[start:start + CSV_WRITE_BLOCK].T])

@@ -14,7 +14,11 @@ directory and returns its outputs:
 :func:`run_pipeline` chains the stages in memory and the staged CLI
 subcommands call them on files; both time them with :func:`recorded_stages`,
 which writes run_info.json. Only run_pipeline also writes the baseline
-pools, scatter/<pool>__<view>.csv and pca/<pool>.csv.
+pools, scatter/<view>.csv and pca/<pool>.csv (and pca/train.csv). A scatter
+file has one row per bin of the view: bin_id, test_frequency, then one
+column per pool named after it, the methods in configuration order and then
+the two baselines. Scatter rows are formatted, and PCA coordinates encoded,
+projected and formatted, in blocks of dataset.CSV_WRITE_BLOCK rows.
 
 All randomness flows from one master seed through named substreams, so two
 runs with the same configuration produce byte-identical report JSON;
@@ -36,6 +40,7 @@ import numpy as np
 
 from . import baselines, bayesnet, gibbs, metrics, vae
 from .dataset import (
+    CSV_WRITE_BLOCK,
     AgentPool,
     codes_to_pool,
     encode_pool,
@@ -165,8 +170,17 @@ def load_config(path, out_dir: str | None = None, seed: int | None = None) -> Ex
 
 
 def _peak_rss_mb() -> float:
-    """The process's peak resident memory so far (``ru_maxrss`` is in KiB
-    on Linux)."""
+    """The process's peak resident memory so far, in MiB: ``VmHWM`` from
+    ``/proc/self/status``, which starts afresh when a program is executed.
+    Where that file does not exist, ``ru_maxrss`` (KiB on Linux), which
+    Linux carries over from the process that started this one."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        pass
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
@@ -397,23 +411,40 @@ def evaluate_pools(config: ExperimentConfig, pools: dict[str, AgentPool], train:
 
 def write_run_outputs(report: metrics.EvalReport, train: AgentPool,
                       pools: dict[str, AgentPool], out: Path) -> None:
-    """What only :func:`run_pipeline` writes: the baseline pools, and every
-    pool's scatter data and coordinates in the training data's components."""
+    """What only :func:`run_pipeline` writes: the baseline pools, one
+    scatter file per view with a column per pool, and every pool's
+    coordinates in the training data's principal components."""
     for directory in ("pools", "scatter", "pca"):
         (out / directory).mkdir(exist_ok=True)
     for name in BASELINE_NAMES:
         write_pool_csv(pools[name], out / "pools" / f"{name}.csv")
-    for name in pools:
-        for view, test_vec in report.test_vectors.items():
-            metrics.write_scatter_csv(report.vectors[name][view], test_vec,
-                                      out / "scatter" / f"{name}__{view}.csv")
+    for view, test_vec in report.test_vectors.items():
+        metrics.write_scatter_csv(test_vec, {name: report.vectors[name][view] for name in pools},
+                                  out / "scatter" / f"{view}.csv")
     enc_train = encode_pool(train)
-    pca = metrics.pca_fit(enc_train)
+    pca, standardization = metrics.pca_fit(enc_train), enc_train.standardization
     k = min(PCA_COMPONENTS, enc_train.values.shape[1])
-    metrics.write_pca_csv(metrics.pca_project(pca, enc_train, k), out / "pca" / "train.csv")
-    for name, pool in pools.items():
-        enc = encode_pool(pool, standardization=enc_train.standardization)
-        metrics.write_pca_csv(metrics.pca_project(pca, enc, k), out / "pca" / f"{name}.csv")
+    del enc_train  # the projections encode one block at a time
+    for name, pool in [("train", train), *pools.items()]:
+        metrics.write_pca_csv(_pca_coordinates(pca, pool, standardization, k),
+                              out / "pca" / f"{name}.csv")
+
+
+def _pca_coordinates(pca: metrics.PcaModel, pool: AgentPool,
+                     standardization: dict[str, tuple[float, float]], k: int) -> np.ndarray:
+    """The pool's coordinates in the first ``k`` components, encoded and
+    projected in ``len(pool) // CSV_WRITE_BLOCK`` near-equal row blocks.
+    No block is shorter than ``CSV_WRITE_BLOCK`` rows (a shorter pool is
+    one block), so BLAS multiplies each with the kernel it would use for
+    the whole encoding, and the coordinates are those of one whole product."""
+    coords = np.empty((len(pool), k))
+    start = 0
+    for block in np.array_split(coords, max(1, len(pool) // CSV_WRITE_BLOCK)):
+        rows = slice(start, start + len(block))
+        start = rows.stop
+        enc = encode_pool(pool.take(rows, pool.provenance), standardization=standardization)
+        block[:] = metrics.pca_project(pca, enc, k)
+    return coords
 
 
 def run_pipeline(config: ExperimentConfig) -> metrics.EvalReport:

@@ -484,6 +484,20 @@ def _cli(*argv):
     return done.returncode, done.stderr
 
 
+def test_run_info_memory_is_the_commands_own(tmp_path):
+    """A command started from a process that holds 150 MB reports its own
+    peak, not the inherited one: ``ru_maxrss`` carries the parent's over."""
+    ballast = bytearray(b"\1") * (150 << 20)  # written, so resident
+    out = tmp_path / "out"
+    code, err = _cli("prepare", "--config", _write_config(tmp_path, out, methods=[]))
+    assert code == 0, err
+    assert ballast[-1] == 1
+    info = _run_info(out)
+    assert list(info["stage_peak_rss_mb"]) == ["prepare"]
+    assert 1 < info["peak_rss_mb"] < 150
+    assert all(1 < peak < 150 for peak in info["stage_peak_rss_mb"].values())
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """A prepared output directory with a model of each kind, and the

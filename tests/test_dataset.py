@@ -1086,3 +1086,94 @@ class TestCsvMemory:
         # one str per cell for the whole pool took 6.6x (write) and 14x (read)
         assert write_peak < size
         assert read_peak < 6 * size
+
+    def test_read_peak_holds_no_second_copy_of_the_pool(self, tmp_path, monkeypatch):
+        """The reader hands its arrays to the pool: against a pool that
+        copies them, the read's peak falls by at least one code matrix."""
+        pool = _survey_pool(20_000)
+        path = tmp_path / "pool.csv"
+        write_pool_csv(pool, path)
+        _, adopting = self._traced_peak(lambda: read_pool_csv(path, pool.schema))
+        monkeypatch.setattr(AgentPool, "_adopt", classmethod(
+            lambda cls, schema, codes, numeric, provenance, derived=False:
+            cls(schema, codes, numeric, provenance)))
+        _, copying = self._traced_peak(lambda: read_pool_csv(path, pool.schema))
+        assert copying - adopting >= pool.codes.nbytes
+
+
+class TestPoolArrays:
+    """The public constructor copies the caller's arrays; the constructors
+    in this module hand over the arrays they built, and pools made from a
+    pool share or take its rows. Every pool's arrays are read-only."""
+
+    @staticmethod
+    def _arrays(rng, n_rows=40):
+        schema = _mixed_schema()
+        codes = _random_codes(rng, schema, n_rows)
+        numeric = np.column_stack([rng.uniform(var.bin_edges[0] - 1, var.bin_edges[-1] + 1,
+                                               n_rows)
+                                   for var in schema.variables if var.is_numerical])
+        return schema, codes, numeric
+
+    @staticmethod
+    def _assert_derived(pool):
+        for k, j in enumerate(pool.schema.numerical):
+            np.testing.assert_array_equal(
+                pool.codes[:, j], discretize_clamped(pool.numeric[:, k], pool.schema.variables[j]))
+
+    def test_public_constructor_copies(self, rng):
+        schema, codes, numeric = self._arrays(rng)
+        before = codes.copy(), numeric.copy()
+        pool = AgentPool(schema, codes, numeric)
+        assert codes.flags.writeable and numeric.flags.writeable
+        assert not pool.codes.flags.writeable and not pool.numeric.flags.writeable
+        assert not np.shares_memory(pool.codes, codes)
+        assert not np.shares_memory(pool.numeric, numeric)
+        np.testing.assert_array_equal(codes, before[0])
+        np.testing.assert_array_equal(numeric, before[1])
+        self._assert_derived(pool)
+
+    def test_with_provenance_and_slices_share_the_arrays(self, rng):
+        pool = AgentPool(*self._arrays(rng))
+        other = pool.with_provenance("test")
+        assert other.provenance == "test" and pool.provenance == "train"
+        assert other.codes is pool.codes and other.numeric is pool.numeric
+        part = pool.take(slice(5, 17), "generated")
+        assert np.shares_memory(part.codes, pool.codes)
+        assert np.shares_memory(part.numeric, pool.numeric)
+        assert not part.codes.flags.writeable and not part.numeric.flags.writeable
+        np.testing.assert_array_equal(part.codes, pool.codes[5:17])
+        self._assert_derived(part)
+
+    def test_take_keeps_the_one_copy_indexing_makes(self, rng):
+        pool = AgentPool(*self._arrays(rng, 20_000))
+        index = rng.permutation(len(pool))
+        tracemalloc.start()
+        try:
+            part = pool.take(index, "generated")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not np.shares_memory(part.codes, pool.codes)
+        assert not part.codes.flags.writeable and not part.numeric.flags.writeable
+        np.testing.assert_array_equal(part.numeric, pool.numeric[index])
+        self._assert_derived(part)
+        # a pool that copied the indexed rows again would peak at twice this
+        assert peak < 1.5 * (pool.codes.nbytes + pool.numeric.nbytes)
+
+    def test_built_arrays_are_handed_over(self, rng, tmp_path):
+        schema, codes, numeric = self._arrays(rng)
+        before = codes.copy()
+        generated = codes_to_pool(codes, schema, rng=rng)
+        # the caller's codes are copied once, never written to
+        assert codes.flags.writeable and not np.shares_memory(generated.codes, codes)
+        np.testing.assert_array_equal(codes, before)
+        decoded = decode_rows(encode_pool(generated), rng=rng)
+        path = tmp_path / "pool.csv"
+        write_pool_csv(generated, path)
+        back = read_pool_csv(path, schema, provenance="generated")
+        for pool in (generated, decoded, back):
+            assert not pool.codes.flags.writeable and not pool.numeric.flags.writeable
+            self._assert_derived(pool)
+        np.testing.assert_array_equal(back.codes, generated.codes)
+        np.testing.assert_array_equal(back.numeric, generated.numeric)

@@ -726,27 +726,42 @@ AWKWARD = [0.0, -0.0, 1.0, 1 / 3, 1e-300, 5e-324, 1.7976931348623157e308, float(
            -float("inf"), float("nan"), 1 / 3, 0.1 + 0.2, -2.5e-7]
 
 
+def _scatter_oracle(path, test_vec, pool_vecs):
+    """The bytes of a per-view scatter file, row by row through csv.writer."""
+    return _csv_writer_bytes(
+        path, ["bin_id", "test_frequency", *pool_vecs],
+        [[b, repr(float(test_vec[b])), *(repr(float(vec[b])) for vec in pool_vecs.values())]
+         for b in range(len(test_vec))])
+
+
 class TestArtifactBytes:
     def test_scatter_equals_csv_writer(self, rng, tmp_path):
         test_vec = np.array(AWKWARD + rng.random(40).tolist() + [0.25] * 5)
-        method_vec = rng.permutation(test_vec)
-        write_scatter_csv(method_vec, test_vec, tmp_path / "s.csv")
-        expected = _csv_writer_bytes(
-            tmp_path / "e.csv", ["bin_id", "test_frequency", "method_frequency"],
-            [[b, repr(float(t)), repr(float(m))]
-             for b, (t, m) in enumerate(zip(test_vec, method_vec))])
-        assert (tmp_path / "s.csv").read_bytes() == expected
+        pool_vecs = {"vae": rng.permutation(test_vec), "bn": test_vec[::-1].copy(),
+                     "marginal-sampler": np.full(len(test_vec), 1 / 3)}
+        write_scatter_csv(test_vec, pool_vecs, tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").read_bytes() == _scatter_oracle(
+            tmp_path / "e.csv", test_vec, pool_vecs)
+
+    def test_scatter_header_quotes_awkward_pool_names(self, rng, tmp_path):
+        test_vec = rng.random(7)
+        pool_vecs = {'a,b': test_vec / 2, 'say "hi"': test_vec / 3, "plain": test_vec}
+        write_scatter_csv(test_vec, pool_vecs, tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").read_bytes() == _scatter_oracle(
+            tmp_path / "e.csv", test_vec, pool_vecs)
 
     def test_scatter_and_pca_over_several_write_blocks(self, rng, tmp_path):
         rows = 2 * dataset.CSV_WRITE_BLOCK + 3
         test_vec = np.concatenate((AWKWARD, rng.integers(0, 9, rows - len(AWKWARD)) / 8))
-        method_vec = rng.permutation(test_vec)
-        write_scatter_csv(method_vec, test_vec, tmp_path / "s.csv")
-        assert (tmp_path / "s.csv").read_bytes() == _csv_writer_bytes(
-            tmp_path / "e.csv", ["bin_id", "test_frequency", "method_frequency"],
-            [[b, repr(float(t)), repr(float(m))]
-             for b, (t, m) in enumerate(zip(test_vec, method_vec))])
+        # a value that repeats across blocks, and AWKWARD values inside a later block
+        late = rng.permutation(test_vec)
+        late[dataset.CSV_WRITE_BLOCK + 5:dataset.CSV_WRITE_BLOCK + 5 + len(AWKWARD)] = AWKWARD
+        pool_vecs = {"vae": rng.permutation(test_vec), "gibbs": late}
+        write_scatter_csv(test_vec, pool_vecs, tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").read_bytes() == _scatter_oracle(
+            tmp_path / "e.csv", test_vec, pool_vecs)
         coords = rng.normal(size=(rows, 2))
+        coords[dataset.CSV_WRITE_BLOCK - 4:dataset.CSV_WRITE_BLOCK + 9, 1] = AWKWARD
         write_pca_csv(coords, tmp_path / "p.csv")
         assert (tmp_path / "p.csv").read_bytes() == _csv_writer_bytes(
             tmp_path / "e.csv", ["pc1", "pc2"], [[repr(float(v)) for v in row] for row in coords])

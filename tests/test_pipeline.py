@@ -1,15 +1,21 @@
 """Full pipeline runs: artifacts, determinism, configuration handling."""
 
+import csv
+import itertools
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from agentsynth.dataset import read_pool_csv, schema_from_json
+from agentsynth import dataset, metrics, pipeline
+from agentsynth.dataset import codes_to_pool, encode_pool, read_pool_csv, schema_from_json
 from agentsynth.errors import ConfigError
 from agentsynth.pipeline import (
+    BASELINE_NAMES,
     METHOD_PARAMS,
+    PCA_COMPONENTS,
     ExperimentConfig,
     MethodSpec,
     config_from_json,
@@ -20,6 +26,8 @@ from agentsynth.pipeline import (
     train_method,
 )
 from agentsynth.synthdata import SyntheticGeneratorSpec
+
+from conftest import categorical_schema
 
 
 def _small_config(tmp_path, methods=(), seed=11, count=400, **synth_kw):
@@ -69,7 +77,12 @@ class TestRunPipeline:
         assert (out / "report.json").exists()
         assert (out / "report.csv").exists()
         assert (out / "pca" / "train.csv").exists()
-        assert (out / "scatter" / "vae__marginal.csv").exists()
+        # one scatter file per view, with a column per pool
+        assert sorted(f.name for f in (out / "scatter").iterdir()) == [
+            "bivariate.csv", "marginal.csv", "projected.csv", "trivariate.csv"]
+        with open(out / "scatter" / "marginal.csv", newline="") as fh:
+            assert next(csv.reader(fh)) == ["bin_id", "test_frequency", "vae", "gibbs", "bn",
+                                            "marginal-sampler", "resample-training"]
         info = json.loads((out / "run_info.json").read_text())
         assert info["status"] == "ok"
         assert set(report.method_names) == {"vae", "gibbs", "bn", "marginal-sampler",
@@ -272,3 +285,137 @@ class TestSubstreams:
         c = substream(7, "method", 0, "vae", "fit").integers(2 ** 31, size=4)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+# ---------------------------------------------------------------------------
+# the scatter-and-pca stage against its former whole-pool form
+
+
+def _reference_write_scatter_csv(method_vec, test_vec, path):
+    """One pool's scatter file for one view, every vector formatted whole."""
+    test_reprs, method_reprs = map(metrics._float_reprs, (test_vec, method_vec))
+    with open(path, "w", newline="") as fh:
+        fh.write("bin_id,test_frequency,method_frequency\r\n")
+        fh.write("".join(map("{},{},{}\r\n".format, itertools.count(),
+                             test_reprs, method_reprs)))
+
+
+def _reference_write_pca_csv(coords, path):
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(f"pc{k + 1}" for k in range(coords.shape[1])) + "\r\n")
+        fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in coords.tolist()))
+
+
+def _reference_write_run_outputs(report, train, pools, out):
+    """The stage with one scatter file per pool and view, and each pool
+    encoded and projected whole."""
+    for directory in ("pools", "scatter", "pca"):
+        (out / directory).mkdir(parents=True, exist_ok=True)
+    for name in BASELINE_NAMES:
+        dataset.write_pool_csv(pools[name], out / "pools" / f"{name}.csv")
+    for name in pools:
+        for view, test_vec in report.test_vectors.items():
+            _reference_write_scatter_csv(report.vectors[name][view], test_vec,
+                                         out / "scatter" / f"{name}__{view}.csv")
+    enc_train = encode_pool(train)
+    pca = metrics.pca_fit(enc_train)
+    k = min(PCA_COMPONENTS, enc_train.values.shape[1])
+    _reference_write_pca_csv(metrics.pca_project(pca, enc_train, k), out / "pca" / "train.csv")
+    for name, pool in pools.items():
+        enc = encode_pool(pool, standardization=enc_train.standardization)
+        _reference_write_pca_csv(metrics.pca_project(pca, enc, k), out / "pca" / f"{name}.csv")
+
+
+def _categorical_run_config(tmp_path, count):
+    """Latent-class data with two numerical-cont variables in a
+    discretize-all schema; the training split spans three row blocks."""
+    config = _small_config(tmp_path, methods=_fast_methods(), count=count, numeric_variables=2)
+    config.synthetic = SyntheticGeneratorSpec(
+        "latent-class", size=5000, seed=5, n_variables=5, n_classes=3, category_width=3,
+        dependence=0.8, numeric_variables=2)
+    config.train_frac = 0.6
+    return config
+
+
+def _mixed_run_config(tmp_path, count):
+    """A mixed-mode CSV with numerical-cont and numerical-int columns."""
+    rng = np.random.default_rng(3)
+    group = rng.integers(0, 3, size=1500)
+    weight = rng.normal(group * 2.0, 1.0)
+    kids = np.rint(rng.normal(2.0 + group, 1.0)).astype(int)
+    lines = ["cat,w,n"] + [f"{'abc'[g]},{w!r},{c}" for g, w, c
+                           in zip(group.tolist(), weight.tolist(), kids.tolist())]
+    (tmp_path / "survey.csv").write_text("\n".join(lines) + "\n")
+    schema = {"mode": "mixed", "variables": [
+        {"name": "cat", "kind": "categorical", "categories": ["a", "b", "c"]},
+        {"name": "w", "kind": "numerical-cont", "bins": 4},
+        {"name": "n", "kind": "numerical-int", "bins": 3}]}
+    return ExperimentConfig(seed=11, out_dir=str(tmp_path / "out"),
+                            data_csv=str(tmp_path / "survey.csv"), schema=schema,
+                            train_frac=0.4, methods=_fast_methods()[:2], generation_count=count)
+
+
+class TestScatterAndPcaStage:
+    @pytest.mark.parametrize("count", [1, 17, 1023, 1024, 1025, 2051])
+    @pytest.mark.parametrize("make_config", [_categorical_run_config, _mixed_run_config],
+                             ids=["discretize-all", "mixed"])
+    def test_equals_the_whole_pool_reference(self, tmp_path, monkeypatch, make_config, count):
+        seen = {}
+        stage = pipeline.write_run_outputs
+
+        def recording(report, train, pools, out):
+            seen.update(report=report, train=train, pools=pools)
+            stage(report, train, pools, out)
+
+        monkeypatch.setattr(pipeline, "write_run_outputs", recording)
+        config = make_config(tmp_path, count)
+        run_pipeline(config)
+        out, ref = Path(config.out_dir), tmp_path / "reference"
+        report, train, pools = seen["report"], seen["train"], seen["pools"]
+        _reference_write_run_outputs(report, train, pools, ref)
+        for directory in ("pca", "pools"):
+            names = sorted(f.name for f in (ref / directory).iterdir())
+            assert names
+            for name in names:
+                assert (out / directory / name).read_bytes() == \
+                    (ref / directory / name).read_bytes(), name
+        assert sorted(f.stem for f in (out / "scatter").iterdir()) == sorted(report.test_vectors)
+        for view in report.test_vectors:
+            with open(out / "scatter" / f"{view}.csv", newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert header == ["bin_id", "test_frequency", *pools]
+            columns = list(zip(*rows))
+            for j, name in enumerate(pools, start=2):
+                with open(ref / "scatter" / f"{name}__{view}.csv", newline="") as fh:
+                    _, *ref_rows = csv.reader(fh)
+                ref_bins, ref_test, ref_pool = zip(*ref_rows)
+                assert (columns[0], columns[1], columns[j]) == (ref_bins, ref_test, ref_pool)
+        # the blocked projection is the whole product, bit for bit
+        enc_train = encode_pool(train)
+        pca = metrics.pca_fit(enc_train)
+        k = min(PCA_COMPONENTS, enc_train.values.shape[1])
+        for pool in [train, *pools.values()]:
+            whole = metrics.pca_project(pca, encode_pool(pool, enc_train.standardization), k)
+            blocked = pipeline._pca_coordinates(pca, pool, enc_train.standardization, k)
+            np.testing.assert_array_equal(blocked.view(np.int64), whole.view(np.int64))
+
+    def test_peak_follows_neither_pool_rows_nor_bins(self, tmp_path):
+        """Traced allocations (the same on every run) while the stage writes
+        a 50,000-row pool and a view of 2^18 bins stay below a quarter of
+        that pool's code matrix."""
+        rng = np.random.default_rng(7)
+        schema = categorical_schema([2] * 64)
+        make = lambda n: codes_to_pool(rng.integers(0, 2, size=(n, 64)), schema)
+        train, big = make(500).with_provenance("train"), make(50_000)
+        pools = {"big": big, **{name: make(10) for name in BASELINE_NAMES}}
+        test_vec = rng.integers(0, 50, 1 << 18) / 50
+        report = metrics.EvalReport([], {}, {}, {"wide": test_vec},
+                                    {name: {"wide": rng.permutation(test_vec)} for name in pools})
+        tracemalloc.start()
+        try:
+            pipeline.write_run_outputs(report, train, pools, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole-pool stage peaked at 12 times this bound
+        assert peak < big.codes.nbytes / 4
