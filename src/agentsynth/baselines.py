@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import AgentPool, codes_to_pool, draw_categories, pool_to_codes, view_counts
+from .dataset import (AgentPool, code_dtype, codes_to_pool, draw_categories, pool_to_codes,
+                      view_counts)
 from .errors import DataError
 
 
@@ -39,7 +40,7 @@ def marginal_sample(model: MarginalModel, count: int, rng_or_seed) -> AgentPool:
     raw values."""
     rng = np.random.default_rng(rng_or_seed)
     schema = model.schema
-    codes = np.zeros((count, schema.n_variables), dtype=np.int64)
+    codes = np.zeros((count, schema.n_variables), dtype=code_dtype(schema.value_counts))
     for j, p in enumerate(model.probs):
         codes[:, j] = draw_categories(p, rng.random(count))
     return codes_to_pool(codes, schema, provenance="generated", rng=rng)

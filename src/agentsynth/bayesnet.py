@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import check_codes, draw_categories, read_json, view_counts
+from .dataset import check_codes, code_dtype, draw_categories, read_json, view_counts
 from .errors import DataError, ExactSearchLimitError, expect
 
 MAX_TABLE_CELLS = 1 << 22  # guard on materialized CPT size
@@ -397,10 +397,11 @@ def fit_cpts(dag: Dag, codes: np.ndarray, value_counts) -> CptSet:
 
 
 def ancestral_sample(dag: Dag, cpts: CptSet, count: int, rng_or_seed) -> np.ndarray:
-    """Sample agent codes parent-first along a topological order."""
+    """Sample agent codes parent-first along a topological order, in the
+    value counts' :func:`~agentsynth.dataset.code_dtype`."""
     rng = np.random.default_rng(rng_or_seed)
     n = dag.n_nodes
-    codes = np.zeros((count, n), dtype=np.int64)
+    codes = np.zeros((count, n), dtype=code_dtype(cpts.value_counts))
     if count == 0:
         return codes
     for node in dag.topological_order():

@@ -9,11 +9,16 @@ zero mean / unit standard deviation (``mixed`` mode). All generators and
 metrics in the toolkit work through this module, so encoding decisions are
 made exactly once.
 
-An :class:`AgentPool` stores ``codes`` (int64, rows x variables: the
-category index, or the bin of a numerical value clamped into the outermost
-bins) and ``numeric`` (float64, the raw values of the numerical variables
-in schema order). Every stage, and the CSV reader and writer, work on
-these arrays column by column; ``AgentPool.rows`` rebuilds Python records.
+An :class:`AgentPool` stores ``codes`` (rows x variables: the category
+index, or the bin of a numerical value clamped into the outermost bins)
+and ``numeric`` (float64, the raw values of the numerical variables in
+schema order). The codes are held in the narrowest unsigned integer dtype
+that holds every code of the schema (:func:`code_dtype`: one byte per code
+up to width 256), and every constructor writes them in that dtype
+directly. Every stage, and the CSV reader and writer, work on these arrays
+column by column; ``AgentPool.rows`` rebuilds Python records. Arithmetic
+on codes (flat bin ids, one-hot column indices, radices) widens them
+first, since it would wrap in the pool's dtype.
 
 Everything here is immutable after construction and all operations are
 pure functions, safe to call from concurrent workers.
@@ -155,12 +160,21 @@ class Schema:
         return [self.index(name) for name in names]
 
 
+def code_dtype(value_counts) -> np.dtype:
+    """The narrowest unsigned integer dtype that holds a code of every width
+    in ``value_counts``: uint8 up to width 256, uint16 up to 65,536, uint32
+    above."""
+    return np.min_scalar_type(max(value_counts) - 1)
+
+
 @dataclass(frozen=True, eq=False)
 class AgentPool:
     """A set of agent records tied to a schema, tagged by provenance. The
-    pool keeps read-only copies of ``codes`` and ``numeric``, and derives the
-    numerical columns of ``codes`` from ``numeric``. The constructors in
-    this module hand over arrays they built for the pool instead
+    pool keeps read-only copies of ``codes``, in the schema's
+    :func:`code_dtype`, and of ``numeric``, and derives the numerical
+    columns of ``codes`` from ``numeric``. Every code must lie in ``[0,
+    width)`` (a DataError naming the variable otherwise). The constructors
+    in this module hand over arrays they built for the pool instead
     (:meth:`_adopt`), and pools derived from a pool share or take its rows."""
 
     schema: Schema
@@ -169,15 +183,15 @@ class AgentPool:
     provenance: str = "train"
 
     def __post_init__(self):
-        self._settle(np.array(self.codes, dtype=np.int64), np.array(self.numeric, dtype=float))
+        self._settle(_copy_codes(self.codes, self.schema), np.array(self.numeric, dtype=float))
 
     @classmethod
     def _adopt(cls, schema: Schema, codes: np.ndarray, numeric: np.ndarray,
                provenance: str, derived: bool = False) -> "AgentPool":
-        """A pool that owns ``codes`` (int64) and ``numeric`` (float64)
-        without copying them: arrays no one else writes to. ``derived``
-        says that the numerical columns of ``codes`` already hold the bins
-        of ``numeric`` (rows of an existing pool)."""
+        """A pool that owns ``codes`` (in the schema's code dtype) and
+        ``numeric`` (float64) without copying them: arrays no one else
+        writes to. ``derived`` says that the numerical columns of ``codes``
+        already hold the bins of ``numeric`` (rows of an existing pool)."""
         pool = cls.__new__(cls)
         object.__setattr__(pool, "schema", schema)
         object.__setattr__(pool, "provenance", provenance)
@@ -287,13 +301,24 @@ def _first_bad(values: np.ndarray, cells: Sequence):
     return cells[int(np.argmax(bad))] if bad.any() else None
 
 
+def _copy_codes(codes, schema: Schema) -> np.ndarray:
+    """A copy of a caller's code matrix in the schema's code dtype. Every
+    code is checked against its width first (:func:`check_codes`), since
+    narrowing would wrap a code outside it."""
+    arr = np.asarray(codes)
+    if arr.ndim != 2 or arr.shape[1] != schema.n_variables:
+        raise SchemaError(f"a code matrix of shape {arr.shape} does not fit the schema")
+    check_codes(arr, schema.value_counts, names=schema.names)
+    return arr.astype(code_dtype(schema.value_counts))
+
+
 def _assemble(schema: Schema, parsed: list[np.ndarray], first_bad: list,
               provenance: str, strict_numeric: bool | None = None) -> AgentPool:
     """A pool from parsed columns (floats, or category codes with -1 for an
     unknown category, whose first cell is in ``first_bad``). Unknown
     categories and, unless ``strict_numeric`` is None, bad numbers raise
     variable by variable."""
-    codes = np.zeros((len(parsed[0]), schema.n_variables), dtype=np.int64)
+    codes = np.zeros((len(parsed[0]), schema.n_variables), dtype=code_dtype(schema.value_counts))
     for j, (var, values) in enumerate(zip(schema.variables, parsed)):
         if var.is_numerical:
             if strict_numeric is not None:
@@ -376,9 +401,12 @@ def discretize_clamped(values, spec: VariableSpec) -> np.ndarray:
 
 
 def _category_codes(var: VariableSpec, values: Sequence) -> np.ndarray:
-    """Category index of each value, -1 for a value that is no category."""
+    """Category index of each value, -1 for a value that is no category, in
+    the narrowest signed dtype that holds -1 and every index (the one of
+    ``-len(categories)``)."""
     index = {c: i for i, c in enumerate(var.categories)}
-    return np.fromiter(map(index.get, values, repeat(-1)), np.int64, len(values))
+    return np.fromiter(map(index.get, values, repeat(-1)),
+                       np.min_scalar_type(-len(var.categories)), len(values))
 
 
 def _category_values(var: VariableSpec, codes: np.ndarray) -> list:
@@ -404,7 +432,7 @@ def _bin_values(variables: Sequence[VariableSpec], codes: np.ndarray,
     integer."""
     if not variables:
         return np.empty((len(codes), 0))
-    codes = np.asarray(codes, dtype=np.int64).reshape(-1, len(variables))
+    codes = np.asarray(codes).reshape(-1, len(variables))
     edges = [np.asarray(var.bin_edges, dtype=float) for var in variables]
     lo = np.column_stack([e[:-1][codes[:, k]] for k, e in enumerate(edges)])
     hi = np.column_stack([e[1:][codes[:, k]] for k, e in enumerate(edges)])
@@ -420,8 +448,9 @@ def _bin_values(variables: Sequence[VariableSpec], codes: np.ndarray,
 def codes_to_pool(codes: np.ndarray, schema: Schema, provenance: str = "generated",
                   rng: np.random.Generator | None = None) -> AgentPool:
     """Inverse of :func:`pool_to_codes`; numerical bins become raw values via
-    :func:`_bin_values`, drawn row by row."""
-    arr = np.array(codes, dtype=np.int64).reshape(-1, schema.n_variables)
+    :func:`_bin_values`, drawn row by row. A code outside ``[0, width)`` is
+    a DataError naming its variable."""
+    arr = _copy_codes(np.asarray(codes).reshape(-1, schema.n_variables), schema)
     numerical = list(schema.numerical)
     numeric = _bin_values([schema.variables[j] for j in numerical], arr[:, numerical], rng)
     return AgentPool._adopt(schema, arr, numeric, provenance)
@@ -442,8 +471,8 @@ def encode_pool(pool: AgentPool,
     out = np.zeros((n_rows, schema.encoded_width), dtype=float)
     blocks = schema_blocks(schema)
     hot = [j for j, block in enumerate(blocks) if block.kind == "one-hot"]
-    columns = pool.codes[:, hot]  # a copy: the starts are added in place
-    columns += np.array([blocks[j].start for j in hot], dtype=np.int64)
+    # the addition widens the codes: a column index can exceed their dtype
+    columns = pool.codes[:, hot] + np.array([blocks[j].start for j in hot], dtype=np.intp)
     out[np.arange(n_rows)[:, None], columns] = 1.0
     stats: dict[str, tuple[float, float]] = {}
     for j, values in zip(schema.numerical, pool.numeric.T):
@@ -514,7 +543,8 @@ def matrix_to_codes(matrix: EncodedMatrix) -> np.ndarray:
     """Codes straight from an encoded matrix: argmax per one-hot block,
     clamped bin assignment for de-standardized numerics."""
     schema = matrix.schema
-    codes = np.empty((matrix.values.shape[0], schema.n_variables), dtype=np.int64)
+    codes = np.empty((matrix.values.shape[0], schema.n_variables),
+                     dtype=code_dtype(schema.value_counts))
     for j, (block, var) in enumerate(zip(matrix.blocks, schema.variables)):
         sub = matrix.values[:, block.start:block.stop]
         if block.kind == "one-hot":
@@ -559,13 +589,15 @@ def split_pool(pool: AgentPool, train_frac: float, val_frac_of_train: float,
 VIEW_CHUNK = 1 << 16
 
 
-def check_codes(codes: np.ndarray, value_counts,
-                columns=None) -> tuple[np.ndarray, np.ndarray]:
+def check_codes(codes: np.ndarray, value_counts, columns=None,
+                names=None) -> tuple[np.ndarray, np.ndarray]:
     """DataError unless ``codes`` has one column per value count and every
     code in the columns that ``columns`` names (default: all) lies in
     ``[0, value_counts[j])``. Unchecked, numpy indexing would count a -1 as
-    the last value and a bincount would count a code past the width in a
-    neighbouring cell. Returns the checked columns, sorted, and their codes."""
+    the last value, a bincount would count a code past the width in a
+    neighbouring cell, and narrowing would wrap it. The error names the
+    variable by its index, or by ``names[j]`` when given. Returns the
+    checked columns, sorted, and their codes."""
     if len(value_counts) != codes.shape[1]:
         raise DataError(f"{codes.shape[1]} code columns but {len(value_counts)} value counts")
     cols = np.unique(np.arange(codes.shape[1]) if columns is None else columns)
@@ -573,7 +605,8 @@ def check_codes(codes: np.ndarray, value_counts,
     outside = (sub < 0) | (sub >= np.asarray(value_counts)[cols])
     if outside.any():
         j = int(cols[np.argmax(outside.any(axis=0))])
-        raise DataError(f"variable {j}: codes outside [0, {value_counts[j]})")
+        raise DataError(f"variable {j if names is None else repr(names[j])}: "
+                        f"codes outside [0, {value_counts[j]})")
     return cols, sub
 
 
@@ -631,11 +664,13 @@ def distinct_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows of a matrix in lexicographic order, and the distinct
     row of every input row.
 
-    Rows of non-negative integers are compared as one mixed-radix integer
-    (radix ``max + 1`` per column) when the product of the radices fits in
-    int64, a 1-D sort; other rows by a lexsort over the columns.
+    Rows of non-negative integers, signed or unsigned, are compared as one
+    mixed-radix integer (radix ``max + 1`` per column, in int64) when the
+    product of the radices fits in int64, a 1-D sort; other rows by a
+    lexsort over the columns.
     """
-    radix = codes.max(axis=0) + 1 if codes.size and codes.dtype.kind == "i" else ()
+    radix = (codes.max(axis=0).astype(np.int64) + 1
+             if codes.size and codes.dtype.kind in "iu" else ())
     if len(radix) and math.prod(radix.tolist()) < 2 ** 63:
         keys = np.ravel_multi_index(tuple(codes.T), radix)
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)

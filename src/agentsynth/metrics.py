@@ -383,8 +383,9 @@ class MethodEvaluation:
 @dataclass
 class EvalReport:
     """Metric rows plus, from :func:`evaluate`, the frequency vector of every
-    view of the test pool (``test_vectors``) and of each scored pool
-    (``vectors[name][view]``). The vectors are not serialized."""
+    view of the test pool (``test_vectors``) and of each supplied pool
+    (``vectors[name][view]``; not of the ``training-set`` row). The vectors
+    are not serialized."""
 
     method_names: list[str]
     rows: dict[str, MethodEvaluation]
@@ -446,7 +447,7 @@ def evaluate(method_pools: dict[str, AgentPool], test_pool: AgentPool,
     pairs, all triplets, and the projected joint of ``projection``: distinct
     variable names or indices (default: the schema's first four variables;
     anything else is a ConfigError). Each pool is binned once per view;
-    the report keeps the vectors for scatter output.
+    the report keeps the supplied pools' vectors for scatter output.
     """
     schema = test_pool.schema
     for name, pool in method_pools.items():
@@ -465,11 +466,12 @@ def evaluate(method_pools: dict[str, AgentPool], test_pool: AgentPool,
     test_vectors, test_pairwise = _pool_vectors(test_codes, counts, subsets)
     vectors: dict[str, dict[str, np.ndarray]] = {}
 
-    def score(name: str, codes: np.ndarray, diversity: DiversityStats) -> MethodEvaluation:
-        vectors[name], vec_pairwise = _pool_vectors(codes, counts, subsets)
+    def score(codes: np.ndarray, diversity: DiversityStats
+              ) -> tuple[MethodEvaluation, dict[str, np.ndarray]]:
+        pool_vectors, vec_pairwise = _pool_vectors(codes, counts, subsets)
         views = {}
         for view, ref in test_vectors.items():
-            vec = vectors[name][view]
+            vec = pool_vectors[view]
             corr, r2 = _corr_r2_vec(vec, ref)
             views[view] = ViewMetrics(_srmse_vec(vec, ref), corr, r2)
         pairwise = None
@@ -479,14 +481,16 @@ def evaluate(method_pools: dict[str, AgentPool], test_pool: AgentPool,
                 corr, r2 = _corr_r2_vec(vec_pairwise[keep], test_pairwise[keep])
                 pairwise = ViewMetrics(
                     _srmse_vec(vec_pairwise[keep], test_pairwise[keep]), corr, r2)
-        return MethodEvaluation(views, pairwise, diversity)
+        return MethodEvaluation(views, pairwise, diversity), pool_vectors
 
     rows: dict[str, MethodEvaluation] = {}
     for name, pool in method_pools.items():
-        rows[name] = score(name, codes_for_pool(pool), nearest_sample_stats(pool, train_pool))
-    # the training-set row's diversity is taken against the test pool
-    rows["training-set"] = score("training-set", train_codes, nearest_sample_stats(
-        train_pool, test_pool, stats))
+        rows[name], vectors[name] = score(codes_for_pool(pool),
+                                          nearest_sample_stats(pool, train_pool))
+    # the training-set row's diversity is taken against the test pool; no
+    # output reads its vectors
+    rows["training-set"] = score(train_codes, nearest_sample_stats(
+        train_pool, test_pool, stats))[0]
     return EvalReport(list(method_pools) + ["training-set"], rows, dict(metadata or {}),
                       test_vectors, vectors)
 

@@ -380,7 +380,7 @@ def evaluate_pools(config: ExperimentConfig, pools: dict[str, AgentPool], train:
     split, and write ``report.json`` and ``report.csv``; returns the report
     and the baseline pools."""
     schema = test.schema
-    projection = schema.columns(config.projection, "projection")
+    projection = [schema.names[j] for j in schema.columns(config.projection, "projection")]
     baseline_pools = {
         "marginal-sampler": baselines.marginal_sample(
             baselines.fit_marginals(train), config.generation_count,
@@ -397,7 +397,7 @@ def evaluate_pools(config: ExperimentConfig, pools: dict[str, AgentPool], train:
         "sizes": {"train": len(train), "validation": len(validation), "test": len(test)},
         "methods": [{"name": m.name, "kind": m.kind, "params": m.params}
                     for m in config.methods],
-        "projection": [schema.names[j] for j in projection],
+        "projection": projection,
         "bin_policy": "uniform bins over the observed range; last bin right-closed",
         "schema": schema_to_json(schema),
     }

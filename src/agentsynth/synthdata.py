@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bayesnet import CptSet, Dag, ancestral_sample
-from .dataset import (AgentPool, Schema, VariableSpec, build_uniform_edges, codes_to_pool,
-                      draw_categories)
+from .dataset import (AgentPool, Schema, VariableSpec, build_uniform_edges, code_dtype,
+                      codes_to_pool, draw_categories)
 from .errors import ConfigError, expect
 
 GENERATOR_KINDS = ("latent-class", "bn-ground-truth", "toy-appendix-a")
@@ -126,7 +126,8 @@ def _latent_class_generate(spec: SyntheticGeneratorSpec) -> AgentPool:
         conditionals.append(probs)
     classes = rng.integers(0, spec.n_classes, size=spec.size)
     # the numeric columns' codes are filled in from their values by AgentPool
-    codes = np.zeros((spec.size, spec.n_variables + spec.numeric_variables), dtype=np.int64)
+    codes = np.zeros((spec.size, spec.n_variables + spec.numeric_variables),
+                     dtype=code_dtype([*widths] + [spec.numeric_bins] * spec.numeric_variables))
     for j, probs in enumerate(conditionals):
         codes[:, j] = draw_categories(probs[classes], rng.random(spec.size))
     variables = list(_categorical_variables(widths))

@@ -1,6 +1,7 @@
 """Encoding, discretization, and splitting."""
 
 import csv
+import itertools
 import math
 import re
 import tracemalloc
@@ -1089,10 +1090,20 @@ class TestCsvMemory:
 
     def test_read_peak_holds_no_second_copy_of_the_pool(self, tmp_path, monkeypatch):
         """The reader hands its arrays to the pool: against a pool that
-        copies them, the read's peak falls by at least one code matrix."""
+        copies them, the peak of assembling the pool from the parsed columns
+        falls by at least one code matrix. The peak is taken from the start
+        of the assembly: with one-byte codes the whole read peaks earlier,
+        while it splits the text."""
         pool = _survey_pool(20_000)
         path = tmp_path / "pool.csv"
         write_pool_csv(pool, path)
+        assemble = dataset._assemble
+
+        def traced_from_here(*args, **kwargs):
+            tracemalloc.reset_peak()
+            return assemble(*args, **kwargs)
+
+        monkeypatch.setattr(dataset, "_assemble", traced_from_here)
         _, adopting = self._traced_peak(lambda: read_pool_csv(path, pool.schema))
         monkeypatch.setattr(AgentPool, "_adopt", classmethod(
             lambda cls, schema, codes, numeric, provenance, derived=False:
@@ -1177,3 +1188,164 @@ class TestPoolArrays:
             self._assert_derived(pool)
         np.testing.assert_array_equal(back.codes, generated.codes)
         np.testing.assert_array_equal(back.numeric, generated.numeric)
+
+
+# (width of the widest variable, the dtype every pool of the schema holds)
+WIDEST = [(256, np.uint8), (257, np.uint16), (65_536, np.uint16), (65_537, np.uint32)]
+
+
+def _wide_schema(width, mode="discretize-all"):
+    """A binary, a continuous, a ``width``-category and a 4-category variable."""
+    return Schema((
+        VariableSpec("sex", "binary", categories=("f", "m")),
+        _num_var("income", (-3.0, -0.5, 1.25, 8.0), kind="numerical-cont"),
+        VariableSpec("big", "categorical", categories=tuple(f"b{v}" for v in range(width))),
+        VariableSpec("region", "categorical", categories=("n", "e", "s", "w")),
+    ), mode)
+
+
+def _extreme_codes(rng, schema, n_rows):
+    """Random int64 codes in which every variable takes its first and last value."""
+    codes = _random_codes(rng, schema, n_rows)
+    codes[0], codes[1] = 0, np.asarray(schema.value_counts) - 1
+    return codes
+
+
+def _int64_pool(pool):
+    """``pool`` with its codes stored as int64, as every pool stored them
+    before codes were narrowed: the reference the narrow paths must match."""
+    return AgentPool._adopt(pool.schema, pool.codes.astype(np.int64), pool.numeric,
+                            pool.provenance, derived=True)
+
+
+class TestCodeDtype:
+    """Every pool holds its codes in the narrowest unsigned dtype for its
+    schema's widest variable, whichever constructor built it."""
+
+    @pytest.mark.parametrize("width, dtype", WIDEST)
+    def test_pool_constructors(self, rng, tmp_path, width, dtype):
+        schema = _wide_schema(width)
+        assert dataset.code_dtype(schema.value_counts) == dtype
+        codes = _extreme_codes(rng, schema, 12)
+        generated = codes_to_pool(codes, schema, rng=rng)
+        path = tmp_path / "pool.csv"
+        write_pool_csv(generated, path)
+        pools = {
+            "codes_to_pool": generated,
+            "constructor": AgentPool(schema, codes, generated.numeric),
+            "from_rows": AgentPool.from_rows(schema, generated.rows),
+            "read_pool_csv": read_pool_csv(path, schema, provenance="generated"),
+            "ingest_csv": ingest_csv(path, schema_to_json(schema)),
+            "decode_rows": decode_rows(encode_pool(generated), rng=rng),
+            "with_provenance": generated.with_provenance("test"),
+        }
+        for name, pool in pools.items():
+            assert pool.codes.dtype == dtype, name
+            np.testing.assert_array_equal(pool.codes, codes, err_msg=name)
+        part = generated.take([1, 0, 1], "test")
+        assert part.codes.dtype == dtype
+        np.testing.assert_array_equal(part.codes, codes[[1, 0, 1]])
+
+    @pytest.mark.parametrize("width, dtype", WIDEST)
+    def test_generators_and_samplers(self, rng, width, dtype):
+        from agentsynth import baselines, gibbs, vae
+        from agentsynth.synthdata import SyntheticGeneratorSpec, synth_generate
+
+        schema = _wide_schema(width)
+        train = codes_to_pool(_extreme_codes(rng, schema, 30), schema, "train", rng=rng)
+        pools = {
+            "latent-class": synth_generate(SyntheticGeneratorSpec(
+                "latent-class", 30, n_variables=3, category_width=(2, width, 3))),
+            "latent-class numerics": synth_generate(SyntheticGeneratorSpec(
+                "latent-class", 30, n_variables=2, numeric_variables=1, numeric_bins=width)),
+            "bn-ground-truth": synth_generate(SyntheticGeneratorSpec(
+                "bn-ground-truth", 30, n_variables=2, category_width=(2, width))),
+            "marginal-sampler": baselines.marginal_sample(baselines.fit_marginals(train), 20, 1),
+            "resample-training": baselines.resample_training(train, 20, 1),
+            "gibbs": gibbs.run_chain(train, gibbs.ChainConfig(20, warmup=3, thinning=1))[0],
+            "vae": vae.sample(vae.build_vae(schema, (3,), 2, 1.0, rng), 5, 2),
+        }
+        for name, pool in pools.items():
+            assert pool.codes.dtype == dtype, name
+            assert (pool.codes.max(axis=0) < np.asarray(pool.schema.value_counts)).all(), name
+        toy = synth_generate(SyntheticGeneratorSpec("toy-appendix-a", 10))
+        assert toy.codes.dtype == np.uint8
+
+
+class TestCodesOutsideTheirWidth:
+    """A code outside ``[0, width)`` is a DataError naming the variable, before
+    narrowing could wrap it; unchecked, -1 read back as the last value."""
+
+    @pytest.mark.parametrize("bad", [-1, 3, 5])
+    def test_categorical_code(self, bad):
+        schema = categorical_schema([2, 3])
+        codes = np.array([[0, 0], [1, bad]])
+        message = r"variable 'x01': codes outside \[0, 3\)"
+        with pytest.raises(DataError, match=message):
+            codes_to_pool(codes, schema)
+        with pytest.raises(DataError, match=message):
+            AgentPool(schema, codes, np.empty((2, 0)))
+
+    def test_first_column(self):
+        with pytest.raises(DataError, match=r"variable 'x00': codes outside \[0, 3\)"):
+            codes_to_pool([[-1, 0], [2, 1]], categorical_schema([3, 2]))
+
+    def test_numerical_bin(self, rng):
+        schema = _mixed_schema()
+        codes = _random_codes(rng, schema, 5)
+        codes[3, 1] = -1
+        with pytest.raises(DataError, match=r"variable 'age': codes outside \[0, 5\)"):
+            codes_to_pool(codes, schema, rng=rng)
+
+    def test_a_code_of_256_does_not_wrap_to_0(self):
+        schema = categorical_schema([2, 256])
+        with pytest.raises(DataError, match=r"variable 'x01': codes outside \[0, 256\)"):
+            codes_to_pool([[0, 256]], schema)
+        pool = codes_to_pool([[1, 255]], schema)
+        assert pool.codes.dtype == np.uint8
+        assert pool.rows == (("c1", "c255"),)
+
+    def test_shape_that_does_not_fit_the_schema(self):
+        with pytest.raises(SchemaError, match="does not fit the schema"):
+            AgentPool(categorical_schema([2, 3]), np.zeros((4, 3), dtype=int), np.empty((4, 0)))
+
+
+class TestNarrowCodesMatchTheInt64Path:
+    """Each consumer of pool codes gives, on the narrow codes, what it gives
+    on the same codes as int64: arithmetic on codes widens them first."""
+
+    @pytest.mark.parametrize("top", [255, 256])
+    def test_distinct_rows(self, rng, monkeypatch, top):
+        codes = rng.integers(0, top + 1, size=(500, 3))
+        codes[7, 1] = top
+        narrow = codes.astype(dataset.code_dtype([top + 1]))
+
+        def no_lexsort(*args):
+            raise AssertionError("took the lexsort path")
+
+        # both go through the mixed-radix key
+        monkeypatch.setattr(dataset.np, "lexsort", no_lexsort)
+        rows, inverse = dataset.distinct_rows(narrow)
+        wide_rows, wide_inverse = dataset.distinct_rows(codes)
+        assert rows.dtype == narrow.dtype
+        np.testing.assert_array_equal(rows, wide_rows)
+        np.testing.assert_array_equal(inverse, wide_inverse)
+
+    @pytest.mark.parametrize("width", [256, 257])
+    @pytest.mark.parametrize("mode", ["discretize-all", "mixed"])
+    def test_encoding_counts_kernel_and_csv(self, rng, tmp_path, width, mode):
+        from agentsynth.metrics import nearest_sample_stats
+
+        schema = _wide_schema(width, mode)
+        pool = codes_to_pool(_extreme_codes(rng, schema, 300), schema, "train", rng=rng)
+        other = codes_to_pool(_extreme_codes(rng, schema, 200), schema, rng=rng)
+        wide, wide_other = _int64_pool(pool), _int64_pool(other)
+        np.testing.assert_array_equal(encode_pool(pool).values, encode_pool(wide).values)
+        subsets = list(itertools.combinations(range(schema.n_variables), 3))
+        for got, want in zip(dataset.view_counts(pool.codes, schema.value_counts, subsets),
+                             dataset.view_counts(wide.codes, schema.value_counts, subsets)):
+            np.testing.assert_array_equal(got, want)
+        assert nearest_sample_stats(other, pool) == nearest_sample_stats(wide_other, wide)
+        write_pool_csv(other, tmp_path / "narrow.csv")
+        write_pool_csv(wide_other, tmp_path / "wide.csv")
+        assert (tmp_path / "narrow.csv").read_bytes() == (tmp_path / "wide.csv").read_bytes()

@@ -402,7 +402,7 @@ class TestScatterAndPcaStage:
     def test_peak_follows_neither_pool_rows_nor_bins(self, tmp_path):
         """Traced allocations (the same on every run) while the stage writes
         a 50,000-row pool and a view of 2^18 bins stay below a quarter of
-        that pool's code matrix."""
+        that pool's code matrix at 8 bytes per code."""
         rng = np.random.default_rng(7)
         schema = categorical_schema([2] * 64)
         make = lambda n: codes_to_pool(rng.integers(0, 2, size=(n, 64)), schema)
@@ -417,5 +417,6 @@ class TestScatterAndPcaStage:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the whole-pool stage peaked at 12 times this bound
-        assert peak < big.codes.nbytes / 4
+        # the whole-pool stage peaked at 12 times this bound: a quarter of
+        # the pool's codes at 8 bytes each (6.4 MB), as they were stored
+        assert peak < big.codes.size * 8 / 4
