@@ -16,7 +16,7 @@ exactly zero precisely when every generated row replicates a training row.
 :func:`evaluate` bins each pool once per view (``dataset.view_counts``
 counts every subset of a view with one offset ``bincount`` per chunk),
 Cramer's V is read from the bivariate counts, and the report keeps the
-vectors so scatter output writes them without binning again. The
+bin counts so scatter output writes them without binning again. The
 single-subset functions (:func:`frequency_distribution_from_codes`,
 :func:`cramers_v_from_codes`) stay as the public API and as the reference
 the batched paths are tested against. Nearest-sample distances come from
@@ -262,12 +262,12 @@ def _nearest_distances(gen: _KernelRows, ref: _KernelRows) -> np.ndarray:
     starts = np.concatenate(([0], np.cumsum(widths)[:-1])).astype(np.int64)
     n_cat, n_cols = len(widths), int(np.sum(widths)) + n_num
 
-    def one_hot(codes: np.ndarray) -> np.ndarray:
-        out = np.zeros((codes.shape[0], n_cols - n_num), dtype=np.float32)
+    def one_hot(codes: np.ndarray, order: str = "C") -> np.ndarray:
+        out = np.zeros((codes.shape[0], n_cols - n_num), dtype=np.float32, order=order)
         out[np.arange(codes.shape[0])[:, None], codes + starts[:n_cat]] = 1.0
         return out
 
-    tuples_t = one_hot(tuples).T.copy()
+    tuples_t = one_hot(tuples, order="F").T  # C-contiguous, as a transposed copy would be
     sizes = np.bincount(ref_group, minlength=len(tuples))
     first_row = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     index_type = np.int32 if len(ref_group) < 2 ** 31 and len(gen_tuple) < 2 ** 31 else np.intp
@@ -382,10 +382,14 @@ class MethodEvaluation:
 
 @dataclass
 class EvalReport:
-    """Metric rows plus, from :func:`evaluate`, the frequency vector of every
-    view of the test pool (``test_vectors``) and of each supplied pool
-    (``vectors[name][view]``; not of the ``training-set`` row). The vectors
-    are not serialized."""
+    """Metric rows plus, from :func:`evaluate`, every view of the test pool
+    (``test_vectors``) and of each supplied pool (``vectors[name][view]``;
+    not of the ``training-set`` row), and the row counts of those pools
+    (``test_size``, ``sizes[name]``). A view of a pool of ``n`` rows is kept
+    as its bin counts in ``np.min_scalar_type(n)``, uint16 up to 65,535
+    rows; the projected view, one subset, as its float64 frequencies.
+    :meth:`frequencies` divides the counts by ``n`` where a view is read.
+    None of this is serialized."""
 
     method_names: list[str]
     rows: dict[str, MethodEvaluation]
@@ -393,10 +397,27 @@ class EvalReport:
     test_vectors: dict[str, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
     vectors: dict[str, dict[str, np.ndarray]] = field(default_factory=dict, repr=False,
                                                       compare=False)
+    test_size: int = field(default=0, repr=False, compare=False)
+    sizes: dict[str, int] = field(default_factory=dict, repr=False, compare=False)
 
     VIEW_ORDER = ("marginal", "bivariate", "trivariate", "projected")
     # CSV column labels, matching the usual reporting layout
     COLUMNS = ("Marg.", "Bivar.", "Trivar.", "Basic", "Pair.", "mu_NS", "sigma_NS")
+
+    def frequencies(self, view: str, name: str | None = None) -> np.ndarray:
+        """The frequency vector of ``view`` for pool ``name``, or for the
+        test pool when ``name`` is None."""
+        if name is None:
+            return _frequencies(self.test_vectors[view], self.test_size)
+        return _frequencies(self.vectors[name][view], self.sizes[name])
+
+
+def _frequencies(vec: np.ndarray, n: int) -> np.ndarray:
+    """A view as :func:`evaluate` keeps it, as frequencies: bin counts
+    (unsigned integers) divided by the pool's ``n`` rows, the same division
+    and so the same bits as dividing int64 counts; a float vector is
+    frequencies already."""
+    return vec / n if vec.dtype.kind == "u" else vec
 
 
 def view_subsets(n_variables: int, projection: tuple[int, ...]) -> dict[str, list[tuple[int, ...]]]:
@@ -413,8 +434,10 @@ def view_subsets(n_variables: int, projection: tuple[int, ...]) -> dict[str, lis
 
 def _pool_vectors(codes: np.ndarray, value_counts, subsets) -> tuple[dict[str, np.ndarray],
                                                                      np.ndarray | None]:
-    """Frequency vector of every view, each binned once, and the Cramer's V
-    of every pair (NaN where undefined) read from the bivariate counts."""
+    """Every view, each binned once, as :class:`EvalReport` keeps it: bin
+    counts in ``np.min_scalar_type(n)`` for ``n`` rows, the projected view
+    as float64 frequencies. Also the Cramer's V of every pair (NaN where
+    undefined), read from the bivariate counts."""
     n = codes.shape[0]
     vectors: dict[str, np.ndarray] = {}
     pairwise = None
@@ -425,7 +448,7 @@ def _pool_vectors(codes: np.ndarray, value_counts, subsets) -> tuple[dict[str, n
             vectors[view] = frequency_distribution_from_codes(codes, value_counts, subs[0]).freqs
             continue
         counts, offsets = view_counts(codes, value_counts, subs)
-        vectors[view] = counts / n
+        vectors[view] = counts.astype(np.min_scalar_type(n))
         if view == "bivariate":
             pairwise = np.full(len(subs), np.nan)
             for s, (i, j) in enumerate(subs):
@@ -446,8 +469,10 @@ def evaluate(method_pools: dict[str, AgentPool], test_pool: AgentPool,
     also taken against the test pool). Views: concatenated marginals, all
     pairs, all triplets, and the projected joint of ``projection``: distinct
     variable names or indices (default: the schema's first four variables;
-    anything else is a ConfigError). Each pool is binned once per view;
-    the report keeps the supplied pools' vectors for scatter output.
+    anything else is a ConfigError). Each pool is binned once per view.
+    The report keeps every view of the test pool and of the supplied pools
+    as bin counts for scatter output (see :class:`EvalReport`), and the
+    scores divide them by the pool's rows one view at a time.
     """
     schema = test_pool.schema
     for name, pool in method_pools.items():
@@ -458,20 +483,21 @@ def evaluate(method_pools: dict[str, AgentPool], test_pool: AgentPool,
                       and not isinstance(p, bool) and 0 <= p < schema.n_variables else p
                       for p in projection]
     projection = tuple(schema.columns(projection, "projection"))
-    counts = schema.value_counts
+    value_counts = schema.value_counts
     subsets = view_subsets(schema.n_variables, projection)
     test_codes, train_codes = codes_for_pool(test_pool), codes_for_pool(train_pool)
     # the test pool's numerics are standardized with the training pool's statistics
     stats = _pool_rows(train_pool)[1]
-    test_vectors, test_pairwise = _pool_vectors(test_codes, counts, subsets)
+    test_vectors, test_pairwise = _pool_vectors(test_codes, value_counts, subsets)
     vectors: dict[str, dict[str, np.ndarray]] = {}
 
     def score(codes: np.ndarray, diversity: DiversityStats
               ) -> tuple[MethodEvaluation, dict[str, np.ndarray]]:
-        pool_vectors, vec_pairwise = _pool_vectors(codes, counts, subsets)
+        pool_vectors, vec_pairwise = _pool_vectors(codes, value_counts, subsets)
         views = {}
-        for view, ref in test_vectors.items():
-            vec = pool_vectors[view]
+        for view, test_vec in test_vectors.items():
+            vec = _frequencies(pool_vectors[view], len(codes))
+            ref = _frequencies(test_vec, len(test_codes))
             corr, r2 = _corr_r2_vec(vec, ref)
             views[view] = ViewMetrics(_srmse_vec(vec, ref), corr, r2)
         pairwise = None
@@ -492,7 +518,8 @@ def evaluate(method_pools: dict[str, AgentPool], test_pool: AgentPool,
     rows["training-set"] = score(train_codes, nearest_sample_stats(
         train_pool, test_pool, stats))[0]
     return EvalReport(list(method_pools) + ["training-set"], rows, dict(metadata or {}),
-                      test_vectors, vectors)
+                      test_vectors, vectors, len(test_pool),
+                      {name: len(pool) for name, pool in method_pools.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -580,20 +607,24 @@ def _float_reprs(vec: np.ndarray) -> list[str]:
     return reprs[inverse].tolist()
 
 
-def write_scatter_csv(test_vec: np.ndarray, pool_vecs: dict[str, np.ndarray], path) -> None:
+def write_scatter_csv(test: tuple[np.ndarray, int], pools: dict[str, tuple[np.ndarray, int]],
+                      path) -> None:
     """One view's scatter data, ready for external plotting: one row per
     bin with its ``bin_id``, the test frequency (``test_frequency``) and a
-    column per pool named after it, in the order of ``pool_vecs``. The
-    bytes are those ``csv.writer`` writes, ``\\r\\n`` line ends included.
-    Rows are formatted ``CSV_WRITE_BLOCK`` at a time, each column once per
-    block."""
+    column per pool named after it, in the order of ``pools``. Each column
+    is a pair ``(vector, n)``: the view as :class:`EvalReport` keeps it and
+    its pool's row count. Bin counts are written as ``counts / n``, divided
+    one block of rows at a time, and float vectors as they are. The bytes
+    are those ``csv.writer`` writes, ``\\r\\n`` line ends included. Rows are
+    formatted ``CSV_WRITE_BLOCK`` at a time, each column once per block."""
+    columns = [test, *pools.values()]
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(["bin_id", "test_frequency", *pool_vecs])
-        for start in range(0, len(test_vec), CSV_WRITE_BLOCK):
-            stop = min(start + CSV_WRITE_BLOCK, len(test_vec))
+        csv.writer(fh).writerow(["bin_id", "test_frequency", *pools])
+        for start in range(0, len(test[0]), CSV_WRITE_BLOCK):
+            stop = min(start + CSV_WRITE_BLOCK, len(test[0]))
             write_csv_block(fh, [map(str, range(start, stop)),
-                                 *(_float_reprs(vec[start:stop])
-                                   for vec in (test_vec, *pool_vecs.values()))])
+                                 *(_float_reprs(_frequencies(vec[start:stop], n))
+                                   for vec, n in columns)])
 
 
 def write_pca_csv(coords: np.ndarray, path) -> None:

@@ -419,7 +419,9 @@ def write_run_outputs(report: metrics.EvalReport, train: AgentPool,
     for name in BASELINE_NAMES:
         write_pool_csv(pools[name], out / "pools" / f"{name}.csv")
     for view, test_vec in report.test_vectors.items():
-        metrics.write_scatter_csv(test_vec, {name: report.vectors[name][view] for name in pools},
+        metrics.write_scatter_csv((test_vec, report.test_size),
+                                  {name: (report.vectors[name][view], report.sizes[name])
+                                   for name in pools},
                                   out / "scatter" / f"{view}.csv")
     enc_train = encode_pool(train)
     pca, standardization = metrics.pca_fit(enc_train), enc_train.standardization

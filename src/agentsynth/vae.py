@@ -66,8 +66,12 @@ PROB_FLOOR = 1e-12
 # activations exist for one block only. The count is cut into
 # count // SAMPLE_BLOCK near-equal blocks, none shorter than SAMPLE_BLOCK:
 # BLAS multiplies a batch of very few rows with other kernels (one row with
-# gemv), whose rounding can differ from that of the whole batch.
-SAMPLE_BLOCK = 1 << 12
+# gemv), whose rounding can differ from that of the whole batch; batches of
+# 18 rows and more have matched it. A 10,000-row draw decodes in blocks of
+# about 1,100 rows, whose temporaries in a 64-wide decoder take 2.7 MB (the
+# 5,000-row blocks of 4,096-row blocking took 12.1 MB), and each BLAS call
+# still multiplies a large batch.
+SAMPLE_BLOCK = 1 << 10
 CHECKPOINT_FORMAT = "agentsynth-vae"
 CHECKPOINT_VERSION = 1
 

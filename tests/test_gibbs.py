@@ -1,12 +1,14 @@
 """Gibbs sampler: conditionals, trapping, replication, chain accounting."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from agentsynth import gibbs
-from agentsynth.dataset import AgentPool, Schema, VariableSpec, codes_to_pool, pool_to_codes
+from agentsynth.dataset import (AgentPool, Schema, VariableSpec, codes_to_pool, distinct_rows,
+                                pool_to_codes)
 from agentsynth.errors import ConfigError, DataError, UnreachableContextError
 from agentsynth.gibbs import (
     ChainConfig,
@@ -16,7 +18,20 @@ from agentsynth.gibbs import (
     run_chain,
 )
 
+from agentsynth.synthdata import SyntheticGeneratorSpec, synth_generate
+
 from conftest import categorical_schema, pool_from_codes, random_categorical_pool, toy_pool
+
+
+def _traced(fn):
+    """``fn()``, the traced allocations it keeps, and its traced peak."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept, peak
 
 
 class TestEstimateConditionals:
@@ -230,6 +245,39 @@ class TestRunChainMatchesReference:
         out, _ = run_chain(pool, ChainConfig(target_count=5, warmup=0, thinning=1,
                                              init=("c0", "c0")))
         assert set(out.rows) == {("c9", "c0")}
+
+
+class TestIndexFootprint:
+    @pytest.mark.parametrize("widths", [[2, 3, 2], [4], [3, 4, 2, 3, 4], [2] * 64])
+    def test_contexts_equal_the_distinct_rows_of_each_deletion(self, rng, widths):
+        # 64 binary columns take the lexsort path of distinct_rows
+        index = ContextGroups.from_codes(random_categorical_pool(rng, widths, 300).codes)
+        for i in range(len(widths)):
+            contexts = distinct_rows(np.delete(index.rows, i, axis=1))[0]
+            assert index.n_groups[i] == len(contexts)
+            assert index.contexts(i).dtype == contexts.dtype
+            np.testing.assert_array_equal(index.contexts(i), contexts)
+
+    def test_keeps_no_per_variable_copy_of_the_rows(self):
+        pool = synth_generate(SyntheticGeneratorSpec(
+            "latent-class", size=2000, seed=3, n_variables=60, n_classes=6, category_width=4))
+        index, kept, _ = _traced(lambda: ContextGroups.from_codes(pool.codes))
+        arrays = index.rows.nbytes + index.counts.nbytes + sum(g.nbytes for g in index.groups)
+        # one context copy per variable would add about 60 times the rows' bytes
+        assert kept < arrays + index.rows.nbytes
+
+    def test_chain_peak_does_not_follow_the_chain_length(self):
+        """The uniforms of one block are Python floats; the traced peak of a
+        10,000-row chain over 2,000 training rows stays below 1 MB."""
+        pool = synth_generate(SyntheticGeneratorSpec(
+            "latent-class", size=2000, seed=3, n_variables=20, n_classes=6, category_width=4))
+        index = ContextGroups.from_codes(pool.codes)
+        layout = index.transitions(pool.schema.value_counts)
+        config = ChainConfig(target_count=10_000, warmup=2000, thinning=5, seed=1)
+        kept, _, peak = _traced(lambda: gibbs._run_on_index(
+            layout, 0, config, np.random.default_rng(1)))
+        assert len(kept) == 10_000
+        assert peak < 1 << 20
 
 
 class TestIslands:

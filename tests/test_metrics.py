@@ -132,7 +132,9 @@ class TestPoolVectors:
         vectors, pairwise = _pool_vectors(codes, widths, subsets)
         assert list(vectors) == list(subsets)
         for view, subs in subsets.items():
-            np.testing.assert_array_equal(vectors[view], _per_subset_freqs(codes, widths, subs))
+            assert vectors[view].dtype == (np.float64 if view == "projected" else np.uint8)
+            np.testing.assert_array_equal(metrics._frequencies(vectors[view], len(codes)),
+                                          _per_subset_freqs(codes, widths, subs))
         expected = [cramers_v_from_codes(codes, widths, i, j)
                     for i, j in itertools.combinations(range(len(widths)), 2)]
         assert [None if np.isnan(v) else v for v in pairwise.tolist()] == expected
@@ -608,13 +610,14 @@ class TestEvaluate:
         subsets = view_subsets(4, (3, 1))
         # no output reads the training-set row's vectors, so none are kept
         assert list(report.vectors) == ["g"]
+        assert (report.test_size, report.sizes) == (120, {"g": 90})
         for view, subs in subsets.items():
             np.testing.assert_array_equal(
-                report.vectors["g"][view],
+                report.frequencies(view, "g"),
                 _per_subset_freqs(codes_for_pool(gen), (2, 3, 2, 4), subs))
         for view, subs in subsets.items():
             np.testing.assert_array_equal(
-                report.test_vectors[view],
+                report.frequencies(view),
                 _per_subset_freqs(codes_for_pool(test), (2, 3, 2, 4), subs))
         assert set(report_to_dict(report)) == {"methods", "rows", "metadata"}
         assert "vectors" not in report_to_json(report)
@@ -727,6 +730,12 @@ AWKWARD = [0.0, -0.0, 1.0, 1 / 3, 1e-300, 5e-324, 1.7976931348623157e308, float(
            -float("inf"), float("nan"), 1 / 3, 0.1 + 0.2, -2.5e-7]
 
 
+def _float_columns(test_vec, pool_vecs):
+    """Float frequency vectors as write_scatter_csv's columns: a float
+    vector is written as it is, whatever its row count."""
+    return (test_vec, 1), {name: (vec, 1) for name, vec in pool_vecs.items()}
+
+
 def _scatter_oracle(path, test_vec, pool_vecs):
     """The bytes of a per-view scatter file, row by row through csv.writer."""
     return _csv_writer_bytes(
@@ -735,19 +744,47 @@ def _scatter_oracle(path, test_vec, pool_vecs):
          for b in range(len(test_vec))])
 
 
+class TestNarrowViewCounts:
+    @pytest.mark.parametrize("n", [255, 256, 65_535, 65_536])
+    def test_counts_in_the_narrowest_dtype_give_the_float_path(self, rng, tmp_path, n):
+        """The report keeps each view's counts in np.min_scalar_type(n); the
+        scores and the scatter bytes equal those of int64 counts / n."""
+        widths = (2, 3, 2, 2)
+        schema = categorical_schema(widths)
+
+        def make(rows, provenance):
+            codes = np.column_stack([rng.integers(0, w, size=rows) for w in widths])
+            codes[:, 1:] = 0  # every view but the projected one has a bin of all n rows
+            return dataset.codes_to_pool(codes, schema, provenance=provenance)
+
+        test, gen = make(n, "test"), make(n, "generated")
+        report = evaluate({"g": gen}, test, make(50, "train"))
+        for view, subs in view_subsets(4, (0, 1, 2, 3)).items():
+            kept = report.test_vectors[view], report.vectors["g"][view]
+            if view != "projected":
+                assert [vec.dtype for vec in kept] == [np.min_scalar_type(n)] * 2
+                assert kept[0].max() == n
+            test_freqs, gen_freqs = (_per_subset_freqs(pool.codes, widths, subs)
+                                     for pool in (test, gen))
+            assert report.rows["g"].views[view].srmse == _srmse_vec(gen_freqs, test_freqs)
+            write_scatter_csv((kept[0], n), {"g": (kept[1], n)}, tmp_path / "s.csv")
+            assert (tmp_path / "s.csv").read_bytes() == _scatter_oracle(
+                tmp_path / "e.csv", test_freqs, {"g": gen_freqs})
+
+
 class TestArtifactBytes:
     def test_scatter_equals_csv_writer(self, rng, tmp_path):
         test_vec = np.array(AWKWARD + rng.random(40).tolist() + [0.25] * 5)
         pool_vecs = {"vae": rng.permutation(test_vec), "bn": test_vec[::-1].copy(),
                      "marginal-sampler": np.full(len(test_vec), 1 / 3)}
-        write_scatter_csv(test_vec, pool_vecs, tmp_path / "s.csv")
+        write_scatter_csv(*_float_columns(test_vec, pool_vecs), tmp_path / "s.csv")
         assert (tmp_path / "s.csv").read_bytes() == _scatter_oracle(
             tmp_path / "e.csv", test_vec, pool_vecs)
 
     def test_scatter_header_quotes_awkward_pool_names(self, rng, tmp_path):
         test_vec = rng.random(7)
         pool_vecs = {'a,b': test_vec / 2, 'say "hi"': test_vec / 3, "plain": test_vec}
-        write_scatter_csv(test_vec, pool_vecs, tmp_path / "s.csv")
+        write_scatter_csv(*_float_columns(test_vec, pool_vecs), tmp_path / "s.csv")
         assert (tmp_path / "s.csv").read_bytes() == _scatter_oracle(
             tmp_path / "e.csv", test_vec, pool_vecs)
 
@@ -758,7 +795,7 @@ class TestArtifactBytes:
         late = rng.permutation(test_vec)
         late[dataset.CSV_WRITE_BLOCK + 5:dataset.CSV_WRITE_BLOCK + 5 + len(AWKWARD)] = AWKWARD
         pool_vecs = {"vae": rng.permutation(test_vec), "gibbs": late}
-        write_scatter_csv(test_vec, pool_vecs, tmp_path / "s.csv")
+        write_scatter_csv(*_float_columns(test_vec, pool_vecs), tmp_path / "s.csv")
         assert (tmp_path / "s.csv").read_bytes() == _scatter_oracle(
             tmp_path / "e.csv", test_vec, pool_vecs)
         coords = rng.normal(size=(rows, 2))

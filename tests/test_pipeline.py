@@ -314,8 +314,8 @@ def _reference_write_run_outputs(report, train, pools, out):
     for name in BASELINE_NAMES:
         dataset.write_pool_csv(pools[name], out / "pools" / f"{name}.csv")
     for name in pools:
-        for view, test_vec in report.test_vectors.items():
-            _reference_write_scatter_csv(report.vectors[name][view], test_vec,
+        for view in report.test_vectors:
+            _reference_write_scatter_csv(report.frequencies(view, name), report.frequencies(view),
                                          out / "scatter" / f"{name}__{view}.csv")
     enc_train = encode_pool(train)
     pca = metrics.pca_fit(enc_train)
@@ -408,9 +408,10 @@ class TestScatterAndPcaStage:
         make = lambda n: codes_to_pool(rng.integers(0, 2, size=(n, 64)), schema)
         train, big = make(500).with_provenance("train"), make(50_000)
         pools = {"big": big, **{name: make(10) for name in BASELINE_NAMES}}
-        test_vec = rng.integers(0, 50, 1 << 18) / 50
-        report = metrics.EvalReport([], {}, {}, {"wide": test_vec},
-                                    {name: {"wide": rng.permutation(test_vec)} for name in pools})
+        test_counts = rng.integers(0, 50, 1 << 18, dtype=np.uint8)
+        pool_counts = {name: {"wide": rng.permutation(test_counts)} for name in pools}
+        report = metrics.EvalReport([], {}, {}, {"wide": test_counts}, pool_counts,
+                                    50, dict.fromkeys(pools, 50))
         tracemalloc.start()
         try:
             pipeline.write_run_outputs(report, train, pools, tmp_path)
