@@ -85,7 +85,7 @@ class Dag:
 
 
 def _check_data(codes: np.ndarray) -> np.ndarray:
-    arr = np.asarray(codes, dtype=np.int64)
+    arr = np.asarray(codes)
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise DataError("need a non-empty (rows x variables) code matrix")
     return arr
@@ -169,7 +169,7 @@ class _FamilyScorer:
     def __init__(self, arr: np.ndarray, value_counts):
         check_codes(arr, value_counts)
         self.widths = [int(w) for w in value_counts]
-        self.columns = np.ascontiguousarray(arr.T)
+        self.columns = np.ascontiguousarray(arr.T, dtype=np.int64)
         n_rows = arr.shape[0]
         half_log_n = 0.5 * np.log(n_rows)
         # (log N / 2) * (D_i - 1); times prod(D_parents) gives the penalty

@@ -591,13 +591,16 @@ VIEW_CHUNK = 1 << 16
 
 def check_codes(codes: np.ndarray, value_counts, columns=None,
                 names=None) -> tuple[np.ndarray, np.ndarray]:
-    """DataError unless ``codes`` has one column per value count and every
-    code in the columns that ``columns`` names (default: all) lies in
-    ``[0, value_counts[j])``. Unchecked, numpy indexing would count a -1 as
-    the last value, a bincount would count a code past the width in a
-    neighbouring cell, and narrowing would wrap it. The error names the
-    variable by its index, or by ``names[j]`` when given. Returns the
-    checked columns, sorted, and their codes."""
+    """DataError unless ``codes`` is an integer matrix with one column per
+    value count and every code in the columns that ``columns`` names
+    (default: all) lies in ``[0, value_counts[j])``. Unchecked, a cast would
+    truncate a float code, numpy indexing would count a -1 as the last
+    value, a bincount would count a code past the width in a neighbouring
+    cell, and narrowing would wrap it. The error names the variable by its
+    index, or by ``names[j]`` when given. Returns the checked columns,
+    sorted, and their codes."""
+    if codes.dtype.kind not in "iu":
+        raise DataError(f"codes must be integers, got dtype {codes.dtype}")
     if len(value_counts) != codes.shape[1]:
         raise DataError(f"{codes.shape[1]} code columns but {len(value_counts)} value counts")
     cols = np.unique(np.arange(codes.shape[1]) if columns is None else columns)
@@ -936,16 +939,14 @@ def _read_columns(path, schema: Schema) -> tuple[list[np.ndarray], list[str | No
     return parsed, list(map(_first_bad, parsed, cells))
 
 
-def read_pool_csv(path, schema: Schema, provenance: str = "train",
-                  strict_numeric: bool | None = None) -> AgentPool:
+def read_pool_csv(path, schema: Schema, provenance: str = "train") -> AgentPool:
     """Read a pool from CSV, parsing and validating against the schema.
 
     Rows with missing cells are rejected. Numerical range violations raise
     for source data and are merely flagged for generated pools.
     """
-    if strict_numeric is None:
-        strict_numeric = provenance != "generated"
-    return _assemble(schema, *_read_columns(path, schema), provenance, strict_numeric)
+    return _assemble(schema, *_read_columns(path, schema), provenance,
+                     strict_numeric=provenance != "generated")
 
 
 def ingest_csv(data_path, schema_doc: dict) -> AgentPool:

@@ -5,7 +5,7 @@ problems (2), data problems (3), and numerical divergence during model
 fitting (4). Everything derives from :class:`AgentSynthError` so callers
 can catch toolkit errors without swallowing genuine bugs. :func:`expect`
 is the JSON type check that configuration, schema and model-file parsing
-share.
+share; :func:`expect_fields` reads every configuration object through it.
 """
 
 import reprlib
@@ -60,13 +60,16 @@ def _is_list(value, item) -> bool:
 
 JSON_TYPES = {
     "an integer": _is_int,  # true and false are not integers
+    "a non-negative integer": lambda v: _is_int(v) and v >= 0,
     "a number": _is_real,
     "a number or null": lambda v: v is None or _is_real(v),
     "true or false": lambda v: isinstance(v, bool),
     "a string": lambda v: isinstance(v, str),
+    "an object or a string": lambda v: isinstance(v, (dict, str)),
     "an object": lambda v: isinstance(v, dict),
     "a list": lambda v: isinstance(v, list),
     "a list of integers": lambda v: _is_list(v, _is_int),
+    "an integer or a list of integers": lambda v: _is_int(v) or _is_list(v, _is_int),
     "a list of numbers": lambda v: _is_list(v, _is_real),
     "a list of number lists": lambda v: _is_list(v, lambda x: _is_list(x, _is_real)),
     "a list of names": lambda v: _is_list(v, lambda x: isinstance(x, str)),
@@ -80,3 +83,16 @@ def expect(value, need: str, what: str, error: type = ConfigError):
     if not JSON_TYPES[need](value):
         raise error(f"{what} must be {need}, got {reprlib.repr(value)}")
     return value
+
+
+def expect_fields(doc, fields: dict, what: str, prefix: str = ""):
+    """``doc`` if it is an object whose keys are all in ``fields``, a ``{key:
+    JSON type}`` table, with values of those types; else a ConfigError naming
+    ``what``, its unknown keys and ``fields``, or ``prefix`` + the key (:func:`expect`)."""
+    expect(doc, "an object", what)
+    unknown = [key for key in doc if key not in fields]
+    if unknown:
+        raise ConfigError(f"{what} has unknown keys {unknown}; it accepts {list(fields)}")
+    for key, value in doc.items():
+        expect(value, fields[key], prefix + key)
+    return doc

@@ -51,18 +51,28 @@ from .dataset import (
     split_pool,
     write_pool_csv,
 )
-from .errors import ConfigError, DataError, expect
+from .errors import ConfigError, DataError, expect, expect_fields
 from .synthdata import SyntheticGeneratorSpec, spec_from_json, synth_generate
 
 METHOD_KINDS = ("vae", "gibbs", "bn")
-# the params train_method and sample_method read, per method kind
+# the params train_method and sample_method read, per method kind, and their JSON types
 METHOD_PARAMS = {
-    "vae": ("hidden", "latent_dim", "beta", "epochs", "batch_size", "seed", "learning_rate",
-            "hidden_options", "latent_options", "beta_options", "selection_variables",
-            "selection_samples", "harden"),
-    "gibbs": ("warmup", "thinning", "seed"),
-    "bn": ("algorithm", "max_parents"),
+    "vae": {"hidden": "a list of integers", "latent_dim": "an integer", "beta": "a number",
+            "epochs": "an integer", "batch_size": "an integer", "seed": "a non-negative integer",
+            "learning_rate": "a number", "hidden_options": "a list of integer lists",
+            "latent_options": "a list of integers", "beta_options": "a list of numbers",
+            "selection_variables": "a list of names", "selection_samples": "an integer",
+            "harden": "a string"},
+    "gibbs": {"warmup": "an integer", "thinning": "an integer", "seed": "a non-negative integer"},
+    "bn": {"algorithm": "a string", "max_parents": "an integer"},
 }
+# the JSON types of the configuration document's objects (config_from_json)
+CONFIG_FIELDS = {"seed": "a non-negative integer", "out_dir": "a string", "data": "an object",
+                 "split": "an object", "methods": "a list", "generation_count": "an integer",
+                 "projection": "a list of names"}
+DATA_FIELDS = {"csv": "a string", "schema": "an object or a string", "synthetic": "an object"}
+SPLIT_FIELDS = {"train_frac": "a number", "val_frac_of_train": "a number"}
+METHOD_FIELDS = {"name": "a string", "kind": "a string", "params": "an object"}
 BASELINE_NAMES = ("marginal-sampler", "resample-training")
 PCA_COMPONENTS = 5
 
@@ -84,10 +94,8 @@ class MethodSpec:
             raise ConfigError(f"unknown method kind {self.kind!r}")
         if self.name in BASELINE_NAMES or self.name == "training-set":
             raise ConfigError(f"method name {self.name!r} is reserved")
-        unknown = sorted(set(self.params) - set(METHOD_PARAMS[self.kind]))
-        if unknown:
-            raise ConfigError(f"method {self.name!r}: unknown params {unknown}; a {self.kind} "
-                              f"method accepts {list(METHOD_PARAMS[self.kind])}")
+        expect_fields(self.params, METHOD_PARAMS[self.kind], f"method {self.name!r}: params",
+                      f"method {self.name!r}: ")
 
 
 @dataclass
@@ -106,6 +114,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.generation_count < 1:
             raise ConfigError("generation_count must be positive")
+        if not (0.0 < self.train_frac < 1.0) or not (0.0 < self.val_frac_of_train < 1.0):
+            raise ConfigError("split fractions must lie strictly between 0 and 1")
         if (self.data_csv is None) == (self.synthetic is None):
             raise ConfigError("configure exactly one of data_csv or synthetic")
         if self.data_csv is not None and self.schema is None:
@@ -116,36 +126,28 @@ class ExperimentConfig:
 
 
 def config_from_json(doc: dict, out_dir: str | None = None) -> ExperimentConfig:
-    """The configuration a JSON document describes; a value of the wrong
-    type is a ConfigError, never coerced."""
-    expect(doc, "an object", "the configuration")
+    """The configuration a JSON document describes; an unknown key or a
+    value of the wrong type is a ConfigError, never coerced."""
+    expect_fields(doc, CONFIG_FIELDS, "the configuration")
     methods = []
-    for m in expect(doc.get("methods", []), "a list", "methods"):
-        if "kind" not in expect(m, "an object", "a method entry"):
+    for i, m in enumerate(doc.get("methods", [])):
+        expect_fields(m, METHOD_FIELDS, f"methods[{i}]", f"methods[{i}].")
+        if "kind" not in m:
             raise ConfigError("method entry missing 'kind'")
-        name = expect(m.get("name", m["kind"]), "a string", "a method name")
-        methods.append(MethodSpec(name, m["kind"], expect(m.get("params", {}), "an object",
-                                                          f"method {name!r}: params")))
-    data = expect(doc.get("data", {}), "an object", "data")
-    split = expect(doc.get("split", {}), "an object", "split")
-    projection, data_csv = doc.get("projection"), data.get("csv")
-    if projection is not None:
-        expect(projection, "a list of names", "projection")
-    if data_csv is not None:
-        expect(data_csv, "a string", "data.csv")
+        methods.append(MethodSpec(m.get("name", m["kind"]), m["kind"], m.get("params", {})))
+    data = expect_fields(doc.get("data", {}), DATA_FIELDS, "data", "data.")
+    split = expect_fields(doc.get("split", {}), SPLIT_FIELDS, "split", "split.")
+    # unset keys keep ExperimentConfig's defaults; report.json records the fractions as floats
+    settings = {key: doc[key] for key in ("generation_count", "projection") if key in doc}
     return ExperimentConfig(
-        seed=expect(doc.get("seed", 0), "an integer", "seed"),
-        out_dir=out_dir or expect(doc.get("out_dir", "out"), "a string", "out_dir"),
-        data_csv=data_csv,
+        seed=doc.get("seed", 0),
+        out_dir=out_dir or doc.get("out_dir", "out"),
+        data_csv=data.get("csv"),
         schema=data.get("schema"),
         synthetic=spec_from_json(data["synthetic"]) if "synthetic" in data else None,
-        train_frac=float(expect(split.get("train_frac", 0.2), "a number", "split.train_frac")),
-        val_frac_of_train=float(expect(split.get("val_frac_of_train", 0.25), "a number",
-                                       "split.val_frac_of_train")),
         methods=methods,
-        generation_count=expect(doc.get("generation_count", 10000), "an integer",
-                                "generation_count"),
-        projection=projection,
+        **settings,
+        **{key: float(value) for key, value in split.items()},
     )
 
 
@@ -161,7 +163,7 @@ def load_config(path, out_dir: str | None = None, seed: int | None = None) -> Ex
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     config = config_from_json(doc, out_dir=out_dir)
     if seed is not None:
-        config.seed = seed
+        config.seed = expect(seed, "a non-negative integer", "--seed")
     return config
 
 
@@ -265,35 +267,19 @@ def train_method(config: ExperimentConfig, method: MethodSpec, train: AgentPool,
     the model :func:`sample_method` takes: a VAE network, a BN's DAG and
     CPTs, or the Gibbs chain's resolved settings, seed included."""
     rng_fit = _method_stream(config, method, "fit")
+    # drawn even when the params set a seed, so that the VAE's initial
+    # weights, drawn next from the same stream, do not depend on it
+    seed = int(rng_fit.integers(2 ** 31))
     (out / "models").mkdir(parents=True, exist_ok=True)
     path = out / "models" / f"{method.name}.json"
-
-    def param(key: str, default, need: str = "an integer"):
-        """``params[key]``, which must be ``need``, else ``default``."""
-        if key not in method.params:
-            return default
-        return expect(method.params[key], need, f"method {method.name!r}: {key}")
-
+    params = method.params
     if method.kind == "vae":
         enc_train = encode_pool(train)
         enc_val = encode_pool(validation, standardization=enc_train.standardization)
         train_config = vae.TrainConfig(
-            epochs=param("epochs", 100),
-            batch_size=param("batch_size", 64),
-            seed=param("seed", int(rng_fit.integers(2 ** 31))),
-            learning_rate=param("learning_rate", 0.001, "a number"),
-            hidden_options=param("hidden_options", None, "a list of integer lists"),
-            latent_options=param("latent_options", None, "a list of integers"),
-            beta_options=param("beta_options", None, "a list of numbers"),
-            selection_variables=param("selection_variables", None, "a list of names"),
-            selection_samples=param("selection_samples", None),
-            harden=param("harden", "argmax", "a string"),
-        )
-        model = vae.build_vae(train.schema,
-                              tuple(param("hidden", (50,), "a list of integers")),
-                              param("latent_dim", 10),
-                              param("beta", 0.5, "a number"),
-                              rng_fit)
+            **{"seed": seed, **_given(method, vae.TrainConfig.__dataclass_fields__)})
+        model = vae.build_vae(train.schema, tuple(params.get("hidden", (50,))),
+                              params.get("latent_dim", 10), params.get("beta", 0.5), rng_fit)
         result = vae.train(model, enc_train, enc_val, train_config)
         vae.save_checkpoint(result.model, path, extra={
             "grid": result.grid_records, "selection_score": result.selection_score})
@@ -302,11 +288,8 @@ def train_method(config: ExperimentConfig, method: MethodSpec, train: AgentPool,
         return result.model
     if method.kind == "gibbs":
         chain = gibbs.chain_to_dict(gibbs.ChainConfig(
-            target_count=config.generation_count,
-            warmup=param("warmup", 20000),
-            thinning=param("thinning", 20),
-            seed=param("seed", int(rng_fit.integers(2 ** 31))),
-        ))
+            config.generation_count,
+            **{"seed": seed, **_given(method, gibbs.ChainConfig.__dataclass_fields__)}))
         with open(path, "w") as fh:
             json.dump(chain, fh, indent=2)
         return chain
@@ -314,14 +297,14 @@ def train_method(config: ExperimentConfig, method: MethodSpec, train: AgentPool,
     # must be categorical (numerics converted via bins)
     if train.schema.mode != "discretize-all":
         raise ConfigError("the bn method needs a discretize-all schema")
-    algorithm = param("algorithm", "tree", "a string")
+    algorithm = params.get("algorithm", "tree")
     codes = pool_to_codes(train)
     counts = train.schema.value_counts
     started = time.perf_counter()
     if algorithm == "tree":
         dag = bayesnet.chow_liu(codes, counts)
     elif algorithm == "greedy":
-        max_parents = param("max_parents", 3)
+        max_parents = params.get("max_parents", 3)
         if max_parents < 0:
             raise ConfigError(f"method {method.name!r}: max_parents must be >= 0")
         dag = bayesnet.greedy_search(codes, counts, max_parents=max_parents)
@@ -333,6 +316,12 @@ def train_method(config: ExperimentConfig, method: MethodSpec, train: AgentPool,
     cpts = bayesnet.fit_cpts(dag, codes, counts)
     bayesnet.save_bn(dag, cpts, algorithm, path, runtime, bayesnet.mdl_score(dag, codes, counts))
     return dag, cpts
+
+
+def _given(method: MethodSpec, names) -> dict:
+    """The params of ``method`` among ``names`` that are set, by name."""
+    return {key: method.params[key] for key in METHOD_PARAMS[method.kind]
+            if key in names and key in method.params}
 
 
 # perfbench/layers.py binds this name on pipeline and cli; it stays until
@@ -359,7 +348,7 @@ def sample_method(config: ExperimentConfig, method: MethodSpec, model, schema, c
     conditionals estimated from the training rows."""
     rng_sample = _method_stream(config, method, "sample")
     if method.kind == "vae":
-        pool = vae.sample(model, count, rng_sample, harden=method.params.get("harden", "argmax"))
+        pool = vae.sample(model, count, rng_sample, **_given(method, ("harden",)))
     elif method.kind == "gibbs":
         pool, diagnostics = gibbs.run_chain(train, gibbs.chain_from_dict(model, count))
         gibbs.write_diagnostics(diagnostics,

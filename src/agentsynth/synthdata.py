@@ -22,7 +22,7 @@ import numpy as np
 from .bayesnet import CptSet, Dag, ancestral_sample
 from .dataset import (AgentPool, Schema, VariableSpec, build_uniform_edges, code_dtype,
                       codes_to_pool, draw_categories)
-from .errors import ConfigError, expect
+from .errors import ConfigError, expect_fields
 
 GENERATOR_KINDS = ("latent-class", "bn-ground-truth", "toy-appendix-a")
 
@@ -70,20 +70,19 @@ class SyntheticGeneratorSpec:
         return tuple(self.category_width)
 
 
+SPEC_FIELDS = {"kind": "a string", "size": "an integer", "seed": "a non-negative integer",
+               "n_variables": "an integer", "n_classes": "an integer",
+               "category_width": "an integer or a list of integers", "dependence": "a number",
+               "numeric_variables": "an integer", "numeric_bins": "an integer",
+               "balanced": "true or false", "max_parents": "an integer"}
+
+
 def spec_from_json(doc: dict) -> SyntheticGeneratorSpec:
-    """The generator a JSON object describes; a value of the wrong type is a
-    ConfigError, never coerced."""
-    known = {f for f in SyntheticGeneratorSpec.__dataclass_fields__}
-    unknown = set(expect(doc, "an object", "data.synthetic")) - known
-    if unknown:
-        raise ConfigError(f"unknown generator parameters: {sorted(unknown)}")
+    """The generator a JSON object describes; an unknown key or a value of
+    the wrong type is a ConfigError, never coerced."""
+    expect_fields(doc, SPEC_FIELDS, "data.synthetic", "generator ")
     if "kind" not in doc or "size" not in doc:
         raise ConfigError("generator spec needs at least 'kind' and 'size'")
-    for key, value in doc.items():
-        need = {"kind": "a string", "dependence": "a number", "balanced": "true or false",
-                "category_width": "a list of integers" if isinstance(value, list)
-                else "an integer"}.get(key, "an integer")
-        expect(value, need, f"generator {key}")
     doc = dict(doc)
     if isinstance(doc.get("category_width"), list):
         doc["category_width"] = tuple(doc["category_width"])
@@ -105,7 +104,7 @@ def _toy_generate(spec: SyntheticGeneratorSpec) -> AgentPool:
     )
     if spec.balanced:
         half = spec.size // 2
-        labels = np.array([0] * half + [1] * (spec.size - half))
+        labels = np.repeat([0, 1], [half, spec.size - half])
     else:
         labels = np.random.default_rng(spec.seed).integers(0, 2, size=spec.size)
     codes = np.column_stack([labels, labels])

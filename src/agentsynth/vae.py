@@ -155,8 +155,6 @@ class TrainConfig:
     batch_size: int = 64
     seed: int = 0
     learning_rate: float = 0.001
-    rho: float = 0.9
-    epsilon: float = 1e-8
     # grid search: None means "train the given model as-is"
     hidden_options: list[tuple[int, ...]] | None = None
     latent_options: list[int] | None = None
@@ -424,7 +422,7 @@ def _train_single(model: VaeModel, train: EncodedMatrix, config: TrainConfig,
     if n == 0:
         raise DataError("cannot train on an empty pool")
     packed = model.packed
-    state = rmsprop_init([packed.values], config.learning_rate, config.rho, config.epsilon)
+    state = rmsprop_init([packed.values], config.learning_rate)
     history = []
     for epoch in range(config.epochs):
         order = rng.permutation(n)
@@ -504,7 +502,8 @@ def train(model: VaeModel, train_matrix: EncodedMatrix, validation: EncodedMatri
     return TrainResult(best[1], all_history, records, best[0])
 
 
-def sample(model: VaeModel, count: int, rng_or_seed, harden: str = "argmax") -> AgentPool:
+def sample(model: VaeModel, count: int, rng_or_seed,
+           harden: str = TrainConfig.harden) -> AgentPool:
     """Draw agents: z ~ N(0, I) through the decoder, hardened to raw records.
 
     Categorical blocks are hardened by argmax by default; ``harden="sample"``
@@ -536,7 +535,7 @@ def sample(model: VaeModel, count: int, rng_or_seed, harden: str = "argmax") -> 
                                           uniforms[heads, rows].T)
                     hard = np.zeros(shape)
                     np.put_along_axis(hard, idx[:, :, None], 1.0, axis=2)
-                    out[:, group.columns] = hard.reshape(len(out), -1)
+                    out[:, group.columns] = hard.reshape(len(out), group.count * group.width)
             yield EncodedMatrix(out, blocks, dict(model.standardization), schema)
 
     return decode_rows(decoded(), rng=rng)

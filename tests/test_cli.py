@@ -194,9 +194,17 @@ def _set(doc, path, value):
 
 class TestExitCodes:
     @pytest.mark.parametrize("command, path, value, message", [
-        ("prepare", ("seed",), "abc", "seed must be an integer"),
-        ("prepare", ("seed",), 2.7, "seed must be an integer"),
-        ("prepare", ("seed",), True, "seed must be an integer, got True"),
+        ("prepare", ("seed",), "abc", "seed must be a non-negative integer"),
+        ("prepare", ("seed",), 2.7, "seed must be a non-negative integer"),
+        ("prepare", ("seed",), True, "seed must be a non-negative integer, got True"),
+        ("prepare", ("seed",), -1, "seed must be a non-negative integer, got -1"),
+        ("prepare", ("--seed",), -1, "--seed must be a non-negative integer, got -1"),
+        ("prepare", ("data", "synthetic", "seed"), -1,
+         "generator seed must be a non-negative integer, got -1"),
+        ("prepare", ("methods", 0, "params", "seed"), -1,
+         "method 'vae': seed must be a non-negative integer, got -1"),
+        ("prepare", ("methods", 1, "params", "seed"), -1,
+         "method 'gibbs': seed must be a non-negative integer, got -1"),
         ("prepare", ("split", "train_frac"), None, "split.train_frac must be a number"),
         ("prepare", ("split", "train_frac"), "0.2", "split.train_frac must be a number"),
         ("prepare", ("methods",), "vae", "methods must be a list"),
@@ -221,10 +229,14 @@ class TestExitCodes:
     def test_value_of_the_wrong_type_is_config_error(self, tmp_path, capsys, command, path,
                                                      value, message):
         config = _write_config(tmp_path, tmp_path / "o")
-        doc = json.loads(config.read_text())
-        _set(doc, path, value)
-        config.write_text(json.dumps(doc))
-        assert main([command, "--config", str(config)]) == 2
+        argv = [command, "--config", str(config)]
+        if path[0].startswith("--"):  # a command-line option
+            argv += [path[0], str(value)]
+        else:
+            doc = json.loads(config.read_text())
+            _set(doc, path, value)
+            config.write_text(json.dumps(doc))
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and message in err, err
 
@@ -567,15 +579,29 @@ class TestExitCodeContract:
 
     @pytest.mark.parametrize("command, path, value, message", [
         ("prepare", ("methods", 2, "params"), {"algoritm": "greedy"},
-         "method 'bn': unknown params ['algoritm']; a bn method accepts "
+         "method 'bn': params has unknown keys ['algoritm']; it accepts "
          "['algorithm', 'max_parents']"),
         ("run", ("methods", 2, "params"), {"algoritm": "greedy"},
-         "method 'bn': unknown params ['algoritm']"),
+         "method 'bn': params has unknown keys ['algoritm']"),
         ("run", ("methods", 2, "params"), {"algorithm": "exact", "max_vars": 16},
-         "method 'bn': unknown params ['max_vars']"),
+         "method 'bn': params has unknown keys ['max_vars']"),
         ("prepare", ("methods", 1, "params", "restart_on_unreachable"), True,
-         "method 'gibbs': unknown params ['restart_on_unreachable']"),
+         "method 'gibbs': params has unknown keys ['restart_on_unreachable']"),
         ("run", ("projection",), [99], "projection must be a list of names, got [99]"),
+        ("prepare", ("methods", 0, "params", "beta"), "0.1",
+         "method 'vae': beta must be a number, got '0.1'"),
+        ("prepare", ("split", "train_frac"), 1.5,
+         "split fractions must lie strictly between 0 and 1"),
+        ("prepare", ("generation_cont",), 50,
+         "the configuration has unknown keys ['generation_cont']; it accepts ['seed', "),
+        ("prepare", ("data", "schemas"), {}, "data has unknown keys ['schemas']; it accepts "
+         "['csv', 'schema', 'synthetic']"),
+        ("prepare", ("split", "train_fraction"), 0.5, "split has unknown keys "
+         "['train_fraction']; it accepts ['train_frac', 'val_frac_of_train']"),
+        ("prepare", ("methods", 0, "param"), {}, "methods[0] has unknown keys ['param']; "
+         "it accepts ['name', 'kind', 'params']"),
+        ("prepare", ("data", "synthetic", "sise"), 50,
+         "data.synthetic has unknown keys ['sise']; it accepts ['kind', 'size', "),
     ])
     def test_malformed_config_exits_2_before_any_work(self, tmp_path, command, path, value,
                                                       message):

@@ -1286,6 +1286,15 @@ class TestCodesOutsideTheirWidth:
         with pytest.raises(DataError, match=message):
             AgentPool(schema, codes, np.empty((2, 0)))
 
+    def test_float_codes(self):
+        # a cast to the code dtype would truncate 1.9 to 1
+        schema = categorical_schema([2, 3])
+        codes = np.array([[0.0, 1.9], [1.0, 0.2]])
+        for make in (lambda: codes_to_pool(codes, schema),
+                     lambda: AgentPool(schema, codes, np.empty((2, 0)))):
+            with pytest.raises(DataError, match="codes must be integers, got dtype float64"):
+                make()
+
     def test_first_column(self):
         with pytest.raises(DataError, match=r"variable 'x00': codes outside \[0, 3\)"):
             codes_to_pool([[-1, 0], [2, 1]], categorical_schema([3, 2]))

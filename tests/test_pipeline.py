@@ -1,6 +1,7 @@
 """Full pipeline runs: artifacts, determinism, configuration handling."""
 
 import csv
+import importlib
 import itertools
 import json
 import tracemalloc
@@ -187,8 +188,8 @@ class TestMethodParams:
         doc = {"data": {"synthetic": {"kind": "latent-class", "size": 100}},
                "methods": [{"name": "m", "kind": kind, "params": {key: 1}}]}
         accepted = ", ".join(map(repr, METHOD_PARAMS[kind]))
-        with pytest.raises(ConfigError, match=rf"method 'm': unknown params \['{key}'\]; "
-                                              rf"a {kind} method accepts \[{accepted}\]"):
+        with pytest.raises(ConfigError, match=rf"method 'm': params has unknown keys \['{key}'\]; "
+                                              rf"it accepts \[{accepted}\]"):
             config_from_json(doc)
 
     @pytest.mark.parametrize("kind", sorted(METHOD_PARAMS))
@@ -203,6 +204,30 @@ class TestMethodParams:
         pool = sample_method(config, method, model, train.schema, 50, out, train)
         assert len(pool) == 50
         assert params.read == set(METHOD_PARAMS[kind])
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class TestShippedConfigurations:
+    """Every configuration the project ships loads under the reader that
+    rejects unknown keys."""
+
+    def test_readme_example(self):
+        section = (ROOT / "README.md").read_text().split("\n## Command line\n")[1]
+        doc = json.loads(section.split("```json\n")[1].split("```")[0])
+        config = config_from_json(doc)
+        assert (config.data_csv, [m.kind for m in config.methods]) == \
+            ("survey.csv", ["vae", "gibbs", "bn"])
+
+    def test_benchmark_workloads(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        docs = {"lc20-run": workloads.lc20_doc(2), "bn-search": workloads.bn_search_doc(2),
+                "mixed-staged": workloads.mixed_doc(2, "survey.csv", "schema.json")}
+        for name, doc in docs.items():
+            config = config_from_json(doc, out_dir="out")
+            assert [m.name for m in config.methods] == [m["name"] for m in doc["methods"]], name
 
 
 class TestToyEndToEnd:

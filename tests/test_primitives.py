@@ -46,6 +46,13 @@ class TestCodeRange:
         with pytest.raises(DataError, match=r"variable 1: codes outside \[0, 2\)"):
             _COUNTERS[counter](codes, (2, 2))
 
+    @pytest.mark.parametrize("counter", list(_COUNTERS))
+    def test_float_codes_are_data_error(self, counter):
+        # a cast would truncate 0.7 to 0 and count the rows in the wrong cells
+        codes = np.array([[0.7, 1.2], [1.9, 0.1], [0.2, 1.5]])
+        with pytest.raises(DataError, match="codes must be integers, got dtype float64"):
+            _COUNTERS[counter](codes, (2, 2))
+
     def test_value_counts_must_match_the_columns(self):
         with pytest.raises(DataError, match="3 code columns but 2 value counts"):
             view_counts(np.zeros((4, 3), dtype=int), (2, 2), [(0, 1)])

@@ -376,7 +376,7 @@ def _assert_same_sample(model, count, harden, seed=17):
 
 
 class TestBlockwiseSample:
-    @pytest.mark.parametrize("count", [1, 7, 8, 50])
+    @pytest.mark.parametrize("count", [0, 1, 7, 8, 50])
     @pytest.mark.parametrize("harden", ["argmax", "sample"])
     @pytest.mark.parametrize("mode", ["mixed", "discretize-all"])
     def test_blocks_of_seven_match_one_shot_decode(self, monkeypatch, mode, harden, count):
