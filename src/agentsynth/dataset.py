@@ -665,26 +665,47 @@ def draw_categories(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
 
 def distinct_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows of a matrix in lexicographic order, and the distinct
-    row of every input row.
+    row of every input row (:func:`row_groups`)."""
+    first, inverse = row_groups(codes)
+    return codes[first], inverse
 
-    Rows of non-negative integers, signed or unsigned, are compared as one
-    mixed-radix integer (radix ``max + 1`` per column, in int64) when the
-    product of the radices fits in int64, a 1-D sort; other rows by a
-    lexsort over the columns.
+
+def row_groups(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The groups of equal rows of a matrix, in lexicographic order of
+    their rows: the index of each group's first row, and the group of every
+    row.
+
+    Rows of non-negative integers, signed or unsigned, are compared as
+    mixed-radix integers (radix ``max + 1`` per column, in int64): runs of
+    consecutive columns whose radix product fits in int64 become one key
+    each, so a row of one key is a 1-D sort and wider rows a lexsort over
+    their few keys. Other rows are a lexsort over the columns.
     """
-    radix = (codes.max(axis=0).astype(np.int64) + 1
-             if codes.size and codes.dtype.kind in "iu" else ())
-    if len(radix) and math.prod(radix.tolist()) < 2 ** 63:
-        keys = np.ravel_multi_index(tuple(codes.T), radix)
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        return codes[first], inverse
-    order = np.lexsort(codes.T[::-1]) if codes.shape[1] else np.arange(len(codes))
-    ordered = codes[order]
-    first = np.ones(len(codes), dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    if codes.size and codes.dtype.kind in "iu":
+        radix = (codes.max(axis=0).astype(np.int64) + 1).tolist()
+        keys, size = [], 2 ** 63
+        for j, r in enumerate(radix):
+            if size * r < 2 ** 63:  # the column joins the current key, in place
+                keys[-1] *= r
+                keys[-1] += codes[:, j]
+                size *= r
+            else:
+                keys.append(codes[:, j].astype(np.int64))
+                size = r
+        if len(keys) == 1:
+            _, first, inverse = np.unique(keys[0], return_index=True, return_inverse=True)
+            return first, inverse
+    else:
+        keys = list(codes.T)
+    order = np.lexsort(keys[::-1]) if keys else np.arange(len(codes))
+    same = np.ones(len(codes), dtype=bool)  # row equal to the one before it in order
+    same[0:1] = False
+    for key in keys:
+        ordered = key[order]
+        same[1:] &= ordered[1:] == ordered[:-1]
     inverse = np.empty(len(codes), dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    return ordered[first], inverse
+    inverse[order] = np.cumsum(~same) - 1
+    return order[~same], inverse
 
 
 # ---------------------------------------------------------------------------

@@ -14,15 +14,18 @@ never let the chain leave.
 training rows; for each variable every unique row belongs to a context
 group (the rows equal to it on all other variables), and one update is a
 bisection into the group's cumulative conditional that lands directly on
-the next row index. The chain estimates its conditionals on that same
-index (:meth:`ContextGroups.conditional`), so every value it can draw
-completes a training row. The start must be a training row; anything else
-is a DataError. :func:`gibbs_step`, one scan by lookup in the tables of
-:func:`estimate_conditionals`, is the reference the index chain is tested
-against. The context groups also give the probability islands: connected
-components of the unique training rows, two rows being linked when they
-share a context group. Diagnostics report how many islands there are and
-how many rows the chain's starting island holds.
+the next row index. An update whose group is a point mass keeps the row,
+so the chain visits only the updates that can move and reads each one's
+uniform by its position in the block of draws. The chain estimates its
+conditionals on that same index (:meth:`ContextGroups.conditional`), so
+every value it can draw completes a training row. The start must be a
+training row; anything else is a DataError. :func:`gibbs_step`, one scan
+by lookup in the tables of :func:`estimate_conditionals`, is the reference
+the index chain is tested against. The context groups also give the
+probability islands: connected components of the unique training rows,
+two rows being linked when they share a context group. Diagnostics report
+how many islands there are and how many rows the chain's starting island
+holds.
 
 Mixed schemas are handled by discretizing numerics with the schema bins
 before table estimation; emitted bin draws become bin-uniform raw values.
@@ -31,8 +34,10 @@ before table estimation; emitted bin draws become bin-uniform raw values.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -128,31 +133,49 @@ class ContextGroups:
         return counts / counts.sum(axis=1, keepdims=True)
 
     def transitions(self, widths) -> list[tuple[list, list]]:
-        """Per variable, two sequences indexed by unique row: the cumulative
-        conditional of the row's context group, and the unique row that
-        each bisection result into it lands on.
+        """Per variable ``i``, two sequences indexed by unique row.
+
+        The second holds how many updates ahead, in scan order and from
+        ``i`` on, the row's next update that can move comes: the next
+        variable whose context group for the row is not a point mass (0
+        when ``i``'s is not), ``math.inf`` when no variable's is (the row
+        is absorbing). The first holds the row's move at ``i``: None for a
+        point-mass group, whose update keeps the row; otherwise
+        ``(cum, nxt, skip, then)``, the group's cumulative conditional and,
+        per bisection result into it, the unique row it lands on, the
+        updates from this one to that row's next movable update (``1 +``
+        its count ahead at ``i + 1``) and that update's variable.
 
         A draw at or past the rounded total (bisection result equal to the
         width) lands where the last value with positive probability does.
-        A point-mass group gets the empty cumulative sequence, so every
-        bisection gives 0 and lands on its only reachable row.
         """
-        n = len(self.rows)
-        layout = []
+        n, m = len(self.rows), len(self.groups)
+        moves, movable = [], np.zeros((2 * m, n), dtype=bool)
         for i, group in enumerate(self.groups):
             probs = self.conditional(i, widths[i])
-            n_groups, width = probs.shape
-            target = np.full((n_groups, width + 1), -1)
-            target[group, self.rows[:, i]] = np.arange(n)
+            width = probs.shape[1]
             positive = probs > 0
-            last = width - 1 - np.argmax(positive[:, ::-1], axis=1)
-            target[:, width] = target[np.arange(n_groups), last]
             spread = np.flatnonzero(positive.sum(axis=1) > 1)
-            by_group = dict(zip(spread.tolist(), zip(np.cumsum(probs[spread], axis=1).tolist(),
-                                                    target[spread].tolist())))
-            sole = target[:, width].tolist()
-            steps = [by_group.get(g) or ((), (sole[g],)) for g in group.tolist()]
-            layout.append(([cum for cum, _ in steps], [nxt for _, nxt in steps]))
+            target = np.full((len(probs), width + 1), -1)
+            target[group, self.rows[:, i]] = np.arange(n)
+            target = target[spread]
+            last = width - 1 - np.argmax(positive[spread, ::-1], axis=1)
+            target[:, width] = target[np.arange(len(spread)), last]
+            moves.append((spread, np.cumsum(probs[spread], axis=1), target))
+            movable[i] = movable[i + m] = np.isin(group, spread)
+        # the first movable position at or after each position of two scans;
+        # a distance above m means none
+        at = np.where(movable, np.arange(2 * m, dtype=np.int32)[:, None], 2 * m)
+        ahead = np.minimum.accumulate(at[::-1], axis=0)[::-1][:m] - np.arange(m)[:, None]
+        layout = []
+        for i, (group, (spread, cum, target)) in enumerate(zip(self.groups, moves)):
+            # only the landing rows of positive values are ever read
+            beyond = ahead[(i + 1) % m][target].tolist()
+            skip = [[math.inf if d > m else d + 1 for d in row] for row in beyond]
+            then = ((i + 1 + ahead[(i + 1) % m][target]) % m).tolist()
+            by_group = dict(zip(spread.tolist(), zip(cum.tolist(), target.tolist(), skip, then)))
+            layout.append(([by_group.get(g) for g in group.tolist()],
+                           [math.inf if d > m else d for d in ahead[i].tolist()]))
         return layout
 
 
@@ -196,21 +219,46 @@ def gibbs_step(row: tuple, tables: list[ConditionalTable],
 def _run_on_index(layout, row: int, config: ChainConfig,
                   rng: np.random.Generator) -> list[int]:
     """Run a chain from unique row ``row``; return the unique rows kept.
+
     Uniforms come in blocks of whole scans, in the order single draws per
-    update would take them."""
-    total = config.warmup + config.thinning * config.target_count
-    per_block = max(1, UNIFORM_BLOCK // len(layout))
-    kept = []
-    scan = 0
-    while scan < total:
-        n_scans = min(per_block, total - scan)
-        draws = iter(rng.random(n_scans * len(layout)).tolist())
-        for _ in range(n_scans):
-            for cum, nxt in layout:
-                row = nxt[row][bisect_right(cum[row], next(draws))]
-            scan += 1
-            if scan > config.warmup and (scan - config.warmup) % config.thinning == 0:
-                kept.append(row)
+    update would take them, and every block is drawn, so the generator ends
+    where a draw per update leaves it. Only the updates that can move are
+    visited (:meth:`ContextGroups.transitions`): an update whose group is a
+    point mass keeps the row, so each move carries the chain straight to
+    its landing row's next movable update, whose uniform is read by its
+    position in its block. The scans that end between two visited updates
+    keep the row they hold, and an absorbing row fills the rest of the kept
+    rows."""
+    m = len(layout)
+    end = (config.warmup + config.thinning * config.target_count) * m  # updates in the chain
+    block = max(1, UNIFORM_BLOCK // m) * m
+    moves = [move for move, _ in layout]
+    kept: list[int] = []
+    keep_at = (config.warmup + config.thinning) * m  # the update before which a row is kept
+    pos = layout[0][1][row]  # the next update to visit
+    var = pos % m if pos < end else 0
+    drawn = first = check = 0
+    draws: list[float] = []
+    while True:
+        if pos >= check:  # a row to keep, the chain's end or a new block of uniforms
+            if pos >= keep_at:
+                count = (min(pos, end) - keep_at) // (config.thinning * m) + 1
+                kept.extend(repeat(row, count))
+                keep_at += count * config.thinning * m
+            if pos >= end:
+                break
+            if pos >= drawn:
+                while pos >= drawn:
+                    first, values = drawn, rng.random(min(block, end - drawn))
+                    drawn += len(values)
+                draws = values.tolist()
+            check = min(keep_at, drawn)
+        cum, nxt, skip, then = moves[var][row]
+        k = bisect_right(cum, draws[pos - first])
+        row, var = nxt[k], then[k]
+        pos += skip[k]
+    while drawn < end:
+        drawn += len(rng.random(min(block, end - drawn)))
     return kept
 
 
@@ -251,8 +299,10 @@ def run_chain(train: AgentPool, config: ChainConfig) -> tuple[AgentPool, dict]:
     return pool, diagnostics
 
 
-# the Gibbs model file: a chain's resolved settings, without the per-draw target count
-CHAIN_SETTINGS = ("warmup", "thinning", "seed")
+# the Gibbs model file: a chain's resolved settings, without the per-draw
+# target count, and the JSON type of each
+CHAIN_SETTINGS = {"warmup": "an integer", "thinning": "an integer",
+                  "seed": "a non-negative integer"}
 
 
 def chain_to_dict(config: ChainConfig) -> dict:
@@ -262,14 +312,14 @@ def chain_to_dict(config: ChainConfig) -> dict:
 
 def chain_from_dict(doc: dict, target_count: int) -> ChainConfig:
     """Inverse of :func:`chain_to_dict` for a draw of ``target_count`` rows;
-    every setting must be an integer."""
+    every setting must be an integer, the seed a non-negative one."""
     expect(doc, "an object", "a Gibbs chain model", DataError)
     if doc.get("format") != "agentsynth-gibbs":
         raise DataError(f"not a Gibbs chain model: {doc.get('format')!r}")
     try:
         return ChainConfig(target_count, **{
-            key: expect(doc[key], "an integer", f"Gibbs chain {key}", DataError)
-            for key in CHAIN_SETTINGS})
+            key: expect(doc[key], kind, f"Gibbs chain {key}", DataError)
+            for key, kind in CHAIN_SETTINGS.items()})
     except (KeyError, ConfigError) as exc:
         raise DataError(f"malformed Gibbs chain model: {exc!r}") from None
 

@@ -13,13 +13,18 @@ variable pairs, and sample diversity through the distance of each
 generated agent to its nearest training agent (mu_NS, sigma_NS): both
 exactly zero precisely when every generated row replicates a training row.
 
-:func:`evaluate` bins each pool once per view (``dataset.view_counts``
-counts every subset of a view with one offset ``bincount`` per chunk),
-Cramer's V is read from the bivariate counts, and the report keeps the
-bin counts so scatter output writes them without binning again. The
+:func:`evaluate` counts each pool once: the marginal, bivariate and
+trivariate views come from one-hot products over the pool's distinct rows,
+each weighted by its multiplicity (:func:`_product_views`), or from
+``dataset.view_counts`` (one offset ``bincount`` per chunk of subsets)
+where that is the cheaper kernel; both give the same integers. Cramer's V
+is read from the bivariate counts, and the report keeps the bin counts so
+scatter output writes them without binning again, each cell looked up in
+one table of formatted frequencies per pool (:func:`count_reprs`). The
 single-subset functions (:func:`frequency_distribution_from_codes`,
-:func:`cramers_v_from_codes`) stay as the public API and as the reference
-the batched paths are tested against. Nearest-sample distances come from
+:func:`cramers_v_from_codes`), ``view_counts`` and
+:func:`_cramers_v_table` stay as the public API and as the references the
+batched paths are tested against. Nearest-sample distances come from
 one exact kernel for every schema mode: twice the number of mismatched
 one-hot variables, read from the codes, plus direct squared differences of
 the standardized numeric columns. It works on distinct rows, groups the
@@ -40,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import (CSV_WRITE_BLOCK, AgentPool, EncodedMatrix, check_codes, distinct_rows,
-                      standardize_column, view_counts, write_csv_block)
+                      row_groups, standardize_column, view_counts, write_csv_block)
 # perfbench/layers.py wraps this name on this module; it stays bound until
 # the benchmark's bindings are updated
 from .dataset import encode_pool  # noqa: F401
@@ -434,29 +439,196 @@ def view_subsets(n_variables: int, projection: tuple[int, ...]) -> dict[str, lis
 
 def _pool_vectors(codes: np.ndarray, value_counts, subsets) -> tuple[dict[str, np.ndarray],
                                                                      np.ndarray | None]:
-    """Every view, each binned once, as :class:`EvalReport` keeps it: bin
-    counts in ``np.min_scalar_type(n)`` for ``n`` rows, the projected view
-    as float64 frequencies. Also the Cramer's V of every pair (NaN where
-    undefined), read from the bivariate counts."""
+    """Every view of :func:`view_subsets`, each binned once, as
+    :class:`EvalReport` keeps it: bin counts in ``np.min_scalar_type(n)``
+    for ``n`` rows, the projected view as float64 frequencies. Also the
+    Cramer's V of every pair (NaN where undefined), read from the bivariate
+    counts (:func:`_cramers_v_pairs`).
+
+    The codes are checked once. The marginal, bivariate and trivariate
+    counts come from one-hot products over the pool's distinct rows, each
+    weighted by its multiplicity (:func:`_product_views`), unless their
+    cost estimate (:func:`_products_pay`) is above that of
+    ``dataset.view_counts``, which then counts each view. Both give the
+    same integers. The projected view is one subset, so the single-subset
+    function is the whole view (and perfbench's traced-pass test expects a
+    pipeline run to call it)."""
     n = codes.shape[0]
+    if n == 0:
+        raise DataError("frequency distribution of an empty pool")
+    check_codes(codes, value_counts)
+    rows, inverse = distinct_rows(codes)
+    counted = (_product_views(rows, np.bincount(inverse), value_counts)
+               if _products_pay(n, len(rows), value_counts) else {})
     vectors: dict[str, np.ndarray] = {}
-    pairwise = None
     for view, subs in subsets.items():
-        # One subset: the single-subset function is the whole view (and
-        # perfbench's traced-pass test expects a pipeline run to call it).
         if view == "projected":
             vectors[view] = frequency_distribution_from_codes(codes, value_counts, subs[0]).freqs
-            continue
-        counts, offsets = view_counts(codes, value_counts, subs)
-        vectors[view] = counts.astype(np.min_scalar_type(n))
-        if view == "bivariate":
-            pairwise = np.full(len(subs), np.nan)
-            for s, (i, j) in enumerate(subs):
-                table = counts[offsets[s]:offsets[s + 1]].reshape(value_counts[i], value_counts[j])
-                v = _cramers_v_table(table.astype(float), n)
-                if v is not None:
-                    pairwise[s] = v
+        elif view in counted:
+            vectors[view] = counted.pop(view)
+        else:
+            vectors[view] = view_counts(codes, value_counts, subs)[0].astype(
+                np.min_scalar_type(n))
+    pairwise = (_cramers_v_pairs(vectors["bivariate"], value_counts, n)
+                if "bivariate" in vectors else None)
     return vectors, pairwise
+
+
+# Elements per block of float32 one-hot rows in _leading_products (256 KB):
+# no more of a pool's one-hot encoding exists at once.
+ONEHOT_BLOCK = 1 << 16
+# What one multiply-add of the one-hot products costs, in bin ids that
+# view_counts forms and counts in the same time. Calibrated at one BLAS
+# thread on the benchmark workloads' pools: the products won at estimate
+# ratios (multiply-adds per bin id) up to 31 (lc20-run, bn-search, 60
+# variables of width 4) and were level or slower at 59-91 (mixed-staged).
+PRODUCT_COST = 1 / 40
+
+
+def _products_pay(n: int, distinct: int, value_counts) -> bool:
+    """Whether :func:`_product_views` is the cheaper kernel for a pool of
+    ``n`` rows, ``distinct`` of them distinct: it spends about ``distinct *
+    sum_a C_a**2`` multiply-adds, ``C_a`` the padded one-hot columns after
+    variable ``a`` (:func:`_leading_products`), where ``view_counts`` forms
+    ``n * subsets`` bin ids for the pairs and triplets."""
+    m = len(value_counts)
+    squares = sum(((m - a - 1) * max(value_counts[a + 1:])) ** 2 for a in range(m - 1))
+    subsets = m * (m - 1) // 2 + m * (m - 1) * (m - 2) // 6
+    return distinct * squares * PRODUCT_COST <= n * subsets
+
+
+def _product_views(rows: np.ndarray, weights: np.ndarray, value_counts) -> dict[str, np.ndarray]:
+    """The marginal, bivariate and trivariate counts (the views of two or
+    three variables where there are that many) of a pool given as its
+    distinct code ``rows`` and their multiplicities ``weights``: the
+    integers ``dataset.view_counts`` returns for the expanded pool, in its
+    layout, in ``np.min_scalar_type(n)`` for ``n = weights.sum()`` rows.
+
+    Marginals are weighted bincounts. Every pair and triplet led by
+    variable ``a`` is read from ``a``'s product stack
+    (:func:`_leading_products`, :func:`_leading_views`), and the floats
+    are written straight into the narrow counts. The
+    products are exact: every entry, and every partial sum BLAS forms on
+    the way, is an integer of at most ``n``, exact in float32 below 2^24;
+    from a total weight of 2^24 on they run in float64 (exact below 2^53).
+    """
+    n, m = int(weights.sum()), rows.shape[1]
+    out = np.min_scalar_type(n)
+    dtype = np.float32 if n < 2 ** 24 else np.float64
+    views = {"marginal": np.concatenate([
+        np.bincount(rows[:, j], weights, minlength=w) for j, w in enumerate(value_counts)
+    ]).astype(out)}
+    if m < 2:
+        return views
+    sizes = [0, 0, 0]  # bins of the views of one, two and three variables
+    for w in value_counts:
+        sizes[2] += sizes[1] * w
+        sizes[1] += sizes[0] * w
+        sizes[0] += w
+    bivariate, trivariate = np.empty(sizes[1], out), np.empty(sizes[2], out)
+    weights = weights.astype(dtype)
+    done_pairs = done_triplets = 0  # bins written so far
+    for a in range(m - 1):
+        stack = _leading_products(rows, weights, value_counts, a)
+        pairs, triplets = _leading_views(stack, value_counts[a + 1:])
+        bivariate[done_pairs:done_pairs + len(pairs)] = pairs
+        trivariate[done_triplets:done_triplets + len(triplets)] = triplets
+        done_pairs += len(pairs)
+        done_triplets += len(triplets)
+    views["bivariate"] = bivariate
+    if m > 2:
+        views["trivariate"] = trivariate
+    return views
+
+
+def _leading_products(rows: np.ndarray, weights: np.ndarray, value_counts,
+                      a: int) -> np.ndarray:
+    """Variable ``a``'s product stack ``P``, of shape ``(w_a, C, C)``:
+    ``P[v]`` is ``sum_r weights[r] * x_r x_r^T`` over the rows ``r`` whose
+    code at ``a`` is ``v``, in ``weights``' dtype. ``x_r`` is the one-hot of
+    the row's codes after ``a``, each variable padded to the widest of them
+    (``C`` columns; one ``np.take`` from an identity builds a block).
+
+    The rows are ordered by (code at ``a``, weight above 1) and multiplied
+    in blocks of at most ``ONEHOT_BLOCK`` one-hot elements: ``X^T X`` (one
+    symmetric product) for rows of weight 1, ``(X * w)^T X`` for the rest.
+    """
+    later, wa = rows.shape[1] - a - 1, value_counts[a]
+    pad = max(value_counts[a + 1:])
+    width = later * pad
+    stack = np.zeros((wa, width, width), weights.dtype)
+    key = rows[:, a].astype(np.intp) * 2 + (weights > 1)
+    order = np.argsort(key, kind="stable")
+    ends = np.cumsum(np.bincount(key, minlength=2 * wa))
+    step = max(1, ONEHOT_BLOCK // width)
+    eye = np.eye(pad, dtype=weights.dtype)
+    hot = np.empty((step, later, pad), weights.dtype)
+    scaled = np.empty((step, width), weights.dtype)
+    for segment in range(2 * wa):
+        v, weighted = divmod(segment, 2)
+        for lo in range(ends[segment - 1] if segment else 0, ends[segment], step):
+            take = order[lo:min(lo + step, ends[segment])]
+            x = np.take(eye, rows[take, a + 1:], axis=0, mode="clip",
+                        out=hot[:len(take)]).reshape(len(take), width)
+            if weighted:
+                x_w = np.multiply(x, weights[take, None], out=scaled[:len(take)])
+                stack[v] += x_w.T @ x
+            else:
+                stack[v] += x.T @ x
+    return stack
+
+
+def _leading_views(stack: np.ndarray, later) -> tuple[np.ndarray, np.ndarray]:
+    """The bins of the pairs and of the triplets led by variable ``a``,
+    read from its product stack (:func:`_leading_products`; ``later`` are
+    the widths of the variables after ``a``) in ``view_counts``' order:
+    pair ``(a, b)`` is the diagonal of block ``(b, b)`` and triplet ``(a,
+    b, c)`` block ``(b, c)``, for ``b < c`` in combination order, each over
+    its bins ``(v, v_b[, v_c])`` in C order, the padding columns dropped."""
+    wa, k = stack.shape[0], len(later)
+    pad = stack.shape[1] // k
+    blocks = stack.reshape(wa, k, pad, k, pad)
+    real = np.arange(pad) < np.asarray(later)[:, None]  # (variable, column) not padding
+    pairs = np.einsum("vbibi->bvi", blocks)[np.broadcast_to(real[:, None], (k, wa, pad))]
+    b, c = np.triu_indices(k, 1)
+    triplets = blocks.transpose(1, 3, 0, 2, 4)[b, c]
+    cells = (real[b, :, None] & real[c, None, :])[:, None]
+    return pairs, triplets[np.broadcast_to(cells, triplets.shape)]
+
+
+def _cramers_v_pairs(counts: np.ndarray, value_counts, n: int) -> np.ndarray:
+    """The Cramer's V of every pair from the bivariate counts, NaN where
+    :func:`_cramers_v_table` returns None, with its floating-point
+    operations in its order: pairs are grouped by table shape and, within a
+    shape, by the numbers of non-empty rows and columns, and each group is
+    one vectorized pass over its tables with the empty rows and columns
+    dropped."""
+    m = len(value_counts)
+    first, second = np.triu_indices(m, 1)
+    widths = np.asarray(value_counts)
+    sizes = widths[first] * widths[second]
+    offsets = np.cumsum(sizes) - sizes
+    pairwise = np.full(len(first), np.nan)
+    for wi, wj in sorted(set(zip(widths[first].tolist(), widths[second].tolist()))):
+        pairs = np.flatnonzero((widths[first] == wi) & (widths[second] == wj))
+        tables = counts[offsets[pairs, None] + np.arange(wi * wj)].reshape(-1, wi, wj)
+        tables = tables.astype(float)
+        full_rows, full_cols = tables.sum(axis=2) > 0, tables.sum(axis=1) > 0
+        r, c = full_rows.sum(axis=1), full_cols.sum(axis=1)
+        for ri, ci in sorted(set(zip(r.tolist(), c.tolist()))):
+            if ri < 2 or ci < 2:
+                continue
+            group = np.flatnonzero((r == ri) & (c == ci))
+            # the non-empty rows and columns of each table, in order
+            keep_r = np.argsort(~full_rows[group], axis=1, kind="stable")[:, :ri]
+            keep_c = np.argsort(~full_cols[group], axis=1, kind="stable")[:, :ci]
+            table = tables[group[:, None, None], keep_r[:, :, None], keep_c[:, None, :]]
+            row = table.sum(axis=2, keepdims=True)
+            col = table.sum(axis=1, keepdims=True)
+            expected = row @ col / n
+            chi2 = np.sum((table - expected) ** 2 / expected, axis=(1, 2))
+            pairwise[pairs[group]] = np.minimum(1.0, np.sqrt(chi2 / (n * min(ri - 1, ci - 1))))
+    return pairwise
 
 
 def evaluate(method_pools: dict[str, AgentPool], test_pool: AgentPool,
@@ -607,31 +779,88 @@ def _float_reprs(vec: np.ndarray) -> list[str]:
     return reprs[inverse].tolist()
 
 
-def write_scatter_csv(test: tuple[np.ndarray, int], pools: dict[str, tuple[np.ndarray, int]],
+def count_reprs(vectors, n: int) -> np.ndarray:
+    """The scatter cell of every count that the bin-count ``vectors`` of a
+    pool of ``n`` rows hold (float vectors among them are skipped):
+    ``repr(c / n)``, in an object array indexed by the count, None at the
+    counts none of them holds. Python's ``c / n`` and numpy's float64
+    ``counts / n`` both round the exact quotient of two integers below
+    2^53 once, so the strings are those of the divided vectors."""
+    held = np.zeros(n + 1, dtype=bool)
+    for vec in vectors:
+        if vec.dtype.kind == "u":
+            held[vec] = True
+    counts = np.flatnonzero(held)
+    reprs = np.full(n + 1, None, dtype=object)
+    reprs[counts] = [repr(c / n) for c in counts.tolist()]
+    return reprs
+
+
+def write_scatter_csv(test: tuple[np.ndarray, np.ndarray], pools: dict[str, tuple],
                       path) -> None:
     """One view's scatter data, ready for external plotting: one row per
     bin with its ``bin_id``, the test frequency (``test_frequency``) and a
     column per pool named after it, in the order of ``pools``. Each column
-    is a pair ``(vector, n)``: the view as :class:`EvalReport` keeps it and
-    its pool's row count. Bin counts are written as ``counts / n``, divided
-    one block of rows at a time, and float vectors as they are. The bytes
-    are those ``csv.writer`` writes, ``\\r\\n`` line ends included. Rows are
-    formatted ``CSV_WRITE_BLOCK`` at a time, each column once per block."""
+    is a pair ``(vector, reprs)``: the view as :class:`EvalReport` keeps it
+    and its pool's :func:`count_reprs` table, from which each bin count's
+    cell is looked up; a float vector is formatted as it is
+    (:func:`_float_reprs`), and its ``reprs`` is not read. The bytes are
+    those ``csv.writer`` writes, ``\\r\\n`` line ends included. Rows are
+    formatted ``CSV_WRITE_BLOCK`` at a time."""
     columns = [test, *pools.values()]
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(["bin_id", "test_frequency", *pools])
         for start in range(0, len(test[0]), CSV_WRITE_BLOCK):
             stop = min(start + CSV_WRITE_BLOCK, len(test[0]))
             write_csv_block(fh, [map(str, range(start, stop)),
-                                 *(_float_reprs(_frequencies(vec[start:stop], n))
-                                   for vec, n in columns)])
+                                 *(reprs[vec[start:stop]].tolist() if vec.dtype.kind == "u"
+                                   else _float_reprs(vec[start:stop]) for vec, reprs in columns)])
 
 
-def write_pca_csv(coords: np.ndarray, path) -> None:
+def write_pca_csv(coords: np.ndarray, path, codes: np.ndarray | None = None) -> None:
     """PCA coordinates, one row per agent, as ``csv.writer`` writes them;
-    rows are formatted ``CSV_WRITE_BLOCK`` at a time, column by column."""
+    rows are formatted ``CSV_WRITE_BLOCK`` at a time, column by column.
+
+    ``codes``, the pool's code rows (one per coordinate row), lets rows
+    share their formatting: when code rows repeat and every group of equal
+    code rows has bit-identical coordinates, the line of each group that
+    repeats is formatted once and written for each of its rows through the
+    group index, and only the rows of single-row groups are formatted per
+    block. Otherwise (a mixed schema's numerics differ within a group, say)
+    every row is formatted per block, as without ``codes``."""
+    coords = np.ascontiguousarray(coords, dtype=np.float64)
+    shared = None if codes is None else _shared_lines(coords, codes)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(f"pc{k + 1}" for k in range(coords.shape[1])) + "\r\n")
         for start in range(0, len(coords), CSV_WRITE_BLOCK):
-            write_csv_block(fh, [_float_reprs(column)
-                                 for column in coords[start:start + CSV_WRITE_BLOCK].T])
+            block = coords[start:start + CSV_WRITE_BLOCK]
+            if shared is None:
+                write_csv_block(fh, [_float_reprs(column) for column in block.T])
+                continue
+            lines = shared[0][shared[1][start:start + CSV_WRITE_BLOCK]]
+            alone = np.flatnonzero(np.equal(lines, None))
+            lines[alone] = list(map(",".join, zip(*(_float_reprs(column)
+                                                    for column in block[alone].T))))
+            fh.write("\r\n".join(lines.tolist()))
+            fh.write("\r\n")
+
+
+def _shared_lines(coords: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """For :func:`write_pca_csv`: the formatted line of every group of equal
+    code rows that holds two or more rows (None for the other groups), and
+    the group of every row; None when no code row repeats, or when some
+    group's coordinates are not bit-identical. Rows are checked
+    ``CSV_WRITE_BLOCK`` at a time against the first row of their group."""
+    member, group = row_groups(codes)
+    repeated = np.flatnonzero(np.bincount(group) > 1)
+    if len(repeated) == 0:
+        return None
+    bits = coords.view(np.int64)
+    for start in range(0, len(coords), CSV_WRITE_BLOCK):
+        rows = group[start:start + CSV_WRITE_BLOCK]
+        if not np.array_equal(bits[start:start + CSV_WRITE_BLOCK], bits[member[rows]]):
+            return None
+    lines = np.full(len(member), None, dtype=object)
+    lines[repeated] = list(map(",".join, zip(*(_float_reprs(column)
+                                               for column in coords[member[repeated]].T))))
+    return lines, group

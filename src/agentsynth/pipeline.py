@@ -18,7 +18,9 @@ pools, scatter/<view>.csv and pca/<pool>.csv (and pca/train.csv). A scatter
 file has one row per bin of the view: bin_id, test_frequency, then one
 column per pool named after it, the methods in configuration order and then
 the two baselines. Scatter rows are formatted, and PCA coordinates encoded,
-projected and formatted, in blocks of dataset.CSV_WRITE_BLOCK rows.
+projected and formatted, in blocks of dataset.CSV_WRITE_BLOCK rows; the
+scatter cells of a pool come from one table of formatted frequencies, and
+PCA rows with equal codes and bit-identical coordinates share one line.
 
 All randomness flows from one master seed through named substreams, so two
 runs with the same configuration produce byte-identical report JSON;
@@ -66,6 +68,10 @@ METHOD_PARAMS = {
     "gibbs": {"warmup": "an integer", "thinning": "an integer", "seed": "a non-negative integer"},
     "bn": {"algorithm": "a string", "max_parents": "an integer"},
 }
+# what train_method uses for the VAE architecture and BN params a method leaves unset
+METHOD_DEFAULTS = {"vae": {"hidden": [50], "latent_dim": 10, "beta": 0.5},
+                   "bn": {"algorithm": "tree", "max_parents": 3}}
+BN_ALGORITHMS = ("tree", "greedy", "exact")
 # the JSON types of the configuration document's objects (config_from_json)
 CONFIG_FIELDS = {"seed": "a non-negative integer", "out_dir": "a string", "data": "an object",
                  "split": "an object", "methods": "a list", "generation_count": "an integer",
@@ -96,6 +102,33 @@ class MethodSpec:
             raise ConfigError(f"method name {self.name!r} is reserved")
         expect_fields(self.params, METHOD_PARAMS[self.kind], f"method {self.name!r}: params",
                       f"method {self.name!r}: ")
+        try:
+            _check_ranges(self.kind, dict(self.params))
+        except ConfigError as exc:
+            raise ConfigError(f"method {self.name!r}: {exc}") from None
+
+
+def _check_ranges(kind: str, params: dict) -> None:
+    """ConfigError for every param out of its range that no data is needed
+    to see, so that a configuration fails when it loads, before any stage:
+    the VAE architecture, grid options, batching and selection settings
+    (through the checks vae.build_vae and vae.TrainConfig run), the Gibbs
+    warmup and thinning (gibbs.ChainConfig), and the BN algorithm and
+    max_parents. What names schema variables is checked where the schema
+    is known."""
+    if kind == "vae":
+        given = {**METHOD_DEFAULTS[kind], **params}
+        vae.check_architecture(given["hidden"], given["latent_dim"], given["beta"])
+        vae.TrainConfig(**{key: value for key, value in params.items()
+                           if key in vae.TrainConfig.__dataclass_fields__}).grid()
+    elif kind == "gibbs":
+        gibbs.ChainConfig(0, **params)
+    else:
+        given = {**METHOD_DEFAULTS[kind], **params}
+        if given["algorithm"] not in BN_ALGORITHMS:
+            raise ConfigError(f"unknown BN algorithm {given['algorithm']!r}")
+        if given["max_parents"] < 0:
+            raise ConfigError("max_parents must be >= 0")
 
 
 @dataclass
@@ -272,14 +305,13 @@ def train_method(config: ExperimentConfig, method: MethodSpec, train: AgentPool,
     seed = int(rng_fit.integers(2 ** 31))
     (out / "models").mkdir(parents=True, exist_ok=True)
     path = out / "models" / f"{method.name}.json"
-    params = method.params
     if method.kind == "vae":
         enc_train = encode_pool(train)
         enc_val = encode_pool(validation, standardization=enc_train.standardization)
         train_config = vae.TrainConfig(
             **{"seed": seed, **_given(method, vae.TrainConfig.__dataclass_fields__)})
-        model = vae.build_vae(train.schema, tuple(params.get("hidden", (50,))),
-                              params.get("latent_dim", 10), params.get("beta", 0.5), rng_fit)
+        model = vae.build_vae(train.schema, tuple(_param(method, "hidden")),
+                              _param(method, "latent_dim"), _param(method, "beta"), rng_fit)
         result = vae.train(model, enc_train, enc_val, train_config)
         vae.save_checkpoint(result.model, path, extra={
             "grid": result.grid_records, "selection_score": result.selection_score})
@@ -294,28 +326,29 @@ def train_method(config: ExperimentConfig, method: MethodSpec, train: AgentPool,
             json.dump(chain, fh, indent=2)
         return chain
     # Bayesian network; conditionals are frequency tables, so every variable
-    # must be categorical (numerics converted via bins)
+    # must be categorical (numerics converted via bins). The algorithm and
+    # max_parents were checked when the method was configured.
     if train.schema.mode != "discretize-all":
         raise ConfigError("the bn method needs a discretize-all schema")
-    algorithm = params.get("algorithm", "tree")
+    algorithm = _param(method, "algorithm")
     codes = pool_to_codes(train)
     counts = train.schema.value_counts
     started = time.perf_counter()
     if algorithm == "tree":
         dag = bayesnet.chow_liu(codes, counts)
     elif algorithm == "greedy":
-        max_parents = params.get("max_parents", 3)
-        if max_parents < 0:
-            raise ConfigError(f"method {method.name!r}: max_parents must be >= 0")
-        dag = bayesnet.greedy_search(codes, counts, max_parents=max_parents)
-    elif algorithm == "exact":
-        dag = bayesnet.exact_search(codes, counts)
+        dag = bayesnet.greedy_search(codes, counts, max_parents=_param(method, "max_parents"))
     else:
-        raise ConfigError(f"unknown BN algorithm {algorithm!r}")
+        dag = bayesnet.exact_search(codes, counts)
     runtime = time.perf_counter() - started
     cpts = bayesnet.fit_cpts(dag, codes, counts)
     bayesnet.save_bn(dag, cpts, algorithm, path, runtime, bayesnet.mdl_score(dag, codes, counts))
     return dag, cpts
+
+
+def _param(method: MethodSpec, key: str):
+    """The param ``key`` of ``method``, or its default (METHOD_DEFAULTS)."""
+    return method.params.get(key, METHOD_DEFAULTS[method.kind][key])
 
 
 def _given(method: MethodSpec, names) -> dict:
@@ -401,24 +434,31 @@ def evaluate_pools(config: ExperimentConfig, pools: dict[str, AgentPool], train:
 def write_run_outputs(report: metrics.EvalReport, train: AgentPool,
                       pools: dict[str, AgentPool], out: Path) -> None:
     """What only :func:`run_pipeline` writes: the baseline pools, one
-    scatter file per view with a column per pool, and every pool's
-    coordinates in the training data's principal components."""
+    scatter file per view with a column per pool, each pool's cells looked
+    up in one ``metrics.count_reprs`` table over the counts of all its
+    views, and every pool's coordinates in the training data's principal
+    components, written with the pool's codes so that repeated rows share
+    their line (``metrics.write_pca_csv``)."""
     for directory in ("pools", "scatter", "pca"):
         (out / directory).mkdir(exist_ok=True)
     for name in BASELINE_NAMES:
         write_pool_csv(pools[name], out / "pools" / f"{name}.csv")
+    test_reprs = metrics.count_reprs(report.test_vectors.values(), report.test_size)
+    reprs = {name: metrics.count_reprs(report.vectors[name].values(), report.sizes[name])
+             for name in pools}
     for view, test_vec in report.test_vectors.items():
-        metrics.write_scatter_csv((test_vec, report.test_size),
-                                  {name: (report.vectors[name][view], report.sizes[name])
+        metrics.write_scatter_csv((test_vec, test_reprs),
+                                  {name: (report.vectors[name][view], reprs[name])
                                    for name in pools},
                                   out / "scatter" / f"{view}.csv")
+    del test_reprs, reprs
     enc_train = encode_pool(train)
     pca, standardization = metrics.pca_fit(enc_train), enc_train.standardization
     k = min(PCA_COMPONENTS, enc_train.values.shape[1])
     del enc_train  # the projections encode one block at a time
     for name, pool in [("train", train), *pools.items()]:
         metrics.write_pca_csv(_pca_coordinates(pca, pool, standardization, k),
-                              out / "pca" / f"{name}.csv")
+                              out / "pca" / f"{name}.csv", pool.codes)
 
 
 def _pca_coordinates(pca: metrics.PcaModel, pool: AgentPool,

@@ -138,7 +138,7 @@ class VaeModel:
     layout: HeadLayout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_point((), self.latent_dim, self.beta)
+        check_architecture((), self.latent_dim, self.beta)
         self.packed = pack_parameters((self.encoder, self.decoder))
         self.layout = head_layout(self.decoder.heads)
 
@@ -187,7 +187,7 @@ class TrainConfig:
         if not grid:
             raise ConfigError("grid search needs at least one value per option")
         for point in grid:
-            _check_point(*point)
+            check_architecture(*point)
         return grid
 
 
@@ -210,7 +210,7 @@ def decoder_heads(schema: Schema) -> tuple[Head, ...]:
     return tuple(heads)
 
 
-def _check_point(hidden, latent_dim: int, beta: float) -> None:
+def check_architecture(hidden, latent_dim: int, beta: float) -> None:
     """ConfigError unless all layer widths are >= 1 and beta is positive."""
     if latent_dim < 1 or any(width < 1 for width in hidden):
         raise ConfigError(f"layer widths must be >= 1, got hidden {list(hidden)} "
@@ -222,7 +222,7 @@ def _check_point(hidden, latent_dim: int, beta: float) -> None:
 def build_vae(schema: Schema, hidden: tuple[int, ...], latent_dim: int, beta: float,
               rng: np.random.Generator) -> VaeModel:
     """Encoder n -> hidden -> (mu, logvar); decoder with the mirrored stack."""
-    _check_point(hidden, latent_dim, beta)
+    check_architecture(hidden, latent_dim, beta)
     n = schema.encoded_width
     encoder = init_mlp(n, tuple(hidden),
                        (Head("linear", latent_dim), Head("linear", latent_dim)), rng)

@@ -154,15 +154,16 @@ class TestStagedFlow:
         assert metadata["sizes"] == {"train": 150, "validation": 50, "test": 300}
 
     def test_failing_train_records_its_stage(self, tmp_path):
+        # a variable name is checked against the schema, so only when training
         out = tmp_path / "o"
         config = _write_config(tmp_path, out, methods=[
-            {"name": "bn", "kind": "bn", "params": {"algorithm": "wrong"}}])
+            {"name": "vae", "kind": "vae", "params": {"selection_variables": ["nope"]}}])
         assert main(["prepare", "--config", str(config)]) == 0
-        assert main(["train", "--config", str(config), "--method", "bn"]) == 2
+        assert main(["train", "--config", str(config), "--method", "vae"]) == 2
         info = _run_info(out)
-        assert (info["status"], info["stage"]) == ("failed", "train:bn")
-        assert "unknown BN algorithm" in info["error"]
-        assert not (out / "models" / "bn.json").exists()
+        assert (info["status"], info["stage"]) == ("failed", "train:vae")
+        assert "selection_variables must name distinct schema variables" in info["error"]
+        assert not (out / "models" / "vae.json").exists()
 
     def test_run_subcommand(self, tmp_path):
         out = tmp_path / "runout"
@@ -294,19 +295,12 @@ class TestExitCodes:
         ("vae", {"selection_variables": ["x00", "nope"]}, "must name distinct schema variables"),
         ("vae", {"selection_variables": ["x00", "x00"]}, "must name distinct schema variables"),
         ("vae", {"selection_variables": []}, "must name distinct schema variables"),
-        ("vae", {"selection_samples": -5}, "selection_samples must be >= 1"),
-        ("vae", {"selection_samples": 0}, "selection_samples must be >= 1"),
-        ("vae", {"latent_dim": 0}, "layer widths must be >= 1"),
-        ("vae", {"latent_dim": -2}, "layer widths must be >= 1"),
-        ("vae", {"hidden": [0]}, "layer widths must be >= 1"),
-        ("vae", {"latent_options": [2, 0]}, "layer widths must be >= 1"),
-        ("vae", {"hidden_options": [[]], "latent_options": [], "beta_options": [0.1]},
-         "at least one value per option"),
-        ("bn", {"algorithm": "greedy", "max_parents": -1}, "max_parents must be >= 0"),
     ])
     def test_invalid_method_setting_is_config_error(self, tmp_path, capsys, kind, params,
                                                     message):
-        # every setting fails before training writes the model file
+        # a setting that names schema variables fails before training writes
+        # the model file; the settings that need no data fail when the
+        # configuration loads (TestExitCodeContract)
         grid = {"hidden_options": [[6]], "latent_options": [2], "beta_options": [0.1],
                 "epochs": 2} if kind == "vae" else {}
         out = tmp_path / "o"
@@ -556,7 +550,10 @@ class TestExitCodeContract:
         ("bn", lambda doc: {**doc, "n_nodes": "4"}, "BN n_nodes must be an integer, got '4'"),
         ("gibbs", lambda doc: {**doc, "warmup": 1.5},
          "Gibbs chain warmup must be an integer, got 1.5"),
-        ("gibbs", lambda doc: {**doc, "seed": True}, "Gibbs chain seed must be an integer"),
+        ("gibbs", lambda doc: {**doc, "seed": True},
+         "Gibbs chain seed must be a non-negative integer"),
+        ("gibbs", lambda doc: {**doc, "seed": -1},
+         "Gibbs chain seed must be a non-negative integer, got -1"),
     ])
     def test_malformed_model_file_exits_3(self, trained, method, corrupt, message):
         config, docs = trained
@@ -602,6 +599,33 @@ class TestExitCodeContract:
          "it accepts ['name', 'kind', 'params']"),
         ("prepare", ("data", "synthetic", "sise"), 50,
          "data.synthetic has unknown keys ['sise']; it accepts ['kind', 'size', "),
+        # range errors that need no data fail when the configuration loads
+        ("run", ("methods", 0, "params", "hidden"), [0],
+         "method 'vae': layer widths must be >= 1, got hidden [0]"),
+        ("prepare", ("methods", 0, "params", "latent_dim"), -2,
+         "method 'vae': layer widths must be >= 1"),
+        ("prepare", ("methods", 0, "params", "beta"), 0, "method 'vae': beta must be positive"),
+        ("prepare", ("methods", 0, "params", "latent_options"), [2],
+         "method 'vae': grid search needs hidden, latent, and beta options together"),
+        ("prepare", ("methods", 0, "params"),
+         {"hidden_options": [[6]], "latent_options": [2, 0], "beta_options": [0.1]},
+         "method 'vae': layer widths must be >= 1"),
+        ("prepare", ("methods", 0, "params"),
+         {"hidden_options": [[6]], "latent_options": [2], "beta_options": [0.0]},
+         "method 'vae': beta must be positive"),
+        ("prepare", ("methods", 0, "params"),
+         {"hidden_options": [[]], "latent_options": [], "beta_options": [0.1]},
+         "method 'vae': grid search needs at least one value per option"),
+        ("prepare", ("methods", 0, "params", "selection_samples"), 0,
+         "method 'vae': selection_samples must be >= 1"),
+        ("prepare", ("methods", 0, "params", "harden"), "mode",
+         "method 'vae': unknown hardening rule 'mode'"),
+        ("prepare", ("methods", 1, "params", "warmup"), -1, "method 'gibbs': warmup must be >= 0"),
+        ("run", ("methods", 1, "params", "thinning"), 0, "method 'gibbs': thinning must be >= 1"),
+        ("prepare", ("methods", 2, "params", "algorithm"), "wrong",
+         "method 'bn': unknown BN algorithm 'wrong'"),
+        ("run", ("methods", 2, "params"), {"algorithm": "greedy", "max_parents": -1},
+         "method 'bn': max_parents must be >= 0"),
     ])
     def test_malformed_config_exits_2_before_any_work(self, tmp_path, command, path, value,
                                                       message):

@@ -1,6 +1,7 @@
 """Gibbs sampler: conditionals, trapping, replication, chain accounting."""
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -245,6 +246,55 @@ class TestRunChainMatchesReference:
         out, _ = run_chain(pool, ChainConfig(target_count=5, warmup=0, thinning=1,
                                              init=("c0", "c0")))
         assert set(out.rows) == {("c9", "c0")}
+
+
+class TestMovableUpdates:
+    def test_ahead_counts_the_updates_to_the_next_movable_variable(self, rng):
+        """Oracle: a row's group for variable i can move it iff the group
+        holds two or more unique rows; from each variable the chain jumps
+        to the next such variable in scan order, and a row with none is
+        absorbing."""
+        for widths in ([2, 3, 2], [3, 3, 3, 3], [2] * 6, [4]):
+            pool = random_categorical_pool(rng, widths, int(rng.integers(1, 20)))
+            index = ContextGroups.from_codes(pool_to_codes(pool))
+            layout = index.transitions(widths)
+            m, n = len(widths), len(index.rows)
+            movable = [np.bincount(group)[group] > 1 for group in index.groups]
+
+            def ahead_of(i, r):
+                near = [d for d in range(m) if movable[(i + d) % m][r]]
+                return near[0] if near else math.inf
+
+            for i, (moves, ahead) in enumerate(layout):
+                assert len(moves) == len(ahead) == n
+                for r in range(n):
+                    assert ahead[r] == ahead_of(i, r)
+                    assert (moves[r] is not None) == bool(movable[i][r])
+                    if moves[r] is None:
+                        continue
+                    cum, nxt, skip, then = moves[r]
+                    # the bisection results a draw can give: a value of positive
+                    # probability, or the width (a draw past the rounded total)
+                    for k in range(len(cum) + 1):
+                        if k == len(cum) or cum[k] > (cum[k - 1] if k else 0.0):
+                            assert index.groups[i][nxt[k]] == index.groups[i][r]
+                            assert skip[k] == 1 + ahead_of((i + 1) % m, nxt[k])
+                            assert skip[k] == math.inf or then[k] == (i + skip[k]) % m
+
+    @pytest.mark.parametrize("block", [gibbs.UNIFORM_BLOCK, 7])
+    def test_absorbing_start_keeps_its_row_and_draws_every_uniform(self, monkeypatch, block):
+        # a pool of two rows that differ in two variables: no update moves
+        monkeypatch.setattr(gibbs, "UNIFORM_BLOCK", block)
+        schema = _pool_with_numeric(np.random.default_rng(3), [2, 2, 3], 0).schema
+        pool = AgentPool.from_rows(schema, [("c0", "c0", "c1", 0.5), ("c1", "c1", "c1", 0.5)])
+        index = ContextGroups.from_codes(pool_to_codes(pool))
+        assert all(moves == [None, None] and ahead == [math.inf, math.inf]
+                   for moves, ahead in index.transitions((2, 2, 3, 3)))
+        config = ChainConfig(target_count=9, warmup=4, thinning=3, seed=8,
+                             init=("c1", "c1", "c1", 0.5))
+        out, diag = run_chain(pool, config)
+        assert out.rows == reference_chain(estimate_conditionals(pool), pool, config).rows
+        assert diag["distinct_rows"] == 1
 
 
 class TestIndexFootprint:

@@ -1,6 +1,7 @@
 """Frequency views, SRMSE, Cramer's V, diversity, PCA, evaluation reports."""
 
 import csv
+import dataclasses
 import itertools
 import json
 import tracemalloc
@@ -24,6 +25,7 @@ from agentsynth.metrics import (
     _srmse_vec,
     codes_for_pool,
     corr_r2,
+    count_reprs,
     cramers_v,
     cramers_v_from_codes,
     evaluate,
@@ -144,6 +146,137 @@ class TestPoolVectors:
         codes = rng.integers(0, 3, size=(20, 1))
         vectors, pairwise = _pool_vectors(codes, (3,), view_subsets(1, (0,)))
         assert pairwise is None and list(vectors) == ["marginal", "projected"]
+
+
+def _views_by_view_counts(codes, widths):
+    """The marginal, bivariate and trivariate views of ``codes`` counted by
+    dataset.view_counts, in the narrow dtype the report keeps."""
+    out = np.min_scalar_type(len(codes))
+    return {view: view_counts(codes, widths, list(itertools.combinations(range(len(widths)), k))
+                              )[0].astype(out)
+            for view, k in (("marginal", 1), ("bivariate", 2), ("trivariate", 3))
+            if k <= len(widths)}
+
+
+def _product_views_of(codes, widths):
+    rows, inverse = dataset.distinct_rows(codes)
+    return metrics._product_views(rows, np.bincount(inverse), widths)
+
+
+def _assert_same_views(got, want):
+    assert list(got) == list(want)
+    for view in want:
+        assert got[view].dtype == want[view].dtype, view
+        assert np.array_equal(got[view], want[view]), view
+
+
+class TestProductViews:
+    """The one-hot products count every view exactly as view_counts does."""
+
+    @pytest.mark.parametrize("n_vars", [1, 2, 3, 5, 7])
+    @pytest.mark.parametrize("block", [7, 64, metrics.ONEHOT_BLOCK])
+    def test_equal_view_counts_on_random_pools(self, rng, monkeypatch, n_vars, block):
+        # small blocks split every (variable, value) segment of rows
+        monkeypatch.setattr(metrics, "ONEHOT_BLOCK", block)
+        for _ in range(3):
+            widths = tuple(rng.integers(2, 6, size=n_vars).tolist())
+            n = int(rng.integers(1, 120))
+            codes = np.column_stack([rng.integers(0, w, size=n) for w in widths])
+            # repeat some rows, so that rows of weight 1 and above 1 mix
+            codes = np.concatenate([codes, codes[rng.integers(0, n, size=n // 2)]])
+            codes = codes.astype(np.uint8)
+            _assert_same_views(_product_views_of(codes, widths),
+                               _views_by_view_counts(codes, widths))
+
+    def test_one_row_and_all_duplicate_pools(self):
+        widths = (2, 5, 3, 4)
+        row = np.array([[1, 4, 0, 3]], dtype=np.uint8)
+        for codes in (row, np.repeat(row, 300, axis=0)):
+            _assert_same_views(_product_views_of(codes, widths),
+                               _views_by_view_counts(codes, widths))
+
+    @pytest.mark.parametrize("mode", ["discretize-all", "mixed"])
+    def test_binned_numerics(self, rng, monkeypatch, mode):
+        """Numerical variables are counted by their clamped bins in either
+        schema mode, and _pool_vectors gives the same vectors by both
+        kernels."""
+        schema = dataclasses.replace(_mixed_schema((3, 2, 4), 2), mode=mode)
+        pool = _mixed_pool(rng, schema, 300)
+        widths, subsets = schema.value_counts, view_subsets(5, (0, 3, 4))
+        _assert_same_views(_product_views_of(pool.codes, widths),
+                           _views_by_view_counts(pool.codes, widths))
+        kept = {}
+        for products in (True, False):
+            monkeypatch.setattr(metrics, "_products_pay", lambda *args, use=products: use)
+            kept[products] = _pool_vectors(pool.codes, widths, subsets)
+        _assert_same_views(kept[True][0], kept[False][0])
+        assert np.array_equal(kept[True][1], kept[False][1], equal_nan=True)
+
+    @pytest.mark.parametrize("total", [2 ** 24, 2 ** 24 + 2])
+    def test_weight_total_from_two_to_the_24_runs_in_float64(self, total):
+        """A bin of 2^24 + 1 rows has no float32; the products switch to
+        float64 at a total weight of 2^24."""
+        widths = (2, 3, 2)
+        rows = np.array([[0, 1, 1], [1, 1, 1], [1, 2, 0]], dtype=np.uint8)
+        weights = np.array([2 ** 24 - 1, total - 2 ** 24, 1])
+        rows, weights = rows[weights > 0], weights[weights > 0]
+        got = metrics._product_views(rows, weights, widths)
+        # the counts of the expanded pool: each row's one-row counts, times its weight
+        want = {view: sum(w * vec.astype(np.int64) for w, vec in zip(
+                    weights, (_views_by_view_counts(row[None], widths)[view] for row in rows)))
+                for view in ("marginal", "bivariate", "trivariate")}
+        for view in want:
+            assert got[view].dtype == np.min_scalar_type(total) == np.uint32
+            assert np.array_equal(got[view], want[view]), view
+        # bin (1, 1) of pair (1, 2) holds the first two rows: 2^24 + 1 of them
+        assert got["bivariate"].max() == total - 1
+
+    def test_kernel_choice_follows_the_cost_estimate(self):
+        # 20 variables of width 4 (lc20): C_a**2 sums to 39,520 against 1,330
+        # subsets; 14 variables of widths 5 and 8 (mixed-staged), padded to
+        # 8, to 52,416 against 455
+        assert metrics._products_pay(10_000, 10_000, (4,) * 20)
+        assert metrics._products_pay(10_000, 136, (4,) * 20)
+        assert not metrics._products_pay(45_000, 25_377, (5,) * 10 + (8,) * 4)
+
+
+class TestCramersVPairs:
+    def test_equals_the_table_function(self, rng):
+        """Tables of every shape, with empty rows and columns and constant
+        variables: each pair's V is _cramers_v_table's, bit for bit, NaN
+        where it is None."""
+        for trial in range(12):
+            widths = tuple(rng.integers(2, 6, size=5).tolist())
+            n = int(rng.integers(2, 400))
+            codes = np.column_stack([rng.integers(0, w, size=n) for w in widths])
+            codes[:, 1] = np.minimum(codes[:, 1], 1)  # values 2 and up never occur
+            codes[:, trial % 5] = 0 if trial % 3 == 0 else codes[:, trial % 5]  # a constant
+            pairs = list(itertools.combinations(range(5), 2))
+            counts, offsets = view_counts(codes, widths, pairs)
+            got = metrics._cramers_v_pairs(counts.astype(np.min_scalar_type(n)), widths, n)
+            want = [metrics._cramers_v_table(
+                        counts[offsets[s]:offsets[s + 1]].reshape(widths[i], widths[j])
+                        .astype(float), n) for s, (i, j) in enumerate(pairs)]
+            assert [None if np.isnan(v) else v for v in got.tolist()] == want
+            assert None in want or trial % 3
+
+
+def test_pool_vectors_peak_stays_below_the_int64_trivariate_view():
+    """A 10,000-row pool of 60 variables of width 4: its trivariate view
+    has 2.19M bins, 17.5 MB as int64 counts, which _pool_vectors never
+    holds (the traced peak is the same on every run)."""
+    rng = np.random.default_rng(5)
+    codes = rng.integers(0, 4, size=(10_000, 60)).astype(np.uint8)
+    subsets = view_subsets(60, (0, 1, 2, 3))
+    bins = 64 * len(subsets["trivariate"])
+    tracemalloc.start()
+    try:
+        vectors, _ = _pool_vectors(codes, (4,) * 60, subsets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vectors["trivariate"].dtype == np.uint16 and len(vectors["trivariate"]) == bins
+    assert peak < 8 * bins, f"peak {peak / 2 ** 20:.1f} MB"
 
 
 class TestSrmse:
@@ -732,8 +865,8 @@ AWKWARD = [0.0, -0.0, 1.0, 1 / 3, 1e-300, 5e-324, 1.7976931348623157e308, float(
 
 def _float_columns(test_vec, pool_vecs):
     """Float frequency vectors as write_scatter_csv's columns: a float
-    vector is written as it is, whatever its row count."""
-    return (test_vec, 1), {name: (vec, 1) for name, vec in pool_vecs.items()}
+    vector is written as it is, and its cell table is not read."""
+    return (test_vec, None), {name: (vec, None) for name, vec in pool_vecs.items()}
 
 
 def _scatter_oracle(path, test_vec, pool_vecs):
@@ -767,7 +900,8 @@ class TestNarrowViewCounts:
             test_freqs, gen_freqs = (_per_subset_freqs(pool.codes, widths, subs)
                                      for pool in (test, gen))
             assert report.rows["g"].views[view].srmse == _srmse_vec(gen_freqs, test_freqs)
-            write_scatter_csv((kept[0], n), {"g": (kept[1], n)}, tmp_path / "s.csv")
+            write_scatter_csv((kept[0], count_reprs(kept[:1], n)),
+                              {"g": (kept[1], count_reprs(kept[1:], n))}, tmp_path / "s.csv")
             assert (tmp_path / "s.csv").read_bytes() == _scatter_oracle(
                 tmp_path / "e.csv", test_freqs, {"g": gen_freqs})
 
@@ -814,3 +948,73 @@ class TestArtifactBytes:
             tmp_path / "e.csv", [f"pc{k + 1}" for k in range(shape[1])],
             [[repr(float(v)) for v in row] for row in coords])
         assert (tmp_path / "p.csv").read_bytes() == expected
+
+
+class TestSharedFormatting:
+    """The scatter cells from one repr table per pool and the PCA lines
+    shared by repeated code rows write the bytes csv.writer writes."""
+
+    def test_scatter_count_columns_equal_csv_writer(self, rng, tmp_path):
+        bins = 2 * dataset.CSV_WRITE_BLOCK + 3
+        sizes = {"test": 7_500, "vae": 10_000, "gibbs": 255}
+        views = {name: rng.integers(0, n + 1, size=bins).astype(np.min_scalar_type(n))
+                 for name, n in sizes.items()}
+        views["test"][:3] = [0, sizes["test"], 1]
+        # each pool's table also covers the counts of its other views
+        tables = {name: count_reprs([vec, rng.integers(0, n + 1, 50).astype(vec.dtype)], n)
+                  for (name, n), vec in zip(sizes.items(), views.values())}
+        projected = rng.random(bins)  # a float vector is written as it is
+        write_scatter_csv((views["test"], tables["test"]),
+                          {"vae": (views["vae"], tables["vae"]), "proj": (projected, None),
+                           "gibbs": (views["gibbs"], tables["gibbs"])}, tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").read_bytes() == _scatter_oracle(
+            tmp_path / "e.csv", views["test"] / sizes["test"],
+            {"vae": views["vae"] / sizes["vae"], "proj": projected,
+             "gibbs": views["gibbs"] / sizes["gibbs"]})
+
+    def test_count_reprs_is_the_repr_of_numpys_division(self):
+        n = 10_000
+        counts = np.arange(n + 1, dtype=np.uint16)
+        table = count_reprs([counts[::-1], np.full(3, 0.5)], n)
+        assert table.tolist() == list(map(repr, (counts / n).tolist()))
+        assert count_reprs([counts[:2]], n).tolist()[:3] == ["0.0", "0.0001", None]
+
+    @staticmethod
+    def _grouped(rng, rows):
+        """Code rows with heavy repeats plus rows of their own, and
+        coordinates that are one function of the code row."""
+        codes = rng.integers(0, 3, size=(40, 4))[rng.integers(0, 40, size=rows)]
+        codes[:5] = 3  # one code row five times, in a group of its own
+        codes[-3:] = rng.integers(4, 9, size=(3, 4))  # rows seen once
+        distinct, group = dataset.distinct_rows(codes)
+        table = rng.normal(size=(len(distinct), 3))
+        table.flat[:len(AWKWARD)] = AWKWARD
+        return codes, table[group]
+
+    def _oracle(self, path, coords):
+        return _csv_writer_bytes(path, ["pc1", "pc2", "pc3"],
+                                 [[repr(float(v)) for v in row] for row in coords])
+
+    @pytest.mark.parametrize("rows", [1, 17, 2 * dataset.CSV_WRITE_BLOCK + 5])
+    def test_pca_lines_shared_by_repeated_code_rows(self, rng, tmp_path, rows):
+        codes, coords = self._grouped(rng, rows + 8)
+        assert metrics._shared_lines(coords, codes) is not None
+        write_pca_csv(coords, tmp_path / "p.csv", codes)
+        assert (tmp_path / "p.csv").read_bytes() == self._oracle(tmp_path / "e.csv", coords)
+
+    def test_pca_without_repeated_code_rows_formats_every_block(self, rng, tmp_path):
+        codes = np.arange(2 * dataset.CSV_WRITE_BLOCK + 5)[:, None] // [1, 2]
+        coords = rng.normal(size=(len(codes), 3))
+        assert metrics._shared_lines(coords, codes) is None
+        write_pca_csv(coords, tmp_path / "p.csv", codes)
+        assert (tmp_path / "p.csv").read_bytes() == self._oracle(tmp_path / "e.csv", coords)
+
+    def test_pca_group_with_differing_coordinates_falls_back(self, rng, tmp_path):
+        codes, coords = self._grouped(rng, 2 * dataset.CSV_WRITE_BLOCK + 5)
+        # one row of a repeated group one ulp off, in the last block
+        later = np.flatnonzero((codes == codes[-20]).all(axis=1))
+        assert len(later) > 1
+        coords[later[-1], 1] = np.nextafter(coords[later[-1], 1], np.inf)
+        assert metrics._shared_lines(coords, codes) is None
+        write_pca_csv(coords, tmp_path / "p.csv", codes)
+        assert (tmp_path / "p.csv").read_bytes() == self._oracle(tmp_path / "e.csv", coords)

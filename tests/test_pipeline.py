@@ -110,13 +110,14 @@ class TestRunPipeline:
         assert report_a == report_b
 
     def test_failure_records_stage(self, tmp_path):
+        # a variable name is checked against the schema, so only when training
         config = _small_config(tmp_path, methods=[
-            MethodSpec("bn", "bn", {"algorithm": "wrong"})])
+            MethodSpec("vae", "vae", {"selection_variables": ["nope"]})])
         with pytest.raises(ConfigError):
             run_pipeline(config)
         info = json.loads((Path(config.out_dir) / "run_info.json").read_text())
         assert info["status"] == "failed"
-        assert info["stage"] == "train:bn"
+        assert info["stage"] == "train:vae"
         assert "error" in info
         # the failing stage records neither its time nor its memory
         assert list(info["stage_peak_rss_mb"]) == list(info["timings_seconds"]) == ["prepare"]
@@ -228,6 +229,73 @@ class TestShippedConfigurations:
         for name, doc in docs.items():
             config = config_from_json(doc, out_dir="out")
             assert [m.name for m in config.methods] == [m["name"] for m in doc["methods"]], name
+
+
+def _reference_pool_vectors(codes, value_counts, subsets):
+    """metrics._pool_vectors as view_counts counts every view, and every
+    pair's Cramer's V from _cramers_v_table, one pair at a time."""
+    n, vectors, pairwise = len(codes), {}, None
+    for view, subs in subsets.items():
+        if view == "projected":
+            vectors[view] = metrics.frequency_distribution_from_codes(
+                codes, value_counts, subs[0]).freqs
+            continue
+        counts, offsets = dataset.view_counts(codes, value_counts, subs)
+        vectors[view] = counts.astype(np.min_scalar_type(n))
+        if view == "bivariate":
+            pairwise = np.full(len(subs), np.nan)
+            for s, (i, j) in enumerate(subs):
+                v = metrics._cramers_v_table(counts[offsets[s]:offsets[s + 1]].reshape(
+                    value_counts[i], value_counts[j]).astype(float), n)
+                pairwise[s] = np.nan if v is None else v
+    return vectors, pairwise
+
+
+def _per_block_scatter_csv(test, pools, path):
+    """A scatter file whose columns are ``(counts, n)``: every block's cells
+    formatted from ``counts / n`` by _float_reprs."""
+    columns = [test, *pools.values()]
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(["bin_id", "test_frequency", *pools])
+        for start in range(0, len(test[0]), dataset.CSV_WRITE_BLOCK):
+            stop = min(start + dataset.CSV_WRITE_BLOCK, len(test[0]))
+            dataset.write_csv_block(fh, [map(str, range(start, stop)), *(
+                metrics._float_reprs(metrics._frequencies(vec[start:stop], n))
+                for vec, n in columns)])
+
+
+class TestBatchedOutputsEqualReferences:
+    @pytest.mark.parametrize("workload", ["lc20-run", "bn-search"])
+    def test_report_scatter_and_pca_bytes(self, tmp_path, monkeypatch, workload):
+        """The benchmark's configurations at 2,000 rows: a run with the
+        product views, the shared scatter cells and the shared PCA lines
+        writes the bytes of a run with every one of them replaced by its
+        reference."""
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        doc = {"lc20-run": workloads.lc20_doc, "bn-search": workloads.bn_search_doc}[workload](2)
+        doc["data"]["synthetic"]["size"] = 2000
+        doc["generation_count"] = 2000
+        product_views = metrics._product_views
+        calls = []
+        monkeypatch.setattr(metrics, "_product_views",
+                            lambda *args: calls.append(1) or product_views(*args))
+        run_pipeline(config_from_json(doc, out_dir=str(tmp_path / "batched")))
+        assert calls  # every pool's views came from the products
+        write_pca_csv = metrics.write_pca_csv
+        with monkeypatch.context() as patch:
+            patch.setattr(metrics, "_pool_vectors", _reference_pool_vectors)
+            patch.setattr(metrics, "count_reprs", lambda vectors, n: n)
+            patch.setattr(metrics, "write_scatter_csv", _per_block_scatter_csv)
+            patch.setattr(metrics, "write_pca_csv",
+                          lambda coords, path, codes=None: write_pca_csv(coords, path))
+            run_pipeline(config_from_json(doc, out_dir=str(tmp_path / "reference")))
+        batched, reference = tmp_path / "batched", tmp_path / "reference"
+        files = ["report.json", *(f"{d}/{f.name}" for d in ("scatter", "pca")
+                                  for f in sorted((reference / d).iterdir()))]
+        assert len(files) == 1 + 4 + 1 + len(doc["methods"]) + 2
+        for name in files:
+            assert (batched / name).read_bytes() == (reference / name).read_bytes(), name
 
 
 class TestToyEndToEnd:
