@@ -298,11 +298,9 @@ def exact_search(codes: np.ndarray, value_counts, max_vars: int = 12) -> Dag:
             f"{n} variables exceed the exact-search cap of {max_vars}; use greedy_search")
     scorer = _FamilyScorer(arr, value_counts)
     widths, unit_penalty = scorer.widths, scorer.unit_penalty
-    full = (1 << n) - 1
-    local = [[-math.inf] * (1 << n) for _ in range(n)]
-    for v in range(n):
-        local[v][0] = scorer.score(v, scorer.empty, 1)
-    bound = [-local[v][0] for v in range(n)]
+    local = np.full((n, 1 << n), -np.inf)  # node x parent set
+    local[:, 0] = [scorer.score(v, scorer.empty, 1) for v in range(n)]
+    bound = (-local[:, 0]).tolist()
 
     def visit(mask: int, family: tuple, n_combos: int, first: int) -> None:
         for u in range(first, n):
@@ -313,51 +311,38 @@ def exact_search(codes: np.ndarray, value_counts, max_vars: int = 12) -> Dag:
                 continue
             sub_family = scorer.extend(family, u)
             for v in children:
-                local[v][sub] = scorer.score(v, sub_family, sub_combos)
+                local[v, sub] = scorer.score(v, sub_family, sub_combos)
             visit(sub, sub_family, sub_combos, u + 1)
 
     visit(0, scorer.empty, 1, 0)
-    # best parent set within each candidate set: subsets are enumerated in
-    # ascending order, so every proper subset is settled before the set;
-    # a strictly better subset replaces the set, scanned by ascending bit
-    best_ps_score: list[list[float]] = []
-    best_ps_mask: list[list[int]] = []
-    for v in range(n):
-        others_mask = full ^ (1 << v)
-        score, chosen = local[v], list(range(full + 1))
-        mask = 0
-        while True:
-            bits = mask
-            while bits:
-                prev = mask ^ (bits & -bits)
-                if score[prev] > score[mask]:
-                    score[mask], chosen[mask] = score[prev], chosen[prev]
-                bits &= bits - 1
-            if mask == others_mask:
-                break
-            mask = (mask - others_mask) & others_mask
-        best_ps_score.append(score)
-        best_ps_mask.append(chosen)
-    # assemble sinks over growing subsets
-    best: dict[int, float] = {0: 0.0}
-    pick: dict[int, tuple[int, int]] = {}
-    for mask in range(1, full + 1):
-        top, top_pair = None, None
-        for v in range(n):
-            if not (mask >> v) & 1:
-                continue
-            rest = mask ^ (1 << v)  # rest never contains v
-            value = best[rest] + best_ps_score[v][rest]
-            if top is None or value > top:
-                top, top_pair = value, (v, rest)
-        best[mask] = top
-        pick[mask] = top_pair
+    # one pass over set sizes, each level settled from the one below: first
+    # every node's best parent set within each k-set, in place of its local
+    # score (the set itself unless a (k-1)-subset is strictly better, the
+    # first in ascending order of the element it drops), then each k-set's
+    # best network and its sink (the first best node in ascending order).
+    # A node's entries for sets that hold it are filled but never read.
+    masks = np.arange(1 << n)
+    bits = (masks[:, None] >> np.arange(n)) & 1
+    size = bits.sum(axis=1)
+    chosen = np.tile(masks, (n, 1))  # node x set: the best parent set within it
+    best, sink = np.zeros(1 << n), np.zeros(1 << n, dtype=np.intp)
+    for k in range(1, n + 1):
+        level = np.flatnonzero(size == k)
+        members = np.nonzero(bits[level])[1].reshape(-1, k)
+        rest = level[:, None] ^ (1 << members)
+        sets = np.column_stack([level, rest])
+        source = sets[np.arange(len(level)), local[:, sets].argmax(axis=2)]
+        local[:, level] = np.take_along_axis(local, source, axis=1)
+        chosen[:, level] = np.take_along_axis(chosen, source, axis=1)
+        value = best[rest] + local[members, rest]
+        top = (np.arange(len(level)), value.argmax(axis=1))
+        best[level], sink[level] = value[top], members[top]
     parents = [()] * n
-    mask = full
+    mask = (1 << n) - 1
     while mask:
-        v, rest = pick[mask]
-        parents[v] = _members(best_ps_mask[v][rest])
-        mask = rest
+        v = int(sink[mask])
+        mask ^= 1 << v
+        parents[v] = _members(int(chosen[v, mask]))
     return Dag(n, tuple(parents))
 
 

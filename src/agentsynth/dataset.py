@@ -449,8 +449,9 @@ def codes_to_pool(codes: np.ndarray, schema: Schema, provenance: str = "generate
                   rng: np.random.Generator | None = None) -> AgentPool:
     """Inverse of :func:`pool_to_codes`; numerical bins become raw values via
     :func:`_bin_values`, drawn row by row. A code outside ``[0, width)`` is
-    a DataError naming its variable."""
-    arr = _copy_codes(np.asarray(codes).reshape(-1, schema.n_variables), schema)
+    a DataError naming its variable, a matrix of another width a
+    SchemaError."""
+    arr = _copy_codes(codes, schema)
     numerical = list(schema.numerical)
     numeric = _bin_values([schema.variables[j] for j in numerical], arr[:, numerical], rng)
     return AgentPool._adopt(schema, arr, numeric, provenance)
@@ -615,9 +616,10 @@ def check_codes(codes: np.ndarray, value_counts, columns=None,
 
 def view_counts(codes: np.ndarray, value_counts: tuple[int, ...],
                 subsets) -> tuple[np.ndarray, np.ndarray]:
-    """Integer bin counts of every subset of a view, concatenated, plus the
-    subset offsets: subset ``s`` owns ``counts[offsets[s]:offsets[s + 1]]``,
-    the table over the subset's values in C order.
+    """Bin counts of every subset of a view, concatenated, in
+    ``np.min_scalar_type(n)`` for ``n`` rows, plus the subset offsets:
+    subset ``s`` owns ``counts[offsets[s]:offsets[s + 1]]``, the table over
+    the subset's values in C order.
 
     All subsets have the same size. Every row gets one flat id per subset,
     ``codes[:, a] * w_b * w_c + codes[:, b] * w_c + codes[:, c] + offsets[s]``
@@ -641,7 +643,7 @@ def view_counts(codes: np.ndarray, value_counts: tuple[int, ...],
     codes_t = np.ascontiguousarray(counted.T, dtype=dtype)
     subs = np.searchsorted(cols, subs)  # rows of codes_t
     strides, starts = strides.astype(dtype), offsets[:-1].astype(dtype)
-    counts = np.empty(offsets[-1], dtype=np.int64)
+    counts = np.empty(offsets[-1], dtype=np.min_scalar_type(n))
     step = max(1, VIEW_CHUNK // n)
     for s0 in range(0, len(subs), step):
         s1 = min(s0 + step, len(subs))
@@ -678,8 +680,8 @@ def row_groups(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Rows of non-negative integers, signed or unsigned, are compared as
     mixed-radix integers (radix ``max + 1`` per column, in int64): runs of
     consecutive columns whose radix product fits in int64 become one key
-    each, so a row of one key is a 1-D sort and wider rows a lexsort over
-    their few keys. Other rows are a lexsort over the columns.
+    each, and the rows are a lexsort over their few keys. Other rows are a
+    lexsort over the columns.
     """
     if codes.size and codes.dtype.kind in "iu":
         radix = (codes.max(axis=0).astype(np.int64) + 1).tolist()
@@ -692,9 +694,6 @@ def row_groups(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             else:
                 keys.append(codes[:, j].astype(np.int64))
                 size = r
-        if len(keys) == 1:
-            _, first, inverse = np.unique(keys[0], return_index=True, return_inverse=True)
-            return first, inverse
     else:
         keys = list(codes.T)
     order = np.lexsort(keys[::-1]) if keys else np.arange(len(codes))

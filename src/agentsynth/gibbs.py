@@ -132,19 +132,20 @@ class ContextGroups:
                              minlength=n_groups * width).reshape(n_groups, width)
         return counts / counts.sum(axis=1, keepdims=True)
 
-    def transitions(self, widths) -> list[tuple[list, list]]:
-        """Per variable ``i``, two sequences indexed by unique row.
+    def transitions(self, widths) -> tuple[list[list], list]:
+        """Every variable's moves and the chain's start offsets, each a
+        sequence indexed by unique row.
 
-        The second holds how many updates ahead, in scan order and from
-        ``i`` on, the row's next update that can move comes: the next
-        variable whose context group for the row is not a point mass (0
-        when ``i``'s is not), ``math.inf`` when no variable's is (the row
-        is absorbing). The first holds the row's move at ``i``: None for a
-        point-mass group, whose update keeps the row; otherwise
-        ``(cum, nxt, skip, then)``, the group's cumulative conditional and,
-        per bisection result into it, the unique row it lands on, the
-        updates from this one to that row's next movable update (``1 +``
-        its count ahead at ``i + 1``) and that update's variable.
+        A row's offset is how many updates ahead, in scan order from
+        variable 0, its first update that can move comes: the first
+        variable whose context group for the row is not a point mass,
+        ``math.inf`` when no variable's is (the row is absorbing). Its
+        move at ``i`` is None for a point-mass group, whose update keeps
+        the row; otherwise ``(cum, nxt, skip, then)``, the group's
+        cumulative conditional and, per bisection result into it, the
+        unique row it lands on, the updates from this one to that row's
+        next movable update (``1 +`` the count ahead from ``i + 1``) and
+        that update's variable.
 
         A draw at or past the rounded total (bisection result equal to the
         width) lands where the last value with positive probability does.
@@ -174,9 +175,8 @@ class ContextGroups:
             skip = [[math.inf if d > m else d + 1 for d in row] for row in beyond]
             then = ((i + 1 + ahead[(i + 1) % m][target]) % m).tolist()
             by_group = dict(zip(spread.tolist(), zip(cum.tolist(), target.tolist(), skip, then)))
-            layout.append(([by_group.get(g) for g in group.tolist()],
-                           [math.inf if d > m else d for d in ahead[i].tolist()]))
-        return layout
+            layout.append([by_group.get(g) for g in group.tolist()])
+        return layout, [math.inf if d > m else d for d in ahead[0].tolist()]
 
 
 def estimate_conditionals(train: AgentPool) -> list[ConditionalTable]:
@@ -229,13 +229,13 @@ def _run_on_index(layout, row: int, config: ChainConfig,
     position in its block. The scans that end between two visited updates
     keep the row they hold, and an absorbing row fills the rest of the kept
     rows."""
-    m = len(layout)
+    moves, start = layout
+    m = len(moves)
     end = (config.warmup + config.thinning * config.target_count) * m  # updates in the chain
     block = max(1, UNIFORM_BLOCK // m) * m
-    moves = [move for move, _ in layout]
     kept: list[int] = []
     keep_at = (config.warmup + config.thinning) * m  # the update before which a row is kept
-    pos = layout[0][1][row]  # the next update to visit
+    pos = start[row]  # the next update to visit
     var = pos % m if pos < end else 0
     drawn = first = check = 0
     draws: list[float] = []

@@ -467,8 +467,7 @@ def _pool_vectors(codes: np.ndarray, value_counts, subsets) -> tuple[dict[str, n
         elif view in counted:
             vectors[view] = counted.pop(view)
         else:
-            vectors[view] = view_counts(codes, value_counts, subs)[0].astype(
-                np.min_scalar_type(n))
+            vectors[view] = view_counts(codes, value_counts, subs)[0]
     pairwise = (_cramers_v_pairs(vectors["bivariate"], value_counts, n)
                 if "bivariate" in vectors else None)
     return vectors, pairwise

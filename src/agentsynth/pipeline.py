@@ -378,7 +378,12 @@ def sample_method(config: ExperimentConfig, method: MethodSpec, model, schema, c
                   out: Path, train: AgentPool | None = None) -> AgentPool:
     """Draw ``count`` agents from ``method``'s model and write
     ``pools/<name>.csv``. Only Gibbs takes ``train``: its chain runs on
-    conditionals estimated from the training rows."""
+    conditionals estimated from the training rows. A VAE whose schema, or
+    a BN whose value counts, are not ``schema``'s is a DataError."""
+    if (model.schema != schema if method.kind == "vae" else
+            method.kind == "bn" and model[1].value_counts != schema.value_counts):
+        raise DataError(f"models/{method.name}.json does not fit schema.json "
+                        "(trained on another schema); run 'train' again")
     rng_sample = _method_stream(config, method, "sample")
     if method.kind == "vae":
         pool = vae.sample(model, count, rng_sample, **_given(method, ("harden",)))

@@ -522,13 +522,28 @@ class TestExactSearch:
             exact_search(codes, (2,) * 13)
 
     def test_matches_dict_dp_reference(self):
+        cases = []
         for seed in range(12):
             r = np.random.default_rng(300 + seed)
             n_vars = 3 + seed % 6
             widths = [int(w) for w in r.integers(2, 6, n_vars)]
             if seed % 3 == 0:
                 widths[int(r.integers(n_vars))] = 1  # constant: every family ties at 0
-            codes = _dependent_codes(r, widths, int(r.integers(150, 600)))
+            cases.append((_dependent_codes(r, widths, int(r.integers(150, 600))), widths))
+        r = np.random.default_rng(320)
+        # one and two variables: a level pass of one or two levels
+        for widths in ([3], [2, 4]):
+            cases.append((_dependent_codes(r, widths, 200), widths))
+        # a duplicated column: parent sets that swap one copy for the other
+        # score equal, and so do networks that swap the copies' roles
+        codes = _dependent_codes(r, [3, 2, 4, 3], 300)
+        cases.append((np.column_stack([codes, codes[:, 1]]), [3, 2, 4, 3, 2]))
+        # two width-1 columns: each ties every parent set, the other included
+        codes = _dependent_codes(r, [2, 3, 2], 300)
+        constant = np.zeros(300, dtype=int)
+        cases.append((np.column_stack([codes[:, 0], constant, codes[:, 1:], constant]),
+                      [2, 1, 3, 2, 1]))
+        for codes, widths in cases:
             assert exact_search(codes, widths) == _reference_exact_search(codes, widths)
 
     def test_constant_node_keeps_the_largest_tied_parent_set(self):

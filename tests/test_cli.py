@@ -563,6 +563,40 @@ class TestExitCodeContract:
         assert (code, "Traceback" in err) == (3, False), err
         assert err.startswith("data error:") and message in err, err
 
+    @pytest.mark.parametrize("case", ["bn-twice", "bn-plus-one", "vae-before-prepare"])
+    def test_model_of_another_schema_exits_3(self, tmp_path, case):
+        """A BN of 8 or 5 nodes over a 4-variable schema, and a VAE trained
+        before a 5-variable prepare: unchecked, the first wrote 100 agents,
+        the second failed in a reshape and the third wrote a pool of the
+        old schema's columns."""
+        out = tmp_path / "out"
+        config = _write_config(tmp_path, out, count=50, methods=[
+            {"name": "vae", "kind": "vae",
+             "params": {"hidden": [4], "latent_dim": 2, "epochs": 1, "batch_size": 32}},
+            {"name": "bn", "kind": "bn", "params": {"algorithm": "tree"}}])
+        method = case.split("-")[0]
+        assert main(["prepare", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config), "--method", method]) == 0
+        path = out / "models" / f"{method}.json"
+        doc = json.loads(path.read_text())
+        if case == "bn-twice":
+            doc.update(n_nodes=8, value_counts=doc["value_counts"] * 2,
+                       parents=doc["parents"] + [[p + 4 for p in pa] for pa in doc["parents"]],
+                       tables=doc["tables"] * 2)
+        elif case == "bn-plus-one":
+            doc.update(n_nodes=5, value_counts=doc["value_counts"] + [2],
+                       parents=doc["parents"] + [[]], tables=doc["tables"] + [[[0.5, 0.5]]])
+        else:
+            conf = json.loads(config.read_text())
+            conf["data"]["synthetic"]["n_variables"] = 5
+            config.write_text(json.dumps(conf))
+            assert main(["prepare", "--config", str(config)]) == 0
+        path.write_text(json.dumps(doc))
+        code, err = _cli("sample", "--config", config, "--method", method)
+        assert (code, "Traceback" in err, err.count("\n")) == (3, False, 1), err
+        assert err.startswith(f"data error: models/{method}.json does not fit schema.json"), err
+        assert not (out / "pools" / f"{method}.csv").exists()
+
     @pytest.mark.parametrize("text, message", [
         ("{}", "report methods must be a list of names, got None"),
         ("[]", "the report must be an object, got []"),

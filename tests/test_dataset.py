@@ -1318,6 +1318,12 @@ class TestCodesOutsideTheirWidth:
         with pytest.raises(SchemaError, match="does not fit the schema"):
             AgentPool(categorical_schema([2, 3]), np.zeros((4, 3), dtype=int), np.empty((4, 0)))
 
+    @pytest.mark.parametrize("shape", [(5, 4), (5, 1), (10,), (0,)])
+    def test_codes_of_another_width_are_schema_error(self, shape):
+        # reshaped to the schema's width, 5 rows of 4 codes would be 10 rows of 2
+        with pytest.raises(SchemaError, match=re.escape(f"of shape {shape} does not fit")):
+            codes_to_pool(np.zeros(shape, dtype=int), categorical_schema([2, 3]))
+
 
 class TestNarrowCodesMatchTheInt64Path:
     """Each consumer of pool codes gives, on the narrow codes, what it gives
@@ -1329,11 +1335,14 @@ class TestNarrowCodesMatchTheInt64Path:
         codes[7, 1] = top
         narrow = codes.astype(dataset.code_dtype([top + 1]))
 
-        def no_lexsort(*args):
-            raise AssertionError("took the lexsort path")
+        lexsort = np.lexsort
+
+        def one_key_lexsort(keys):
+            assert len(keys) == 1 and keys[0].dtype == np.int64, "not one mixed-radix key"
+            return lexsort(keys)
 
         # both go through the mixed-radix key
-        monkeypatch.setattr(dataset.np, "lexsort", no_lexsort)
+        monkeypatch.setattr(dataset.np, "lexsort", one_key_lexsort)
         rows, inverse = dataset.distinct_rows(narrow)
         wide_rows, wide_inverse = dataset.distinct_rows(codes)
         assert rows.dtype == narrow.dtype

@@ -257,7 +257,7 @@ class TestMovableUpdates:
         for widths in ([2, 3, 2], [3, 3, 3, 3], [2] * 6, [4]):
             pool = random_categorical_pool(rng, widths, int(rng.integers(1, 20)))
             index = ContextGroups.from_codes(pool_to_codes(pool))
-            layout = index.transitions(widths)
+            layout, start = index.transitions(widths)
             m, n = len(widths), len(index.rows)
             movable = [np.bincount(group)[group] > 1 for group in index.groups]
 
@@ -265,10 +265,10 @@ class TestMovableUpdates:
                 near = [d for d in range(m) if movable[(i + d) % m][r]]
                 return near[0] if near else math.inf
 
-            for i, (moves, ahead) in enumerate(layout):
-                assert len(moves) == len(ahead) == n
+            assert start == [ahead_of(0, r) for r in range(n)]
+            for i, moves in enumerate(layout):
+                assert len(moves) == n
                 for r in range(n):
-                    assert ahead[r] == ahead_of(i, r)
                     assert (moves[r] is not None) == bool(movable[i][r])
                     if moves[r] is None:
                         continue
@@ -288,8 +288,8 @@ class TestMovableUpdates:
         schema = _pool_with_numeric(np.random.default_rng(3), [2, 2, 3], 0).schema
         pool = AgentPool.from_rows(schema, [("c0", "c0", "c1", 0.5), ("c1", "c1", "c1", 0.5)])
         index = ContextGroups.from_codes(pool_to_codes(pool))
-        assert all(moves == [None, None] and ahead == [math.inf, math.inf]
-                   for moves, ahead in index.transitions((2, 2, 3, 3)))
+        layout, start = index.transitions((2, 2, 3, 3))
+        assert layout == [[None, None]] * 4 and start == [math.inf, math.inf]
         config = ChainConfig(target_count=9, warmup=4, thinning=3, seed=8,
                              init=("c1", "c1", "c1", 0.5))
         out, diag = run_chain(pool, config)

@@ -105,7 +105,8 @@ class TestViewCounts:
         codes = self._codes(rng, n_rows)
         for subsets in view_subsets(len(self.WIDTHS), (4, 1, 2, 0)).values():
             counts, offsets = view_counts(codes, self.WIDTHS, subsets)
-            assert counts.dtype.kind == "i" and counts.sum() == n_rows * len(subsets)
+            assert counts.dtype == np.min_scalar_type(n_rows)
+            assert counts.sum() == n_rows * len(subsets)
             np.testing.assert_array_equal(
                 counts / n_rows, _per_subset_freqs(codes, self.WIDTHS, subsets))
             sizes = [int(np.prod([self.WIDTHS[i] for i in sub])) for sub in subsets]
@@ -272,6 +273,25 @@ def test_pool_vectors_peak_stays_below_the_int64_trivariate_view():
     tracemalloc.start()
     try:
         vectors, _ = _pool_vectors(codes, (4,) * 60, subsets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vectors["trivariate"].dtype == np.uint16 and len(vectors["trivariate"]) == bins
+    assert peak < 8 * bins, f"peak {peak / 2 ** 20:.1f} MB"
+
+
+def test_view_counts_kernel_peak_stays_below_the_int64_trivariate_view():
+    """A 10,000-row pool of 12 variables of width 16, nearly every row
+    distinct, goes to view_counts: its trivariate view has 901k bins, 7.2 MB
+    as int64 counts, which view_counts counts straight into uint16."""
+    rng = np.random.default_rng(6)
+    codes = rng.integers(0, 16, size=(10_000, 12)).astype(np.uint8)
+    subsets = view_subsets(12, (0, 1, 2, 3))
+    bins = 16 ** 3 * len(subsets["trivariate"])
+    assert not metrics._products_pay(10_000, len(dataset.distinct_rows(codes)[0]), (16,) * 12)
+    tracemalloc.start()
+    try:
+        vectors, _ = _pool_vectors(codes, (16,) * 12, subsets)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
