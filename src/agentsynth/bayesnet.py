@@ -23,6 +23,18 @@ JMLR 12, 2011). The best-subset and sink dynamic programs follow Silander &
 Myllymaki, "A simple approach for finding the globally optimal Bayesian
 network structure", UAI 2006.
 
+Before scoring, the exact search screens the parent sets the bound leaves.
+The log-likelihood of node v given T is A(T + v) - A(T), where A(U) is the
+sum of c ln c over the occupied cells of the variable set U, so each set U
+is counted once (a bincount of compact ids, then a lookup in a c ln c
+table) rather than once per (node, set) pair. A pair is dropped only when
+its approximate score, plus twice a rounding bound, is strictly below the
+approximate score of one of its proper subsets: its exact score is then
+strictly below that subset's, and the best-subset program could never
+pick it. Only the kept pairs are scored exactly, so the programs compare
+the same floats as without the screen and return the same DAG; exact ties
+are kept and settled by the exact scores.
+
 The greedy search keeps each node's parents and ancestors as int bitmasks
 (Scutari, "Learning Bayesian Networks with the bnlearn R Package", JSS
 2010), recomputing the ancestors in one topological pass per applied move.
@@ -196,12 +208,17 @@ class _FamilyScorer:
         ll = float(np.sum(observed * np.log(observed / totals[seen // width])))
         return ll - self.unit_penalty[node] * n_combos
 
-    def local(self, node: int, parents: tuple[int, ...]) -> float:
-        """Score of ``node`` given ``parents`` in ascending order."""
+    def family(self, parents: tuple[int, ...]) -> tuple:
+        """Compact ids and row counts of ``parents`` in ascending order."""
         family = self.empty
         for p in parents:
             family = self.extend(family, p)
-        return self.score(node, family, math.prod(self.widths[p] for p in parents))
+        return family
+
+    def local(self, node: int, parents: tuple[int, ...]) -> float:
+        """Score of ``node`` given ``parents`` in ascending order."""
+        return self.score(node, self.family(parents),
+                          math.prod(self.widths[p] for p in parents))
 
 
 def mdl_score(dag: Dag, codes: np.ndarray, value_counts) -> float:
@@ -277,30 +294,28 @@ def greedy_search(codes: np.ndarray, value_counts, max_parents: int | None = Non
         ancestors = _ancestor_masks(parents)
 
 
-def exact_search(codes: np.ndarray, value_counts, max_vars: int = 12) -> Dag:
-    """Globally MDL-optimal DAG by dynamic programming over variable subsets
-    (Silander & Myllymaki, UAI 2006).
+def _candidates(scorer: _FamilyScorer, empty_scores: np.ndarray) -> np.ndarray:
+    """The (node, parent set) pairs, as an (n, 2^n) boolean mask over node
+    and set bitmask, that the pruning bound and the screen leave to be
+    scored exactly; the empty set, already scored, is not among them.
 
-    Parent sets are visited depth-first, each extending its prefix's compact
-    combination ids by one column, and every node outside a set is scored
-    against it. A node's score given S is at most -penalty(S), since the
-    log-likelihood is at most 0, so once penalty(S) exceeds -score(node | {})
-    that set and all its supersets score strictly below the empty set and
-    are never picked (de Campos & Ji, JMLR 12, 2011). Such sets enter the
-    best-subset DP as -inf and are never counted; a subtree with no node
-    left to score is skipped. Exponential in the variable count, hence the
-    cap; above it, greedy_search is the intended route.
-    """
-    arr = _check_data(codes)
-    n = len(value_counts)
-    if n > max_vars:
-        raise ExactSearchLimitError(
-            f"{n} variables exceed the exact-search cap of {max_vars}; use greedy_search")
-    scorer = _FamilyScorer(arr, value_counts)
-    widths, unit_penalty = scorer.widths, scorer.unit_penalty
-    local = np.full((n, 1 << n), -np.inf)  # node x parent set
-    local[:, 0] = [scorer.score(v, scorer.empty, 1) for v in range(n)]
-    bound = (-local[:, 0]).tolist()
+    Parent sets are visited depth-first, each extending its prefix's
+    compact combination ids by one column. A node's score given S is at
+    most -penalty(S), since the log-likelihood is at most 0, so once
+    penalty(S) exceeds -score(node | {}) that set and all its supersets
+    score strictly below the empty set and are never picked (de Campos &
+    Ji, JMLR 12, 2011); they are never counted, and a subtree with no node
+    left to score is skipped. For each other pair the pass counts A(U)
+    once per needed set U and approximates the score as
+    A(T + v) - A(T) - penalty (see the module docstring)."""
+    widths, unit_penalty, columns = scorer.widths, scorer.unit_penalty, scorer.columns
+    n, n_rows = len(widths), len(scorer.empty[0])
+    bound = (-empty_scores).tolist()
+    cells = np.arange(n_rows + 1)
+    xlogx = cells * np.log(np.maximum(cells, 1))  # c ln c, 0 at c = 0
+    entropy = [None] * (1 << n)  # A(U) of the sets counted so far
+    approx = np.full((n, 1 << n), -np.inf)  # node x parent set
+    approx[:, 0] = empty_scores  # exact, and no proper subset to beat
 
     def visit(mask: int, family: tuple, n_combos: int, first: int) -> None:
         for u in range(first, n):
@@ -310,11 +325,68 @@ def exact_search(codes: np.ndarray, value_counts, max_vars: int = 12) -> Dag:
             if not children:
                 continue
             sub_family = scorer.extend(family, u)
+            ids, counts = sub_family
+            if entropy[sub] is None:
+                entropy[sub] = float(xlogx[counts].sum())
             for v in children:
-                local[v, sub] = scorer.score(v, sub_family, sub_combos)
+                joint = sub | (1 << v)
+                if entropy[joint] is None:
+                    entropy[joint] = float(xlogx[np.bincount(ids * widths[v] + columns[v])].sum())
+                approx[v, sub] = entropy[joint] - entropy[sub] - unit_penalty[v] * sub_combos
             visit(sub, sub_family, sub_combos, u + 1)
 
     visit(0, scorer.empty, 1, 0)
+    # Rounding bound, u the unit roundoff and N the row count. Each A and
+    # each log-likelihood is a sum of at most N nonzero terms c ln c or
+    # c ln(c / c_parent) whose magnitudes add up to at most N ln N; summed
+    # in any order, with a few ulp of rounding per term, it errs by at most
+    # about (N + 4) u N ln N. An approximate score rounds two such sums and
+    # their difference, an exact score one sum, and both subtract the same
+    # penalty float, at most bound[v] for a counted set, rounding once
+    # more. So |approx - exact| is below eps with a wide margin, which also
+    # covers rounding approx + 2 eps.
+    unit_roundoff = np.finfo(float).eps / 2
+    eps = 64 * unit_roundoff * (n_rows * (n_rows * np.log(n_rows) + 1) + np.array(bound))
+    # the best approximation over all subsets of each set, one bit at a
+    # time; entries for sets that hold their node are never read
+    subset_best = approx.copy()
+    for b in range(n):
+        halves = subset_best.reshape(n, -1, 2, 1 << b)
+        np.maximum(halves[:, :, 1], halves[:, :, 0], out=halves[:, :, 1])
+    # keep a counted pair unless a proper subset's approximation exceeds its
+    # own by more than 2 eps, making its exact score strictly below that
+    # subset's. Exact ties, such as a width-1 node's or duplicated
+    # columns', are kept and settled by the exact scores.
+    keep = np.isfinite(approx) & (approx + 2 * eps[:, None] >= subset_best)
+    keep[:, 0] = False
+    return keep
+
+
+def exact_search(codes: np.ndarray, value_counts, max_vars: int = 12) -> Dag:
+    """Globally MDL-optimal DAG by dynamic programming over variable subsets
+    (Silander & Myllymaki, UAI 2006).
+
+    Only the (node, parent set) pairs that :func:`_candidates` leaves are
+    scored exactly: a pruned pair scores strictly below the empty set, and
+    a screened-out pair provably strictly below one of its proper subsets,
+    so neither is ever the best parent set within any set, and both enter
+    the best-subset DP as -inf. Exponential in the variable count, hence
+    the cap; above it, greedy_search is the intended route.
+    """
+    arr = _check_data(codes)
+    n = len(value_counts)
+    if n > max_vars:
+        raise ExactSearchLimitError(
+            f"{n} variables exceed the exact-search cap of {max_vars}; use greedy_search")
+    scorer = _FamilyScorer(arr, value_counts)
+    local = np.full((n, 1 << n), -np.inf)  # node x parent set
+    local[:, 0] = [scorer.score(v, scorer.empty, 1) for v in range(n)]
+    keep = _candidates(scorer, local[:, 0])
+    for sub in np.flatnonzero(keep.any(axis=0)).tolist():
+        pa = _members(sub)
+        family, n_combos = scorer.family(pa), math.prod(scorer.widths[p] for p in pa)
+        for v in np.flatnonzero(keep[:, sub]).tolist():
+            local[v, sub] = scorer.score(v, family, n_combos)
     # one pass over set sizes, each level settled from the one below: first
     # every node's best parent set within each k-set, in place of its local
     # score (the set itself unless a (k-1)-subset is strictly better, the
@@ -398,32 +470,11 @@ def ancestral_sample(dag: Dag, cpts: CptSet, count: int, rng_or_seed) -> np.ndar
     return codes
 
 
-def joint_distribution(dag: Dag, cpts: CptSet) -> np.ndarray:
-    """Exact joint over the full product space, for small variable counts."""
-    counts = cpts.value_counts
-    size = int(np.prod(counts))
-    if size > MAX_TABLE_CELLS:
-        raise DataError(f"joint of {size} cells is too large to enumerate")
-    joint = np.zeros(counts)
-    for combo in np.ndindex(*counts):
-        p = 1.0
-        for node in range(dag.n_nodes):
-            pa = dag.parents[node]
-            if pa:
-                parent_widths = [counts[q] for q in pa]
-                row = int(np.ravel_multi_index([np.array([combo[q]]) for q in pa],
-                                               parent_widths)[0])
-            else:
-                row = 0
-            p *= cpts.tables[node][row, combo[node]]
-        joint[combo] = p
-    return joint
-
-
-def bn_to_dict(dag: Dag, cpts: CptSet, algorithm: str,
-               runtime_seconds: float | None = None, mdl: float | None = None) -> dict:
+def bn_to_dict(dag: Dag, cpts: CptSet, algorithm: str, runtime_seconds: float | None = None,
+               mdl: float | None = None, schema: dict | None = None) -> dict:
     """JSON document of a fitted network; ``mdl`` is the DAG's MDL score on
-    its training codes, when known."""
+    its training codes and ``schema`` the JSON document of the schema the
+    codes follow, when known."""
     return {
         "format": "agentsynth-bn",
         "version": 1,
@@ -435,6 +486,7 @@ def bn_to_dict(dag: Dag, cpts: CptSet, algorithm: str,
         "runtime_seconds": runtime_seconds,
         "mdl_score": None if mdl is None else float(mdl),
         "n_edges": len(dag.edges),
+        "schema": schema,
     }
 
 
@@ -474,10 +526,10 @@ def bn_from_dict(doc: dict) -> tuple[Dag, CptSet]:
     return dag, CptSet(value_counts, dag.parents, tables)
 
 
-def save_bn(dag: Dag, cpts: CptSet, algorithm: str, path,
-            runtime_seconds: float | None = None, mdl: float | None = None) -> None:
+def save_bn(dag: Dag, cpts: CptSet, algorithm: str, path, runtime_seconds: float | None = None,
+            mdl: float | None = None, schema: dict | None = None) -> None:
     with open(path, "w") as fh:
-        json.dump(bn_to_dict(dag, cpts, algorithm, runtime_seconds, mdl), fh)
+        json.dump(bn_to_dict(dag, cpts, algorithm, runtime_seconds, mdl, schema), fh)
 
 
 def load_bn(path) -> tuple[Dag, CptSet]:

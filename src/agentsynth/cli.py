@@ -87,7 +87,7 @@ def cmd_synth(args) -> int:
         raise ConfigError("synth needs a data.synthetic generator spec")
     spec = replace(config.synthetic, size=args.count or config.synthetic.size)
     out = Path(config.out_dir)
-    with recorded_stages(out) as stage, stage("synth"):
+    with recorded_stages(out, config) as stage, stage("synth"):
         pool = synth_generate(spec)
         write_source(pool, out)
     print(f"wrote {len(pool)} agents to {out / 'data' / 'source.csv'}")
@@ -97,7 +97,7 @@ def cmd_synth(args) -> int:
 def cmd_prepare(args) -> int:
     config = _load(args)
     out = Path(config.out_dir)
-    with recorded_stages(out) as stage, stage("prepare"):
+    with recorded_stages(out, config) as stage, stage("prepare"):
         splits = prepare_data(config, out)
     print(f"split {sum(map(len, splits))} rows into {'/'.join(str(len(p)) for p in splits)}")
     return EXIT_OK
@@ -107,7 +107,7 @@ def cmd_train(args) -> int:
     config = _load(args)
     method = _method(args, config)
     out = Path(config.out_dir)
-    with recorded_stages(out) as stage, stage(f"train:{method.name}"):
+    with recorded_stages(out, config) as stage, stage(f"train:{method.name}"):
         # a Gibbs model is its chain settings alone; the other kinds fit on the splits
         train, validation = (None, None) if method.kind == "gibbs" else \
             _read_splits(out, _read_schema(out), "train", "validation")
@@ -121,7 +121,7 @@ def cmd_sample(args) -> int:
     method = _method(args, config)
     count = args.count or config.generation_count
     out = Path(config.out_dir)
-    with recorded_stages(out) as stage, stage(f"sample:{method.name}"):
+    with recorded_stages(out, config) as stage, stage(f"sample:{method.name}"):
         schema = _read_schema(out)
         model = load_model(method, out)
         train = _read_splits(out, schema, "train")[0] if method.kind == "gibbs" else None
@@ -133,7 +133,7 @@ def cmd_sample(args) -> int:
 def cmd_evaluate(args) -> int:
     config = _load(args)
     out = Path(config.out_dir)
-    with recorded_stages(out) as stage, stage("evaluate"):
+    with recorded_stages(out, config) as stage, stage("evaluate"):
         schema = _read_schema(out)
         splits = _read_splits(out, schema, "train", "validation", "test")
         pools = {}

@@ -49,6 +49,7 @@ from .dataset import (
     ingest_csv,
     pool_to_codes,
     read_json,
+    schema_from_json,
     schema_to_json,
     split_pool,
     write_pool_csv,
@@ -143,6 +144,8 @@ class ExperimentConfig:
     methods: list[MethodSpec] = field(default_factory=list)
     generation_count: int = 10000
     projection: list[str] | None = None
+    # the JSON document the configuration was read from, if any
+    document: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.generation_count < 1:
@@ -181,6 +184,7 @@ def config_from_json(doc: dict, out_dir: str | None = None) -> ExperimentConfig:
         methods=methods,
         **settings,
         **{key: float(value) for key, value in split.items()},
+        document=doc,
     )
 
 
@@ -198,6 +202,19 @@ def load_config(path, out_dir: str | None = None, seed: int | None = None) -> Ex
     if seed is not None:
         config.seed = expect(seed, "a non-negative integer", "--seed")
     return config
+
+
+def config_sha256(config: ExperimentConfig) -> str | None:
+    """SHA-256 of the configuration's document with its ``seed`` and
+    ``out_dir`` set to the values in effect (``--seed`` and ``--out``
+    applied), as ``json.dumps`` with sorted keys writes it; None for a
+    configuration not read from a document."""
+    import hashlib  # loads OpenSSL (about 4 MB), which loading a configuration does not need
+
+    if config.document is None:
+        return None
+    effective = {**config.document, "seed": config.seed, "out_dir": config.out_dir}
+    return hashlib.sha256(json.dumps(effective, sort_keys=True).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +237,13 @@ def _peak_rss_mb() -> float:
 
 
 @contextmanager
-def recorded_stages(out: Path):
+def recorded_stages(out: Path, config: ExperimentConfig):
     """Yield ``stage(name)``, a context manager timing one stage, and write
     ``out/run_info.json``: each finished stage's seconds and the process's
     peak resident memory at its end, the status and, on failure, the
-    failing stage and the error; also the peak resident memory so far and
-    the Python and numpy versions."""
+    failing stage and the error; also the peak resident memory so far, the
+    Python and numpy versions and the configuration's digest
+    (:func:`config_sha256`)."""
     run_info = {"status": "running", "stage": None, "timings_seconds": {},
                 "stage_peak_rss_mb": {},
                 "python": platform.python_version(), "numpy": np.__version__}
@@ -247,6 +265,8 @@ def recorded_stages(out: Path):
         raise
     finally:
         run_info["peak_rss_mb"] = _peak_rss_mb()
+        # after the peak is read: hashing loads OpenSSL, a few MB of its own
+        run_info["config_sha256"] = config_sha256(config)
         try:
             with open(out / "run_info.json", "w") as fh:
                 json.dump(run_info, fh, indent=2)
@@ -297,8 +317,9 @@ def prepare_data(config: ExperimentConfig, out: Path) -> tuple[AgentPool, AgentP
 def train_method(config: ExperimentConfig, method: MethodSpec, train: AgentPool,
                  validation: AgentPool, out: Path):
     """Fit ``method`` and write its model to ``models/<name>.json``; returns
-    the model :func:`sample_method` takes: a VAE network, a BN's DAG and
-    CPTs, or the Gibbs chain's resolved settings, seed included."""
+    the model :func:`sample_method` takes: a VAE network, a BN's DAG, CPTs
+    and training schema, or the Gibbs chain's resolved settings, seed
+    included."""
     rng_fit = _method_stream(config, method, "fit")
     # drawn even when the params set a seed, so that the VAE's initial
     # weights, drawn next from the same stream, do not depend on it
@@ -342,8 +363,9 @@ def train_method(config: ExperimentConfig, method: MethodSpec, train: AgentPool,
         dag = bayesnet.exact_search(codes, counts)
     runtime = time.perf_counter() - started
     cpts = bayesnet.fit_cpts(dag, codes, counts)
-    bayesnet.save_bn(dag, cpts, algorithm, path, runtime, bayesnet.mdl_score(dag, codes, counts))
-    return dag, cpts
+    bayesnet.save_bn(dag, cpts, algorithm, path, runtime, bayesnet.mdl_score(dag, codes, counts),
+                     schema_to_json(train.schema))
+    return dag, cpts, train.schema
 
 
 def _param(method: MethodSpec, key: str):
@@ -370,7 +392,10 @@ def load_model(method: MethodSpec, out: Path):
     if method.kind == "vae":
         return vae.load_checkpoint(path)
     if method.kind == "bn":
-        return bayesnet.load_bn(path)
+        doc = read_json(path)
+        dag, cpts = bayesnet.bn_from_dict(doc)
+        schema = doc.get("schema")  # None in a file that records no schema
+        return dag, cpts, None if schema is None else schema_from_json(schema)
     return read_json(path)
 
 
@@ -378,10 +403,16 @@ def sample_method(config: ExperimentConfig, method: MethodSpec, model, schema, c
                   out: Path, train: AgentPool | None = None) -> AgentPool:
     """Draw ``count`` agents from ``method``'s model and write
     ``pools/<name>.csv``. Only Gibbs takes ``train``: its chain runs on
-    conditionals estimated from the training rows. A VAE whose schema, or
-    a BN whose value counts, are not ``schema``'s is a DataError."""
-    if (model.schema != schema if method.kind == "vae" else
-            method.kind == "bn" and model[1].value_counts != schema.value_counts):
+    conditionals estimated from the training rows. A VAE or BN trained on
+    another schema than ``schema``, or a BN whose value counts are not
+    ``schema``'s, is a DataError."""
+    if method.kind == "vae":
+        fits = model.schema == schema
+    elif method.kind == "bn":
+        fits = model[2] == schema and model[1].value_counts == schema.value_counts
+    else:
+        fits = True
+    if not fits:
         raise DataError(f"models/{method.name}.json does not fit schema.json "
                         "(trained on another schema); run 'train' again")
     rng_sample = _method_stream(config, method, "sample")
@@ -392,7 +423,7 @@ def sample_method(config: ExperimentConfig, method: MethodSpec, model, schema, c
         gibbs.write_diagnostics(diagnostics,
                                 out / "models" / f"{method.name}-diagnostics.json")
     else:
-        dag, cpts = model
+        dag, cpts, _ = model
         codes = bayesnet.ancestral_sample(dag, cpts, count, rng_sample)
         pool = codes_to_pool(codes, schema, provenance="generated", rng=rng_sample)
     (out / "pools").mkdir(parents=True, exist_ok=True)
@@ -486,7 +517,7 @@ def _pca_coordinates(pca: metrics.PcaModel, pool: AgentPool,
 def run_pipeline(config: ExperimentConfig) -> metrics.EvalReport:
     """Execute every stage and write all artifacts; returns the report."""
     out = Path(config.out_dir)
-    with recorded_stages(out) as stage:
+    with recorded_stages(out, config) as stage:
         with stage("prepare"):
             train, validation, test = prepare_data(config, out)
         pools: dict[str, AgentPool] = {}

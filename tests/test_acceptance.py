@@ -27,6 +27,7 @@ from agentsynth.pipeline import ExperimentConfig, MethodSpec, run_pipeline
 from agentsynth.synthdata import SyntheticGeneratorSpec, synth_generate
 
 from conftest import toy_pool
+from oracles import joint_distribution
 
 
 def _report(criterion: str, detail: str) -> None:
@@ -319,7 +320,7 @@ def test_c09_bn_sampling_fidelity():
         np.array([[0.5, 0.5], [0.8, 0.2], [0.1, 0.9], [0.6, 0.4]]),
     )
     cpts = bayesnet.CptSet((2, 2, 2), dag.parents, tables)
-    analytic = bayesnet.joint_distribution(dag, cpts)
+    analytic = joint_distribution(dag, cpts)
     samples = bayesnet.ancestral_sample(dag, cpts, 10 ** 5, 29)
     empirical = np.zeros((2, 2, 2))
     np.add.at(empirical, tuple(samples.T), 1.0)

@@ -18,7 +18,6 @@ from agentsynth.bayesnet import (
     exact_search,
     fit_cpts,
     greedy_search,
-    joint_distribution,
     mdl_score,
     mutual_information,
 )
@@ -29,6 +28,7 @@ from agentsynth.pipeline import acquire_data, config_from_json
 from agentsynth.synthdata import SyntheticGeneratorSpec, synth_generate
 
 from conftest import toy_pool
+from oracles import joint_distribution
 
 
 def _toy_codes(n_each=500):
@@ -566,6 +566,93 @@ class TestExactSearch:
         expected = _reference_exact_search(codes, (30, 2, 2))
         assert len(expected.edges) == 1 and set(expected.edges[0]) == {1, 2}
         assert exact_search(codes, (30, 2, 2)) == expected
+
+    def test_screen_scores_few_pairs(self, monkeypatch):
+        # unscreened, the search scored 14,966 (node, parent set) pairs here
+        spec = SyntheticGeneratorSpec(kind="bn-ground-truth", size=5000, seed=2,
+                                      n_variables=12, category_width=[2, 3, 4] * 4,
+                                      max_parents=2)
+        codes = pool_to_codes(synth_generate(spec))
+        scored = []
+        score = bayesnet._FamilyScorer.score
+        monkeypatch.setattr(bayesnet._FamilyScorer, "score",
+                            lambda self, *args: scored.append(args[0]) or score(self, *args))
+        found = exact_search(codes, (2, 3, 4) * 4)
+        assert len(scored) < 1000
+        assert found.parents == ((5,), (0,), (0, 5), (0,), (0, 1), (), (1, 3), (2, 6),
+                                 (2, 6), (6, 8), (0, 3), (3, 5))
+
+    def test_ties_and_near_ties_match_reference(self):
+        r = np.random.default_rng(330)
+        codes = _dependent_codes(r, [3, 4, 2, 3], 400)
+        cases = [
+            # duplicated columns, one of them twice
+            (np.column_stack([codes, codes[:, 1], codes[:, 1], codes[:, 2]]),
+             [3, 4, 2, 3, 4, 4, 2]),
+            # a column equal to another modulo its width
+            (np.column_stack([codes, codes[:, 1] % 2, codes[:, 0] % 2]), [3, 4, 2, 3, 2, 2]),
+            # width-1 columns: every family of theirs scores 0
+            (np.column_stack([np.zeros(400, dtype=int), codes[:, :2],
+                              np.zeros(400, dtype=int)]), [1, 3, 4, 1]),
+            (np.zeros((30, 3), dtype=int), [1, 1, 1]),
+            # one row: log N = 0, so every family of every node scores 0
+            (codes[:1], [3, 4, 2, 3]),
+            # all rows equal: every log-likelihood is 0
+            (np.repeat(codes[:1], 50, axis=0), [3, 4, 2, 3]),
+        ]
+        for case in range(63):
+            n_vars = 1 + case % 7
+            widths = [int(w) for w in r.integers(1, 5, n_vars)]
+            codes = _dependent_codes(r, widths, int(r.integers(1, 300)))
+            if case % 3 == 0 and n_vars > 1:
+                copied = int(r.integers(n_vars - 1))
+                codes[:, -1], widths[-1] = codes[:, copied], widths[copied]
+            cases.append((codes, widths))
+        for codes, widths in cases:
+            assert exact_search(codes, widths) == _reference_exact_search(codes, widths)
+
+    def test_screen_never_drops_a_winner(self, monkeypatch):
+        """Every (node, set) pair whose dense score is strictly above that of
+        each proper subset is scored exactly; most other pairs are not."""
+        parents_of, scored = {}, set()
+        extend, score = bayesnet._FamilyScorer.extend, bayesnet._FamilyScorer.score
+
+        def tracked_extend(self, family, parent):
+            result = extend(self, family, parent)
+            # the families stay referenced, so no id is reused
+            parents_of[id(result)] = (result, parents_of.get(id(family), (None, ()))[1]
+                                      + (parent,))
+            return result
+
+        def tracked_score(self, node, family, n_combos):
+            scored.add((node, parents_of.get(id(family), (None, ()))[1]))
+            return score(self, node, family, n_combos)
+
+        monkeypatch.setattr(bayesnet._FamilyScorer, "extend", tracked_extend)
+        monkeypatch.setattr(bayesnet._FamilyScorer, "score", tracked_score)
+        r = np.random.default_rng(340)
+        pairs = n_scored = 0
+        for case in range(8):
+            n_vars = 3 + case % 4
+            widths = [int(w) for w in r.integers(2, 5, n_vars)]
+            codes = _dependent_codes(r, widths, int(r.integers(200, 2000)))
+            if case % 2:
+                codes[:, -1], widths[-1] = codes[:, 0], widths[0]
+            parents_of.clear()
+            scored.clear()
+            exact_search(codes, widths)
+            for v in range(n_vars):
+                others = [u for u in range(n_vars) if u != v]
+                dense = {pa: _dense_local_score(codes, widths, v, pa)
+                         for k in range(n_vars) for pa in itertools.combinations(others, k)}
+                for pa, value in dense.items():
+                    proper = [sub for k in range(len(pa))
+                              for sub in itertools.combinations(pa, k)]
+                    if all(value > dense[sub] for sub in proper):
+                        assert (v, pa) in scored, (case, v, pa)
+                pairs += len(dense)
+            n_scored += len(scored)
+        assert n_scored < pairs / 2, (n_scored, pairs)
 
     def test_at_cap_beats_greedy_and_tree(self, monkeypatch):
         spec = SyntheticGeneratorSpec(kind="bn-ground-truth", size=5000, seed=2,

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, staged flow, exit codes."""
 
+import hashlib
 import json
 import os
 import platform
@@ -504,6 +505,34 @@ def test_run_info_memory_is_the_commands_own(tmp_path):
     assert all(1 < peak < 150 for peak in info["stage_peak_rss_mb"].values())
 
 
+def test_run_info_records_the_config_digest(tmp_path):
+    """``run`` and the staged subcommands of one configuration record the
+    SHA-256 of its document, ``--seed`` and ``--out`` applied; the
+    deterministic report does not hold it."""
+    out = tmp_path / "out"
+    config = _write_config(tmp_path, out, count=50, methods=[
+        {"name": "bn", "kind": "bn", "params": {"algorithm": "tree"}}])
+    doc = json.loads(config.read_text())
+
+    def digest(**effective):
+        text = json.dumps({**doc, **effective}, sort_keys=True)
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    digests = []
+    for argv in (["prepare"], ["train", "--method", "bn"], ["sample", "--method", "bn"],
+                 ["evaluate"], ["run"]):
+        assert main([*argv, "--config", str(config)]) == 0
+        digests.append(_run_info(out)["config_sha256"])
+    assert digests == [digest()] * 5
+    report = (out / "report.json").read_text()
+    assert "config_sha256" not in report and digest() not in report
+    assert main(["prepare", "--config", str(config), "--seed", "22"]) == 0
+    assert _run_info(out)["config_sha256"] == digest(seed=22) != digest()
+    other = tmp_path / "other"
+    assert main(["prepare", "--config", str(config), "--out", str(other)]) == 0
+    assert _run_info(other)["config_sha256"] == digest(out_dir=str(other)) != digest()
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """A prepared output directory with a model of each kind, and the
@@ -596,6 +625,39 @@ class TestExitCodeContract:
         assert (code, "Traceback" in err, err.count("\n")) == (3, False, 1), err
         assert err.startswith(f"data error: models/{method}.json does not fit schema.json"), err
         assert not (out / "pools" / f"{method}.csv").exists()
+
+    @pytest.mark.parametrize("case", ["renamed", "no-schema"])
+    def test_bn_of_another_schema_with_equal_widths_exits_3(self, tmp_path, case):
+        """A BN trained on columns a, b, sampled after prepare ran again with
+        them renamed c, d: unchecked, it wrote c,d,provenance from the
+        network of a, b. A BN file that records no schema cannot be checked."""
+        out = tmp_path / "out"
+        config = _write_config(tmp_path, out, count=50, methods=[
+            {"name": "bn", "kind": "bn", "params": {"algorithm": "tree"}}])
+        doc = json.loads(config.read_text())
+
+        def prepare(first, second):
+            (tmp_path / "data.csv").write_text(
+                f"{first},{second}\n" + "".join(f"{i % 2},{i % 3}\n" for i in range(60)))
+            doc["data"] = {"csv": str(tmp_path / "data.csv"), "schema": {"variables": [
+                {"name": first, "kind": "binary", "categories": ["0", "1"]},
+                {"name": second, "kind": "categorical", "categories": ["0", "1", "2"]}]}}
+            config.write_text(json.dumps(doc))
+            assert main(["prepare", "--config", str(config)]) == 0
+
+        prepare("a", "b")
+        assert main(["train", "--config", str(config), "--method", "bn"]) == 0
+        path = out / "models" / "bn.json"
+        assert json.loads(path.read_text())["schema"] == json.loads(
+            (out / "schema.json").read_text())
+        if case == "renamed":
+            prepare("c", "d")
+        else:
+            path.write_text(json.dumps({**json.loads(path.read_text()), "schema": None}))
+        code, err = _cli("sample", "--config", config, "--method", "bn")
+        assert (code, "Traceback" in err, err.count("\n")) == (3, False, 1), err
+        assert err.startswith("data error: models/bn.json does not fit schema.json"), err
+        assert not (out / "pools" / "bn.csv").exists()
 
     @pytest.mark.parametrize("text, message", [
         ("{}", "report methods must be a list of names, got None"),

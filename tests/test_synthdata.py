@@ -5,7 +5,6 @@ import itertools
 import numpy as np
 import pytest
 
-from agentsynth.bayesnet import joint_distribution
 from agentsynth.dataset import pool_to_codes
 from agentsynth.errors import ConfigError
 from agentsynth.metrics import cramers_v
@@ -15,6 +14,8 @@ from agentsynth.synthdata import (
     spec_from_json,
     synth_generate,
 )
+
+from oracles import joint_distribution
 
 
 class TestToyGenerator:
