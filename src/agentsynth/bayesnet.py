@@ -54,10 +54,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import check_codes, code_dtype, draw_categories, read_json, view_counts
+from .dataset import (MAX_TABLE_CELLS, check_codes, code_dtype, draw_categories, read_json,
+                      view_counts)
 from .errors import DataError, ExactSearchLimitError, expect
-
-MAX_TABLE_CELLS = 1 << 22  # guard on materialized CPT size
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,9 @@ CATEGORICAL_KINDS = ("categorical", "binary")
 VARIABLE_KINDS = NUMERICAL_KINDS + CATEGORICAL_KINDS
 MODES = ("discretize-all", "mixed")
 PROVENANCES = ("train", "validation", "test", "generated")
+# guard on the size of a materialized table: a BN's conditional table, or the
+# joint of the variables a projection or the VAE's selection names
+MAX_TABLE_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -151,13 +154,22 @@ class Schema:
     def columns(self, names, setting: str) -> list[int]:
         """Indices of ``names``, the value of configuration ``setting``, by
         default the first four variables; a ConfigError unless it names at
-        least one variable of the schema, each once."""
+        least one variable of the schema, each once, and their joint has at
+        most ``MAX_TABLE_CELLS`` bins."""
         if names is None:
-            return list(range(min(4, self.n_variables)))
-        if (not names or not all(isinstance(name, str) for name in names)
+            columns = list(range(min(4, self.n_variables)))
+        elif (not names or not all(isinstance(name, str) for name in names)
                 or len(set(names)) != len(names) or not set(names) <= set(self.names)):
             raise ConfigError(f"{setting} must name distinct schema variables, got {list(names)}")
-        return [self.index(name) for name in names]
+        else:
+            columns = [self.index(name) for name in names]
+        bins = math.prod(self.value_counts[j] for j in columns)
+        if bins > MAX_TABLE_CELLS:
+            raise ConfigError(
+                f"the joint of {setting} {[self.names[j] for j in columns]} has {bins} bins, "
+                f"more than {MAX_TABLE_CELLS}; name fewer or narrower variables (by default "
+                f"{setting} is the first four variables)")
+        return columns
 
 
 def code_dtype(value_counts) -> np.dtype:
@@ -663,6 +675,20 @@ def draw_categories(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     the last category, so even a uniform of 1 or more gives a valid index."""
     cum = np.cumsum(probs, -1)
     return np.minimum((uniforms[..., None] * cum[..., -1:] > cum).sum(-1), cum.shape[-1] - 1)
+
+
+def row_blocks(n: int, size: int) -> Iterator[slice]:
+    """``n`` rows as the slices of ``k = max(1, n // size)`` near-equal
+    blocks, the first ``n % k`` one row longer (those of ``np.array_split``).
+    No block is shorter than ``size`` rows unless all ``n`` are: BLAS
+    multiplies very few rows with other kernels (one row with gemv), whose
+    rounding can differ from the whole batch's (batches of 18 rows and more
+    have matched it), so products taken block by block are those of one
+    whole product."""
+    k = max(1, n // size)
+    q, r = divmod(n, k)
+    for b in range(k):
+        yield slice(b * q + min(b, r), (b + 1) * q + min(b + 1, r))
 
 
 def distinct_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

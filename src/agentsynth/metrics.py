@@ -816,50 +816,38 @@ def write_scatter_csv(test: tuple[np.ndarray, np.ndarray], pools: dict[str, tupl
                                    else _float_reprs(vec[start:stop]) for vec, reprs in columns)])
 
 
-def write_pca_csv(coords: np.ndarray, path, codes: np.ndarray | None = None) -> None:
-    """PCA coordinates, one row per agent, as ``csv.writer`` writes them;
-    rows are formatted ``CSV_WRITE_BLOCK`` at a time, column by column.
+def write_pca_csv(coords: np.ndarray, path, codes: np.ndarray) -> None:
+    """PCA coordinates, one row per agent, as ``csv.writer`` writes them.
 
-    ``codes``, the pool's code rows (one per coordinate row), lets rows
-    share their formatting: when code rows repeat and every group of equal
-    code rows has bit-identical coordinates, the line of each group that
-    repeats is formatted once and written for each of its rows through the
-    group index, and only the rows of single-row groups are formatted per
-    block. Otherwise (a mixed schema's numerics differ within a group, say)
-    every row is formatted per block, as without ``codes``."""
+    ``codes`` holds the pool's code rows, one per coordinate row. A row
+    whose coordinates are bit-identical to those of the first row with its
+    code row writes that group's line when another row of the group is
+    bit-identical to the first too: replicating pools repeat rows. Each
+    such line is formatted once; every other row is formatted in its block
+    of ``CSV_WRITE_BLOCK`` rows, column by column. Rows are compared with
+    their group's first one block at a time."""
     coords = np.ascontiguousarray(coords, dtype=np.float64)
-    shared = None if codes is None else _shared_lines(coords, codes)
+    first, group = row_groups(codes)
+    bits = coords.view(np.int64)
+    same = np.empty(len(coords), dtype=bool)  # bit-identical to the group's first row
+    for start in range(0, len(coords), CSV_WRITE_BLOCK):
+        rows = slice(start, start + CSV_WRITE_BLOCK)
+        same[rows] = (bits[rows] == bits[first[group[rows]]]).all(axis=1)
+    shared = np.flatnonzero(np.bincount(group[same], minlength=len(first)) > 1)
+    lines = np.full(len(first), None, dtype=object)
+    lines[shared] = _format_rows(coords[first[shared]])
     with open(path, "w", newline="") as fh:
         fh.write(",".join(f"pc{k + 1}" for k in range(coords.shape[1])) + "\r\n")
         for start in range(0, len(coords), CSV_WRITE_BLOCK):
-            block = coords[start:start + CSV_WRITE_BLOCK]
-            if shared is None:
-                write_csv_block(fh, [_float_reprs(column) for column in block.T])
-                continue
-            lines = shared[0][shared[1][start:start + CSV_WRITE_BLOCK]]
-            alone = np.flatnonzero(np.equal(lines, None))
-            lines[alone] = list(map(",".join, zip(*(_float_reprs(column)
-                                                    for column in block[alone].T))))
-            fh.write("\r\n".join(lines.tolist()))
+            rows = slice(start, start + CSV_WRITE_BLOCK)
+            block = lines[group[rows]]
+            alone = np.flatnonzero(~same[rows] | np.equal(block, None))
+            block[alone] = _format_rows(coords[rows][alone])
+            fh.write("\r\n".join(block.tolist()))
             fh.write("\r\n")
 
 
-def _shared_lines(coords: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """For :func:`write_pca_csv`: the formatted line of every group of equal
-    code rows that holds two or more rows (None for the other groups), and
-    the group of every row; None when no code row repeats, or when some
-    group's coordinates are not bit-identical. Rows are checked
-    ``CSV_WRITE_BLOCK`` at a time against the first row of their group."""
-    member, group = row_groups(codes)
-    repeated = np.flatnonzero(np.bincount(group) > 1)
-    if len(repeated) == 0:
-        return None
-    bits = coords.view(np.int64)
-    for start in range(0, len(coords), CSV_WRITE_BLOCK):
-        rows = group[start:start + CSV_WRITE_BLOCK]
-        if not np.array_equal(bits[start:start + CSV_WRITE_BLOCK], bits[member[rows]]):
-            return None
-    lines = np.full(len(member), None, dtype=object)
-    lines[repeated] = list(map(",".join, zip(*(_float_reprs(column)
-                                               for column in coords[member[repeated]].T))))
-    return lines, group
+def _format_rows(coords: np.ndarray) -> list[str]:
+    """The line of every row of ``coords``: its cells' ``repr`` joined by
+    commas."""
+    return list(map(",".join, zip(*(_float_reprs(column) for column in coords.T))))

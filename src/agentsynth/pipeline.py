@@ -19,8 +19,10 @@ file has one row per bin of the view: bin_id, test_frequency, then one
 column per pool named after it, the methods in configuration order and then
 the two baselines. Scatter rows are formatted, and PCA coordinates encoded,
 projected and formatted, in blocks of dataset.CSV_WRITE_BLOCK rows; the
-scatter cells of a pool come from one table of formatted frequencies, and
-PCA rows with equal codes and bit-identical coordinates share one line.
+scatter cells of a pool come from one table of formatted frequencies. A PCA
+row whose coordinates are bit-identical to those of the first row with its
+codes shares that row's line when another row of the group does too; every
+other row is formatted in its block.
 
 All randomness flows from one master seed through named substreams, so two
 runs with the same configuration produce byte-identical report JSON;
@@ -49,6 +51,7 @@ from .dataset import (
     ingest_csv,
     pool_to_codes,
     read_json,
+    row_blocks,
     schema_from_json,
     schema_to_json,
     split_pool,
@@ -81,6 +84,9 @@ DATA_FIELDS = {"csv": "a string", "schema": "an object or a string", "synthetic"
 SPLIT_FIELDS = {"train_frac": "a number", "val_frac_of_train": "a number"}
 METHOD_FIELDS = {"name": "a string", "kind": "a string", "params": "an object"}
 BASELINE_NAMES = ("marginal-sampler", "resample-training")
+# names a method cannot take: the baselines', the training set's report row,
+# the training split's PCA file, and the scatter files' first two columns
+RESERVED_NAMES = (*BASELINE_NAMES, "training-set", "train", "bin_id", "test_frequency")
 PCA_COMPONENTS = 5
 
 
@@ -99,7 +105,10 @@ class MethodSpec:
     def __post_init__(self):
         if self.kind not in METHOD_KINDS:
             raise ConfigError(f"unknown method kind {self.kind!r}")
-        if self.name in BASELINE_NAMES or self.name == "training-set":
+        if not self.name or self.name.startswith(".") or any(c in self.name for c in "/\\"):
+            raise ConfigError(f"method name {self.name!r} is not a file name: it must be "
+                              "non-empty, hold no / or \\ and not start with '.'")
+        if self.name in RESERVED_NAMES:
             raise ConfigError(f"method name {self.name!r} is reserved")
         expect_fields(self.params, METHOD_PARAMS[self.kind], f"method {self.name!r}: params",
                       f"method {self.name!r}: ")
@@ -500,17 +509,12 @@ def write_run_outputs(report: metrics.EvalReport, train: AgentPool,
 def _pca_coordinates(pca: metrics.PcaModel, pool: AgentPool,
                      standardization: dict[str, tuple[float, float]], k: int) -> np.ndarray:
     """The pool's coordinates in the first ``k`` components, encoded and
-    projected in ``len(pool) // CSV_WRITE_BLOCK`` near-equal row blocks.
-    No block is shorter than ``CSV_WRITE_BLOCK`` rows (a shorter pool is
-    one block), so BLAS multiplies each with the kernel it would use for
-    the whole encoding, and the coordinates are those of one whole product."""
+    projected in the ``row_blocks`` of ``CSV_WRITE_BLOCK`` rows, so they
+    are those of one whole product."""
     coords = np.empty((len(pool), k))
-    start = 0
-    for block in np.array_split(coords, max(1, len(pool) // CSV_WRITE_BLOCK)):
-        rows = slice(start, start + len(block))
-        start = rows.stop
+    for rows in row_blocks(len(pool), CSV_WRITE_BLOCK):
         enc = encode_pool(pool.take(rows, pool.provenance), standardization=standardization)
-        block[:] = metrics.pca_project(pca, enc, k)
+        coords[rows] = metrics.pca_project(pca, enc, k)
     return coords
 
 

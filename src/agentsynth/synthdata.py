@@ -15,7 +15,7 @@ Three generator kinds stand in for survey micro-data:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

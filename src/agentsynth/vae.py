@@ -40,6 +40,7 @@ from .dataset import (
     draw_categories,
     matrix_to_codes,
     read_json,
+    row_blocks,
     schema_blocks,
     schema_from_json,
     schema_to_json,
@@ -63,12 +64,10 @@ from .neural import (
 
 PROB_FLOOR = 1e-12
 # Rows per block that sample() decodes at a time, so the decoder's
-# activations exist for one block only. The count is cut into
-# count // SAMPLE_BLOCK near-equal blocks, none shorter than SAMPLE_BLOCK:
-# BLAS multiplies a batch of very few rows with other kernels (one row with
-# gemv), whose rounding can differ from that of the whole batch; batches of
-# 18 rows and more have matched it. A 10,000-row draw decodes in blocks of
-# about 1,100 rows, whose temporaries in a 64-wide decoder take 2.7 MB (the
+# activations exist for one block only. The count is cut into the
+# dataset.row_blocks of this size, none shorter than it, so the draws are
+# those of one whole decode. A 10,000-row draw decodes in blocks of about
+# 1,100 rows, whose temporaries in a 64-wide decoder take 2.7 MB (the
 # 5,000-row blocks of 4,096-row blocking took 12.1 MB), and each BLAS call
 # still multiplies a large batch.
 SAMPLE_BLOCK = 1 << 10
@@ -522,11 +521,8 @@ def sample(model: VaeModel, count: int, rng_or_seed,
     uniforms = rng.random((len(widths), count)) if harden == "sample" else None
 
     def decoded():
-        start = 0
-        for z_block in np.array_split(z, max(1, count // SAMPLE_BLOCK)):
-            out = decode(model, z_block)
-            rows = slice(start, start + len(out))
-            start = rows.stop
+        for rows in row_blocks(count, SAMPLE_BLOCK):
+            out = decode(model, z[rows])
             if harden == "sample":
                 for group in model.layout.groups:
                     heads = [h for h, width in enumerate(widths) if width == group.width]

@@ -733,3 +733,51 @@ class TestExitCodeContract:
         assert (code, "Traceback" in err) == (2, False), err
         assert err.startswith("configuration error:") and message in err, err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name, message", [
+        ("", "method name '' is not a file name"),
+        ("../escape", "method name '../escape' is not a file name"),
+        ("a\\b", "method name 'a\\\\b' is not a file name"),
+        (".hidden", "method name '.hidden' is not a file name"),
+        ("train", "method name 'train' is reserved"),
+        ("bin_id", "method name 'bin_id' is reserved"),
+        ("test_frequency", "method name 'test_frequency' is reserved"),
+    ])
+    def test_method_name_that_is_no_safe_file_name_exits_2(self, tmp_path, name, message):
+        """Method names become file names under models/, pools/ and pca/ and
+        column names in scatter/: unchecked, "train" overwrote
+        pca/train.csv, "../escape" wrote outside models/ and pools/, ""
+        wrote hidden files and "bin_id" repeated a scatter column."""
+        config = _write_config(tmp_path, tmp_path / "out", methods=[
+            {"name": name, "kind": "bn", "params": {"algorithm": "tree"}}])
+        code, err = _cli("run", "--config", config)
+        assert (code, "Traceback" in err, err.count("\n")) == (2, False, 1), err
+        assert err.startswith("configuration error:") and message in err, err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("path, names, stage", [
+        (("projection",), 16, "prepare"),
+        (("projection",), 33, "prepare"),
+        (("methods", 0, "params", "selection_variables"), 33, "train:vae"),
+    ])
+    def test_oversized_joint_exits_2_before_any_model(self, tmp_path, path, names, stage):
+        """Over 40 variables of width 4: unchecked, a projection of 33 names
+        failed in evaluate with numpy's "invalid dims", one of 16 names
+        could not allocate 32 GiB, and 33 selection variables failed in
+        train:vae with "invalid dims"."""
+        out = tmp_path / "out"
+        config = _write_config(tmp_path, out, count=50, methods=[
+            {"name": "vae", "kind": "vae",
+             "params": {"hidden_options": [[4]], "latent_options": [2], "beta_options": [0.1],
+                        "epochs": 1, "batch_size": 32}}])
+        doc = json.loads(config.read_text())
+        doc["data"]["synthetic"].update(n_variables=40, category_width=4)
+        _set(doc, path, [f"x{i:02d}" for i in range(names)])
+        config.write_text(json.dumps(doc))
+        code, err = _cli("run", "--config", config)
+        assert (code, "Traceback" in err, err.count("\n")) == (2, False, 1), err
+        assert err.startswith("configuration error:"), err
+        assert f"has {4 ** names} bins, more than 4194304" in err, err
+        assert "is the first four variables" in err, err
+        assert _run_info(out)["stage"] == stage
+        assert not (out / "models").exists() or not any((out / "models").iterdir())

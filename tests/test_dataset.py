@@ -32,7 +32,7 @@ from agentsynth.dataset import (
     split_pool,
     write_pool_csv,
 )
-from agentsynth.errors import DataError, SchemaError
+from agentsynth.errors import ConfigError, DataError, SchemaError
 
 from conftest import categorical_schema, pool_from_codes, random_categorical_pool
 
@@ -334,6 +334,34 @@ class TestSerialization:
         pool = ingest_csv(csv_path, doc)
         assert pool.schema.variables[0].bin_edges == (10.0, 20.0, 30.0, 40.0, 50.0)
         assert len(pool) == 4
+
+
+class TestSchemaColumns:
+    @pytest.mark.parametrize("widths, names, columns", [
+        ([64, 64, 64, 16, 64], None, [0, 1, 2, 3]),  # 2^22 bins
+        ([64, 64, 64, 17, 2], ["x00", "x01", "x02", "x04"], [0, 1, 2, 4]),
+    ])
+    def test_joint_of_max_table_cells_is_accepted(self, widths, names, columns):
+        assert categorical_schema(widths).columns(names, "projection") == columns
+
+    def test_default_projection_past_the_guard_is_rejected(self):
+        # 64 * 64 * 64 * 17 bins, one width past 2^22
+        schema = categorical_schema([64, 64, 64, 17, 2])
+        with pytest.raises(ConfigError, match=r"projection \['x00', 'x01', 'x02', 'x03'\] "
+                           r"has 4456448 bins, more than 4194304; name fewer or narrower "
+                           r"variables \(by default projection is the first four variables\)"):
+            schema.columns(None, "projection")
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("size", [1, 7, 1024])
+    @pytest.mark.parametrize("n", [0, 1, 17, 1023, 1024, 1025, 2047, 2048, 10000])
+    def test_partition_of_array_split(self, n, size):
+        blocks = list(dataset.row_blocks(n, size))
+        expected = np.array_split(np.arange(n), max(1, n // size))
+        assert [np.arange(n)[rows].tolist() for rows in blocks] == [
+            block.tolist() for block in expected]
+        assert all(rows.step is None for rows in blocks)
 
 
 class TestCodes:

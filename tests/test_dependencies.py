@@ -27,3 +27,31 @@ def test_sources_found():
 def test_imports_only_stdlib_and_numpy(path):
     foreign = sorted(set(_imported_modules(path)) - ALLOWED)
     assert not foreign, f"{path.name} imports {foreign}"
+
+
+def _unread_imports(path):
+    """Names a source file imports (``__future__`` aside) but never reads."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return imported - read
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda path: path.name)
+def test_no_dead_imports(path, monkeypatch):
+    # an import that no code reads is kept only where the benchmark wraps the
+    # module's binding of it (perfbench/layers.py); once it stops wrapping
+    # one, this names the alias that can go
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from layers import bindings
+
+    wrapped = {attribute for module, attribute, *_ in bindings()
+               if module.__name__ == f"agentsynth.{path.stem}"}
+    dead = sorted(_unread_imports(path) - wrapped)
+    assert not dead, f"{path.name} imports {dead} and never reads them"

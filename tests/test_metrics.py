@@ -46,6 +46,7 @@ from agentsynth.metrics import (
 )
 
 from conftest import categorical_schema, pool_from_codes, random_categorical_pool, toy_pool
+from test_pipeline import _reference_write_pca_csv
 
 
 class TestFrequencyDistribution:
@@ -954,7 +955,7 @@ class TestArtifactBytes:
             tmp_path / "e.csv", test_vec, pool_vecs)
         coords = rng.normal(size=(rows, 2))
         coords[dataset.CSV_WRITE_BLOCK - 4:dataset.CSV_WRITE_BLOCK + 9, 1] = AWKWARD
-        write_pca_csv(coords, tmp_path / "p.csv")
+        write_pca_csv(coords, tmp_path / "p.csv", np.zeros((rows, 1), dtype=np.uint8))
         assert (tmp_path / "p.csv").read_bytes() == _csv_writer_bytes(
             tmp_path / "e.csv", ["pc1", "pc2"], [[repr(float(v)) for v in row] for row in coords])
 
@@ -963,7 +964,7 @@ class TestArtifactBytes:
         coords = rng.normal(size=shape)
         if coords.size >= len(AWKWARD):
             coords.flat[:len(AWKWARD)] = AWKWARD
-        write_pca_csv(coords, tmp_path / "p.csv")
+        write_pca_csv(coords, tmp_path / "p.csv", np.zeros((shape[0], 1), dtype=np.uint8))
         expected = _csv_writer_bytes(
             tmp_path / "e.csv", [f"pc{k + 1}" for k in range(shape[1])],
             [[repr(float(v)) for v in row] for row in coords])
@@ -1011,30 +1012,38 @@ class TestSharedFormatting:
         table.flat[:len(AWKWARD)] = AWKWARD
         return codes, table[group]
 
-    def _oracle(self, path, coords):
-        return _csv_writer_bytes(path, ["pc1", "pc2", "pc3"],
-                                 [[repr(float(v)) for v in row] for row in coords])
+    def _pool(self, rng, case):
+        """Code rows, coordinates, and the number of rows whose line is
+        formatted: once per distinct code row in a pure replicator."""
+        rows = 2 * dataset.CSV_WRITE_BLOCK + 5
+        if case == "no-repeat":
+            codes = np.arange(rows)[:, None] // [1, 2]
+            return codes, rng.normal(size=(rows, 3)), rows
+        if case == "one-row":
+            return rng.integers(0, 3, size=(1, 4)), rng.normal(size=(1, 3)), 1
+        codes, coords = self._grouped(rng, rows)
+        _, group = dataset.distinct_rows(codes)
+        sizes = np.bincount(group)
+        if case == "replicator":
+            return codes, coords, len(sizes)
+        # one ulp off: one group's last row, in the last block, and another
+        # group's first row; the other groups keep their shared line
+        late = [g for g in dict.fromkeys(group[::-1].tolist()) if sizes[g] > 2][:2]
+        last = np.flatnonzero(group == late[0])[-1]
+        members = np.flatnonzero(group == late[1])
+        assert last >= 2 * dataset.CSV_WRITE_BLOCK
+        for row in last, members[0]:
+            coords[row, 1] = np.nextafter(coords[row, 1], np.inf)
+        return codes, coords, len(sizes) + len(members)
 
-    @pytest.mark.parametrize("rows", [1, 17, 2 * dataset.CSV_WRITE_BLOCK + 5])
-    def test_pca_lines_shared_by_repeated_code_rows(self, rng, tmp_path, rows):
-        codes, coords = self._grouped(rng, rows + 8)
-        assert metrics._shared_lines(coords, codes) is not None
+    @pytest.mark.parametrize("case", ["mixed", "no-repeat", "replicator", "one-row"])
+    def test_pca_lines_equal_reference_and_shared_lines_format_once(self, rng, tmp_path,
+                                                                    monkeypatch, case):
+        codes, coords, formatted = self._pool(rng, case)
+        float_reprs, lengths = metrics._float_reprs, []
+        monkeypatch.setattr(metrics, "_float_reprs",
+                            lambda vec: lengths.append(len(vec)) or float_reprs(vec))
         write_pca_csv(coords, tmp_path / "p.csv", codes)
-        assert (tmp_path / "p.csv").read_bytes() == self._oracle(tmp_path / "e.csv", coords)
-
-    def test_pca_without_repeated_code_rows_formats_every_block(self, rng, tmp_path):
-        codes = np.arange(2 * dataset.CSV_WRITE_BLOCK + 5)[:, None] // [1, 2]
-        coords = rng.normal(size=(len(codes), 3))
-        assert metrics._shared_lines(coords, codes) is None
-        write_pca_csv(coords, tmp_path / "p.csv", codes)
-        assert (tmp_path / "p.csv").read_bytes() == self._oracle(tmp_path / "e.csv", coords)
-
-    def test_pca_group_with_differing_coordinates_falls_back(self, rng, tmp_path):
-        codes, coords = self._grouped(rng, 2 * dataset.CSV_WRITE_BLOCK + 5)
-        # one row of a repeated group one ulp off, in the last block
-        later = np.flatnonzero((codes == codes[-20]).all(axis=1))
-        assert len(later) > 1
-        coords[later[-1], 1] = np.nextafter(coords[later[-1], 1], np.inf)
-        assert metrics._shared_lines(coords, codes) is None
-        write_pca_csv(coords, tmp_path / "p.csv", codes)
-        assert (tmp_path / "p.csv").read_bytes() == self._oracle(tmp_path / "e.csv", coords)
+        _reference_write_pca_csv(coords, tmp_path / "e.csv")
+        assert (tmp_path / "p.csv").read_bytes() == (tmp_path / "e.csv").read_bytes()
+        assert sum(lengths) == 3 * formatted  # one call per column of each formatted batch

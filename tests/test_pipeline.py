@@ -282,13 +282,12 @@ class TestBatchedOutputsEqualReferences:
                             lambda *args: calls.append(1) or product_views(*args))
         run_pipeline(config_from_json(doc, out_dir=str(tmp_path / "batched")))
         assert calls  # every pool's views came from the products
-        write_pca_csv = metrics.write_pca_csv
         with monkeypatch.context() as patch:
             patch.setattr(metrics, "_pool_vectors", _reference_pool_vectors)
             patch.setattr(metrics, "count_reprs", lambda vectors, n: n)
             patch.setattr(metrics, "write_scatter_csv", _per_block_scatter_csv)
             patch.setattr(metrics, "write_pca_csv",
-                          lambda coords, path, codes=None: write_pca_csv(coords, path))
+                          lambda coords, path, codes: _reference_write_pca_csv(coords, path))
             run_pipeline(config_from_json(doc, out_dir=str(tmp_path / "reference")))
         batched, reference = tmp_path / "batched", tmp_path / "reference"
         files = ["report.json", *(f"{d}/{f.name}" for d in ("scatter", "pca")
