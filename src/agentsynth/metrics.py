@@ -17,8 +17,10 @@ exactly zero precisely when every generated row replicates a training row.
 trivariate views come from one-hot products over the pool's distinct rows,
 each weighted by its multiplicity (:func:`_product_views`), or from
 ``dataset.view_counts`` (one offset ``bincount`` per chunk of subsets)
-where that is the cheaper kernel; both give the same integers. Cramer's V
-is read from the bivariate counts, and the report keeps the bin counts so
+where that is the cheaper kernel; both give the same integers. The
+projected view, one subset, is the counts of
+:func:`frequency_distribution_from_codes`. Cramer's V is read from the
+bivariate counts, and the report keeps the bin counts of every view so
 scatter output writes them without binning again, each cell looked up in
 one table of formatted frequencies per pool (:func:`count_reprs`). The
 single-subset functions (:func:`frequency_distribution_from_codes`,
@@ -67,12 +69,16 @@ class FrequencyDistribution:
     """Relative frequencies over the full product bin space of a subset.
 
     ``freqs`` has one entry per combination of the subset's values,
-    including never-observed combinations (frequency zero).
+    including never-observed combinations (frequency zero). ``counts`` are
+    the integer bin counts ``freqs`` divides, where the distribution was
+    counted from codes (:func:`frequency_distribution_from_codes`); None
+    for one built from frequencies.
     """
 
     subset: tuple[int, ...]
     widths: tuple[int, ...]
     freqs: np.ndarray
+    counts: np.ndarray | None = None
 
     @property
     def n_bins(self) -> int:
@@ -90,7 +96,7 @@ def frequency_distribution_from_codes(codes: np.ndarray, value_counts: tuple[int
     flat = np.ravel_multi_index([codes[:, i] for i in subset], widths)
     n_bins = int(np.prod(widths))
     counts = np.bincount(flat, minlength=n_bins)
-    return FrequencyDistribution(tuple(subset), widths, counts / codes.shape[0])
+    return FrequencyDistribution(tuple(subset), widths, counts / codes.shape[0], counts)
 
 
 def frequency_distribution(pool: AgentPool, subset) -> FrequencyDistribution:
@@ -392,9 +398,7 @@ class EvalReport:
     not of the ``training-set`` row), and the row counts of those pools
     (``test_size``, ``sizes[name]``). A view of a pool of ``n`` rows is kept
     as its bin counts in ``np.min_scalar_type(n)``, uint16 up to 65,535
-    rows; the projected view, one subset, as its float64 frequencies.
-    :meth:`frequencies` divides the counts by ``n`` where a view is read.
-    None of this is serialized."""
+    rows. None of this is serialized."""
 
     method_names: list[str]
     rows: dict[str, MethodEvaluation]
@@ -409,20 +413,12 @@ class EvalReport:
     # CSV column labels, matching the usual reporting layout
     COLUMNS = ("Marg.", "Bivar.", "Trivar.", "Basic", "Pair.", "mu_NS", "sigma_NS")
 
-    def frequencies(self, view: str, name: str | None = None) -> np.ndarray:
-        """The frequency vector of ``view`` for pool ``name``, or for the
-        test pool when ``name`` is None."""
-        if name is None:
-            return _frequencies(self.test_vectors[view], self.test_size)
-        return _frequencies(self.vectors[name][view], self.sizes[name])
 
-
-def _frequencies(vec: np.ndarray, n: int) -> np.ndarray:
-    """A view as :func:`evaluate` keeps it, as frequencies: bin counts
-    (unsigned integers) divided by the pool's ``n`` rows, the same division
-    and so the same bits as dividing int64 counts; a float vector is
-    frequencies already."""
-    return vec / n if vec.dtype.kind == "u" else vec
+def _frequencies(counts: np.ndarray, n: int) -> np.ndarray:
+    """A view as :func:`evaluate` keeps it, as frequencies: its bin counts
+    divided by the pool's ``n`` rows, the same division and so the same
+    bits as dividing int64 counts."""
+    return counts / n
 
 
 def view_subsets(n_variables: int, projection: tuple[int, ...]) -> dict[str, list[tuple[int, ...]]]:
@@ -441,9 +437,8 @@ def _pool_vectors(codes: np.ndarray, value_counts, subsets) -> tuple[dict[str, n
                                                                      np.ndarray | None]:
     """Every view of :func:`view_subsets`, each binned once, as
     :class:`EvalReport` keeps it: bin counts in ``np.min_scalar_type(n)``
-    for ``n`` rows, the projected view as float64 frequencies. Also the
-    Cramer's V of every pair (NaN where undefined), read from the bivariate
-    counts (:func:`_cramers_v_pairs`).
+    for ``n`` rows. Also the Cramer's V of every pair (NaN where
+    undefined), read from the bivariate counts (:func:`_cramers_v_pairs`).
 
     The codes are checked once. The marginal, bivariate and trivariate
     counts come from one-hot products over the pool's distinct rows, each
@@ -463,7 +458,8 @@ def _pool_vectors(codes: np.ndarray, value_counts, subsets) -> tuple[dict[str, n
     vectors: dict[str, np.ndarray] = {}
     for view, subs in subsets.items():
         if view == "projected":
-            vectors[view] = frequency_distribution_from_codes(codes, value_counts, subs[0]).freqs
+            vectors[view] = frequency_distribution_from_codes(
+                codes, value_counts, subs[0]).counts.astype(np.min_scalar_type(n))
         elif view in counted:
             vectors[view] = counted.pop(view)
         else:
@@ -771,7 +767,7 @@ def write_report_csv(report: EvalReport, path) -> None:
 
 def _float_reprs(vec: np.ndarray) -> list[str]:
     """``repr`` of every entry, formatted once per distinct bit pattern:
-    a frequency vector ``counts / n`` holds few distinct values."""
+    the coordinates of a replicating pool repeat."""
     bits, inverse = np.unique(np.ascontiguousarray(vec, dtype=np.float64).view(np.int64),
                               return_inverse=True)
     reprs = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
@@ -780,15 +776,14 @@ def _float_reprs(vec: np.ndarray) -> list[str]:
 
 def count_reprs(vectors, n: int) -> np.ndarray:
     """The scatter cell of every count that the bin-count ``vectors`` of a
-    pool of ``n`` rows hold (float vectors among them are skipped):
-    ``repr(c / n)``, in an object array indexed by the count, None at the
-    counts none of them holds. Python's ``c / n`` and numpy's float64
-    ``counts / n`` both round the exact quotient of two integers below
-    2^53 once, so the strings are those of the divided vectors."""
+    pool of ``n`` rows hold: ``repr(c / n)``, in an object array indexed by
+    the count, None at the counts none of them holds. Python's ``c / n``
+    and numpy's float64 ``counts / n`` both round the exact quotient of two
+    integers below 2^53 once, so the strings are those of the divided
+    vectors."""
     held = np.zeros(n + 1, dtype=bool)
     for vec in vectors:
-        if vec.dtype.kind == "u":
-            held[vec] = True
+        held[vec] = True
     counts = np.flatnonzero(held)
     reprs = np.full(n + 1, None, dtype=object)
     reprs[counts] = [repr(c / n) for c in counts.tolist()]
@@ -802,18 +797,16 @@ def write_scatter_csv(test: tuple[np.ndarray, np.ndarray], pools: dict[str, tupl
     column per pool named after it, in the order of ``pools``. Each column
     is a pair ``(vector, reprs)``: the view as :class:`EvalReport` keeps it
     and its pool's :func:`count_reprs` table, from which each bin count's
-    cell is looked up; a float vector is formatted as it is
-    (:func:`_float_reprs`), and its ``reprs`` is not read. The bytes are
-    those ``csv.writer`` writes, ``\\r\\n`` line ends included. Rows are
-    formatted ``CSV_WRITE_BLOCK`` at a time."""
+    cell is looked up. The bytes are those ``csv.writer`` writes,
+    ``\\r\\n`` line ends included. Rows are formatted ``CSV_WRITE_BLOCK``
+    at a time."""
     columns = [test, *pools.values()]
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(["bin_id", "test_frequency", *pools])
         for start in range(0, len(test[0]), CSV_WRITE_BLOCK):
             stop = min(start + CSV_WRITE_BLOCK, len(test[0]))
             write_csv_block(fh, [map(str, range(start, stop)),
-                                 *(reprs[vec[start:stop]].tolist() if vec.dtype.kind == "u"
-                                   else _float_reprs(vec[start:stop]) for vec, reprs in columns)])
+                                 *(reprs[vec[start:stop]].tolist() for vec, reprs in columns)])
 
 
 def write_pca_csv(coords: np.ndarray, path, codes: np.ndarray) -> None:

@@ -1,5 +1,7 @@
 """Minimal dense-network substrate: forward evaluation, reverse-mode
-gradients, and the RMSprop optimizer.
+gradients, and the RMSprop optimizer, which steps one packed parameter
+vector (:func:`pack_parameters`) with fixed decay ``RMSPROP_RHO`` and
+``RMSPROP_EPSILON``.
 
 Networks are stacks of fully connected layers, tanh on hidden layers and a
 linear output layer whose columns are carved into heads: plain linear
@@ -63,7 +65,6 @@ class ForwardCache:
     """Activations recorded by forward(), consumed by backward()."""
 
     inputs: list[np.ndarray]    # per layer: input batch
-    preacts: list[np.ndarray]   # per layer: W x + b
     logits: np.ndarray          # output layer activations, before the heads
     outputs: np.ndarray         # post-head outputs
     squeezed: bool              # input arrived as a single vector
@@ -91,20 +92,18 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def forward_layers(mlp: Mlp, a: np.ndarray
-                   ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+def forward_layers(mlp: Mlp, a: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Layer recurrence of forward() on a 2-D batch, without checks or heads.
 
-    Returns each layer's input, each layer's pre-activation and the output
-    layer's activations (the logits the heads act on).
+    Returns each layer's input and the output layer's activations (the
+    logits the heads act on).
     """
-    inputs, preacts = [], []
+    inputs = []
     for layer in mlp.layers:
         inputs.append(a)
         z = a @ layer.weights.T + layer.biases
-        preacts.append(z)
         a = np.tanh(z) if layer.activation == "tanh" else z
-    return inputs, preacts, a
+    return inputs, a
 
 
 def forward(mlp: Mlp, x) -> tuple[np.ndarray, ForwardCache]:
@@ -120,12 +119,12 @@ def forward(mlp: Mlp, x) -> tuple[np.ndarray, ForwardCache]:
     a = arr[None, :] if squeezed else arr
     if a.shape[1] != mlp.input_width:
         raise DataError(f"input width {a.shape[1]} does not match network input {mlp.input_width}")
-    inputs, preacts, logits = forward_layers(mlp, a)
+    inputs, logits = forward_layers(mlp, a)
     out = logits.copy()
     for head, sl in Mlp.head_slices(mlp):
         if head.kind == "softmax":
             out[:, sl] = softmax(logits[:, sl])
-    cache = ForwardCache(inputs, preacts, logits, out, squeezed)
+    cache = ForwardCache(inputs, logits, out, squeezed)
     return (out[0] if squeezed else out), cache
 
 
@@ -241,45 +240,42 @@ def pack_parameters(mlps) -> PackedParameters:
     return PackedParameters(values, grads, views(grads), ends)
 
 
+RMSPROP_RHO = 0.9  # decay of the squared-gradient average
+RMSPROP_EPSILON = 1e-8  # added under the square root
+
+
 @dataclass
 class RmspropState:
     learning_rate: float
-    rho: float
-    epsilon: float
-    accumulators: list[np.ndarray]
+    accumulator: np.ndarray
 
 
-def rmsprop_init(params: list[np.ndarray], learning_rate: float = 0.001,
-                 rho: float = 0.9, epsilon: float = 1e-8) -> RmspropState:
-    return RmspropState(learning_rate, rho, epsilon, [np.zeros_like(p) for p in params])
+def rmsprop_init(values: np.ndarray, learning_rate: float = 0.001) -> RmspropState:
+    """Optimizer state for the packed parameter vector ``values``
+    (:attr:`PackedParameters.values`)."""
+    return RmspropState(learning_rate, np.zeros_like(values))
 
 
-def rmsprop_step(params: list[np.ndarray], grads: list[np.ndarray],
-                 state: RmspropState) -> tuple[list[np.ndarray], RmspropState]:
-    """One update, in place: acc <- rho*acc + (1-rho)*g^2; p <- p - lr*g/sqrt(acc+eps).
+def rmsprop_step(values: np.ndarray, grads: np.ndarray, state: RmspropState) -> None:
+    """One update of ``values`` and ``state.accumulator``, in place:
+    acc <- rho*acc + (1-rho)*g^2; p <- p - lr*g/sqrt(acc+eps).
 
-    ``params`` and ``state.accumulators`` are updated in place and returned.
-    A model that packs its parameters into one flat buffer makes this a
-    single block, so the update runs as a handful of vectorized calls.
+    Raises DivergenceError, before anything changes, where ``grads`` is not
+    finite; :meth:`PackedParameters.first_nonfinite_block` names the block.
     """
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if p.shape != g.shape:
-            raise StaleCacheError(f"parameter block {i}: shape {p.shape} vs gradient {g.shape}")
-        if not np.isfinite(g).all():
-            raise DivergenceError(f"non-finite gradient in parameter block {i}")
-    lr, rho, eps = state.learning_rate, state.rho, state.epsilon
-    for p, g, acc in zip(params, grads, state.accumulators):
-        # rho*acc + (1-rho)*g*g and p - lr*g/sqrt(acc+eps), operation for
-        # operation in the same order (bit-identical), on two temporaries
-        t = (1.0 - rho) * g
-        t *= g
-        acc *= rho
-        acc += t
-        np.sqrt(np.add(acc, eps, out=t), out=t)
-        step = lr * g
-        step /= t
-        p -= step
-    return params, state
+    if not np.isfinite(grads).all():
+        raise DivergenceError("non-finite gradient")
+    acc = state.accumulator
+    # rho*acc + (1-rho)*g*g and p - lr*g/sqrt(acc+eps), operation for
+    # operation in the same order (bit-identical), on two temporaries
+    t = (1.0 - RMSPROP_RHO) * grads
+    t *= grads
+    acc *= RMSPROP_RHO
+    acc += t
+    np.sqrt(np.add(acc, RMSPROP_EPSILON, out=t), out=t)
+    step = state.learning_rate * grads
+    step /= t
+    values -= step
 
 
 def mlp_to_dict(mlp: Mlp) -> dict:

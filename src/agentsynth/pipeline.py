@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 import platform
 import resource
+import sys
 import time
 import zlib
 from contextlib import contextmanager
@@ -233,8 +234,9 @@ def config_sha256(config: ExperimentConfig) -> str | None:
 def _peak_rss_mb() -> float:
     """The process's peak resident memory so far, in MiB: ``VmHWM`` from
     ``/proc/self/status``, which starts afresh when a program is executed.
-    Where that file does not exist, ``ru_maxrss`` (KiB on Linux), which
-    Linux carries over from the process that started this one."""
+    Where that file does not exist, ``ru_maxrss``: bytes on macOS, KiB
+    elsewhere (Linux carries it over from the process that started this
+    one)."""
     try:
         with open("/proc/self/status") as fh:
             for line in fh:
@@ -242,7 +244,8 @@ def _peak_rss_mb() -> float:
                     return int(line.split()[1]) / 1024
     except OSError:
         pass
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    scale = 1024 ** 2 if sys.platform == "darwin" else 1024
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / scale
 
 
 @contextmanager

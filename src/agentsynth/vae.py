@@ -336,10 +336,10 @@ def _forward_loss(model: VaeModel, x, eps) -> _StepState:
     n_rows = x.shape[0]
     d = model.latent_dim
     eps = np.asarray(eps, dtype=float)
-    enc_inputs, _, enc_out = forward_layers(model.encoder, x)
+    enc_inputs, enc_out = forward_layers(model.encoder, x)
     mu, lv = enc_out[:, :d], enc_out[:, d:]
     sigma = np.exp(lv / 2.0)
-    dec_inputs, _, logits = forward_layers(model.decoder, mu + sigma * eps)
+    dec_inputs, logits = forward_layers(model.decoder, mu + sigma * eps)
     layout = model.layout
     d_logits = np.empty_like(logits)
     numeric = 0.0
@@ -421,7 +421,7 @@ def _train_single(model: VaeModel, train: EncodedMatrix, config: TrainConfig,
     if n == 0:
         raise DataError("cannot train on an empty pool")
     packed = model.packed
-    state = rmsprop_init([packed.values], config.learning_rate)
+    state = rmsprop_init(packed.values, config.learning_rate)
     history = []
     for epoch in range(config.epochs):
         order = rng.permutation(n)
@@ -436,7 +436,7 @@ def _train_single(model: VaeModel, train: EncodedMatrix, config: TrainConfig,
                 raise DivergenceError(
                     f"grid point {grid_index}, epoch {epoch}: {exc}") from None
             try:
-                rmsprop_step([packed.values], [packed.grads], state)
+                rmsprop_step(packed.values, packed.grads, state)
             except DivergenceError:
                 raise DivergenceError(
                     f"grid point {grid_index}, epoch {epoch}: non-finite gradient in "

@@ -27,3 +27,19 @@ def joint_distribution(dag: Dag, cpts: CptSet) -> np.ndarray:
             p *= cpts.tables[node][row, combo[node]]
         joint[combo] = p
     return joint
+
+
+def rmsprop_per_block(params: list[np.ndarray], grads: list[np.ndarray],
+                      accumulators: list[np.ndarray], learning_rate: float,
+                      rho: float = 0.9, epsilon: float = 1e-8) -> None:
+    """RMSprop over a list of parameter blocks, one block at a time and in
+    place: acc <- rho*acc + (1-rho)*g^2; p <- p - lr*g/sqrt(acc+eps)."""
+    for p, g, acc in zip(params, grads, accumulators):
+        t = (1.0 - rho) * g
+        t *= g
+        acc *= rho
+        acc += t
+        np.sqrt(np.add(acc, epsilon, out=t), out=t)
+        step = learning_rate * g
+        step /= t
+        p -= step

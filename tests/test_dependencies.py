@@ -55,3 +55,35 @@ def test_no_dead_imports(path, monkeypatch):
                if module.__name__ == f"agentsynth.{path.stem}"}
     dead = sorted(_unread_imports(path) - wrapped)
     assert not dead, f"{path.name} imports {dead} and never reads them"
+
+
+def _private_definitions(path):
+    """Names of the module-level functions and classes of a source file
+    that start with an underscore."""
+    return {node.name for node in ast.parse(path.read_text(), str(path)).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")}
+
+
+def _read_names(path):
+    """Every name a source file reads, bare (``f``) or as an attribute
+    (``module.f``)."""
+    read = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def test_no_unread_private_names(monkeypatch):
+    # a private function or class that no package code reads is dead, tests
+    # aside; names the benchmark wraps (perfbench/layers.py) are kept
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from layers import bindings
+
+    read = set().union(*map(_read_names, SOURCES))
+    wrapped = {attribute for _, attribute, *_ in bindings()}
+    unread = sorted(f"{path.stem}.{name}" for path in SOURCES
+                    for name in _private_definitions(path) - read - wrapped)
+    assert not unread, f"no package code reads {unread}"

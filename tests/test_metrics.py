@@ -136,9 +136,11 @@ class TestPoolVectors:
         vectors, pairwise = _pool_vectors(codes, widths, subsets)
         assert list(vectors) == list(subsets)
         for view, subs in subsets.items():
-            assert vectors[view].dtype == (np.float64 if view == "projected" else np.uint8)
+            assert vectors[view].dtype == np.uint8  # every view, the projected one too
             np.testing.assert_array_equal(metrics._frequencies(vectors[view], len(codes)),
                                           _per_subset_freqs(codes, widths, subs))
+        counted = frequency_distribution_from_codes(codes, widths, (3, 0, 2)).counts
+        assert (vectors["projected"] == counted).all() and len(counted) == 4 * 2 * 3
         expected = [cramers_v_from_codes(codes, widths, i, j)
                     for i, j in itertools.combinations(range(len(widths)), 2)]
         assert [None if np.isnan(v) else v for v in pairwise.tolist()] == expected
@@ -767,11 +769,11 @@ class TestEvaluate:
         assert (report.test_size, report.sizes) == (120, {"g": 90})
         for view, subs in subsets.items():
             np.testing.assert_array_equal(
-                report.frequencies(view, "g"),
+                metrics._frequencies(report.vectors["g"][view], report.sizes["g"]),
                 _per_subset_freqs(codes_for_pool(gen), (2, 3, 2, 4), subs))
         for view, subs in subsets.items():
             np.testing.assert_array_equal(
-                report.frequencies(view),
+                metrics._frequencies(report.test_vectors[view], report.test_size),
                 _per_subset_freqs(codes_for_pool(test), (2, 3, 2, 4), subs))
         assert set(report_to_dict(report)) == {"methods", "rows", "metadata"}
         assert "vectors" not in report_to_json(report)
@@ -884,10 +886,14 @@ AWKWARD = [0.0, -0.0, 1.0, 1 / 3, 1e-300, 5e-324, 1.7976931348623157e308, float(
            -float("inf"), float("nan"), 1 / 3, 0.1 + 0.2, -2.5e-7]
 
 
-def _float_columns(test_vec, pool_vecs):
-    """Float frequency vectors as write_scatter_csv's columns: a float
-    vector is written as it is, and its cell table is not read."""
-    return (test_vec, None), {name: (vec, None) for name, vec in pool_vecs.items()}
+def _count_columns(test, pools):
+    """Bin counts ``(counts, n)`` of pools of ``n`` rows as write_scatter_csv's
+    columns, each with its count_reprs table, and their frequencies."""
+    def column(vec, n):
+        return vec.astype(np.min_scalar_type(n)), count_reprs([vec], n)
+
+    return ((column(*test), {name: column(*pool) for name, pool in pools.items()}),
+            (test[0] / test[1], {name: vec / n for name, (vec, n) in pools.items()}))
 
 
 def _scatter_oracle(path, test_vec, pool_vecs):
@@ -915,8 +921,8 @@ class TestNarrowViewCounts:
         report = evaluate({"g": gen}, test, make(50, "train"))
         for view, subs in view_subsets(4, (0, 1, 2, 3)).items():
             kept = report.test_vectors[view], report.vectors["g"][view]
+            assert [vec.dtype for vec in kept] == [np.min_scalar_type(n)] * 2
             if view != "projected":
-                assert [vec.dtype for vec in kept] == [np.min_scalar_type(n)] * 2
                 assert kept[0].max() == n
             test_freqs, gen_freqs = (_per_subset_freqs(pool.codes, widths, subs)
                                      for pool in (test, gen))
@@ -929,35 +935,54 @@ class TestNarrowViewCounts:
 
 class TestArtifactBytes:
     def test_scatter_equals_csv_writer(self, rng, tmp_path):
-        test_vec = np.array(AWKWARD + rng.random(40).tolist() + [0.25] * 5)
-        pool_vecs = {"vae": rng.permutation(test_vec), "bn": test_vec[::-1].copy(),
-                     "marginal-sampler": np.full(len(test_vec), 1 / 3)}
-        write_scatter_csv(*_float_columns(test_vec, pool_vecs), tmp_path / "s.csv")
-        assert (tmp_path / "s.csv").read_bytes() == _scatter_oracle(
-            tmp_path / "e.csv", test_vec, pool_vecs)
+        # pools of one row, of 3 (thirds), of 10,000 and of 70,000 rows (uint32)
+        test = (np.array([0, 3, 1, 2, 3, 0] + rng.integers(0, 4, 40).tolist()), 3)
+        pools = {"vae": (rng.integers(0, 10_001, len(test[0])), 10_000),
+                 "bn": (rng.integers(0, 2, len(test[0])), 1),
+                 "marginal-sampler": (np.full(len(test[0]), 70_000 // 3), 70_000)}
+        columns, freqs = _count_columns(test, pools)
+        write_scatter_csv(*columns, tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").read_bytes() == _scatter_oracle(tmp_path / "e.csv", *freqs)
 
     def test_scatter_header_quotes_awkward_pool_names(self, rng, tmp_path):
-        test_vec = rng.random(7)
-        pool_vecs = {'a,b': test_vec / 2, 'say "hi"': test_vec / 3, "plain": test_vec}
-        write_scatter_csv(*_float_columns(test_vec, pool_vecs), tmp_path / "s.csv")
-        assert (tmp_path / "s.csv").read_bytes() == _scatter_oracle(
-            tmp_path / "e.csv", test_vec, pool_vecs)
+        test = (rng.integers(0, 8, 7), 7)
+        pools = {'a,b': (test[0] // 2, 7), 'say "hi"': (test[0] // 3, 7), "plain": test}
+        columns, freqs = _count_columns(test, pools)
+        write_scatter_csv(*columns, tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").read_bytes() == _scatter_oracle(tmp_path / "e.csv", *freqs)
 
     def test_scatter_and_pca_over_several_write_blocks(self, rng, tmp_path):
         rows = 2 * dataset.CSV_WRITE_BLOCK + 3
-        test_vec = np.concatenate((AWKWARD, rng.integers(0, 9, rows - len(AWKWARD)) / 8))
-        # a value that repeats across blocks, and AWKWARD values inside a later block
-        late = rng.permutation(test_vec)
-        late[dataset.CSV_WRITE_BLOCK + 5:dataset.CSV_WRITE_BLOCK + 5 + len(AWKWARD)] = AWKWARD
-        pool_vecs = {"vae": rng.permutation(test_vec), "gibbs": late}
-        write_scatter_csv(*_float_columns(test_vec, pool_vecs), tmp_path / "s.csv")
-        assert (tmp_path / "s.csv").read_bytes() == _scatter_oracle(
-            tmp_path / "e.csv", test_vec, pool_vecs)
+        test = (rng.integers(0, 9, rows), 8)
+        # counts that repeat across blocks, and a run of distinct ones in a later block
+        late = rng.permutation(test[0]) * 1000
+        late[dataset.CSV_WRITE_BLOCK + 5:dataset.CSV_WRITE_BLOCK + 105] = np.arange(100)
+        pools = {"vae": (rng.permutation(test[0]), 8), "gibbs": (late, 9_000)}
+        columns, freqs = _count_columns(test, pools)
+        write_scatter_csv(*columns, tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").read_bytes() == _scatter_oracle(tmp_path / "e.csv", *freqs)
         coords = rng.normal(size=(rows, 2))
         coords[dataset.CSV_WRITE_BLOCK - 4:dataset.CSV_WRITE_BLOCK + 9, 1] = AWKWARD
         write_pca_csv(coords, tmp_path / "p.csv", np.zeros((rows, 1), dtype=np.uint8))
         assert (tmp_path / "p.csv").read_bytes() == _csv_writer_bytes(
             tmp_path / "e.csv", ["pc1", "pc2"], [[repr(float(v)) for v in row] for row in coords])
+
+    @pytest.mark.parametrize("n", [1, 17, 1025, 2051])
+    def test_projected_column_equals_the_float_frequencies(self, rng, tmp_path, n):
+        """The projected view is the single-subset counts in the narrow
+        dtype, and writes the cells that formatting its float frequencies
+        writes."""
+        widths = (3, 4, 2, 5)
+        codes = np.column_stack([rng.integers(0, w, size=n) for w in widths])
+        vectors, _ = _pool_vectors(codes, widths, view_subsets(4, (2, 0, 3)))
+        single = frequency_distribution_from_codes(codes, widths, (2, 0, 3))
+        assert vectors["projected"].dtype == np.min_scalar_type(n)
+        assert (vectors["projected"] == single.counts).all()
+        write_scatter_csv((vectors["projected"], count_reprs(vectors.values(), n)), {},
+                          tmp_path / "s.csv")
+        with open(tmp_path / "s.csv", newline="") as fh:
+            _, *rows = csv.reader(fh)
+        assert [row[1] for row in rows] == metrics._float_reprs(single.freqs)
 
     @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (25, 5)])
     def test_pca_equals_csv_writer(self, rng, tmp_path, shape):
@@ -984,19 +1009,17 @@ class TestSharedFormatting:
         # each pool's table also covers the counts of its other views
         tables = {name: count_reprs([vec, rng.integers(0, n + 1, 50).astype(vec.dtype)], n)
                   for (name, n), vec in zip(sizes.items(), views.values())}
-        projected = rng.random(bins)  # a float vector is written as it is
         write_scatter_csv((views["test"], tables["test"]),
-                          {"vae": (views["vae"], tables["vae"]), "proj": (projected, None),
+                          {"vae": (views["vae"], tables["vae"]),
                            "gibbs": (views["gibbs"], tables["gibbs"])}, tmp_path / "s.csv")
         assert (tmp_path / "s.csv").read_bytes() == _scatter_oracle(
             tmp_path / "e.csv", views["test"] / sizes["test"],
-            {"vae": views["vae"] / sizes["vae"], "proj": projected,
-             "gibbs": views["gibbs"] / sizes["gibbs"]})
+            {"vae": views["vae"] / sizes["vae"], "gibbs": views["gibbs"] / sizes["gibbs"]})
 
     def test_count_reprs_is_the_repr_of_numpys_division(self):
         n = 10_000
         counts = np.arange(n + 1, dtype=np.uint16)
-        table = count_reprs([counts[::-1], np.full(3, 0.5)], n)
+        table = count_reprs([counts[::-1], counts[:3]], n)
         assert table.tolist() == list(map(repr, (counts / n).tolist()))
         assert count_reprs([counts[:2]], n).tolist()[:3] == ["0.0", "0.0001", None]
 

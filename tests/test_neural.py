@@ -5,6 +5,8 @@ import pytest
 
 from agentsynth.errors import DataError, DivergenceError, StaleCacheError
 from agentsynth.neural import (
+    RMSPROP_EPSILON,
+    RMSPROP_RHO,
     DenseLayer,
     Head,
     Mlp,
@@ -14,12 +16,14 @@ from agentsynth.neural import (
     init_mlp,
     mlp_from_dict,
     mlp_to_dict,
+    pack_parameters,
     parameters,
     rmsprop_init,
     rmsprop_step,
-    set_parameters,
     softmax,
 )
+
+from oracles import rmsprop_per_block
 
 
 def _random_net(rng, input_width=4, hidden=(5,), heads=(Head("linear", 2), Head("softmax", 3))):
@@ -34,7 +38,7 @@ class TestForward:
             layer.biases = np.zeros_like(layer.biases)
         y, cache = forward(net, np.ones(4))
         assert np.all(y == 0.0)
-        assert np.all(np.tanh(cache.preacts[0]) == 0.0)
+        assert np.all(cache.inputs[1] == 0.0)
 
     def test_softmax_symmetry(self):
         np.testing.assert_allclose(softmax(np.zeros((1, 3))), np.full((1, 3), 1 / 3))
@@ -169,44 +173,69 @@ class TestBackward:
 
 class TestRmsprop:
     def test_zero_gradient_leaves_parameters(self):
-        params = [np.array([1.0, -2.0])]
-        state = rmsprop_init(params)
-        new, _ = rmsprop_step(params, [np.zeros(2)], state)
-        np.testing.assert_array_equal(new[0], params[0])
+        values = np.array([1.0, -2.0])
+        state = rmsprop_init(values)
+        rmsprop_step(values, np.zeros(2), state)
+        np.testing.assert_array_equal(values, [1.0, -2.0])
 
     def test_first_step_hand_value(self):
         # acc = 0.1, step = -0.001/sqrt(0.1 + 1e-8)
-        params = [np.array([0.0])]
-        state = rmsprop_init(params, learning_rate=0.001, rho=0.9, epsilon=1e-8)
-        new, new_state = rmsprop_step(params, [np.array([1.0])], state)
-        assert abs(new_state.accumulators[0].item() - 0.1) < 1e-15
-        assert abs(new[0].item() - (-0.001 / np.sqrt(0.1 + 1e-8))) < 1e-12
-        assert abs(new[0].item() - (-0.0031623)) < 1e-6
+        values = np.array([0.0])
+        state = rmsprop_init(values, learning_rate=0.001)
+        rmsprop_step(values, np.array([1.0]), state)
+        assert (RMSPROP_RHO, RMSPROP_EPSILON) == (0.9, 1e-8)
+        assert abs(state.accumulator.item() - 0.1) < 1e-15
+        assert abs(values.item() - (-0.001 / np.sqrt(0.1 + 1e-8))) < 1e-12
+        assert abs(values.item() - (-0.0031623)) < 1e-6
 
     def test_two_steps_decrease_quadratic(self):
         # loss(p) = 0.5 p^2 on a scalar; gradient is p
-        p = [np.array([2.0])]
+        p = np.array([2.0])
         state = rmsprop_init(p, learning_rate=0.05)
-        losses = [0.5 * p[0].item() ** 2]
+        losses = [0.5 * p.item() ** 2]
         for _ in range(2):
-            p, state = rmsprop_step(p, [p[0].copy()], state)
-            losses.append(0.5 * p[0].item() ** 2)
+            rmsprop_step(p, p.copy(), state)
+            losses.append(0.5 * p.item() ** 2)
         assert losses[1] < losses[0]
         assert losses[2] < losses[1]
 
     def test_updates_in_place(self):
-        params = [np.array([1.0, -2.0]), np.array([0.5])]
-        state = rmsprop_init(params)
-        new, new_state = rmsprop_step(params, [np.array([1.0, 1.0]), np.array([-1.0])], state)
-        assert new is params and new_state is state
-        assert params[0][0] < 1.0 and params[1][0] > 0.5
+        values = np.array([1.0, -2.0, 0.5])
+        state = rmsprop_init(values)
+        accumulator = state.accumulator
+        assert rmsprop_step(values, np.array([1.0, 1.0, -1.0]), state) is None
+        assert state.accumulator is accumulator and (accumulator > 0).all()
+        assert values[0] < 1.0 and values[2] > 0.5
 
-    def test_non_finite_gradient_names_block(self):
-        params = [np.zeros(2), np.zeros(3)]
-        state = rmsprop_init(params)
-        bad = [np.zeros(2), np.array([0.0, np.inf, 0.0])]
-        with pytest.raises(DivergenceError, match="block 1"):
-            rmsprop_step(params, bad, state)
+    def test_non_finite_gradient_changes_nothing(self):
+        values = np.zeros(5)
+        state = rmsprop_init(values)
+        with pytest.raises(DivergenceError, match="non-finite gradient"):
+            rmsprop_step(values, np.array([1.0, 1.0, 0.0, np.inf, 0.0]), state)
+        assert not values.any() and not state.accumulator.any()
+
+    def test_packed_step_equals_the_per_block_reference(self):
+        """50 steps on blocks shaped like a 60-column VAE's (hidden 100,
+        latent 4), one block's gradient all zeros throughout: the packed
+        step writes the bits of the per-block update."""
+        rng = np.random.default_rng(3)
+        encoder = init_mlp(60, (100,), (Head("linear", 8),), rng)
+        decoder = init_mlp(4, (100,), (Head("softmax", 60),), rng)
+        packed = pack_parameters([encoder, decoder])
+        blocks = [p.copy() for p in parameters(encoder) + parameters(decoder)]
+        state, accumulators = rmsprop_init(packed.values, 0.01), [np.zeros_like(p) for p in blocks]
+        for _ in range(50):
+            for k, g in enumerate(packed.grad_blocks):
+                g[...] = 0.0 if k == 3 else rng.normal(scale=10.0 ** rng.integers(-6, 2),
+                                                       size=g.shape)
+            rmsprop_per_block(blocks, packed.grad_blocks, accumulators, 0.01)
+            rmsprop_step(packed.values, packed.grads, state)
+        for got, want in zip(parameters(encoder) + parameters(decoder), blocks):
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        np.testing.assert_array_equal(
+            state.accumulator.view(np.int64),
+            np.concatenate([a.ravel() for a in accumulators]).view(np.int64))
+        assert not accumulators[3].any()
 
 
 class TestCheckpoint:
@@ -256,17 +285,15 @@ class TestTrainingReproducibility:
         def run():
             rng = np.random.default_rng(99)
             net = _random_net(rng, heads=(Head("linear", 2),))
-            params = parameters(net)
-            state = rmsprop_init(params)
+            packed = pack_parameters([net])
+            state = rmsprop_init(packed.values)
             x = rng.normal(size=(8, 4))
             t = rng.normal(size=(8, 2))
             for _ in range(25):
-                set_parameters(net, params)
                 y, cache = forward(net, x)
                 grads, _ = backward(net, cache, (y - t) / len(x))
-                params, state = rmsprop_step(params, grads, state)
-            return params
+                packed.grads[...] = np.concatenate([g.ravel() for g in grads])
+                rmsprop_step(packed.values, packed.grads, state)
+            return packed.values
 
-        a, b = run(), run()
-        for pa, pb in zip(a, b):
-            np.testing.assert_array_equal(pa, pb)
+        np.testing.assert_array_equal(run(), run())

@@ -6,6 +6,7 @@ import itertools
 import json
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -122,6 +123,21 @@ class TestRunPipeline:
         # the failing stage records neither its time nor its memory
         assert list(info["stage_peak_rss_mb"]) == list(info["timings_seconds"]) == ["prepare"]
 
+    @pytest.mark.parametrize("platform, maxrss", [("darwin", 3 * 2 ** 20), ("linux", 3 * 2 ** 10),
+                                                  ("freebsd13", 3 * 2 ** 10)])
+    def test_peak_rss_without_proc_reads_maxrss_in_the_platform_unit(
+            self, monkeypatch, platform, maxrss):
+        """Without /proc/self/status the peak is ru_maxrss: bytes on macOS,
+        KiB elsewhere."""
+        def no_proc(path, *args, **kwargs):
+            raise FileNotFoundError(path)
+
+        monkeypatch.setattr(pipeline, "open", no_proc, raising=False)
+        monkeypatch.setattr(pipeline, "sys", SimpleNamespace(platform=platform))
+        monkeypatch.setattr(pipeline, "resource", SimpleNamespace(
+            RUSAGE_SELF=0, getrusage=lambda who: SimpleNamespace(ru_maxrss=maxrss)))
+        assert pipeline._peak_rss_mb() == 3.0
+
     def test_unknown_projection_is_config_error(self, tmp_path):
         # an unknown name, no name, or a name twice fails before any training
         config = _small_config(tmp_path, methods=_fast_methods())
@@ -236,10 +252,6 @@ def _reference_pool_vectors(codes, value_counts, subsets):
     pair's Cramer's V from _cramers_v_table, one pair at a time."""
     n, vectors, pairwise = len(codes), {}, None
     for view, subs in subsets.items():
-        if view == "projected":
-            vectors[view] = metrics.frequency_distribution_from_codes(
-                codes, value_counts, subs[0]).freqs
-            continue
         counts, offsets = dataset.view_counts(codes, value_counts, subs)
         vectors[view] = counts.astype(np.min_scalar_type(n))
         if view == "bivariate":
@@ -406,9 +418,11 @@ def _reference_write_run_outputs(report, train, pools, out):
     for name in BASELINE_NAMES:
         dataset.write_pool_csv(pools[name], out / "pools" / f"{name}.csv")
     for name in pools:
-        for view in report.test_vectors:
-            _reference_write_scatter_csv(report.frequencies(view, name), report.frequencies(view),
-                                         out / "scatter" / f"{name}__{view}.csv")
+        for view, test_vec in report.test_vectors.items():
+            _reference_write_scatter_csv(
+                metrics._frequencies(report.vectors[name][view], report.sizes[name]),
+                metrics._frequencies(test_vec, report.test_size),
+                out / "scatter" / f"{name}__{view}.csv")
     enc_train = encode_pool(train)
     pca = metrics.pca_fit(enc_train)
     k = min(PCA_COMPONENTS, enc_train.values.shape[1])

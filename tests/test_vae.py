@@ -48,6 +48,7 @@ from agentsynth.vae import (
 )
 
 from conftest import categorical_schema, random_categorical_pool
+from oracles import rmsprop_per_block
 
 
 def _mixed_schema():
@@ -584,8 +585,8 @@ class TestPackedParameters:
         blocks = [p.copy() for p in parameters(model.encoder) + parameters(model.decoder)]
         accs = [np.zeros_like(p) for p in blocks]
         listed = [p.copy() for p in blocks]
-        listed_state = rmsprop_init(listed, lr, rho, eps_rms)
-        state = rmsprop_init([model.packed.values], lr, rho, eps_rms)
+        listed_accs = [np.zeros_like(p) for p in blocks]
+        state = rmsprop_init(model.packed.values, lr)
         for _ in range(3):
             _, enc_grads, dec_grads = loss_and_grads(
                 model, x, rng.standard_normal((len(x), 2)))
@@ -594,8 +595,8 @@ class TestPackedParameters:
                 # the per-block update as a plain formula
                 accs[k] = rho * accs[k] + (1.0 - rho) * g * g
                 blocks[k] = blocks[k] - lr * g / np.sqrt(accs[k] + eps_rms)
-            rmsprop_step(listed, grads, listed_state)
-            rmsprop_step([model.packed.values], [model.packed.grads], state)
+            rmsprop_per_block(listed, grads, listed_accs, lr)
+            rmsprop_step(model.packed.values, model.packed.grads, state)
             current = parameters(model.encoder) + parameters(model.decoder)
             for got, per_block, via_list in zip(current, blocks, listed):
                 np.testing.assert_array_equal(got, per_block)
