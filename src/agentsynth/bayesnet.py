@@ -56,7 +56,7 @@ import numpy as np
 
 from .dataset import (MAX_TABLE_CELLS, check_codes, code_dtype, draw_categories, read_json,
                       view_counts)
-from .errors import DataError, ExactSearchLimitError, expect
+from .errors import DataError, ExactSearchLimitError, read_fields, read_format, read_rows
 
 
 @dataclass(frozen=True)
@@ -494,23 +494,15 @@ def bn_from_dict(doc: dict) -> tuple[Dag, CptSet]:
     positive width per node, one table of shape (prod parent widths, width)
     per node, and finite non-negative rows that sum to 1; every value must
     have its JSON type."""
-    expect(doc, "an object", "a BN model document", DataError)
-    if doc.get("format") != "agentsynth-bn":
-        raise DataError(f"not a BN model document: {doc.get('format')!r}")
-    def field(key: str, need: str):
-        return expect(doc[key], need, f"BN {key}", DataError)
-
-    try:
-        dag = Dag(field("n_nodes", "an integer"),
-                  tuple(map(tuple, field("parents", "a list of integer lists"))))
-        value_counts = tuple(field("value_counts", "a list of integers"))
-        tables = tuple(np.asarray(expect(t, "a list of number lists", f"node {node}: table",
-                                         DataError), dtype=float)
-                       for node, t in enumerate(field("tables", "a list")))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed BN model document: {exc!r}") from None
+    read_format(doc, "agentsynth-bn", "a BN model document")
+    n_nodes, parents, value_counts, tables = read_fields(doc, {
+        "n_nodes": "an integer", "parents": "a list of integer lists",
+        "value_counts": "a list of integers", "tables": "a list"}, "a BN model document", "BN ")
+    dag = Dag(n_nodes, tuple(map(tuple, parents)))
+    tables = tuple(np.asarray(read_rows(t, f"node {node}: table"), dtype=float)
+                   for node, t in enumerate(tables))
     if len(value_counts) != dag.n_nodes or min(value_counts, default=1) < 1:
-        raise DataError(f"value_counts {list(value_counts)} must hold one positive width "
+        raise DataError(f"value_counts {value_counts} must hold one positive width "
                         f"per node ({dag.n_nodes})")
     if len(tables) != dag.n_nodes:
         raise DataError(f"{len(tables)} tables for {dag.n_nodes} nodes")
@@ -522,7 +514,7 @@ def bn_from_dict(doc: dict) -> tuple[Dag, CptSet]:
             raise DataError(f"node {node}: table entries must be finite and >= 0")
         if np.any(np.abs(table.sum(axis=1) - 1.0) > 1e-9):
             raise DataError(f"node {node}: table rows must sum to 1")
-    return dag, CptSet(value_counts, dag.parents, tables)
+    return dag, CptSet(tuple(value_counts), dag.parents, tables)
 
 
 def save_bn(dag: Dag, cpts: CptSet, algorithm: str, path, runtime_seconds: float | None = None,

@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, SchemaError, expect
+from .errors import ConfigError, DataError, SchemaError, expect, expect_fields
 
 NUMERICAL_KINDS = ("numerical-int", "numerical-cont")
 CATEGORICAL_KINDS = ("categorical", "binary")
@@ -767,16 +767,29 @@ def schema_to_json(schema: Schema) -> dict:
     return {"mode": schema.mode, "variables": variables}
 
 
+# the keys a schema document and each of its variable entries take, and
+# their JSON types; schema_to_json writes no other
+SCHEMA_FIELDS = {"mode": "a string", "variables": "a list"}
+VARIABLE_FIELDS = {"name": "a string", "kind": "a string", "categories": "a list of names",
+                   "bin_edges": "a list of numbers", "bins": "an integer"}
+
+
 def _variable_entries(doc) -> list[dict]:
     """The variable entries of a schema document, each an object with a
-    name and a kind."""
+    name and a kind, holding only keys of ``VARIABLE_FIELDS`` and not both
+    ``bins`` and ``bin_edges``."""
     if not isinstance(doc, dict) or "variables" not in doc:
         raise SchemaError("schema document lacks a 'variables' list")
-    entries = expect(doc["variables"], "a list", "schema 'variables'", SchemaError)
-    for entry in entries:
+    expect(doc["variables"], "a list", "schema 'variables'", SchemaError)
+    expect_fields(doc, SCHEMA_FIELDS, "the schema document", "schema ", SchemaError)
+    for entry in doc["variables"]:
         if not isinstance(entry, dict) or entry.get("name") is None or entry.get("kind") is None:
             raise SchemaError(f"schema entry missing name/kind: {entry!r}")
-    return entries
+        what = f"variable {entry['name']!r}"
+        expect_fields(entry, VARIABLE_FIELDS, what, f"{what}: ", SchemaError)
+        if "bins" in entry and "bin_edges" in entry:
+            raise SchemaError(f"{what} holds both 'bins' and 'bin_edges'; it takes one of them")
+    return doc["variables"]
 
 
 def schema_from_json(doc: dict, columns: dict[str, Sequence[float]] | None = None) -> Schema:
@@ -793,24 +806,19 @@ def schema_from_json(doc: dict, columns: dict[str, Sequence[float]] | None = Non
         name, kind = entry["name"], entry["kind"]
         if kind in NUMERICAL_KINDS:
             if "bin_edges" in entry:
-                edges = expect(entry["bin_edges"], "a list of numbers",
-                               f"variable {name!r}: bin_edges", SchemaError)
-                edges = tuple(float(e) for e in edges)
+                edges = tuple(map(float, entry["bin_edges"]))
             elif "bins" in entry:
-                bins = expect(entry["bins"], "an integer", f"variable {name!r}: bins", SchemaError)
                 if columns is None or name not in columns:
                     raise SchemaError(
                         f"variable {name!r} declares a bin count; raw data is needed to resolve edges")
-                edges = tuple(build_uniform_edges(columns[name], bins))
+                edges = tuple(build_uniform_edges(columns[name], entry["bins"]))
             else:
                 raise SchemaError(f"numerical variable {name!r} needs 'bin_edges' or 'bins'")
             variables.append(VariableSpec(name, kind, bin_edges=edges))
+        elif "categories" in entry:
+            variables.append(VariableSpec(name, kind, categories=tuple(entry["categories"])))
         else:
-            cats = entry.get("categories")
-            if cats is None:
-                raise SchemaError(f"categorical variable {name!r} needs 'categories'")
-            expect(cats, "a list", f"variable {name!r}: categories", SchemaError)
-            variables.append(VariableSpec(name, kind, categories=tuple(str(c) for c in cats)))
+            raise SchemaError(f"categorical variable {name!r} needs 'categories'")
     return Schema(tuple(variables), mode)
 
 

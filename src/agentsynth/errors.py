@@ -4,8 +4,8 @@ Three top-level families map onto the CLI exit codes: configuration
 problems (2), data problems (3), and numerical divergence during model
 fitting (4). Everything derives from :class:`AgentSynthError` so callers
 can catch toolkit errors without swallowing genuine bugs. :func:`expect`
-is the JSON type check that configuration, schema and model-file parsing
-share; :func:`expect_fields` reads every configuration object through it.
+is the JSON type check of configuration objects (:func:`expect_fields`),
+schemas, and the model and report files the package reads back (:func:`read_fields`).
 """
 
 import reprlib
@@ -74,6 +74,7 @@ JSON_TYPES = {
     "a list of number lists": lambda v: _is_list(v, lambda x: _is_list(x, _is_real)),
     "a list of names": lambda v: _is_list(v, lambda x: isinstance(x, str)),
     "a list of integer lists": lambda v: _is_list(v, lambda x: _is_list(x, _is_int)),
+    "an object or null": lambda v: v is None or isinstance(v, dict),
 }
 
 
@@ -85,14 +86,37 @@ def expect(value, need: str, what: str, error: type = ConfigError):
     return value
 
 
-def expect_fields(doc, fields: dict, what: str, prefix: str = ""):
+def expect_fields(doc, fields: dict, what: str, prefix: str = "", error: type = ConfigError):
     """``doc`` if it is an object whose keys are all in ``fields``, a ``{key:
-    JSON type}`` table, with values of those types; else a ConfigError naming
+    JSON type}`` table, with values of those types; else ``error`` naming
     ``what``, its unknown keys and ``fields``, or ``prefix`` + the key (:func:`expect`)."""
-    expect(doc, "an object", what)
+    expect(doc, "an object", what, error)
     unknown = [key for key in doc if key not in fields]
     if unknown:
-        raise ConfigError(f"{what} has unknown keys {unknown}; it accepts {list(fields)}")
+        raise error(f"{what} has unknown keys {unknown}; it accepts {list(fields)}")
     for key, value in doc.items():
-        expect(value, fields[key], prefix + key)
+        expect(value, fields[key], prefix + key, error)
     return doc
+
+
+def read_format(doc, fmt: str, what: str) -> None:
+    """A DataError unless ``doc`` is an object whose ``format`` is ``fmt``."""
+    if expect(doc, "an object", what, DataError).get("format") != fmt:
+        raise DataError(f"not {what}: {doc.get('format')!r}")
+
+
+def read_fields(doc, fields: dict, what: str, prefix: str = "") -> list:
+    """The values in ``doc`` of the keys of ``fields``, a ``{key: JSON type}`` table; other keys
+    are ignored. A DataError names ``what`` and a missing key, or ``prefix`` + the key."""
+    missing = [key for key in fields if key not in expect(doc, "an object", what, DataError)]
+    if missing:
+        raise DataError(f"{what} lacks {missing[0]!r}")
+    return [expect(doc[key], need, prefix + key, DataError) for key, need in fields.items()]
+
+
+def read_rows(rows, what: str) -> list:
+    """``rows`` if it is a list of number lists all as long as the first, else a DataError."""
+    for i, row in enumerate(expect(rows, "a list of number lists", what, DataError)):
+        if len(row) != len(rows[0]):
+            raise DataError(f"{what} row {i} has length {len(row)}, not {len(rows[0])} like row 0")
+    return rows

@@ -42,7 +42,7 @@ from itertools import repeat
 import numpy as np
 
 from .dataset import AgentPool, codes_to_pool, distinct_rows, pool_to_codes
-from .errors import ConfigError, DataError, UnreachableContextError, expect
+from .errors import ConfigError, DataError, UnreachableContextError, read_fields, read_format
 
 # Uniforms drawn per generator call in the chain. Each block is a list of
 # Python floats, and the memory they free stays with the interpreter's
@@ -313,15 +313,12 @@ def chain_to_dict(config: ChainConfig) -> dict:
 def chain_from_dict(doc: dict, target_count: int) -> ChainConfig:
     """Inverse of :func:`chain_to_dict` for a draw of ``target_count`` rows;
     every setting must be an integer, the seed a non-negative one."""
-    expect(doc, "an object", "a Gibbs chain model", DataError)
-    if doc.get("format") != "agentsynth-gibbs":
-        raise DataError(f"not a Gibbs chain model: {doc.get('format')!r}")
+    read_format(doc, "agentsynth-gibbs", "a Gibbs chain model")
+    warmup, thinning, seed = read_fields(doc, CHAIN_SETTINGS, "a Gibbs chain model", "Gibbs chain ")
     try:
-        return ChainConfig(target_count, **{
-            key: expect(doc[key], kind, f"Gibbs chain {key}", DataError)
-            for key, kind in CHAIN_SETTINGS.items()})
-    except (KeyError, ConfigError) as exc:
-        raise DataError(f"malformed Gibbs chain model: {exc!r}") from None
+        return ChainConfig(target_count, warmup, thinning, seed=seed)
+    except ConfigError as exc:  # a warmup or thinning out of range
+        raise DataError(f"Gibbs chain model: {exc}") from None
 
 
 def write_diagnostics(diagnostics, path) -> None:

@@ -51,7 +51,7 @@ from .dataset import (CSV_WRITE_BLOCK, AgentPool, EncodedMatrix, check_codes, di
 # perfbench/layers.py wraps this name on this module; it stays bound until
 # the benchmark's bindings are updated
 from .dataset import encode_pool  # noqa: F401
-from .errors import DataError, expect
+from .errors import DataError, read_fields
 
 MATCH_CHUNK = 1 << 18  # elements per block of mismatch counts in _nearest_distances
 PAIR_CHUNK = 1 << 18  # row pairs per batch of numeric differences in _nearest_distances
@@ -718,33 +718,29 @@ def report_to_json(report: EvalReport) -> str:
 
 
 def _metric_from_entry(entry: dict | None, what: str) -> ViewMetrics | None:
-    if entry is None:
-        return None
-    expect(entry, "an object", what, DataError)
-    return ViewMetrics(expect(entry.get("srmse"), "a number", f"{what} srmse", DataError),
-                       *(expect(entry.get(key), "a number or null", f"{what} {key}", DataError)
-                         for key in ("corr", "r2")))
+    return None if entry is None else ViewMetrics(*read_fields(entry, {
+        "srmse": "a number", "corr": "a number or null", "r2": "a number or null"},
+        what, f"{what} "))
 
 
 def report_from_dict(doc: dict) -> EvalReport:
     """Inverse of :func:`report_to_dict`; a document of another shape, or
     one without a row per listed method, is a DataError."""
-    expect(doc, "an object", "the report", DataError)
-    methods = expect(doc.get("methods"), "a list of names", "report methods", DataError)
-    rows_doc = expect(doc.get("rows"), "an object", "report rows", DataError)
-    rows = {}
-    for name in methods:
-        row = expect(rows_doc.get(name), "an object", f"report row {name!r}", DataError)
-        views = expect(row.get("views"), "an object", f"{name!r} views", DataError)
+    methods, rows_doc, metadata = read_fields(
+        doc, {"methods": "a list of names", "rows": "an object", "metadata": "an object"},
+        "the report", "report ")
+    rows, row_fields = {}, dict.fromkeys(methods, "an object")  # one per distinct name
+    for name, row in zip(row_fields, read_fields(rows_doc, row_fields, "report rows",
+                                                 "report row ")):
+        views, pairwise, mu_ns, sigma_ns = read_fields(row, {
+            "views": "an object", "pairwise_cramers_v": "an object or null",
+            "mu_ns": "a number", "sigma_ns": "a number"}, f"report row {name!r}", f"{name!r} ")
         rows[name] = MethodEvaluation(
             {view: _metric_from_entry(entry, f"{name!r} view {view!r}")
              for view, entry in views.items() if entry is not None},
-            _metric_from_entry(row.get("pairwise_cramers_v"), f"{name!r} pairwise_cramers_v"),
-            DiversityStats(*(expect(row.get(key), "a number", f"{name!r} {key}", DataError)
-                             for key in ("mu_ns", "sigma_ns"))),
-        )
-    return EvalReport(list(methods), rows,
-                      expect(doc.get("metadata", {}), "an object", "report metadata", DataError))
+            _metric_from_entry(pairwise, f"{name!r} pairwise_cramers_v"),
+            DiversityStats(mu_ns, sigma_ns))
+    return EvalReport(list(methods), rows, metadata)
 
 
 def write_report_csv(report: EvalReport, path) -> None:

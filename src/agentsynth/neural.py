@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DivergenceError, StaleCacheError, expect
+from .errors import DataError, DivergenceError, StaleCacheError, read_fields, read_format, read_rows
 
 CHECKPOINT_FORMAT = "agentsynth-mlp"
 CHECKPOINT_VERSION = 1
@@ -291,45 +291,38 @@ def mlp_to_dict(mlp: Mlp) -> dict:
     }
 
 
-def mlp_from_dict(doc: dict) -> Mlp:
-    """Inverse of :func:`mlp_to_dict`; raises DataError for a document whose
-    shapes do not chain from layer to layer or whose heads do not tile the
-    output layer."""
-    expect(doc, "an object", "an MLP checkpoint", DataError)
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise DataError(f"not an MLP checkpoint: {doc.get('format')!r}")
-    try:
-        layers = []
-        for l, entry in enumerate(expect(doc["layers"], "a list", "MLP layers", DataError)):
-            expect(entry, "an object", f"layer {l}", DataError)
-            layers.append(DenseLayer(
-                np.asarray(expect(entry["weights"], "a list of number lists",
-                                  f"layer {l}: weights", DataError), dtype=float),
-                np.asarray(expect(entry["biases"], "a list of numbers",
-                                  f"layer {l}: biases", DataError), dtype=float),
-                expect(entry["activation"], "a string", f"layer {l}: activation", DataError)))
-        heads = tuple(
-            Head(expect(h["kind"], "a string", "head kind", DataError),
-                 expect(h["width"], "an integer", "head width", DataError))
-            for h in expect(doc["heads"], "a list", "MLP heads", DataError))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed MLP checkpoint: {exc!r}") from None
-    if not layers:
-        raise DataError("MLP checkpoint has no layers")
-    for l, layer in enumerate(layers):
-        w, b = layer.weights, layer.biases
+def mlp_from_dict(doc: dict, name: str = "MLP") -> Mlp:
+    """Inverse of :func:`mlp_to_dict`; raises DataError, naming the network
+    ``name``, for a document whose shapes do not chain from layer to layer
+    or whose heads do not tile the output layer."""
+    read_format(doc, CHECKPOINT_FORMAT, "an MLP checkpoint")
+    layer_docs, heads = read_fields(doc, {"layers": "a list", "heads": "a list"}, name, f"{name} ")
+    layers = []
+    for l, entry in enumerate(layer_docs):
+        what = f"{name} layer {l}"
+        weights, biases, activation = read_fields(entry, {
+            "weights": "a list of number lists", "biases": "a list of numbers",
+            "activation": "a string"}, what, f"{what}: ")
+        w = np.asarray(read_rows(weights, f"{what}: weights"), dtype=float)
+        b = np.asarray(biases, dtype=float)
         if w.ndim != 2 or b.shape != (w.shape[0],):
-            raise DataError(f"layer {l}: weights {w.shape} and biases {b.shape} do not match")
+            raise DataError(f"{what}: weights {w.shape} and biases {b.shape} do not match")
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise DataError(f"layer {l}: non-finite parameters")
-        if l and w.shape[1] != layers[l - 1].weights.shape[0]:
-            raise DataError(f"layer {l}: input width {w.shape[1]} does not match the "
-                            f"{layers[l - 1].weights.shape[0]} outputs of layer {l - 1}")
+            raise DataError(f"{what}: non-finite parameters")
+        if layers and w.shape[1] != layers[-1].weights.shape[0]:
+            raise DataError(f"{what}: input width {w.shape[1]} does not match the "
+                            f"{layers[-1].weights.shape[0]} outputs of layer {l - 1}")
+        layers.append(DenseLayer(w, b, activation))
+    if not layers:
+        raise DataError(f"{name} has no layers")
+    heads = tuple(Head(*read_fields(h, {"kind": "a string", "width": "an integer"},
+                                    f"{name} head {i}", f"{name} head "))
+                  for i, h in enumerate(heads))
     for head in heads:
         if head.kind not in ("linear", "softmax") or head.width < 1:
-            raise DataError(f"bad head {head}")
+            raise DataError(f"{name}: bad head {head}")
     mlp = Mlp(layers, heads)
     if sum(h.width for h in heads) != mlp.output_width:
-        raise DataError(f"heads cover {sum(h.width for h in heads)} of "
+        raise DataError(f"{name} heads cover {sum(h.width for h in heads)} of "
                         f"{mlp.output_width} output columns")
     return mlp

@@ -45,7 +45,8 @@ from .dataset import (
     schema_from_json,
     schema_to_json,
 )
-from .errors import ConfigError, DataError, DivergenceError, SchemaError, expect
+from .errors import (ConfigError, DataError, DivergenceError, SchemaError, expect, read_fields,
+                     read_format)
 from .neural import (
     Head,
     Mlp,
@@ -570,17 +571,13 @@ def vae_from_dict(doc: dict) -> VaeModel:
     whose values have the wrong JSON type, whose networks do not fit its
     schema and latent width, or that lacks a (mean, std) pair of finite
     numbers for a standardized numeric."""
-    expect(doc, "an object", "a VAE checkpoint", DataError)
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise DataError(f"not a VAE checkpoint: {doc.get('format')!r}")
-    try:
-        schema = schema_from_json(doc["schema"])
-        encoder = mlp_from_dict(expect(doc["encoder"], "an object", "VAE encoder", DataError))
-        decoder = mlp_from_dict(expect(doc["decoder"], "an object", "VAE decoder", DataError))
-        latent_dim = expect(doc["latent_dim"], "an integer", "VAE latent_dim", DataError)
-        beta = float(expect(doc["beta"], "a number", "VAE beta", DataError))
-    except KeyError as exc:
-        raise DataError(f"VAE checkpoint lacks {exc.args[0]!r}") from None
+    read_format(doc, CHECKPOINT_FORMAT, "a VAE checkpoint")
+    schema, encoder, decoder, latent_dim, beta, stats = read_fields(doc, {
+        "schema": "an object", "encoder": "an object", "decoder": "an object",
+        "latent_dim": "an integer", "beta": "a number", "standardization": "an object"},
+        "a VAE checkpoint", "VAE ")
+    schema = schema_from_json(schema)
+    encoder, decoder = mlp_from_dict(encoder, "VAE encoder"), mlp_from_dict(decoder, "VAE decoder")
     if encoder.input_width != schema.encoded_width:
         raise DataError(f"encoder input width {encoder.input_width} does not match "
                         f"schema width {schema.encoded_width}")
@@ -592,7 +589,6 @@ def vae_from_dict(doc: dict) -> VaeModel:
                         f"latent width {latent_dim}")
     if decoder.heads != decoder_heads(schema):
         raise DataError("decoder heads do not mirror the schema's encoded blocks")
-    stats = expect(doc.get("standardization", {}), "an object", "VAE standardization", DataError)
     standardization = {}
     for var in schema.variables:
         if not schema.is_one_hot(var):  # a standardized numeric
@@ -603,7 +599,7 @@ def vae_from_dict(doc: dict) -> VaeModel:
                                 f"of finite numbers, got {pair}")
             standardization[var.name] = (float(pair[0]), float(pair[1]))
     try:
-        return VaeModel(encoder, decoder, latent_dim, beta, schema, standardization)
+        return VaeModel(encoder, decoder, latent_dim, float(beta), schema, standardization)
     except ConfigError as exc:  # a beta that is not positive
         raise DataError(f"VAE checkpoint: {exc}") from None
 

@@ -855,7 +855,9 @@ class TestBnDocumentValidation:
         (lambda doc: doc["tables"][2].pop(), r"node 2: table shape \(8, 3\) is not \(9, 3\)"),
         (lambda doc: doc["parents"].__setitem__(2, [1, 1]), "node 2: duplicate parent"),
         (lambda doc: doc["tables"].pop(), "2 tables for 3 nodes"),
-        (lambda doc: doc.pop("parents"), "malformed BN model document"),
+        (lambda doc: doc.pop("parents"), "^a BN model document lacks 'parents'$"),
+        (lambda doc: doc["tables"][1][2].pop(),
+         "^node 1: table row 2 has length 2, not 3 like row 0$"),
         # values of the wrong JSON type are rejected, not coerced
         (lambda doc: doc.update(n_nodes="3"), "BN n_nodes must be an integer, got '3'"),
         (lambda doc: doc.update(n_nodes=3.0), "BN n_nodes must be an integer"),
@@ -870,6 +872,13 @@ class TestBnDocumentValidation:
         bn_from_dict(doc)
         corrupt(doc)
         with pytest.raises(DataError, match=message):
+            bn_from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["n_nodes", "parents", "value_counts", "tables"])
+    def test_missing_key_is_named(self, key):
+        doc = _bn_document()
+        del doc[key]
+        with pytest.raises(DataError, match=f"^a BN model document lacks '{key}'$"):
             bn_from_dict(doc)
 
     @pytest.mark.parametrize("doc", [[], "bn", None])

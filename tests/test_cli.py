@@ -267,6 +267,16 @@ class TestExitCodes:
          "data.csv:3: expected 2 cells, got 1"),
         ([{"name": "w", "kind": "categorical", "categories": ["", "2.5"]}], "2.5",
          "variable 'w': a category cannot be empty"),
+        # names and categories are strings, not coerced to them
+        ([{"name": 7, "kind": "numerical-cont", "bins": 2}], "2.5",
+         "variable 7: name must be a string, got 7"),
+        ([{"name": "w", "kind": "categorical", "categories": [1, None, True]}], "1",
+         "variable 'w': categories must be a list of names, got [1, None, True]"),
+        ([{"name": "w", "kind": "numerical-cont", "bns": 2}], "2.5",
+         "variable 'w' has unknown keys ['bns']; it accepts ['name', 'kind', 'categories', "
+         "'bin_edges', 'bins']"),
+        ([{"name": "w", "kind": "numerical-cont", "bins": 2, "bin_edges": [0, 1, 3]}], "2.5",
+         "variable 'w' holds both 'bins' and 'bin_edges'"),
     ])
     def test_bad_schema_value_is_data_error(self, tmp_path, capsys, variables, cell, message):
         (tmp_path / "data.csv").write_text(f"w,sex\n1.5,f\n{cell},m\n0.5,f\n2.0,m\n")
@@ -564,6 +574,14 @@ def _mixed_checkpoint_without(name):
     return doc
 
 
+def _ragged_decoder(doc):
+    """A copy of the VAE checkpoint ``doc`` whose decoder's second weight
+    row is one value short."""
+    doc = json.loads(json.dumps(doc))
+    doc["decoder"]["layers"][0]["weights"][1].pop()
+    return doc
+
+
 class TestExitCodeContract:
     """Each malformed file or configuration exits with its documented code
     (2 configuration, 3 data) and a one-line message, never a traceback."""
@@ -583,13 +601,22 @@ class TestExitCodeContract:
          "Gibbs chain seed must be a non-negative integer"),
         ("gibbs", lambda doc: {**doc, "seed": -1},
          "Gibbs chain seed must be a non-negative integer, got -1"),
+        ("bn", lambda doc: {key: value for key, value in doc.items() if key != "parents"},
+         "a BN model document lacks 'parents'"),
+        ("vae", _ragged_decoder, "VAE decoder layer 0: weights row 1 has length 1, "
+         "not 2 like row 0"),
+        ("gibbs", lambda doc: {**doc, "thinning": 0},
+         "Gibbs chain model: thinning must be >= 1"),
+        ("vae", lambda doc: {**doc, "decoder": {**doc["decoder"], "heads": ["softmax"]}},
+         "VAE decoder head 0 must be an object, got 'softmax'"),
     ])
     def test_malformed_model_file_exits_3(self, trained, method, corrupt, message):
         config, docs = trained
         path = config.parent / "out" / "models" / f"{method}.json"
         path.write_text(json.dumps(corrupt(docs[method])))
         code, err = _cli("sample", "--config", config, "--method", method)
-        assert (code, "Traceback" in err) == (3, False), err
+        assert (code, "Traceback" in err, "Error(" in err, err.count("\n")) == (
+            3, False, False, 1), err
         assert err.startswith("data error:") and message in err, err
 
     @pytest.mark.parametrize("case", ["bn-twice", "bn-plus-one", "vae-before-prepare"])
@@ -660,13 +687,17 @@ class TestExitCodeContract:
         assert not (out / "pools" / "bn.csv").exists()
 
     @pytest.mark.parametrize("text, message", [
-        ("{}", "report methods must be a list of names, got None"),
+        ("{}", "the report lacks 'methods'"),
         ("[]", "the report must be an object, got []"),
+        (json.dumps({"methods": ["g"], "metadata": {}, "rows": {"g": {
+            "views": {"marginal": {"srmse": 0.1, "r2": 0.5}}, "pairwise_cramers_v": None,
+            "mu_ns": 0.2, "sigma_ns": 0.1}}}), "'g' view 'marginal' lacks 'corr'"),
     ])
     def test_malformed_report_exits_3(self, tmp_path, text, message):
         (tmp_path / "report.json").write_text(text)
         code, err = _cli("report", "--out", tmp_path)
-        assert (code, "Traceback" in err) == (3, False), err
+        assert (code, "Traceback" in err, "Error(" in err, err.count("\n")) == (
+            3, False, False, 1), err
         assert err.startswith("data error:") and message in err, err
         assert not (tmp_path / "report.csv").exists()
 

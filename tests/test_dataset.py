@@ -264,6 +264,30 @@ class TestSerialization:
         schema = schema_from_json(doc, columns={"age": [0.0, 100.0]})
         assert schema.variables[0].bin_edges == (0.0, 25.0, 50.0, 75.0, 100.0)
 
+    @pytest.mark.parametrize("entry, message", [
+        ({"name": 7, "kind": "binary", "categories": ["0", "1"]},
+         "^variable 7: name must be a string, got 7$"),
+        ({"name": "x", "kind": "binary", "categories": [0, 1]},
+         r"^variable 'x': categories must be a list of names, got \[0, 1\]$"),
+        ({"name": "x", "kind": "categorical", "categories": [1, None, True]},
+         r"^variable 'x': categories must be a list of names, got \[1, None, True\]$"),
+        ({"name": "x", "kind": "numerical-int", "bin_edges": [0, 1, 2], "bns": 2},
+         r"^variable 'x' has unknown keys \['bns'\]; it accepts \['name', 'kind', "
+         r"'categories', 'bin_edges', 'bins'\]$"),
+        ({"name": "x", "kind": "numerical-int", "bin_edges": [0, 1, 2], "bins": 2},
+         "^variable 'x' holds both 'bins' and 'bin_edges'; it takes one of them$"),
+    ])
+    def test_variable_entry_is_read_as_written(self, entry, message):
+        with pytest.raises(SchemaError, match=message):
+            schema_from_json({"variables": [entry]}, columns={"x": [0.0, 2.0]})
+
+    def test_unknown_schema_key_is_schema_error(self):
+        doc = {"mdoe": "mixed", "variables": [{"name": "x", "kind": "binary",
+                                               "categories": ["0", "1"]}]}
+        with pytest.raises(SchemaError, match=r"^the schema document has unknown keys "
+                           r"\['mdoe'\]; it accepts \['mode', 'variables'\]$"):
+            schema_from_json(doc)
+
     def test_pool_csv_roundtrip(self, rng, tmp_path):
         pool = random_categorical_pool(rng, [3, 4], 30)
         path = tmp_path / "pool.csv"

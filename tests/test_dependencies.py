@@ -87,3 +87,30 @@ def test_no_unread_private_names(monkeypatch):
     unread = sorted(f"{path.stem}.{name}" for path in SOURCES
                     for name in _private_definitions(path) - read - wrapped)
     assert not unread, f"no package code reads {unread}"
+
+
+def _exception_reprs(path):
+    """Lines where an ``except ... as exc`` handler formats ``exc`` with
+    ``!r`` or ``repr(exc)``: such a message shows a Python exception's repr,
+    not what is wrong with the input."""
+    lines = []
+    for handler in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not (isinstance(handler, ast.ExceptHandler) and handler.name):
+            continue
+        for node in ast.walk(handler):
+            if isinstance(node, ast.FormattedValue) and node.conversion == ord("r"):
+                value = node.value
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "repr" and node.args):
+                value = node.args[0]
+            else:
+                continue
+            if isinstance(value, ast.Name) and value.id == handler.name:
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_exception_repr_in_messages(path):
+    lines = _exception_reprs(path)
+    assert not lines, f"{path.name} formats a caught exception's repr at lines {lines}"

@@ -467,11 +467,19 @@ class TestRunChain:
         lambda doc: doc.update(warmup=1.5),
         lambda doc: doc.update(thinning=2.0),
         lambda doc: doc.update(seed=True),
+        lambda doc: doc.update(warmup=-1),
     ])
     def test_malformed_chain_model_is_data_error(self, corrupt):
         doc = gibbs.chain_to_dict(ChainConfig(target_count=1))
         corrupt(doc)
         with pytest.raises(DataError):
+            gibbs.chain_from_dict(doc, 10)
+
+    @pytest.mark.parametrize("key", ["warmup", "thinning", "seed"])
+    def test_missing_key_is_named(self, key):
+        doc = gibbs.chain_to_dict(ChainConfig(target_count=1))
+        del doc[key]
+        with pytest.raises(DataError, match=f"^a Gibbs chain model lacks '{key}'$"):
             gibbs.chain_from_dict(doc, 10)
 
     @pytest.mark.parametrize("doc", [[], "gibbs", None])

@@ -807,7 +807,7 @@ class TestEvaluate:
         assert report_to_json(report_from_dict(json.loads(text))) == text
 
     @pytest.mark.parametrize("doc, message", [
-        ({}, "report methods must be a list of names, got None"),
+        ({}, "^the report lacks 'methods'$"),
         ([], r"the report must be an object, got \[\]"),
     ])
     def test_empty_report_document_is_data_error(self, doc, message):
@@ -817,8 +817,9 @@ class TestEvaluate:
     @pytest.mark.parametrize("corrupt, message", [
         (lambda d: d.update(methods="g"), "report methods must be a list of names"),
         (lambda d: d.update(rows=[]), "report rows must be an object"),
-        (lambda d: d["rows"].pop("g"), "report row 'g' must be an object, got None"),
-        (lambda d: d["rows"]["g"].pop("views"), "'g' views must be an object"),
+        (lambda d: d["rows"].pop("g"), "^report rows lacks 'g'$"),
+        (lambda d: d["rows"].update(g=[]), r"^report row g must be an object, got \[\]$"),
+        (lambda d: d["rows"]["g"].update(views=[]), "'g' views must be an object"),
         (lambda d: d["rows"]["g"]["views"].update(marginal=0.1),
          "'g' view 'marginal' must be an object"),
         (lambda d: d["rows"]["g"]["views"]["marginal"].update(srmse="0.1"),
@@ -827,7 +828,7 @@ class TestEvaluate:
          "'g' view 'marginal' corr must be a number or null"),
         (lambda d: d["rows"]["g"].update(pairwise_cramers_v=1),
          "'g' pairwise_cramers_v must be an object"),
-        (lambda d: d["rows"]["g"].pop("mu_ns"), "'g' mu_ns must be a number, got None"),
+        (lambda d: d["rows"]["g"].update(mu_ns=None), "'g' mu_ns must be a number, got None"),
         (lambda d: d["rows"]["g"].update(sigma_ns=True), "'g' sigma_ns must be a number"),
         (lambda d: d.update(metadata=[]), "report metadata must be an object"),
     ])
@@ -839,6 +840,31 @@ class TestEvaluate:
         corrupt(doc)
         with pytest.raises(DataError, match=message):
             report_from_dict(doc)
+
+    @pytest.mark.parametrize("entry, key, what", [
+        *((lambda d: d, key, "the report") for key in ("methods", "rows", "metadata")),
+        *((lambda d: d["rows"]["g"], key, "report row 'g'")
+          for key in ("views", "pairwise_cramers_v", "mu_ns", "sigma_ns")),
+        *((lambda d: d["rows"]["g"]["views"]["marginal"], key, "'g' view 'marginal'")
+          for key in ("srmse", "corr", "r2")),
+        *((lambda d: d["rows"]["g"]["pairwise_cramers_v"], key, "'g' pairwise_cramers_v")
+          for key in ("srmse", "corr", "r2")),
+    ])
+    def test_report_document_missing_key_is_named(self, rng, entry, key, what):
+        test = random_categorical_pool(rng, [2, 3, 2], 80, provenance="test")
+        train = random_categorical_pool(rng, [2, 3, 2], 40)
+        gen = random_categorical_pool(rng, [2, 3, 2], 60, provenance="generated")
+        doc = json.loads(report_to_json(evaluate({"g": gen}, test, train)))
+        del entry(doc)[key]
+        with pytest.raises(DataError, match=f"^{what} lacks '{key}'$"):
+            report_from_dict(doc)
+
+    def test_report_rows_keep_their_names_when_a_method_repeats(self):
+        row = {"views": {"marginal": {"srmse": 0.1, "corr": None, "r2": None}},
+               "pairwise_cramers_v": None, "mu_ns": 0.2, "sigma_ns": 0.1}
+        report = report_from_dict({"methods": ["g", "g", "h"], "metadata": {},
+                                   "rows": {"g": row, "h": {**row, "mu_ns": 0.9}}})
+        assert [report.rows[name].diversity.mu_ns for name in ("g", "h")] == [0.2, 0.9]
 
     def test_out_of_range_generated_numeric_is_clamped_like_the_views(self, rng):
         # read_pool_csv lets generated values overshoot the bins; every

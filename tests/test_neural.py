@@ -251,13 +251,14 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("corrupt, message", [
         (lambda d: d["layers"][0]["biases"].pop(), r"layer 0: weights \(5, 4\) and biases \(4,\)"),
-        (lambda d: d["layers"][1]["weights"][0].pop(), "malformed"),
+        (lambda d: d["layers"][1]["weights"][0].pop(),
+         "^MLP layer 1: weights row 1 has length 5, not 4 like row 0$"),
         (lambda d: [row.pop() for row in d["layers"][1]["weights"]],
          "layer 1: input width 4 does not match the 5 outputs of layer 0"),
         (lambda d: d["heads"].pop(), "heads cover 2 of 5 output columns"),
         (lambda d: d["heads"][0].update(width=0), "bad head"),
         (lambda d: d.update(layers=[]), "no layers"),
-        (lambda d: d["layers"][0].pop("activation"), "malformed"),
+        (lambda d: d["layers"][0].pop("activation"), "^MLP layer 0 lacks 'activation'$"),
         (lambda d: d["layers"][1]["biases"].__setitem__(2, float("nan")),
          "layer 1: non-finite parameters"),
         (lambda d: d["layers"][1]["biases"].__setitem__(2, "0.5"),
@@ -268,11 +269,25 @@ class TestCheckpoint:
         (lambda d: d["layers"].__setitem__(1, []), "layer 1 must be an object"),
         (lambda d: d["heads"][0].update(width="2"), "head width must be an integer"),
         (lambda d: d.update(heads={}), "MLP heads must be a list"),
+        (lambda d: d["heads"].__setitem__(0, "softmax"),
+         "^MLP head 0 must be an object, got 'softmax'$"),
     ])
     def test_inconsistent_document_is_data_error(self, rng, corrupt, message):
         doc = mlp_to_dict(_random_net(rng))
         corrupt(doc)
         with pytest.raises(DataError, match=message):
+            mlp_from_dict(doc)
+
+    @pytest.mark.parametrize("entry, key, what", [
+        *((lambda d: d, key, "MLP") for key in ("layers", "heads")),
+        *((lambda d: d["layers"][1], key, "MLP layer 1")
+          for key in ("weights", "biases", "activation")),
+        *((lambda d: d["heads"][1], key, "MLP head 1") for key in ("kind", "width")),
+    ])
+    def test_missing_key_is_named(self, rng, entry, key, what):
+        doc = mlp_to_dict(_random_net(rng))
+        del entry(doc)[key]
+        with pytest.raises(DataError, match=f"^{what} lacks '{key}'$"):
             mlp_from_dict(doc)
 
     def test_document_that_is_no_object_is_data_error(self):

@@ -661,7 +661,8 @@ class TestCheckpointValidation:
         (lambda d: d["decoder"]["layers"][0]["weights"].pop(), r"layer 0: weights \(4, 2\)"),
         (lambda d: [d["decoder"]["layers"][0][k].pop() for k in ("weights", "biases")],
          "layer 1: input width 5 does not match the 4 outputs of layer 0"),
-        (lambda d: d["decoder"]["layers"][0]["weights"][0].pop(), "malformed"),
+        (lambda d: d["decoder"]["layers"][0]["weights"][0].pop(),
+         "^VAE decoder layer 0: weights row 1 has length 2, not 1 like row 0$"),
         (lambda d: d["decoder"]["heads"].pop(), "heads cover"),
         (lambda d: d["decoder"]["heads"][0].update(kind="linear"), "mirror the schema"),
         (lambda d: d["decoder"]["heads"][0].update(kind="sigmoid"), "bad head"),
@@ -670,7 +671,7 @@ class TestCheckpointValidation:
         (lambda d: d["encoder"]["heads"][0].update(width=3), "heads cover"),
         (lambda d: d.update(latent_dim=3), "latent width 3"),
         (lambda d: d.pop("schema"), "lacks 'schema'"),
-        (lambda d: d["decoder"].pop("heads"), "malformed"),
+        (lambda d: d["decoder"].pop("heads"), "^VAE decoder lacks 'heads'$"),
         # values of the wrong JSON type are rejected, not coerced
         (lambda d: d.update(latent_dim="two"), "VAE latent_dim must be an integer, got 'two'"),
         (lambda d: d.update(latent_dim=2.0), "VAE latent_dim must be an integer"),
@@ -682,7 +683,7 @@ class TestCheckpointValidation:
         # one (mean, std) pair of finite numbers per continuous variable
         (lambda d: d["standardization"].pop("income"),
          "standardization of 'income' must be a list of numbers, got None"),
-        (lambda d: d.pop("standardization"), "standardization of 'age' must be a list"),
+        (lambda d: d.pop("standardization"), "^a VAE checkpoint lacks 'standardization'$"),
         (lambda d: d.update(standardization=[]), "VAE standardization must be an object"),
         (lambda d: d["standardization"]["age"].append(1.0), "'age' must be a .mean, std. pair"),
         (lambda d: d["standardization"]["age"].__setitem__(1, float("nan")),
@@ -695,6 +696,18 @@ class TestCheckpointValidation:
         corrupt(doc)
         with pytest.raises(DataError, match=message):
             vae_from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["schema", "encoder", "decoder", "latent_dim", "beta",
+                                     "standardization"])
+    def test_missing_key_is_named(self, rng, key):
+        doc = self._doc(rng)
+        del doc[key]
+        with pytest.raises(DataError, match=f"^a VAE checkpoint lacks '{key}'$"):
+            vae_from_dict(doc)
+
+    def test_format_is_checked_before_the_keys(self):
+        with pytest.raises(DataError, match="^not a VAE checkpoint: 'agentsynth-bn'$"):
+            vae_from_dict({"format": "agentsynth-bn"})
 
     @pytest.mark.parametrize("doc", [[], "vae", None, 3])
     def test_document_that_is_no_object_is_data_error(self, doc):
