@@ -706,11 +706,12 @@ def row_groups(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Rows of non-negative integers, signed or unsigned, are compared as
     mixed-radix integers (radix ``max + 1`` per column, in int64): runs of
     consecutive columns whose radix product fits in int64 become one key
-    each, and the rows are a lexsort over their few keys. Other rows are a
-    lexsort over the columns.
+    each, and the rows are a lexsort over their few keys. Other rows (those
+    of a matrix with a negative entry, say float rows viewed as int64 bits)
+    are a lexsort over the columns.
     """
-    if codes.size and codes.dtype.kind in "iu":
-        radix = (codes.max(axis=0).astype(np.int64) + 1).tolist()
+    if codes.size and codes.dtype.kind in "iu" and codes.min() >= 0:
+        radix = [m + 1 for m in codes.max(axis=0).tolist()]
         keys, size = [], 2 ** 63
         for j, r in enumerate(radix):
             if size * r < 2 ** 63:  # the column joins the current key, in place
@@ -772,12 +773,15 @@ def schema_to_json(schema: Schema) -> dict:
 SCHEMA_FIELDS = {"mode": "a string", "variables": "a list"}
 VARIABLE_FIELDS = {"name": "a string", "kind": "a string", "categories": "a list of names",
                    "bin_edges": "a list of numbers", "bins": "an integer"}
+# the keys of VARIABLE_FIELDS each kind of variable takes
+KIND_FIELDS = {**dict.fromkeys(NUMERICAL_KINDS, ["name", "kind", "bin_edges", "bins"]),
+               **dict.fromkeys(CATEGORICAL_KINDS, ["name", "kind", "categories"])}
 
 
 def _variable_entries(doc) -> list[dict]:
     """The variable entries of a schema document, each an object with a
-    name and a kind, holding only keys of ``VARIABLE_FIELDS`` and not both
-    ``bins`` and ``bin_edges``."""
+    name and a kind, holding only keys of ``VARIABLE_FIELDS`` that its kind
+    takes (``KIND_FIELDS``) and not both ``bins`` and ``bin_edges``."""
     if not isinstance(doc, dict) or "variables" not in doc:
         raise SchemaError("schema document lacks a 'variables' list")
     expect(doc["variables"], "a list", "schema 'variables'", SchemaError)
@@ -789,6 +793,11 @@ def _variable_entries(doc) -> list[dict]:
         expect_fields(entry, VARIABLE_FIELDS, what, f"{what}: ", SchemaError)
         if "bins" in entry and "bin_edges" in entry:
             raise SchemaError(f"{what} holds both 'bins' and 'bin_edges'; it takes one of them")
+        accepted = KIND_FIELDS.get(entry["kind"], VARIABLE_FIELDS)  # VariableSpec rejects others
+        for key in entry:
+            if key not in accepted:
+                raise SchemaError(f"{what} is {entry['kind']} and holds {key!r}; "
+                                  f"it accepts {accepted}")
     return doc["variables"]
 
 

@@ -761,15 +761,6 @@ def write_report_csv(report: EvalReport, path) -> None:
             writer.writerow(cells)
 
 
-def _float_reprs(vec: np.ndarray) -> list[str]:
-    """``repr`` of every entry, formatted once per distinct bit pattern:
-    the coordinates of a replicating pool repeat."""
-    bits, inverse = np.unique(np.ascontiguousarray(vec, dtype=np.float64).view(np.int64),
-                              return_inverse=True)
-    reprs = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-    return reprs[inverse].tolist()
-
-
 def count_reprs(vectors, n: int) -> np.ndarray:
     """The scatter cell of every count that the bin-count ``vectors`` of a
     pool of ``n`` rows hold: ``repr(c / n)``, in an object array indexed by
@@ -805,24 +796,16 @@ def write_scatter_csv(test: tuple[np.ndarray, np.ndarray], pools: dict[str, tupl
                                  *(reprs[vec[start:stop]].tolist() for vec, reprs in columns)])
 
 
-def write_pca_csv(coords: np.ndarray, path, codes: np.ndarray) -> None:
+def write_pca_csv(coords: np.ndarray, path) -> None:
     """PCA coordinates, one row per agent, as ``csv.writer`` writes them.
 
-    ``codes`` holds the pool's code rows, one per coordinate row. A row
-    whose coordinates are bit-identical to those of the first row with its
-    code row writes that group's line when another row of the group is
-    bit-identical to the first too: replicating pools repeat rows. Each
-    such line is formatted once; every other row is formatted in its block
-    of ``CSV_WRITE_BLOCK`` rows, column by column. Rows are compared with
-    their group's first one block at a time."""
+    Rows with bit-identical coordinates share one line (:func:`row_groups`
+    over the bits): replicating pools repeat rows. The line of a group of
+    two or more rows is formatted once up front; every other row is
+    formatted in its block of ``CSV_WRITE_BLOCK`` rows."""
     coords = np.ascontiguousarray(coords, dtype=np.float64)
-    first, group = row_groups(codes)
-    bits = coords.view(np.int64)
-    same = np.empty(len(coords), dtype=bool)  # bit-identical to the group's first row
-    for start in range(0, len(coords), CSV_WRITE_BLOCK):
-        rows = slice(start, start + CSV_WRITE_BLOCK)
-        same[rows] = (bits[rows] == bits[first[group[rows]]]).all(axis=1)
-    shared = np.flatnonzero(np.bincount(group[same], minlength=len(first)) > 1)
+    first, group = row_groups(coords.view(np.int64))
+    shared = np.flatnonzero(np.bincount(group, minlength=len(first)) > 1)
     lines = np.full(len(first), None, dtype=object)
     lines[shared] = _format_rows(coords[first[shared]])
     with open(path, "w", newline="") as fh:
@@ -830,7 +813,7 @@ def write_pca_csv(coords: np.ndarray, path, codes: np.ndarray) -> None:
         for start in range(0, len(coords), CSV_WRITE_BLOCK):
             rows = slice(start, start + CSV_WRITE_BLOCK)
             block = lines[group[rows]]
-            alone = np.flatnonzero(~same[rows] | np.equal(block, None))
+            alone = np.flatnonzero(np.equal(block, None))
             block[alone] = _format_rows(coords[rows][alone])
             fh.write("\r\n".join(block.tolist()))
             fh.write("\r\n")
@@ -838,5 +821,5 @@ def write_pca_csv(coords: np.ndarray, path, codes: np.ndarray) -> None:
 
 def _format_rows(coords: np.ndarray) -> list[str]:
     """The line of every row of ``coords``: its cells' ``repr`` joined by
-    commas."""
-    return list(map(",".join, zip(*(_float_reprs(column) for column in coords.T))))
+    commas, formatted column by column."""
+    return list(map(",".join, zip(*(map(repr, column) for column in coords.T.tolist()))))

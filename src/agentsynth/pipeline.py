@@ -19,9 +19,8 @@ file has one row per bin of the view: bin_id, test_frequency, then one
 column per pool named after it, the methods in configuration order and then
 the two baselines. Scatter rows are formatted, and PCA coordinates encoded,
 projected and formatted, in blocks of dataset.CSV_WRITE_BLOCK rows; the
-scatter cells of a pool come from one table of formatted frequencies. A PCA
-row whose coordinates are bit-identical to those of the first row with its
-codes shares that row's line when another row of the group does too; every
+scatter cells of a pool come from one table of formatted frequencies. PCA
+rows with bit-identical coordinates share one line, formatted once; every
 other row is formatted in its block.
 
 All randomness flows from one master seed through named substreams, so two
@@ -58,7 +57,7 @@ from .dataset import (
     split_pool,
     write_pool_csv,
 )
-from .errors import ConfigError, DataError, expect, expect_fields
+from .errors import ConfigError, DataError, expect, expect_fields, read_fields
 from .synthdata import SyntheticGeneratorSpec, spec_from_json, synth_generate
 
 METHOD_KINDS = ("vae", "gibbs", "bn")
@@ -406,8 +405,8 @@ def load_model(method: MethodSpec, out: Path):
     if method.kind == "bn":
         doc = read_json(path)
         dag, cpts = bayesnet.bn_from_dict(doc)
-        schema = doc.get("schema")  # None in a file that records no schema
-        return dag, cpts, None if schema is None else schema_from_json(schema)
+        schema, = read_fields(doc, {"schema": "an object"}, "a BN model document", "BN ")
+        return dag, cpts, schema_from_json(schema)
     return read_json(path)
 
 
@@ -485,8 +484,8 @@ def write_run_outputs(report: metrics.EvalReport, train: AgentPool,
     scatter file per view with a column per pool, each pool's cells looked
     up in one ``metrics.count_reprs`` table over the counts of all its
     views, and every pool's coordinates in the training data's principal
-    components, written with the pool's codes so that repeated rows share
-    their line (``metrics.write_pca_csv``)."""
+    components, rows with identical coordinates sharing their line
+    (``metrics.write_pca_csv``)."""
     for directory in ("pools", "scatter", "pca"):
         (out / directory).mkdir(exist_ok=True)
     for name in BASELINE_NAMES:
@@ -506,7 +505,7 @@ def write_run_outputs(report: metrics.EvalReport, train: AgentPool,
     del enc_train  # the projections encode one block at a time
     for name, pool in [("train", train), *pools.items()]:
         metrics.write_pca_csv(_pca_coordinates(pca, pool, standardization, k),
-                              out / "pca" / f"{name}.csv", pool.codes)
+                              out / "pca" / f"{name}.csv")
 
 
 def _pca_coordinates(pca: metrics.PcaModel, pool: AgentPool,

@@ -592,7 +592,9 @@ def vae_from_dict(doc: dict) -> VaeModel:
     standardization = {}
     for var in schema.variables:
         if not schema.is_one_hot(var):  # a standardized numeric
-            pair = expect(stats.get(var.name), "a list of numbers",
+            if var.name not in stats:
+                raise DataError(f"VAE standardization lacks {var.name!r}")
+            pair = expect(stats[var.name], "a list of numbers",
                           f"standardization of {var.name!r}", DataError)
             if len(pair) != 2 or not np.isfinite(pair).all():
                 raise DataError(f"standardization of {var.name!r} must be a (mean, std) pair "

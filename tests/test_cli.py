@@ -277,6 +277,21 @@ class TestExitCodes:
          "'bin_edges', 'bins']"),
         ([{"name": "w", "kind": "numerical-cont", "bins": 2, "bin_edges": [0, 1, 3]}], "2.5",
          "variable 'w' holds both 'bins' and 'bin_edges'"),
+        # a key of the other kind of variable
+        ([{"name": "w", "kind": "numerical-int", "categories": ["a", "b"],
+           "bin_edges": [0, 1, 3]}], "2",
+         "variable 'w' is numerical-int and holds 'categories'; it accepts ['name', 'kind', "
+         "'bin_edges', 'bins']"),
+        ([{"name": "w", "kind": "binary", "categories": ["2.5", "1.5"], "bins": 3}], "2.5",
+         "variable 'w' is binary and holds 'bins'; it accepts ['name', 'kind', 'categories']"),
+        ([{"name": "w", "kind": "categorical", "categories": ["2.5", "1.5", "0.5", "2.0"],
+           "bins": 2}], "2.5",
+         "variable 'w' is categorical and holds 'bins'; it accepts ['name', 'kind', "
+         "'categories']"),
+        ([{"name": "w", "kind": "categorical", "categories": ["2.5", "1.5", "0.5", "2.0"],
+           "bin_edges": [0, 1, 3]}], "2.5",
+         "variable 'w' is categorical and holds 'bin_edges'; it accepts ['name', 'kind', "
+         "'categories']"),
     ])
     def test_bad_schema_value_is_data_error(self, tmp_path, capsys, variables, cell, message):
         (tmp_path / "data.csv").write_text(f"w,sex\n1.5,f\n{cell},m\n0.5,f\n2.0,m\n")
@@ -593,7 +608,7 @@ class TestExitCodeContract:
         ("vae", lambda doc: {**doc, "latent_dim": "two"},
          "VAE latent_dim must be an integer, got 'two'"),
         ("vae", lambda doc: _mixed_checkpoint_without("income"),
-         "standardization of 'income' must be a list of numbers, got None"),
+         "VAE standardization lacks 'income'"),
         ("bn", lambda doc: {**doc, "n_nodes": "4"}, "BN n_nodes must be an integer, got '4'"),
         ("gibbs", lambda doc: {**doc, "warmup": 1.5},
          "Gibbs chain warmup must be an integer, got 1.5"),
@@ -603,6 +618,9 @@ class TestExitCodeContract:
          "Gibbs chain seed must be a non-negative integer, got -1"),
         ("bn", lambda doc: {key: value for key, value in doc.items() if key != "parents"},
          "a BN model document lacks 'parents'"),
+        ("bn", lambda doc: {key: value for key, value in doc.items() if key != "schema"},
+         "a BN model document lacks 'schema'"),
+        ("bn", lambda doc: {**doc, "schema": None}, "BN schema must be an object, got None"),
         ("vae", _ragged_decoder, "VAE decoder layer 0: weights row 1 has length 1, "
          "not 2 like row 0"),
         ("gibbs", lambda doc: {**doc, "thinning": 0},
@@ -653,11 +671,10 @@ class TestExitCodeContract:
         assert err.startswith(f"data error: models/{method}.json does not fit schema.json"), err
         assert not (out / "pools" / f"{method}.csv").exists()
 
-    @pytest.mark.parametrize("case", ["renamed", "no-schema"])
-    def test_bn_of_another_schema_with_equal_widths_exits_3(self, tmp_path, case):
+    def test_bn_of_another_schema_with_equal_widths_exits_3(self, tmp_path):
         """A BN trained on columns a, b, sampled after prepare ran again with
         them renamed c, d: unchecked, it wrote c,d,provenance from the
-        network of a, b. A BN file that records no schema cannot be checked."""
+        network of a, b."""
         out = tmp_path / "out"
         config = _write_config(tmp_path, out, count=50, methods=[
             {"name": "bn", "kind": "bn", "params": {"algorithm": "tree"}}])
@@ -677,10 +694,7 @@ class TestExitCodeContract:
         path = out / "models" / "bn.json"
         assert json.loads(path.read_text())["schema"] == json.loads(
             (out / "schema.json").read_text())
-        if case == "renamed":
-            prepare("c", "d")
-        else:
-            path.write_text(json.dumps({**json.loads(path.read_text()), "schema": None}))
+        prepare("c", "d")
         code, err = _cli("sample", "--config", config, "--method", "bn")
         assert (code, "Traceback" in err, err.count("\n")) == (3, False, 1), err
         assert err.startswith("data error: models/bn.json does not fit schema.json"), err

@@ -276,6 +276,26 @@ class TestSerialization:
          r"'categories', 'bin_edges', 'bins'\]$"),
         ({"name": "x", "kind": "numerical-int", "bin_edges": [0, 1, 2], "bins": 2},
          "^variable 'x' holds both 'bins' and 'bin_edges'; it takes one of them$"),
+        # a key of the other kind of variable is refused, not dropped
+        ({"name": "x", "kind": "numerical-int", "categories": ["a", "b"],
+          "bin_edges": [0, 1, 2]},
+         r"^variable 'x' is numerical-int and holds 'categories'; it accepts \['name', "
+         r"'kind', 'bin_edges', 'bins'\]$"),
+        ({"name": "x", "kind": "numerical-cont", "bins": 2, "categories": ["a", "b"]},
+         r"^variable 'x' is numerical-cont and holds 'categories'; it accepts \['name', "
+         r"'kind', 'bin_edges', 'bins'\]$"),
+        ({"name": "x", "kind": "binary", "categories": ["a", "b"], "bins": 3},
+         r"^variable 'x' is binary and holds 'bins'; it accepts \['name', 'kind', "
+         r"'categories'\]$"),
+        ({"name": "x", "kind": "binary", "bin_edges": [0, 1, 2], "categories": ["a", "b"]},
+         r"^variable 'x' is binary and holds 'bin_edges'; it accepts \['name', 'kind', "
+         r"'categories'\]$"),
+        ({"name": "x", "kind": "categorical", "categories": ["a", "b", "c"], "bins": 3},
+         r"^variable 'x' is categorical and holds 'bins'; it accepts \['name', 'kind', "
+         r"'categories'\]$"),
+        ({"name": "x", "kind": "categorical", "categories": ["a", "b"], "bin_edges": [0, 1, 2]},
+         r"^variable 'x' is categorical and holds 'bin_edges'; it accepts \['name', 'kind', "
+         r"'categories'\]$"),
     ])
     def test_variable_entry_is_read_as_written(self, entry, message):
         with pytest.raises(SchemaError, match=message):

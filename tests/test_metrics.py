@@ -989,7 +989,7 @@ class TestArtifactBytes:
         assert (tmp_path / "s.csv").read_bytes() == _scatter_oracle(tmp_path / "e.csv", *freqs)
         coords = rng.normal(size=(rows, 2))
         coords[dataset.CSV_WRITE_BLOCK - 4:dataset.CSV_WRITE_BLOCK + 9, 1] = AWKWARD
-        write_pca_csv(coords, tmp_path / "p.csv", np.zeros((rows, 1), dtype=np.uint8))
+        write_pca_csv(coords, tmp_path / "p.csv")
         assert (tmp_path / "p.csv").read_bytes() == _csv_writer_bytes(
             tmp_path / "e.csv", ["pc1", "pc2"], [[repr(float(v)) for v in row] for row in coords])
 
@@ -1008,14 +1008,14 @@ class TestArtifactBytes:
                           tmp_path / "s.csv")
         with open(tmp_path / "s.csv", newline="") as fh:
             _, *rows = csv.reader(fh)
-        assert [row[1] for row in rows] == metrics._float_reprs(single.freqs)
+        assert [row[1] for row in rows] == [repr(x) for x in single.freqs.tolist()]
 
     @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (25, 5)])
     def test_pca_equals_csv_writer(self, rng, tmp_path, shape):
         coords = rng.normal(size=shape)
         if coords.size >= len(AWKWARD):
             coords.flat[:len(AWKWARD)] = AWKWARD
-        write_pca_csv(coords, tmp_path / "p.csv", np.zeros((shape[0], 1), dtype=np.uint8))
+        write_pca_csv(coords, tmp_path / "p.csv")
         expected = _csv_writer_bytes(
             tmp_path / "e.csv", [f"pc{k + 1}" for k in range(shape[1])],
             [[repr(float(v)) for v in row] for row in coords])
@@ -1024,7 +1024,8 @@ class TestArtifactBytes:
 
 class TestSharedFormatting:
     """The scatter cells from one repr table per pool and the PCA lines
-    shared by repeated code rows write the bytes csv.writer writes."""
+    shared by rows of identical coordinates write the bytes csv.writer
+    writes."""
 
     def test_scatter_count_columns_equal_csv_writer(self, rng, tmp_path):
         bins = 2 * dataset.CSV_WRITE_BLOCK + 3
@@ -1062,37 +1063,55 @@ class TestSharedFormatting:
         return codes, table[group]
 
     def _pool(self, rng, case):
-        """Code rows, coordinates, and the number of rows whose line is
-        formatted: once per distinct code row in a pure replicator."""
+        """Coordinates, and the number of rows whose line is formatted:
+        once per distinct coordinate row."""
         rows = 2 * dataset.CSV_WRITE_BLOCK + 5
         if case == "no-repeat":
-            codes = np.arange(rows)[:, None] // [1, 2]
-            return codes, rng.normal(size=(rows, 3)), rows
+            return rng.normal(size=(rows, 3)), rows
         if case == "one-row":
-            return rng.integers(0, 3, size=(1, 4)), rng.normal(size=(1, 3)), 1
+            return rng.normal(size=(1, 3)), 1
         codes, coords = self._grouped(rng, rows)
         _, group = dataset.distinct_rows(codes)
         sizes = np.bincount(group)
         if case == "replicator":
-            return codes, coords, len(sizes)
+            return coords, len(sizes)
+        if case == "coincident":
+            # two code rows' groups with bit-identical coordinates share a line
+            a, b = np.flatnonzero(sizes > 1)[:2]
+            coords[group == b] = coords[np.flatnonzero(group == a)[0]]
+            return coords, len(sizes) - 1
         # one ulp off: one group's last row, in the last block, and another
-        # group's first row; the other groups keep their shared line
+        # group's first row; each becomes a row of its own, and the other
+        # rows of both groups keep their shared line
         late = [g for g in dict.fromkeys(group[::-1].tolist()) if sizes[g] > 2][:2]
         last = np.flatnonzero(group == late[0])[-1]
-        members = np.flatnonzero(group == late[1])
+        first = np.flatnonzero(group == late[1])[0]
         assert last >= 2 * dataset.CSV_WRITE_BLOCK
-        for row in last, members[0]:
+        for row in last, first:
             coords[row, 1] = np.nextafter(coords[row, 1], np.inf)
-        return codes, coords, len(sizes) + len(members)
+        return coords, len(sizes) + 2
 
-    @pytest.mark.parametrize("case", ["mixed", "no-repeat", "replicator", "one-row"])
+    @pytest.mark.parametrize("case", ["mixed", "no-repeat", "replicator", "coincident",
+                                      "one-row"])
     def test_pca_lines_equal_reference_and_shared_lines_format_once(self, rng, tmp_path,
                                                                     monkeypatch, case):
-        codes, coords, formatted = self._pool(rng, case)
-        float_reprs, lengths = metrics._float_reprs, []
-        monkeypatch.setattr(metrics, "_float_reprs",
-                            lambda vec: lengths.append(len(vec)) or float_reprs(vec))
-        write_pca_csv(coords, tmp_path / "p.csv", codes)
+        coords, formatted = self._pool(rng, case)
+        format_rows, seen = metrics._format_rows, []
+        monkeypatch.setattr(metrics, "_format_rows",
+                            lambda block: seen.extend(map(bytes, block)) or format_rows(block))
+        write_pca_csv(coords, tmp_path / "p.csv")
         _reference_write_pca_csv(coords, tmp_path / "e.csv")
         assert (tmp_path / "p.csv").read_bytes() == (tmp_path / "e.csv").read_bytes()
-        assert sum(lengths) == 3 * formatted  # one call per column of each formatted batch
+        # each distinct coordinate row formatted exactly once
+        assert len(seen) == len(set(seen)) == formatted
+        assert set(seen) == set(map(bytes, coords))
+
+    def test_signed_zeros_keep_their_own_lines(self, tmp_path):
+        """-0.0 == 0.0 as floats, but their bits and their reprs differ, so
+        rows that differ only in a zero's sign print their own lines."""
+        coords = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0], [0.0, -0.0]])
+        write_pca_csv(coords, tmp_path / "p.csv")
+        _reference_write_pca_csv(coords, tmp_path / "e.csv")
+        assert (tmp_path / "p.csv").read_bytes() == (tmp_path / "e.csv").read_bytes()
+        assert (tmp_path / "p.csv").read_text().splitlines()[1:] == [
+            "0.0,1.0", "-0.0,1.0", "0.0,1.0", "-0.0,1.0", "0.0,-0.0"]

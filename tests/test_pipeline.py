@@ -265,14 +265,14 @@ def _reference_pool_vectors(codes, value_counts, subsets):
 
 def _per_block_scatter_csv(test, pools, path):
     """A scatter file whose columns are ``(counts, n)``: every block's cells
-    formatted from ``counts / n`` by _float_reprs."""
+    formatted from ``counts / n`` by ``repr``."""
     columns = [test, *pools.values()]
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(["bin_id", "test_frequency", *pools])
         for start in range(0, len(test[0]), dataset.CSV_WRITE_BLOCK):
             stop = min(start + dataset.CSV_WRITE_BLOCK, len(test[0]))
             dataset.write_csv_block(fh, [map(str, range(start, stop)), *(
-                metrics._float_reprs(metrics._frequencies(vec[start:stop], n))
+                [repr(x) for x in metrics._frequencies(vec[start:stop], n).tolist()]
                 for vec, n in columns)])
 
 
@@ -298,8 +298,7 @@ class TestBatchedOutputsEqualReferences:
             patch.setattr(metrics, "_pool_vectors", _reference_pool_vectors)
             patch.setattr(metrics, "count_reprs", lambda vectors, n: n)
             patch.setattr(metrics, "write_scatter_csv", _per_block_scatter_csv)
-            patch.setattr(metrics, "write_pca_csv",
-                          lambda coords, path, codes: _reference_write_pca_csv(coords, path))
+            patch.setattr(metrics, "write_pca_csv", _reference_write_pca_csv)
             run_pipeline(config_from_json(doc, out_dir=str(tmp_path / "reference")))
         batched, reference = tmp_path / "batched", tmp_path / "reference"
         files = ["report.json", *(f"{d}/{f.name}" for d in ("scatter", "pca")
@@ -397,7 +396,7 @@ class TestSubstreams:
 
 def _reference_write_scatter_csv(method_vec, test_vec, path):
     """One pool's scatter file for one view, every vector formatted whole."""
-    test_reprs, method_reprs = map(metrics._float_reprs, (test_vec, method_vec))
+    test_reprs, method_reprs = ([repr(x) for x in vec.tolist()] for vec in (test_vec, method_vec))
     with open(path, "w", newline="") as fh:
         fh.write("bin_id,test_frequency,method_frequency\r\n")
         fh.write("".join(map("{},{},{}\r\n".format, itertools.count(),

@@ -10,7 +10,7 @@ from agentsynth.baselines import fit_marginals, marginal_sample, resample_traini
 from agentsynth.bayesnet import (Dag, ancestral_sample, chow_liu, fit_cpts, mdl_score,
                                  mutual_information)
 from agentsynth.dataset import (Schema, VariableSpec, codes_to_pool, distinct_rows,
-                                draw_categories, view_counts)
+                                draw_categories, row_groups, view_counts)
 from agentsynth.errors import DataError
 from agentsynth.metrics import cramers_v_from_codes, frequency_distribution_from_codes
 
@@ -87,6 +87,47 @@ class TestDistinctRows:
         expected, expected_inverse = np.unique(matrix, axis=0, return_inverse=True)
         np.testing.assert_array_equal(rows, expected)
         np.testing.assert_array_equal(inverse, expected_inverse.reshape(-1))
+
+
+def _groups_oracle(matrix):
+    """row_groups by Python sets: each group's first row index and every
+    row's group, the groups in lexicographic order of their rows."""
+    rows = list(map(tuple, matrix.tolist()))
+    first = {}
+    for i, row in enumerate(rows):
+        first.setdefault(row, i)
+    rank = {row: g for g, row in enumerate(sorted(first))}
+    return [first[row] for row in sorted(first)], [rank[row] for row in rows]
+
+
+def _float_bits(rng):
+    """float64 rows as int64 bits: repeats, negative values, rows that
+    differ only in the sign of a zero, and rows one ulp apart."""
+    values = _repeated_rows(rng, 200, 3, -3, 3) * 0.5
+    values[:4] = [[0.0, 1.0, -2.5], [-0.0, 1.0, -2.5], [0.0, -0.0, 0.0], [-0.0, -0.0, -0.0]]
+    values[4] = values[5] = values[6]
+    values[5, 2] = np.nextafter(values[5, 2], np.inf)
+    values[6, 0] = np.nextafter(values[6, 0], -np.inf)
+    return values.view(np.int64)
+
+
+class TestRowGroups:
+    @pytest.mark.parametrize("make", [
+        # as radix-(2, 2) digits both rows would be 0 * 2 + 1 = 1 * 2 - 1
+        lambda rng: np.array([[0, 1], [1, -1]]),
+        lambda rng: _repeated_rows(rng, 300, 5, -4, 4).astype(np.int8),
+        lambda rng: _repeated_rows(rng, 300, 3, -2 ** 62, 2 ** 62).astype(np.int64),
+        lambda rng: np.vstack([_repeated_rows(rng, 50, 2, -3, 3),
+                               [[-2 ** 63, 2 ** 63 - 1], [2 ** 63 - 1, -2 ** 63]]]),
+        lambda rng: _repeated_rows(rng, 300, 6, 0, 256).astype(np.uint8),
+        _float_bits,
+    ], ids=["negative-digit", "int8", "int64", "int64-extremes", "uint8", "float64-bits"])
+    def test_matches_a_set_oracle(self, rng, make):
+        matrix = make(rng)
+        first, inverse = row_groups(matrix)
+        expected_first, expected_inverse = _groups_oracle(matrix)
+        assert first.tolist() == expected_first
+        assert inverse.tolist() == expected_inverse
 
 
 class TestDrawCategories:

@@ -681,7 +681,8 @@ class TestCheckpointValidation:
         (lambda d: d.update(decoder="net"), "VAE decoder must be an object"),
         (lambda d: d["decoder"]["heads"][0].update(width=3.0), "head width must be an integer"),
         # one (mean, std) pair of finite numbers per continuous variable
-        (lambda d: d["standardization"].pop("income"),
+        (lambda d: d["standardization"].pop("income"), "^VAE standardization lacks 'income'$"),
+        (lambda d: d["standardization"].update(income=None),
          "standardization of 'income' must be a list of numbers, got None"),
         (lambda d: d.pop("standardization"), "^a VAE checkpoint lacks 'standardization'$"),
         (lambda d: d.update(standardization=[]), "VAE standardization must be an object"),
