@@ -47,9 +47,8 @@ from .errors import (
     ExactSearchLimitError,
     SchemaError,
     StaleCacheError,
-    UnreachableContextError,
 )
-from .gibbs import ChainConfig, ConditionalTable, estimate_conditionals, gibbs_step, run_chain
+from .gibbs import ChainConfig, ConditionalTable, estimate_conditionals, run_chain
 from .metrics import (
     DiversityStats,
     EvalReport,

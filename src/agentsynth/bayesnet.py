@@ -470,10 +470,11 @@ def ancestral_sample(dag: Dag, cpts: CptSet, count: int, rng_or_seed) -> np.ndar
 
 
 def bn_to_dict(dag: Dag, cpts: CptSet, algorithm: str, runtime_seconds: float | None = None,
-               mdl: float | None = None, schema: dict | None = None) -> dict:
+               mdl: float | None = None, *, schema: dict) -> dict:
     """JSON document of a fitted network; ``mdl`` is the DAG's MDL score on
-    its training codes and ``schema`` the JSON document of the schema the
-    codes follow, when known."""
+    its training codes, when known, and ``schema`` the JSON document of the
+    schema the codes follow (:func:`dataset.schema_to_json`), which
+    ``agentsynth sample`` checks the network against."""
     return {
         "format": "agentsynth-bn",
         "version": 1,
@@ -518,9 +519,9 @@ def bn_from_dict(doc: dict) -> tuple[Dag, CptSet]:
 
 
 def save_bn(dag: Dag, cpts: CptSet, algorithm: str, path, runtime_seconds: float | None = None,
-            mdl: float | None = None, schema: dict | None = None) -> None:
+            mdl: float | None = None, *, schema: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(bn_to_dict(dag, cpts, algorithm, runtime_seconds, mdl, schema), fh)
+        json.dump(bn_to_dict(dag, cpts, algorithm, runtime_seconds, mdl, schema=schema), fh)
 
 
 def load_bn(path) -> tuple[Dag, CptSet]:

@@ -37,10 +37,6 @@ class StaleCacheError(AgentSynthError):
     """A backward pass was given a cache that does not match the network."""
 
 
-class UnreachableContextError(DataError):
-    """A Gibbs chain reached a context with no estimated conditional."""
-
-
 class ExactSearchLimitError(ConfigError):
     """Exact structure search was requested above its variable cap; use
     greedy_search instead."""

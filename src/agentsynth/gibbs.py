@@ -19,9 +19,9 @@ so the chain visits only the updates that can move and reads each one's
 uniform by its position in the block of draws. The chain estimates its
 conditionals on that same index (:meth:`ContextGroups.conditional`), so
 every value it can draw completes a training row. The start must be a
-training row; anything else is a DataError. :func:`gibbs_step`, one scan
-by lookup in the tables of :func:`estimate_conditionals`, is the reference
-the index chain is tested against. The context groups also give the
+training row; anything else is a DataError. :func:`estimate_conditionals`
+gives the same conditionals as tuple-keyed tables, which the tests' one-scan
+reference chain looks rows up in. The context groups also give the
 probability islands: connected components of the unique training rows,
 two rows being linked when they share a context group. Diagnostics report
 how many islands there are and how many rows the chain's starting island
@@ -42,7 +42,7 @@ from itertools import repeat
 import numpy as np
 
 from .dataset import AgentPool, codes_to_pool, distinct_rows, pool_to_codes
-from .errors import ConfigError, DataError, UnreachableContextError, read_fields, read_format
+from .errors import ConfigError, DataError, read_fields, read_format
 
 # Uniforms drawn per generator call in the chain. Each block is a list of
 # Python floats, and the memory they free stays with the interpreter's
@@ -192,28 +192,6 @@ def estimate_conditionals(train: AgentPool) -> list[ConditionalTable]:
     return [ConditionalTable(i, dict(zip(map(tuple, index.contexts(i).tolist()),
                                          index.conditional(i, w))))
             for i, w in enumerate(train.schema.value_counts)]
-
-
-def gibbs_step(row: tuple, tables: list[ConditionalTable],
-               rng: np.random.Generator) -> tuple:
-    """One systematic scan: update every variable in schema order, each
-    conditioned on the freshest values of all the others.
-
-    A draw at or past the last cumulative probability, which can round
-    below 1, picks the last value with positive probability.
-    """
-    current = list(row)
-    for i, table in enumerate(tables):
-        ctx = tuple(current[:i] + current[i + 1:])
-        probs = table.table.get(ctx)
-        if probs is None:
-            raise UnreachableContextError(
-                f"variable {i}: context {ctx} never observed in training")
-        value = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-        if value == len(probs):
-            value = int(np.flatnonzero(probs)[-1])
-        current[i] = value
-    return tuple(current)
 
 
 def _run_on_index(layout, row: int, config: ChainConfig,

@@ -5,9 +5,13 @@ vector (:func:`pack_parameters`) with fixed decay ``RMSPROP_RHO`` and
 
 Networks are stacks of fully connected layers, tanh on hidden layers and a
 linear output layer whose columns are carved into heads: plain linear
-blocks for numeric outputs and softmax blocks for categorical ones. The
-layout is deliberately small and explicit so gradients can be audited
-against finite differences.
+blocks for numeric outputs and softmax blocks for categorical ones.
+:func:`head_layout` groups the softmax heads by width, and forward() and
+backward() apply the softmax and its Jacobian once per width group, on the
+``(rows * heads, width)`` view of the group's columns; each (row, head)
+pair is reduced over its own contiguous values, so the result has the bits
+of a loop over single heads. The layout is deliberately small and explicit
+so gradients can be audited against finite differences.
 """
 
 from __future__ import annotations
@@ -52,12 +56,49 @@ class Mlp:
     def output_width(self) -> int:
         return self.layers[-1].weights.shape[0]
 
-    def head_slices(self) -> list[tuple[Head, slice]]:
-        out, col = [], 0
-        for head in self.heads:
-            out.append((head, slice(col, col + head.width)))
-            col += head.width
-        return out
+
+@dataclass(frozen=True)
+class HeadGroup:
+    """All softmax heads of one width: ``columns`` lists their output
+    columns head after head, so ``logits[:, columns]`` reshapes to
+    ``(rows, count, width)``. It is a slice (and the reshape a view) when
+    the heads are adjacent, an index array otherwise."""
+
+    columns: slice | np.ndarray
+    count: int
+    width: int
+
+
+@dataclass(frozen=True)
+class HeadLayout:
+    """Output columns grouped by head: the softmax heads by width, and the
+    linear-head columns."""
+
+    groups: tuple[HeadGroup, ...]
+    numeric: slice | np.ndarray | None  # the linear-head columns
+
+
+def _columns(cols: list[int]) -> slice | np.ndarray:
+    if cols == list(range(cols[0], cols[0] + len(cols))):
+        return slice(cols[0], cols[0] + len(cols))
+    return np.array(cols)
+
+
+def head_layout(heads: tuple[Head, ...]) -> HeadLayout:
+    """Group softmax heads by width and collect the linear-head columns."""
+    by_width: dict[int, list[int]] = {}
+    numeric: list[int] = []
+    col = 0
+    for head in heads:
+        span = list(range(col, col + head.width))
+        if head.kind == "softmax":
+            by_width.setdefault(head.width, []).extend(span)
+        else:
+            numeric.extend(span)
+        col += head.width
+    groups = tuple(HeadGroup(_columns(cols), len(cols) // width, width)
+                   for width, cols in by_width.items())
+    return HeadLayout(groups, _columns(numeric) if numeric else None)
 
 
 @dataclass
@@ -121,9 +162,9 @@ def forward(mlp: Mlp, x) -> tuple[np.ndarray, ForwardCache]:
         raise DataError(f"input width {a.shape[1]} does not match network input {mlp.input_width}")
     inputs, logits = forward_layers(mlp, a)
     out = logits.copy()
-    for head, sl in Mlp.head_slices(mlp):
-        if head.kind == "softmax":
-            out[:, sl] = softmax(logits[:, sl])
+    for group in head_layout(mlp.heads).groups:
+        heads = logits[:, group.columns].reshape(-1, group.width)
+        out[:, group.columns] = softmax(heads).reshape(len(out), group.count * group.width)
     cache = ForwardCache(inputs, logits, out, squeezed)
     return (out[0] if squeezed else out), cache
 
@@ -142,13 +183,12 @@ def backward(mlp: Mlp, cache: ForwardCache, output_grad) -> tuple[list[np.ndarra
         raise StaleCacheError(
             f"cache shape {cache.outputs.shape} does not match gradient {g.shape} / network")
     # push through the heads: softmax needs its Jacobian, linear passes through
-    d_logits = np.empty_like(g)
-    for head, sl in Mlp.head_slices(mlp):
-        if head.kind == "softmax":
-            s = cache.outputs[:, sl]
-            d_logits[:, sl] = s * (g[:, sl] - np.sum(g[:, sl] * s, axis=1, keepdims=True))
-        else:
-            d_logits[:, sl] = g[:, sl]
+    d_logits = g.copy()
+    for group in head_layout(mlp.heads).groups:
+        s = cache.outputs[:, group.columns].reshape(-1, group.width)
+        gs = g[:, group.columns].reshape(-1, group.width)
+        d_logits[:, group.columns] = (s * (gs - np.sum(gs * s, axis=1, keepdims=True))
+                                      ).reshape(len(g), group.count * group.width)
     grads, d_pre = backward_layers(mlp, cache.inputs, cache.logits, d_logits)
     d_input = d_pre @ mlp.layers[0].weights
     return grads, (d_input[0] if cache.squeezed else d_input)

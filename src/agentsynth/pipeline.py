@@ -375,7 +375,7 @@ def train_method(config: ExperimentConfig, method: MethodSpec, train: AgentPool,
     runtime = time.perf_counter() - started
     cpts = bayesnet.fit_cpts(dag, codes, counts)
     bayesnet.save_bn(dag, cpts, algorithm, path, runtime, bayesnet.mdl_score(dag, codes, counts),
-                     schema_to_json(train.schema))
+                     schema=schema_to_json(train.schema))
     return dag, cpts, train.schema
 
 

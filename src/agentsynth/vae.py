@@ -14,9 +14,11 @@ logits: the categorical term is one log-softmax over all heads of one
 width at once, so it is exact however small a probability gets, and its
 gradient is the fused softmax cross-entropy ``(softmax - x) / batch`` on
 the logits, which then enters the layer recurrence of
-:func:`neural.backward_layers`. The head layout is built once per model,
-and encoder and decoder parameters live in one flat vector that RMSprop
-updates as a single block. Hyperparameters can be searched on a grid, with
+:func:`neural.backward_layers`. The decoder's heads are grouped by width
+once per model, with :func:`neural.head_layout`, the grouping that
+:func:`neural.forward` applies its softmax by; the step lays each group
+out as contiguous ``(width, batch, heads)`` planes. Encoder and decoder
+parameters live in one flat vector that RMSprop updates as a single block. Hyperparameters can be searched on a grid, with
 the winner picked by validation SRMSE of the projected joint over a
 designated variable subset. Sampling draws z ~ N(0, I), decodes it block
 by block, hardens categorical blocks, and de-standardizes numerics into raw
@@ -49,12 +51,14 @@ from .errors import (ConfigError, DataError, DivergenceError, SchemaError, expec
                      read_format)
 from .neural import (
     Head,
+    HeadLayout,
     Mlp,
     PackedParameters,
     backward,  # unused here; the benchmark harness wraps vae.backward
     backward_layers,
     forward,
     forward_layers,
+    head_layout,
     init_mlp,
     mlp_from_dict,
     mlp_to_dict,
@@ -63,7 +67,6 @@ from .neural import (
     rmsprop_step,
 )
 
-PROB_FLOOR = 1e-12
 # Rows per block that sample() decodes at a time, so the decoder's
 # activations exist for one block only. The count is cut into the
 # dataset.row_blocks of this size, none shorter than it, so the draws are
@@ -74,49 +77,6 @@ PROB_FLOOR = 1e-12
 SAMPLE_BLOCK = 1 << 10
 CHECKPOINT_FORMAT = "agentsynth-vae"
 CHECKPOINT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class HeadGroup:
-    """All softmax heads of one width: ``columns`` lists their logit columns
-    head after head, so ``logits[:, columns]`` reshapes to
-    ``(batch, count, width)``. It is a slice (and the reshape a view) when
-    the heads are adjacent, an index array otherwise."""
-
-    columns: slice | np.ndarray
-    count: int
-    width: int
-
-
-@dataclass(frozen=True)
-class HeadLayout:
-    """Decoder output columns grouped for the training step."""
-
-    groups: tuple[HeadGroup, ...]
-    numeric: slice | np.ndarray | None  # the linear-head columns
-
-
-def _columns(cols: list[int]) -> slice | np.ndarray:
-    if cols == list(range(cols[0], cols[0] + len(cols))):
-        return slice(cols[0], cols[0] + len(cols))
-    return np.array(cols)
-
-
-def head_layout(heads: tuple[Head, ...]) -> HeadLayout:
-    """Group softmax heads by width and collect the linear-head columns."""
-    by_width: dict[int, list[int]] = {}
-    numeric: list[int] = []
-    col = 0
-    for head in heads:
-        span = list(range(col, col + head.width))
-        if head.kind == "softmax":
-            by_width.setdefault(head.width, []).extend(span)
-        else:
-            numeric.extend(span)
-        col += head.width
-    groups = tuple(HeadGroup(_columns(cols), len(cols) // width, width)
-                   for width, cols in by_width.items())
-    return HeadLayout(groups, _columns(numeric) if numeric else None)
 
 
 @dataclass
@@ -171,6 +131,9 @@ class TrainConfig:
             raise ConfigError(f"unknown hardening rule {self.harden!r}")
         if self.selection_samples is not None and self.selection_samples < 1:
             raise ConfigError("selection_samples must be >= 1")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError(f"learning_rate must be positive and finite, "
+                              f"got {self.learning_rate}")
 
     def grid(self) -> list[tuple[tuple[int, ...], int, float]] | None:
         opts = (self.hidden_options, self.latent_options, self.beta_options)
@@ -211,12 +174,13 @@ def decoder_heads(schema: Schema) -> tuple[Head, ...]:
 
 
 def check_architecture(hidden, latent_dim: int, beta: float) -> None:
-    """ConfigError unless all layer widths are >= 1 and beta is positive."""
+    """ConfigError unless all layer widths are >= 1 and beta is positive and
+    finite."""
     if latent_dim < 1 or any(width < 1 for width in hidden):
         raise ConfigError(f"layer widths must be >= 1, got hidden {list(hidden)} "
                           f"and latent_dim {latent_dim}")
-    if beta <= 0:
-        raise ConfigError(f"beta must be positive, got {beta}")
+    if not 0 < beta < np.inf:
+        raise ConfigError(f"beta must be positive and finite, got {beta}")
 
 
 def build_vae(schema: Schema, hidden: tuple[int, ...], latent_dim: int, beta: float,
@@ -258,14 +222,6 @@ def encode(model: VaeModel, x) -> LatentParams:
     return LatentParams(out[..., :d], out[..., d:])
 
 
-def reparameterize(lp: LatentParams, epsilon: np.ndarray) -> np.ndarray:
-    """z = mu + exp(logvar / 2) * eps."""
-    eps = np.asarray(epsilon, dtype=float)
-    if eps.shape != np.shape(lp.mean):
-        raise DataError(f"epsilon shape {eps.shape} does not match latent shape {np.shape(lp.mean)}")
-    return lp.mean + np.exp(lp.log_variance / 2.0) * eps
-
-
 def decode(model: VaeModel, z) -> np.ndarray:
     out, _ = forward(model.decoder, np.asarray(z, dtype=float))
     return out
@@ -277,33 +233,6 @@ class LossTerms:
     numeric: float
     categorical: float
     kl: float
-
-
-def loss(model: VaeModel, x, x_hat, lp: LatentParams) -> LossTerms:
-    """Minibatch-mean loss split into its three terms, from post-head
-    outputs: ``x_hat`` holds probabilities in the one-hot blocks, floored at
-    ``PROB_FLOOR`` before the log. The training step computes the same
-    objective exactly from logits (see :func:`evaluate_loss`)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    x_hat = np.atleast_2d(np.asarray(x_hat, dtype=float))
-    mu = np.atleast_2d(lp.mean)
-    lv = np.atleast_2d(lp.log_variance)
-    n_rows = x.shape[0]
-    numeric = 0.0
-    categorical = 0.0
-    for block in schema_blocks(model.schema):
-        sub_x = x[:, block.start:block.stop]
-        sub_h = x_hat[:, block.start:block.stop]
-        if block.kind == "numeric":
-            numeric += 0.5 * np.sum((sub_x - sub_h) ** 2)
-        else:
-            categorical += -np.sum(sub_x * np.log(np.maximum(sub_h, PROB_FLOOR)))
-    kl = -0.5 * np.sum(1.0 + lv - mu ** 2 - np.exp(lv))
-    numeric /= n_rows
-    categorical /= n_rows
-    kl /= n_rows
-    total = numeric + categorical + model.beta * kl
-    return LossTerms(float(total), float(numeric), float(categorical), float(kl))
 
 
 @dataclass
@@ -602,7 +531,7 @@ def vae_from_dict(doc: dict) -> VaeModel:
             standardization[var.name] = (float(pair[0]), float(pair[1]))
     try:
         return VaeModel(encoder, decoder, latent_dim, float(beta), schema, standardization)
-    except ConfigError as exc:  # a beta that is not positive
+    except ConfigError as exc:  # a beta that is not positive and finite
         raise DataError(f"VAE checkpoint: {exc}") from None
 
 

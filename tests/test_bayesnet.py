@@ -22,12 +22,12 @@ from agentsynth.bayesnet import (
     mutual_information,
 )
 from agentsynth.cli import main
-from agentsynth.dataset import pool_to_codes, split_pool
+from agentsynth.dataset import pool_to_codes, schema_to_json, split_pool
 from agentsynth.errors import DataError, ExactSearchLimitError
 from agentsynth.pipeline import acquire_data, config_from_json
 from agentsynth.synthdata import SyntheticGeneratorSpec, synth_generate
 
-from conftest import toy_pool
+from conftest import categorical_schema, toy_pool
 from oracles import joint_distribution
 
 
@@ -813,7 +813,7 @@ class TestDagAndSerialization:
         codes = rng.integers(0, 2, size=(100, 3))
         dag = chow_liu(codes, (2, 2, 2))
         cpts = fit_cpts(dag, codes, (2, 2, 2))
-        doc = bn_to_dict(dag, cpts, "tree", 0.5)
+        doc = bn_to_dict(dag, cpts, "tree", 0.5, schema=_schema_doc([2, 2, 2]))
         dag2, cpts2 = bn_from_dict(doc)
         assert dag2 == dag
         for a, b in zip(cpts.tables, cpts2.tables):
@@ -825,16 +825,47 @@ class TestDagAndSerialization:
         dag = chow_liu(codes, (2, 2, 2))
         cpts = fit_cpts(dag, codes, (2, 2, 2))
         score = mdl_score(dag, codes, (2, 2, 2))
-        doc = json.loads(json.dumps(bn_to_dict(dag, cpts, "tree", 0.5, score)))
+        doc = json.loads(json.dumps(bn_to_dict(dag, cpts, "tree", 0.5, score,
+                                               schema=_schema_doc([2, 2, 2]))))
         assert doc["mdl_score"] == score and doc["n_edges"] == 2
         assert bn_from_dict(doc)[0] == dag
-        assert bn_to_dict(dag, cpts, "tree")["mdl_score"] is None
+        assert bn_to_dict(dag, cpts, "tree", schema=_schema_doc([2, 2, 2]))["mdl_score"] is None
+
+    def test_schema_is_required(self, rng):
+        codes = rng.integers(0, 2, size=(100, 3))
+        dag = chow_liu(codes, (2, 2, 2))
+        cpts = fit_cpts(dag, codes, (2, 2, 2))
+        with pytest.raises(TypeError, match="schema"):
+            bn_to_dict(dag, cpts, "tree")
+        with pytest.raises(TypeError, match="schema"):
+            bayesnet.save_bn(dag, cpts, "tree", "unused.json")
+
+    def test_saved_file_loads_through_the_pipeline(self, rng, tmp_path):
+        # the file agentsynth sample reads: the network and the schema it was
+        # trained on
+        schema = categorical_schema([2, 3, 2])
+        codes = np.column_stack([rng.integers(0, w, size=200) for w in (2, 3, 2)])
+        dag = chow_liu(codes, schema.value_counts)
+        cpts = fit_cpts(dag, codes, schema.value_counts)
+        (tmp_path / "models").mkdir()
+        bayesnet.save_bn(dag, cpts, "tree", tmp_path / "models" / "net.json", 0.5,
+                         mdl_score(dag, codes, schema.value_counts), schema=schema_to_json(schema))
+        loaded_dag, loaded_cpts, loaded_schema = pipeline.load_model(
+            pipeline.MethodSpec("net", "bn"), tmp_path)
+        assert (loaded_dag, loaded_schema) == (dag, schema)
+        assert loaded_cpts.value_counts == cpts.value_counts
+        for got, want in zip(loaded_cpts.tables, cpts.tables):
+            np.testing.assert_array_equal(got, want)
+
+
+def _schema_doc(widths):
+    return schema_to_json(categorical_schema(widths))
 
 
 def _bn_document():
     codes = np.random.default_rng(9).integers(0, 3, size=(200, 3))
     dag = Dag(3, ((), (0,), (0, 1)))
-    doc = bn_to_dict(dag, fit_cpts(dag, codes, (3, 3, 3)), "greedy")
+    doc = bn_to_dict(dag, fit_cpts(dag, codes, (3, 3, 3)), "greedy", schema=_schema_doc([3, 3, 3]))
     return json.loads(json.dumps(doc))
 
 

@@ -188,6 +188,19 @@ class TestStagedFlow:
         assert doc["mdl_score"] == mdl_score(dag, codes, schema.value_counts)
 
 
+# every configuration field of JSON type "a number" or "a list of numbers",
+# and the message a non-finite value gets
+NUMBER_FIELDS = [
+    (("split", "train_frac"), "split fractions must lie strictly between 0 and 1"),
+    (("split", "val_frac_of_train"), "split fractions must lie strictly between 0 and 1"),
+    (("data", "synthetic", "dependence"), "dependence must lie in [0, 1)"),
+    (("methods", 0, "params", "beta"), "method 'vae': beta must be positive and finite"),
+    (("methods", 0, "params", "beta_options"), "method 'vae': beta must be positive and finite"),
+    (("methods", 0, "params", "learning_rate"),
+     "method 'vae': learning_rate must be positive and finite"),
+]
+
+
 def _set(doc, path, value):
     for key in path[:-1]:
         doc = doc[key]
@@ -305,6 +318,36 @@ class TestExitCodes:
         assert main(["prepare", "--config", str(path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and message in err, err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("path, message", NUMBER_FIELDS,
+                             ids=[".".join(map(str, path)) for path, _ in NUMBER_FIELDS])
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, path, message, value):
+        # Python's json reads and writes NaN, Infinity and -Infinity
+        out = tmp_path / "o"
+        config = _write_config(tmp_path, out)
+        doc = json.loads(config.read_text())
+        if path[-1] == "beta_options":  # a grid needs all three option lists
+            doc["methods"][0]["params"].update(hidden_options=[[6]], latent_options=[2])
+            value = [0.1, value]
+        _set(doc, path, value)
+        config.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and message in err, err
+        assert not (out / "data").exists()
+
+    def test_number_fields_are_all_listed(self):
+        # every configuration field of JSON type "a number" (or a list of
+        # them) is in NUMBER_FIELDS
+        from agentsynth import pipeline, synthdata
+
+        tables = [pipeline.CONFIG_FIELDS, pipeline.DATA_FIELDS, pipeline.SPLIT_FIELDS,
+                  pipeline.METHOD_FIELDS, synthdata.SPEC_FIELDS, *pipeline.METHOD_PARAMS.values()]
+        numbers = {key for table in tables for key, kind in table.items()
+                   if kind in ("a number", "a list of numbers")}
+        assert numbers == {path[-1] for path, _ in NUMBER_FIELDS}
 
     def test_short_row_before_a_bins_column_is_data_error(self, tmp_path, capsys):
         (tmp_path / "data.csv").write_text("sex,w\nf,1.5\nm\nf,0.5\nm,2.0\n")
@@ -746,6 +789,10 @@ class TestExitCodeContract:
         ("prepare", ("methods", 0, "params", "latent_dim"), -2,
          "method 'vae': layer widths must be >= 1"),
         ("prepare", ("methods", 0, "params", "beta"), 0, "method 'vae': beta must be positive"),
+        ("run", ("methods", 0, "params", "learning_rate"), -0.001,
+         "method 'vae': learning_rate must be positive and finite, got -0.001"),
+        ("run", ("methods", 0, "params", "learning_rate"), 0,
+         "method 'vae': learning_rate must be positive and finite, got 0"),
         ("prepare", ("methods", 0, "params", "latent_options"), [2],
          "method 'vae': grid search needs hidden, latent, and beta options together"),
         ("prepare", ("methods", 0, "params"),
@@ -778,6 +825,17 @@ class TestExitCodeContract:
         assert (code, "Traceback" in err) == (2, False), err
         assert err.startswith("configuration error:") and message in err, err
         assert not (tmp_path / "out").exists()
+
+    def test_finite_learning_rate_that_diverges_exits_4(self, tmp_path):
+        # the range check passes a finite positive rate; one this large
+        # overflows the first step, and the next loss is not finite
+        config = _write_config(tmp_path, tmp_path / "out")
+        doc = json.loads(config.read_text())
+        _set(doc, ("methods", 0, "params", "learning_rate"), 1e308)
+        config.write_text(json.dumps(doc))
+        code, err = _cli("run", "--config", config)
+        assert (code, "Traceback" in err) == (4, False), err
+        assert err.splitlines()[-1].startswith("method diverged:") and "non-finite" in err, err
 
     @pytest.mark.parametrize("name, message", [
         ("", "method name '' is not a file name"),

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "agentsynth").glob("*.py"))
+TESTS = Path(__file__).resolve().parent
+SOURCES = sorted((TESTS.parent / "src" / "agentsynth").glob("*.py"))
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "agentsynth"}
 
 
@@ -138,3 +139,22 @@ def test_rows_are_grouped_only_by_row_groups():
     # 8.1 ms against the lexsort's 3.4 ms on 10,000 x 5 int64 rows
     calls = [call for path in SOURCES for call in _row_grouping_calls(path)]
     assert not calls, f"rows grouped outside dataset.row_groups at {calls}"
+
+
+def _definitions(path):
+    """Names of the module-level functions and classes of a file."""
+    return {node.name for node in ast.parse(path.read_text(), str(path)).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def test_oracles_stay_out_of_src():
+    # a test reference lives in tests/oracles.py only: a package copy of it
+    # is a second form of the concept, and the package never reads the tests
+    oracles = _definitions(TESTS / "oracles.py")
+    copies = sorted(f"{path.stem}.{name}" for path in SOURCES
+                    for name in _definitions(path) & oracles)
+    test_modules = {"tests"} | {path.stem for path in TESTS.glob("*.py")}
+    imports = sorted(f"{path.name} imports {module}" for path in SOURCES
+                     for module in set(_imported_modules(path)) & test_modules)
+    assert not copies, f"src defines the test oracles {copies}"
+    assert not imports, f"src imports from the tests: {imports}"

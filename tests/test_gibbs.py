@@ -10,18 +10,18 @@ import pytest
 from agentsynth import gibbs
 from agentsynth.dataset import (AgentPool, Schema, VariableSpec, codes_to_pool, distinct_rows,
                                 pool_to_codes)
-from agentsynth.errors import ConfigError, DataError, UnreachableContextError
+from agentsynth.errors import ConfigError, DataError
 from agentsynth.gibbs import (
     ChainConfig,
     ContextGroups,
     estimate_conditionals,
-    gibbs_step,
     run_chain,
 )
 
 from agentsynth.synthdata import SyntheticGeneratorSpec, synth_generate
 
 from conftest import categorical_schema, pool_from_codes, random_categorical_pool, toy_pool
+from oracles import UnreachableContextError, gibbs_step
 
 
 def _traced(fn):

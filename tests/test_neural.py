@@ -13,6 +13,7 @@ from agentsynth.neural import (
     backward,
     backward_layers,
     forward,
+    head_layout,
     init_mlp,
     mlp_from_dict,
     mlp_to_dict,
@@ -23,7 +24,7 @@ from agentsynth.neural import (
     softmax,
 )
 
-from oracles import rmsprop_per_block
+from oracles import per_head_backward, per_head_forward, rmsprop_per_block
 
 
 def _random_net(rng, input_width=4, hidden=(5,), heads=(Head("linear", 2), Head("softmax", 3))):
@@ -169,6 +170,50 @@ class TestBackward:
         _, cache = forward(net, rng.normal(size=(3, 4)))
         with pytest.raises(StaleCacheError):
             backward(net, cache, np.zeros((2, 5)))
+
+
+HEAD_WIDTHS = (2, 3, 4, 5, 8, 9, 16, 33)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestGroupedHeads:
+    """forward and backward apply the softmax and its Jacobian once per width
+    group; outputs and gradients keep the bits of a loop over single heads
+    (the oracle), which is what keeps sampled pools byte-identical."""
+
+    def _net(self, rng, repeats):
+        # each width once (every group one head, its columns a slice) or
+        # twice with other heads between (index-array columns); a linear
+        # head after every softmax head
+        heads = tuple(head for _ in range(repeats) for width in HEAD_WIDTHS
+                      for head in (Head("softmax", width), Head("linear", 1 + width % 2)))
+        net = init_mlp(6, (7,), heads, rng)
+        net.layers[-1].weights *= 8.0  # logits spread over several nats
+        return net
+
+    @pytest.mark.parametrize("repeats", [1, 2])
+    @pytest.mark.parametrize("rows", [None, 1, 41])
+    def test_bits_equal_the_per_head_loop(self, rng, repeats, rows):
+        net = self._net(rng, repeats)
+        layout = head_layout(net.heads)
+        assert sorted(g.width for g in layout.groups) == sorted(HEAD_WIDTHS)
+        assert all(isinstance(g.columns, slice if repeats == 1 else np.ndarray)
+                   for g in layout.groups)
+        x = rng.normal(size=6 if rows is None else (rows, 6))
+        y, cache = forward(net, x)
+        want_y, want_cache = per_head_forward(net, x)
+        assert y.shape == want_y.shape == ((net.output_width,) if rows is None
+                                           else (rows, net.output_width))
+        np.testing.assert_array_equal(_bits(y), _bits(want_y))
+        g = rng.normal(size=y.shape)
+        grads, dx = backward(net, cache, g)
+        want_grads, want_dx = per_head_backward(net, want_cache, g)
+        assert dx.shape == want_dx.shape == x.shape
+        for got, want in zip([*grads, dx], [*want_grads, want_dx]):
+            np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
 class TestRmsprop:

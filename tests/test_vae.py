@@ -27,7 +27,6 @@ from agentsynth.neural import (
     softmax,
 )
 from agentsynth.vae import (
-    PROB_FLOOR,
     LatentParams,
     TrainConfig,
     build_vae,
@@ -36,9 +35,7 @@ from agentsynth.vae import (
     encode,
     evaluate_loss,
     load_checkpoint,
-    loss,
     loss_and_grads,
-    reparameterize,
     sample,
     save_checkpoint,
     train,
@@ -48,7 +45,7 @@ from agentsynth.vae import (
 )
 
 from conftest import categorical_schema, random_categorical_pool
-from oracles import rmsprop_per_block
+from oracles import PROB_FLOOR, loss, per_head_forward, reparameterize, rmsprop_per_block
 
 
 def _mixed_schema():
@@ -294,6 +291,20 @@ class TestSample:
         schema = categorical_schema([3, 2])
         model = build_vae(schema, (4,), 2, 1.0, rng)
         assert sample(model, 50, 21).rows == sample(model, 50, 21).rows
+
+    @pytest.mark.parametrize("harden", ["argmax", "sample"])
+    def test_grouped_heads_sample_the_per_head_pool(self, monkeypatch, harden):
+        # width-8 and width-9 heads, each width twice and apart, over several
+        # decode blocks: the pool is the one a per-head softmax draws (a
+        # rounding change shows in test_neural's bit test before it moves
+        # an argmax or an inverse-CDF draw here)
+        rng = np.random.default_rng(8)
+        model = build_vae(categorical_schema([8, 9, 3, 8, 9]), (12,), 3, 0.5, rng)
+        model.decoder.layers[-1].weights *= 6.0
+        pool = sample(model, 3000, 17, harden=harden)
+        monkeypatch.setattr(vae_module, "forward", per_head_forward)
+        want = sample(model, 3000, 17, harden=harden)
+        np.testing.assert_array_equal(pool.codes, want.codes)
 
     def test_softmax_sampling_mode(self, rng):
         schema = categorical_schema([3])
