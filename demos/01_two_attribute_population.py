@@ -39,7 +39,7 @@ enc = encode_pool(pool)
 model = vae.build_vae(pool.schema, hidden=(), latent_dim=1, beta=1.0,
                       rng=np.random.default_rng(1))
 config = vae.TrainConfig(epochs=1000, batch_size=len(pool), seed=1, learning_rate=0.01)
-trained = vae.train(model, enc, enc, config).model
+trained = vae.train(model, enc, pool, config).model
 lp0 = vae.encode(trained, enc.values[0])
 lp1 = vae.encode(trained, enc.values[-1])
 print(f"latent means: s0 -> {lp0.mean[0]:+.3f}, s1 -> {lp1.mean[0]:+.3f} "

@@ -56,7 +56,24 @@ import numpy as np
 
 from .dataset import (MAX_TABLE_CELLS, check_codes, code_dtype, draw_categories, read_json,
                       view_counts)
-from .errors import DataError, ExactSearchLimitError, read_fields, read_format, read_rows
+from .errors import (ConfigError, DataError, ExactSearchLimitError, read_fields, read_format,
+                     read_rows)
+
+BN_ALGORITHMS = ("tree", "greedy", "exact")
+
+
+@dataclass(frozen=True)
+class SearchConfig:
+    """A BN method's structure search; ``max_parents`` bounds the greedy one."""
+
+    algorithm: str = "tree"
+    max_parents: int = 3
+
+    def __post_init__(self):
+        if self.algorithm not in BN_ALGORITHMS:
+            raise ConfigError(f"unknown BN algorithm {self.algorithm!r}")
+        if self.max_parents < 0:
+            raise ConfigError("max_parents must be >= 0")
 
 
 @dataclass(frozen=True)

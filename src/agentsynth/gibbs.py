@@ -62,7 +62,7 @@ class ConditionalTable:
 
 @dataclass(frozen=True)
 class ChainConfig:
-    target_count: int
+    target_count: int = 0  # set per draw: a Gibbs model file leaves it out
     warmup: int = 20000
     thinning: int = 20
     init: str | tuple = "random-from-train"

@@ -11,6 +11,9 @@ directory and returns its outputs:
     sample_method   pools/<method>.csv (+ models/<method>-diagnostics.json, Gibbs)
     evaluate_pools  report.json, report.csv; draws and scores the baselines
 
+A method's params build its settings once, when the configuration loads
+(:class:`MethodSpec`); the stages read only those.
+
 :func:`run_pipeline` chains the stages in memory and the staged CLI
 subcommands call them on files; both time them with :func:`recorded_stages`,
 which writes run_info.json. Only run_pipeline also writes the baseline
@@ -37,7 +40,7 @@ import sys
 import time
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +64,7 @@ from .errors import ConfigError, DataError, expect, expect_fields, read_fields
 from .synthdata import SyntheticGeneratorSpec, spec_from_json, synth_generate
 
 METHOD_KINDS = ("vae", "gibbs", "bn")
-# the params train_method and sample_method read, per method kind, and their JSON types
+# the params a method of each kind accepts, and their JSON types
 METHOD_PARAMS = {
     "vae": {"hidden": "a list of integers", "latent_dim": "an integer", "beta": "a number",
             "epochs": "an integer", "batch_size": "an integer", "seed": "a non-negative integer",
@@ -72,10 +75,8 @@ METHOD_PARAMS = {
     "gibbs": {"warmup": "an integer", "thinning": "an integer", "seed": "a non-negative integer"},
     "bn": {"algorithm": "a string", "max_parents": "an integer"},
 }
-# what train_method uses for the VAE architecture and BN params a method leaves unset
-METHOD_DEFAULTS = {"vae": {"hidden": [50], "latent_dim": 10, "beta": 0.5},
-                   "bn": {"algorithm": "tree", "max_parents": 3}}
-BN_ALGORITHMS = ("tree", "greedy", "exact")
+# the class that builds, checks and defaults a method's params, per kind
+METHOD_SETTINGS = {"vae": vae.TrainConfig, "gibbs": gibbs.ChainConfig, "bn": bayesnet.SearchConfig}
 # the JSON types of the configuration document's objects (config_from_json)
 CONFIG_FIELDS = {"seed": "a non-negative integer", "out_dir": "a string", "data": "an object",
                  "split": "an object", "methods": "a list", "generation_count": "an integer",
@@ -98,9 +99,14 @@ def substream(master_seed: int, *labels) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class MethodSpec:
+    """A configured method. ``settings`` is built from ``params`` by its
+    kind's METHOD_SETTINGS class, which checks every range that needs no
+    data; the stages read only it, and whether ``params`` sets a seed."""
+
     name: str
     kind: str
     params: dict = field(default_factory=dict)
+    settings: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in METHOD_KINDS:
@@ -113,32 +119,10 @@ class MethodSpec:
         expect_fields(self.params, METHOD_PARAMS[self.kind], f"method {self.name!r}: params",
                       f"method {self.name!r}: ")
         try:
-            _check_ranges(self.kind, dict(self.params))
+            settings = METHOD_SETTINGS[self.kind](**self.params)
         except ConfigError as exc:
             raise ConfigError(f"method {self.name!r}: {exc}") from None
-
-
-def _check_ranges(kind: str, params: dict) -> None:
-    """ConfigError for every param out of its range that no data is needed
-    to see, so that a configuration fails when it loads, before any stage:
-    the VAE architecture, grid options, batching and selection settings
-    (through the checks vae.build_vae and vae.TrainConfig run), the Gibbs
-    warmup and thinning (gibbs.ChainConfig), and the BN algorithm and
-    max_parents. What names schema variables is checked where the schema
-    is known."""
-    if kind == "vae":
-        given = {**METHOD_DEFAULTS[kind], **params}
-        vae.check_architecture(given["hidden"], given["latent_dim"], given["beta"])
-        vae.TrainConfig(**{key: value for key, value in params.items()
-                           if key in vae.TrainConfig.__dataclass_fields__}).grid()
-    elif kind == "gibbs":
-        gibbs.ChainConfig(0, **params)
-    else:
-        given = {**METHOD_DEFAULTS[kind], **params}
-        if given["algorithm"] not in BN_ALGORITHMS:
-            raise ConfigError(f"unknown BN algorithm {given['algorithm']!r}")
-        if given["max_parents"] < 0:
-            raise ConfigError("max_parents must be >= 0")
+        object.__setattr__(self, "settings", settings)
 
 
 @dataclass
@@ -316,7 +300,10 @@ def prepare_data(config: ExperimentConfig, out: Path) -> tuple[AgentPool, AgentP
     """Acquire the sample, write it with its schema, split it and write the
     splits; returns the train, validation and test pools."""
     source = acquire_data(config)
-    source.schema.columns(config.projection, "projection")  # fails before any training
+    source.schema.columns(config.projection, "projection")  # fails before any write
+    for method in config.methods:
+        if method.kind == "vae":
+            source.schema.columns(method.settings.selection_variables, "selection_variables")
     write_source(source, out)
     splits = split_pool(source, config.train_frac, config.val_frac_of_train,
                         _split_seed(config))
@@ -335,59 +322,43 @@ def train_method(config: ExperimentConfig, method: MethodSpec, train: AgentPool,
     # drawn even when the params set a seed, so that the VAE's initial
     # weights, drawn next from the same stream, do not depend on it
     seed = int(rng_fit.integers(2 ** 31))
+    settings = method.settings
+    if method.kind != "bn" and "seed" not in method.params:
+        settings = replace(settings, seed=seed)
     (out / "models").mkdir(parents=True, exist_ok=True)
     path = out / "models" / f"{method.name}.json"
     if method.kind == "vae":
-        enc_train = encode_pool(train)
-        enc_val = encode_pool(validation, standardization=enc_train.standardization)
-        train_config = vae.TrainConfig(
-            **{"seed": seed, **_given(method, vae.TrainConfig.__dataclass_fields__)})
-        model = vae.build_vae(train.schema, tuple(_param(method, "hidden")),
-                              _param(method, "latent_dim"), _param(method, "beta"), rng_fit)
-        result = vae.train(model, enc_train, enc_val, train_config)
+        model = vae.build_vae(train.schema, settings.hidden, settings.latent_dim,
+                              settings.beta, rng_fit)
+        result = vae.train(model, encode_pool(train), validation, settings)
         vae.save_checkpoint(result.model, path, extra={
             "grid": result.grid_records, "selection_score": result.selection_score})
         vae.write_training_log(result.history,
                                out / "models" / f"{method.name}-training-log.csv")
         return result.model
     if method.kind == "gibbs":
-        chain = gibbs.chain_to_dict(gibbs.ChainConfig(
-            config.generation_count,
-            **{"seed": seed, **_given(method, gibbs.ChainConfig.__dataclass_fields__)}))
+        chain = gibbs.chain_to_dict(settings)
         with open(path, "w") as fh:
             json.dump(chain, fh, indent=2)
         return chain
     # Bayesian network; conditionals are frequency tables, so every variable
-    # must be categorical (numerics converted via bins). The algorithm and
-    # max_parents were checked when the method was configured.
+    # must be categorical (numerics converted via bins)
     if train.schema.mode != "discretize-all":
         raise ConfigError("the bn method needs a discretize-all schema")
-    algorithm = _param(method, "algorithm")
     codes = pool_to_codes(train)
     counts = train.schema.value_counts
     started = time.perf_counter()
-    if algorithm == "tree":
+    if settings.algorithm == "tree":
         dag = bayesnet.chow_liu(codes, counts)
-    elif algorithm == "greedy":
-        dag = bayesnet.greedy_search(codes, counts, max_parents=_param(method, "max_parents"))
+    elif settings.algorithm == "greedy":
+        dag = bayesnet.greedy_search(codes, counts, max_parents=settings.max_parents)
     else:
         dag = bayesnet.exact_search(codes, counts)
     runtime = time.perf_counter() - started
     cpts = bayesnet.fit_cpts(dag, codes, counts)
-    bayesnet.save_bn(dag, cpts, algorithm, path, runtime, bayesnet.mdl_score(dag, codes, counts),
-                     schema=schema_to_json(train.schema))
+    bayesnet.save_bn(dag, cpts, settings.algorithm, path, runtime,
+                     bayesnet.mdl_score(dag, codes, counts), schema=schema_to_json(train.schema))
     return dag, cpts, train.schema
-
-
-def _param(method: MethodSpec, key: str):
-    """The param ``key`` of ``method``, or its default (METHOD_DEFAULTS)."""
-    return method.params.get(key, METHOD_DEFAULTS[method.kind][key])
-
-
-def _given(method: MethodSpec, names) -> dict:
-    """The params of ``method`` among ``names`` that are set, by name."""
-    return {key: method.params[key] for key in METHOD_PARAMS[method.kind]
-            if key in names and key in method.params}
 
 
 # perfbench/layers.py binds this name on pipeline and cli; it stays until
@@ -428,7 +399,7 @@ def sample_method(config: ExperimentConfig, method: MethodSpec, model, schema, c
                         "(trained on another schema); run 'train' again")
     rng_sample = _method_stream(config, method, "sample")
     if method.kind == "vae":
-        pool = vae.sample(model, count, rng_sample, **_given(method, ("harden",)))
+        pool = vae.sample(model, count, rng_sample, harden=method.settings.harden)
     elif method.kind == "gibbs":
         pool, diagnostics = gibbs.run_chain(train, gibbs.chain_from_dict(model, count))
         gibbs.write_diagnostics(diagnostics,

@@ -18,11 +18,13 @@ the logits, which then enters the layer recurrence of
 once per model, with :func:`neural.head_layout`, the grouping that
 :func:`neural.forward` applies its softmax by; the step lays each group
 out as contiguous ``(width, batch, heads)`` planes. Encoder and decoder
-parameters live in one flat vector that RMSprop updates as a single block. Hyperparameters can be searched on a grid, with
-the winner picked by validation SRMSE of the projected joint over a
-designated variable subset. Sampling draws z ~ N(0, I), decodes it block
-by block, hardens categorical blocks, and de-standardizes numerics into raw
-agent records.
+parameters live in one flat vector that RMSprop updates as a single block.
+A :class:`TrainConfig` holds a VAE method's settings, its architecture
+included. Hyperparameters can be searched on a grid, with the winner picked
+by the SRMSE of the projected joint over a designated variable subset
+against the validation pool's codes. Sampling draws z ~ N(0, I), decodes it
+block by block, hardens categorical blocks, and de-standardizes numerics
+into raw agent records.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .dataset import (
     Schema,
     decode_rows,
     draw_categories,
-    matrix_to_codes,
+    matrix_to_codes,  # unused here; perfbench/layers.py wraps this name on this module
     read_json,
     row_blocks,
     schema_blocks,
@@ -111,6 +113,10 @@ class LatentParams:
 
 @dataclass
 class TrainConfig:
+    # the architecture a method's model is built with (a grid builds its own)
+    hidden: tuple[int, ...] = (50,)
+    latent_dim: int = 10
+    beta: float = 0.5
     epochs: int = 100
     batch_size: int = 64
     seed: int = 0
@@ -125,6 +131,8 @@ class TrainConfig:
     harden: str = "argmax"  # or "sample": draw categories from the softmax
 
     def __post_init__(self):
+        self.hidden = tuple(self.hidden)
+        check_architecture(self.hidden, self.latent_dim, self.beta)
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0 and batch_size >= 1")
         if self.harden not in ("argmax", "sample"):
@@ -134,6 +142,7 @@ class TrainConfig:
         if not 0 < self.learning_rate < np.inf:
             raise ConfigError(f"learning_rate must be positive and finite, "
                               f"got {self.learning_rate}")
+        self.grid()
 
     def grid(self) -> list[tuple[tuple[int, ...], int, float]] | None:
         opts = (self.hidden_options, self.latent_options, self.beta_options)
@@ -340,6 +349,8 @@ def loss_and_grads(model: VaeModel, x: np.ndarray, eps: np.ndarray
     return step.terms, enc_grads, dec_grads
 
 
+# a diverging step overflows; the DivergenceError it raises then says so in one line
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _train_single(model: VaeModel, train: EncodedMatrix, config: TrainConfig,
                   rng: np.random.Generator, grid_index: int = 0) -> tuple[VaeModel, list[dict]]:
     model = clone_model(model)
@@ -384,29 +395,28 @@ def _train_single(model: VaeModel, train: EncodedMatrix, config: TrainConfig,
     return model, history
 
 
-def _selection_srmse(model: VaeModel, validation: EncodedMatrix, config: TrainConfig,
+def _selection_srmse(model: VaeModel, validation: AgentPool, config: TrainConfig,
                      subset: tuple[int, ...], rng: np.random.Generator) -> float:
     """Validation SRMSE of the projected joint over the selection variables
     ``subset``, computed on hardened samples."""
     schema = model.schema
     count = config.selection_samples or max(1000, len(validation))  # None or >= 1
     pool = sample(model, count, rng, harden=config.harden)
-    val_codes = matrix_to_codes(validation)
     gen = metrics.frequency_distribution_from_codes(
         metrics.codes_for_pool(pool), schema.value_counts, subset)
     ref = metrics.frequency_distribution_from_codes(
-        val_codes, schema.value_counts, subset)
+        validation.codes, schema.value_counts, subset)
     return metrics.srmse(gen, ref)
 
 
-def train(model: VaeModel, train_matrix: EncodedMatrix, validation: EncodedMatrix,
+def train(model: VaeModel, train_matrix: EncodedMatrix, validation: AgentPool,
           config: TrainConfig) -> TrainResult:
     """Fit the model, optionally grid-searching architectures.
 
     Without a grid the passed model trains as-is. With a grid, one model per
     (hidden stack, latent dim, beta) point is built and trained on an
-    independent RNG substream, and the point minimizing validation SRMSE of
-    the selection-variable joint wins.
+    independent RNG substream, and the point minimizing the SRMSE of the
+    selection-variable joint against the ``validation`` pool's codes wins.
     """
     grid = config.grid()
     subset = tuple(model.schema.columns(config.selection_variables, "selection_variables"))

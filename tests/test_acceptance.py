@@ -77,7 +77,7 @@ def test_c03_toy_vae():
     model = vae.build_vae(train.schema, (), 1, 1.0, np.random.default_rng(1))
     config = vae.TrainConfig(epochs=1000, batch_size=len(train), seed=1,
                              learning_rate=0.01)
-    result = vae.train(model, enc, enc, config)
+    result = vae.train(model, enc, train, config)
     trained = result.model
     lp0 = vae.encode(trained, enc.values[0])    # an s0 row
     lp1 = vae.encode(trained, enc.values[-1])   # an s1 row

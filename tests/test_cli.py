@@ -155,11 +155,13 @@ class TestStagedFlow:
         assert metadata["sizes"] == {"train": 150, "validation": 50, "test": 300}
 
     def test_failing_train_records_its_stage(self, tmp_path):
-        # a variable name is checked against the schema, so only when training
+        # prepare checks the selection variables against the schema, and
+        # training checks them again for a configuration changed since
         out = tmp_path / "o"
-        config = _write_config(tmp_path, out, methods=[
-            {"name": "vae", "kind": "vae", "params": {"selection_variables": ["nope"]}}])
+        config = _write_config(tmp_path, out, methods=[{"name": "vae", "kind": "vae"}])
         assert main(["prepare", "--config", str(config)]) == 0
+        _write_config(tmp_path, out, methods=[
+            {"name": "vae", "kind": "vae", "params": {"selection_variables": ["nope"]}}])
         assert main(["train", "--config", str(config), "--method", "vae"]) == 2
         info = _run_info(out)
         assert (info["status"], info["stage"]) == ("failed", "train:vae")
@@ -367,19 +369,22 @@ class TestExitCodes:
     ])
     def test_invalid_method_setting_is_config_error(self, tmp_path, capsys, kind, params,
                                                     message):
-        # a setting that names schema variables fails before training writes
-        # the model file; the settings that need no data fail when the
-        # configuration loads (TestExitCodeContract)
+        # a setting that names schema variables fails in prepare, before
+        # the data is written or a method listed before it trains; the
+        # settings that need no data fail when the configuration loads
+        # (TestExitCodeContract)
         grid = {"hidden_options": [[6]], "latent_options": [2], "beta_options": [0.1],
                 "epochs": 2} if kind == "vae" else {}
         out = tmp_path / "o"
         config = _write_config(tmp_path, out, methods=[
+            {"name": "bn", "kind": "bn", "params": {"algorithm": "tree"}},
             {"name": "m", "kind": kind, "params": {**grid, **params}}])
         assert main(["run", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and message in err, err
-        assert _run_info(out)["stage"] == "train:m"
-        assert not (out / "models" / "m.json").exists()
+        assert _run_info(out)["stage"] == "prepare"
+        assert not (out / "data").exists()
+        assert not (out / "models").exists() and not (out / "pools").exists()
 
     def test_missing_config_is_config_error(self):
         assert main(["run"]) == 2
@@ -828,14 +833,14 @@ class TestExitCodeContract:
 
     def test_finite_learning_rate_that_diverges_exits_4(self, tmp_path):
         # the range check passes a finite positive rate; one this large
-        # overflows the first step, and the next loss is not finite
+        # overflows the first step, and the next loss is not finite. The
+        # overflow raises no numpy warning, so the error is the one line
         config = _write_config(tmp_path, tmp_path / "out")
         doc = json.loads(config.read_text())
         _set(doc, ("methods", 0, "params", "learning_rate"), 1e308)
         config.write_text(json.dumps(doc))
         code, err = _cli("run", "--config", config)
-        assert (code, "Traceback" in err) == (4, False), err
-        assert err.splitlines()[-1].startswith("method diverged:") and "non-finite" in err, err
+        assert (code, err) == (4, "method diverged: grid point 0, epoch 0: non-finite loss\n")
 
     @pytest.mark.parametrize("name, message", [
         ("", "method name '' is not a file name"),
@@ -861,7 +866,7 @@ class TestExitCodeContract:
     @pytest.mark.parametrize("path, names, stage", [
         (("projection",), 16, "prepare"),
         (("projection",), 33, "prepare"),
-        (("methods", 0, "params", "selection_variables"), 33, "train:vae"),
+        (("methods", 0, "params", "selection_variables"), 33, "prepare"),
     ])
     def test_oversized_joint_exits_2_before_any_model(self, tmp_path, path, names, stage):
         """Over 40 variables of width 4: unchecked, a projection of 33 names

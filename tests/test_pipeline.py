@@ -1,6 +1,7 @@
 """Full pipeline runs: artifacts, determinism, configuration handling."""
 
 import csv
+import dataclasses
 import importlib
 import itertools
 import json
@@ -13,10 +14,11 @@ import pytest
 
 from agentsynth import dataset, metrics, pipeline
 from agentsynth.dataset import codes_to_pool, encode_pool, read_pool_csv, schema_from_json
-from agentsynth.errors import ConfigError
+from agentsynth.errors import ConfigError, DivergenceError
 from agentsynth.pipeline import (
     BASELINE_NAMES,
     METHOD_PARAMS,
+    METHOD_SETTINGS,
     PCA_COMPONENTS,
     ExperimentConfig,
     MethodSpec,
@@ -111,10 +113,11 @@ class TestRunPipeline:
         assert report_a == report_b
 
     def test_failure_records_stage(self, tmp_path):
-        # a variable name is checked against the schema, so only when training
+        # a learning rate this large passes the range check and diverges
         config = _small_config(tmp_path, methods=[
-            MethodSpec("vae", "vae", {"selection_variables": ["nope"]})])
-        with pytest.raises(ConfigError):
+            MethodSpec("vae", "vae", {"hidden": [8], "latent_dim": 3, "epochs": 2,
+                                      "learning_rate": 1e308})])
+        with pytest.raises(DivergenceError):
             run_pipeline(config)
         info = json.loads((Path(config.out_dir) / "run_info.json").read_text())
         assert info["status"] == "failed"
@@ -167,28 +170,29 @@ class TestRunPipeline:
 
 
 class _ReadParams(dict):
-    """Method params that remember which keys the stages read."""
+    """Method params that remember how each key is read: ``("in", key)``
+    for a membership test, ``("get", key)`` for a value."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.read = set()
 
     def __contains__(self, key):
-        self.read.add(key)
+        self.read.add(("in", key))
         return super().__contains__(key)
 
     def __getitem__(self, key):
-        self.read.add(key)
+        self.read.add(("get", key))
         return super().__getitem__(key)
 
     def get(self, key, default=None):
-        self.read.add(key)
+        self.read.add(("get", key))
         return super().get(key, default)
 
 
-# a value for every accepted key, each of which changes what is fitted
+# a value for every accepted key, none of them the key's default
 EVERY_PARAM = {
-    "vae": {"hidden": [4], "latent_dim": 2, "beta": 0.5, "epochs": 1, "batch_size": 16,
+    "vae": {"hidden": [4], "latent_dim": 2, "beta": 0.25, "epochs": 1, "batch_size": 16,
             "seed": 3, "learning_rate": 0.01, "hidden_options": [[4]], "latent_options": [2],
             "beta_options": [0.5], "selection_variables": ["x00", "x01"],
             "selection_samples": 50, "harden": "sample"},
@@ -211,16 +215,36 @@ class TestMethodParams:
 
     @pytest.mark.parametrize("kind", sorted(METHOD_PARAMS))
     def test_every_accepted_key_is_read(self, tmp_path, kind):
+        """Every key is read into the settings when the method is made, and
+        the stages read the settings alone: of the params, only whether
+        they set a seed."""
         assert set(EVERY_PARAM[kind]) == set(METHOD_PARAMS[kind])
+        settings = MethodSpec("m", kind, EVERY_PARAM[kind]).settings
+        for key in EVERY_PARAM[kind]:
+            rest = {k: v for k, v in EVERY_PARAM[kind].items() if k != key}
+            if key.endswith("_options"):  # a grid needs all three option lists
+                with pytest.raises(ConfigError, match="grid search needs"):
+                    MethodSpec("m", kind, rest)
+            else:
+                assert MethodSpec("m", kind, rest).settings != settings, key
         params = _ReadParams(EVERY_PARAM[kind])
         method = MethodSpec("m", kind, params)
+        params.read.clear()
         config = _small_config(tmp_path, methods=[method], count=50)
         out = Path(config.out_dir)
         train, validation, _ = prepare_data(config, out)
         model = train_method(config, method, train, validation, out)
         pool = sample_method(config, method, model, train.schema, 50, out, train)
         assert len(pool) == 50
-        assert params.read == set(METHOD_PARAMS[kind])
+        assert params.read <= {("in", "seed")}
+
+    @pytest.mark.parametrize("kind", sorted(METHOD_PARAMS))
+    def test_params_are_the_fields_of_the_settings_class(self, kind):
+        fields = {f.name for f in dataclasses.fields(METHOD_SETTINGS[kind])}
+        # a Gibbs draw sets its own target count, and no configuration sets
+        # where the chain starts
+        unset = {"target_count", "init"} if kind == "gibbs" else set()
+        assert set(METHOD_PARAMS[kind]) == fields - unset
 
 
 ROOT = Path(__file__).resolve().parents[1]

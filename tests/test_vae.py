@@ -13,8 +13,10 @@ from agentsynth.dataset import (
     decode_rows,
     draw_categories,
     encode_pool,
+    matrix_to_codes,
     schema_blocks,
 )
+from agentsynth import metrics
 from agentsynth import vae as vae_module
 from agentsynth.errors import ConfigError, DataError, DivergenceError, SchemaError
 from agentsynth.neural import (
@@ -205,7 +207,7 @@ class TestTrain:
         pool = random_categorical_pool(rng, [3, 2], 20)
         enc = encode_pool(pool)
         model = build_vae(pool.schema, (4,), 2, 1.0, rng)
-        result = train(model, enc, enc, TrainConfig(epochs=0))
+        result = train(model, enc, pool, TrainConfig(epochs=0))
         for before, after in zip(parameters(model.encoder), parameters(result.model.encoder)):
             np.testing.assert_array_equal(before, after)
 
@@ -218,7 +220,7 @@ class TestTrain:
         eps0 = np.zeros((32, 2))
         before = evaluate_loss(model, enc.values, eps0).total
         config = TrainConfig(epochs=300, batch_size=32, seed=5, learning_rate=0.01)
-        result = train(model, enc, enc, config)
+        result = train(model, enc, pool, config)
         after = evaluate_loss(result.model, enc.values, eps0).total
         assert after < before / 10
 
@@ -226,7 +228,7 @@ class TestTrain:
         pool = random_categorical_pool(rng, [3, 3, 2], 120)
         enc = encode_pool(pool)
         model = build_vae(pool.schema, (8,), 3, 0.1, rng)
-        result = train(model, enc, enc, TrainConfig(epochs=30, batch_size=32, seed=1,
+        result = train(model, enc, pool, TrainConfig(epochs=30, batch_size=32, seed=1,
                                                     learning_rate=0.005))
         assert result.history[-1]["total"] < result.history[0]["total"]
 
@@ -235,8 +237,8 @@ class TestTrain:
         enc = encode_pool(pool)
         model = build_vae(pool.schema, (4,), 2, 1.0, np.random.default_rng(3))
         config = TrainConfig(epochs=5, batch_size=16, seed=11)
-        r1 = train(model, enc, enc, config)
-        r2 = train(model, enc, enc, config)
+        r1 = train(model, enc, pool, config)
+        r2 = train(model, enc, pool, config)
         for a, b in zip(parameters(r1.model.decoder), parameters(r2.model.decoder)):
             np.testing.assert_array_equal(a, b)
 
@@ -247,9 +249,46 @@ class TestTrain:
         config = TrainConfig(epochs=3, batch_size=32, seed=2,
                              hidden_options=[(4,), (6,)], latent_options=[2],
                              beta_options=[0.1], selection_samples=200)
-        result = train(model, enc, enc, config)
+        result = train(model, enc, pool, config)
         assert len(result.grid_records) == 2
         assert result.selection_score == min(r["selection_srmse"] for r in result.grid_records)
+
+    def test_selection_scores_against_the_validation_codes(self, rng):
+        """The validation joint is binned from the validation pool's own
+        values. Under these training incomes' mean and std, the standardized
+        round trip of a validation income on the bin edge 50 lands just
+        below it, in the first bin."""
+        schema = _mixed_schema()
+        train_pool = AgentPool.from_rows(schema, tuple(
+            (age, "1", "f", income) for age, income in zip((10.0, 20.0, 30.0, 40.0),
+                                                           (8.0, 3.0, 16.0, 5.0))), "train")
+        validation = AgentPool.from_rows(schema, ((20.0, "2", "m", 50.0),), "validation")
+        enc = encode_pool(train_pool)
+        round_trip = matrix_to_codes(encode_pool(validation, enc.standardization))
+        assert (validation.codes[0, 3], round_trip[0, 3]) == (1, 0)
+        config = TrainConfig(epochs=1, batch_size=4, seed=6, hidden_options=[(4,)],
+                             latent_options=[2], beta_options=[0.5],
+                             selection_variables=["income"], selection_samples=51)
+        result = train(build_vae(schema, (4,), 2, 0.5, rng), enc, validation, config)
+        # the selection draw of the only grid point, on its third substream
+        select = np.random.default_rng(np.random.SeedSequence(6, spawn_key=(0,)).spawn(3)[2])
+        generated = metrics.frequency_distribution_from_codes(
+            sample(result.model, 51, select).codes, schema.value_counts, (3,))
+
+        def score(codes):
+            return metrics.srmse(generated, metrics.frequency_distribution_from_codes(
+                codes, schema.value_counts, (3,)))
+
+        assert result.selection_score == score(validation.codes) != score(round_trip)
+
+    def test_architecture_is_checked_and_held_as_a_tuple(self):
+        assert TrainConfig(hidden=[4, 3]).hidden == (4, 3)
+        assert (TrainConfig().hidden, TrainConfig().latent_dim, TrainConfig().beta) == \
+            ((50,), 10, 0.5)
+        with pytest.raises(ConfigError, match="layer widths must be >= 1"):
+            TrainConfig(hidden=[4, 0])
+        with pytest.raises(ConfigError, match="beta must be positive"):
+            TrainConfig(beta=0.0)
 
     def test_partial_grid_rejected(self):
         with pytest.raises(ConfigError):
@@ -449,7 +488,7 @@ class TestCheckpoint:
         pool = random_categorical_pool(rng, [3, 2], 40)
         enc = encode_pool(pool)
         model = build_vae(pool.schema, (4,), 2, 0.5, rng)
-        result = train(model, enc, enc, TrainConfig(epochs=3, batch_size=16, seed=2))
+        result = train(model, enc, pool, TrainConfig(epochs=3, batch_size=16, seed=2))
         path = tmp_path / "log.csv"
         write_training_log(result.history, path)
         lines = path.read_text().splitlines()
@@ -636,7 +675,8 @@ class TestPackedParameters:
 
     def test_non_finite_gradient_names_grid_point_epoch_and_block(self, rng, monkeypatch):
         model, x = self._model_and_batch(rng)
-        enc = encode_pool(_interleaved_pool(rng, 24))
+        pool = _interleaved_pool(rng, 24)
+        enc = encode_pool(pool)
         real = vae_module.loss_and_grads
         calls = []
 
@@ -653,7 +693,7 @@ class TestPackedParameters:
         with pytest.raises(DivergenceError,
                            match=rf"grid point 0, epoch 1: non-finite gradient in "
                                  rf"parameter block {n_enc + 1}$"):
-            train(model, enc, enc, TrainConfig(epochs=3, batch_size=12, seed=4))
+            train(model, enc, pool, TrainConfig(epochs=3, batch_size=12, seed=4))
 
 
 class TestCheckpointValidation:
