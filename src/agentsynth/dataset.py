@@ -568,9 +568,21 @@ def matrix_to_codes(matrix: EncodedMatrix) -> np.ndarray:
     return codes
 
 
+SPLITS = ("train", "validation", "test")
+
+
 def split_pool(pool: AgentPool, train_frac: float, val_frac_of_train: float,
                seed: int) -> tuple[AgentPool, AgentPool, AgentPool]:
-    """Shuffle and split into disjoint train/validation/test pools.
+    """Shuffle and split into disjoint train/validation/test pools, the
+    rows :func:`split_rows` gives each."""
+    return tuple(pool.take(rows, name) for rows, name in
+                 zip(split_rows(len(pool), train_frac, val_frac_of_train, seed), SPLITS))
+
+
+def split_rows(n: int, train_frac: float, val_frac_of_train: float,
+               seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of an ``n``-row pool that form its train, validation and
+    test pools, in their shuffled order.
 
     ``train_frac`` of the rows form the original training block; of that
     block, ``val_frac_of_train`` is carved out for validation and the
@@ -578,7 +590,6 @@ def split_pool(pool: AgentPool, train_frac: float, val_frac_of_train: float,
     """
     if not (0.0 < train_frac < 1.0) or not (0.0 < val_frac_of_train < 1.0):
         raise DataError("split fractions must lie strictly between 0 and 1")
-    n = len(pool)
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     n_block = round(n * train_frac)
@@ -588,9 +599,7 @@ def split_pool(pool: AgentPool, train_frac: float, val_frac_of_train: float,
     if min(n_train, n_val, n_test) < 1:
         raise DataError(
             f"pool of {n} rows too small for fractions {train_frac}/{val_frac_of_train}")
-    return (pool.take(order[:n_train], "train"),
-            pool.take(order[n_train:n_block], "validation"),
-            pool.take(order[n_block:], "test"))
+    return order[:n_train], order[n_train:n_block], order[n_block:]
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +625,10 @@ def check_codes(codes: np.ndarray, value_counts, columns=None,
         raise DataError(f"codes must be integers, got dtype {codes.dtype}")
     if len(value_counts) != codes.shape[1]:
         raise DataError(f"{codes.shape[1]} code columns but {len(value_counts)} value counts")
-    cols = np.unique(np.arange(codes.shape[1]) if columns is None else columns)
+    # the sorted distinct columns, without np.unique, which imports numpy.ma
+    chosen = np.zeros(codes.shape[1], dtype=bool)
+    chosen[slice(None) if columns is None else np.asarray(columns)] = True
+    cols = np.flatnonzero(chosen)
     sub = codes if len(cols) == codes.shape[1] else codes[:, cols]
     outside = (sub < 0) | (sub >= np.asarray(value_counts)[cols])
     if outside.any():
@@ -704,23 +716,13 @@ def row_groups(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     row.
 
     Rows of non-negative integers, signed or unsigned, are compared as
-    mixed-radix integers (radix ``max + 1`` per column, in int64): runs of
-    consecutive columns whose radix product fits in int64 become one key
-    each, and the rows are a lexsort over their few keys. Other rows (those
-    of a matrix with a negative entry, say float rows viewed as int64 bits)
-    are a lexsort over the columns.
+    their :func:`mixed_radix_keys` (radix ``max + 1`` per column), and the
+    rows are a lexsort over those few keys. Other rows (those of a matrix
+    with a negative entry, say float rows viewed as int64 bits) are a
+    lexsort over the columns.
     """
     if codes.size and codes.dtype.kind in "iu" and codes.min() >= 0:
-        radix = [m + 1 for m in codes.max(axis=0).tolist()]
-        keys, size = [], 2 ** 63
-        for j, r in enumerate(radix):
-            if size * r < 2 ** 63:  # the column joins the current key, in place
-                keys[-1] *= r
-                keys[-1] += codes[:, j]
-                size *= r
-            else:
-                keys.append(codes[:, j].astype(np.int64))
-                size = r
+        keys = mixed_radix_keys(codes, [m + 1 for m in codes.max(axis=0).tolist()])
     else:
         keys = list(codes.T)
     order = np.lexsort(keys[::-1]) if keys else np.arange(len(codes))
@@ -732,6 +734,25 @@ def row_groups(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inverse = np.empty(len(codes), dtype=np.intp)
     inverse[order] = np.cumsum(~same) - 1
     return order[~same], inverse
+
+
+def mixed_radix_keys(codes: np.ndarray, radix) -> list[np.ndarray]:
+    """The rows of a matrix of non-negative integers as int64 mixed-radix
+    keys, column ``j`` a digit in radix ``radix[j]`` (above its largest
+    entry), the first column the most significant: runs of consecutive
+    columns whose radix product fits in int64 become one key each. Keys
+    compare as their rows do in lexicographic order, and there is one key
+    per row exactly when the product of all radixes fits in int64."""
+    keys, size = [], 2 ** 63
+    for j, r in enumerate(radix):
+        if size * r < 2 ** 63:  # the column joins the current key, in place
+            keys[-1] *= r
+            keys[-1] += codes[:, j]
+            size *= r
+        else:
+            keys.append(codes[:, j].astype(np.int64))
+            size = r
+    return keys
 
 
 # ---------------------------------------------------------------------------
@@ -831,37 +852,62 @@ def schema_from_json(doc: dict, columns: dict[str, Sequence[float]] | None = Non
     return Schema(tuple(variables), mode)
 
 
-def write_pool_csv(pool: AgentPool, path) -> None:
+def write_pool_csv(pool: AgentPool, path, parts: dict | None = None) -> None:
     """Write a pool as the bytes ``csv.writer`` writes for ``pool.rows``
     under a header of the variable names; a generated pool has a trailing
     ``provenance`` column. A number is ``str`` of its value, so a float is
     its ``repr``, and each category is quoted once per schema. Each block
     of ``CSV_WRITE_BLOCK`` rows is one join over its columns; it holds no
     empty cell, which ``csv.writer`` would quote in a one-column row,
-    because a category cannot be ``""``."""
+    because a category cannot be ``""``.
+
+    ``parts`` maps more paths to row indices of the pool, and each of those
+    files gets the bytes written for ``pool.take(rows)`` under the same
+    provenance. Every row is formatted once: its line is kept until the
+    parts are written."""
     schema = pool.schema
     fields = [None if var.is_numerical
               else np.array(list(map(_csv_field, var.categories)), dtype=object)
               for var in schema.variables]
-    with_prov = pool.provenance == "generated"
+    header = list(schema.names) + (["provenance"] if pool.provenance == "generated" else [])
+    kept = np.empty(len(pool) if parts else 0, dtype=object)  # lines, indexed by row
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(list(schema.names) + (["provenance"] if with_prov else []))
+        csv.writer(fh).writerow(header)
         for start in range(0, len(pool), CSV_WRITE_BLOCK):
-            rows = slice(start, start + CSV_WRITE_BLOCK)
-            numeric = iter(pool.numeric[rows].T)
-            columns = [list(map(str, _python_values(var, next(numeric)))) if var.is_numerical
-                       else field[pool.codes[rows, j]].tolist()
-                       for j, (var, field) in enumerate(zip(schema.variables, fields))]
-            if with_prov:
-                columns.append(repeat(pool.provenance))
-            write_csv_block(fh, columns)
+            lines = _csv_lines(pool, fields, slice(start, start + CSV_WRITE_BLOCK))
+            write_csv_lines(fh, lines)
+            if parts:
+                kept[start:start + len(lines)] = lines
+    for part, rows in (parts or {}).items():
+        with open(part, "w", newline="") as fh:
+            csv.writer(fh).writerow(header)
+            for start in range(0, len(rows), CSV_WRITE_BLOCK):
+                write_csv_lines(fh, kept[rows[start:start + CSV_WRITE_BLOCK]])
+
+
+def _csv_lines(pool: AgentPool, fields: list, rows: slice) -> list[str]:
+    """The CSV lines, without line ends, of a block of a pool's rows;
+    ``fields[j]`` holds the CSV cell of each category of variable ``j``
+    (None for a numerical variable)."""
+    numeric = iter(pool.numeric[rows].T)
+    columns = [list(map(str, _python_values(var, next(numeric)))) if var.is_numerical
+               else field[pool.codes[rows, j]].tolist()
+               for j, (var, field) in enumerate(zip(pool.schema.variables, fields))]
+    if pool.provenance == "generated":
+        columns.append(repeat(pool.provenance))
+    return list(map(",".join, zip(*columns)))
 
 
 def write_csv_block(fh, columns: Sequence[Iterable[str]]) -> None:
     """Write a block of rows, given as its columns of formatted cells, as
-    one join: cells separated by commas, each line ended by ``\\r\\n`` as
-    ``csv.writer`` ends it."""
-    fh.write("\r\n".join(map(",".join, zip(*columns))))
+    one join: cells separated by commas (:func:`write_csv_lines`)."""
+    write_csv_lines(fh, map(",".join, zip(*columns)))
+
+
+def write_csv_lines(fh, lines: Iterable[str]) -> None:
+    """Write a non-empty block of lines as one join, each ended by
+    ``\\r\\n`` as ``csv.writer`` ends it."""
+    fh.write("\r\n".join(lines))
     fh.write("\r\n")
 
 

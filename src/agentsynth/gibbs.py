@@ -269,8 +269,9 @@ def run_chain(train: AgentPool, config: ChainConfig) -> tuple[AgentPool, dict]:
     labels = index.island_labels()
     diagnostics = {
         "iterations": config.warmup + config.thinning * config.target_count,
-        "distinct_rows": len(np.unique(kept)),
-        "islands": len(np.unique(labels)),
+        # distinct values counted by bincount: np.unique would import numpy.ma
+        "distinct_rows": int(np.count_nonzero(np.bincount(kept))),
+        "islands": int(np.count_nonzero(np.bincount(labels))),
         "start_island_rows": int(np.sum(labels == labels[start])),
         **{key: getattr(config, key) for key in ("warmup", "thinning", "target_count", "seed")},
     }

@@ -31,7 +31,11 @@ one exact kernel for every schema mode: twice the number of mismatched
 one-hot variables, read from the codes, plus direct squared differences of
 the standardized numeric columns. It works on distinct rows, groups the
 training rows by their categorical values, skips every group too far off
-to hold the nearest row, and holds memory to fixed-size chunks.
+to hold the nearest row, and holds memory to fixed-size chunks. Without
+numeric columns, generated tuples that copy a training tuple or differ
+from one in a single variable are found by sorted-key search over their
+mixed-radix keys (:func:`_within_one`), and only the rest take the
+one-hot product; where a tuple does not fit one int64 key, all of them do.
 
 All operations are pure; subset enumeration and neighbor scans are
 data-parallel by construction.
@@ -47,7 +51,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import (CSV_WRITE_BLOCK, AgentPool, EncodedMatrix, check_codes, distinct_rows,
-                      row_groups, standardize_column, view_counts, write_csv_block)
+                      mixed_radix_keys, row_groups, standardize_column, view_counts,
+                      write_csv_block)
 # perfbench/layers.py wraps this name on this module; it stays bound until
 # the benchmark's bindings are updated
 from .dataset import encode_pool  # noqa: F401
@@ -257,15 +262,18 @@ def _nearest_distances(gen: _KernelRows, ref: _KernelRows) -> np.ndarray:
     (numeric columns summed in order).
 
     Both sides are deduplicated, and the distinct reference rows are grouped
-    by code tuple. For a chunk of generated rows, the mismatch count against
-    every tuple comes from a float32 product of one-hot rows, exact because
-    it is an integer of at most ``n_variables``. Without numeric columns
-    ``best`` is twice the smallest count. Otherwise each row visits its
-    groups by mismatch count, the smallest first, and stops at the first
-    count whose ``2 * mismatches`` is not below its best so far: no further
-    group can hold a nearer row. A visit expands (generated row, group)
-    pairs into row pairs in batches of at most ``PAIR_CHUNK`` pairs (or one
-    group's rows), so memory stays bounded by the chunk sizes and the inputs.
+    by code tuple. Without numeric columns ``best`` is twice the smallest
+    mismatch count, and the tuples within one mismatch of a reference tuple
+    are found by key lookup (:func:`_within_one`); it is skipped when a
+    tuple does not fit one int64 key. For a chunk of the generated rows
+    left, the mismatch count against every tuple comes from a float32
+    product of one-hot rows, exact because it is an integer of at most
+    ``n_variables``. With numeric columns each row visits its groups by
+    mismatch count, the smallest first, and stops at the first count whose
+    ``2 * mismatches`` is not below its best so far: no further group can
+    hold a nearer row. A visit expands (generated row, group) pairs into row
+    pairs in batches of at most ``PAIR_CHUNK`` pairs (or one group's rows),
+    so memory stays bounded by the chunk sizes and the inputs.
     """
     widths, n_num = gen.widths, gen.numeric.shape[1]
     gen_tuples, gen_tuple, gen_num, inverse = _distinct(gen)
@@ -284,11 +292,17 @@ def _nearest_distances(gen: _KernelRows, ref: _KernelRows) -> np.ndarray:
     index_type = np.int32 if len(ref_group) < 2 ** 31 and len(gen_tuple) < 2 ** 31 else np.intp
     gen_num, ref_num = gen_num.T.copy(), ref_num.T.copy()
     best = np.empty(len(gen_tuple))
+    left = np.arange(len(gen_tuple))  # the rows the product scores
+    near = _within_one(gen_tuples, tuples, widths) if n_num == 0 else None
+    if near is not None:  # without numerics, the distinct rows are the distinct tuples
+        best[:] = 2.0 * near
+        left = np.flatnonzero(near < 0)
 
     def visit(rows: np.ndarray, groups: np.ndarray, twice: np.ndarray,
-              best_chunk: np.ndarray, offset: int) -> None:
+              best_chunk: np.ndarray, chunk: np.ndarray) -> None:
         """Lower ``best_chunk[rows]`` to ``twice`` (2 * mismatches, float64)
-        plus the smallest numeric part over each pair's group."""
+        plus the smallest numeric part over each pair's group; ``chunk``
+        holds the generated rows that ``rows`` index."""
         counts = sizes[groups]
         ends = np.cumsum(counts)
         lo = 0
@@ -299,7 +313,7 @@ def _nearest_distances(gen: _KernelRows, ref: _KernelRows) -> np.ndarray:
             seg = (ends[lo:hi] - c - base).astype(index_type)
             ref_idx = np.arange(ends[hi - 1] - base, dtype=index_type)
             ref_idx += np.repeat((first_row[groups[lo:hi]] - seg).astype(index_type), c)
-            gen_rows = rows[lo:hi] + offset
+            gen_rows = chunk[rows[lo:hi]]
             acc = None
             for col in range(n_num):
                 d = np.repeat(gen_num[col, gen_rows], c)
@@ -317,11 +331,12 @@ def _nearest_distances(gen: _KernelRows, ref: _KernelRows) -> np.ndarray:
             lo = hi
 
     step = max(1, MATCH_CHUNK // max(len(tuples), n_cols - n_num, 1))
-    for start in range(0, len(gen_tuple), step):
-        match = one_hot(gen_tuples[gen_tuple[start:start + step]]) @ tuples_t
+    for start in range(0, len(left), step):
+        chunk = left[start:start + step]
+        match = one_hot(gen_tuples[gen_tuple[chunk]]) @ tuples_t
         m0 = n_cat - match.max(axis=1)  # exact integers in float32
         if n_num == 0:
-            best[start:start + step] = 2.0 * m0
+            best[chunk] = 2.0 * m0
             continue
         mism = np.subtract(n_cat, match, out=match)
         best_chunk = np.full(len(m0), np.inf)
@@ -334,9 +349,45 @@ def _nearest_distances(gen: _KernelRows, ref: _KernelRows) -> np.ndarray:
             level = m0[active] + delta
             rest = mism if len(active) == len(m0) else mism[active]
             rows, groups = np.divmod(np.flatnonzero(rest == level[:, None]), len(tuples))
-            visit(active[rows], groups, 2.0 * level[rows].astype(np.float64), best_chunk, start)
-        best[start:start + step] = best_chunk
+            visit(active[rows], groups, 2.0 * level[rows].astype(np.float64), best_chunk, chunk)
+        best[chunk] = best_chunk
     return np.sqrt(best / n_cols)[inverse]
+
+
+def _within_one(gen_tuples: np.ndarray, tuples: np.ndarray, widths) -> np.ndarray | None:
+    """The mismatch count of each distinct generated tuple to its nearest
+    reference tuple where it is 0 or 1, else -1, by sorted-key search over
+    the tuples' :func:`mixed_radix_keys` in radix ``widths``; None when the
+    product of the widths does not fit one int64 key. A generated key found
+    among the reference keys has 0 mismatches. A key left that matches a
+    reference key once variable ``j``'s digit is zeroed in both has exactly
+    1: the tuples agree everywhere but at ``j``. This is the one-mismatch
+    case of the pigeonhole filter of multi-index hashing (Norouzi, Punjani
+    and Fleet, CVPR 2012)."""
+    gen_keys = mixed_radix_keys(gen_tuples, widths)
+    if len(gen_keys) != 1:
+        return None
+    gen_key, (ref_key,) = gen_keys[0], mixed_radix_keys(tuples, widths)
+    # the reference keys ascend: distinct tuples come in lexicographic order
+
+    def found(keys: np.ndarray, ordered: np.ndarray) -> np.ndarray:
+        at = np.searchsorted(ordered, keys).clip(max=len(ordered) - 1)
+        return ordered[at] == keys
+
+    near = np.full(len(gen_key), -1)
+    hit = found(gen_key, ref_key)
+    near[hit] = 0
+    left = np.flatnonzero(~hit)
+    stride = np.int64(1)
+    for j in range(len(widths) - 1, -1, -1):
+        if len(left) == 0:
+            break
+        zeroed = np.sort(ref_key - tuples[:, j] * stride)
+        hit = found(gen_key[left] - gen_tuples[left, j] * stride, zeroed)
+        near[left[hit]] = 1
+        left = left[~hit]
+        stride *= widths[j]
+    return near
 
 
 # ---------------------------------------------------------------------------

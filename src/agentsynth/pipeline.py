@@ -48,6 +48,7 @@ import numpy as np
 from . import baselines, bayesnet, gibbs, metrics, vae
 from .dataset import (
     CSV_WRITE_BLOCK,
+    SPLITS,
     AgentPool,
     codes_to_pool,
     encode_pool,
@@ -57,9 +58,12 @@ from .dataset import (
     row_blocks,
     schema_from_json,
     schema_to_json,
-    split_pool,
+    split_rows,
     write_pool_csv,
 )
+# perfbench/layers.py wraps this name on this module; it stays bound until
+# the benchmark's bindings are updated
+from .dataset import split_pool  # noqa: F401
 from .errors import ConfigError, DataError, expect, expect_fields, read_fields
 from .synthdata import SyntheticGeneratorSpec, spec_from_json, synth_generate
 
@@ -288,28 +292,29 @@ def _method_stream(config: ExperimentConfig, method: MethodSpec,
     return substream(config.seed, "method", index, method.name, purpose)
 
 
-def write_source(source: AgentPool, out: Path) -> None:
-    """Write the resolved schema and the whole sample."""
+def write_source(source: AgentPool, out: Path, splits=()) -> None:
+    """Write the resolved schema and the whole sample, and each split's
+    rows of it (``splits``: the row indices of :func:`split_rows`) to
+    ``data/<split>.csv``, each row formatted once."""
     (out / "data").mkdir(parents=True, exist_ok=True)
     with open(out / "schema.json", "w") as fh:
         json.dump(schema_to_json(source.schema), fh, indent=2)
-    write_pool_csv(source, out / "data" / "source.csv")
+    write_pool_csv(source, out / "data" / "source.csv",
+                   {out / "data" / f"{name}.csv": rows for name, rows in zip(SPLITS, splits)})
 
 
 def prepare_data(config: ExperimentConfig, out: Path) -> tuple[AgentPool, AgentPool, AgentPool]:
-    """Acquire the sample, write it with its schema, split it and write the
+    """Acquire the sample, split it, write it with its schema and write the
     splits; returns the train, validation and test pools."""
     source = acquire_data(config)
     source.schema.columns(config.projection, "projection")  # fails before any write
     for method in config.methods:
         if method.kind == "vae":
             source.schema.columns(method.settings.selection_variables, "selection_variables")
-    write_source(source, out)
-    splits = split_pool(source, config.train_frac, config.val_frac_of_train,
-                        _split_seed(config))
-    for name, pool in zip(("train", "validation", "test"), splits):
-        write_pool_csv(pool, out / "data" / f"{name}.csv")
-    return splits
+    rows = split_rows(len(source), config.train_frac, config.val_frac_of_train,
+                      _split_seed(config))
+    write_source(source, out, rows)
+    return tuple(source.take(part, name) for part, name in zip(rows, SPLITS))
 
 
 def train_method(config: ExperimentConfig, method: MethodSpec, train: AgentPool,

@@ -505,6 +505,22 @@ class TestRowMaterialization:
         assert path.read_bytes() == expected.read_bytes()
         assert read_pool_csv(path, schema, provenance=provenance).rows == pool.rows
 
+    @pytest.mark.parametrize("provenance", ["train", "generated"])
+    def test_parts_are_the_bytes_of_their_rows(self, tmp_path, monkeypatch, provenance):
+        # each part's lines are the whole pool's, kept and indexed by its rows
+        monkeypatch.setattr(dataset, "CSV_WRITE_BLOCK", 7)
+        schema = _mixed_schema()
+        codes = _random_codes(np.random.default_rng(10), schema, 60)
+        pool = codes_to_pool(codes, schema, rng=np.random.default_rng(11)).with_provenance(provenance)
+        rows = dataset.split_rows(len(pool), 0.5, 0.3, seed=4)
+        parts = {tmp_path / f"part-{k}.csv": part for k, part in enumerate(rows)}
+        write_pool_csv(pool, tmp_path / "pool.csv", parts)
+        write_pool_csv(pool, tmp_path / "whole.csv")
+        assert (tmp_path / "pool.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+        for path, part in parts.items():
+            _reference_write_pool_csv(pool.take(part, provenance), tmp_path / "expected.csv")
+            assert path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
 
 # ---------------------------------------------------------------------------
 # per-value references for pool_to_codes, encode_pool and decode_rows

@@ -487,11 +487,16 @@ def _gram_oracle(generated, train, standardization=None):
     """The encoded-space Gram formula ||g||^2 + ||t||^2 - 2 g.t, with rows
     that replicate a training row set to zero by byte identity."""
     g, t, _ = _encoded(generated, train, standardization)
+    return _stats(_gram_distances(g, t))
+
+
+def _gram_distances(g, t):
+    """:func:`_gram_oracle`'s distance of each encoded row of ``g``."""
     sq = np.sum(g * g, axis=1)[:, None] + np.sum(t * t, axis=1)[None, :] - 2.0 * g @ t.T
     dist = np.sqrt(np.maximum(sq.min(axis=1), 0.0) / t.shape[1])
     copies = {row.tobytes() for row in t}
     dist[[row.tobytes() in copies for row in g]] = 0.0
-    return _stats(dist)
+    return dist
 
 
 def _direct_oracle(generated, train, standardization=None):
@@ -567,6 +572,25 @@ def _mixed_case(case, seed):
     return generated, train, None
 
 
+def _changed_copies(rng, train, changes):
+    """A generated pool of one row per entry of ``changes``: a random
+    training row with that many codes changed (:func:`_changed_codes`)."""
+    codes = _changed_codes(rng, train.codes, train.schema.value_counts, changes)
+    return pool_from_codes(train.schema, codes, "generated")
+
+
+def _changed_codes(rng, codes, widths, changes):
+    """One row per entry of ``changes``: a random row of ``codes`` with that
+    many codes changed, each in a different variable of width 2 or more,
+    to another of the variable's values."""
+    widths = np.asarray(widths)
+    rows = codes[rng.integers(0, len(codes), size=len(changes))].astype(np.int64)
+    for row, k in zip(rows, changes):
+        for j in rng.permutation(np.flatnonzero(widths > 1))[:k]:
+            row[j] = (row[j] + rng.integers(1, widths[j])) % widths[j]
+    return rows
+
+
 @pytest.fixture
 def small_chunks(monkeypatch):
     # every case spans many mismatch chunks and pair batches
@@ -621,13 +645,60 @@ class TestHammingNearestSample:
         assert nearest_sample_stats(generated, train) == _gram_oracle(generated, train)
 
     def test_wide_product_space_uses_row_unique(self, rng):
-        # 4**32 bins do not fit one int64 key per row
+        # 4**32 bins do not fit one int64 key per row, so the key lookup is
+        # skipped and every tuple, one-mismatch copies too, takes the product
         widths = (4,) * 32
         train = random_categorical_pool(rng, widths, 30)
         generated = AgentPool.from_rows(
             train.schema, random_categorical_pool(rng, widths, 20).rows + train.rows[:10],
             "generated")
         assert nearest_sample_stats(generated, train) == _gram_oracle(generated, train)
+        generated = _changed_copies(rng, train, (1,) * 20 + (2,) * 10)
+        assert metrics._within_one(generated.codes, train.codes, widths) is None
+        assert nearest_sample_stats(generated, train) == _gram_oracle(generated, train)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_and_two_mismatch_copies(self, seed):
+        rng = np.random.default_rng(seed)
+        widths = tuple(int(w) for w in rng.integers(2, 6, size=int(rng.integers(3, 8))))
+        train = random_categorical_pool(rng, widths, int(rng.integers(20, 80)))
+        generated = _changed_copies(rng, train, (0,) * 10 + (1,) * 40 + (2,) * 30)
+        assert nearest_sample_stats(generated, train) == _gram_oracle(generated, train)
+
+    def test_one_variable_schema(self, rng):
+        train = random_categorical_pool(rng, (6,), 4)
+        generated = pool_from_codes(train.schema, np.arange(6)[:, None], "generated")
+        assert nearest_sample_stats(generated, train) == _gram_oracle(generated, train)
+
+    def test_one_row_reference_pool(self, rng):
+        train = random_categorical_pool(rng, (3, 4, 2, 5), 1)
+        generated = _changed_copies(rng, train, (0,) * 3 + (1,) * 20 + (2,) * 10 + (3,) * 5)
+        assert nearest_sample_stats(generated, train) == _gram_oracle(generated, train)
+
+    def test_variable_of_width_one(self, rng):
+        # a schema's variables take two values or more, but the kernel takes
+        # any widths: its rows here are codes one-hot encoded by the test
+        widths = (3, 1, 4, 1, 2)
+        train = np.column_stack([rng.integers(0, w, size=25) for w in widths])
+        generated = _changed_codes(rng, train, widths, (0,) * 10 + (1,) * 30 + (2,) * 20)
+        one_hot = lambda codes: np.hstack([np.eye(w)[codes[:, j]] for j, w in enumerate(widths)])
+        rows = lambda codes: metrics._KernelRows(codes, widths, np.empty((len(codes), 0)))
+        np.testing.assert_array_equal(metrics._nearest_distances(rows(generated), rows(train)),
+                                      _gram_distances(one_hot(generated), one_hot(train)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_within_one_equals_brute_force_counts(self, seed):
+        # the lookup's counts: the smallest mismatch count where it is 0 or 1
+        rng = np.random.default_rng(seed)
+        widths = tuple(int(w) for w in rng.integers(1, 5, size=int(rng.integers(1, 7))))
+        n = int(rng.integers(1, 40))
+        train = np.column_stack([rng.integers(0, w, size=n) for w in widths])
+        generated = _changed_codes(rng, train, widths, (0,) * 5 + (1,) * 30 + (2,) * 20)
+        gen_tuples = dataset.distinct_rows(generated)[0]
+        tuples = dataset.distinct_rows(train)[0]
+        least = (gen_tuples[:, None, :] != tuples[None, :, :]).sum(axis=2).min(axis=1)
+        np.testing.assert_array_equal(metrics._within_one(gen_tuples, tuples, widths),
+                                      np.where(least <= 1, least, -1))
 
     def test_pure_replicator_is_exactly_zero(self, rng):
         train = random_categorical_pool(rng, [3, 4, 2, 5], 40)

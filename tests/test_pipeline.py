@@ -332,6 +332,23 @@ class TestBatchedOutputsEqualReferences:
             assert (batched / name).read_bytes() == (reference / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("numeric_variables", [0, 2])
+def test_prepare_writes_each_split_pool(tmp_path, numeric_variables):
+    """prepare formats the sample once and writes each split from those
+    lines: the files and pools of splitting with split_pool and writing
+    each pool."""
+    config = _small_config(tmp_path, numeric_variables=numeric_variables)
+    out = Path(config.out_dir)
+    splits = prepare_data(config, out)
+    expected = dataset.split_pool(pipeline.acquire_data(config), config.train_frac,
+                                  config.val_frac_of_train, pipeline._split_seed(config))
+    for name, pool, reference in zip(dataset.SPLITS, splits, expected):
+        assert (pool.provenance, pool.rows) == (reference.provenance, reference.rows)
+        dataset.write_pool_csv(reference, tmp_path / "expected.csv")
+        assert (out / "data" / f"{name}.csv").read_bytes() == \
+            (tmp_path / "expected.csv").read_bytes()
+
+
 class TestToyEndToEnd:
     def test_all_methods_on_the_toy_population(self, tmp_path):
         from agentsynth import bayesnet, vae
