@@ -759,10 +759,9 @@ def mixed_radix_keys(codes: np.ndarray, radix) -> list[np.ndarray]:
 # schema and pool serialization
 
 # Pool CSV files are read in blocks of whole lines of at least this many
-# characters, and CSV files (pools, and the scatter and PCA files) are
-# written in blocks of this many rows: one Python string per cell exists
-# only for the block at hand, so memory follows the file's size and the
-# pool's arrays, not the number of cells.
+# characters, and written in blocks of this many rows: one Python string
+# per cell exists only for the block at hand, so memory follows the file's
+# size and the pool's arrays, not the number of cells.
 CSV_READ_BLOCK = 1 << 16
 CSV_WRITE_BLOCK = 1 << 10
 
@@ -896,12 +895,6 @@ def _csv_lines(pool: AgentPool, fields: list, rows: slice) -> list[str]:
     if pool.provenance == "generated":
         columns.append(repeat(pool.provenance))
     return list(map(",".join, zip(*columns)))
-
-
-def write_csv_block(fh, columns: Sequence[Iterable[str]]) -> None:
-    """Write a block of rows, given as its columns of formatted cells, as
-    one join: cells separated by commas (:func:`write_csv_lines`)."""
-    write_csv_lines(fh, map(",".join, zip(*columns)))
 
 
 def write_csv_lines(fh, lines: Iterable[str]) -> None:

@@ -278,8 +278,8 @@ def run_chain(train: AgentPool, config: ChainConfig) -> tuple[AgentPool, dict]:
     return pool, diagnostics
 
 
-# the Gibbs model file: a chain's resolved settings, without the per-draw
-# target count, and the JSON type of each
+# a Gibbs method's params and its model file: a chain's resolved settings,
+# without the per-draw target count, and the JSON type of each
 CHAIN_SETTINGS = {"warmup": "an integer", "thinning": "an integer",
                   "seed": "a non-negative integer"}
 

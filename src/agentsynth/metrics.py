@@ -20,9 +20,9 @@ each weighted by its multiplicity (:func:`_product_views`), or from
 where that is the cheaper kernel; both give the same integers. The
 projected view, one subset, is the counts of
 :func:`frequency_distribution_from_codes`. Cramer's V is read from the
-bivariate counts, and the report keeps the bin counts of every view so
-scatter output writes them without binning again, each cell looked up in
-one table of formatted frequencies per pool (:func:`count_reprs`). The
+bivariate counts, and the report keeps the bin counts of every view, which
+the scatter output writes as they are: one ``.npy`` count matrix per view
+(:func:`write_scatter_csv`), so no frequency is formatted as text. The
 single-subset functions (:func:`frequency_distribution_from_codes`,
 :func:`cramers_v_from_codes`), ``view_counts`` and
 :func:`_cramers_v_table` stay as the public API and as the references the
@@ -50,9 +50,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import (CSV_WRITE_BLOCK, AgentPool, EncodedMatrix, check_codes, distinct_rows,
-                      mixed_radix_keys, row_groups, standardize_column, view_counts,
-                      write_csv_block)
+from .dataset import (AgentPool, EncodedMatrix, check_codes, distinct_rows, mixed_radix_keys,
+                      standardize_column, view_counts)
 # perfbench/layers.py wraps this name on this module; it stays bound until
 # the benchmark's bindings are updated
 from .dataset import encode_pool  # noqa: F401
@@ -465,13 +464,6 @@ class EvalReport:
     COLUMNS = ("Marg.", "Bivar.", "Trivar.", "Basic", "Pair.", "mu_NS", "sigma_NS")
 
 
-def _frequencies(counts: np.ndarray, n: int) -> np.ndarray:
-    """A view as :func:`evaluate` keeps it, as frequencies: its bin counts
-    divided by the pool's ``n`` rows, the same division and so the same
-    bits as dividing int64 counts."""
-    return counts / n
-
-
 def view_subsets(n_variables: int, projection: tuple[int, ...]) -> dict[str, list[tuple[int, ...]]]:
     views: dict[str, list[tuple[int, ...]]] = {
         "marginal": [(i,) for i in range(n_variables)],
@@ -714,8 +706,10 @@ def evaluate(method_pools: dict[str, AgentPool], test_pool: AgentPool,
         pool_vectors, vec_pairwise = _pool_vectors(codes, value_counts, subsets)
         views = {}
         for view, test_vec in test_vectors.items():
-            vec = _frequencies(pool_vectors[view], len(codes))
-            ref = _frequencies(test_vec, len(test_codes))
+            # narrow counts divided by the rows: the same division, and so
+            # the same bits, as dividing int64 counts
+            vec = pool_vectors[view] / len(codes)
+            ref = test_vec / len(test_codes)
             corr, r2 = _corr_r2_vec(vec, ref)
             views[view] = ViewMetrics(_srmse_vec(vec, ref), corr, r2)
         pairwise = None
@@ -812,65 +806,26 @@ def write_report_csv(report: EvalReport, path) -> None:
             writer.writerow(cells)
 
 
-def count_reprs(vectors, n: int) -> np.ndarray:
-    """The scatter cell of every count that the bin-count ``vectors`` of a
-    pool of ``n`` rows hold: ``repr(c / n)``, in an object array indexed by
-    the count, None at the counts none of them holds. Python's ``c / n``
-    and numpy's float64 ``counts / n`` both round the exact quotient of two
-    integers below 2^53 once, so the strings are those of the divided
-    vectors."""
-    held = np.zeros(n + 1, dtype=bool)
-    for vec in vectors:
-        held[vec] = True
-    counts = np.flatnonzero(held)
-    reprs = np.full(n + 1, None, dtype=object)
-    reprs[counts] = [repr(c / n) for c in counts.tolist()]
-    return reprs
-
-
-def write_scatter_csv(test: tuple[np.ndarray, np.ndarray], pools: dict[str, tuple],
-                      path) -> None:
-    """One view's scatter data, ready for external plotting: one row per
-    bin with its ``bin_id``, the test frequency (``test_frequency``) and a
-    column per pool named after it, in the order of ``pools``. Each column
-    is a pair ``(vector, reprs)``: the view as :class:`EvalReport` keeps it
-    and its pool's :func:`count_reprs` table, from which each bin count's
-    cell is looked up. The bytes are those ``csv.writer`` writes,
-    ``\\r\\n`` line ends included. Rows are formatted ``CSV_WRITE_BLOCK``
-    at a time."""
-    columns = [test, *pools.values()]
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(["bin_id", "test_frequency", *pools])
-        for start in range(0, len(test[0]), CSV_WRITE_BLOCK):
-            stop = min(start + CSV_WRITE_BLOCK, len(test[0]))
-            write_csv_block(fh, [map(str, range(start, stop)),
-                                 *(reprs[vec[start:stop]].tolist() for vec, reprs in columns)])
+def write_scatter_csv(columns: list[np.ndarray], path) -> None:
+    """One view's scatter data, the bin counts of a column per pool, as a
+    ``.npy`` file of shape ``(bins, len(columns))``: row ``b`` is bin ``b``
+    of the view. The counts are those :class:`EvalReport` keeps, in their
+    common dtype (``np.result_type``; ``np.min_scalar_type`` of the largest
+    pool for the report's vectors). The file is a Fortran-order header and
+    then each column, written straight from its vector, so no whole-view
+    matrix is built. The name is from when the file was CSV;
+    ``perfbench/layers.py`` times the write under it (``metrics.scatter_s``)."""
+    dtype = np.result_type(*columns)
+    with open(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, {
+            "descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": True,
+            "shape": (len(columns[0]), len(columns))})
+        for vec in columns:
+            np.ascontiguousarray(vec, dtype=dtype).tofile(fh)
 
 
 def write_pca_csv(coords: np.ndarray, path) -> None:
-    """PCA coordinates, one row per agent, as ``csv.writer`` writes them.
-
-    Rows with bit-identical coordinates share one line (:func:`row_groups`
-    over the bits): replicating pools repeat rows. The line of a group of
-    two or more rows is formatted once up front; every other row is
-    formatted in its block of ``CSV_WRITE_BLOCK`` rows."""
-    coords = np.ascontiguousarray(coords, dtype=np.float64)
-    first, group = row_groups(coords.view(np.int64))
-    shared = np.flatnonzero(np.bincount(group, minlength=len(first)) > 1)
-    lines = np.full(len(first), None, dtype=object)
-    lines[shared] = _format_rows(coords[first[shared]])
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(f"pc{k + 1}" for k in range(coords.shape[1])) + "\r\n")
-        for start in range(0, len(coords), CSV_WRITE_BLOCK):
-            rows = slice(start, start + CSV_WRITE_BLOCK)
-            block = lines[group[rows]]
-            alone = np.flatnonzero(np.equal(block, None))
-            block[alone] = _format_rows(coords[rows][alone])
-            fh.write("\r\n".join(block.tolist()))
-            fh.write("\r\n")
-
-
-def _format_rows(coords: np.ndarray) -> list[str]:
-    """The line of every row of ``coords``: its cells' ``repr`` joined by
-    commas, formatted column by column."""
-    return list(map(",".join, zip(*(map(repr, column) for column in coords.T.tolist()))))
+    """A pool's PCA coordinates, one row per agent, as a float64 ``.npy``
+    file. The name is from when the file was CSV; ``perfbench/layers.py``
+    times the write under it (``metrics.pca_s``)."""
+    np.save(path, np.asarray(coords, dtype=np.float64))

@@ -17,14 +17,14 @@ A method's params build its settings once, when the configuration loads
 :func:`run_pipeline` chains the stages in memory and the staged CLI
 subcommands call them on files; both time them with :func:`recorded_stages`,
 which writes run_info.json. Only run_pipeline also writes the baseline
-pools, scatter/<view>.csv and pca/<pool>.csv (and pca/train.csv). A scatter
-file has one row per bin of the view: bin_id, test_frequency, then one
-column per pool named after it, the methods in configuration order and then
-the two baselines. Scatter rows are formatted, and PCA coordinates encoded,
-projected and formatted, in blocks of dataset.CSV_WRITE_BLOCK rows; the
-scatter cells of a pool come from one table of formatted frequencies. PCA
-rows with bit-identical coordinates share one line, formatted once; every
-other row is formatted in its block.
+pools and the plot data, as arrays (:func:`write_run_outputs`).
+scatter/<view>.npy holds one row per bin of the view and one unsigned count
+column for the test split, then one per pool: the methods in configuration
+order, then the two baselines. scatter/columns.json names each column's
+pool and gives its row count n, so count / n is the bin's frequency.
+pca/train.npy and pca/<pool>.npy hold each pool's float64 coordinates in
+the training data's principal components, encoded and projected in blocks
+of dataset.CSV_WRITE_BLOCK rows.
 
 All randomness flows from one master seed through named substreams, so two
 runs with the same configuration produce byte-identical report JSON;
@@ -76,7 +76,7 @@ METHOD_PARAMS = {
             "latent_options": "a list of integers", "beta_options": "a list of numbers",
             "selection_variables": "a list of names", "selection_samples": "an integer",
             "harden": "a string"},
-    "gibbs": {"warmup": "an integer", "thinning": "an integer", "seed": "a non-negative integer"},
+    "gibbs": gibbs.CHAIN_SETTINGS,
     "bn": {"algorithm": "a string", "max_parents": "an integer"},
 }
 # the class that builds, checks and defaults a method's params, per kind
@@ -89,9 +89,9 @@ DATA_FIELDS = {"csv": "a string", "schema": "an object or a string", "synthetic"
 SPLIT_FIELDS = {"train_frac": "a number", "val_frac_of_train": "a number"}
 METHOD_FIELDS = {"name": "a string", "kind": "a string", "params": "an object"}
 BASELINE_NAMES = ("marginal-sampler", "resample-training")
-# names a method cannot take: the baselines', the training set's report row,
-# the training split's PCA file, and the scatter files' first two columns
-RESERVED_NAMES = (*BASELINE_NAMES, "training-set", "train", "bin_id", "test_frequency")
+# names a method cannot take: the baselines', the training set's report row
+# and the training split's PCA file
+RESERVED_NAMES = (*BASELINE_NAMES, "training-set", "train")
 PCA_COMPONENTS = 5
 
 
@@ -456,32 +456,29 @@ def evaluate_pools(config: ExperimentConfig, pools: dict[str, AgentPool], train:
 
 def write_run_outputs(report: metrics.EvalReport, train: AgentPool,
                       pools: dict[str, AgentPool], out: Path) -> None:
-    """What only :func:`run_pipeline` writes: the baseline pools, one
-    scatter file per view with a column per pool, each pool's cells looked
-    up in one ``metrics.count_reprs`` table over the counts of all its
-    views, and every pool's coordinates in the training data's principal
-    components, rows with identical coordinates sharing their line
-    (``metrics.write_pca_csv``)."""
+    """What only :func:`run_pipeline` writes: the baseline pools; one count
+    matrix per view (``metrics.write_scatter_csv``), with a column for the
+    test split and then one per pool, each named with its row count in
+    ``scatter/columns.json``; and every pool's coordinates in the training
+    data's principal components (``metrics.write_pca_csv``)."""
     for directory in ("pools", "scatter", "pca"):
         (out / directory).mkdir(exist_ok=True)
     for name in BASELINE_NAMES:
         write_pool_csv(pools[name], out / "pools" / f"{name}.csv")
-    test_reprs = metrics.count_reprs(report.test_vectors.values(), report.test_size)
-    reprs = {name: metrics.count_reprs(report.vectors[name].values(), report.sizes[name])
-             for name in pools}
+    with open(out / "scatter" / "columns.json", "w") as fh:
+        json.dump([{"split": "test", "rows": report.test_size},
+                   *({"pool": name, "rows": report.sizes[name]} for name in pools)],
+                  fh, indent=2)
     for view, test_vec in report.test_vectors.items():
-        metrics.write_scatter_csv((test_vec, test_reprs),
-                                  {name: (report.vectors[name][view], reprs[name])
-                                   for name in pools},
-                                  out / "scatter" / f"{view}.csv")
-    del test_reprs, reprs
+        metrics.write_scatter_csv([test_vec, *(report.vectors[name][view] for name in pools)],
+                                  out / "scatter" / f"{view}.npy")
     enc_train = encode_pool(train)
     pca, standardization = metrics.pca_fit(enc_train), enc_train.standardization
     k = min(PCA_COMPONENTS, enc_train.values.shape[1])
     del enc_train  # the projections encode one block at a time
     for name, pool in [("train", train), *pools.items()]:
         metrics.write_pca_csv(_pca_coordinates(pca, pool, standardization, k),
-                              out / "pca" / f"{name}.csv")
+                              out / "pca" / f"{name}.npy")
 
 
 def _pca_coordinates(pca: metrics.PcaModel, pool: AgentPool,

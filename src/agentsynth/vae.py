@@ -314,12 +314,6 @@ def _forward_loss(model: VaeModel, x, eps) -> _StepState:
                       eps, sigma, variance)
 
 
-def evaluate_loss(model: VaeModel, x, eps) -> LossTerms:
-    """Full forward pass with a fixed epsilon; used by gradient audits.
-    The same objective that :func:`loss_and_grads` differentiates."""
-    return _forward_loss(model, x, eps).terms
-
-
 def loss_and_grads(model: VaeModel, x: np.ndarray, eps: np.ndarray
                    ) -> tuple[LossTerms, list[np.ndarray], list[np.ndarray]]:
     """Loss terms plus gradients for every encoder and decoder parameter.

@@ -1,5 +1,9 @@
 """Reference implementations that only the tests use."""
 
+import csv
+import json
+from pathlib import Path
+
 import numpy as np
 
 from agentsynth.bayesnet import MAX_TABLE_CELLS, CptSet, Dag
@@ -7,7 +11,7 @@ from agentsynth.dataset import schema_blocks
 from agentsynth.errors import DataError
 from agentsynth.gibbs import ConditionalTable
 from agentsynth.neural import ForwardCache, Mlp, backward_layers, forward_layers, softmax
-from agentsynth.vae import LatentParams, LossTerms, VaeModel
+from agentsynth.vae import LatentParams, LossTerms, VaeModel, _forward_loss
 
 # probabilities below this are floored before the log in :func:`loss`
 PROB_FLOOR = 1e-12
@@ -91,7 +95,7 @@ def loss(model: VaeModel, x, x_hat, lp: LatentParams) -> LossTerms:
     """Minibatch-mean VAE loss split into its three terms, from post-head
     outputs: ``x_hat`` holds probabilities in the one-hot blocks, floored at
     ``PROB_FLOOR`` before the log. The training step computes the same
-    objective exactly from logits (``vae.evaluate_loss``)."""
+    objective exactly from logits (:func:`evaluate_loss`)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     x_hat = np.atleast_2d(np.asarray(x_hat, dtype=float))
     mu = np.atleast_2d(lp.mean)
@@ -112,6 +116,13 @@ def loss(model: VaeModel, x, x_hat, lp: LatentParams) -> LossTerms:
     kl /= n_rows
     total = numeric + categorical + model.beta * kl
     return LossTerms(float(total), float(numeric), float(categorical), float(kl))
+
+
+def evaluate_loss(model: VaeModel, x, eps) -> LossTerms:
+    """Full forward pass with a fixed epsilon; used by gradient audits.
+    The same objective that ``vae.loss_and_grads`` differentiates, without
+    touching the model's gradient buffers."""
+    return _forward_loss(model, x, eps).terms
 
 
 def _head_slices(mlp: Mlp):
@@ -149,3 +160,46 @@ def per_head_backward(mlp: Mlp, cache: ForwardCache, output_grad
     grads, d_pre = backward_layers(mlp, cache.inputs, cache.logits, d_logits)
     d_input = d_pre @ mlp.layers[0].weights
     return grads, (d_input[0] if cache.squeezed else d_input)
+
+
+# ---------------------------------------------------------------------------
+# the plot data as CSV, as ``run`` wrote it before it wrote arrays
+
+
+def former_scatter_csv(path, names, freqs) -> None:
+    """A view's former ``scatter/<view>.csv``, row by row through
+    ``csv.writer``: ``bin_id``, ``test_frequency`` and then a column per
+    pool named ``names``, each cell the ``repr`` of a bin's frequency in
+    ``freqs`` (the test split's first)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["bin_id", "test_frequency", *names])
+        writer.writerows([b, *map(repr, row)]
+                         for b, row in enumerate(zip(*(f.tolist() for f in freqs))))
+
+
+def former_pca_csv(path, coords) -> None:
+    """A pool's former ``pca/<pool>.csv``, row by row through
+    ``csv.writer``: ``pc1``... and each coordinate's ``repr``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"pc{k + 1}" for k in range(coords.shape[1])])
+        writer.writerows(list(map(repr, row)) for row in coords.tolist())
+
+
+def scatter_csv_from_npy(scatter: Path, view: str, path) -> None:
+    """Rebuild the former ``scatter/<view>.csv`` from ``<view>.npy`` and
+    ``columns.json`` in the directory ``scatter``."""
+    columns = json.loads((Path(scatter) / "columns.json").read_text())
+    counts = np.load(Path(scatter) / f"{view}.npy")
+    assert columns[0] == {"split": "test", "rows": columns[0]["rows"]}
+    assert counts.shape[1] == len(columns) and counts.dtype.kind == "u"
+    former_scatter_csv(path, [column["pool"] for column in columns[1:]],
+                       [counts[:, j] / column["rows"] for j, column in enumerate(columns)])
+
+
+def pca_csv_from_npy(npy: Path, path) -> None:
+    """Rebuild a former ``pca/<pool>.csv`` from ``pca/<pool>.npy``."""
+    coords = np.load(npy)
+    assert coords.dtype == np.float64 and coords.ndim == 2
+    former_pca_csv(path, coords)

@@ -27,7 +27,7 @@ from agentsynth.pipeline import ExperimentConfig, MethodSpec, run_pipeline
 from agentsynth.synthdata import SyntheticGeneratorSpec, synth_generate
 
 from conftest import toy_pool
-from oracles import joint_distribution
+from oracles import evaluate_loss, joint_distribution
 
 
 def _report(criterion: str, detail: str) -> None:
@@ -156,9 +156,9 @@ def test_c05_vae_gradient_check():
             idx = it.multi_index
             orig = p[idx]
             p[idx] = orig + h
-            up = vae.evaluate_loss(model, enc.values, eps).total
+            up = evaluate_loss(model, enc.values, eps).total
             p[idx] = orig - h
-            down = vae.evaluate_loss(model, enc.values, eps).total
+            down = evaluate_loss(model, enc.values, eps).total
             p[idx] = orig
             fd = (up - down) / (2 * h)
             err = abs(grads[k][idx] - fd) / max(abs(grads[k][idx]) + abs(fd), 1e-6)

@@ -848,20 +848,38 @@ class TestExitCodeContract:
         ("a\\b", "method name 'a\\\\b' is not a file name"),
         (".hidden", "method name '.hidden' is not a file name"),
         ("train", "method name 'train' is reserved"),
-        ("bin_id", "method name 'bin_id' is reserved"),
-        ("test_frequency", "method name 'test_frequency' is reserved"),
     ])
     def test_method_name_that_is_no_safe_file_name_exits_2(self, tmp_path, name, message):
-        """Method names become file names under models/, pools/ and pca/ and
-        column names in scatter/: unchecked, "train" overwrote
-        pca/train.csv, "../escape" wrote outside models/ and pools/, ""
-        wrote hidden files and "bin_id" repeated a scatter column."""
+        """Method names become file names under models/, pools/ and pca/:
+        unchecked, "train" overwrote the training split's PCA file,
+        "../escape" wrote outside models/ and pools/ and "" wrote hidden
+        files."""
         config = _write_config(tmp_path, tmp_path / "out", methods=[
             {"name": name, "kind": "bn", "params": {"algorithm": "tree"}}])
         code, err = _cli("run", "--config", config)
         assert (code, "Traceback" in err, err.count("\n")) == (2, False, 1), err
         assert err.startswith("configuration error:") and message in err, err
         assert not (tmp_path / "out").exists()
+
+    def test_former_scatter_column_names_run(self, tmp_path):
+        """"bin_id" and "test_frequency" named the first two columns of the
+        former scatter CSVs and were reserved. The count files name no
+        column, and columns.json tells the test split from a method named
+        "test", so all three run."""
+        names = ["bin_id", "test_frequency", "test"]
+        out = tmp_path / "out"
+        config = _write_config(tmp_path, out, methods=[
+            {"name": name, "kind": "bn", "params": {"algorithm": "tree"}} for name in names])
+        code, err = _cli("run", "--config", config)
+        assert (code, err) == (0, "")
+        columns = json.loads((out / "scatter" / "columns.json").read_text())
+        assert columns == [{"split": "test", "rows": 300},
+                           *({"pool": name, "rows": 300} for name in
+                             names + ["marginal-sampler", "resample-training"])]
+        assert np.load(out / "scatter" / "marginal.npy").shape == (12, 6)
+        for name in names:
+            assert (out / "pools" / f"{name}.csv").exists()
+            assert np.load(out / "pca" / f"{name}.npy").shape == (300, 5)
 
     @pytest.mark.parametrize("path, names, stage", [
         (("projection",), 16, "prepare"),

@@ -1,9 +1,7 @@
 """Full pipeline runs: artifacts, determinism, configuration handling."""
 
-import csv
 import dataclasses
 import importlib
-import itertools
 import json
 import tracemalloc
 from pathlib import Path
@@ -12,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from agentsynth import dataset, metrics, pipeline
+from agentsynth import dataset, gibbs, metrics, pipeline
 from agentsynth.dataset import codes_to_pool, encode_pool, read_pool_csv, schema_from_json
 from agentsynth.errors import ConfigError, DivergenceError
 from agentsynth.pipeline import (
@@ -32,6 +30,7 @@ from agentsynth.pipeline import (
 from agentsynth.synthdata import SyntheticGeneratorSpec
 
 from conftest import categorical_schema
+from oracles import former_pca_csv, former_scatter_csv, pca_csv_from_npy, scatter_csv_from_npy
 
 
 def _small_config(tmp_path, methods=(), seed=11, count=400, **synth_kw):
@@ -80,13 +79,14 @@ class TestRunPipeline:
         assert (out / "models" / "bn.json").exists()
         assert (out / "report.json").exists()
         assert (out / "report.csv").exists()
-        assert (out / "pca" / "train.csv").exists()
-        # one scatter file per view, with a column per pool
+        assert (out / "pca" / "train.npy").exists()
+        # one count file per view, with a column for the test split and one per pool
         assert sorted(f.name for f in (out / "scatter").iterdir()) == [
-            "bivariate.csv", "marginal.csv", "projected.csv", "trivariate.csv"]
-        with open(out / "scatter" / "marginal.csv", newline="") as fh:
-            assert next(csv.reader(fh)) == ["bin_id", "test_frequency", "vae", "gibbs", "bn",
-                                            "marginal-sampler", "resample-training"]
+            "bivariate.npy", "columns.json", "marginal.npy", "projected.npy", "trivariate.npy"]
+        columns = json.loads((out / "scatter" / "columns.json").read_text())
+        assert [column.get("pool", column.get("split")) for column in columns] == [
+            "test", "vae", "gibbs", "bn", "marginal-sampler", "resample-training"]
+        assert np.load(out / "scatter" / "marginal.npy").shape == (15, 6)
         info = json.loads((out / "run_info.json").read_text())
         assert info["status"] == "ok"
         assert set(report.method_names) == {"vae", "gibbs", "bn", "marginal-sampler",
@@ -246,6 +246,11 @@ class TestMethodParams:
         unset = {"target_count", "init"} if kind == "gibbs" else set()
         assert set(METHOD_PARAMS[kind]) == fields - unset
 
+    def test_gibbs_params_are_the_chain_settings(self):
+        """A Gibbs method's params and the settings its model file holds are
+        one table, so neither can gain a key the other lacks."""
+        assert METHOD_PARAMS["gibbs"] is gibbs.CHAIN_SETTINGS
+
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -260,6 +265,26 @@ class TestShippedConfigurations:
         config = config_from_json(doc)
         assert (config.data_csv, [m.kind for m in config.methods]) == \
             ("survey.csv", ["vae", "gibbs", "bn"])
+
+    def test_readme_plot_data_recipe(self, tmp_path, monkeypatch):
+        """README's snippet that reads the plot data runs on a small run's
+        output and gives the report's frequencies and coordinates."""
+        readme = (ROOT / "README.md").read_text()
+        snippet, = [block.split("```")[0] for block in readme.split("```python\n")[1:]
+                    if "columns.json" in block.split("```")[0]]
+        config = _small_config(tmp_path, methods=_fast_methods()[:1])
+        report = run_pipeline(config)
+        monkeypatch.chdir(tmp_path)
+        namespace = {}
+        exec(snippet, namespace)
+        assert Path(config.out_dir) == tmp_path / namespace["out"]
+        np.testing.assert_array_equal(
+            namespace["test"], report.test_vectors["trivariate"] / report.test_size)
+        assert list(namespace["pools"]) == ["vae", *BASELINE_NAMES]
+        for name, freqs in namespace["pools"].items():
+            np.testing.assert_array_equal(
+                freqs, report.vectors[name]["trivariate"] / report.sizes[name])
+        assert namespace["coords"].shape == (config.generation_count, PCA_COMPONENTS)
 
     def test_benchmark_workloads(self, monkeypatch):
         monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
@@ -287,26 +312,14 @@ def _reference_pool_vectors(codes, value_counts, subsets):
     return vectors, pairwise
 
 
-def _per_block_scatter_csv(test, pools, path):
-    """A scatter file whose columns are ``(counts, n)``: every block's cells
-    formatted from ``counts / n`` by ``repr``."""
-    columns = [test, *pools.values()]
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(["bin_id", "test_frequency", *pools])
-        for start in range(0, len(test[0]), dataset.CSV_WRITE_BLOCK):
-            stop = min(start + dataset.CSV_WRITE_BLOCK, len(test[0]))
-            dataset.write_csv_block(fh, [map(str, range(start, stop)), *(
-                [repr(x) for x in metrics._frequencies(vec[start:stop], n).tolist()]
-                for vec, n in columns)])
-
-
 class TestBatchedOutputsEqualReferences:
     @pytest.mark.parametrize("workload", ["lc20-run", "bn-search"])
     def test_report_scatter_and_pca_bytes(self, tmp_path, monkeypatch, workload):
         """The benchmark's configurations at 2,000 rows: a run with the
-        product views, the shared scatter cells and the shared PCA lines
-        writes the bytes of a run with every one of them replaced by its
-        reference."""
+        product views writes the report of a run with every view counted
+        by view_counts, and the scatter and PCA CSVs that the reference
+        formatter rebuilds from its arrays are those the reference stage
+        writes."""
         monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
         workloads = importlib.import_module("workloads")
         doc = {"lc20-run": workloads.lc20_doc, "bn-search": workloads.bn_search_doc}[workload](2)
@@ -320,16 +333,12 @@ class TestBatchedOutputsEqualReferences:
         assert calls  # every pool's views came from the products
         with monkeypatch.context() as patch:
             patch.setattr(metrics, "_pool_vectors", _reference_pool_vectors)
-            patch.setattr(metrics, "count_reprs", lambda vectors, n: n)
-            patch.setattr(metrics, "write_scatter_csv", _per_block_scatter_csv)
-            patch.setattr(metrics, "write_pca_csv", _reference_write_pca_csv)
+            patch.setattr(pipeline, "write_run_outputs", _reference_write_run_outputs)
             run_pipeline(config_from_json(doc, out_dir=str(tmp_path / "reference")))
         batched, reference = tmp_path / "batched", tmp_path / "reference"
-        files = ["report.json", *(f"{d}/{f.name}" for d in ("scatter", "pca")
-                                  for f in sorted((reference / d).iterdir()))]
-        assert len(files) == 1 + 4 + 1 + len(doc["methods"]) + 2
-        for name in files:
-            assert (batched / name).read_bytes() == (reference / name).read_bytes(), name
+        assert (batched / "report.json").read_bytes() == (reference / "report.json").read_bytes()
+        assert _rebuilt_csv_files(batched, reference, tmp_path / "rebuilt") == \
+            4 + 1 + len(doc["methods"]) + 2
 
 
 @pytest.mark.parametrize("numeric_variables", [0, 2])
@@ -432,44 +441,45 @@ class TestSubstreams:
 
 
 # ---------------------------------------------------------------------------
-# the scatter-and-pca stage against its former whole-pool form
-
-
-def _reference_write_scatter_csv(method_vec, test_vec, path):
-    """One pool's scatter file for one view, every vector formatted whole."""
-    test_reprs, method_reprs = ([repr(x) for x in vec.tolist()] for vec in (test_vec, method_vec))
-    with open(path, "w", newline="") as fh:
-        fh.write("bin_id,test_frequency,method_frequency\r\n")
-        fh.write("".join(map("{},{},{}\r\n".format, itertools.count(),
-                             test_reprs, method_reprs)))
-
-
-def _reference_write_pca_csv(coords, path):
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(f"pc{k + 1}" for k in range(coords.shape[1])) + "\r\n")
-        fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in coords.tolist()))
+# the scatter-and-pca stage against the former CSV files
 
 
 def _reference_write_run_outputs(report, train, pools, out):
-    """The stage with one scatter file per pool and view, and each pool
-    encoded and projected whole."""
+    """The stage as it wrote CSV, with every frequency formatted whole and
+    each pool encoded and projected whole."""
     for directory in ("pools", "scatter", "pca"):
         (out / directory).mkdir(parents=True, exist_ok=True)
     for name in BASELINE_NAMES:
         dataset.write_pool_csv(pools[name], out / "pools" / f"{name}.csv")
-    for name in pools:
-        for view, test_vec in report.test_vectors.items():
-            _reference_write_scatter_csv(
-                metrics._frequencies(report.vectors[name][view], report.sizes[name]),
-                metrics._frequencies(test_vec, report.test_size),
-                out / "scatter" / f"{name}__{view}.csv")
+    for view, test_vec in report.test_vectors.items():
+        former_scatter_csv(out / "scatter" / f"{view}.csv", list(pools), [
+            test_vec / report.test_size,
+            *(report.vectors[name][view] / report.sizes[name] for name in pools)])
     enc_train = encode_pool(train)
     pca = metrics.pca_fit(enc_train)
     k = min(PCA_COMPONENTS, enc_train.values.shape[1])
-    _reference_write_pca_csv(metrics.pca_project(pca, enc_train, k), out / "pca" / "train.csv")
+    former_pca_csv(out / "pca" / "train.csv", metrics.pca_project(pca, enc_train, k))
     for name, pool in pools.items():
         enc = encode_pool(pool, standardization=enc_train.standardization)
-        _reference_write_pca_csv(metrics.pca_project(pca, enc, k), out / "pca" / f"{name}.csv")
+        former_pca_csv(out / "pca" / f"{name}.csv", metrics.pca_project(pca, enc, k))
+
+
+def _rebuilt_csv_files(out, reference, rebuilt):
+    """Rebuild every former scatter and PCA CSV from the arrays under
+    ``out``, check that each equals the file of that name under
+    ``reference`` byte for byte, and return how many there were."""
+    files = sorted(f.relative_to(reference) for d in ("scatter", "pca")
+                   for f in (reference / d).iterdir())
+    assert [f.with_suffix(".npy") for f in files] == sorted(
+        f.relative_to(out) for d in ("scatter", "pca") for f in (out / d).glob("*.npy"))
+    for f in files:
+        (rebuilt / f.parent).mkdir(parents=True, exist_ok=True)
+        if f.parent.name == "scatter":
+            scatter_csv_from_npy(out / "scatter", f.stem, rebuilt / f)
+        else:
+            pca_csv_from_npy(out / f.with_suffix(".npy"), rebuilt / f)
+        assert (rebuilt / f).read_bytes() == (reference / f).read_bytes(), f
+    return len(files)
 
 
 def _categorical_run_config(tmp_path, count):
@@ -519,31 +529,68 @@ class TestScatterAndPcaStage:
         out, ref = Path(config.out_dir), tmp_path / "reference"
         report, train, pools = seen["report"], seen["train"], seen["pools"]
         _reference_write_run_outputs(report, train, pools, ref)
-        for directory in ("pca", "pools"):
-            names = sorted(f.name for f in (ref / directory).iterdir())
-            assert names
-            for name in names:
-                assert (out / directory / name).read_bytes() == \
-                    (ref / directory / name).read_bytes(), name
-        assert sorted(f.stem for f in (out / "scatter").iterdir()) == sorted(report.test_vectors)
-        for view in report.test_vectors:
-            with open(out / "scatter" / f"{view}.csv", newline="") as fh:
-                header, *rows = csv.reader(fh)
-            assert header == ["bin_id", "test_frequency", *pools]
-            columns = list(zip(*rows))
-            for j, name in enumerate(pools, start=2):
-                with open(ref / "scatter" / f"{name}__{view}.csv", newline="") as fh:
-                    _, *ref_rows = csv.reader(fh)
-                ref_bins, ref_test, ref_pool = zip(*ref_rows)
-                assert (columns[0], columns[1], columns[j]) == (ref_bins, ref_test, ref_pool)
+        names = sorted(f.name for f in (ref / "pools").iterdir())
+        assert names
+        for name in names:
+            assert (out / "pools" / name).read_bytes() == (ref / "pools" / name).read_bytes()
+        assert _rebuilt_csv_files(out, ref, tmp_path / "rebuilt") == \
+            len(report.test_vectors) + 1 + len(pools)
         # the blocked projection is the whole product, bit for bit
         enc_train = encode_pool(train)
         pca = metrics.pca_fit(enc_train)
         k = min(PCA_COMPONENTS, enc_train.values.shape[1])
-        for pool in [train, *pools.values()]:
+        for name, pool in [("train", train), *pools.items()]:
             whole = metrics.pca_project(pca, encode_pool(pool, enc_train.standardization), k)
-            blocked = pipeline._pca_coordinates(pca, pool, enc_train.standardization, k)
-            np.testing.assert_array_equal(blocked.view(np.int64), whole.view(np.int64))
+            written = np.load(out / "pca" / f"{name}.npy")
+            np.testing.assert_array_equal(written.view(np.int64), whole.view(np.int64))
+
+    def test_columns_name_awkward_pools_as_they_are(self, tmp_path):
+        """A method name may hold a comma or a quote, or be "test":
+        columns.json names each pool as it is and tells the test split
+        apart, and the rebuilt former header quotes the names as csv.writer
+        did."""
+        rng = np.random.default_rng(3)
+        schema = categorical_schema([2] * 4)
+        make = lambda n: codes_to_pool(rng.integers(0, 2, size=(n, 4)), schema)
+        names = ["a,b", 'say "hi"', "test", *BASELINE_NAMES]
+        pools = {name: make(10 + k) for k, name in enumerate(names)}
+        test_counts = rng.integers(0, 10, 8, dtype=np.uint8)
+        report = metrics.EvalReport([], {}, {}, {"v": test_counts},
+                                    {name: {"v": test_counts} for name in pools}, 40,
+                                    {name: len(pool) for name, pool in pools.items()})
+        pipeline.write_run_outputs(report, make(20).with_provenance("train"), pools, tmp_path)
+        columns = json.loads((tmp_path / "scatter" / "columns.json").read_text())
+        assert columns == [{"split": "test", "rows": 40},
+                           *({"pool": name, "rows": 10 + k} for k, name in enumerate(names))]
+        scatter_csv_from_npy(tmp_path / "scatter", "v", tmp_path / "v.csv")
+        assert (tmp_path / "v.csv").read_bytes().split(b"\n")[0] == (
+            b'bin_id,test_frequency,"a,b","say ""hi""",test,marginal-sampler,'
+            b'resample-training\r')
+
+    def test_former_plot_files_are_left_in_place(self, tmp_path):
+        """A run into a directory that an earlier version wrote writes the
+        arrays beside its old scatter and PCA CSVs and leaves those as they
+        were."""
+        rng = np.random.default_rng(5)
+        schema = categorical_schema([2] * 3)
+        make = lambda n: codes_to_pool(rng.integers(0, 2, size=(n, 3)), schema)
+        pools = {name: make(12) for name in ["vae", *BASELINE_NAMES]}
+        old = {"scatter/v.csv": b"bin_id,test_frequency,vae\r\n0,0.5,0.25\r\n",
+               "pca/train.csv": b"pc1\r\n0.5\r\n", "pca/vae.csv": b"pc1\r\n-1.0\r\n"}
+        for name, data in old.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_bytes(data)
+        test_counts = rng.integers(0, 5, 8, dtype=np.uint8)
+        report = metrics.EvalReport([], {}, {}, {"v": test_counts},
+                                    {name: {"v": test_counts} for name in pools}, 20,
+                                    dict.fromkeys(pools, 12))
+        pipeline.write_run_outputs(report, make(20).with_provenance("train"), pools, tmp_path)
+        for name, data in old.items():
+            assert (tmp_path / name).read_bytes() == data, name
+        assert sorted(f.name for f in (tmp_path / "scatter").iterdir()) == [
+            "columns.json", "v.csv", "v.npy"]
+        assert sorted(f.name for f in (tmp_path / "pca").iterdir()) == sorted(
+            ["train.csv", "vae.csv", *(f"{name}.npy" for name in ["train", *pools])])
 
     def test_peak_follows_neither_pool_rows_nor_bins(self, tmp_path):
         """Traced allocations (the same on every run) while the stage writes

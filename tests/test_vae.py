@@ -35,7 +35,6 @@ from agentsynth.vae import (
     clone_model,
     decode,
     encode,
-    evaluate_loss,
     load_checkpoint,
     loss_and_grads,
     sample,
@@ -47,7 +46,8 @@ from agentsynth.vae import (
 )
 
 from conftest import categorical_schema, random_categorical_pool
-from oracles import PROB_FLOOR, loss, per_head_forward, reparameterize, rmsprop_per_block
+from oracles import (PROB_FLOOR, evaluate_loss, loss, per_head_forward, reparameterize,
+                     rmsprop_per_block)
 
 
 def _mixed_schema():
