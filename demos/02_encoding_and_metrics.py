@@ -53,7 +53,8 @@ train, validation, test = split_pool(pool, train_frac=0.2, val_frac_of_train=0.2
 print(f"split 600 rows into {len(train)} train / {len(validation)} validation / {len(test)} test")
 
 enc_train = encode_pool(train)
-print(f"encoded width {enc_train.values.shape[1]}: 1 standardized numeric + 5 + 2 one-hot")
+print(f"encoded width {enc_train.values.shape[1]}: 1 standardized numeric + 5 + 2 one-hot, "
+      f"starting at columns {schema.encoded_starts[:-1]}")
 print(f"train age column after standardization: mean {enc_train.values[:, 0].mean():+.1e}, "
       f"std {enc_train.values[:, 0].std():.6f}")
 enc_test = encode_pool(test, standardization=enc_train.standardization)
@@ -65,7 +66,7 @@ block = encode_pool(single, standardization=enc_train.standardization).values[0,
 print(f"household '2' encodes to {block}")
 
 soft = enc_test.values[:3].copy()
-decoded = decode_rows(type(enc_test)(soft, enc_test.blocks, enc_test.standardization, schema))
+decoded = decode_rows(type(enc_test)(soft, enc_test.standardization, schema))
 print(f"decoding reproduces raw rows, e.g. {decoded.rows[0]}")
 
 # --- metrics ----------------------------------------------------------------

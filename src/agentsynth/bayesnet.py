@@ -3,8 +3,8 @@
 Structure learning offers three routes: the Chow-Liu maximum-spanning tree
 over pairwise mutual information (quadratic), greedy hill-climbing over
 single-edge additions/removals/reversals under an MDL score (polynomial),
-and an exact order-based dynamic program (exponential, capped at a small
-variable count). The MDL score of a DAG is the data log-likelihood under
+and an exact order-based dynamic program (exponential, capped at
+``EXACT_MAX_VARS`` variables). The MDL score of a DAG is the data log-likelihood under
 maximum-likelihood conditionals minus (log N / 2) free parameters, the
 BIC-equivalent penalty; higher is better. Fitted networks sample agents
 ancestrally, parents before children.
@@ -60,6 +60,9 @@ from .errors import (ConfigError, DataError, ExactSearchLimitError, read_fields,
                      read_rows)
 
 BN_ALGORITHMS = ("tree", "greedy", "exact")
+# the most variables the exact search takes: its dynamic program is
+# exponential in their count
+EXACT_MAX_VARS = 12
 
 
 @dataclass(frozen=True)
@@ -74,6 +77,16 @@ class SearchConfig:
             raise ConfigError(f"unknown BN algorithm {self.algorithm!r}")
         if self.max_parents < 0:
             raise ConfigError("max_parents must be >= 0")
+
+    def check_schema(self, schema) -> None:
+        """ConfigError unless this search can fit a network on ``schema``:
+        the conditionals are frequency tables, so numerics must be binned
+        (a discretize-all schema), and the exact search takes at most
+        ``EXACT_MAX_VARS`` variables."""
+        if schema.mode != "discretize-all":
+            raise ConfigError("the bn method needs a discretize-all schema")
+        if self.algorithm == "exact":
+            _check_exact_cap(schema.n_variables, EXACT_MAX_VARS)
 
 
 @dataclass(frozen=True)
@@ -378,7 +391,13 @@ def _candidates(scorer: _FamilyScorer, empty_scores: np.ndarray) -> np.ndarray:
     return keep
 
 
-def exact_search(codes: np.ndarray, value_counts, max_vars: int = 12) -> Dag:
+def _check_exact_cap(n_variables: int, max_vars: int) -> None:
+    if n_variables > max_vars:
+        raise ExactSearchLimitError(f"{n_variables} variables exceed the exact-search cap "
+                                    f"of {max_vars}; use greedy_search")
+
+
+def exact_search(codes: np.ndarray, value_counts, max_vars: int = EXACT_MAX_VARS) -> Dag:
     """Globally MDL-optimal DAG by dynamic programming over variable subsets
     (Silander & Myllymaki, UAI 2006).
 
@@ -391,9 +410,7 @@ def exact_search(codes: np.ndarray, value_counts, max_vars: int = 12) -> Dag:
     """
     arr = _check_data(codes)
     n = len(value_counts)
-    if n > max_vars:
-        raise ExactSearchLimitError(
-            f"{n} variables exceed the exact-search cap of {max_vars}; use greedy_search")
+    _check_exact_cap(n, max_vars)
     scorer = _FamilyScorer(arr, value_counts)
     local = np.full((n, 1 << n), -np.inf)  # node x parent set
     local[:, 0] = [scorer.score(v, scorer.empty, 1) for v in range(n)]

@@ -5,9 +5,11 @@ attributes. The :class:`Schema` pins, per attribute, how raw values map to
 a numeric representation: categorical values become one-hot blocks and
 numerical values are either discretized into uniform bins and one-hot
 encoded (``discretize-all`` mode) or kept continuous and standardized to
-zero mean / unit standard deviation (``mixed`` mode). All generators and
-metrics in the toolkit work through this module, so encoding decisions are
-made exactly once.
+zero mean / unit standard deviation (``mixed`` mode). The schema also owns
+the encoded column layout: ``Schema.encoded_starts`` gives each variable's
+first column and the total width, and the encoder, the decoder and the
+VAE's output heads all read it. All generators and metrics in the toolkit
+work through this module, so encoding decisions are made exactly once.
 
 An :class:`AgentPool` stores ``codes`` (rows x variables: the category
 index, or the bin of a numerical value clamped into the outermost bins)
@@ -31,7 +33,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -97,10 +99,6 @@ class VariableSpec:
             return len(self.bin_edges) - 1
         return len(self.categories)
 
-    @property
-    def one_hot_width(self) -> int:
-        return self.n_values
-
 
 @dataclass(frozen=True)
 class Schema:
@@ -142,8 +140,16 @@ class Schema:
         return (not var.is_numerical) or self.mode == "discretize-all"
 
     @property
+    def encoded_starts(self) -> tuple[int, ...]:
+        """First encoded column of each variable, then the encoded width: a
+        one-hot variable spans its ``n_values`` columns, a standardized
+        numeric one."""
+        return tuple(accumulate((v.n_values if self.is_one_hot(v) else 1
+                                 for v in self.variables), initial=0))
+
+    @property
     def encoded_width(self) -> int:
-        return sum(v.one_hot_width if self.is_one_hot(v) else 1 for v in self.variables)
+        return self.encoded_starts[-1]
 
     def index(self, name: str) -> int:
         try:
@@ -345,40 +351,17 @@ def _assemble(schema: Schema, parsed: list[np.ndarray], first_bad: list,
 
 
 @dataclass(frozen=True)
-class ColumnBlock:
-    """Maps a contiguous encoded column range back to a schema variable."""
-
-    name: str
-    start: int
-    stop: int
-    kind: str  # "one-hot" | "numeric"
-
-
-@dataclass(frozen=True)
 class EncodedMatrix:
     """Numeric matrix form of a pool: one-hot blocks plus standardized
-    numerics, with enough bookkeeping to invert the encoding."""
+    numerics in the columns ``schema.encoded_starts`` gives each variable,
+    with the (mean, std) pairs that invert the standardization."""
 
     values: np.ndarray
-    blocks: tuple[ColumnBlock, ...]
     standardization: dict[str, tuple[float, float]]
     schema: Schema
 
     def __len__(self) -> int:
         return self.values.shape[0]
-
-
-def schema_blocks(schema: Schema) -> tuple[ColumnBlock, ...]:
-    """Encoded column layout implied by a schema: one block per variable."""
-    blocks, col = [], 0
-    for var in schema.variables:
-        if schema.is_one_hot(var):
-            blocks.append(ColumnBlock(var.name, col, col + var.one_hot_width, "one-hot"))
-            col += var.one_hot_width
-        else:
-            blocks.append(ColumnBlock(var.name, col, col + 1, "numeric"))
-            col += 1
-    return tuple(blocks)
 
 
 def build_uniform_edges(column: Sequence[float], k: int) -> np.ndarray:
@@ -480,20 +463,18 @@ def encode_pool(pool: AgentPool,
     schema = pool.schema
     if schema.mode == "discretize-all":
         pool_to_codes(pool)  # numerical one-hot blocks need in-range values
-    n_rows = len(pool)
-    out = np.zeros((n_rows, schema.encoded_width), dtype=float)
-    blocks = schema_blocks(schema)
-    hot = [j for j, block in enumerate(blocks) if block.kind == "one-hot"]
+    n_rows, starts = len(pool), schema.encoded_starts
+    out = np.zeros((n_rows, starts[-1]), dtype=float)
+    hot = [j for j, var in enumerate(schema.variables) if schema.is_one_hot(var)]
     # the addition widens the codes: a column index can exceed their dtype
-    columns = pool.codes[:, hot] + np.array([blocks[j].start for j in hot], dtype=np.intp)
+    columns = pool.codes[:, hot] + np.array([starts[j] for j in hot], dtype=np.intp)
     out[np.arange(n_rows)[:, None], columns] = 1.0
     stats: dict[str, tuple[float, float]] = {}
     for j, values in zip(schema.numerical, pool.numeric.T):
-        if blocks[j].kind == "numeric":
-            var = schema.variables[j]
-            out[:, blocks[j].start], stats[var.name] = standardize_column(
-                var, values, standardization)
-    return EncodedMatrix(out, blocks, stats, schema)
+        var = schema.variables[j]
+        if not schema.is_one_hot(var):
+            out[:, starts[j]], stats[var.name] = standardize_column(var, values, standardization)
+    return EncodedMatrix(out, stats, schema)
 
 
 def standardize_column(var: VariableSpec, column: Sequence[float],
@@ -531,40 +512,40 @@ def decode_rows(matrix: EncodedMatrix | Iterable[EncodedMatrix],
     """
     codes, numeric = [], []
     for part in [matrix] if isinstance(matrix, EncodedMatrix) else matrix:
-        schema, blocks = part.schema, part.blocks
-        if part.values.ndim != 2 or part.values.shape[1] != schema.encoded_width:
-            raise SchemaError(f"matrix width {part.values.shape[-1]} does not match "
-                              f"schema width {schema.encoded_width}")
         codes.append(matrix_to_codes(part))
+        schema, starts = part.schema, part.schema.encoded_starts
         values = np.empty((len(schema.numerical), len(part)))  # one-hot rows: drawn below
         for k, j in enumerate(schema.numerical):
-            var, block = schema.variables[j], blocks[j]
-            if block.kind == "numeric":
+            var = schema.variables[j]
+            if not schema.is_one_hot(var):
                 mean, std = part.standardization[var.name]
-                values[k] = part.values[:, block.start] * std + mean
+                values[k] = part.values[:, starts[j]] * std + mean
                 if var.kind == "numerical-int":
                     np.rint(values[k], out=values[k])
         numeric.append(values)
     codes, numeric = np.concatenate(codes), np.concatenate(numeric, axis=1)
     for k, j in enumerate(schema.numerical):
-        if blocks[j].kind == "one-hot":
+        if schema.is_one_hot(schema.variables[j]):
             numeric[k] = _bin_values([schema.variables[j]], codes[:, j], rng)[:, 0]
     return AgentPool._adopt(schema, codes, numeric.T, "generated")
 
 
 def matrix_to_codes(matrix: EncodedMatrix) -> np.ndarray:
     """Codes straight from an encoded matrix: argmax per one-hot block,
-    clamped bin assignment for de-standardized numerics."""
-    schema = matrix.schema
-    codes = np.empty((matrix.values.shape[0], schema.n_variables),
-                     dtype=code_dtype(schema.value_counts))
-    for j, (block, var) in enumerate(zip(matrix.blocks, schema.variables)):
-        sub = matrix.values[:, block.start:block.stop]
-        if block.kind == "one-hot":
-            codes[:, j] = np.argmax(sub, axis=1)
+    clamped bin assignment for de-standardized numerics. A matrix that is
+    not two-dimensional and as wide as the schema's encoding is a
+    SchemaError."""
+    schema, values, starts = matrix.schema, matrix.values, matrix.schema.encoded_starts
+    if values.ndim != 2 or values.shape[1] != starts[-1]:
+        raise SchemaError(f"matrix width {values.shape[-1]} does not match "
+                          f"schema width {starts[-1]}")
+    codes = np.empty((len(values), schema.n_variables), dtype=code_dtype(schema.value_counts))
+    for j, var in enumerate(schema.variables):
+        if schema.is_one_hot(var):
+            codes[:, j] = np.argmax(values[:, starts[j]:starts[j + 1]], axis=1)
         else:
             mean, std = matrix.standardization[var.name]
-            codes[:, j] = discretize_clamped(sub[:, 0] * std + mean, var)
+            codes[:, j] = discretize_clamped(values[:, starts[j]] * std + mean, var)
     return codes
 
 

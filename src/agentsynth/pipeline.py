@@ -305,12 +305,15 @@ def write_source(source: AgentPool, out: Path, splits=()) -> None:
 
 def prepare_data(config: ExperimentConfig, out: Path) -> tuple[AgentPool, AgentPool, AgentPool]:
     """Acquire the sample, split it, write it with its schema and write the
-    splits; returns the train, validation and test pools."""
+    splits; returns the train, validation and test pools. The settings
+    that need the schema are checked before anything is written."""
     source = acquire_data(config)
-    source.schema.columns(config.projection, "projection")  # fails before any write
+    source.schema.columns(config.projection, "projection")
     for method in config.methods:
         if method.kind == "vae":
             source.schema.columns(method.settings.selection_variables, "selection_variables")
+        elif method.kind == "bn":
+            method.settings.check_schema(source.schema)
     rows = split_rows(len(source), config.train_frac, config.val_frac_of_train,
                       _split_seed(config))
     write_source(source, out, rows)
@@ -346,10 +349,7 @@ def train_method(config: ExperimentConfig, method: MethodSpec, train: AgentPool,
         with open(path, "w") as fh:
             json.dump(chain, fh, indent=2)
         return chain
-    # Bayesian network; conditionals are frequency tables, so every variable
-    # must be categorical (numerics converted via bins)
-    if train.schema.mode != "discretize-all":
-        raise ConfigError("the bn method needs a discretize-all schema")
+    settings.check_schema(train.schema)  # a Bayesian network
     codes = pool_to_codes(train)
     counts = train.schema.value_counts
     started = time.perf_counter()

@@ -2,8 +2,9 @@
 
 The encoder maps an encoded row to the mean and log-variance of a Gaussian
 latent; a reparameterized draw z = mu + exp(logvar/2) * eps feeds the
-decoder, whose heads mirror the schema: linear outputs for continuous
-numerics, softmax blocks for one-hot variables. The objective per row is
+decoder, whose heads mirror the encoded layout the schema owns
+(``Schema.encoded_starts``): linear outputs for continuous numerics,
+softmax blocks for one-hot variables. The objective per row is
 
     0.5 * sum_num (x - xhat)^2                      reconstruction, numeric
   - sum_cat sum_j x_j log xhat_j                    reconstruction, categorical
@@ -45,7 +46,6 @@ from .dataset import (
     matrix_to_codes,  # unused here; perfbench/layers.py wraps this name on this module
     read_json,
     row_blocks,
-    schema_blocks,
     schema_from_json,
     schema_to_json,
 )
@@ -172,14 +172,10 @@ class TrainResult:
 
 
 def decoder_heads(schema: Schema) -> tuple[Head, ...]:
-    """Decoder output heads mirroring the schema's encoded blocks."""
-    heads = []
-    for var, block in zip(schema.variables, schema_blocks(schema)):
-        if block.kind == "one-hot":
-            heads.append(Head("softmax", var.one_hot_width))
-        else:
-            heads.append(Head("linear", 1))
-    return tuple(heads)
+    """Decoder output heads mirroring the schema's encoded layout: a softmax
+    head per one-hot variable, a linear column per standardized numeric."""
+    return tuple(Head("softmax", var.n_values) if schema.is_one_hot(var) else Head("linear", 1)
+                 for var in schema.variables)
 
 
 def check_architecture(hidden, latent_dim: int, beta: float) -> None:
@@ -447,7 +443,6 @@ def sample(model: VaeModel, count: int, rng_or_seed,
         raise ConfigError(f"unknown hardening rule {harden!r}")
     rng = np.random.default_rng(rng_or_seed)
     schema = model.schema
-    blocks = schema_blocks(schema)
     z = rng.standard_normal((count, model.latent_dim))
     # one uniform per row and softmax head, drawn head after head in schema
     # order; row h of ``uniforms`` belongs to the h-th head
@@ -466,7 +461,7 @@ def sample(model: VaeModel, count: int, rng_or_seed,
                     hard = np.zeros(shape)
                     np.put_along_axis(hard, idx[:, :, None], 1.0, axis=2)
                     out[:, group.columns] = hard.reshape(len(out), group.count * group.width)
-            yield EncodedMatrix(out, blocks, dict(model.standardization), schema)
+            yield EncodedMatrix(out, dict(model.standardization), schema)
 
     return decode_rows(decoded(), rng=rng)
 

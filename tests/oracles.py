@@ -7,7 +7,6 @@ from pathlib import Path
 import numpy as np
 
 from agentsynth.bayesnet import MAX_TABLE_CELLS, CptSet, Dag
-from agentsynth.dataset import schema_blocks
 from agentsynth.errors import DataError
 from agentsynth.gibbs import ConditionalTable
 from agentsynth.neural import ForwardCache, Mlp, backward_layers, forward_layers, softmax
@@ -83,6 +82,24 @@ def gibbs_step(row: tuple, tables: list[ConditionalTable],
     return tuple(current)
 
 
+def encoded_spans(schema) -> list[tuple[int, int, bool]]:
+    """Each variable's encoded columns as ``(start, stop, one_hot)``, one
+    variable after the other: a categorical variable, or a numerical one
+    in a discretize-all schema, spans a column per category or bin; a
+    numerical one in a mixed schema spans its one standardized column."""
+    spans, col = [], 0
+    for var in schema.variables:
+        if var.categories is not None:
+            one_hot, width = True, len(var.categories)
+        elif schema.mode == "discretize-all":
+            one_hot, width = True, len(var.bin_edges) - 1
+        else:
+            one_hot, width = False, 1
+        spans.append((col, col + width, one_hot))
+        col += width
+    return spans
+
+
 def reparameterize(lp: LatentParams, epsilon: np.ndarray) -> np.ndarray:
     """z = mu + exp(logvar / 2) * eps."""
     eps = np.asarray(epsilon, dtype=float)
@@ -103,10 +120,10 @@ def loss(model: VaeModel, x, x_hat, lp: LatentParams) -> LossTerms:
     n_rows = x.shape[0]
     numeric = 0.0
     categorical = 0.0
-    for block in schema_blocks(model.schema):
-        sub_x = x[:, block.start:block.stop]
-        sub_h = x_hat[:, block.start:block.stop]
-        if block.kind == "numeric":
+    for start, stop, one_hot in encoded_spans(model.schema):
+        sub_x = x[:, start:stop]
+        sub_h = x_hat[:, start:stop]
+        if not one_hot:
             numeric += 0.5 * np.sum((sub_x - sub_h) ** 2)
         else:
             categorical += -np.sum(sub_x * np.log(np.maximum(sub_h, PROB_FLOOR)))

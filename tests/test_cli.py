@@ -907,3 +907,27 @@ class TestExitCodeContract:
         assert "is the first four variables" in err, err
         assert _run_info(out)["stage"] == stage
         assert not (out / "models").exists() or not any((out / "models").iterdir())
+
+    @pytest.mark.parametrize("write_config, synthetic, bn_params, message", [
+        (_mixed_csv_config, None, {"algorithm": "tree"},
+         "the bn method needs a discretize-all schema"),
+        (_write_config, {"n_variables": 13}, {"algorithm": "exact"},
+         "13 variables exceed the exact-search cap of 12; use greedy_search"),
+    ], ids=["mixed-schema", "exact-over-cap"])
+    def test_bn_schema_fault_exits_2_before_any_model(self, tmp_path, write_config, synthetic,
+                                                      bn_params, message):
+        """A BN on a mixed schema, or an exact search over more variables than
+        its cap, failed only in train:bn, after the data, the VAE listed first
+        and its pool were written."""
+        out = tmp_path / "out"
+        config = write_config(tmp_path, out)
+        doc = json.loads(config.read_text())
+        doc["methods"] = [doc["methods"][0], {"name": "bn", "kind": "bn", "params": bn_params}]
+        if synthetic:
+            doc["data"]["synthetic"].update(synthetic)
+        config.write_text(json.dumps(doc))
+        code, err = _cli("run", "--config", config)
+        assert (code, "Traceback" in err, err.count("\n")) == (2, False, 1), err
+        assert err == f"configuration error: {message}\n", err
+        assert _run_info(out)["stage"] == "prepare"
+        assert not (out / "data").exists() and not (out / "models").exists()

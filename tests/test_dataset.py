@@ -26,15 +26,16 @@ from agentsynth.dataset import (
     matrix_to_codes,
     pool_to_codes,
     read_pool_csv,
-    schema_blocks,
     schema_from_json,
     schema_to_json,
     split_pool,
     write_pool_csv,
 )
 from agentsynth.errors import ConfigError, DataError, SchemaError
+from agentsynth.vae import decoder_heads
 
 from conftest import categorical_schema, pool_from_codes, random_categorical_pool
+from oracles import encoded_spans
 
 
 def _num_var(name="age", edges=(0.0, 10.0, 20.0, 30.0), kind="numerical-int"):
@@ -126,8 +127,8 @@ class TestOneHotEncode:
     def test_block_row_sums_exactly_one(self, rng):
         pool = random_categorical_pool(rng, [3, 4, 2], 50)
         enc = encode_pool(pool)
-        for block in enc.blocks:
-            sums = enc.values[:, block.start:block.stop].sum(axis=1)
+        for start, stop, _ in encoded_spans(pool.schema):
+            sums = enc.values[:, start:stop].sum(axis=1)
             assert np.all(sums == 1.0)
 
     def test_unknown_category_raises(self):
@@ -177,7 +178,7 @@ class TestMixedEncoding:
         values = np.zeros((7, train.schema.encoded_width))
         values[:, 0] = z
         values[:, 1] = 1.0  # pick category "f"
-        soft = EncodedMatrix(values, enc.blocks, enc.standardization, train.schema)
+        soft = EncodedMatrix(values, enc.standardization, train.schema)
         decoded = decode_rows(soft)
         expected = mean + z * std
         np.testing.assert_allclose([row[0] for row in decoded.rows], expected, atol=1e-12)
@@ -197,24 +198,33 @@ class TestDecodeRows:
     def test_soft_block_argmax(self):
         schema = categorical_schema([3])
         values = np.array([[0.1, 0.7, 0.2]])
-        matrix = EncodedMatrix(values, encode_pool(pool_from_codes(schema, [[0]])).blocks,
-                               {}, schema)
+        matrix = EncodedMatrix(values, {}, schema)
         decoded = decode_rows(matrix)
         assert decoded.rows == (("c1",),)
 
     def test_argmax_tie_breaks_low(self):
         schema = categorical_schema([3])
         values = np.array([[0.4, 0.4, 0.2]])
-        matrix = EncodedMatrix(values, encode_pool(pool_from_codes(schema, [[0]])).blocks,
-                               {}, schema)
+        matrix = EncodedMatrix(values, {}, schema)
         assert decode_rows(matrix).rows == (("c0",),)
 
     def test_width_mismatch_raises(self):
         schema = categorical_schema([3])
-        blocks = encode_pool(pool_from_codes(schema, [[0]])).blocks
-        matrix = EncodedMatrix(np.zeros((1, 5)), blocks, {}, schema)
+        matrix = EncodedMatrix(np.zeros((1, 5)), {}, schema)
         with pytest.raises(SchemaError, match="width"):
             decode_rows(matrix)
+
+    @pytest.mark.parametrize("read", [matrix_to_codes, decode_rows])
+    @pytest.mark.parametrize("width", [5, 13])
+    def test_narrower_or_wider_matrix_raises(self, read, width):
+        """A 5-column matrix against a 12-column schema raised numpy's
+        "argmax of an empty sequence" in matrix_to_codes, and a wider one
+        was read without error."""
+        schema = categorical_schema([3, 4, 5])
+        matrix = EncodedMatrix(np.zeros((2, width)), {}, schema)
+        with pytest.raises(SchemaError,
+                           match=f"^matrix width {width} does not match schema width 12$"):
+            read(matrix)
 
 
 class TestSplit:
@@ -550,13 +560,14 @@ def _reference_pool_to_codes(pool, clamp=False):
 def _reference_encode_pool(pool, standardization=None):
     schema = pool.schema
     n_rows = len(pool.rows)
-    out = np.zeros((n_rows, schema.encoded_width))
+    spans = encoded_spans(schema)
+    out = np.zeros((n_rows, spans[-1][1]))
     stats = {}
-    for j, (var, block) in enumerate(zip(schema.variables, schema_blocks(schema))):
+    for j, (var, (start, _, one_hot)) in enumerate(zip(schema.variables, spans)):
         column = [row[j] for row in pool.rows]
-        if block.kind == "one-hot":
+        if one_hot:
             idx = np.array(_reference_value_codes(var, column), dtype=np.int64)
-            out[np.arange(n_rows), block.start + idx] = 1.0
+            out[np.arange(n_rows), start + idx] = 1.0
         else:
             arr = np.asarray(column, dtype=float)
             if standardization is None:
@@ -564,7 +575,7 @@ def _reference_encode_pool(pool, standardization=None):
             else:
                 mean, std = standardization[var.name]
             stats[var.name] = (mean, std)
-            out[:, block.start] = (arr - mean) / std
+            out[:, start] = (arr - mean) / std
     return out, stats
 
 
@@ -576,6 +587,25 @@ def _error_of(fn, *args):
 
 def _mixed_mode(schema):
     return Schema(schema.variables, "mixed")
+
+
+class TestEncodedLayout:
+    @pytest.mark.parametrize("mode, starts", [("discretize-all", (0, 2, 7, 11, 14, 17)),
+                                              ("mixed", (0, 2, 3, 7, 8, 9))])
+    def test_encoded_starts_match_reference_spans(self, mode, starts):
+        """Binary, numerical-int, categorical and numerical-cont variables:
+        the schema's starts are the reference spans', and the VAE's decoder
+        heads cover the encoding, a softmax head per one-hot span."""
+        schema = Schema(_mixed_schema().variables, mode)
+        spans = encoded_spans(schema)
+        assert schema.encoded_starts == tuple(start for start, _, _ in spans) + (spans[-1][1],)
+        assert schema.encoded_starts == starts
+        assert schema.encoded_width == starts[-1]
+        heads = decoder_heads(schema)
+        assert sum(head.width for head in heads) == schema.encoded_width
+        assert [(head.kind, head.width) for head in heads] == [
+            ("softmax", stop - start) if one_hot else ("linear", 1)
+            for start, stop, one_hot in spans]
 
 
 class TestRowToCodeLookup:
@@ -651,11 +681,11 @@ class TestRowToCodeLookup:
                               rng=np.random.default_rng(18))
         enc = encode_pool(train)
         soft = enc.values + np.random.default_rng(19).normal(scale=0.3, size=enc.values.shape)
-        matrix = EncodedMatrix(soft, enc.blocks, enc.standardization, schema)
+        matrix = EncodedMatrix(soft, enc.standardization, schema)
         columns = []
-        for block, var in zip(matrix.blocks, schema.variables):
-            sub = soft[:, block.start:block.stop]
-            if block.kind == "one-hot":
+        for (start, stop, one_hot), var in zip(encoded_spans(schema), schema.variables):
+            sub = soft[:, start:stop]
+            if one_hot:
                 columns.append([var.categories[int(i)] for i in np.argmax(sub, axis=1)])
             else:
                 mean, std = enc.standardization[var.name]

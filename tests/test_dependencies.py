@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -198,3 +199,19 @@ def test_no_pass_imports_numpy_ma(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "false", "a pass imported numpy.ma"
+
+
+def test_sources_parse_at_the_python_floor():
+    # the oldest Python that pyproject.toml's requires-python admits parses
+    # every file of the package, the tests and the demos: syntax newer than
+    # the floor, such as except*, is rejected here
+    root = TESTS.parent
+    floor, = re.findall(r'^requires-python = ">=(\d+)\.(\d+)"$',
+                        (root / "pyproject.toml").read_text(), re.MULTILINE)
+    floor = tuple(map(int, floor))
+    paths = [*SOURCES, *sorted(TESTS.glob("*.py")), *sorted((root / "demos").glob("*.py"))]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(), str(path), feature_version=floor)
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))

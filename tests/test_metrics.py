@@ -45,7 +45,7 @@ from agentsynth.metrics import (
 )
 
 from conftest import categorical_schema, pool_from_codes, random_categorical_pool, toy_pool
-from oracles import pca_csv_from_npy, scatter_csv_from_npy
+from oracles import encoded_spans, pca_csv_from_npy, scatter_csv_from_npy
 
 
 class TestFrequencyDistribution:
@@ -475,7 +475,7 @@ def _discretized_schema():
 def _encoded(generated, train, standardization=None):
     train_m = encode_pool(train, standardization)
     gen_m = encode_pool(generated, standardization or train_m.standardization)
-    return gen_m.values, train_m.values, train_m.blocks
+    return gen_m.values, train_m.values, encoded_spans(train.schema)
 
 
 def _stats(dist):
@@ -501,15 +501,15 @@ def _gram_distances(g, t):
 def _direct_oracle(generated, train, standardization=None):
     """Every pair by direct differences: 2 x mismatched one-hot blocks plus
     the squared numeric differences, summed column by column."""
-    g, t, blocks = _encoded(generated, train, standardization)
+    g, t, spans = _encoded(generated, train, standardization)
     dist = np.empty(len(g))
     for k, row in enumerate(g):
         mismatches, numeric = np.zeros(len(t)), np.zeros(len(t))
-        for b in blocks:
-            if b.kind == "one-hot":
-                mismatches += (t[:, b.start:b.stop] != row[b.start:b.stop]).any(axis=1)
+        for start, stop, one_hot in spans:
+            if one_hot:
+                mismatches += (t[:, start:stop] != row[start:stop]).any(axis=1)
             else:
-                d = row[b.start] - t[:, b.start]
+                d = row[start] - t[:, start]
                 numeric += d * d
         dist[k] = np.sqrt((2.0 * mismatches + numeric).min() / t.shape[1])
     return _stats(dist)

@@ -286,6 +286,19 @@ class TestShippedConfigurations:
                 freqs, report.vectors[name]["trivariate"] / report.sizes[name])
         assert namespace["coords"].shape == (config.generation_count, PCA_COMPONENTS)
 
+    def test_readme_quick_start(self, capsys):
+        """README's quick start, from synthetic data through encode_pool,
+        train and sample to the evaluation, runs and prints a finite SRMSE
+        and mu_NS."""
+        section = (ROOT / "README.md").read_text().split("\n## Quick start\n")[1]
+        snippet = section.split("```python\n")[1].split("```")[0]
+        namespace = {}
+        exec(snippet, namespace)
+        assert len(namespace["generated"]) == 5000
+        assert namespace["generated"].schema == namespace["pool"].schema
+        srmse, mu_ns = map(float, capsys.readouterr().out.split())
+        assert np.isfinite(srmse) and srmse > 0 and mu_ns >= 0
+
     def test_benchmark_workloads(self, monkeypatch):
         monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
         workloads = importlib.import_module("workloads")

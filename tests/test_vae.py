@@ -14,7 +14,6 @@ from agentsynth.dataset import (
     draw_categories,
     encode_pool,
     matrix_to_codes,
-    schema_blocks,
 )
 from agentsynth import metrics
 from agentsynth import vae as vae_module
@@ -46,8 +45,8 @@ from agentsynth.vae import (
 )
 
 from conftest import categorical_schema, random_categorical_pool
-from oracles import (PROB_FLOOR, evaluate_loss, loss, per_head_forward, reparameterize,
-                     rmsprop_per_block)
+from oracles import (PROB_FLOOR, encoded_spans, evaluate_loss, loss, per_head_forward,
+                     reparameterize, rmsprop_per_block)
 
 
 def _mixed_schema():
@@ -358,18 +357,17 @@ def _reference_sample_hardened(model, count, seed):
     """Softmax hardening one one-hot block at a time, as vae.sample did
     before it drew every head of one width at once."""
     rng = np.random.default_rng(seed)
-    blocks = schema_blocks(model.schema)
     out = decode(model, rng.standard_normal((count, model.latent_dim)))
-    for block in blocks:
-        if block.kind != "one-hot":
+    for start, stop, one_hot in encoded_spans(model.schema):
+        if not one_hot:
             continue
-        probs = out[:, block.start:block.stop]
+        probs = out[:, start:stop]
         cum = np.cumsum(probs, axis=1)
         idx = ((rng.random((count, 1)) * cum[:, -1:]) > cum).sum(axis=1)
         hard = np.zeros_like(probs)
         hard[np.arange(count), np.minimum(idx, probs.shape[1] - 1)] = 1.0
-        out[:, block.start:block.stop] = hard
-    matrix = EncodedMatrix(out, blocks, dict(model.standardization), model.schema)
+        out[:, start:stop] = hard
+    matrix = EncodedMatrix(out, dict(model.standardization), model.schema)
     return decode_rows(matrix, rng=rng), rng
 
 
@@ -396,16 +394,16 @@ def _one_shot_sample(model, count, seed, harden):
     uniform per row and softmax head (head after head), then the bin draws
     of decode_rows."""
     rng = np.random.default_rng(seed)
-    schema, blocks = model.schema, schema_blocks(model.schema)
+    schema = model.schema
     out = decode(model, rng.standard_normal((count, model.latent_dim)))
     if harden == "sample":
-        hot = [block for block in blocks if block.kind == "one-hot"]
-        for block, uniforms in zip(hot, rng.random((len(hot), count))):
-            probs = out[:, block.start:block.stop]
+        hot = [(start, stop) for start, stop, one_hot in encoded_spans(schema) if one_hot]
+        for (start, stop), uniforms in zip(hot, rng.random((len(hot), count))):
+            probs = out[:, start:stop]
             hard = np.zeros_like(probs)
             hard[np.arange(count), draw_categories(probs, uniforms)] = 1.0
-            out[:, block.start:block.stop] = hard
-    matrix = EncodedMatrix(out, blocks, dict(model.standardization), schema)
+            out[:, start:stop] = hard
+    matrix = EncodedMatrix(out, dict(model.standardization), schema)
     return decode_rows(matrix, rng=rng), rng
 
 
