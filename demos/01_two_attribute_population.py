@@ -36,10 +36,9 @@ print(f"5000 steps from (0,0) emitted {emitted}: the chain is trapped on its isl
 # --- VAE: a linear encoder/decoder with a one-dimensional latent -----------
 print("\n-- Variational autoencoder --")
 enc = encode_pool(pool)
-model = vae.build_vae(pool.schema, hidden=(), latent_dim=1, beta=1.0,
-                      rng=np.random.default_rng(1))
-config = vae.TrainConfig(epochs=1000, batch_size=len(pool), seed=1, learning_rate=0.01)
-trained = vae.train(model, enc, pool, config).model
+config = vae.TrainConfig(hidden=(), latent_dim=1, beta=1.0, epochs=1000,
+                         batch_size=len(pool), seed=1, learning_rate=0.01)
+trained = vae.train(enc, pool, config, np.random.default_rng(1)).model
 lp0 = vae.encode(trained, enc.values[0])
 lp1 = vae.encode(trained, enc.values[-1])
 print(f"latent means: s0 -> {lp0.mean[0]:+.3f}, s1 -> {lp1.mean[0]:+.3f} "

@@ -670,6 +670,13 @@ def draw_categories(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return np.minimum((uniforms[..., None] * cum[..., -1:] > cum).sum(-1), cum.shape[-1] - 1)
 
 
+# Rows per block of a product over a pool's rows (vae.sample's decoder, the
+# PCA stage's projection), cut by row_blocks: a block's temporaries exist
+# for it alone and each BLAS call still multiplies a large batch (a 64-wide
+# decoder's take 2.7 MB for a 10,000-row draw, 12.1 MB in 5,000-row blocks).
+ROW_BLOCK = 1 << 10
+
+
 def row_blocks(n: int, size: int) -> Iterator[slice]:
     """``n`` rows as the slices of ``k = max(1, n // size)`` near-equal
     blocks, the first ``n % k`` one row longer (those of ``np.array_split``).

@@ -12,7 +12,8 @@ directory and returns its outputs:
     evaluate_pools  report.json, report.csv; draws and scores the baselines
 
 A method's params build its settings once, when the configuration loads
-(:class:`MethodSpec`); the stages read only those.
+(:class:`MethodSpec`); the stages read only those, and a VAE's network is
+the one :func:`vae.train` builds from them.
 
 :func:`run_pipeline` chains the stages in memory and the staged CLI
 subcommands call them on files; both time them with :func:`recorded_stages`,
@@ -24,7 +25,7 @@ order, then the two baselines. scatter/columns.json names each column's
 pool and gives its row count n, so count / n is the bin's frequency.
 pca/train.npy and pca/<pool>.npy hold each pool's float64 coordinates in
 the training data's principal components, encoded and projected in blocks
-of dataset.CSV_WRITE_BLOCK rows.
+of dataset.ROW_BLOCK rows.
 
 All randomness flows from one master seed through named substreams, so two
 runs with the same configuration produce byte-identical report JSON;
@@ -47,7 +48,7 @@ import numpy as np
 
 from . import baselines, bayesnet, gibbs, metrics, vae
 from .dataset import (
-    CSV_WRITE_BLOCK,
+    ROW_BLOCK,
     SPLITS,
     AgentPool,
     codes_to_pool,
@@ -156,6 +157,11 @@ class ExperimentConfig:
         names = [m.name for m in self.methods]
         if len(set(names)) != len(names):
             raise ConfigError("method names must be unique")
+        for m in self.methods:  # a Gibbs method also writes models/<name>-diagnostics.json
+            clash = f"{m.name}-diagnostics"
+            if m.kind == "gibbs" and clash in names:
+                raise ConfigError(f"method name {clash!r} would share models/{clash}.json with "
+                                  f"the diagnostics of gibbs method {m.name!r}")
 
 
 def config_from_json(doc: dict, out_dir: str | None = None) -> ExperimentConfig:
@@ -310,9 +316,7 @@ def prepare_data(config: ExperimentConfig, out: Path) -> tuple[AgentPool, AgentP
     source = acquire_data(config)
     source.schema.columns(config.projection, "projection")
     for method in config.methods:
-        if method.kind == "vae":
-            source.schema.columns(method.settings.selection_variables, "selection_variables")
-        elif method.kind == "bn":
+        if method.kind != "gibbs":
             method.settings.check_schema(source.schema)
     rows = split_rows(len(source), config.train_frac, config.val_frac_of_train,
                       _split_seed(config))
@@ -336,9 +340,7 @@ def train_method(config: ExperimentConfig, method: MethodSpec, train: AgentPool,
     (out / "models").mkdir(parents=True, exist_ok=True)
     path = out / "models" / f"{method.name}.json"
     if method.kind == "vae":
-        model = vae.build_vae(train.schema, settings.hidden, settings.latent_dim,
-                              settings.beta, rng_fit)
-        result = vae.train(model, encode_pool(train), validation, settings)
+        result = vae.train(encode_pool(train), validation, settings, rng_fit)
         vae.save_checkpoint(result.model, path, extra={
             "grid": result.grid_records, "selection_score": result.selection_score})
         vae.write_training_log(result.history,
@@ -484,10 +486,10 @@ def write_run_outputs(report: metrics.EvalReport, train: AgentPool,
 def _pca_coordinates(pca: metrics.PcaModel, pool: AgentPool,
                      standardization: dict[str, tuple[float, float]], k: int) -> np.ndarray:
     """The pool's coordinates in the first ``k`` components, encoded and
-    projected in the ``row_blocks`` of ``CSV_WRITE_BLOCK`` rows, so they
-    are those of one whole product."""
+    projected in the ``row_blocks`` of ``ROW_BLOCK`` rows, so they are
+    those of one whole product."""
     coords = np.empty((len(pool), k))
-    for rows in row_blocks(len(pool), CSV_WRITE_BLOCK):
+    for rows in row_blocks(len(pool), ROW_BLOCK):
         enc = encode_pool(pool.take(rows, pool.provenance), standardization=standardization)
         coords[rows] = metrics.pca_project(pca, enc, k)
     return coords

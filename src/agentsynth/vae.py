@@ -20,24 +20,25 @@ once per model, with :func:`neural.head_layout`, the grouping that
 :func:`neural.forward` applies its softmax by; the step lays each group
 out as contiguous ``(width, batch, heads)`` planes. Encoder and decoder
 parameters live in one flat vector that RMSprop updates as a single block.
-A :class:`TrainConfig` holds a VAE method's settings, its architecture
-included. Hyperparameters can be searched on a grid, with the winner picked
-by the SRMSE of the projected joint over a designated variable subset
-against the validation pool's codes. Sampling draws z ~ N(0, I), decodes it
-block by block, hardens categorical blocks, and de-standardizes numerics
-into raw agent records.
+A :class:`TrainConfig` holds a VAE method's settings; :func:`train` builds
+the network of its architecture, or of each point of a grid, whose winner
+has the least SRMSE of the projected joint over a designated variable
+subset against the validation pool's codes. Sampling draws z ~ N(0, I),
+decodes it block by block, hardens categorical blocks, and de-standardizes
+numerics into raw agent records.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import metrics
 from .dataset import (
+    ROW_BLOCK,
     AgentPool,
     EncodedMatrix,
     Schema,
@@ -69,14 +70,6 @@ from .neural import (
     rmsprop_step,
 )
 
-# Rows per block that sample() decodes at a time, so the decoder's
-# activations exist for one block only. The count is cut into the
-# dataset.row_blocks of this size, none shorter than it, so the draws are
-# those of one whole decode. A 10,000-row draw decodes in blocks of about
-# 1,100 rows, whose temporaries in a 64-wide decoder take 2.7 MB (the
-# 5,000-row blocks of 4,096-row blocking took 12.1 MB), and each BLAS call
-# still multiplies a large batch.
-SAMPLE_BLOCK = 1 << 10
 CHECKPOINT_FORMAT = "agentsynth-vae"
 CHECKPOINT_VERSION = 1
 
@@ -113,7 +106,7 @@ class LatentParams:
 
 @dataclass
 class TrainConfig:
-    # the architecture a method's model is built with (a grid builds its own)
+    # the architecture train builds without a grid (a grid builds its points')
     hidden: tuple[int, ...] = (50,)
     latent_dim: int = 10
     beta: float = 0.5
@@ -121,7 +114,7 @@ class TrainConfig:
     batch_size: int = 64
     seed: int = 0
     learning_rate: float = 0.001
-    # grid search: None means "train the given model as-is"
+    # grid search: None means "train the architecture above"
     hidden_options: list[tuple[int, ...]] | None = None
     latent_options: list[int] | None = None
     beta_options: list[float] | None = None
@@ -162,6 +155,13 @@ class TrainConfig:
             check_architecture(*point)
         return grid
 
+    def check_schema(self, schema: Schema) -> tuple[int, ...] | None:
+        """The columns of ``selection_variables`` (:meth:`Schema.columns`),
+        resolved when they are given or a grid reads them; None otherwise."""
+        if self.selection_variables is None and self.grid() is None:
+            return None
+        return tuple(schema.columns(self.selection_variables, "selection_variables"))
+
 
 @dataclass
 class TrainResult:
@@ -197,22 +197,6 @@ def build_vae(schema: Schema, hidden: tuple[int, ...], latent_dim: int, beta: fl
                        (Head("linear", latent_dim), Head("linear", latent_dim)), rng)
     decoder = init_mlp(latent_dim, tuple(reversed(hidden)), decoder_heads(schema), rng)
     return VaeModel(encoder, decoder, latent_dim, beta, schema)
-
-
-def clone_model(model: VaeModel) -> VaeModel:
-    """A copy sharing no arrays with ``model``: the new layer objects start
-    on the old arrays and packing copies them into the clone's own buffer."""
-    def layers_of(mlp: Mlp) -> Mlp:
-        return Mlp([replace(layer) for layer in mlp.layers], mlp.heads)
-
-    return VaeModel(
-        layers_of(model.encoder),
-        layers_of(model.decoder),
-        model.latent_dim,
-        model.beta,
-        model.schema,
-        dict(model.standardization),
-    )
 
 
 def encode(model: VaeModel, x) -> LatentParams:
@@ -342,11 +326,11 @@ def loss_and_grads(model: VaeModel, x: np.ndarray, eps: np.ndarray
 # a diverging step overflows; the DivergenceError it raises then says so in one line
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _train_single(model: VaeModel, train: EncodedMatrix, config: TrainConfig,
-                  rng: np.random.Generator, grid_index: int = 0) -> tuple[VaeModel, list[dict]]:
-    model = clone_model(model)
+                  rng: np.random.Generator, grid_index: int = 0) -> list[dict]:
+    """Train ``model`` in place; returns the per-epoch loss history."""
     model.standardization = dict(train.standardization)
     if config.epochs == 0:
-        return model, []
+        return []
     x_all = train.values
     n = x_all.shape[0]
     if n == 0:
@@ -382,7 +366,7 @@ def _train_single(model: VaeModel, train: EncodedMatrix, config: TrainConfig,
             "kl": sums[2] / n_batches,
             "total": sums[3] / n_batches,
         })
-    return model, history
+    return history
 
 
 def _selection_srmse(model: VaeModel, validation: AgentPool, config: TrainConfig,
@@ -399,35 +383,38 @@ def _selection_srmse(model: VaeModel, validation: AgentPool, config: TrainConfig
     return metrics.srmse(gen, ref)
 
 
-def train(model: VaeModel, train_matrix: EncodedMatrix, validation: AgentPool,
-          config: TrainConfig) -> TrainResult:
-    """Fit the model, optionally grid-searching architectures.
+def train(train_matrix: EncodedMatrix, validation: AgentPool, config: TrainConfig,
+          rng_or_seed) -> TrainResult:
+    """Build the network ``config`` names and fit it, or grid-search one.
 
-    Without a grid the passed model trains as-is. With a grid, one model per
-    (hidden stack, latent dim, beta) point is built and trained on an
-    independent RNG substream, and the point minimizing the SRMSE of the
-    selection-variable joint against the ``validation`` pool's codes wins.
+    Without a grid, the network's initial weights are drawn from
+    ``rng_or_seed`` and it trains on substream 0 of ``config.seed``. With a
+    grid, ``rng_or_seed`` is not drawn from: each (hidden stack, latent dim,
+    beta) point is built and trained on its own substream of ``config.seed``,
+    and the point minimizing the SRMSE of the selection-variable joint
+    against the ``validation`` pool's codes wins.
     """
+    schema = train_matrix.schema
     grid = config.grid()
-    subset = tuple(model.schema.columns(config.selection_variables, "selection_variables"))
+    subset = config.check_schema(schema)
     if grid is None:
+        model = build_vae(schema, config.hidden, config.latent_dim, config.beta,
+                          np.random.default_rng(rng_or_seed))
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
-        trained, history = _train_single(model, train_matrix, config, rng)
-        return TrainResult(trained, history, [], None)
+        return TrainResult(model, _train_single(model, train_matrix, config, rng), [], None)
     best = None
     all_history: list[dict] = []
     records = []
     for gi, (hidden, latent_dim, beta) in enumerate(grid):
         seq = np.random.SeedSequence(config.seed, spawn_key=(gi,))
         rng_init, rng_train, rng_select = [np.random.default_rng(s) for s in seq.spawn(3)]
-        candidate = build_vae(model.schema, hidden, latent_dim, beta, rng_init)
-        trained, history = _train_single(candidate, train_matrix, config, rng_train, gi)
-        all_history.extend(history)
-        score = _selection_srmse(trained, validation, config, subset, rng_select)
+        model = build_vae(schema, hidden, latent_dim, beta, rng_init)
+        all_history.extend(_train_single(model, train_matrix, config, rng_train, gi))
+        score = _selection_srmse(model, validation, config, subset, rng_select)
         records.append({"grid_index": gi, "hidden": list(hidden),
                         "latent_dim": latent_dim, "beta": beta, "selection_srmse": score})
         if best is None or score < best[0]:
-            best = (score, trained)
+            best = (score, model)
     return TrainResult(best[1], all_history, records, best[0])
 
 
@@ -450,7 +437,7 @@ def sample(model: VaeModel, count: int, rng_or_seed,
     uniforms = rng.random((len(widths), count)) if harden == "sample" else None
 
     def decoded():
-        for rows in row_blocks(count, SAMPLE_BLOCK):
+        for rows in row_blocks(count, ROW_BLOCK):
             out = decode(model, z[rows])
             if harden == "sample":
                 for group in model.layout.groups:

@@ -74,10 +74,9 @@ def test_c03_toy_vae():
     started = time.perf_counter()
     train = toy_pool(32)  # 64 rows; full-pool batches make epochs == steps
     enc = encode_pool(train)
-    model = vae.build_vae(train.schema, (), 1, 1.0, np.random.default_rng(1))
-    config = vae.TrainConfig(epochs=1000, batch_size=len(train), seed=1,
-                             learning_rate=0.01)
-    result = vae.train(model, enc, train, config)
+    config = vae.TrainConfig(hidden=(), latent_dim=1, beta=1.0, epochs=1000,
+                             batch_size=len(train), seed=1, learning_rate=0.01)
+    result = vae.train(enc, train, config, np.random.default_rng(1))
     trained = result.model
     lp0 = vae.encode(trained, enc.values[0])    # an s0 row
     lp1 = vae.encode(trained, enc.values[-1])   # an s1 row

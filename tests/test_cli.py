@@ -861,6 +861,20 @@ class TestExitCodeContract:
         assert err.startswith("configuration error:") and message in err, err
         assert not (tmp_path / "out").exists()
 
+    def test_name_of_a_gibbs_diagnostics_file_exits_2(self, tmp_path):
+        """A Gibbs method writes models/<name>-diagnostics.json: unchecked,
+        a VAE named "gibbs-diagnostics" ran to the end and its checkpoint
+        was overwritten by the chain's diagnostics."""
+        config = _write_config(tmp_path, tmp_path / "out", methods=[
+            {"name": "gibbs-diagnostics", "kind": "vae", "params": {"epochs": 1}},
+            {"name": "gibbs", "kind": "gibbs", "params": {"warmup": 0, "thinning": 1}}])
+        code, err = _cli("run", "--config", config)
+        assert (code, "Traceback" in err, err.count("\n")) == (2, False, 1), err
+        assert err == ("configuration error: method name 'gibbs-diagnostics' would share "
+                       "models/gibbs-diagnostics.json with the diagnostics of gibbs method "
+                       "'gibbs'\n"), err
+        assert not (tmp_path / "out").exists()
+
     def test_former_scatter_column_names_run(self, tmp_path):
         """"bin_id" and "test_frequency" named the first two columns of the
         former scatter CSVs and were reserved. The count files name no
@@ -907,6 +921,33 @@ class TestExitCodeContract:
         assert "is the first four variables" in err, err
         assert _run_info(out)["stage"] == stage
         assert not (out / "models").exists() or not any((out / "models").iterdir())
+
+    @pytest.mark.parametrize("grid", [False, True], ids=["no-grid", "grid"])
+    def test_default_selection_is_checked_only_when_a_grid_reads_it(self, tmp_path, grid):
+        """The first four of six width-60 variables have a joint of 60^4
+        bins. Unchecked by a grid, the VAE never reads that default
+        selection, so the run goes through; a grid reads it, and fails in
+        prepare before the data is written."""
+        out = tmp_path / "out"
+        params = {"hidden": [4], "latent_dim": 2, "epochs": 1, "batch_size": 64}
+        if grid:
+            params.update(hidden_options=[[4]], latent_options=[2], beta_options=[0.5])
+        config = _write_config(tmp_path, out, count=50,
+                               methods=[{"name": "vae", "kind": "vae", "params": params}])
+        doc = json.loads(config.read_text())
+        doc["data"]["synthetic"].update(n_variables=6, category_width=60)
+        doc["projection"] = ["x04", "x05"]
+        config.write_text(json.dumps(doc))
+        code, err = _cli("run", "--config", config)
+        if not grid:
+            assert (code, err) == (0, "")
+            assert (out / "models" / "vae.json").exists()
+            return
+        assert (code, "Traceback" in err, err.count("\n")) == (2, False, 1), err
+        assert "the joint of selection_variables ['x00', 'x01', 'x02', 'x03'] has " \
+            "12960000 bins" in err, err
+        assert _run_info(out)["stage"] == "prepare"
+        assert not (out / "data").exists()
 
     @pytest.mark.parametrize("write_config, synthetic, bn_params, message", [
         (_mixed_csv_config, None, {"algorithm": "tree"},

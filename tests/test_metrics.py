@@ -1083,20 +1083,20 @@ class TestArtifactBytes:
             {"vae": views["vae"] / sizes["vae"], "gibbs": views["gibbs"] / sizes["gibbs"]})
 
     def test_scatter_and_pca_over_several_write_blocks(self, rng, tmp_path):
-        """Files longer than the dataset.CSV_WRITE_BLOCK rows that the stage
+        """Files longer than the dataset.ROW_BLOCK rows that the stage
         encodes and projects at a time: counts of three pools, and
         coordinates with awkward values across a block boundary, rebuild to
         the CSVs csv.writer wrote."""
-        rows = 2 * dataset.CSV_WRITE_BLOCK + 3
+        rows = 2 * dataset.ROW_BLOCK + 3
         test = (rng.integers(0, 9, rows).astype(np.uint8), 8)
         late = rng.permutation(test[0]).astype(np.uint16) * 1000
-        late[dataset.CSV_WRITE_BLOCK + 5:dataset.CSV_WRITE_BLOCK + 105] = np.arange(100)
+        late[dataset.ROW_BLOCK + 5:dataset.ROW_BLOCK + 105] = np.arange(100)
         pools = {"vae": (rng.permutation(test[0]), 8), "gibbs": (late, 9_000)}
         freqs = {name: vec / n for name, (vec, n) in pools.items()}
         assert _rebuilt_scatter_bytes(tmp_path, test, pools) == _scatter_oracle(
             tmp_path / "e.csv", test[0] / test[1], freqs)
         coords = rng.normal(size=(rows, 2))
-        coords[dataset.CSV_WRITE_BLOCK - 4:dataset.CSV_WRITE_BLOCK + 9, 1] = AWKWARD
+        coords[dataset.ROW_BLOCK - 4:dataset.ROW_BLOCK + 9, 1] = AWKWARD
         write_pca_csv(coords, tmp_path / "p.npy")
         pca_csv_from_npy(tmp_path / "p.npy", tmp_path / "p.csv")
         assert (tmp_path / "p.csv").read_bytes() == _csv_writer_bytes(

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import json
+import re
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -298,6 +299,19 @@ class TestShippedConfigurations:
         assert namespace["generated"].schema == namespace["pool"].schema
         srmse, mu_ns = map(float, capsys.readouterr().out.split())
         assert np.isfinite(srmse) and srmse > 0 and mu_ns >= 0
+
+    def test_readme_params_table(self):
+        """README's table of the params each method kind accepts lists
+        METHOD_PARAMS, in its order; parenthesized notes are not params."""
+        section = (ROOT / "README.md").read_text().split(
+            "Each method kind accepts these `params`:\n")[1]
+        table = {}
+        for row in section.strip().split("\n\n")[0].splitlines()[2:]:
+            kind, params = [cell.strip() for cell in row.strip("|").split("|")]
+            outside = re.sub(r"\([^)]*\)", "", params)
+            table[kind.strip("`")] = re.findall(r"`([^`]+)`", outside)
+        assert table == {kind: list(params) for kind, params in METHOD_PARAMS.items()}
+        assert list(table) == list(METHOD_PARAMS)
 
     def test_benchmark_workloads(self, monkeypatch):
         monkeypatch.syspath_prepend(str(ROOT / "perfbench"))

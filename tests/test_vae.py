@@ -31,7 +31,6 @@ from agentsynth.vae import (
     LatentParams,
     TrainConfig,
     build_vae,
-    clone_model,
     decode,
     encode,
     load_checkpoint,
@@ -205,50 +204,79 @@ class TestTrain:
     def test_zero_epochs_returns_unchanged(self, rng):
         pool = random_categorical_pool(rng, [3, 2], 20)
         enc = encode_pool(pool)
-        model = build_vae(pool.schema, (4,), 2, 1.0, rng)
-        result = train(model, enc, pool, TrainConfig(epochs=0))
+        model = build_vae(pool.schema, (4,), 2, 1.0, np.random.default_rng(4))
+        config = TrainConfig(hidden=(4,), latent_dim=2, beta=1.0, epochs=0)
+        result = train(enc, pool, config, np.random.default_rng(4))
         for before, after in zip(parameters(model.encoder), parameters(result.model.encoder)):
             np.testing.assert_array_equal(before, after)
+
+    def test_builds_the_architecture_of_its_config(self, rng):
+        pool = random_categorical_pool(rng, [3, 2, 4], 30)  # 9 encoded columns
+        config = TrainConfig(hidden=(7, 5), latent_dim=3, beta=0.37, epochs=1, batch_size=16)
+        model = train(encode_pool(pool), pool, config, 0).model
+        assert [layer.weights.shape for layer in model.encoder.layers] == \
+            [(7, 9), (5, 7), (6, 5)]
+        assert [layer.weights.shape for layer in model.decoder.layers] == \
+            [(5, 3), (7, 5), (9, 7)]
+        assert (model.latent_dim, model.beta) == (3, 0.37)
+
+    def test_initial_weights_follow_the_generator(self, rng):
+        pool = random_categorical_pool(rng, [3, 2], 20)
+        enc = encode_pool(pool)
+        config = TrainConfig(hidden=(4,), latent_dim=2, epochs=2, batch_size=8)
+        untrained = TrainConfig(hidden=(4,), latent_dim=2, epochs=0)
+        assert vae_to_dict(train(enc, pool, config, 5).model) == \
+            vae_to_dict(train(enc, pool, config, np.random.default_rng(5)).model)
+        assert vae_to_dict(train(enc, pool, untrained, 5).model) != \
+            vae_to_dict(train(enc, pool, untrained, 6).model)
+
+    def test_grid_leaves_the_generator_undrawn(self, rng):
+        pool = random_categorical_pool(rng, [3, 2], 20)
+        config = TrainConfig(epochs=1, batch_size=8, hidden_options=[(4,)], latent_options=[2],
+                             beta_options=[0.5], selection_samples=20)
+        generator = np.random.default_rng(9)
+        train(encode_pool(pool), pool, config, generator)
+        assert generator.random() == np.random.default_rng(9).random()
 
     def test_overfits_single_repeated_row(self, rng):
         schema = categorical_schema([3, 4, 2])
         row = ("c1", "c3", "c0")
         pool = AgentPool.from_rows(schema, (row,) * 32, "train")
         enc = encode_pool(pool)
-        model = build_vae(schema, (8,), 2, 0.01, rng)
+        model = build_vae(schema, (8,), 2, 0.01, np.random.default_rng(2))
         eps0 = np.zeros((32, 2))
         before = evaluate_loss(model, enc.values, eps0).total
-        config = TrainConfig(epochs=300, batch_size=32, seed=5, learning_rate=0.01)
-        result = train(model, enc, pool, config)
+        config = TrainConfig(hidden=(8,), latent_dim=2, beta=0.01, epochs=300, batch_size=32,
+                             seed=5, learning_rate=0.01)
+        result = train(enc, pool, config, np.random.default_rng(2))
         after = evaluate_loss(result.model, enc.values, eps0).total
         assert after < before / 10
 
     def test_loss_trend_downward(self, rng):
         pool = random_categorical_pool(rng, [3, 3, 2], 120)
         enc = encode_pool(pool)
-        model = build_vae(pool.schema, (8,), 3, 0.1, rng)
-        result = train(model, enc, pool, TrainConfig(epochs=30, batch_size=32, seed=1,
-                                                    learning_rate=0.005))
+        config = TrainConfig(hidden=(8,), latent_dim=3, beta=0.1, epochs=30, batch_size=32,
+                             seed=1, learning_rate=0.005)
+        result = train(enc, pool, config, rng)
         assert result.history[-1]["total"] < result.history[0]["total"]
 
     def test_fixed_seed_reproducible(self, rng):
         pool = random_categorical_pool(rng, [3, 2], 40)
         enc = encode_pool(pool)
-        model = build_vae(pool.schema, (4,), 2, 1.0, np.random.default_rng(3))
-        config = TrainConfig(epochs=5, batch_size=16, seed=11)
-        r1 = train(model, enc, pool, config)
-        r2 = train(model, enc, pool, config)
+        config = TrainConfig(hidden=(4,), latent_dim=2, beta=1.0, epochs=5, batch_size=16,
+                             seed=11)
+        r1 = train(enc, pool, config, 3)
+        r2 = train(enc, pool, config, 3)
         for a, b in zip(parameters(r1.model.decoder), parameters(r2.model.decoder)):
             np.testing.assert_array_equal(a, b)
 
     def test_grid_search_selects_and_records(self, rng):
         pool = random_categorical_pool(rng, [3, 2, 2, 2], 80)
         enc = encode_pool(pool)
-        model = build_vae(pool.schema, (4,), 2, 1.0, rng)
         config = TrainConfig(epochs=3, batch_size=32, seed=2,
                              hidden_options=[(4,), (6,)], latent_options=[2],
                              beta_options=[0.1], selection_samples=200)
-        result = train(model, enc, pool, config)
+        result = train(enc, pool, config, rng)
         assert len(result.grid_records) == 2
         assert result.selection_score == min(r["selection_srmse"] for r in result.grid_records)
 
@@ -268,7 +296,7 @@ class TestTrain:
         config = TrainConfig(epochs=1, batch_size=4, seed=6, hidden_options=[(4,)],
                              latent_options=[2], beta_options=[0.5],
                              selection_variables=["income"], selection_samples=51)
-        result = train(build_vae(schema, (4,), 2, 0.5, rng), enc, validation, config)
+        result = train(enc, validation, config, rng)
         # the selection draw of the only grid point, on its third substream
         select = np.random.default_rng(np.random.SeedSequence(6, spawn_key=(0,)).spawn(3)[2])
         generated = metrics.frequency_distribution_from_codes(
@@ -431,7 +459,7 @@ class TestBlockwiseSample:
     def test_blocks_of_seven_match_one_shot_decode(self, monkeypatch, mode, harden, count):
         # discretize-all draws the numerics inside their bins after decoding
         model = _trained_shape_model(np.random.default_rng(5), mode, (5,), 3)
-        monkeypatch.setattr(vae_module, "SAMPLE_BLOCK", 7)
+        monkeypatch.setattr(vae_module, "ROW_BLOCK", 7)
         decoded, real_decode = [], vae_module.decode
         monkeypatch.setattr(vae_module, "decode",
                             lambda m, z: decoded.append(len(z)) or real_decode(m, z))
@@ -445,7 +473,7 @@ class TestBlockwiseSample:
     def test_default_blocks_match_one_shot_decode_of_a_wide_model(self, harden):
         # the benchmark's decoder widths, over three blocks
         model = _trained_shape_model(np.random.default_rng(6), "mixed", (64,), 8)
-        _assert_same_sample(model, 3 * vae_module.SAMPLE_BLOCK + 5, harden)
+        _assert_same_sample(model, 3 * vae_module.ROW_BLOCK + 5, harden)
 
     @pytest.mark.parametrize("harden", ["argmax", "sample"])
     @pytest.mark.parametrize("mode", ["mixed", "discretize-all"])
@@ -485,8 +513,8 @@ class TestCheckpoint:
     def test_training_log_cells_are_plain_floats(self, rng, tmp_path):
         pool = random_categorical_pool(rng, [3, 2], 40)
         enc = encode_pool(pool)
-        model = build_vae(pool.schema, (4,), 2, 0.5, rng)
-        result = train(model, enc, pool, TrainConfig(epochs=3, batch_size=16, seed=2))
+        config = TrainConfig(hidden=(4,), latent_dim=2, beta=0.5, epochs=3, batch_size=16, seed=2)
+        result = train(enc, pool, config, rng)
         path = tmp_path / "log.csv"
         write_training_log(result.history, path)
         lines = path.read_text().splitlines()
@@ -661,16 +689,6 @@ class TestPackedParameters:
         assert not np.array_equal(encode(model, x).mean, before)
         assert evaluate_loss(model, x, eps).total != loss_before
 
-    def test_clone_copies_arrays(self, rng):
-        model, x = self._model_and_batch(rng)
-        clone = clone_model(model)
-        for net in ("encoder", "decoder"):
-            for a, b in zip(parameters(getattr(model, net)), parameters(getattr(clone, net))):
-                np.testing.assert_array_equal(a, b)
-                assert not np.shares_memory(a, b)
-        assert not np.shares_memory(clone.packed.values, model.packed.values)
-        assert mlp_to_dict(clone.decoder) == mlp_to_dict(model.decoder)
-
     def test_non_finite_gradient_names_grid_point_epoch_and_block(self, rng, monkeypatch):
         model, x = self._model_and_batch(rng)
         pool = _interleaved_pool(rng, 24)
@@ -691,7 +709,8 @@ class TestPackedParameters:
         with pytest.raises(DivergenceError,
                            match=rf"grid point 0, epoch 1: non-finite gradient in "
                                  rf"parameter block {n_enc + 1}$"):
-            train(model, enc, pool, TrainConfig(epochs=3, batch_size=12, seed=4))
+            train(enc, pool, TrainConfig(hidden=(6,), latent_dim=2, beta=0.5, epochs=3,
+                                         batch_size=12, seed=4), rng)
 
 
 class TestCheckpointValidation:
