@@ -9,13 +9,14 @@ maximum-likelihood conditionals minus (log N / 2) free parameters, the
 BIC-equivalent penalty; higher is better. Fitted networks sample agents
 ancestrally, parents before children.
 
-Local scores never build a table over every parent-value combination. The
-rows' combination ids are compacted as each parent column is appended: the
-cell ``id * width + value`` is replaced by its rank among the occupied
-cells (one bincount and one cumsum), which keeps C order over the parents
-and stays below the row count, so neither table size nor int64 overflow
-bounds the parent widths. The exact search also prunes: since a
-log-likelihood is at most 0, a parent set S whose penalty
+Local scores never build a table over every parent-value combination.
+Appending a parent column maps each row's combination id to the mixed-radix
+cell ``id * width + value``, one multiply-add, while the id range stays at
+or below the row count. Past it, each cell is replaced by its rank among the
+occupied cells (one bincount and one cumsum). Both keep C order over the
+parents and the range stays at most the row count, so neither table size
+nor int64 overflow bounds the parent widths. The exact search also prunes:
+since a log-likelihood is at most 0, a parent set S whose penalty
 (log N / 2) * (D_i - 1) * prod(D_S) exceeds -score(i | {}) scores strictly
 below the empty set, and so does every superset of S (de Campos & Ji,
 "Efficient structure learning of Bayesian networks using constraints",
@@ -26,8 +27,8 @@ network structure", UAI 2006.
 Before scoring, the exact search screens the parent sets the bound leaves.
 The log-likelihood of node v given T is A(T + v) - A(T), where A(U) is the
 sum of c ln c over the occupied cells of the variable set U, so each set U
-is counted once (a bincount of compact ids, then a lookup in a c ln c
-table) rather than once per (node, set) pair. A pair is dropped only when
+is counted once (a bincount of its ids, then a lookup in a c ln c table)
+rather than once per (node, set) pair. A pair is dropped only when
 its approximate score, plus twice a rounding bound, is strictly below the
 approximate score of one of its proper subsets: its exact score is then
 strictly below that subset's, and the best-subset program could never
@@ -35,12 +36,15 @@ pick it. Only the kept pairs are scored exactly, so the programs compare
 the same floats as without the screen and return the same DAG; exact ties
 are kept and settled by the exact scores.
 
-The greedy search keeps each node's parents and ancestors as int bitmasks
-(Scutari, "Learning Bayesian Networks with the bnlearn R Package", JSS
-2010), recomputing the ancestors in one topological pass per applied move.
-Adding i -> j is legal iff j is not an ancestor of i; reversing i -> j iff
-no other parent of j has ancestor i (a path from i to such a parent cannot
-use i -> j, as it would close a cycle through j).
+The greedy search keeps each node's parents and ancestors as int bitmasks,
+recomputing the ancestors in one topological pass per applied move, and
+the local score of every single-edge change in a table whose column j
+depends only on j's parents, so a move rescores only the columns of the
+nodes whose parents it changes (bnlearn caches scores per node the same
+way: Scutari, "Learning Bayesian Networks with the bnlearn R Package",
+JSS 2010). Adding i -> j is legal iff j is not an ancestor of i; reversing
+i -> j iff no other parent of j has ancestor i (a path from i to such a
+parent cannot use i -> j, as it would close a cycle through j).
 
 All functions work on integer code matrices (rows x variables) with
 per-variable value counts; see dataset.pool_to_codes.
@@ -152,11 +156,11 @@ def _table_mi(counts: np.ndarray, n: int) -> float:
 def chow_liu(codes: np.ndarray, value_counts) -> Dag:
     """Maximum-spanning tree over pairwise MI, rooted at variable 0 with
     edges directed away from the root. MI ties break to the lexicographically
-    lowest (i, j) edge."""
+    lowest (i, j) edge. A single variable gets the edgeless one-node DAG."""
     arr = _check_data(codes)
     n = len(value_counts)
     if n < 2:
-        raise DataError("Chow-Liu needs at least 2 variables")
+        return Dag(n, ((),) * n)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     counts, offsets = view_counts(arr, value_counts, pairs)
     edges = sorted((-_table_mi(table.reshape(value_counts[i], value_counts[j]), arr.shape[0]), i, j)
@@ -198,47 +202,52 @@ class _FamilyScorer:
     """MDL local scores of one node given a parent set, counted over the
     parent-value combinations that occur in the data.
 
-    A parent set is represented by compact combination ids: one id per row,
-    numbering the occurring combinations in C order over the parents in
-    ascending order, plus each combination's row count. Appending a parent
-    column maps ``id * width + value`` to its rank among the occurring
-    cells, so ids stay below the row count and never overflow. The score is
-    the dense-table formula evaluated over the occurring rows only, in the
-    same order, so it is the same float.
+    A parent set is represented by its family: one combination id per row,
+    numbering the combinations in C order over the parents in ascending
+    order, and the range of the ids. Appending a parent column takes the
+    mixed-radix id ``id * width + value`` while the range stays at or below
+    the row count. Past it, each such id is replaced by its rank among the
+    occupied cells, so the range never exceeds the row count and ids never
+    overflow. Either way the occupied cells keep their C order, so the score
+    is the dense-table formula evaluated over the occurring rows only, in
+    the same order: the same float.
     """
 
     def __init__(self, arr: np.ndarray, value_counts):
         check_codes(arr, value_counts)
         self.widths = [int(w) for w in value_counts]
         self.columns = np.ascontiguousarray(arr.T, dtype=np.int64)
-        n_rows = arr.shape[0]
-        half_log_n = 0.5 * np.log(n_rows)
+        self.n_rows = arr.shape[0]
+        half_log_n = 0.5 * np.log(self.n_rows)
         # (log N / 2) * (D_i - 1); times prod(D_parents) gives the penalty
         self.unit_penalty = [half_log_n * (w - 1) for w in self.widths]
-        self.empty = (np.zeros(n_rows, dtype=np.int64), np.array([n_rows]))
+        self.empty = (np.zeros(self.n_rows, dtype=np.int64), 1)
 
     def extend(self, family: tuple, parent: int) -> tuple:
-        """Compact ids and row counts of the parent set plus ``parent``,
-        which must exceed every parent already in the set."""
-        ids, _ = family
-        cells = ids * self.widths[parent] + self.columns[parent]
-        counts = np.bincount(cells)
-        occupied = counts > 0
-        return (np.cumsum(occupied) - 1)[cells], counts[occupied]
+        """Ids and id range of the parent set plus ``parent``, which must
+        exceed every parent already in the set."""
+        ids, size = family
+        width = self.widths[parent]
+        cells = ids * width + self.columns[parent]
+        if size * width <= self.n_rows:
+            return cells, size * width
+        rank = np.cumsum(np.bincount(cells) > 0) - 1
+        return rank[cells], int(rank[-1]) + 1
 
     def score(self, node: int, family: tuple, n_combos: int) -> float:
         """ML log-likelihood of ``node`` given the parent set, minus the
         (log N / 2) * (D_i - 1) * prod(D_parents) complexity penalty."""
-        ids, totals = family
+        ids, size = family
         width = self.widths[node]
-        counts = np.bincount(ids * width + self.columns[node])
-        seen = np.flatnonzero(counts)
+        counts = np.bincount(ids * width + self.columns[node], minlength=size * width)
+        seen = counts.nonzero()[0]
         observed = counts[seen]
-        ll = float(np.sum(observed * np.log(observed / totals[seen // width])))
+        totals = counts.reshape(size, width).sum(axis=1)
+        ll = float((observed * np.log(observed / totals[seen // width])).sum())
         return ll - self.unit_penalty[node] * n_combos
 
     def family(self, parents: tuple[int, ...]) -> tuple:
-        """Compact ids and row counts of ``parents`` in ascending order."""
+        """Ids and id range of ``parents`` in ascending order."""
         family = self.empty
         for p in parents:
             family = self.extend(family, p)
@@ -259,7 +268,12 @@ def mdl_score(dag: Dag, codes: np.ndarray, value_counts) -> float:
 
 def _members(mask: int) -> tuple[int, ...]:
     """The nodes of a bitmask, ascending."""
-    return tuple(u for u in range(mask.bit_length()) if (mask >> u) & 1)
+    nodes = []
+    while mask:
+        low = mask & -mask
+        nodes.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(nodes)
 
 
 def _ancestor_masks(parents: list[int]) -> list[int]:
@@ -277,16 +291,34 @@ def _ancestor_masks(parents: list[int]) -> list[int]:
     return ancestors
 
 
+def _bit_matrix(masks: list[int], n: int) -> np.ndarray:
+    """Boolean (len(masks), n) matrix whose [a, b] entry is bit b of masks[a]."""
+    n_bytes = (n + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(n_bytes, "little") for m in masks), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(len(masks), n_bytes), axis=1, count=n,
+                         bitorder="little").view(bool)
+
+
 def greedy_search(codes: np.ndarray, value_counts, max_parents: int | None = None) -> Dag:
     """Hill-climbing from the empty graph over single-edge additions,
     removals, and reversals, keeping acyclicity, until no move improves the
-    MDL score. Move enumeration order is fixed, so ties are deterministic.
-    A move is the (node, new parent mask) pairs it sets; local scores are
-    cached by (node, parent mask)."""
+    MDL score by more than 1e-9. Of equal best gains the first in the order
+    (i, j, then removal before reversal) wins, so ties are deterministic.
+
+    The search keeps a move-gain table: ``toggled[i, j]`` is the local score
+    of j with the edge i -> j toggled, scored when a legal move first needs
+    it, and ``base[j]`` that of j's current parents. A move changes the
+    parents of j, and of i for a reversal, so only those columns are
+    rescored; local scores are cached by (node, parent mask). Each round
+    derives every move's gain and legality as (n, n) arrays and picks the
+    best with one argmax over the (i, j, op) stack, illegal moves at
+    -inf."""
     arr = _check_data(codes)
     n = len(value_counts)
     limit = n if max_parents is None else max_parents  # a node has at most n - 1 parents
     scorer = _FamilyScorer(arr, value_counts)
+    if n < 2:
+        return Dag(n, ((),) * n)
     cache: dict = {}
 
     def local(node, mask):
@@ -295,31 +327,34 @@ def greedy_search(codes: np.ndarray, value_counts, max_parents: int | None = Non
         return cache[node, mask]
 
     parents, ancestors = [0] * n, [0] * n
+    base = np.array([local(j, 0) for j in range(n)])
+    toggled = np.full((n, n), np.nan)  # scored once a legal move needs it
     while True:
-        best_gain, best_move = 1e-9, None
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                pa_i, pa_j, bit_i = parents[i], parents[j], 1 << i
-                if not pa_j & bit_i:  # addition i -> j
-                    if pa_j.bit_count() >= limit or (ancestors[i] >> j) & 1:
-                        continue
-                    moves = [(local(j, pa_j | bit_i) - local(j, pa_j), ((j, pa_j | bit_i),))]
-                else:  # removal of i -> j, then its reversal to j -> i
-                    removal = local(j, pa_j ^ bit_i) - local(j, pa_j)
-                    moves = [(removal, ((j, pa_j ^ bit_i),))]
-                    if pa_i.bit_count() < limit and not any(
-                            (ancestors[p] >> i) & 1 for p in _members(pa_j ^ bit_i)):
-                        gain = removal + local(i, pa_i | 1 << j) - local(i, pa_i)
-                        moves.append((gain, ((j, pa_j ^ bit_i), (i, pa_i | 1 << j))))
-                for gain, move in moves:
-                    if gain > best_gain:
-                        best_gain, best_move = gain, move
-        if best_move is None:
+        is_parent = _bit_matrix(parents, n).T  # [i, j]: i -> j
+        is_ancestor = _bit_matrix(ancestors, n)  # [a, b]: b is an ancestor of a
+        not_full = is_parent.sum(axis=0) < limit  # [j]: j may gain a parent
+        # [i, j]: i is an ancestor of a parent of j
+        upstream = (is_ancestor.T.astype(float) @ is_parent.astype(float)) > 0
+        single_ok = is_parent | (~is_ancestor & not_full & ~np.eye(n, dtype=bool))
+        reverse = is_parent & ~upstream & not_full[:, None]
+        # a reversal of i -> j also reads the addition of j -> i
+        for i, j in np.argwhere((single_ok | reverse.T) & np.isnan(toggled)).tolist():
+            toggled[i, j] = local(j, parents[j] ^ 1 << i)
+        single = toggled - base  # addition or removal
+        gains = np.stack([np.where(single_ok, single, -np.inf),
+                          np.where(reverse, (single + toggled.T) - base[:, None], -np.inf)],
+                         axis=2)
+        best = int(np.argmax(gains))
+        if not gains.flat[best] > 1e-9:
             return Dag(n, tuple(map(_members, parents)))
-        for node, mask in best_move:
-            parents[node] = mask
+        i, j, op = map(int, np.unravel_index(best, gains.shape))
+        parents[j] ^= 1 << i
+        changed = (j,)
+        if op:  # reversal: j -> i
+            parents[i] |= 1 << j
+            changed = (j, i)
+        for c in changed:
+            base[c], toggled[:, c] = local(c, parents[c]), np.nan
         ancestors = _ancestor_masks(parents)
 
 
@@ -329,16 +364,21 @@ def _candidates(scorer: _FamilyScorer, empty_scores: np.ndarray) -> np.ndarray:
     scored exactly; the empty set, already scored, is not among them.
 
     Parent sets are visited depth-first, each extending its prefix's
-    compact combination ids by one column. A node's score given S is at
-    most -penalty(S), since the log-likelihood is at most 0, so once
-    penalty(S) exceeds -score(node | {}) that set and all its supersets
-    score strictly below the empty set and are never picked (de Campos &
-    Ji, JMLR 12, 2011); they are never counted, and a subtree with no node
-    left to score is skipped. For each other pair the pass counts A(U)
-    once per needed set U and approximates the score as
-    A(T + v) - A(T) - penalty (see the module docstring)."""
+    combination ids by one column. A node's score given S is at most
+    -penalty(S), since the log-likelihood is at most 0, so once penalty(S)
+    exceeds -score(node | {}) that set and all its supersets score strictly
+    below the empty set and are never picked (de Campos & Ji, JMLR 12,
+    2011); they are never counted, and a subtree with no node left to score
+    is skipped. A set visited for a node of width D >= 2 has at most
+    1 + 2N ln D / ((D - 1) ln N) combinations, fewer than the N rows unless
+    N is a handful, so its ids stay raw and extending them is one
+    multiply-add; only width-1 nodes, whose penalty is 0, keep larger sets
+    open. For each other pair the pass counts A(U) once per needed set U,
+    most of them as the joint T + v of a set visited before, and
+    approximates the score as A(T + v) - A(T) - penalty (see the module
+    docstring)."""
     widths, unit_penalty, columns = scorer.widths, scorer.unit_penalty, scorer.columns
-    n, n_rows = len(widths), len(scorer.empty[0])
+    n, n_rows = len(widths), scorer.n_rows
     bound = (-empty_scores).tolist()
     cells = np.arange(n_rows + 1)
     xlogx = cells * np.log(np.maximum(cells, 1))  # c ln c, 0 at c = 0
@@ -354,9 +394,9 @@ def _candidates(scorer: _FamilyScorer, empty_scores: np.ndarray) -> np.ndarray:
             if not children:
                 continue
             sub_family = scorer.extend(family, u)
-            ids, counts = sub_family
+            ids = sub_family[0]
             if entropy[sub] is None:
-                entropy[sub] = float(xlogx[counts].sum())
+                entropy[sub] = float(xlogx[np.bincount(ids)].sum())
             for v in children:
                 joint = sub | (1 << v)
                 if entropy[joint] is None:
@@ -367,8 +407,9 @@ def _candidates(scorer: _FamilyScorer, empty_scores: np.ndarray) -> np.ndarray:
     visit(0, scorer.empty, 1, 0)
     # Rounding bound, u the unit roundoff and N the row count. Each A and
     # each log-likelihood is a sum of at most N nonzero terms c ln c or
-    # c ln(c / c_parent) whose magnitudes add up to at most N ln N; summed
-    # in any order, with a few ulp of rounding per term, it errs by at most
+    # c ln(c / c_parent) whose magnitudes add up to at most N ln N, and any
+    # zero terms of empty cells add exactly; summed in any order, with a
+    # few ulp of rounding per term, it errs by at most
     # about (N + 4) u N ln N. An approximate score rounds two such sums and
     # their difference, an exact score one sum, and both subtract the same
     # penalty float, at most bound[v] for a counted set, rounding once
@@ -421,24 +462,27 @@ def exact_search(codes: np.ndarray, value_counts, max_vars: int = EXACT_MAX_VARS
         for v in np.flatnonzero(keep[:, sub]).tolist():
             local[v, sub] = scorer.score(v, family, n_combos)
     # one pass over set sizes, each level settled from the one below: first
-    # every node's best parent set within each k-set, in place of its local
-    # score (the set itself unless a (k-1)-subset is strictly better, the
-    # first in ascending order of the element it drops), then each k-set's
-    # best network and its sink (the first best node in ascending order).
-    # A node's entries for sets that hold it are filled but never read.
+    # the best parent set within each k-set of every node outside it, in
+    # place of its local score (the set itself unless a (k-1)-subset is
+    # strictly better, the first in ascending order of the element it
+    # drops), then each k-set's best network and its sink (the first best
+    # node in ascending order). A node's entries for sets that hold it are
+    # never read, so they are not filled.
     masks = np.arange(1 << n)
-    bits = (masks[:, None] >> np.arange(n)) & 1
-    size = bits.sum(axis=1)
+    inside = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
+    size = inside.sum(axis=1)
     chosen = np.tile(masks, (n, 1))  # node x set: the best parent set within it
     best, sink = np.zeros(1 << n), np.zeros(1 << n, dtype=np.intp)
     for k in range(1, n + 1):
         level = np.flatnonzero(size == k)
-        members = np.nonzero(bits[level])[1].reshape(-1, k)
+        members = np.nonzero(inside[level])[1].reshape(-1, k)
+        outside = np.nonzero(~inside[level])[1].reshape(len(level), n - k)
         rest = level[:, None] ^ (1 << members)
         sets = np.column_stack([level, rest])
-        source = sets[np.arange(len(level)), local[:, sets].argmax(axis=2)]
-        local[:, level] = np.take_along_axis(local, source, axis=1)
-        chosen[:, level] = np.take_along_axis(chosen, source, axis=1)
+        pick = local[outside[:, :, None], sets[:, None, :]].argmax(axis=2)
+        source = np.take_along_axis(sets, pick, axis=1)
+        local[outside, level[:, None]] = local[outside, source]
+        chosen[outside, level[:, None]] = chosen[outside, source]
         value = best[rest] + local[members, rest]
         top = (np.arange(len(level)), value.argmax(axis=1))
         best[level], sink[level] = value[top], members[top]

@@ -291,6 +291,11 @@ class TestChowLiu:
         skeleton = {tuple(sorted(e)) for e in dag.edges}
         assert skeleton == best_tree
 
+    def test_one_variable_gives_the_edgeless_dag(self):
+        codes = np.array([[0], [1], [1]])
+        assert chow_liu(codes, (2,)) == Dag(1, ((),))
+        assert greedy_search(codes, (2,)) == exact_search(codes, (2,)) == Dag(1, ((),))
+
     def test_toy_returns_connected_graph(self):
         dag = chow_liu(_toy_codes(), (2, 2))
         assert len(dag.edges) == 1
@@ -414,6 +419,23 @@ class TestGreedyMatchesReference:
         assert applied
         assert greedy_search(codes, widths, 3) == expected
 
+    def test_wide_latent_class_pool(self):
+        # 24 variables: 45 applied moves, each rescoring only its child's
+        # column of the move-gain table
+        spec = SyntheticGeneratorSpec(kind="latent-class", size=2000, seed=4, n_variables=24,
+                                      category_width=4)
+        codes, widths = pool_to_codes(synth_generate(spec)), (4,) * 24
+        expected, applied = _reference_greedy_search(codes, widths, 3)
+        assert len(applied) == 45
+        assert greedy_search(codes, widths, 3) == expected
+
+    @pytest.mark.parametrize("max_parents", [0, 1])
+    def test_bn_search_training_split_few_parents(self, max_parents):
+        codes, widths = _bn_search_training_codes(2)
+        expected, applied = _reference_greedy_search(codes, widths, max_parents)
+        assert bool(applied) == bool(max_parents)
+        assert greedy_search(codes, widths, max_parents) == expected
+
 
 class TestSparseScorer:
     def test_local_scores_equal_dense_reference(self):
@@ -435,6 +457,32 @@ class TestSparseScorer:
             for node, parents in families:
                 assert scorer.local(node, parents) == _dense_local_score(codes, widths, node, parents)
             assert scorer.local(6, (0, 1)) == -(0.5 * np.log(300) * 4 * (widths[0] * widths[1]))
+
+    def test_raw_and_compact_ids_at_the_row_count(self):
+        # widths 6 x 6 give 36 parent combinations: at 36 rows the family
+        # {0, 2} sits exactly at the row count and keeps its raw ids, at 35
+        # it is one cell above and is ranked; the width-1 column 1 changes
+        # no range, and its zero penalty keeps every set open in the exact
+        # search's candidate pass
+        r = np.random.default_rng(410)
+        widths = (6, 1, 6, 3, 2)
+        for n_rows in (36, 35):
+            codes = _dependent_codes(r, widths, n_rows)
+            scorer = bayesnet._FamilyScorer(codes, widths)
+            ids, size = scorer.family((0, 1, 2))
+            raw = codes[:, 0] * 6 + codes[:, 2]
+            if n_rows == 36:
+                assert size == 36 and np.array_equal(ids, raw)
+            else:
+                assert size == len(np.unique(raw)) and np.array_equal(
+                    ids, np.unique(raw, return_inverse=True)[1])
+            for node in range(5):
+                others = [u for u in range(5) if u != node]
+                for k in range(5):
+                    for parents in itertools.combinations(others, k):
+                        assert scorer.local(node, parents) == \
+                            _dense_local_score(codes, widths, node, parents)
+            assert exact_search(codes, widths) == _reference_exact_search(codes, widths)
 
     def test_mdl_score_past_the_dense_table_bound(self, rng):
         widths = (20,) * 6

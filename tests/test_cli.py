@@ -189,6 +189,19 @@ class TestStagedFlow:
         assert doc["n_edges"] == len(dag.edges) > 0
         assert doc["mdl_score"] == mdl_score(dag, codes, schema.value_counts)
 
+    def test_tree_bn_on_one_variable(self, tmp_path):
+        # the tree of one node is the edgeless DAG, as the greedy search's is
+        out = tmp_path / "one"
+        config = _write_config(tmp_path, out, methods=[
+            {"name": "g", "kind": "bn", "params": {"algorithm": "greedy"}},
+            {"name": "t", "kind": "bn", "params": {"algorithm": "tree"}}])
+        doc = json.loads(config.read_text())
+        doc["data"]["synthetic"]["n_variables"] = 1
+        config.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(config)]) == 0
+        assert (out / "pools" / "t.csv").exists()
+        assert json.loads((out / "models" / "t.json").read_text())["parents"] == [[]]
+
 
 # every configuration field of JSON type "a number" or "a list of numbers",
 # and the message a non-finite value gets
